@@ -21,13 +21,12 @@ from .basis import BasisExpansion, FourierBasis, inner_product, project_samples
 from .ingest import EcologyRecord, EcologyTruth, load_csv, synth_ecology, to_dataset
 from .kernel import kernel_moment, smooth_kernel
 from .locfit import (
-    EmptyWindowError,
     LocalQuadFit,
     SingularFitError,
     curve_estimates,
     local_quad_fit,
-    nw_estimate_loo,
     nw_loo_all,
+    nw_predict,
     smoother_matrix,
 )
 from .model import (
@@ -63,8 +62,8 @@ __all__ = [
     "BasisExpansion", "FourierBasis", "inner_product", "project_samples",
     "EcologyRecord", "EcologyTruth", "load_csv", "synth_ecology", "to_dataset",
     "kernel_moment", "smooth_kernel",
-    "EmptyWindowError", "LocalQuadFit", "SingularFitError", "curve_estimates",
-    "local_quad_fit", "nw_estimate_loo", "nw_loo_all", "smoother_matrix",
+    "LocalQuadFit", "SingularFitError", "curve_estimates",
+    "local_quad_fit", "nw_loo_all", "nw_predict", "smoother_matrix",
     "Dataset", "DegenerateObjectiveError", "FunctionalBlock", "IndexModelSpec",
     "NormalizationError", "ObjectiveReport", "canonical_sign", "compute_index",
     "normalize_spec", "objective_loo_mse", "spec_from_raw",

@@ -10,8 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import readonly_array
-from .kernel import smooth_kernel
-from .locfit import SingularFitError, smoother_matrix
+from .locfit import SingularFitError, nw_predict, smoother_matrix
 from .model import (
     Dataset,
     DegenerateObjectiveError,
@@ -112,21 +111,6 @@ def gcv_score(data: Dataset, spec: IndexModelSpec, h: float) -> float:
     return float(np.mean(residuals * residuals) / trace_term**2)
 
 
-def _nw_predict(z_train, y_train, z_test, h):
-    """Plain Nadaraya-Watson prediction at held-out index values.
-
-    Returns ``(predictions, excluded)``; excluded marks test points with no
-    training neighbour inside the window.
-    """
-    weights = smooth_kernel((np.asarray(z_test)[:, None] - np.asarray(z_train)[None, :]) / h)
-    den = weights.sum(axis=1)
-    excluded = den == 0.0
-    predictions = np.full(len(z_test), np.nan)
-    keep = ~excluded
-    predictions[keep] = (weights @ y_train)[keep] / den[keep]
-    return predictions, excluded
-
-
 def _fold_assignment(n: int, folds: int, seed) -> list[np.ndarray]:
     permutation = np.random.default_rng(seed).permutation(n)
     return np.array_split(permutation, folds)
@@ -164,7 +148,7 @@ def kfold_score(data: Dataset, strategy: InitStrategy, h: float, folds: int = 10
             result = minimize(train, init, h, budget, label=label)
         z_train = compute_index(train, result.spec)
         z_test = compute_index(test, result.spec)
-        predictions, excluded = _nw_predict(z_train, train.y, z_test, h)
+        predictions, excluded = nw_predict(z_train, train.y, z_test, h)
         keep = ~excluded
         residuals = test.y[keep] - predictions[keep]
         total_error += float(residuals @ residuals)

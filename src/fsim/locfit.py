@@ -7,8 +7,15 @@ polynomial with kernel weights K((z_i - u)/h).  The minimizer of
 
 estimates (g(u), g'(u), g''(u)) = (a, b, c), and each estimate is a linear
 functional of the responses: the rows of (X'WX)^{-1} X'W, exposed here as
-smoother rows.  The leave-one-out Nadaraya-Watson estimator used inside the
-coefficient-search objective also lives here.
+smoother rows.
+
+The Nadaraya-Watson kernel sums also live here, in one engine that serves
+the leave-one-out estimator inside the coefficient-search objective and the
+held-out prediction of k-fold validation.  The kernel vanishes beyond one
+bandwidth, so above ``ONE_TILE_MAX`` samples the engine sorts the h-scaled
+index once and sums over row tiles, each against the contiguous window of
+samples it can reach; up to that size, where a timing sweep found the sort
+and tile loop no faster, it sums over one dense tile.
 """
 
 from __future__ import annotations
@@ -22,6 +29,12 @@ from .kernel import smooth_kernel, transform_inplace
 
 MIN_WINDOW_POINTS = 3
 CONDITION_LIMIT = 1e12
+# Rows per tile of the sorted-window kernel sums, and the largest problem that
+# runs as one dense tile without sorting.  A per-call timing sweep over the
+# default bandwidth grid put the crossover at about 250 samples (see README,
+# "Kernel sums").
+TILE_ROWS = 64
+ONE_TILE_MAX = 256
 
 
 class SingularFitError(RuntimeError):
@@ -30,10 +43,6 @@ class SingularFitError(RuntimeError):
     def __init__(self, message: str, row: int | None = None):
         super().__init__(message)
         self.row = row
-
-
-class EmptyWindowError(RuntimeError):
-    """No neighbour falls inside the kernel window."""
 
 
 @dataclass(frozen=True)
@@ -122,49 +131,91 @@ def local_quad_fit(index_values, responses, u: float, h: float) -> LocalQuadFit:
     )
 
 
-def nw_estimate_loo(index_values, responses, i: int, h: float) -> float:
-    """Leave-one-out Nadaraya-Watson estimate at sample ``i``.
+def _tile_sums(rows, columns, responses, diagonal):
+    """Kernel row sums and kernel-weighted response sums of one dense tile.
 
-    Kernel-weighted average of every other response; raises
-    :class:`EmptyWindowError` when no other sample falls within ``h`` of
-    sample ``i``, leaving the exclusion policy to the caller.
+    ``diagonal`` is the column of row 0's own sample, whose weight (and, down
+    the diagonal, every later row's) is zeroed; ``None`` keeps every weight.
+    """
+    w = transform_inplace(rows[:, None] - columns[None, :])
+    if diagonal is not None:
+        w.ravel()[diagonal::columns.size + 1] = 0.0
+    return w.sum(axis=1), w @ responses
+
+
+def _nw_sums(points, samples, responses, leave_one_out: bool):
+    """Nadaraya-Watson at h-scaled ``points`` from h-scaled ``samples``.
+
+    The one kernel-sum engine behind :func:`nw_loo_all` and
+    :func:`nw_predict`.  Returns ``(estimates, excluded)`` in the order of
+    ``points``; with ``leave_one_out`` the points are the samples and each
+    sample's own weight is zeroed.  Up to ``ONE_TILE_MAX`` points and
+    samples the sums come from one dense tile, unsorted.  Beyond that both
+    sides are sorted once and the points are walked in tiles of
+    ``TILE_ROWS`` rows, each against the contiguous run of samples that lies
+    within reach of the tile's first and last rows, so tiles skip the pairs
+    the compact kernel zeroes.  Every weight is the same kernel value of the
+    same difference either way; only the order of the sums changes.
+    """
+    m, n = points.size, samples.size
+    tiled = (min(m, n) > 0 and max(m, n) > ONE_TILE_MAX
+             and np.isfinite(points).all() and np.isfinite(samples).all())
+    if not tiled:
+        den, num = _tile_sums(points, samples, responses, 0 if leave_one_out else None)
+    else:
+        order = np.argsort(points)
+        p = points[order]
+        if leave_one_out:
+            s, y = p, responses[order]
+        else:
+            by_index = np.argsort(samples)
+            s, y = samples[by_index], responses[by_index]
+        # widen the reach by the rounding of p +- 1 so no in-window sample is cut
+        reach = 1.0 + 4.0 * np.finfo(float).eps * (2.0 + max(-p[0], p[-1], -s[0], s[-1]))
+        starts = np.arange(0, m, TILE_ROWS)
+        stops = np.minimum(starts + TILE_ROWS, m)
+        lo = s.searchsorted(p[starts] - reach, side="left")
+        hi = s.searchsorted(p[stops - 1] + reach, side="right")
+        den, num = np.empty(m), np.empty(m)
+        for a, b, c0, c1 in zip(starts.tolist(), stops.tolist(), lo.tolist(), hi.tolist()):
+            rows = order[a:b]
+            den[rows], num[rows] = _tile_sums(
+                p[a:b], s[c0:c1], y[c0:c1], a - c0 if leave_one_out else None)
+    excluded = den == 0.0
+    estimates = np.divide(num, den, out=np.full(m, np.nan), where=~excluded)
+    return estimates, excluded
+
+
+def nw_loo_all(index_values, responses, h: float):
+    """Leave-one-out Nadaraya-Watson at every sample.
+
+    Returns ``(estimates, excluded)`` where excluded marks samples with no
+    other sample inside their window; their estimate entry is NaN.
     """
     z = _as_vector(index_values, "index_values")
     y = _as_vector(responses, "responses")
     if z.size != y.size:
         raise ValueError(f"got {z.size} index values but {y.size} responses")
-    if not 0 <= i < z.size:
-        raise ValueError(f"sample index {i} out of range for n={z.size}")
-    if h <= 0:
-        raise ValueError(f"bandwidth must be positive, got {h}")
-    w = smooth_kernel((z[i] - z) / h)
-    w[i] = 0.0
-    den = w.sum()
-    if den == 0.0:
-        raise EmptyWindowError(f"no neighbour within h={h:.6g} of sample {i}")
-    return float((w @ y) / den)
-
-
-def nw_loo_all(index_values, responses, h: float):
-    """Vectorized leave-one-out Nadaraya-Watson at every sample.
-
-    Returns ``(estimates, excluded)`` where excluded marks samples with an
-    empty window; their estimate entry is NaN.  Agrees with
-    :func:`nw_estimate_loo` sample by sample up to accumulation order.
-    """
-    z = _as_vector(index_values, "index_values")
-    y = _as_vector(responses, "responses")
     if h <= 0:
         raise ValueError(f"bandwidth must be positive, got {h}")
     scaled = z / h
-    w = transform_inplace(scaled[:, None] - scaled[None, :])
-    np.fill_diagonal(w, 0.0)
-    den = w.sum(axis=1)
-    excluded = den == 0.0
-    estimates = np.full(z.size, np.nan)
-    keep = ~excluded
-    estimates[keep] = (w @ y)[keep] / den[keep]
-    return estimates, excluded
+    return _nw_sums(scaled, scaled, y, leave_one_out=True)
+
+
+def nw_predict(index_values, responses, points, h: float):
+    """Nadaraya-Watson prediction at held-out ``points`` from the samples.
+
+    Returns ``(predictions, excluded)``; excluded marks points with no
+    sample inside their window, and their prediction is NaN.
+    """
+    z = _as_vector(index_values, "index_values")
+    y = _as_vector(responses, "responses")
+    u = _as_vector(points, "points")
+    if z.size != y.size:
+        raise ValueError(f"got {z.size} index values but {y.size} responses")
+    if h <= 0:
+        raise ValueError(f"bandwidth must be positive, got {h}")
+    return _nw_sums(u / h, z / h, y, leave_one_out=False)
 
 
 def smoother_matrix(index_values, h: float) -> np.ndarray:

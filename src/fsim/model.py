@@ -138,12 +138,17 @@ class ObjectiveReport:
     index_values: np.ndarray
 
 
-def split_raw(data: Dataset, raw) -> tuple[list[np.ndarray], float | None]:
-    """Split a raw search vector into per-block coefficients and alpha."""
+def _search_vector(data: Dataset, raw) -> np.ndarray:
     raw = np.asarray(raw, dtype=float)
     expected = data.search_dimension()
     if raw.shape != (expected,):
         raise ValueError(f"expected a search vector of length {expected}, got {raw.shape}")
+    return raw
+
+
+def split_raw(data: Dataset, raw) -> tuple[list[np.ndarray], float | None]:
+    """Split a raw search vector into per-block coefficients and alpha."""
+    raw = _search_vector(data, raw)
     parts = []
     start = 0
     for dim in data.beta_dims():
@@ -154,15 +159,22 @@ def split_raw(data: Dataset, raw) -> tuple[list[np.ndarray], float | None]:
 
 
 def raw_index(data: Dataset, raw) -> tuple[np.ndarray, float]:
-    """Index values at an unnormalized search vector, with the coefficient norm."""
-    parts, alpha = split_raw(data, raw)
-    norm = float(np.linalg.norm(np.concatenate(parts)))
+    """Index values at an unnormalized search vector, with the coefficient norm.
+
+    Runs once per objective evaluation, so it reads slices of ``raw``
+    instead of building :func:`split_raw`'s parts and concatenating them.
+    """
+    raw = _search_vector(data, raw)
     z = np.zeros(data.n)
-    for block, part in zip(data.blocks, parts):
-        z += block.nonconstant() @ part
-    if alpha is not None:
-        z += alpha * data.w
-    return z, norm
+    start = 0
+    for block in data.blocks:
+        columns = block.nonconstant()
+        stop = start + columns.shape[1]
+        z += columns @ raw[start:stop]
+        start = stop
+    if data.w is not None:
+        z += float(raw[start]) * data.w
+    return z, float(np.linalg.norm(raw[:start]))
 
 
 def spec_from_raw(data: Dataset, raw, h: float) -> IndexModelSpec:
@@ -259,15 +271,20 @@ def objective_loo_mse(data: Dataset, raw_coeffs, h: float) -> ObjectiveReport:
     if norm == 0.0:
         raise NormalizationError("zero functional coefficient vector")
     estimates, excluded = nw_loo_all(z, data.y, h * norm)
-    kept = ~excluded
-    n_kept = int(np.count_nonzero(kept))
-    if n_kept == 0:
+    excluded_count = int(np.count_nonzero(excluded))
+    if excluded_count == data.n:
         raise DegenerateObjectiveError(
             f"every sample excluded at h={h:.6g}; bandwidth far too small"
         )
-    residuals = data.y[kept] - estimates[kept]
+    residuals = data.y - estimates
+    if excluded_count:
+        residuals = residuals[~excluded]
+    squares = residuals * residuals
+    z /= norm
+    z.flags.writeable = False
     return ObjectiveReport(
-        mse=float(np.mean(residuals * residuals)),
-        excluded_count=data.n - n_kept,
-        index_values=readonly_array(z / norm),
+        # np.mean's own sum and division, bit for bit, without its dispatch cost
+        mse=float(squares.sum() / squares.size),
+        excluded_count=excluded_count,
+        index_values=z,
     )

@@ -1,16 +1,21 @@
 """Tests for the local quadratic smoother and the leave-one-out estimator."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from fsim import locfit
 from fsim.kernel import smooth_kernel
 from fsim.locfit import (
-    EmptyWindowError,
     SingularFitError,
     curve_estimates,
     local_quad_fit,
-    nw_estimate_loo,
     nw_loo_all,
+    nw_predict,
     relocated_fit,
     smoother_matrix,
 )
@@ -151,20 +156,61 @@ class TestLocalQuadFit:
         assert scaled.c_hat == pytest.approx(base.c_hat / lam**2, abs=1e-8)
 
 
+def direct_nw(points, samples, y, h, leave_one_out):
+    """Oracle: every pair's weight on the h-scaled index, exactly rounded sums.
+
+    Returns ``(estimates, excluded, scale)``; scale is the weighted mean of
+    |y|, the size a reordered sum of the same weights can be off by.
+    """
+    p = np.asarray(points, float) / h
+    s = np.asarray(samples, float) / h
+    estimates = np.full(p.size, np.nan)
+    scale = np.full(p.size, np.nan)
+    for i in range(p.size):
+        w = smooth_kernel(p[i] - s)
+        if leave_one_out:
+            w[i] = 0.0
+        den = math.fsum(w)
+        if den > 0.0:
+            estimates[i] = math.fsum(w * y) / den
+            scale[i] = math.fsum(w * np.abs(y)) / den
+    return estimates, np.isnan(estimates), scale
+
+
+def assert_matches_oracle(got, oracle, rel=1e-12):
+    estimates, excluded = got
+    expected, expected_excluded, scale = oracle
+    np.testing.assert_array_equal(excluded, expected_excluded)
+    assert np.all(np.isnan(estimates[excluded]))
+    keep = ~expected_excluded
+    assert np.all(np.abs(estimates[keep] - expected[keep]) <= rel * scale[keep])
+
+
+def awkward_index(n, rng):
+    """Index values with ties, exact duplicates and a few isolated samples."""
+    z = rng.normal(size=n)
+    z[: n // 3] = np.round(z[: n // 3], 1)
+    z[n // 3: n // 2] = z[: n // 2 - n // 3]
+    z[-3:] = 40.0 + 7.0 * np.arange(3)
+    return rng.permutation(z)
+
+
 class TestNadarayaWatson:
     def test_constant_responses(self):
         z = np.linspace(0.0, 1.0, 8)
-        value = nw_estimate_loo(z, np.full(8, 4.5), 3, 0.5)
-        assert value == pytest.approx(4.5, abs=1e-14)
+        estimates, _ = nw_loo_all(z, np.full(8, 4.5), 0.5)
+        assert estimates[3] == pytest.approx(4.5, abs=1e-14)
 
     def test_single_neighbour(self):
-        assert nw_estimate_loo([0.0, 0.1], [2.0, 4.0], 0, 1.0) == pytest.approx(4.0)
+        estimates, _ = nw_loo_all([0.0, 0.1], [2.0, 4.0], 1.0)
+        assert estimates[0] == pytest.approx(4.0)
 
     def test_direct_sum_oracle(self):
         rng = np.random.default_rng(5)
         z = rng.uniform(0.0, 1.0, 6)
         y = rng.normal(size=6)
         h = 0.4
+        estimates, _ = nw_loo_all(z, y, h)
         for i in range(6):
             num = den = 0.0
             for j in range(6):
@@ -173,31 +219,146 @@ class TestNadarayaWatson:
                 weight = smooth_kernel((z[i] - z[j]) / h)
                 num += weight * y[j]
                 den += weight
-            assert nw_estimate_loo(z, y, i, h) == pytest.approx(num / den, abs=1e-12)
+            assert estimates[i] == pytest.approx(num / den, abs=1e-12)
 
     def test_empty_window_signal(self):
         z = np.array([0.0, 10.0, 20.0, 30.0])
-        with pytest.raises(EmptyWindowError):
-            nw_estimate_loo(z, np.zeros(4), 0, 0.5)
+        estimates, excluded = nw_loo_all(z, np.zeros(4), 0.5)
+        assert excluded[0]
+        assert np.isnan(estimates[0])
 
-    def test_vectorized_matches_pointwise(self):
+    def test_vectorized_matches_oracle(self):
         rng = np.random.default_rng(6)
         z = rng.uniform(0.0, 1.0, 30)
         y = rng.normal(size=30)
         estimates, excluded = nw_loo_all(z, y, 0.15)
+        expected, expected_excluded, _ = direct_nw(z, z, y, 0.15, leave_one_out=True)
+        np.testing.assert_array_equal(excluded, expected_excluded)
         for i in range(30):
-            if excluded[i]:
-                with pytest.raises(EmptyWindowError):
-                    nw_estimate_loo(z, y, i, 0.15)
-            else:
-                # matrix and pointwise paths may differ in accumulation order
-                assert estimates[i] == pytest.approx(nw_estimate_loo(z, y, i, 0.15), rel=1e-12)
+            if not excluded[i]:
+                # the matrix path and the exact sums differ in accumulation order
+                assert estimates[i] == pytest.approx(expected[i], rel=1e-12)
 
     def test_exclusions_flagged(self):
         z = np.array([0.0, 0.01, 0.02, 9.0])
         estimates, excluded = nw_loo_all(z, np.ones(4), 0.1)
         assert list(excluded) == [False, False, False, True]
         assert np.isnan(estimates[3])
+
+
+T = locfit.TILE_ROWS
+CUTOFF = locfit.ONE_TILE_MAX
+ENGINE_SIZES = [T - 1, T, T + 1, 3 * T + 5, CUTOFF - 1, CUTOFF, CUTOFF + 1, 1000]
+
+
+@pytest.fixture(params=["default", "tiled"])
+def engine_path(request, monkeypatch):
+    """Run each case as shipped and with every size forced onto the tiled path."""
+    if request.param == "tiled":
+        monkeypatch.setattr(locfit, "ONE_TILE_MAX", 0)
+    return request.param
+
+
+class TestKernelSumEngine:
+    @pytest.mark.parametrize("n", ENGINE_SIZES)
+    def test_loo_matches_direct_sums(self, n, engine_path):
+        rng = np.random.default_rng(n)
+        z = awkward_index(n, rng)
+        y = rng.normal(size=n)
+        for h in (0.004, 0.08, 0.5, 3.0):
+            oracle = direct_nw(z, z, y, h, leave_one_out=True)
+            assert oracle[1][z >= 40.0].all()
+            assert_matches_oracle(nw_loo_all(z, y, h), oracle)
+
+    @pytest.mark.parametrize("m, n", [(10, 90), (T + 1, 3 * T + 5), (5, 1000), (1000, 20),
+                                      (CUTOFF + 1, CUTOFF + 1)])
+    def test_predict_matches_direct_sums(self, m, n, engine_path):
+        rng = np.random.default_rng(m * n)
+        z = awkward_index(n, rng)
+        y = rng.normal(size=n)
+        # held-out points: some equal to samples, some between, some far off
+        points = np.concatenate([rng.choice(z, m // 2), rng.normal(scale=2.0, size=m - m // 2)])
+        points[-1] = -60.0
+        for h in (0.01, 0.3, 2.0):
+            oracle = direct_nw(points, z, y, h, leave_one_out=False)
+            assert oracle[1][-1]
+            assert_matches_oracle(nw_predict(z, y, points, h), oracle)
+
+    def test_one_tile_is_the_dense_matrix_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        z = rng.uniform(0.0, 3.0, size=CUTOFF)
+        y = rng.normal(size=CUTOFF)
+        scaled = z / 0.3
+        w = smooth_kernel(scaled[:, None] - scaled[None, :])
+        np.fill_diagonal(w, 0.0)
+        estimates, excluded = nw_loo_all(z, y, 0.3)
+        assert not excluded.any()
+        np.testing.assert_array_equal(estimates, (w @ y) / w.sum(axis=1))
+
+    def test_non_finite_index_propagates_as_nan(self, engine_path):
+        z = np.linspace(0.0, 1.0, 300)
+        z[7] = np.nan
+        estimates, excluded = nw_loo_all(z, np.ones(300), 0.1)
+        assert np.isnan(estimates).all()
+        assert not excluded.any()
+
+    def test_no_points_or_no_samples(self):
+        z = np.linspace(0.0, 1.0, CUTOFF + 1)
+        predictions, excluded = nw_predict(z, np.ones(z.size), [], 0.1)
+        assert predictions.size == excluded.size == 0
+        predictions, excluded = nw_predict([], [], z, 0.1)
+        assert excluded.all() and np.isnan(predictions).all()
+
+    def test_rejects_mismatched_lengths_and_bad_bandwidth(self):
+        with pytest.raises(ValueError):
+            nw_loo_all(np.arange(5.0), np.zeros(4), 0.5)
+        with pytest.raises(ValueError):
+            nw_predict(np.arange(5.0), np.zeros(5), [0.5], 0.0)
+
+
+index_arrays = st.integers(2, 2 * CUTOFF).flatmap(
+    lambda n: hnp.arrays(float, n, elements=st.floats(-4.0, 4.0, width=16)))
+
+
+class TestInvariances:
+    @settings(max_examples=40, deadline=None)
+    @given(z=index_arrays, seed=st.integers(0, 2**32 - 1), h=st.floats(0.05, 3.0))
+    def test_permuting_samples_permutes_estimates(self, z, seed, h):
+        rng = np.random.default_rng(seed)
+        y = rng.normal(size=z.size)
+        perm = rng.permutation(z.size)
+        estimates, excluded = nw_loo_all(z, y, h)
+        permuted, permuted_excluded = nw_loo_all(z[perm], y[perm], h)
+        np.testing.assert_array_equal(permuted_excluded, excluded[perm])
+        scale = direct_nw(z, z, y, h, leave_one_out=True)[2]
+        keep = ~excluded[perm]
+        assert np.all(np.abs(permuted[keep] - estimates[perm][keep]) <= 1e-12 * scale[perm][keep])
+
+    @settings(max_examples=40, deadline=None)
+    @given(z=index_arrays, seed=st.integers(0, 2**32 - 1), h=st.floats(0.05, 3.0),
+           power=st.integers(-20, 20))
+    def test_power_of_two_rescale_is_exact(self, z, seed, h, power):
+        y = np.random.default_rng(seed).normal(size=z.size)
+        lam = 2.0**power
+        estimates, excluded = nw_loo_all(z, y, h)
+        scaled, scaled_excluded = nw_loo_all(lam * z, y, lam * h)
+        np.testing.assert_array_equal(scaled_excluded, excluded)
+        np.testing.assert_array_equal(scaled, estimates)
+
+    @settings(max_examples=40, deadline=None)
+    @given(z=index_arrays, seed=st.integers(0, 2**32 - 1), h=st.floats(0.05, 3.0),
+           lam=st.floats(1e-3, 1e3))
+    def test_rescale_leaves_estimates_unchanged(self, z, seed, h, lam):
+        # a pair within rounding of the window edge may flip in or out
+        distance = np.abs(z[:, None] - z[None, :]) / h
+        assume(not np.any(np.abs(distance - 1.0) < 1e-9))
+        y = np.random.default_rng(seed).normal(size=z.size)
+        estimates, excluded = nw_loo_all(z, y, h)
+        scaled, scaled_excluded = nw_loo_all(lam * z, y, lam * h)
+        np.testing.assert_array_equal(scaled_excluded, excluded)
+        scale = direct_nw(z, z, y, h, leave_one_out=True)[2]
+        keep = ~excluded
+        assert np.all(np.abs(scaled[keep] - estimates[keep]) <= 1e-9 * scale[keep])
 
 
 class TestSmootherMatrix:
