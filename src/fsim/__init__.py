@@ -38,7 +38,6 @@ from .model import (
     ObjectiveReport,
     canonical_sign,
     compute_index,
-    normalize_spec,
     objective_loo_mse,
     spec_from_raw,
 )
@@ -66,7 +65,7 @@ __all__ = [
     "local_quad_fit", "nw_loo_all", "nw_predict", "smoother_matrix",
     "Dataset", "DegenerateObjectiveError", "FunctionalBlock", "IndexModelSpec",
     "NormalizationError", "ObjectiveReport", "canonical_sign", "compute_index",
-    "normalize_spec", "objective_loo_mse", "spec_from_raw",
+    "objective_loo_mse", "spec_from_raw",
     "InitStrategy", "OptResult", "fit", "init_equal", "init_linear",
     "init_random", "minimize",
     "LINKS", "ExperimentConfig", "GroundTruth", "SimScenario", "generate",

@@ -1,4 +1,4 @@
-"""Bandwidth selection over a grid: GCV on the smoother matrix, k-fold CV,
+"""Bandwidth selection over a grid: GCV of the local quadratic smoother, k-fold CV,
 and the power-law rescale that trades the level-optimal bandwidth for a
 curvature-friendly one.
 """
@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import readonly_array
-from .locfit import SingularFitError, nw_predict, smoother_matrix
+from .locfit import SingularFitError, level_fits, nw_predict
 from .model import (
     Dataset,
     DegenerateObjectiveError,
@@ -100,12 +100,14 @@ def gcv_score(data: Dataset, spec: IndexModelSpec, h: float) -> float:
 
     Mean squared residual of the smoother fit divided by the squared
     normalized trace of (I - S); raises :class:`SelectionError` when the
-    trace is not positive (the smoother has interpolated the data).
+    trace is not positive (the smoother has interpolated the data).  The
+    fitted values and the diagonal of S come from one batched pass, without
+    building S.
     """
     z = compute_index(data, spec)
-    smoother = smoother_matrix(z, h)
-    residuals = data.y - smoother @ data.y
-    trace_term = (data.n - float(np.trace(smoother))) / data.n
+    fitted, leverage = level_fits(z, data.y, h)
+    residuals = data.y - fitted
+    trace_term = (data.n - float(leverage.sum())) / data.n
     if trace_term <= 0.0:
         raise SelectionError(f"smoother trace degeneracy at h={h:.6g} (overfit)")
     return float(np.mean(residuals * residuals) / trace_term**2)

@@ -9,13 +9,16 @@ estimates (g(u), g'(u), g''(u)) = (a, b, c), and each estimate is a linear
 functional of the responses: the rows of (X'WX)^{-1} X'W, exposed here as
 smoother rows.
 
-The Nadaraya-Watson kernel sums also live here, in one engine that serves
-the leave-one-out estimator inside the coefficient-search objective and the
-held-out prediction of k-fold validation.  The kernel vanishes beyond one
-bandwidth, so above ``ONE_TILE_MAX`` samples the engine sorts the h-scaled
+All kernel sums run on one tile walk.  The kernel vanishes beyond one
+bandwidth, so above ``ONE_TILE_MAX`` samples the walk sorts the h-scaled
 index once and sums over row tiles, each against the contiguous window of
 samples it can reach; up to that size, where a timing sweep found the sort
-and tile loop no faster, it sums over one dense tile.
+and tile loop no faster, it sums over one dense tile.  The walk serves the
+Nadaraya-Watson sums (the leave-one-out estimator inside the
+coefficient-search objective, and the held-out prediction of k-fold
+validation) and the batched local quadratic fits behind GCV, curve grids and
+RASE.  The pointwise fits (:func:`local_quad_fit`, :func:`smoother_matrix`,
+:func:`relocated_fit`) stay as the reference for the batched ones.
 """
 
 from __future__ import annotations
@@ -70,6 +73,17 @@ def _as_vector(values, name: str) -> np.ndarray:
     return arr
 
 
+def _fit_inputs(index_values, responses, h: float):
+    """Checked index and response vectors of one smoothing call."""
+    z = _as_vector(index_values, "index_values")
+    y = _as_vector(responses, "responses")
+    if z.size != y.size:
+        raise ValueError(f"got {z.size} index values but {y.size} responses")
+    if h <= 0:
+        raise ValueError(f"bandwidth must be positive, got {h}")
+    return z, y
+
+
 def _smoother_rows(z: np.ndarray, u: float, h: float):
     """Rows M with (a, b, c) = M @ y, plus the in-window point count.
 
@@ -104,6 +118,14 @@ def _smoother_rows(z: np.ndarray, u: float, h: float):
     return rows, inside
 
 
+def _tagged_rows(z: np.ndarray, j: int, h: float) -> np.ndarray:
+    """Smoother rows of the fit at sample ``j``; a singular fit names the row."""
+    try:
+        return _smoother_rows(z, float(z[j]), float(h))[0]
+    except SingularFitError as exc:
+        raise SingularFitError(f"row {j}: {exc}", row=j) from exc
+
+
 def local_quad_fit(index_values, responses, u: float, h: float) -> LocalQuadFit:
     """Fit the local quadratic at ``u`` with bandwidth ``h``.
 
@@ -111,12 +133,7 @@ def local_quad_fit(index_values, responses, u: float, h: float) -> LocalQuadFit:
     :class:`SingularFitError` otherwise, or when the weighted normal matrix
     is too ill-conditioned to trust.
     """
-    z = _as_vector(index_values, "index_values")
-    y = _as_vector(responses, "responses")
-    if z.size != y.size:
-        raise ValueError(f"got {z.size} index values but {y.size} responses")
-    if h <= 0:
-        raise ValueError(f"bandwidth must be positive, got {h}")
+    z, y = _fit_inputs(index_values, responses, h)
     rows, inside = _smoother_rows(z, float(u), float(h))
     a, b, c = rows @ y
     return LocalQuadFit(
@@ -131,58 +148,77 @@ def local_quad_fit(index_values, responses, u: float, h: float) -> LocalQuadFit:
     )
 
 
-def _tile_sums(rows, columns, responses, diagonal):
-    """Kernel row sums and kernel-weighted response sums of one dense tile.
+def _walk(tile, points, samples, data, leave_one_out: bool = False):
+    """The one sorted-window tile walk over h-scaled ``points`` and ``samples``.
+
+    ``tile(rows, tile_points, window_samples, window_data, diagonal)`` sums
+    one tile and returns a tuple of arrays whose first axis runs over the
+    tile's points.  ``rows`` indexes those points in input order,
+    ``window_data`` holds the columns of ``data`` (per-sample values along
+    its last axis) of the window's samples, and ``diagonal`` is the window
+    column of the first point's own sample when ``leave_one_out`` (the
+    points are then the samples), ``None`` otherwise.  Up to
+    ``ONE_TILE_MAX`` points and samples the whole problem is one dense tile,
+    unsorted.  Beyond that both sides are sorted once and the points are
+    walked in tiles of ``TILE_ROWS`` rows, each against the contiguous run of
+    samples that lies within reach of the tile's first and last rows, so
+    tiles skip the pairs the compact kernel zeroes; the tile results are
+    scattered back to input order.  Non-finite input takes the dense tile.
+    """
+    m, n = points.size, samples.size
+    tiled = (min(m, n) > 0 and max(m, n) > ONE_TILE_MAX
+             and np.isfinite(points).all() and np.isfinite(samples).all())
+    if not tiled:
+        return tile(slice(None), points, samples, data, 0 if leave_one_out else None)
+    order = np.argsort(points)
+    p = points[order]
+    if leave_one_out:
+        s, data = p, data[..., order]
+    else:
+        by_index = np.argsort(samples)
+        s, data = samples[by_index], data[..., by_index]
+    # widen the reach by the rounding of p +- 1 so no in-window sample is cut
+    reach = 1.0 + 4.0 * np.finfo(float).eps * (2.0 + max(-p[0], p[-1], -s[0], s[-1]))
+    starts = np.arange(0, m, TILE_ROWS)
+    stops = np.minimum(starts + TILE_ROWS, m)
+    lo = s.searchsorted(p[starts] - reach, side="left")
+    hi = s.searchsorted(p[stops - 1] + reach, side="right")
+    results = None
+    for a, b, c0, c1 in zip(starts.tolist(), stops.tolist(), lo.tolist(), hi.tolist()):
+        rows = order[a:b]
+        parts = tile(rows, p[a:b], s[c0:c1], data[..., c0:c1],
+                     a - c0 if leave_one_out else None)
+        if results is None:
+            results = tuple(np.empty((m,) + part.shape[1:], part.dtype) for part in parts)
+        for result, part in zip(results, parts):
+            result[rows] = part
+    return results
+
+
+def _nw_tile(rows, points, samples, responses, diagonal):
+    """Kernel row sums and kernel-weighted response sums of one tile.
 
     ``diagonal`` is the column of row 0's own sample, whose weight (and, down
     the diagonal, every later row's) is zeroed; ``None`` keeps every weight.
     """
-    w = transform_inplace(rows[:, None] - columns[None, :])
+    w = transform_inplace(points[:, None] - samples[None, :])
     if diagonal is not None:
-        w.ravel()[diagonal::columns.size + 1] = 0.0
+        w.ravel()[diagonal::samples.size + 1] = 0.0
     return w.sum(axis=1), w @ responses
 
 
 def _nw_sums(points, samples, responses, leave_one_out: bool):
     """Nadaraya-Watson at h-scaled ``points`` from h-scaled ``samples``.
 
-    The one kernel-sum engine behind :func:`nw_loo_all` and
-    :func:`nw_predict`.  Returns ``(estimates, excluded)`` in the order of
-    ``points``; with ``leave_one_out`` the points are the samples and each
-    sample's own weight is zeroed.  Up to ``ONE_TILE_MAX`` points and
-    samples the sums come from one dense tile, unsorted.  Beyond that both
-    sides are sorted once and the points are walked in tiles of
-    ``TILE_ROWS`` rows, each against the contiguous run of samples that lies
-    within reach of the tile's first and last rows, so tiles skip the pairs
-    the compact kernel zeroes.  Every weight is the same kernel value of the
-    same difference either way; only the order of the sums changes.
+    Returns ``(estimates, excluded)`` in the order of ``points``; with
+    ``leave_one_out`` the points are the samples and each sample's own
+    weight is zeroed.  Every weight is the same kernel value of the same
+    difference on either path of the walk; only the order of the sums
+    changes.
     """
-    m, n = points.size, samples.size
-    tiled = (min(m, n) > 0 and max(m, n) > ONE_TILE_MAX
-             and np.isfinite(points).all() and np.isfinite(samples).all())
-    if not tiled:
-        den, num = _tile_sums(points, samples, responses, 0 if leave_one_out else None)
-    else:
-        order = np.argsort(points)
-        p = points[order]
-        if leave_one_out:
-            s, y = p, responses[order]
-        else:
-            by_index = np.argsort(samples)
-            s, y = samples[by_index], responses[by_index]
-        # widen the reach by the rounding of p +- 1 so no in-window sample is cut
-        reach = 1.0 + 4.0 * np.finfo(float).eps * (2.0 + max(-p[0], p[-1], -s[0], s[-1]))
-        starts = np.arange(0, m, TILE_ROWS)
-        stops = np.minimum(starts + TILE_ROWS, m)
-        lo = s.searchsorted(p[starts] - reach, side="left")
-        hi = s.searchsorted(p[stops - 1] + reach, side="right")
-        den, num = np.empty(m), np.empty(m)
-        for a, b, c0, c1 in zip(starts.tolist(), stops.tolist(), lo.tolist(), hi.tolist()):
-            rows = order[a:b]
-            den[rows], num[rows] = _tile_sums(
-                p[a:b], s[c0:c1], y[c0:c1], a - c0 if leave_one_out else None)
+    den, num = _walk(_nw_tile, points, samples, responses, leave_one_out)
     excluded = den == 0.0
-    estimates = np.divide(num, den, out=np.full(m, np.nan), where=~excluded)
+    estimates = np.divide(num, den, out=np.full(points.size, np.nan), where=~excluded)
     return estimates, excluded
 
 
@@ -192,12 +228,7 @@ def nw_loo_all(index_values, responses, h: float):
     Returns ``(estimates, excluded)`` where excluded marks samples with no
     other sample inside their window; their estimate entry is NaN.
     """
-    z = _as_vector(index_values, "index_values")
-    y = _as_vector(responses, "responses")
-    if z.size != y.size:
-        raise ValueError(f"got {z.size} index values but {y.size} responses")
-    if h <= 0:
-        raise ValueError(f"bandwidth must be positive, got {h}")
+    z, y = _fit_inputs(index_values, responses, h)
     scaled = z / h
     return _nw_sums(scaled, scaled, y, leave_one_out=True)
 
@@ -208,14 +239,83 @@ def nw_predict(index_values, responses, points, h: float):
     Returns ``(predictions, excluded)``; excluded marks points with no
     sample inside their window, and their prediction is NaN.
     """
-    z = _as_vector(index_values, "index_values")
-    y = _as_vector(responses, "responses")
+    z, y = _fit_inputs(index_values, responses, h)
     u = _as_vector(points, "points")
-    if z.size != y.size:
-        raise ValueError(f"got {z.size} index values but {y.size} responses")
-    if h <= 0:
-        raise ValueError(f"bandwidth must be positive, got {h}")
     return _nw_sums(u / h, z / h, y, leave_one_out=False)
+
+
+# Entry (p, q) of the normal matrix X'WX of the h-scaled design (1, s, s^2/2)
+# is S_{p+q} times _HALVES[p, q], with S_k the sum of w s^k over the window.
+_HANKEL = np.add.outer(np.arange(3), np.arange(3))
+_HALVES = np.outer([1.0, 1.0, 0.5], [1.0, 1.0, 0.5])
+
+
+def _quad_tile(u: np.ndarray, h: float):
+    """Tile of the local quadratic fits at the raw evaluation points ``u``.
+
+    The tile returns the in-window count of every point and, in
+    ``sums[:, k]``, the sums of w s^k (k <= 4) and of w s^k y (k <= 2),
+    with s = (z - u) / h and w = K(s) formed exactly as
+    :func:`_smoother_rows` forms them, so the weights and the counts are the
+    pointwise ones bit for bit.  The powers overwrite one array in turn, so
+    a tile holds two arrays of its shape.
+    """
+    def tile(rows, _points, _samples, window, _diagonal):
+        z, y = window
+        s = z[None, :] - u[rows][:, None]
+        s /= h
+        ws = smooth_kernel(s)
+        count = np.count_nonzero(ws, axis=1)
+        ones_y = np.stack([np.ones_like(y), y], axis=1)
+        sums = np.zeros((s.shape[0], 5, 2))
+        for k in range(5):
+            if k:
+                ws *= s
+            if k < 3:
+                sums[:, k] = ws @ ones_y
+            else:
+                sums[:, k, 0] = ws.sum(axis=1)
+        return count, sums
+    return tile
+
+
+def _quad_fits(z: np.ndarray, y: np.ndarray, points: np.ndarray, h: float):
+    """Local quadratic fits at every evaluation point from one tile walk.
+
+    Returns ``(coefficients, usable, leverage)``.  ``coefficients[k]`` holds
+    the k-th estimate of (a, b, c) at every point, NaN where the point is
+    unusable.  ``usable`` applies the guards of :func:`_smoother_rows` to
+    every point at once: at least ``MIN_WINDOW_POINTS`` nonzero weights, a
+    finite raw condition number up to ``CONDITION_LIMIT`` (from the
+    h-scaled moments rescaled by h^(p+q)), and a nonzero LU pivot.
+    ``leverage`` is K(0) (A^{-1})_00, the weight of the level row on a
+    sample at the evaluation point itself.  Non-finite points, or any
+    non-finite sample, leave a point unusable.
+    """
+    m = points.size
+    coefficients = np.full((3, m), np.nan)
+    leverage = np.full(m, np.nan)
+    usable = np.isfinite(points) & np.isfinite(z).all()
+    at = np.flatnonzero(usable)
+    if at.size == 0:
+        return coefficients, usable, leverage
+    u = points[at]
+    count, sums = _walk(_quad_tile(u, h), u / h, z / h, np.stack([z, y]))
+    scaled = sums[:, _HANKEL, 0] * _HALVES
+    h_powers = np.array([1.0, h, h * h])
+    cond = np.linalg.cond(scaled * np.outer(h_powers, h_powers))
+    ok = (count >= MIN_WINDOW_POINTS) & np.isfinite(cond) & (cond <= CONDITION_LIMIT)
+    # np.linalg.solve raises on a zero LU pivot; det runs the same factorization
+    ok[ok] = np.linalg.det(scaled[ok]) != 0.0
+    usable[at] = ok
+    rhs = np.zeros((int(ok.sum()), 3, 2))
+    rhs[:, :, 0] = sums[ok, :3, 1] * _HALVES[0]
+    rhs[:, 0, 1] = 1.0
+    solution = np.linalg.solve(scaled[ok], rhs)
+    fitted = at[ok]
+    coefficients[:, fitted] = (solution[:, :, 0] / h_powers).T
+    leverage[fitted] = smooth_kernel(0.0) * solution[:, 0, 1]
+    return coefficients, usable, leverage
 
 
 def smoother_matrix(index_values, h: float) -> np.ndarray:
@@ -228,32 +328,42 @@ def smoother_matrix(index_values, h: float) -> np.ndarray:
     z = _as_vector(index_values, "index_values")
     if h <= 0:
         raise ValueError(f"bandwidth must be positive, got {h}")
-    n = z.size
-    out = np.empty((n, n))
-    for j in range(n):
-        try:
-            rows, _ = _smoother_rows(z, float(z[j]), float(h))
-        except SingularFitError as exc:
-            raise SingularFitError(f"row {j}: {exc}", row=j) from exc
-        out[j] = rows[0]
+    out = np.empty((z.size, z.size))
+    for j in range(z.size):
+        out[j] = _tagged_rows(z, j, h)[0]
     return out
 
 
+def level_fits(index_values, responses, h: float):
+    """Fitted link values at every sample and the diagonal of the smoother matrix.
+
+    The batched counterpart of ``smoother_matrix(z, h) @ y`` and its
+    diagonal, without the n-by-n matrix: the sample at the evaluation point
+    has s = 0, so its weight is K(0) (A^{-1})_00.  The first unusable row
+    raises the error :func:`smoother_matrix` raises there.
+    """
+    z, y = _fit_inputs(index_values, responses, h)
+    coefficients, usable, leverage = _quad_fits(z, y, z, float(h))
+    if not usable.all():
+        j = int(np.argmin(usable))
+        _tagged_rows(z, j, h)
+        # the pointwise guards passed: the row sits within rounding of their edge
+        raise SingularFitError(
+            f"row {j}: local fit at u={z[j]:.6g} is at the edge of the guards", row=j)
+    return coefficients[0], leverage
+
+
 def curve_estimates(index_values, responses, grid, h: float, derivative: int = 0) -> np.ndarray:
-    """Link (or derivative) estimates over ``grid``, NaN where the fit is singular."""
+    """Link (or derivative) estimates over ``grid``, NaN where the fit is unusable.
+
+    One batched pass; each value is the matching estimate of
+    :func:`local_quad_fit` up to the order of the sums.
+    """
     if derivative not in (0, 1, 2):
         raise ValueError(f"derivative order must be 0, 1 or 2, got {derivative}")
-    z = _as_vector(index_values, "index_values")
-    y = _as_vector(responses, "responses")
-    points = np.atleast_1d(np.asarray(grid, dtype=float))
-    values = np.full(points.size, np.nan)
-    for k, u in enumerate(points):
-        try:
-            rows, _ = _smoother_rows(z, float(u), float(h))
-        except SingularFitError:
-            continue
-        values[k] = rows[derivative] @ y
-    return values
+    z, y = _fit_inputs(index_values, responses, h)
+    points = np.asarray(grid, dtype=float).ravel()
+    return _quad_fits(z, y, points, float(h))[0][derivative]
 
 
 def relocated_fit(index_values, responses, u: float, h: float,

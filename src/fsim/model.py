@@ -199,17 +199,6 @@ def spec_from_raw(data: Dataset, raw, h: float) -> IndexModelSpec:
     )
 
 
-def normalize_spec(raw_coeffs, h: float, basis: FourierBasis | None = None) -> IndexModelSpec:
-    """Single-covariate convenience: unit-norm coefficients, bandwidth times the norm."""
-    raw = np.asarray(raw_coeffs, dtype=float)
-    norm = float(np.linalg.norm(raw))
-    if norm == 0.0:
-        raise NormalizationError("zero functional coefficient vector")
-    if basis is None:
-        basis = FourierBasis(raw.size, include_constant=False)
-    return IndexModelSpec((BasisExpansion(basis, raw / norm),), bandwidth=h * norm)
-
-
 def compute_index(data: Dataset, spec: IndexModelSpec) -> np.ndarray:
     """Single index alpha * w + sum_b <x_b, beta_b> for every sample."""
     if len(spec.beta_blocks) != len(data.blocks):

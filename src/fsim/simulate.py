@@ -17,7 +17,7 @@ import numpy as np
 
 from .bandwidth import BandwidthGrid, SelectionError, select_bandwidth
 from .basis import BasisExpansion, FourierBasis, readonly_array
-from .locfit import SingularFitError, relocated_fit
+from .locfit import SingularFitError, curve_estimates, relocated_fit
 from .model import (
     Dataset,
     DegenerateObjectiveError,
@@ -139,23 +139,23 @@ def rase(data: Dataset, truth: GroundTruth, spec: IndexModelSpec,
     """Root average squared error of the fitted link (or curvature) at the samples.
 
     Compares the local quadratic estimate at each fitted index value against
-    the true link derivative at the true index value.  Sample points whose
-    fit is singular are evaluated at the nearest admissible point and counted
-    in ``relocated``.
+    the true link derivative at the true index value.  All samples are fit in
+    one batch; those whose fit is singular are evaluated at the nearest
+    admissible point and counted in ``relocated``.
     """
     if derivative not in (0, 2):
         raise ValueError(f"derivative order must be 0 or 2, got {derivative}")
     h = spec.bandwidth if bandwidth is None else bandwidth
     z_hat = compute_index(data, spec)
     target = truth.link.g(truth.index) if derivative == 0 else truth.link.curvature(truth.index)
+    estimates = curve_estimates(z_hat, data.y, z_hat, h, derivative)
     center = float(np.median(z_hat))
-    errors = np.empty(data.n)
     relocated = 0
-    for i in range(data.n):
+    for i in np.flatnonzero(np.isnan(estimates)):
         fit_i, moved = relocated_fit(z_hat, data.y, float(z_hat[i]), h, center=center)
         relocated += int(moved)
-        estimate = fit_i.a_hat if derivative == 0 else fit_i.c_hat
-        errors[i] = estimate - target[i]
+        estimates[i] = fit_i.a_hat if derivative == 0 else fit_i.c_hat
+    errors = estimates - target
     return RaseResult(value=float(np.sqrt(np.mean(errors * errors))), relocated=relocated)
 
 

@@ -5,7 +5,7 @@ import pytest
 
 import fsim.bandwidth as bw
 from fsim.basis import FourierBasis
-from fsim.locfit import local_quad_fit
+from fsim.locfit import SingularFitError, local_quad_fit, smoother_matrix
 from fsim.model import Dataset, FunctionalBlock, compute_index, objective_loo_mse, spec_from_raw
 from fsim.optimize import InitStrategy, init_equal
 
@@ -114,11 +114,31 @@ class TestGcvScore:
         oracle = (np.mean(residual**2)) / ((20 - np.trace(smoother)) / 20) ** 2
         assert bw.gcv_score(data, spec, h) == pytest.approx(oracle, abs=1e-10)
 
+    def test_matches_smoother_matrix_beyond_one_tile(self):
+        data, truth = linear_dataset(300, 0.1, seed=7)
+        spec = spec_from_raw(data, truth, 1.0)
+        h = 0.15
+        smoother = smoother_matrix(compute_index(data, spec), h)
+        residual = data.y - smoother @ data.y
+        oracle = np.mean(residual**2) / ((300 - np.trace(smoother)) / 300) ** 2
+        assert bw.gcv_score(data, spec, h) == pytest.approx(oracle, rel=1e-12)
+
+    def test_unusable_row_raises_like_smoother_matrix(self):
+        data, truth = linear_dataset(300, 0.1, seed=8)
+        spec = spec_from_raw(data, truth, 1.0)
+        with pytest.raises(SingularFitError) as expected:
+            smoother_matrix(compute_index(data, spec), 0.015)
+        with pytest.raises(SingularFitError) as got:
+            bw.gcv_score(data, spec, 0.015)
+        assert got.value.row == expected.value.row == 89
+        assert str(got.value) == str(expected.value)
+
     def test_interpolating_smoother_raises(self, monkeypatch):
         rng = np.random.default_rng(2)
         data, truth = linear_dataset(10, 0.1, seed=3)
         spec = spec_from_raw(data, truth, 1.0)
-        monkeypatch.setattr(bw, "smoother_matrix", lambda z, h: np.eye(10))
+        # the smoother S = I: fitted values are the responses, the diagonal is all ones
+        monkeypatch.setattr(bw, "level_fits", lambda z, y, h: (np.array(y), np.ones(10)))
         with pytest.raises(bw.SelectionError):
             bw.gcv_score(data, spec, 0.5)
 

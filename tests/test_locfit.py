@@ -13,6 +13,7 @@ from fsim.kernel import smooth_kernel
 from fsim.locfit import (
     SingularFitError,
     curve_estimates,
+    level_fits,
     local_quad_fit,
     nw_loo_all,
     nw_predict,
@@ -361,6 +362,126 @@ class TestInvariances:
         assert np.all(np.abs(scaled[keep] - estimates[keep]) <= 1e-9 * scale[keep])
 
 
+def pointwise_fits(z, y, points, h):
+    """Oracle: ``local_quad_fit`` at every point, NaN where it raises.
+
+    Returns ``(coefficients, kappa, scale)``: the (a, b, c) rows, the
+    condition number of the h-scaled normal matrix, and the weighted mean
+    |y| of every usable point.  Reordering the sums of a system with
+    condition kappa moves its solution by up to about kappa times the
+    rounding of the sums, so kappa times the local response scale is the
+    size two correct fits can differ by.
+    """
+    coefficients = np.full((3, len(points)), np.nan)
+    kappa = np.full(len(points), np.nan)
+    scale = np.full(len(points), np.nan)
+    for k, u in enumerate(points):
+        try:
+            fit = local_quad_fit(z, y, u, h)
+        except SingularFitError:
+            continue
+        coefficients[:, k] = fit.a_hat, fit.b_hat, fit.c_hat
+        s = (z - u) / h
+        w = smooth_kernel(s)
+        design = np.stack([np.ones_like(s), s, 0.5 * s * s])
+        kappa[k] = np.linalg.cond((design * w) @ design.T)
+        scale[k] = (w @ np.abs(y)) / w.sum()
+    return coefficients, kappa, scale
+
+
+def assert_fits_match(got, oracle, h, rel=1e-12):
+    """Same unusable points; (a, b h, c h^2) within rel * kappa * scale."""
+    expected, kappa, scale = oracle
+    unusable = np.isnan(expected[0])
+    np.testing.assert_array_equal(np.isnan(got), np.broadcast_to(unusable, got.shape))
+    units = np.array([1.0, h, h * h])[:, None]
+    error = np.abs(got - expected)[:, ~unusable] * units
+    assert np.all(error <= rel * kappa[~unusable] * scale[~unusable])
+
+
+class TestBatchedFits:
+    @pytest.mark.parametrize("n", [T - 1, T, T + 1, CUTOFF - 1, CUTOFF, CUTOFF + 1, 1000])
+    def test_matches_pointwise_fits(self, n, engine_path):
+        rng = np.random.default_rng(n)
+        z = awkward_index(n, rng)
+        y = rng.normal(size=n)
+        # at the samples, between them, and far off
+        points = np.concatenate([z, rng.normal(scale=2.0, size=40), [-60.0]])
+        for h in (0.004, 0.08, 0.5, 3.0):
+            oracle = pointwise_fits(z, y, points, h)
+            assert np.isnan(oracle[0][0, :n][z >= 40.0]).all()
+            assert_fits_match(locfit._quad_fits(z, y, points, h)[0], oracle, h)
+
+    def test_curve_estimates_are_the_batch_rows(self):
+        rng = np.random.default_rng(12)
+        z = awkward_index(300, rng)
+        y = rng.normal(size=300)
+        grid = np.linspace(-3.0, 3.0, 500)
+        coefficients = locfit._quad_fits(z, y, grid, 0.2)[0]
+        for k in range(3):
+            np.testing.assert_array_equal(curve_estimates(z, y, grid, 0.2, derivative=k),
+                                          coefficients[k])
+
+    @pytest.mark.parametrize("n", [100, 300])
+    def test_level_fits_match_smoother_matrix(self, n, engine_path):
+        rng = np.random.default_rng(n)
+        z = rng.uniform(0.0, 1.0, n)
+        y = rng.normal(size=n)
+        smoother = smoother_matrix(z, 0.15)
+        fitted, leverage = level_fits(z, y, 0.15)
+        np.testing.assert_allclose(fitted, smoother @ y, rtol=0.0, atol=1e-10)
+        np.testing.assert_allclose(leverage, np.diag(smoother), rtol=0.0, atol=1e-12)
+
+    def test_level_fits_raise_at_first_unusable_row(self, engine_path):
+        z = np.linspace(0.0, 1.0, 300)
+        z[[40, 7]] = [9.0, -5.0]
+        with pytest.raises(SingularFitError) as batch:
+            level_fits(z, np.zeros(300), 0.1)
+        with pytest.raises(SingularFitError) as pointwise:
+            smoother_matrix(z, 0.1)
+        assert batch.value.row == pointwise.value.row == 7
+        assert str(batch.value) == str(pointwise.value)
+
+    def test_non_finite_points_are_unusable(self):
+        z = np.linspace(0.0, 1.0, 300)
+        values = curve_estimates(z, z, [0.5, np.nan, np.inf], 0.1)
+        assert np.isfinite(values[0])
+        assert np.isnan(values[1:]).all()
+
+    def test_non_finite_sample_leaves_every_point_unusable(self):
+        z = np.linspace(0.0, 1.0, 300)
+        z[150] = np.inf
+        assert np.isnan(curve_estimates(z, z, [0.2, 0.5], 0.1)).all()
+
+    def test_no_points_or_no_samples(self):
+        assert curve_estimates(np.linspace(0.0, 1.0, 300), np.zeros(300), [], 0.1).size == 0
+        assert np.isnan(curve_estimates([], [], np.linspace(0.0, 1.0, 300), 0.1)).all()
+
+
+class TestBatchedInvariances:
+    @settings(max_examples=30, deadline=None)
+    @given(z=index_arrays, seed=st.integers(0, 2**32 - 1), h=st.floats(0.05, 3.0))
+    def test_permuting_samples_leaves_fits_unchanged(self, z, seed, h):
+        rng = np.random.default_rng(seed)
+        y = rng.normal(size=z.size)
+        perm = rng.permutation(z.size)
+        fits = locfit._quad_fits(z, y, z, h)[0]
+        permuted = locfit._quad_fits(z[perm], y[perm], z, h)[0]
+        assert_fits_match(permuted, (fits, *pointwise_fits(z, y, z, h)[1:]), h)
+
+    @settings(max_examples=30, deadline=None)
+    @given(z=index_arrays, seed=st.integers(0, 2**32 - 1), h=st.floats(0.05, 3.0),
+           shift=st.integers(-2**16, 2**16))
+    def test_translation_leaves_fits_unchanged(self, z, seed, h, shift):
+        # half-precision index values plus a multiple of 2^-10 add exactly, so
+        # every difference z - u, and every weight, is unchanged
+        y = np.random.default_rng(seed).normal(size=z.size)
+        c = shift / 1024.0
+        fits = locfit._quad_fits(z, y, z, h)[0]
+        shifted = locfit._quad_fits(z + c, y, z + c, h)[0]
+        assert_fits_match(shifted, (fits, *pointwise_fits(z, y, z, h)[1:]), h)
+
+
 class TestSmootherMatrix:
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(7)
@@ -401,6 +522,15 @@ class TestCurveHelpers:
         assert np.isfinite(values[0])
         assert np.isnan(values[1])
         assert values[0] == pytest.approx(local_quad_fit(z, y, 0.5, 0.3).a_hat)
+
+    @pytest.mark.parametrize("h", [0.0, -0.3])
+    def test_curve_estimates_rejects_bad_bandwidth(self, h):
+        with pytest.raises(ValueError, match="bandwidth must be positive"):
+            curve_estimates(np.arange(5.0), np.zeros(5), [1.0], h)
+
+    def test_curve_estimates_rejects_mismatched_lengths(self):
+        with pytest.raises(ValueError, match="got 5 index values but 4 responses"):
+            curve_estimates(np.arange(5.0), np.zeros(4), [1.0], 0.5)
 
     def test_relocated_fit_moves_inward(self):
         rng = np.random.default_rng(10)

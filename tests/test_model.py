@@ -13,7 +13,6 @@ from fsim.model import (
     NormalizationError,
     canonical_sign,
     compute_index,
-    normalize_spec,
     objective_loo_mse,
     spec_from_raw,
 )
@@ -117,23 +116,28 @@ class TestComputeIndex:
 
 
 class TestNormalizeSpec:
+    """Normalization of a raw search vector by :func:`spec_from_raw`."""
+
     def test_rescales_coefficients_and_bandwidth(self):
+        data = single_block_data(np.zeros((3, 6)), np.zeros(3))
         raw = np.zeros(5)
         raw[0] = 2.0
-        spec = normalize_spec(raw, 0.5)
+        spec = spec_from_raw(data, raw, 0.5)
         np.testing.assert_allclose(spec.beta_blocks[0].coeffs, [1, 0, 0, 0, 0])
         assert spec.bandwidth == pytest.approx(1.0)
 
     def test_unit_vector_unchanged(self):
+        data = single_block_data(np.zeros((3, 5)), np.zeros(3))
         raw = np.zeros(4)
         raw[1] = 1.0
-        spec = normalize_spec(raw, 0.37)
+        spec = spec_from_raw(data, raw, 0.37)
         np.testing.assert_allclose(spec.beta_blocks[0].coeffs, raw)
         assert spec.bandwidth == pytest.approx(0.37)
 
     def test_zero_vector(self):
+        data = single_block_data(np.zeros((3, 5)), np.zeros(3))
         with pytest.raises(NormalizationError):
-            normalize_spec(np.zeros(4), 0.5)
+            spec_from_raw(data, np.zeros(4), 0.5)
 
     def test_objective_weights_invariant_under_normalization(self):
         # the search objective scales its bandwidth by the current coefficient
@@ -148,7 +152,7 @@ class TestNormalizeSpec:
         weights_raw = smooth_kernel(
             (z_raw[:, None] - z_raw[None, :]) / (h * np.linalg.norm(raw))
         )
-        spec = normalize_spec(raw, h)
+        spec = spec_from_raw(data, raw, h)
         z_unit = compute_index(data, spec)
         weights_unit = smooth_kernel((z_unit[:, None] - z_unit[None, :]) / h)
         np.testing.assert_allclose(weights_raw, weights_unit, atol=1e-12)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fsim.basis import BasisExpansion, FourierBasis
-from fsim.locfit import local_quad_fit
+from fsim.locfit import local_quad_fit, relocated_fit
 from fsim.model import spec_from_raw
 from fsim.simulate import (
     LINKS,
@@ -142,6 +142,25 @@ class TestRase:
             total += (estimate - truth.link.curvature(truth.index)[i]) ** 2
         assert result.relocated == 0
         assert result.value == pytest.approx(np.sqrt(total / 50.0), abs=1e-12)
+
+    @pytest.mark.parametrize("derivative", [0, 2])
+    def test_relocation_loop_oracle(self, derivative):
+        data, truth = generate(SimScenario(n=300, link="g1", noise_sd=0.1, seed=14))
+        spec = spec_from_raw(data, truth.beta.coeffs, 1.0)
+        h = 0.2 * float(np.std(truth.index))
+        result = rase(data, truth, spec, derivative=derivative, bandwidth=h)
+        z_hat = data.blocks[0].coeffs[:, 1:] @ spec.beta_blocks[0].coeffs
+        center = float(np.median(z_hat))
+        target = truth.link.g(truth.index) if derivative == 0 else truth.link.curvature(truth.index)
+        total, relocated = 0.0, 0
+        for i in range(300):
+            fit, moved = relocated_fit(z_hat, data.y, z_hat[i], h, center=center)
+            estimate = fit.a_hat if derivative == 0 else fit.c_hat
+            total += (estimate - target[i]) ** 2
+            relocated += int(moved)
+        assert relocated > 0
+        assert result.relocated == relocated
+        assert result.value == pytest.approx(np.sqrt(total / 300.0), rel=1e-10)
 
     def test_rejects_other_derivatives(self):
         data, truth = generate(SimScenario(n=30, seed=12))
