@@ -13,6 +13,7 @@ from .bandwidth import (
     CVReport,
     SelectionError,
     curvature_bandwidth,
+    fit_pipeline,
     gcv_score,
     kfold_score,
     select_bandwidth,
@@ -21,6 +22,7 @@ from .basis import BasisExpansion, FourierBasis, inner_product, project_samples
 from .ingest import EcologyRecord, EcologyTruth, load_csv, synth_ecology, to_dataset
 from .kernel import kernel_moment, smooth_kernel
 from .locfit import (
+    EstimationError,
     LocalQuadFit,
     SingularFitError,
     curve_estimates,
@@ -41,7 +43,7 @@ from .model import (
     objective_loo_mse,
     spec_from_raw,
 )
-from .optimize import InitStrategy, OptResult, fit, init_equal, init_linear, init_random, minimize
+from .optimize import InitStrategy, OptResult, init_equal, init_linear, init_random, minimize
 from .simulate import (
     LINKS,
     ExperimentConfig,
@@ -57,16 +59,16 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BandwidthGrid", "CVReport", "SelectionError", "curvature_bandwidth",
-    "gcv_score", "kfold_score", "select_bandwidth",
+    "fit_pipeline", "gcv_score", "kfold_score", "select_bandwidth",
     "BasisExpansion", "FourierBasis", "inner_product", "project_samples",
     "EcologyRecord", "EcologyTruth", "load_csv", "synth_ecology", "to_dataset",
     "kernel_moment", "smooth_kernel",
-    "LocalQuadFit", "SingularFitError", "curve_estimates",
+    "EstimationError", "LocalQuadFit", "SingularFitError", "curve_estimates",
     "local_quad_fit", "nw_loo_all", "nw_predict", "smoother_matrix",
     "Dataset", "DegenerateObjectiveError", "FunctionalBlock", "IndexModelSpec",
     "NormalizationError", "ObjectiveReport", "canonical_sign", "compute_index",
     "objective_loo_mse", "spec_from_raw",
-    "InitStrategy", "OptResult", "fit", "init_equal", "init_linear",
+    "InitStrategy", "OptResult", "init_equal", "init_linear",
     "init_random", "minimize",
     "LINKS", "ExperimentConfig", "GroundTruth", "SimScenario", "generate",
     "rase", "rse", "run_experiment",

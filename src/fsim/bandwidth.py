@@ -10,20 +10,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import readonly_array
-from .locfit import SingularFitError, level_fits, nw_predict
-from .model import (
-    Dataset,
-    DegenerateObjectiveError,
-    IndexModelSpec,
-    NormalizationError,
-    compute_index,
+from .locfit import EstimationError, level_fits, nw_predict
+from .model import MIN_SAMPLES, Dataset, IndexModelSpec, compute_index, spec_from_raw
+from .optimize import (
+    InitStrategy,
+    OptResult,
+    init_equal,
+    init_random,
+    minimize,
+    resolve_init,
+    safe_objective,
 )
-from .optimize import InitStrategy, OptResult, safe_objective, init_random, minimize, resolve_init
 
 CURVATURE_EXPONENT = 5.0 / 7.0
 
 
-class SelectionError(RuntimeError):
+class SelectionError(EstimationError):
     """Bandwidth selection could not produce a usable score."""
 
 
@@ -118,24 +120,20 @@ def _fold_assignment(n: int, folds: int, seed) -> list[np.ndarray]:
     return np.array_split(permutation, folds)
 
 
-def kfold_score(data: Dataset, strategy: InitStrategy, h: float, folds: int = 10,
-                seed=0, budget: int | None = None, init_override=None) -> float:
+def kfold_score(data: Dataset, init, h: float, folds: int = 10, seed=0,
+                budget: int | None = None) -> float:
     """K-fold cross-validation score of the full fit-then-predict pipeline.
 
-    Each fold refits the coefficients on the remaining samples and predicts
-    the held-out responses by Nadaraya-Watson at the fitted index; the score
-    is the mean squared held-out error over all predictable points.  Fold
-    assignment is a seeded permutation.  ``init_override`` fixes the start
-    vector for every fold (used by the selector's per-bandwidth random
-    starts); otherwise deterministic strategies are resolved per fold and the
-    random pool is drawn once on the full data at ``h``.
+    Each fold refits the coefficients on the remaining samples, searching
+    from the start vector ``init``, and predicts the held-out responses by
+    Nadaraya-Watson at the fitted index; the score is the mean squared
+    held-out error over all predictable points.  Fold assignment is a seeded
+    permutation.
     """
     if folds < 2:
         raise ValueError(f"need at least 2 folds, got {folds}")
     if data.n < folds:
         raise ValueError(f"k-fold needs n >= {folds}, got n={data.n}")
-    if init_override is None and strategy.kind == "random":
-        init_override = choose_random_start(data, h, strategy, h)[0]
     total_error = 0.0
     total_count = 0
     for held_out in _fold_assignment(data.n, folds, seed):
@@ -143,11 +141,7 @@ def kfold_score(data: Dataset, strategy: InitStrategy, h: float, folds: int = 10
         mask[held_out] = False
         train = data.subset(np.nonzero(mask)[0])
         test = data.subset(held_out)
-        if init_override is not None:
-            result = minimize(train, init_override, h, budget, label=strategy.kind)
-        else:
-            init, label = resolve_init(train, strategy)
-            result = minimize(train, init, h, budget, label=label)
+        result = minimize(train, init, h, budget)
         z_train = compute_index(train, result.spec)
         z_test = compute_index(test, result.spec)
         predictions, excluded = nw_predict(z_train, train.y, z_test, h)
@@ -160,16 +154,11 @@ def kfold_score(data: Dataset, strategy: InitStrategy, h: float, folds: int = 10
     return total_error / total_count
 
 
-def choose_random_start(data: Dataset, h: float, strategy: InitStrategy,
-                        pool_reference: float, pool=None):
-    """Best pool candidate at bandwidth ``h``.
+def choose_random_start(data: Dataset, h: float, pool):
+    """The candidate of the random ``pool`` with the lowest objective at ``h``.
 
-    The pool is the prefiltered random set (drawn at ``pool_reference`` when
-    not supplied); each candidate is rescored at ``h`` so different
-    bandwidths may start from different candidates.
+    Returns ``(start, label)``; ties go to the earlier candidate.
     """
-    if pool is None:
-        pool = init_random(data, pool_reference, strategy)
     scores = [safe_objective(data, candidate, h) for candidate in pool]
     best = int(np.argmin(scores))
     if not np.isfinite(scores[best]):
@@ -183,20 +172,25 @@ def select_bandwidth(data: Dataset, strategy: InitStrategy, grid: BandwidthGrid,
     """Score every grid bandwidth and return the argmin with its final fit.
 
     Coefficients are refit for every bandwidth.  GCV scores the smoother of
-    the per-bandwidth fit; k-fold scores held-out prediction error.  Failed
-    bandwidths score infinity; ties and exact score repeats resolve toward
-    the larger bandwidth, which is the safer side for curvature estimation.
+    the per-bandwidth fit; k-fold scores held-out prediction error.  A
+    bandwidth whose search or score raises :class:`EstimationError` scores
+    infinity; ties and exact score repeats resolve toward the larger
+    bandwidth, which is the safer side for curvature estimation.
+
+    The start rule: a deterministic strategy starts every search from its one
+    start vector.  The random strategy draws its pool once, prefiltered at
+    ``grid.reference``, and at each bandwidth h runs one search from the
+    candidate that scores best at h (:func:`choose_random_start`), so
+    different bandwidths may start from different candidates.  k-fold refits
+    every training fold from the start of its bandwidth.
     """
     if method not in ("gcv", "kfold"):
         raise ValueError(f"method must be 'gcv' or 'kfold', got {method!r}")
-    pool = None
-    if strategy.kind == "random":
-        pool = init_random(data, grid.reference, strategy)
+    pool = init_random(data, grid.reference, strategy) if strategy.kind == "random" else None
+    fixed = resolve_init(data, strategy) if pool is None else None
 
     def start_for(h):
-        if pool is not None:
-            return choose_random_start(data, h, strategy, grid.reference, pool)
-        return resolve_init(data, strategy)
+        return fixed if pool is None else choose_random_start(data, h, pool)
 
     scores = np.full(grid.values.size, np.inf)
     fits: dict[int, OptResult] = {}
@@ -208,10 +202,8 @@ def select_bandwidth(data: Dataset, strategy: InitStrategy, grid: BandwidthGrid,
                 fits[k] = result
                 scores[k] = gcv_score(data, result.spec, h)
             else:
-                scores[k] = kfold_score(data, strategy, h, folds, seed, budget,
-                                        init_override=init)
-        except (SingularFitError, SelectionError, DegenerateObjectiveError,
-                NormalizationError):
+                scores[k] = kfold_score(data, init, h, folds, seed, budget)
+        except EstimationError:
             continue
     chosen = argmin_prefer_larger(scores)
     chosen_h = float(grid.values[chosen])
@@ -232,3 +224,27 @@ def select_bandwidth(data: Dataset, strategy: InitStrategy, grid: BandwidthGrid,
         best_fit=best_fit,
         sigma_index=sigma_index,
     )
+
+
+def fit_pipeline(data: Dataset, strategy: InitStrategy, grid_size: int, method: str,
+                 folds: int, seed, budget: int | None, sign_reference=None) -> CVReport:
+    """The estimation pipeline: anchor the default grid, then select the bandwidth.
+
+    The grid is :meth:`BandwidthGrid.default` with ``grid_size`` values at the
+    index scale of a reference vector: the strategy's start, or the all-equal
+    vector for the random strategy, which has no single start.  Too few
+    samples for the objective (or, with k-fold, for the folds) and a constant
+    reference index raise :class:`SelectionError`.
+    """
+    needed = max(MIN_SAMPLES, folds) if method == "kfold" else MIN_SAMPLES
+    if data.n < needed:
+        raise SelectionError(f"{method} selection needs at least {needed} samples, got {data.n}")
+    if strategy.kind == "random":
+        reference = init_equal(data.search_dimension())
+    else:
+        reference = resolve_init(data, strategy)[0]
+    sigma_z = float(np.std(compute_index(data, spec_from_raw(data, reference, 1.0))))
+    if sigma_z <= 0.0:
+        raise SelectionError("reference index is constant; no usable bandwidth scale")
+    grid = BandwidthGrid.default(data.n, sigma_z, grid_size)
+    return select_bandwidth(data, strategy, grid, method, folds, seed, budget, sign_reference)

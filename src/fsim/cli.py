@@ -18,20 +18,11 @@ import numpy as np
 from . import bandwidth as bw
 from . import ingest, simulate, svg
 from .basis import BasisExpansion, FourierBasis
-from .locfit import SingularFitError, curve_estimates
-from .model import (
-    DegenerateObjectiveError,
-    IndexModelSpec,
-    NormalizationError,
-    compute_index,
-    spec_from_raw,
-)
-from .optimize import InitStrategy, init_equal, init_linear
+from .locfit import EstimationError, curve_estimates
+from .model import IndexModelSpec, compute_index
+from .optimize import InitStrategy
 
 OK, USAGE_ERROR, DATA_ERROR, ESTIMATION_ERROR = 0, 1, 2, 3
-
-ESTIMATION_FAILURES = (bw.SelectionError, SingularFitError, DegenerateObjectiveError,
-                       NormalizationError, np.linalg.LinAlgError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -143,6 +134,10 @@ def cmd_fit(args) -> int:
     if not strategies:
         print("fsim fit: no strategies given", file=sys.stderr)
         return USAGE_ERROR
+    if min(args.grid_size, args.candidates, args.keep) < 1 or args.folds < 2:
+        print("fsim fit: need --grid-size, --candidates and --keep >= 1 and --folds >= 2",
+              file=sys.stderr)
+        return USAGE_ERROR
     try:
         data = _fit_dataset(args)
     except (OSError, ingest.SchemaError, ValueError) as exc:
@@ -158,15 +153,10 @@ def cmd_fit(args) -> int:
                                 keep_best=min(args.keep, args.candidates),
                                 seed=np.random.SeedSequence((args.seed, k)))
         try:
-            reference = (init_linear(data) if name == "linear"
-                         else init_equal(data.search_dimension()))
-            sigma_z = float(np.std(compute_index(data, spec_from_raw(data, reference, 1.0))))
-            grid = bw.BandwidthGrid.default(data.n, sigma_z, args.grid_size)
-            reports[name] = bw.select_bandwidth(
-                data, strategy, grid, method=args.method, folds=args.folds,
-                seed=np.random.SeedSequence((args.seed, k, 1)), budget=args.budget,
-            )
-        except ESTIMATION_FAILURES + (ValueError,) as exc:
+            reports[name] = bw.fit_pipeline(data, strategy, args.grid_size, args.method,
+                                            args.folds, np.random.SeedSequence((args.seed, k, 1)),
+                                            args.budget)
+        except EstimationError as exc:
             errors[name] = str(exc)
             print(f"fsim fit: strategy {name} failed: {exc}", file=sys.stderr)
     if not reports:
@@ -360,7 +350,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except ESTIMATION_FAILURES as exc:
+    except EstimationError as exc:
         print(f"fsim {args.command}: estimation failed: {exc}", file=sys.stderr)
         return ESTIMATION_ERROR
 

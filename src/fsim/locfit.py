@@ -40,8 +40,14 @@ TILE_ROWS = 64
 ONE_TILE_MAX = 256
 
 
-class SingularFitError(RuntimeError):
-    """The weighted design is unusable at an evaluation point."""
+class EstimationError(RuntimeError):
+    """The data admit no estimate here: the failure an estimation pipeline
+    counts (a failed bandwidth, strategy or Monte-Carlo rep) rather than a bug."""
+
+
+class SingularFitError(EstimationError):
+    """A least-squares design is unusable: the local fit at an evaluation
+    point, or the linear start of the coefficient search."""
 
     def __init__(self, message: str, row: int | None = None):
         super().__init__(message)
@@ -89,8 +95,11 @@ def _smoother_rows(z: np.ndarray, u: float, h: float):
 
     The system is solved on the h-scaled design for conditioning; the
     condition guard applies to the raw normal matrix X'WX that defines the
-    estimator.
+    estimator.  A non-finite point or sample leaves the fit unusable, as in
+    :func:`_quad_fits`.
     """
+    if not (np.isfinite(u) and np.isfinite(z).all()):
+        raise SingularFitError(f"non-finite index value or evaluation point at u={u:.6g}")
     d = z - u
     s = d / h
     w = smooth_kernel(s)

@@ -15,14 +15,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import BasisExpansion, FourierBasis, readonly_array
-from .locfit import nw_loo_all
+from .locfit import EstimationError, nw_loo_all
+
+# fewest samples the leave-one-out objective accepts
+MIN_SAMPLES = 4
 
 
-class NormalizationError(ValueError):
+class NormalizationError(EstimationError):
     """A zero functional coefficient vector cannot be normalized."""
 
 
-class DegenerateObjectiveError(RuntimeError):
+class DegenerateObjectiveError(EstimationError):
     """Every sample lost its leave-one-out window (bandwidth far too small)."""
 
 
@@ -252,8 +255,8 @@ def objective_loo_mse(data: Dataset, raw_coeffs, h: float) -> ObjectiveReport:
     empty leave-one-out window are excluded from the average and counted, so
     the bandwidth selector can reject pathological bandwidths.
     """
-    if data.n < 4:
-        raise ValueError(f"objective needs at least 4 samples, got {data.n}")
+    if data.n < MIN_SAMPLES:
+        raise ValueError(f"objective needs at least {MIN_SAMPLES} samples, got {data.n}")
     if h <= 0:
         raise ValueError(f"bandwidth must be positive, got {h}")
     z, norm = raw_index(data, raw_coeffs)

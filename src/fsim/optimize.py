@@ -4,7 +4,8 @@ The objective is piecewise smooth in the coefficients (samples enter and
 leave kernel windows), so the outer search is derivative-free.  Four ways of
 choosing the start point are supported: the known truth (simulations), an
 ordinary least squares fit assuming a linear link, an all-equal vector, and a
-pool of standard normal draws prefiltered by objective value.
+pool of standard normal draws prefiltered by objective value, from which
+:func:`fsim.bandwidth.select_bandwidth` picks one start per bandwidth.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .locfit import SingularFitError
 from .model import (
     Dataset,
     DegenerateObjectiveError,
@@ -82,11 +84,12 @@ def init_linear(data: Dataset) -> np.ndarray:
 
     Regresses the responses on the stacked basis coefficients (and the scalar
     covariate when present) with an intercept, which the link absorbs; the
-    functional part of the solution is rescaled to unit norm.
+    functional part of the solution is rescaled to unit norm.  Too few
+    samples or a rank-deficient design raise :class:`SingularFitError`.
     """
     dim = data.search_dimension()
     if data.n <= dim:
-        raise ValueError(f"least-squares init needs n > {dim}, got n={data.n}")
+        raise SingularFitError(f"least-squares init needs n > {dim}, got n={data.n}")
     columns = [np.ones((data.n, 1))]
     columns.extend(block.nonconstant() for block in data.blocks)
     if data.w is not None:
@@ -94,7 +97,7 @@ def init_linear(data: Dataset) -> np.ndarray:
     design = np.hstack(columns)
     solution, _, rank, _ = np.linalg.lstsq(design, data.y, rcond=None)
     if rank < design.shape[1]:
-        raise ValueError(f"rank-deficient design: rank {rank} < {design.shape[1]}")
+        raise SingularFitError(f"rank-deficient design: rank {rank} < {design.shape[1]}")
     functional = solution[1:1 + sum(data.beta_dims())]
     norm = float(np.linalg.norm(functional))
     if norm == 0.0:
@@ -245,23 +248,3 @@ def resolve_init(data: Dataset, strategy: InitStrategy) -> tuple[np.ndarray, str
     if strategy.kind == "linear":
         return init_linear(data), "linear"
     raise ValueError(f"no single start point for strategy {strategy.kind!r}")
-
-
-def fit(data: Dataset, strategy: InitStrategy, h: float, budget: int | None = None,
-        sign_reference=None) -> OptResult:
-    """Full coefficient search under one strategy at one bandwidth.
-
-    The random strategy runs the search from each kept pool candidate and
-    returns the lowest final objective, breaking ties by candidate order, so
-    a fixed seed fixes the result.
-    """
-    if strategy.kind != "random":
-        init, label = resolve_init(data, strategy)
-        return minimize(data, init, h, budget, sign_reference, label)
-    pool = init_random(data, h, strategy)
-    best = None
-    for i, candidate in enumerate(pool):
-        result = minimize(data, candidate, h, budget, sign_reference, f"random[{i}]")
-        if best is None or result.final_mse < best.final_mse:
-            best = result
-    return best

@@ -15,19 +15,11 @@ from typing import Callable
 
 import numpy as np
 
-from .bandwidth import BandwidthGrid, SelectionError, select_bandwidth
+from .bandwidth import fit_pipeline
 from .basis import BasisExpansion, FourierBasis, readonly_array
-from .locfit import SingularFitError, curve_estimates, relocated_fit
-from .model import (
-    Dataset,
-    DegenerateObjectiveError,
-    FunctionalBlock,
-    IndexModelSpec,
-    NormalizationError,
-    compute_index,
-    spec_from_raw,
-)
-from .optimize import InitStrategy, init_equal, init_linear
+from .locfit import EstimationError, curve_estimates, relocated_fit
+from .model import Dataset, FunctionalBlock, IndexModelSpec, compute_index
+from .optimize import InitStrategy
 
 
 @dataclass(frozen=True)
@@ -196,6 +188,9 @@ class ExperimentConfig:
             raise ValueError(f"method must be 'gcv' or 'kfold', got {self.method!r}")
         if self.reps < 1:
             raise ValueError("need at least one repetition")
+        if self.grid_size < 1 or self.folds < 2 or not 1 <= self.keep_best <= self.candidate_count:
+            raise ValueError(
+                "need grid_size >= 1, folds >= 2 and candidate_count >= keep_best >= 1")
 
 
 def _strategy_for(kind: str, config: ExperimentConfig, truth: GroundTruth,
@@ -205,35 +200,17 @@ def _strategy_for(kind: str, config: ExperimentConfig, truth: GroundTruth,
                         keep_best=config.keep_best, seed=seed, true_coeffs=true_coeffs)
 
 
-def _grid_reference_vector(data: Dataset, kind: str, truth: GroundTruth) -> np.ndarray:
-    """Start vector whose index scale anchors the default bandwidth grid.
-
-    The random strategy has no single start, so the all-equal vector stands
-    in as a neutral scale reference.
-    """
-    if kind == "true":
-        return truth.beta.coeffs
-    if kind == "linear":
-        return init_linear(data)
-    return init_equal(data.search_dimension())
-
-
-FAILURE_KINDS = (SelectionError, SingularFitError, DegenerateObjectiveError,
-                 NormalizationError, ValueError, np.linalg.LinAlgError)
+# the failures run_experiment counts per cell; any other exception is a bug and
+# propagates.  The benchmark harness catches failed reps by this name.
+FAILURE_KINDS = (EstimationError,)
 
 
 def run_single(data: Dataset, truth: GroundTruth, strategy_kind: str,
                config: ExperimentConfig, strategy_seed, fold_seed) -> dict:
     """One full pipeline pass: grid, bandwidth selection, fit, metrics."""
     strategy = _strategy_for(strategy_kind, config, truth, strategy_seed)
-    reference = _grid_reference_vector(data, strategy_kind, truth)
-    spec0 = spec_from_raw(data, reference, h=1.0)
-    sigma_z = float(np.std(compute_index(data, spec0)))
-    grid = BandwidthGrid.default(data.n, sigma_z, config.grid_size)
-    report = select_bandwidth(
-        data, strategy, grid, method=config.method, folds=config.folds,
-        seed=fold_seed, budget=config.opt_budget, sign_reference=truth.beta.coeffs,
-    )
+    report = fit_pipeline(data, strategy, config.grid_size, config.method, config.folds,
+                          fold_seed, config.opt_budget, sign_reference=truth.beta.coeffs)
     result = report.best_fit
     row = {
         "rse": rse(result.spec.beta_blocks[0], truth.beta),

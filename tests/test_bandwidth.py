@@ -7,7 +7,7 @@ import fsim.bandwidth as bw
 from fsim.basis import FourierBasis
 from fsim.locfit import SingularFitError, local_quad_fit, smoother_matrix
 from fsim.model import Dataset, FunctionalBlock, compute_index, objective_loo_mse, spec_from_raw
-from fsim.optimize import InitStrategy, init_equal
+from fsim.optimize import InitStrategy, init_equal, init_random, minimize
 
 
 def single_block_data(coeffs, y):
@@ -148,23 +148,21 @@ class TestKFold:
         rng = np.random.default_rng(4)
         x = rng.uniform(-0.6, 0.6, size=(40, 4))
         data = single_block_data(x, np.full(40, 1.5))
-        strategy = InitStrategy(kind="equal")
-        score = bw.kfold_score(data, strategy, h=0.8, folds=5, seed=0, budget=0)
+        score = bw.kfold_score(data, init_equal(3), h=0.8, folds=5, seed=0, budget=0)
         assert score == pytest.approx(0.0, abs=1e-28)
 
     def test_same_seed_same_score(self):
         data, _ = linear_dataset(50, 0.2, seed=5)
-        strategy = InitStrategy(kind="equal")
-        a = bw.kfold_score(data, strategy, h=0.5, folds=5, seed=9, budget=60)
-        b = bw.kfold_score(data, strategy, h=0.5, folds=5, seed=9, budget=60)
+        a = bw.kfold_score(data, init_equal(3), h=0.5, folds=5, seed=9, budget=60)
+        b = bw.kfold_score(data, init_equal(3), h=0.5, folds=5, seed=9, budget=60)
         assert a == b
 
     def test_needs_enough_samples(self):
         data, _ = linear_dataset(12, 0.1, seed=6)
         with pytest.raises(ValueError):
-            bw.kfold_score(data, InitStrategy(kind="equal"), 0.5, folds=13)
+            bw.kfold_score(data, init_equal(3), 0.5, folds=13)
         with pytest.raises(ValueError):
-            bw.kfold_score(data, InitStrategy(kind="equal"), 0.5, folds=1)
+            bw.kfold_score(data, init_equal(3), 0.5, folds=1)
 
     def test_leave_one_out_matches_objective_without_refitting(self):
         # with a zero search budget every fold keeps the shared start vector,
@@ -172,11 +170,45 @@ class TestKFold:
         data, _ = linear_dataset(12, 0.3, seed=7, dim=4)
         init = init_equal(3)
         h = 1.0
-        score = bw.kfold_score(data, InitStrategy(kind="equal"), h, folds=12,
-                               seed=1, budget=0, init_override=init)
+        score = bw.kfold_score(data, init, h, folds=12, seed=1, budget=0)
         report = objective_loo_mse(data, init, h)
         assert report.excluded_count == 0
         assert score == pytest.approx(report.mse, abs=1e-12)
+
+
+class TestFitPipeline:
+    def test_grid_anchored_at_the_start_index_scale(self):
+        data, truth = linear_dataset(40, 0.2, seed=14)
+
+        def grid_at(raw):
+            sigma = float(np.std(compute_index(data, spec_from_raw(data, raw, 1.0))))
+            return bw.BandwidthGrid.default(40, sigma, 3).values
+
+        # the random strategy has no single start and anchors at the all-equal vector
+        cases = [
+            (InitStrategy(kind="true", true_coeffs=truth), truth),
+            (InitStrategy(kind="equal"), init_equal(3)),
+            (InitStrategy(kind="random", candidate_count=10, keep_best=2, seed=1), init_equal(3)),
+        ]
+        for strategy, anchor in cases:
+            report = bw.fit_pipeline(data, strategy, 3, "gcv", 5, 0, 40)
+            np.testing.assert_array_equal(report.grid.values, grid_at(anchor))
+
+    @pytest.mark.parametrize("n, method", [(3, "gcv"), (9, "kfold")])
+    def test_too_few_samples_raise_selection_error(self, n, method):
+        data, _ = linear_dataset(n, 0.1, seed=16)
+        for kind in ("equal", "random"):
+            strategy = InitStrategy(kind=kind, candidate_count=5, keep_best=2, seed=0)
+            with pytest.raises(bw.SelectionError, match="needs at least"):
+                bw.fit_pipeline(data, strategy, 3, method, 10, 0, 40)
+
+    def test_constant_reference_index_raises_selection_error(self):
+        rng = np.random.default_rng(15)
+        x = np.zeros((30, 4))
+        x[:, 0] = rng.normal(size=30)
+        data = single_block_data(x, rng.normal(size=30))
+        with pytest.raises(bw.SelectionError, match="reference index is constant"):
+            bw.fit_pipeline(data, InitStrategy(kind="equal"), 3, "gcv", 5, 0, 40)
 
 
 class TestSelectBandwidth:
@@ -218,6 +250,25 @@ class TestSelectBandwidth:
             second.best_fit.spec.coefficient_vector(),
         )
 
+    @pytest.mark.parametrize("method", ["gcv", "kfold"])
+    def test_random_search_starts_from_the_best_candidate_at_each_h(self, monkeypatch, method):
+        data, _ = linear_dataset(60, 0.2, seed=10)
+        grid = bw.BandwidthGrid(np.array([0.08, 0.3, 1.2]))
+        strategy = InitStrategy(kind="random", candidate_count=30, keep_best=5, seed=2)
+        pool = init_random(data, grid.reference, strategy)
+        starts = []
+
+        def spy(train, init, h, *args):
+            starts.append((float(h), np.array(init)))
+            return minimize(train, init, h, *args)
+
+        monkeypatch.setattr(bw, "minimize", spy)
+        bw.select_bandwidth(data, strategy, grid, method=method, folds=3, budget=20)
+        for h, init in starts:
+            np.testing.assert_array_equal(init, bw.choose_random_start(data, h, pool)[0])
+        assert {h for h, _ in starts} == set(grid.values.tolist())
+        assert len({init.tobytes() for _, init in starts}) > 1
+
     def test_kfold_method_runs_and_scores_finite(self):
         data, truth = linear_dataset(60, 0.2, seed=11)
         grid = bw.BandwidthGrid(np.array([0.4, 0.8]))
@@ -243,8 +294,6 @@ class TestSelectBandwidth:
         x = rng.uniform(-0.6, 0.6, size=(60, 4))
         truth = np.array([1.0, 0.0, 0.0])
         data = single_block_data(x, np.full(60, 2.5))
-        strategy = InitStrategy(kind="true", true_coeffs=truth)
         spec = spec_from_raw(data, truth, 1.0)
         assert bw.gcv_score(data, spec, 0.9) <= 1e-6
-        assert bw.kfold_score(data, strategy, 0.9, folds=10, seed=0, budget=0,
-                              init_override=truth) <= 1e-6
+        assert bw.kfold_score(data, truth, 0.9, folds=10, seed=0, budget=0) <= 1e-6

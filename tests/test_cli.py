@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
+from fsim import bandwidth
 from fsim.cli import main
+from fsim.locfit import EstimationError
 
 
 def run(*argv):
@@ -67,6 +69,39 @@ class TestFit:
         # 25 search dimensions with 10 samples starves the least-squares init
         assert run("fit", "--data", data, "--out", tmp_path / "o",
                    "--strategy", "linear", "--basis-dim", 13) == 3
+
+    def test_bug_is_not_an_estimation_failure(self, synth_inputs, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("a bug, not a failed estimate")
+
+        monkeypatch.setattr(bandwidth, "select_bandwidth", broken)
+        with pytest.raises(ValueError, match="a bug"):
+            run("fit", "--data", synth_inputs["data"], "--out", tmp_path / "o",
+                "--strategy", "equal", "--basis-dim", 7)
+
+    def test_estimation_error_exits_3(self, synth_inputs, tmp_path, monkeypatch):
+        class NoEstimate(EstimationError):
+            pass
+
+        def failing(*args, **kwargs):
+            raise NoEstimate("the data admit no estimate")
+
+        monkeypatch.setattr(bandwidth, "select_bandwidth", failing)
+        assert run("fit", "--data", synth_inputs["data"], "--out", tmp_path / "o",
+                   "--strategy", "equal,random", "--basis-dim", 7) == 3
+
+    @pytest.mark.parametrize("flag, value", [("--grid-size", 0), ("--folds", 1),
+                                             ("--candidates", 0), ("--keep", 0)])
+    def test_out_of_range_argument_is_usage_error(self, synth_inputs, tmp_path, flag, value):
+        assert run("fit", "--data", synth_inputs["data"], "--out", tmp_path / "o",
+                   flag, value) == 1
+
+    @pytest.mark.parametrize("n, method", [(3, "gcv"), (8, "kfold")])
+    def test_too_few_samples_is_estimation_error(self, tmp_path, n, method):
+        data = tmp_path / "tiny.csv"
+        assert run("synth", "--out", data, "--n", n, "--seed", 2) == 0
+        assert run("fit", "--data", data, "--out", tmp_path / "o", "--method", method,
+                   "--folds", 10) == 3
 
     def test_single_strategy_reduces_to_it(self, synth_inputs, tmp_path):
         out = tmp_path / "single"

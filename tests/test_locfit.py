@@ -453,6 +453,24 @@ class TestBatchedFits:
         z[150] = np.inf
         assert np.isnan(curve_estimates(z, z, [0.2, 0.5], 0.1)).all()
 
+    @pytest.mark.parametrize("bad", ["nan_sample", "inf_sample", "nan_point"])
+    def test_pointwise_fits_reject_non_finite_input_like_the_batch(self, bad):
+        z = np.linspace(0.0, 1.0, 300)
+        u = 0.5
+        if bad == "nan_point":
+            u = np.nan
+        else:
+            z[150] = np.nan if bad == "nan_sample" else np.inf
+        assert np.isnan(curve_estimates(z, z, [u], 0.1)).all()
+        with pytest.raises(SingularFitError):
+            local_quad_fit(z, z, u, 0.1)
+        with pytest.raises(SingularFitError):
+            relocated_fit(z, z, u, 0.1)
+        if bad != "nan_point":
+            with pytest.raises(SingularFitError) as raised:
+                smoother_matrix(z, 0.1)
+            assert raised.value.row == 0
+
     def test_no_points_or_no_samples(self):
         assert curve_estimates(np.linspace(0.0, 1.0, 300), np.zeros(300), [], 0.1).size == 0
         assert np.isnan(curve_estimates([], [], np.linspace(0.0, 1.0, 300), 0.1)).all()

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fsim.basis import BasisExpansion, FourierBasis
 from fsim.kernel import smooth_kernel
@@ -248,6 +250,45 @@ class TestObjective:
         assert objective_loo_mse(data, -raw, 0.5).mse == pytest.approx(
             objective_loo_mse(data, raw, 0.5).mse, abs=1e-12
         )
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(6, 60), h=st.floats(0.1, 3.0),
+           magnitude=st.floats(1e-3, 1e3), negative=st.booleans())
+    def test_scale_and_sign_leave_objective_unchanged(self, seed, n, h, magnitude, negative):
+        rng = np.random.default_rng(seed)
+        data = single_block_data(rng.normal(size=(n, 5)), rng.normal(size=n))
+        raw = rng.normal(size=4)
+        z = data.blocks[0].nonconstant() @ (raw / np.linalg.norm(raw))
+        # a pair within rounding of the window edge may flip in or out
+        assume(not np.any(np.abs(np.abs(z[:, None] - z[None, :]) / h - 1.0) < 1e-9))
+        lam = -magnitude if negative else magnitude
+        try:
+            base = objective_loo_mse(data, raw, h)
+        except DegenerateObjectiveError:
+            with pytest.raises(DegenerateObjectiveError):
+                objective_loo_mse(data, lam * raw, h)
+            return
+        scaled = objective_loo_mse(data, lam * raw, h)
+        assert scaled.excluded_count == base.excluded_count
+        assert scaled.mse == pytest.approx(base.mse, rel=1e-9, abs=1e-15)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(6, 60), h=st.floats(0.1, 3.0),
+           power=st.integers(-20, 20), negative=st.booleans())
+    def test_power_of_two_scale_and_sign_are_exact(self, seed, n, h, power, negative):
+        rng = np.random.default_rng(seed)
+        data = single_block_data(rng.normal(size=(n, 5)), rng.normal(size=n))
+        raw = rng.normal(size=4)
+        lam = -(2.0**power) if negative else 2.0**power
+        try:
+            base = objective_loo_mse(data, raw, h)
+        except DegenerateObjectiveError:
+            with pytest.raises(DegenerateObjectiveError):
+                objective_loo_mse(data, lam * raw, h)
+            return
+        scaled = objective_loo_mse(data, lam * raw, h)
+        assert scaled.excluded_count == base.excluded_count
+        assert scaled.mse == base.mse
 
     def test_exclusions_counted(self):
         x = np.zeros((5, 3))

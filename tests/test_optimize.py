@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+from fsim.bandwidth import choose_random_start
 from fsim.basis import FourierBasis
+from fsim.locfit import SingularFitError
 from fsim.model import Dataset, FunctionalBlock, NormalizationError, objective_loo_mse
 from fsim.optimize import (
     InitStrategy,
-    fit,
     init_equal,
     init_linear,
     init_random,
@@ -66,8 +67,15 @@ class TestInitLinear:
     def test_needs_more_samples_than_parameters(self):
         rng = np.random.default_rng(3)
         data = single_block_data(rng.normal(size=(4, 5)), np.zeros(4))
-        with pytest.raises(ValueError):
+        with pytest.raises(SingularFitError):
             init_linear(data)
+
+    def test_rank_deficient_design(self):
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(30, 5))
+        x[:, 4] = x[:, 3]
+        with pytest.raises(SingularFitError):
+            init_linear(single_block_data(x, rng.normal(size=30)))
 
     def test_scalar_covariate_included(self):
         rng = np.random.default_rng(4)
@@ -210,35 +218,7 @@ class TestMinimize:
             minimize(data, np.zeros(3), 0.5)
 
 
-class TestFit:
-    def test_random_keep_one_reduces_to_best_candidate(self):
-        rng = np.random.default_rng(13)
-        x = rng.normal(size=(40, 4))
-        y = x[:, 1] + 0.05 * rng.normal(size=40)
-        data = single_block_data(x, y)
-        strategy = InitStrategy(kind="random", candidate_count=25, keep_best=1, seed=3)
-        via_fit = fit(data, strategy, 0.4, budget=150)
-        pool = init_random(data, 0.4, strategy)
-        direct = minimize(data, pool[0], 0.4, budget=150, label="random[0]")
-        assert via_fit.final_mse == direct.final_mse
-        np.testing.assert_array_equal(
-            via_fit.spec.coefficient_vector(), direct.spec.coefficient_vector()
-        )
-
-    def test_deterministic_given_seed(self):
-        rng = np.random.default_rng(14)
-        x = rng.normal(size=(40, 4))
-        y = np.exp(-x[:, 1]) + 0.1 * rng.normal(size=40)
-        data = single_block_data(x, y)
-        strategy = InitStrategy(kind="random", candidate_count=20, keep_best=3, seed=5)
-        first = fit(data, strategy, 0.4, budget=200)
-        second = fit(data, strategy, 0.4, budget=200)
-        assert first.final_mse == second.final_mse
-        np.testing.assert_array_equal(
-            first.spec.coefficient_vector(), second.spec.coefficient_vector()
-        )
-        assert first.init_used == second.init_used
-
+class TestStartStrategies:
     def test_true_start_beats_equal_start_on_rse(self):
         from fsim.simulate import rse
 
@@ -248,10 +228,9 @@ class TestFit:
                                                noise_sd=0.1, seed=100 + rep))
             h = 3.0 * float(np.std(truth.index))
             ref = truth.beta.coeffs
-            res_true = fit(data, InitStrategy(kind="true", true_coeffs=ref), h,
-                           budget=200, sign_reference=ref)
-            res_equal = fit(data, InitStrategy(kind="equal"), h,
-                            budget=200, sign_reference=ref)
+            res_true = minimize(data, ref, h, budget=200, sign_reference=ref)
+            res_equal = minimize(data, init_equal(data.search_dimension()), h,
+                                 budget=200, sign_reference=ref)
             wins.append(
                 rse(res_true.spec.beta_blocks[0], truth.beta)
                 <= rse(res_equal.spec.beta_blocks[0], truth.beta)
@@ -264,12 +243,11 @@ class TestFit:
             data, truth = generate(SimScenario(n=60, link="g3", basis_dim=9,
                                                noise_sd=0.1, seed=300 + rep))
             h = 2.0 * float(np.std(truth.index))
-            random_fit = fit(
-                data,
-                InitStrategy(kind="random", candidate_count=60, keep_best=3, seed=rep),
-                h, budget=200,
+            pool = init_random(
+                data, h, InitStrategy(kind="random", candidate_count=60, keep_best=3, seed=rep)
             )
-            equal_fit = fit(data, InitStrategy(kind="equal"), h, budget=200)
+            random_fit = minimize(data, choose_random_start(data, h, pool)[0], h, budget=200)
+            equal_fit = minimize(data, init_equal(data.search_dimension()), h, budget=200)
             medians["random"].append(random_fit.final_mse)
             medians["equal"].append(equal_fit.final_mse)
         assert np.median(medians["random"]) <= np.median(medians["equal"])

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from fsim import bandwidth
 from fsim.basis import BasisExpansion, FourierBasis
-from fsim.locfit import local_quad_fit, relocated_fit
+from fsim.locfit import EstimationError, local_quad_fit, relocated_fit
 from fsim.model import spec_from_raw
 from fsim.simulate import (
     LINKS,
@@ -212,7 +213,33 @@ class TestRunExperiment:
         assert by_n[100]["failures"] < 3 and by_n[1000]["failures"] < 3
         assert by_n[1000]["rase"] <= by_n[100]["rase"]
 
+    def test_bug_propagates_instead_of_counting_as_failure(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("a bug, not a failed estimate")
+
+        monkeypatch.setattr(bandwidth, "select_bandwidth", broken)
+        with pytest.raises(ValueError, match="a bug"):
+            run_experiment(self.config())
+
+    def test_estimation_error_counts_as_failure(self, monkeypatch):
+        class NoEstimate(EstimationError):
+            pass
+
+        def failing(*args, **kwargs):
+            raise NoEstimate("the data admit no estimate")
+
+        monkeypatch.setattr(bandwidth, "select_bandwidth", failing)
+        row = run_experiment(self.config())[0]
+        assert row["failures"] == row["reps"] == 2
+        assert row["flagged"] and np.isnan(row["rse"])
+
     def test_config_validation(self):
+        with pytest.raises(ValueError):
+            ExperimentConfig(grid_size=0)
+        with pytest.raises(ValueError):
+            ExperimentConfig(folds=1)
+        with pytest.raises(ValueError):
+            ExperimentConfig(candidate_count=5, keep_best=6)
         with pytest.raises(ValueError):
             ExperimentConfig(links=("g7",))
         with pytest.raises(ValueError):
