@@ -11,7 +11,7 @@ import numpy as np
 
 from .basis import readonly_array
 from .locfit import EstimationError, level_fits, nw_predict
-from .model import MIN_SAMPLES, Dataset, IndexModelSpec, compute_index, spec_from_raw
+from .model import Dataset, IndexModelSpec, compute_index, spec_from_raw
 from .optimize import (
     InitStrategy,
     OptResult,
@@ -128,12 +128,14 @@ def kfold_score(data: Dataset, init, h: float, folds: int = 10, seed=0,
     from the start vector ``init``, and predicts the held-out responses by
     Nadaraya-Watson at the fitted index; the score is the mean squared
     held-out error over all predictable points.  Fold assignment is a seeded
-    permutation.
+    permutation.  Fewer samples than folds raise :class:`SelectionError`; a
+    training fold too small for the objective fails its search with
+    :class:`DegenerateObjectiveError`.
     """
     if folds < 2:
         raise ValueError(f"need at least 2 folds, got {folds}")
     if data.n < folds:
-        raise ValueError(f"k-fold needs n >= {folds}, got n={data.n}")
+        raise SelectionError(f"k-fold needs n >= {folds}, got n={data.n}")
     total_error = 0.0
     total_count = 0
     for held_out in _fold_assignment(data.n, folds, seed):
@@ -232,13 +234,9 @@ def fit_pipeline(data: Dataset, strategy: InitStrategy, grid_size: int, method: 
 
     The grid is :meth:`BandwidthGrid.default` with ``grid_size`` values at the
     index scale of a reference vector: the strategy's start, or the all-equal
-    vector for the random strategy, which has no single start.  Too few
-    samples for the objective (or, with k-fold, for the folds) and a constant
-    reference index raise :class:`SelectionError`.
+    vector for the random strategy, which has no single start.  A constant
+    reference index raises :class:`SelectionError`.
     """
-    needed = max(MIN_SAMPLES, folds) if method == "kfold" else MIN_SAMPLES
-    if data.n < needed:
-        raise SelectionError(f"{method} selection needs at least {needed} samples, got {data.n}")
     if strategy.kind == "random":
         reference = init_equal(data.search_dimension())
     else:

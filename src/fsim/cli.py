@@ -134,9 +134,10 @@ def cmd_fit(args) -> int:
     if not strategies:
         print("fsim fit: no strategies given", file=sys.stderr)
         return USAGE_ERROR
-    if min(args.grid_size, args.candidates, args.keep) < 1 or args.folds < 2:
-        print("fsim fit: need --grid-size, --candidates and --keep >= 1 and --folds >= 2",
-              file=sys.stderr)
+    too_few_folds = args.method == "kfold" and args.folds < 2
+    if min(args.grid_size, args.candidates, args.keep) < 1 or too_few_folds:
+        print("fsim fit: need --grid-size, --candidates and --keep >= 1, and --folds >= 2"
+              " with --method kfold", file=sys.stderr)
         return USAGE_ERROR
     try:
         data = _fit_dataset(args)

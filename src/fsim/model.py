@@ -26,7 +26,8 @@ class NormalizationError(EstimationError):
 
 
 class DegenerateObjectiveError(EstimationError):
-    """Every sample lost its leave-one-out window (bandwidth far too small)."""
+    """The leave-one-out objective is undefined: too few samples, or every
+    sample lost its window (bandwidth far too small)."""
 
 
 @dataclass(frozen=True)
@@ -256,7 +257,8 @@ def objective_loo_mse(data: Dataset, raw_coeffs, h: float) -> ObjectiveReport:
     the bandwidth selector can reject pathological bandwidths.
     """
     if data.n < MIN_SAMPLES:
-        raise ValueError(f"objective needs at least {MIN_SAMPLES} samples, got {data.n}")
+        raise DegenerateObjectiveError(
+            f"objective needs at least {MIN_SAMPLES} samples, got {data.n}")
     if h <= 0:
         raise ValueError(f"bandwidth must be positive, got {h}")
     z, norm = raw_index(data, raw_coeffs)

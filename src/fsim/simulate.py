@@ -188,9 +188,10 @@ class ExperimentConfig:
             raise ValueError(f"method must be 'gcv' or 'kfold', got {self.method!r}")
         if self.reps < 1:
             raise ValueError("need at least one repetition")
-        if self.grid_size < 1 or self.folds < 2 or not 1 <= self.keep_best <= self.candidate_count:
-            raise ValueError(
-                "need grid_size >= 1, folds >= 2 and candidate_count >= keep_best >= 1")
+        too_few_folds = self.method == "kfold" and self.folds < 2
+        if self.grid_size < 1 or too_few_folds or not 1 <= self.keep_best <= self.candidate_count:
+            raise ValueError("need grid_size >= 1, candidate_count >= keep_best >= 1, "
+                             "and folds >= 2 with method 'kfold'")
 
 
 def _strategy_for(kind: str, config: ExperimentConfig, truth: GroundTruth,

@@ -5,8 +5,15 @@ import pytest
 
 import fsim.bandwidth as bw
 from fsim.basis import FourierBasis
-from fsim.locfit import SingularFitError, local_quad_fit, smoother_matrix
-from fsim.model import Dataset, FunctionalBlock, compute_index, objective_loo_mse, spec_from_raw
+from fsim.locfit import EstimationError, SingularFitError, local_quad_fit, smoother_matrix
+from fsim.model import (
+    Dataset,
+    DegenerateObjectiveError,
+    FunctionalBlock,
+    compute_index,
+    objective_loo_mse,
+    spec_from_raw,
+)
 from fsim.optimize import InitStrategy, init_equal, init_random, minimize
 
 
@@ -159,10 +166,16 @@ class TestKFold:
 
     def test_needs_enough_samples(self):
         data, _ = linear_dataset(12, 0.1, seed=6)
-        with pytest.raises(ValueError):
+        with pytest.raises(bw.SelectionError):
             bw.kfold_score(data, init_equal(3), 0.5, folds=13)
         with pytest.raises(ValueError):
             bw.kfold_score(data, init_equal(3), 0.5, folds=1)
+
+    def test_training_fold_too_small_for_the_objective_is_typed(self):
+        # two folds of five samples leave training sets of two and three
+        data, _ = linear_dataset(5, 0.1, seed=6)
+        with pytest.raises(DegenerateObjectiveError):
+            bw.kfold_score(data, init_equal(3), 0.5, folds=2)
 
     def test_leave_one_out_matches_objective_without_refitting(self):
         # with a zero search budget every fold keeps the shared start vector,
@@ -194,13 +207,16 @@ class TestFitPipeline:
             report = bw.fit_pipeline(data, strategy, 3, "gcv", 5, 0, 40)
             np.testing.assert_array_equal(report.grid.values, grid_at(anchor))
 
-    @pytest.mark.parametrize("n, method", [(3, "gcv"), (9, "kfold")])
-    def test_too_few_samples_raise_selection_error(self, n, method):
+    # too few samples for the objective, fewer samples than folds, and
+    # training folds too small for the objective (n=5 in two folds)
+    @pytest.mark.parametrize("n, method, folds", [(3, "gcv", 10), (9, "kfold", 10),
+                                                  (5, "kfold", 2)])
+    def test_too_few_samples_raise_estimation_error(self, n, method, folds):
         data, _ = linear_dataset(n, 0.1, seed=16)
         for kind in ("equal", "random"):
             strategy = InitStrategy(kind=kind, candidate_count=5, keep_best=2, seed=0)
-            with pytest.raises(bw.SelectionError, match="needs at least"):
-                bw.fit_pipeline(data, strategy, 3, method, 10, 0, 40)
+            with pytest.raises(EstimationError):
+                bw.fit_pipeline(data, strategy, 3, method, folds, 0, 40)
 
     def test_constant_reference_index_raises_selection_error(self):
         rng = np.random.default_rng(15)

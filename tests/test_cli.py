@@ -94,14 +94,21 @@ class TestFit:
                                              ("--candidates", 0), ("--keep", 0)])
     def test_out_of_range_argument_is_usage_error(self, synth_inputs, tmp_path, flag, value):
         assert run("fit", "--data", synth_inputs["data"], "--out", tmp_path / "o",
-                   flag, value) == 1
+                   "--method", "kfold", flag, value) == 1
 
-    @pytest.mark.parametrize("n, method", [(3, "gcv"), (8, "kfold")])
-    def test_too_few_samples_is_estimation_error(self, tmp_path, n, method):
+    def test_folds_are_not_checked_for_gcv(self, synth_inputs, tmp_path):
+        assert run("fit", "--data", synth_inputs["data"], "--out", tmp_path / "o",
+                   "--strategy", "equal", "--basis-dim", 7, "--budget", 40,
+                   "--grid-size", 2, "--folds", 1) == 0
+
+    # n=5 in two folds leaves training sets too small for the objective
+    @pytest.mark.parametrize("n, method, folds", [(3, "gcv", 10), (8, "kfold", 10),
+                                                  (5, "kfold", 2)])
+    def test_too_few_samples_is_estimation_error(self, tmp_path, n, method, folds):
         data = tmp_path / "tiny.csv"
         assert run("synth", "--out", data, "--n", n, "--seed", 2) == 0
         assert run("fit", "--data", data, "--out", tmp_path / "o", "--method", method,
-                   "--folds", 10) == 3
+                   "--folds", folds) == 3
 
     def test_single_strategy_reduces_to_it(self, synth_inputs, tmp_path):
         out = tmp_path / "single"

@@ -306,7 +306,7 @@ class TestObjective:
 
     def test_minimum_sample_count(self):
         data = single_block_data(np.zeros((3, 3)), np.zeros(3))
-        with pytest.raises(ValueError):
+        with pytest.raises(DegenerateObjectiveError, match="at least 4 samples"):
             objective_loo_mse(data, np.ones(2), 0.5)
 
     def test_reported_index_is_normalized(self):

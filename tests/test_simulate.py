@@ -233,11 +233,19 @@ class TestRunExperiment:
         assert row["failures"] == row["reps"] == 2
         assert row["flagged"] and np.isnan(row["rse"])
 
+    def test_folds_are_not_checked_for_gcv(self):
+        assert ExperimentConfig(method="gcv", folds=1).folds == 1
+
+    def test_training_folds_too_small_count_as_failures(self):
+        # n=5 in two folds leaves training sets too small for the objective
+        row = run_experiment(self.config(sizes=(5,), method="kfold", folds=2))[0]
+        assert row["failures"] == row["reps"] == 2
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ExperimentConfig(grid_size=0)
         with pytest.raises(ValueError):
-            ExperimentConfig(folds=1)
+            ExperimentConfig(method="kfold", folds=1)
         with pytest.raises(ValueError):
             ExperimentConfig(candidate_count=5, keep_best=6)
         with pytest.raises(ValueError):
