@@ -18,6 +18,7 @@ from .optimize import (
     init_equal,
     init_random,
     minimize,
+    minimize_lockstep,
     resolve_init,
     safe_objective,
 )
@@ -128,22 +129,29 @@ def kfold_score(data: Dataset, init, h: float, folds: int = 10, seed=0,
     from the start vector ``init``, and predicts the held-out responses by
     Nadaraya-Watson at the fitted index; the score is the mean squared
     held-out error over all predictable points.  Fold assignment is a seeded
-    permutation.  Fewer samples than folds raise :class:`SelectionError`; a
-    training fold too small for the objective fails its search with
-    :class:`DegenerateObjectiveError`.
+    permutation.  The fold searches run in lockstep
+    (:func:`fsim.optimize.minimize_lockstep`), each with the result a
+    :func:`minimize` of its own would give.  Fewer samples than folds raise
+    :class:`SelectionError`; a training fold too small for the objective
+    fails its search with :class:`DegenerateObjectiveError`, the first such
+    fold in fold order raising.
     """
     if folds < 2:
         raise ValueError(f"need at least 2 folds, got {folds}")
     if data.n < folds:
         raise SelectionError(f"k-fold needs n >= {folds}, got n={data.n}")
-    total_error = 0.0
-    total_count = 0
-    for held_out in _fold_assignment(data.n, folds, seed):
+    held_outs = _fold_assignment(data.n, folds, seed)
+    trains = []
+    for held_out in held_outs:
         mask = np.ones(data.n, dtype=bool)
         mask[held_out] = False
-        train = data.subset(np.nonzero(mask)[0])
+        trains.append(np.nonzero(mask)[0])
+    results = minimize_lockstep(data, trains, init, h, budget)
+    total_error = 0.0
+    total_count = 0
+    for train_indices, held_out, result in zip(trains, held_outs, results):
+        train = data.subset(train_indices)
         test = data.subset(held_out)
-        result = minimize(train, init, h, budget)
         z_train = compute_index(train, result.spec)
         z_test = compute_index(test, result.spec)
         predictions, excluded = nw_predict(z_train, train.y, z_test, h)
@@ -191,14 +199,12 @@ def select_bandwidth(data: Dataset, strategy: InitStrategy, grid: BandwidthGrid,
     pool = init_random(data, grid.reference, strategy) if strategy.kind == "random" else None
     fixed = resolve_init(data, strategy) if pool is None else None
 
-    def start_for(h):
-        return fixed if pool is None else choose_random_start(data, h, pool)
-
     scores = np.full(grid.values.size, np.inf)
+    starts: dict[int, tuple] = {}
     fits: dict[int, OptResult] = {}
     for k, h in enumerate(grid.values):
         try:
-            init, label = start_for(h)
+            init, label = starts[k] = fixed if pool is None else choose_random_start(data, h, pool)
             if method == "gcv":
                 result = minimize(data, init, h, budget, sign_reference, label)
                 fits[k] = result
@@ -212,7 +218,7 @@ def select_bandwidth(data: Dataset, strategy: InitStrategy, grid: BandwidthGrid,
     if chosen in fits:
         best_fit = fits[chosen]
     else:
-        init, label = start_for(chosen_h)
+        init, label = starts[chosen]
         best_fit = minimize(data, init, chosen_h, budget, sign_reference, label)
     sigma_index = float(np.std(compute_index(data, best_fit.spec)))
     if sigma_index <= 0.0:

@@ -17,7 +17,8 @@ and tile loop no faster, it sums over one dense tile.  The walk serves the
 Nadaraya-Watson sums (the leave-one-out estimator inside the
 coefficient-search objective, and the held-out prediction of k-fold
 validation) and the batched local quadratic fits behind GCV, curve grids and
-RASE.  The pointwise fits (:func:`local_quad_fit`, :func:`smoother_matrix`,
+RASE.  A batch of leave-one-out problems of one size (the training sets of
+the k-fold searches) runs as stacks of dense tiles.  The pointwise fits (:func:`local_quad_fit`, :func:`smoother_matrix`,
 :func:`relocated_fit`) stay as the reference for the batched ones.
 """
 
@@ -209,11 +210,21 @@ def _nw_tile(rows, points, samples, responses, diagonal):
 
     ``diagonal`` is the column of row 0's own sample, whose weight (and, down
     the diagonal, every later row's) is zeroed; ``None`` keeps every weight.
+    A leading batch axis on ``points``, ``samples`` and ``responses`` stacks
+    tiles of one shape; the stacked products sum each slice exactly as it
+    would be summed alone.
     """
-    w = transform_inplace(points[:, None] - samples[None, :])
+    w = transform_inplace(points[..., :, None] - samples[..., None, :])
     if diagonal is not None:
-        w.ravel()[diagonal::samples.size + 1] = 0.0
-    return w.sum(axis=1), w @ responses
+        w.reshape(w.shape[:-2] + (-1,))[..., diagonal::samples.shape[-1] + 1] = 0.0
+    return w.sum(axis=-1), (w @ responses[..., None])[..., 0]
+
+
+def stack_size(elements: int) -> int:
+    """How many problems of ``elements`` values each one stack holds: as many
+    as fit in ``ONE_TILE_MAX**2`` values, the largest dense tile, and at
+    least one."""
+    return max(1, ONE_TILE_MAX**2 // max(1, elements))
 
 
 def _nw_sums(points, samples, responses, leave_one_out: bool):
@@ -223,11 +234,30 @@ def _nw_sums(points, samples, responses, leave_one_out: bool):
     ``leave_one_out`` the points are the samples and each sample's own
     weight is zeroed.  Every weight is the same kernel value of the same
     difference on either path of the walk; only the order of the sums
-    changes.
+    changes.  A leading batch axis holds problems of one size: up to
+    ``ONE_TILE_MAX`` points and samples they run as stacked dense tiles of
+    at most ``ONE_TILE_MAX**2`` pairs, the largest tile the walk builds,
+    and larger problems take the walk one by one.  Either way each problem
+    gets the values it gets alone, bit for bit.
     """
-    den, num = _walk(_nw_tile, points, samples, responses, leave_one_out)
+    if points.ndim == 1:
+        den, num = _walk(_nw_tile, points, samples, responses, leave_one_out)
+    else:
+        den, num = np.empty(points.shape), np.empty(points.shape)
+        (count, m), n = points.shape, samples.shape[-1]
+        if max(m, n) <= ONE_TILE_MAX:
+            step = stack_size(m * n)
+            for a in range(0, count, step):
+                chunk = slice(a, a + step)
+                den[chunk], num[chunk] = _nw_tile(
+                    chunk, points[chunk], samples[chunk], responses[chunk],
+                    0 if leave_one_out else None)
+        else:
+            for b in range(count):
+                den[b], num[b] = _walk(_nw_tile, points[b], samples[b], responses[b],
+                                       leave_one_out)
     excluded = den == 0.0
-    estimates = np.divide(num, den, out=np.full(points.size, np.nan), where=~excluded)
+    estimates = np.divide(num, den, out=np.full(points.shape, np.nan), where=~excluded)
     return estimates, excluded
 
 
@@ -239,6 +269,26 @@ def nw_loo_all(index_values, responses, h: float):
     """
     z, y = _fit_inputs(index_values, responses, h)
     scaled = z / h
+    return _nw_sums(scaled, scaled, y, leave_one_out=True)
+
+
+def nw_loo_batch(index_values, responses, h):
+    """:func:`nw_loo_all` for a batch of problems of one size, bit for bit.
+
+    Row b of the (B, n) ``index_values`` and ``responses`` is one problem,
+    smoothed with bandwidth ``h[b]``; returns (B, n) ``(estimates,
+    excluded)``.
+    """
+    z = np.asarray(index_values, dtype=float)
+    y = np.asarray(responses, dtype=float)
+    h = np.asarray(h, dtype=float)
+    if z.ndim != 2 or y.shape != z.shape or h.shape != z.shape[:1]:
+        raise ValueError(
+            f"expected (B, n) index values and responses and B bandwidths, got "
+            f"{z.shape}, {y.shape} and {h.shape}")
+    if np.any(h <= 0):
+        raise ValueError(f"bandwidths must be positive, got minimum {h.min()}")
+    scaled = z / h[:, None]
     return _nw_sums(scaled, scaled, y, leave_one_out=True)
 
 
@@ -381,9 +431,13 @@ def relocated_fit(index_values, responses, u: float, h: float,
 
     Sparse windows near the index extremes can make the fit singular; the
     evaluation point is then moved toward ``center`` (default: median index)
-    in steps of h/4 until a fit succeeds.  Returns ``(fit, moved)``.
+    in steps of h/4 until a fit succeeds.  Returns ``(fit, moved)``.  A
+    non-finite index value or ``u`` leaves every point unusable, so it
+    raises at once.
     """
     z = _as_vector(index_values, "index_values")
+    if not (np.isfinite(u) and np.isfinite(z).all()):
+        raise SingularFitError(f"no admissible evaluation point near u={u:.6g}")
     if center is None:
         center = float(np.median(z))
     point = float(u)

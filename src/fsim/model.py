@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import BasisExpansion, FourierBasis, readonly_array
-from .locfit import EstimationError, nw_loo_all
+from .locfit import EstimationError, nw_loo_all, nw_loo_batch, stack_size
 
 # fewest samples the leave-one-out objective accepts
 MIN_SAMPLES = 4
@@ -282,3 +282,86 @@ def objective_loo_mse(data: Dataset, raw_coeffs, h: float) -> ObjectiveReport:
         excluded_count=excluded_count,
         index_values=z,
     )
+
+
+class StackedObjective:
+    """The leave-one-out objective on subsets of one dataset at bandwidth ``h``.
+
+    ``objective(which, points)`` returns, for each row of ``points``
+    evaluated on ``data.subset(subsets[which[i]])``, the value
+    :func:`fsim.optimize.safe_objective` gives there: the
+    :func:`objective_loo_mse` value, or infinity where that raises
+    (fewer than ``MIN_SAMPLES`` samples, a zero coefficient norm, every
+    sample excluded).  Points on subsets of one size are evaluated in
+    stacks (:func:`fsim.locfit.stack_size`) whose kernel tile and gathered
+    coefficients hold at most ``ONE_TILE_MAX**2`` values each: the index
+    values and coefficient norms come from stacked products, the kernel
+    sums from :func:`fsim.locfit.nw_loo_batch`, and every other reduction
+    runs per point, so each value is the serial one bit for bit.  The
+    subsets' samples are gathered from ``data`` per stack, never copied
+    whole.
+    """
+
+    def __init__(self, data: Dataset, subsets, h: float):
+        if h <= 0:
+            raise ValueError(f"bandwidth must be positive, got {h}")
+        self.data = data
+        self.h = h
+        subsets = [np.asarray(indices, dtype=int) for indices in subsets]
+        self._sizes = np.array([indices.size for indices in subsets], dtype=int)
+        self._positions = np.empty(len(subsets), dtype=int)
+        self._members = {}
+        for n in sorted(set(self._sizes.tolist())):
+            members = np.flatnonzero(self._sizes == n)
+            self._positions[members] = np.arange(members.size)
+            self._members[n] = np.stack([subsets[k] for k in members.tolist()])
+
+    def __call__(self, which, points) -> np.ndarray:
+        which = np.asarray(which, dtype=int)
+        points = np.asarray(points, dtype=float)
+        values = np.full(len(points), np.inf)
+        sizes = self._sizes[which]
+        # a stack's kernel tile holds n * n values, its coefficients n * width
+        width = max(block.coeffs.shape[1] for block in self.data.blocks)
+        for n, members in self._members.items():
+            if n < MIN_SAMPLES:
+                continue
+            rows = np.flatnonzero(sizes == n)
+            step = stack_size(n * max(n, width))
+            for a in range(0, rows.size, step):
+                part = rows[a:a + step]
+                values[part] = self._loo_mse(members[self._positions[which[part]]],
+                                             points[part])
+        return values
+
+    def _loo_mse(self, samples: np.ndarray, raw: np.ndarray) -> np.ndarray:
+        """:func:`objective_loo_mse` at every row of ``raw`` on the subset of
+        the matching row of ``samples``, infinity where it raises."""
+        data = self.data
+        z = np.zeros(samples.shape)
+        start = 0
+        for block in data.blocks:
+            # each slice has the layout of the subset's own coefficient matrix
+            columns = block.coeffs[samples]
+            if block.basis.include_constant:
+                columns = columns[:, :, 1:]
+            stop = start + columns.shape[2]
+            z += (columns @ raw[:, start:stop, None])[..., 0]
+            start = stop
+        if data.w is not None:
+            z += raw[:, start, None] * data.w[samples]
+        functional = raw[:, :start]
+        # per row the dot product np.linalg.norm takes the root of
+        norms = np.sqrt((functional[:, None, :] @ functional[:, :, None])[:, 0, 0])
+        mse = np.full(len(raw), np.inf)
+        ok = np.flatnonzero(norms != 0.0)
+        y = data.y[samples[ok]]
+        estimates, excluded = nw_loo_batch(z[ok], y, self.h * norms[ok])
+        residuals = y - estimates
+        squares = residuals * residuals
+        dropped = np.count_nonzero(excluded, axis=1)
+        mse[ok] = squares.sum(axis=-1) / samples.shape[1]
+        for i in np.flatnonzero(dropped).tolist():
+            kept = squares[i][~excluded[i]]
+            mse[ok[i]] = kept.sum() / kept.size if kept.size else np.inf
+        return mse

@@ -10,6 +10,7 @@ pool of standard normal draws prefiltered by objective value, from which
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,7 @@ from .model import (
     DegenerateObjectiveError,
     IndexModelSpec,
     NormalizationError,
+    StackedObjective,
     canonical_sign,
     objective_loo_mse,
     spec_from_raw,
@@ -133,61 +135,61 @@ def safe_objective(data: Dataset, raw, h: float) -> float:
         return np.inf
 
 
-def _nelder_mead(fn, x0: np.ndarray, max_evals: int, spread_tol: float):
-    """Reflection / expansion / contraction / shrink search from ``x0``.
+def _nelder_mead(x0: np.ndarray, max_evals: int, spread_tol: float):
+    """Reflection / expansion / contraction / shrink search from ``x0``, as a stepper.
 
-    Stops when the simplex objective spread drops below ``spread_tol`` or the
-    evaluation budget runs out.  Returns the best vertex, its value, the
-    iteration count, the convergence flag, the per-iteration best-value
-    trace, and the number of evaluations spent.
+    A generator: it yields each block of points to evaluate as the rows of
+    a 2-D array (``x0`` alone, the ``dim`` initial vertices, each reflected,
+    expanded or contracted point, the ``dim`` shrunk vertices) and is sent
+    back their objective values.  Stops when the simplex objective spread
+    drops below ``spread_tol`` or the evaluation budget runs out, and
+    returns the best vertex, its value, the iteration count, the
+    convergence flag, the per-iteration best-value trace, and the number of
+    evaluations spent.
     """
     reflect, expand, contract, shrink = 1.0, 2.0, 0.5, 0.5
     dim = x0.size
-    evals = 0
-
-    def call(x):
-        nonlocal evals
-        evals += 1
-        return fn(x)
-
-    f0 = call(x0)
+    (f0,) = yield x0[None]
+    f0 = float(f0)
+    evals = 1
     if not np.isfinite(f0):
         raise DegenerateObjectiveError("objective is not finite at the initialization")
     if max_evals < dim + 2:
         return x0, f0, 0, False, [f0], evals
 
-    simplex = [x0.copy()]
-    values = [f0]
+    simplex = np.repeat(x0[None], dim + 1, axis=0)
     for i in range(dim):
-        vertex = x0.copy()
-        vertex[i] = vertex[i] * 1.05 if vertex[i] != 0.0 else 2.5e-4
-        simplex.append(vertex)
-        values.append(call(vertex))
-    simplex = np.array(simplex)
-    values = np.array(values)
+        simplex[i + 1, i] = x0[i] * 1.05 if x0[i] != 0.0 else 2.5e-4
+    values = np.empty(dim + 1)
+    values[0] = f0
+    values[1:] = yield simplex[1:]
+    evals += dim
 
     iterations = 0
     converged = False
     trace = []
     while True:
-        order = np.argsort(values, kind="stable")
+        order = values.argsort(kind="stable")
         simplex = simplex[order]
         values = values[order]
         trace.append(float(values[0]))
-        spread = values[-1] - values[0]
-        if np.isfinite(spread) and spread < spread_tol:
+        spread = float(values[-1] - values[0])
+        if math.isfinite(spread) and spread < spread_tol:
             converged = True
             break
         if evals >= max_evals:
             break
         iterations += 1
 
-        centroid = simplex[:-1].mean(axis=0)
+        # np.mean's own sum and division, bit for bit, without its dispatch cost
+        centroid = simplex[:-1].sum(axis=0) / dim
         reflected = centroid + reflect * (centroid - simplex[-1])
-        f_reflected = call(reflected)
+        (f_reflected,) = yield reflected[None]
+        evals += 1
         if f_reflected < values[0]:
             expanded = centroid + expand * (centroid - simplex[-1])
-            f_expanded = call(expanded)
+            (f_expanded,) = yield expanded[None]
+            evals += 1
             if f_expanded < f_reflected:
                 simplex[-1], values[-1] = expanded, f_expanded
             else:
@@ -197,36 +199,32 @@ def _nelder_mead(fn, x0: np.ndarray, max_evals: int, spread_tol: float):
             simplex[-1], values[-1] = reflected, f_reflected
             continue
         contracted = centroid + contract * (simplex[-1] - centroid)
-        f_contracted = call(contracted)
+        (f_contracted,) = yield contracted[None]
+        evals += 1
         if f_contracted < values[-1]:
             simplex[-1], values[-1] = contracted, f_contracted
             continue
-        for i in range(1, dim + 1):
-            simplex[i] = simplex[0] + shrink * (simplex[i] - simplex[0])
-            values[i] = call(simplex[i])
+        simplex[1:] = simplex[0] + shrink * (simplex[1:] - simplex[0])
+        values[1:] = yield simplex[1:]
+        evals += dim
 
     best = int(np.argmin(values))
     return simplex[best], float(values[best]), iterations, converged, trace, evals
 
 
-def minimize(data: Dataset, init, h: float, budget: int | None = None,
-             sign_reference=None, label: str = "custom") -> OptResult:
-    """Run the simplex search on the raw search vector from one start point.
-
-    The terminal point is normalized (unit functional norm, bandwidth record
-    scaled by the terminal raw norm) and sign-canonicalized.  The returned
-    value never exceeds the objective at the initialization.
-    """
+def _search_start(data: Dataset, init, budget: int | None) -> tuple[np.ndarray, int]:
+    """The checked start vector of a search and its evaluation budget."""
     x0 = np.asarray(init, dtype=float).copy()
     if x0.shape != (data.search_dimension(),):
         raise ValueError(
             f"expected a search vector of length {data.search_dimension()}, got {x0.shape}"
         )
-    if budget is None:
-        budget = BUDGET_PER_DIM * x0.size
-    best, f_best, iterations, converged, trace, evals = _nelder_mead(
-        lambda x: safe_objective(data, x, h), x0, budget, SPREAD_TOL
-    )
+    return x0, BUDGET_PER_DIM * x0.size if budget is None else budget
+
+
+def _opt_result(data: Dataset, h: float, outcome, sign_reference, label: str) -> OptResult:
+    """The normalized, sign-canonical result of a finished stepper."""
+    best, f_best, iterations, converged, trace, evals = outcome
     spec = canonical_sign(spec_from_raw(data, best, h), sign_reference)
     return OptResult(
         spec=spec,
@@ -237,6 +235,58 @@ def minimize(data: Dataset, init, h: float, budget: int | None = None,
         evaluations=evals,
         trace=tuple(trace),
     )
+
+
+def minimize(data: Dataset, init, h: float, budget: int | None = None,
+             sign_reference=None, label: str = "custom") -> OptResult:
+    """Run the simplex search on the raw search vector from one start point.
+
+    The terminal point is normalized (unit functional norm, bandwidth record
+    scaled by the terminal raw norm) and sign-canonicalized.  The returned
+    value never exceeds the objective at the initialization.
+    """
+    x0, budget = _search_start(data, init, budget)
+    stepper = _nelder_mead(x0, budget, SPREAD_TOL)
+    block = next(stepper)
+    try:
+        while True:
+            block = stepper.send([safe_objective(data, x, h) for x in block])
+    except StopIteration as stop:
+        return _opt_result(data, h, stop.value, sign_reference, label)
+
+
+def minimize_lockstep(data: Dataset, subsets, init, h: float,
+                      budget: int | None = None) -> list[OptResult]:
+    """``minimize(data.subset(s), init, h, budget)`` for every index set ``s``, bit for bit.
+
+    The searches run in lockstep: each step gathers every running search's
+    pending block of points and evaluates them together
+    (:class:`fsim.model.StackedObjective`).  Every reduction stays per
+    search, so a result does not depend on which searches share a step.  A
+    search can only fail on its start value, and the first step sends those
+    in order, so the first search in order whose :func:`minimize` would
+    raise is the one that raises.  A result's spec depends on the data only
+    through their design, which every subset shares with ``data``.
+    """
+    x0, max_evals = _search_start(data, init, budget)
+    steppers = [_nelder_mead(x0, max_evals, SPREAD_TOL) for _ in subsets]
+    objective = StackedObjective(data, subsets, h)
+    pending = {k: next(stepper) for k, stepper in enumerate(steppers)}
+    outcomes = {}
+    while pending:
+        keys = list(pending)
+        blocks = [pending[k] for k in keys]
+        which = [k for k, block in zip(keys, blocks) for _ in range(len(block))]
+        values = objective(which, np.concatenate(blocks))
+        stop = 0
+        for k, block in zip(keys, blocks):
+            start, stop = stop, stop + len(block)
+            try:
+                pending[k] = steppers[k].send(values[start:stop])
+            except StopIteration as done:
+                del pending[k]
+                outcomes[k] = done.value
+    return [_opt_result(data, h, outcomes[k], None, "custom") for k in range(len(subsets))]
 
 
 def resolve_init(data: Dataset, strategy: InitStrategy) -> tuple[np.ndarray, str]:

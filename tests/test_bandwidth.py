@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fsim.bandwidth as bw
+from fsim import locfit
 from fsim.basis import FourierBasis
 from fsim.locfit import EstimationError, SingularFitError, local_quad_fit, smoother_matrix
 from fsim.model import (
@@ -14,7 +17,7 @@ from fsim.model import (
     objective_loo_mse,
     spec_from_raw,
 )
-from fsim.optimize import InitStrategy, init_equal, init_random, minimize
+from fsim.optimize import InitStrategy, init_equal, init_random, minimize, minimize_lockstep
 
 
 def single_block_data(coeffs, y):
@@ -189,6 +192,104 @@ class TestKFold:
         assert score == pytest.approx(report.mse, abs=1e-12)
 
 
+def serial_searches(data, subsets, init, h, budget=None):
+    """One :func:`minimize` per training set: the oracle of the lockstep searches."""
+    return [minimize(data.subset(indices), init, h, budget) for indices in subsets]
+
+
+def training_indices(data, folds, seed):
+    return [np.setdiff1d(np.arange(data.n), held_out)
+            for held_out in bw._fold_assignment(data.n, folds, seed)]
+
+
+def result_fields(result):
+    spec = result.spec
+    return (spec.coefficient_vector().tobytes(), spec.bandwidth, spec.alpha, result.final_mse,
+            result.iterations, result.converged, result.evaluations, result.trace,
+            result.init_used)
+
+
+def scalar_dataset(n, seed):
+    """Two functional blocks and a scalar covariate."""
+    rng = np.random.default_rng(seed)
+    first = FunctionalBlock(FourierBasis(4), rng.uniform(-0.6, 0.6, size=(n, 4)))
+    second = FunctionalBlock(FourierBasis(2, include_constant=False),
+                             rng.uniform(-0.6, 0.6, size=(n, 2)))
+    w = rng.uniform(-0.6, 0.6, size=n)
+    y = np.sin(2.0 * first.coeffs[:, 1] + w) + 0.1 * rng.normal(size=n)
+    return Dataset(blocks=(first, second), y=y, w=w)
+
+
+# searches on subsets of several sizes for the batch-independence property
+POOL_DATA = linear_dataset(60, 0.2, seed=30)[0]
+POOL_SUBSETS = [np.sort(np.random.default_rng(31 + k).choice(60, size, replace=False))
+                for k, size in enumerate((20, 21, 21, 35, 48))]
+
+
+class TestLockstepFolds:
+    @staticmethod
+    def assert_serial(monkeypatch, data, init, h, folds, seed, budget):
+        """Fold results and the score equal those of one minimize per fold, bit for bit."""
+        trains = training_indices(data, folds, seed)
+        lockstep = minimize_lockstep(data, trains, init, h, budget)
+        serial = serial_searches(data, trains, init, h, budget)
+        assert [result_fields(r) for r in lockstep] == [result_fields(r) for r in serial]
+        score = bw.kfold_score(data, init, h, folds, seed, budget)
+        with monkeypatch.context() as patch:
+            patch.setattr(bw, "minimize_lockstep", serial_searches)
+            assert bw.kfold_score(data, init, h, folds, seed, budget) == score
+        return score
+
+    # 60 samples leave five training sets of 48; 53 leave sets of 42 and 43;
+    # h = 0.08 excludes samples; budget 4 is below dim + 2 = 5
+    @pytest.mark.parametrize("n, h, budget", [(60, 0.5, 60), (53, 0.5, 60), (53, 0.08, 60),
+                                              (53, 0.5, 0), (53, 0.5, 4)])
+    def test_matches_serial_searches(self, monkeypatch, n, h, budget):
+        data, _ = linear_dataset(n, 0.2, seed=21)
+        assert np.isfinite(self.assert_serial(monkeypatch, data, init_equal(3), h, 5, 3, budget))
+
+    def test_two_blocks_and_a_scalar_covariate(self, monkeypatch):
+        data = scalar_dataset(47, seed=22)
+        init = init_equal(data.search_dimension())
+        self.assert_serial(monkeypatch, data, init, 0.6, 4, 1, 80)
+
+    @pytest.mark.parametrize("n, init", [(7, init_equal(3)), (40, np.zeros(3))])
+    def test_failing_search_raises_like_serial(self, monkeypatch, n, init):
+        # seven samples in two folds leave a first training set of three,
+        # below MIN_SAMPLES; a zero start has no coefficient norm
+        data, _ = linear_dataset(n, 0.1, seed=6)
+        with pytest.raises(DegenerateObjectiveError) as lockstep:
+            bw.kfold_score(data, init, 0.5, folds=2)
+        monkeypatch.setattr(bw, "minimize_lockstep", serial_searches)
+        with pytest.raises(DegenerateObjectiveError) as serial:
+            bw.kfold_score(data, init, 0.5, folds=2)
+        assert str(lockstep.value) == str(serial.value)
+
+    def test_problems_above_one_tile(self, monkeypatch):
+        # 300 samples in ten folds leave training sets of 270 > ONE_TILE_MAX
+        data, _ = linear_dataset(300, 0.2, seed=23)
+        assert min(t.size for t in training_indices(data, 10, 1)) > locfit.ONE_TILE_MAX
+        self.assert_serial(monkeypatch, data, init_equal(3), 0.3, 10, 1, 12)
+
+    # 16: every training set of 48 takes the tiled walk; 50 and 100 stack one
+    # and four of them per dense tile
+    @pytest.mark.parametrize("one_tile_max", [16, 50, 100])
+    def test_with_a_smaller_one_tile_cap(self, monkeypatch, one_tile_max):
+        monkeypatch.setattr(locfit, "ONE_TILE_MAX", one_tile_max)
+        data, _ = linear_dataset(60, 0.2, seed=24)
+        self.assert_serial(monkeypatch, data, init_equal(3), 0.3, 5, 2, 40)
+
+    @settings(max_examples=20, deadline=None)
+    @given(picks=st.lists(st.integers(0, len(POOL_SUBSETS) - 1), min_size=1, max_size=6),
+           h=st.sampled_from([0.1, 0.5]), budget=st.sampled_from([0, 4, 15, 40]))
+    def test_result_does_not_depend_on_the_batch(self, picks, h, budget):
+        subsets = [POOL_SUBSETS[k] for k in picks]
+        together = minimize_lockstep(POOL_DATA, subsets, init_equal(3), h, budget)
+        for indices, result in zip(subsets, together):
+            alone = minimize(POOL_DATA.subset(indices), init_equal(3), h, budget)
+            assert result_fields(result) == result_fields(alone)
+
+
 class TestFitPipeline:
     def test_grid_anchored_at_the_start_index_scale(self):
         data, truth = linear_dataset(40, 0.2, seed=14)
@@ -278,12 +379,38 @@ class TestSelectBandwidth:
             starts.append((float(h), np.array(init)))
             return minimize(train, init, h, *args)
 
+        def spy_lockstep(data, trains, init, h, *args):
+            starts.append((float(h), np.array(init)))
+            return minimize_lockstep(data, trains, init, h, *args)
+
+        # gcv searches through minimize; k-fold runs its fold searches in lockstep
         monkeypatch.setattr(bw, "minimize", spy)
+        monkeypatch.setattr(bw, "minimize_lockstep", spy_lockstep)
         bw.select_bandwidth(data, strategy, grid, method=method, folds=3, budget=20)
         for h, init in starts:
             np.testing.assert_array_equal(init, bw.choose_random_start(data, h, pool)[0])
         assert {h for h, _ in starts} == set(grid.values.tolist())
         assert len({init.tobytes() for _, init in starts}) > 1
+
+    def test_kfold_refits_from_the_start_its_bandwidth_scored(self, monkeypatch):
+        data, _ = linear_dataset(60, 0.2, seed=10)
+        grid = bw.BandwidthGrid(np.array([0.08, 0.3, 1.2]))
+        strategy = InitStrategy(kind="random", candidate_count=30, keep_best=5, seed=2)
+        chooser = bw.choose_random_start
+        scored = []
+
+        def spy(data, h, pool):
+            scored.append(float(h))
+            return chooser(data, h, pool)
+
+        monkeypatch.setattr(bw, "choose_random_start", spy)
+        report = bw.select_bandwidth(data, strategy, grid, method="kfold", folds=3, budget=20)
+        assert scored == grid.values.tolist()
+        # the final fit is the one a fresh pick at the chosen bandwidth gives
+        pool = init_random(data, grid.reference, strategy)
+        init, label = chooser(data, report.chosen_h, pool)
+        refit = minimize(data, init, report.chosen_h, 20, None, label)
+        assert result_fields(report.best_fit) == result_fields(refit)
 
     def test_kfold_method_runs_and_scores_finite(self):
         data, truth = linear_dataset(60, 0.2, seed=11)

@@ -316,6 +316,43 @@ class TestKernelSumEngine:
         with pytest.raises(ValueError):
             nw_predict(np.arange(5.0), np.zeros(5), [0.5], 0.0)
 
+    @pytest.mark.parametrize("n", [T, CUTOFF, CUTOFF + 1])
+    def test_batch_matches_each_problem_alone(self, n, engine_path):
+        rng = np.random.default_rng(n + 1)
+        z = np.stack([awkward_index(n, rng) for _ in range(5)])
+        y = rng.normal(size=z.shape)
+        z[3, 7] = np.nan
+        h = np.array([0.004, 0.08, 0.5, 0.5, 3.0])
+        estimates, excluded = locfit.nw_loo_batch(z, y, h)
+        for b in range(5):
+            alone_estimates, alone_excluded = nw_loo_all(z[b], y[b], h[b])
+            assert estimates[b].tobytes() == alone_estimates.tobytes()
+            np.testing.assert_array_equal(excluded[b], alone_excluded)
+
+    def test_batch_stacks_at_most_one_dense_tile_of_pairs(self, monkeypatch):
+        shapes = []
+        tile = locfit._nw_tile
+
+        def spy(rows, points, samples, responses, diagonal):
+            shapes.append(points.shape + samples.shape[-1:])
+            return tile(rows, points, samples, responses, diagonal)
+
+        monkeypatch.setattr(locfit, "_nw_tile", spy)
+        rng = np.random.default_rng(12)
+        z = rng.normal(size=(20, 90))
+        locfit.nw_loo_batch(z, rng.normal(size=z.shape), np.full(20, 0.5))
+        # 8 problems of 90 x 90 pairs fit in CUTOFF**2 = 65536 pairs, 9 do not
+        assert shapes == [(8, 90, 90), (8, 90, 90), (4, 90, 90)]
+
+    def test_batch_rejects_mismatched_shapes_and_bad_bandwidth(self):
+        z = np.zeros((2, 5))
+        with pytest.raises(ValueError):
+            locfit.nw_loo_batch(z, np.zeros((2, 4)), [0.5, 0.5])
+        with pytest.raises(ValueError):
+            locfit.nw_loo_batch(z, z, [0.5])
+        with pytest.raises(ValueError):
+            locfit.nw_loo_batch(z, z, [0.5, 0.0])
+
 
 index_arrays = st.integers(2, 2 * CUTOFF).flatmap(
     lambda n: hnp.arrays(float, n, elements=st.floats(-4.0, 4.0, width=16)))
@@ -564,3 +601,23 @@ class TestCurveHelpers:
         z = np.array([0.0, 10.0, 20.0])
         with pytest.raises(SingularFitError):
             relocated_fit(z, np.zeros(3), 0.0, 0.01, max_steps=4)
+
+    @pytest.mark.parametrize("bad", ["nan_sample", "inf_sample", "nan_point", "inf_point"])
+    def test_relocated_fit_gives_up_at_once_on_non_finite_input(self, bad, monkeypatch):
+        z = np.linspace(0.0, 1.0, 300)
+        u = 0.5
+        if bad.endswith("point"):
+            u = np.nan if bad == "nan_point" else np.inf
+        else:
+            z[150] = np.nan if bad == "nan_sample" else np.inf
+        calls = []
+        fit = locfit.local_quad_fit
+
+        def spy(*args):
+            calls.append(args)
+            return fit(*args)
+
+        monkeypatch.setattr(locfit, "local_quad_fit", spy)
+        with pytest.raises(SingularFitError, match="no admissible evaluation point"):
+            relocated_fit(z, z, u, 0.1)
+        assert len(calls) <= 1

@@ -13,11 +13,13 @@ from fsim.model import (
     FunctionalBlock,
     IndexModelSpec,
     NormalizationError,
+    StackedObjective,
     canonical_sign,
     compute_index,
     objective_loo_mse,
     spec_from_raw,
 )
+from fsim.optimize import safe_objective
 
 
 def single_block_data(coeffs, y, w=None):
@@ -316,3 +318,37 @@ class TestObjective:
         raw = np.array([6.0, 0.0, 8.0])
         report = objective_loo_mse(data, raw, 0.7)
         np.testing.assert_allclose(report.index_values, x[:, 1:] @ (raw / 10.0), atol=1e-14)
+
+
+def two_block_data(n, seed):
+    """Two functional blocks, one without a constant column, and a scalar covariate."""
+    rng = np.random.default_rng(seed)
+    first = FunctionalBlock(FourierBasis(5), rng.normal(size=(n, 5)))
+    second = FunctionalBlock(FourierBasis(3, include_constant=False),
+                             rng.uniform(-1.0, 1.0, size=(n, 3)))
+    return Dataset(blocks=(first, second), y=rng.normal(size=n), w=rng.normal(size=n))
+
+
+class TestStackedObjective:
+    def test_matches_safe_objective_at_every_guard(self):
+        data = two_block_data(40, seed=13)
+        # three samples (below MIN_SAMPLES) and two subset sizes
+        subsets = [np.arange(3), np.arange(30), np.arange(39, 9, -1), np.arange(9, 40)]
+        datasets = [data.subset(indices) for indices in subsets]
+        rng = np.random.default_rng(14)
+        points = rng.normal(size=(12, data.search_dimension()))
+        points[2, :-1] = 0.0  # zero functional norm, nonzero alpha
+        which = np.arange(12) % 4
+        # every sample excluded, about half excluded, a few excluded
+        for h in (1e-6, 0.05, 0.5):
+            got = StackedObjective(data, subsets, h)(which, points)
+            expected = [safe_objective(datasets[k], p, h) for k, p in zip(which, points)]
+            assert got.tolist() == expected
+            assert np.isinf(got[which == 0]).all() and np.isinf(got[2])
+        counts = [objective_loo_mse(datasets[k], points[i], 0.5).excluded_count
+                  for i, k in enumerate(which) if k and i != 2]
+        assert 0 < max(counts)
+
+    def test_rejects_bad_bandwidth(self):
+        with pytest.raises(ValueError, match="bandwidth must be positive"):
+            StackedObjective(two_block_data(10, seed=15), [np.arange(10)], 0.0)

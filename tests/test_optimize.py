@@ -6,7 +6,16 @@ import pytest
 from fsim.bandwidth import choose_random_start
 from fsim.basis import FourierBasis
 from fsim.locfit import SingularFitError
-from fsim.model import Dataset, FunctionalBlock, NormalizationError, objective_loo_mse
+from fsim import optimize
+from fsim.model import (
+    Dataset,
+    DegenerateObjectiveError,
+    FunctionalBlock,
+    NormalizationError,
+    canonical_sign,
+    objective_loo_mse,
+    spec_from_raw,
+)
 from fsim.optimize import (
     InitStrategy,
     init_equal,
@@ -216,6 +225,114 @@ class TestMinimize:
         data = single_block_data(rng.normal(size=(20, 4)), rng.normal(size=20))
         with pytest.raises(DegenerateObjectiveError):
             minimize(data, np.zeros(3), 0.5)
+
+
+def serial_nelder_mead(fn, x0, max_evals, spread_tol):
+    """The search loop as it was before it became a stepper: the oracle."""
+    reflect, expand, contract, shrink = 1.0, 2.0, 0.5, 0.5
+    dim = x0.size
+    evals = 0
+
+    def call(x):
+        nonlocal evals
+        evals += 1
+        return fn(x)
+
+    f0 = call(x0)
+    if not np.isfinite(f0):
+        raise DegenerateObjectiveError("objective is not finite at the initialization")
+    if max_evals < dim + 2:
+        return x0, f0, 0, False, [f0], evals
+    simplex = [x0.copy()]
+    values = [f0]
+    for i in range(dim):
+        vertex = x0.copy()
+        vertex[i] = vertex[i] * 1.05 if vertex[i] != 0.0 else 2.5e-4
+        simplex.append(vertex)
+        values.append(call(vertex))
+    simplex = np.array(simplex)
+    values = np.array(values)
+    iterations = 0
+    converged = False
+    trace = []
+    while True:
+        order = np.argsort(values, kind="stable")
+        simplex = simplex[order]
+        values = values[order]
+        trace.append(float(values[0]))
+        spread = values[-1] - values[0]
+        if np.isfinite(spread) and spread < spread_tol:
+            converged = True
+            break
+        if evals >= max_evals:
+            break
+        iterations += 1
+        centroid = simplex[:-1].mean(axis=0)
+        reflected = centroid + reflect * (centroid - simplex[-1])
+        f_reflected = call(reflected)
+        if f_reflected < values[0]:
+            expanded = centroid + expand * (centroid - simplex[-1])
+            f_expanded = call(expanded)
+            if f_expanded < f_reflected:
+                simplex[-1], values[-1] = expanded, f_expanded
+            else:
+                simplex[-1], values[-1] = reflected, f_reflected
+            continue
+        if f_reflected < values[-2]:
+            simplex[-1], values[-1] = reflected, f_reflected
+            continue
+        contracted = centroid + contract * (simplex[-1] - centroid)
+        f_contracted = call(contracted)
+        if f_contracted < values[-1]:
+            simplex[-1], values[-1] = contracted, f_contracted
+            continue
+        for i in range(1, dim + 1):
+            simplex[i] = simplex[0] + shrink * (simplex[i] - simplex[0])
+            values[i] = call(simplex[i])
+    best = int(np.argmin(values))
+    return simplex[best], float(values[best]), iterations, converged, trace, evals
+
+
+class TestStepper:
+    # a zero start entry takes the 2.5e-4 vertex; budgets 0 and 4 stop before
+    # the simplex; the n=8 searches shrink, one until it converges and one
+    # until the budget runs out
+    @pytest.mark.parametrize("seed, n, h, budget, shrinks", [
+        (13, 40, 0.5, 0, False), (13, 40, 0.5, 4, False), (13, 40, 0.5, 60, False),
+        (13, 40, 0.5, 400, False), (24, 10, 0.15, 400, True), (26, 8, 0.6, 400, True),
+    ])
+    def test_minimize_makes_the_calls_of_the_serial_loop(self, monkeypatch, seed, n, h,
+                                                           budget, shrinks):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, 5))
+        data = single_block_data(x, np.exp(-x[:, 1]) + 0.1 * rng.normal(size=n))
+        init = np.array([0.8, 0.0, -0.5, 0.3])
+        expected = []
+
+        def fn(point):
+            expected.append(np.array(point).tobytes())
+            return optimize.safe_objective(data, point, h)
+
+        best, f_best, iterations, converged, trace, evals = serial_nelder_mead(
+            fn, init.copy(), budget, optimize.SPREAD_TOL)
+        calls = []
+        objective = optimize.safe_objective
+
+        def spy(data, point, h):
+            calls.append(np.array(point).tobytes())
+            return objective(data, point, h)
+
+        monkeypatch.setattr(optimize, "safe_objective", spy)
+        result = minimize(data, init, h, budget)
+        assert calls == expected
+        assert result.evaluations == evals == len(calls)
+        assert (result.final_mse, result.iterations, result.converged, result.trace) == (
+            f_best, iterations, converged, tuple(trace))
+        spec = canonical_sign(spec_from_raw(data, best, h))
+        assert result.spec.coefficient_vector().tobytes() == spec.coefficient_vector().tobytes()
+        assert result.spec.bandwidth == spec.bandwidth
+        # more calls than two per iteration: the search shrank its simplex
+        assert (evals > 1 + init.size + 2 * iterations) == shrinks
 
 
 class TestStartStrategies:
