@@ -136,6 +136,21 @@ def kfold_score(data: Dataset, init, h: float, folds: int = 10, seed=0,
     fails its search with :class:`DegenerateObjectiveError`, the first such
     fold in fold order raising.
     """
+    (outcome,) = _kfold_grid(data, [init], [h], folds, seed, budget)
+    if isinstance(outcome, EstimationError):
+        raise outcome
+    return outcome
+
+
+def _kfold_grid(data: Dataset, starts, hs, folds: int, seed, budget: int | None
+                ) -> list[float | EstimationError]:
+    """:func:`kfold_score` at every bandwidth of ``hs`` from its start in ``starts``.
+
+    The fold searches of every bandwidth run as one lockstep.  Each entry
+    is the bandwidth's score or the :class:`EstimationError` its
+    :func:`kfold_score` raises; a failed fold's sibling searches still run
+    and are discarded.
+    """
     if folds < 2:
         raise ValueError(f"need at least 2 folds, got {folds}")
     if data.n < folds:
@@ -146,7 +161,21 @@ def kfold_score(data: Dataset, init, h: float, folds: int = 10, seed=0,
         mask = np.ones(data.n, dtype=bool)
         mask[held_out] = False
         trains.append(np.nonzero(mask)[0])
-    results = minimize_lockstep(data, trains, init, h, budget)
+    starts = np.asarray(starts, dtype=float)
+    results = minimize_lockstep(data, trains * len(hs), np.repeat(starts, folds, axis=0),
+                                np.repeat(hs, folds), budget)
+    outcomes = []
+    for k, h in enumerate(hs):
+        fold_results = results[k * folds:(k + 1) * folds]
+        failure = next((r for r in fold_results if isinstance(r, EstimationError)), None)
+        outcomes.append(failure if failure is not None
+                        else _held_out_score(data, trains, held_outs, fold_results, h))
+    return outcomes
+
+
+def _held_out_score(data: Dataset, trains, held_outs, results, h: float):
+    """Mean squared held-out error of the fold fits, or the :class:`SelectionError`
+    of a bandwidth whose every held-out point is excluded."""
     total_error = 0.0
     total_count = 0
     for train_indices, held_out, result in zip(trains, held_outs, results):
@@ -160,7 +189,7 @@ def kfold_score(data: Dataset, init, h: float, folds: int = 10, seed=0,
         total_error += float(residuals @ residuals)
         total_count += int(np.count_nonzero(keep))
     if total_count == 0:
-        raise SelectionError(f"every held-out point excluded at h={h:.6g}")
+        return SelectionError(f"every held-out point excluded at h={h:.6g}")
     return total_error / total_count
 
 
@@ -192,7 +221,9 @@ def select_bandwidth(data: Dataset, strategy: InitStrategy, grid: BandwidthGrid,
     ``grid.reference``, and at each bandwidth h runs one search from the
     candidate that scores best at h (:func:`choose_random_start`), so
     different bandwidths may start from different candidates.  k-fold refits
-    every training fold from the start of its bandwidth.
+    every training fold from the start of its bandwidth; the fold searches
+    of every bandwidth with a start run as one lockstep, each with the
+    result :func:`kfold_score` would give at that bandwidth.
     """
     if method not in ("gcv", "kfold"):
         raise ValueError(f"method must be 'gcv' or 'kfold', got {method!r}")
@@ -209,10 +240,18 @@ def select_bandwidth(data: Dataset, strategy: InitStrategy, grid: BandwidthGrid,
                 result = minimize(data, init, h, budget, sign_reference, label)
                 fits[k] = result
                 scores[k] = gcv_score(data, result.spec, h)
-            else:
-                scores[k] = kfold_score(data, init, h, folds, seed, budget)
         except EstimationError:
             continue
+    if method == "kfold" and starts:
+        keys = list(starts)
+        try:
+            outcomes = _kfold_grid(data, [starts[k][0] for k in keys], grid.values[keys],
+                                   folds, seed, budget)
+        except EstimationError:
+            outcomes = []
+        for k, outcome in zip(keys, outcomes):
+            if not isinstance(outcome, EstimationError):
+                scores[k] = outcome
     chosen = argmin_prefer_larger(scores)
     chosen_h = float(grid.values[chosen])
     if chosen in fits:

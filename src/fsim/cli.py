@@ -135,9 +135,9 @@ def cmd_fit(args) -> int:
         print("fsim fit: no strategies given", file=sys.stderr)
         return USAGE_ERROR
     too_few_folds = args.method == "kfold" and args.folds < 2
-    if min(args.grid_size, args.candidates, args.keep) < 1 or too_few_folds:
-        print("fsim fit: need --grid-size, --candidates and --keep >= 1, and --folds >= 2"
-              " with --method kfold", file=sys.stderr)
+    if min(args.grid_size, args.candidates, args.keep) < 1 or too_few_folds or args.budget < 0:
+        print("fsim fit: need --grid-size, --candidates and --keep >= 1, --budget >= 0,"
+              " and --folds >= 2 with --method kfold", file=sys.stderr)
         return USAGE_ERROR
     try:
         data = _fit_dataset(args)
@@ -248,6 +248,9 @@ def _write_csv(path, header, columns):
 
 
 def cmd_plot(args) -> int:
+    if args.grid_points < 1:
+        print("fsim plot: need --grid-points >= 1", file=sys.stderr)
+        return USAGE_ERROR
     try:
         with open(args.fit, encoding="utf-8") as handle:
             payload = json.load(handle)

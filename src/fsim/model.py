@@ -285,11 +285,12 @@ def objective_loo_mse(data: Dataset, raw_coeffs, h: float) -> ObjectiveReport:
 
 
 class StackedObjective:
-    """The leave-one-out objective on subsets of one dataset at bandwidth ``h``.
+    """The leave-one-out objective on subsets of one dataset, one bandwidth each.
 
     ``objective(which, points)`` returns, for each row of ``points``
-    evaluated on ``data.subset(subsets[which[i]])``, the value
-    :func:`fsim.optimize.safe_objective` gives there: the
+    evaluated on ``data.subset(subsets[which[i]])`` at bandwidth
+    ``h[which[i]]`` (``h`` holds one bandwidth per subset, or one for all),
+    the value :func:`fsim.optimize.safe_objective` gives there: the
     :func:`objective_loo_mse` value, or infinity where that raises
     (fewer than ``MIN_SAMPLES`` samples, a zero coefficient norm, every
     sample excluded).  Points on subsets of one size are evaluated in
@@ -302,11 +303,13 @@ class StackedObjective:
     whole.
     """
 
-    def __init__(self, data: Dataset, subsets, h: float):
-        if h <= 0:
-            raise ValueError(f"bandwidth must be positive, got {h}")
+    def __init__(self, data: Dataset, subsets, h):
+        self._h = np.broadcast_to(np.asarray(h, dtype=float), (len(subsets),))
+        if np.any(self._h <= 0):
+            raise ValueError(f"bandwidth must be positive, got {self._h.min()}")
         self.data = data
-        self.h = h
+        # a stack's kernel tile holds n * n values, its coefficients n * width
+        self._width = max(block.coeffs.shape[1] for block in data.blocks)
         subsets = [np.asarray(indices, dtype=int) for indices in subsets]
         self._sizes = np.array([indices.size for indices in subsets], dtype=int)
         self._positions = np.empty(len(subsets), dtype=int)
@@ -321,22 +324,22 @@ class StackedObjective:
         points = np.asarray(points, dtype=float)
         values = np.full(len(points), np.inf)
         sizes = self._sizes[which]
-        # a stack's kernel tile holds n * n values, its coefficients n * width
-        width = max(block.coeffs.shape[1] for block in self.data.blocks)
         for n, members in self._members.items():
             if n < MIN_SAMPLES:
                 continue
             rows = np.flatnonzero(sizes == n)
-            step = stack_size(n * max(n, width))
+            step = stack_size(n * max(n, self._width))
             for a in range(0, rows.size, step):
                 part = rows[a:a + step]
-                values[part] = self._loo_mse(members[self._positions[which[part]]],
-                                             points[part])
+                search = which[part]
+                values[part] = self._loo_mse(members[self._positions[search]],
+                                             self._h[search], points[part])
         return values
 
-    def _loo_mse(self, samples: np.ndarray, raw: np.ndarray) -> np.ndarray:
+    def _loo_mse(self, samples: np.ndarray, h: np.ndarray, raw: np.ndarray) -> np.ndarray:
         """:func:`objective_loo_mse` at every row of ``raw`` on the subset of
-        the matching row of ``samples``, infinity where it raises."""
+        the matching row of ``samples`` at the matching bandwidth of ``h``,
+        infinity where it raises."""
         data = self.data
         z = np.zeros(samples.shape)
         start = 0
@@ -356,12 +359,20 @@ class StackedObjective:
         mse = np.full(len(raw), np.inf)
         ok = np.flatnonzero(norms != 0.0)
         y = data.y[samples[ok]]
-        estimates, excluded = nw_loo_batch(z[ok], y, self.h * norms[ok])
+        estimates, excluded = nw_loo_batch(z[ok], y, h[ok] * norms[ok])
         residuals = y - estimates
         squares = residuals * residuals
-        dropped = np.count_nonzero(excluded, axis=1)
-        mse[ok] = squares.sum(axis=-1) / samples.shape[1]
-        for i in np.flatnonzero(dropped).tolist():
-            kept = squares[i][~excluded[i]]
-            mse[ok[i]] = kept.sum() / kept.size if kept.size else np.inf
+        n = samples.shape[1]
+        mse[ok] = squares.sum(axis=-1) / n
+        kept = n - np.count_nonzero(excluded, axis=1)
+        partial = np.flatnonzero(kept < n)
+        kept = kept[partial]
+        # rows with the same kept count compact into one matrix, each row
+        # summed on its own as the serial objective sums its kept samples
+        for c in set(kept.tolist()):
+            rows = partial[kept == c]
+            if c == 0:
+                mse[ok[rows]] = np.inf
+                continue
+            mse[ok[rows]] = squares[rows][~excluded[rows]].reshape(rows.size, c).sum(axis=-1) / c
         return mse

@@ -135,22 +135,17 @@ def safe_objective(data: Dataset, raw, h: float) -> float:
         return np.inf
 
 
-def _nelder_mead(x0: np.ndarray, max_evals: int, spread_tol: float):
-    """Reflection / expansion / contraction / shrink search from ``x0``, as a stepper.
+def _nelder_mead(fn, x0: np.ndarray, max_evals: int, spread_tol: float):
+    """Reflection / expansion / contraction / shrink search of ``fn`` from ``x0``.
 
-    A generator: it yields each block of points to evaluate as the rows of
-    a 2-D array (``x0`` alone, the ``dim`` initial vertices, each reflected,
-    expanded or contracted point, the ``dim`` shrunk vertices) and is sent
-    back their objective values.  Stops when the simplex objective spread
-    drops below ``spread_tol`` or the evaluation budget runs out, and
-    returns the best vertex, its value, the iteration count, the
-    convergence flag, the per-iteration best-value trace, and the number of
-    evaluations spent.
+    Stops when the simplex objective spread drops below ``spread_tol`` or
+    the evaluation budget runs out, and returns the best vertex, its value,
+    the iteration count, the convergence flag, the per-iteration best-value
+    trace, and the number of evaluations spent.
     """
     reflect, expand, contract, shrink = 1.0, 2.0, 0.5, 0.5
     dim = x0.size
-    (f0,) = yield x0[None]
-    f0 = float(f0)
+    f0 = float(fn(x0))
     evals = 1
     if not np.isfinite(f0):
         raise DegenerateObjectiveError("objective is not finite at the initialization")
@@ -162,7 +157,7 @@ def _nelder_mead(x0: np.ndarray, max_evals: int, spread_tol: float):
         simplex[i + 1, i] = x0[i] * 1.05 if x0[i] != 0.0 else 2.5e-4
     values = np.empty(dim + 1)
     values[0] = f0
-    values[1:] = yield simplex[1:]
+    values[1:] = [fn(vertex) for vertex in simplex[1:]]
     evals += dim
 
     iterations = 0
@@ -184,11 +179,11 @@ def _nelder_mead(x0: np.ndarray, max_evals: int, spread_tol: float):
         # np.mean's own sum and division, bit for bit, without its dispatch cost
         centroid = simplex[:-1].sum(axis=0) / dim
         reflected = centroid + reflect * (centroid - simplex[-1])
-        (f_reflected,) = yield reflected[None]
+        f_reflected = fn(reflected)
         evals += 1
         if f_reflected < values[0]:
             expanded = centroid + expand * (centroid - simplex[-1])
-            (f_expanded,) = yield expanded[None]
+            f_expanded = fn(expanded)
             evals += 1
             if f_expanded < f_reflected:
                 simplex[-1], values[-1] = expanded, f_expanded
@@ -199,31 +194,34 @@ def _nelder_mead(x0: np.ndarray, max_evals: int, spread_tol: float):
             simplex[-1], values[-1] = reflected, f_reflected
             continue
         contracted = centroid + contract * (simplex[-1] - centroid)
-        (f_contracted,) = yield contracted[None]
+        f_contracted = fn(contracted)
         evals += 1
         if f_contracted < values[-1]:
             simplex[-1], values[-1] = contracted, f_contracted
             continue
         simplex[1:] = simplex[0] + shrink * (simplex[1:] - simplex[0])
-        values[1:] = yield simplex[1:]
+        values[1:] = [fn(vertex) for vertex in simplex[1:]]
         evals += dim
 
     best = int(np.argmin(values))
     return simplex[best], float(values[best]), iterations, converged, trace, evals
 
 
-def _search_start(data: Dataset, init, budget: int | None) -> tuple[np.ndarray, int]:
-    """The checked start vector of a search and its evaluation budget."""
+def _search_start(data: Dataset, init, budget: int | None,
+                  count: int | None = None) -> tuple[np.ndarray, int]:
+    """The checked start vector of a search and its evaluation budget.
+
+    With a search ``count``, ``init`` may also hold one start per search.
+    """
     x0 = np.asarray(init, dtype=float).copy()
-    if x0.shape != (data.search_dimension(),):
-        raise ValueError(
-            f"expected a search vector of length {data.search_dimension()}, got {x0.shape}"
-        )
-    return x0, BUDGET_PER_DIM * x0.size if budget is None else budget
+    dim = data.search_dimension()
+    if x0.shape != (dim,) and (count is None or x0.shape != (count, dim)):
+        raise ValueError(f"expected a search vector of length {dim}, got shape {x0.shape}")
+    return x0, BUDGET_PER_DIM * dim if budget is None else budget
 
 
 def _opt_result(data: Dataset, h: float, outcome, sign_reference, label: str) -> OptResult:
-    """The normalized, sign-canonical result of a finished stepper."""
+    """The normalized, sign-canonical result of a finished search."""
     best, f_best, iterations, converged, trace, evals = outcome
     spec = canonical_sign(spec_from_raw(data, best, h), sign_reference)
     return OptResult(
@@ -246,47 +244,143 @@ def minimize(data: Dataset, init, h: float, budget: int | None = None,
     value never exceeds the objective at the initialization.
     """
     x0, budget = _search_start(data, init, budget)
-    stepper = _nelder_mead(x0, budget, SPREAD_TOL)
-    block = next(stepper)
-    try:
-        while True:
-            block = stepper.send([safe_objective(data, x, h) for x in block])
-    except StopIteration as stop:
-        return _opt_result(data, h, stop.value, sign_reference, label)
+    outcome = _nelder_mead(lambda x: safe_objective(data, x, h), x0, budget, SPREAD_TOL)
+    return _opt_result(data, h, outcome, sign_reference, label)
 
 
-def minimize_lockstep(data: Dataset, subsets, init, h: float,
-                      budget: int | None = None) -> list[OptResult]:
-    """``minimize(data.subset(s), init, h, budget)`` for every index set ``s``, bit for bit.
+# what the pending points of a lockstep search are; DONE has none
+INIT, REFLECT, EXPAND, CONTRACT, SHRINK, DONE = range(6)
 
-    The searches run in lockstep: each step gathers every running search's
-    pending block of points and evaluates them together
-    (:class:`fsim.model.StackedObjective`).  Every reduction stays per
-    search, so a result does not depend on which searches share a step.  A
-    search can only fail on its start value, and the first step sends those
-    in order, so the first search in order whose :func:`minimize` would
-    raise is the one that raises.  A result's spec depends on the data only
-    through their design, which every subset shares with ``data``.
+
+def minimize_lockstep(data: Dataset, subsets, init, h, budget: int | None = None
+                      ) -> list[OptResult | DegenerateObjectiveError]:
+    """``minimize(data.subset(subsets[s]), init[s], h[s], budget)`` for every search s.
+
+    ``init`` holds one start vector per search, or one for all; ``h`` one
+    bandwidth per search, or one for all.  The searches run in lockstep on
+    one array-state simplex: each step evaluates every running search's
+    pending points with one :class:`fsim.model.StackedObjective` call, then
+    applies each search's branch as a masked update.  Every reduction and
+    comparison stays per search, so each result is the serial one bit for
+    bit and does not depend on which searches share the lockstep.  A search
+    whose start value is not finite stops after it, and its slot holds the
+    :class:`DegenerateObjectiveError` that :func:`minimize` would raise; the
+    others run on.  A result's spec depends on the data only through their
+    design, which every subset shares with ``data``.
     """
-    x0, max_evals = _search_start(data, init, budget)
-    steppers = [_nelder_mead(x0, max_evals, SPREAD_TOL) for _ in subsets]
-    objective = StackedObjective(data, subsets, h)
-    pending = {k: next(stepper) for k, stepper in enumerate(steppers)}
-    outcomes = {}
-    while pending:
-        keys = list(pending)
-        blocks = [pending[k] for k in keys]
-        which = [k for k, block in zip(keys, blocks) for _ in range(len(block))]
-        values = objective(which, np.concatenate(blocks))
-        stop = 0
-        for k, block in zip(keys, blocks):
-            start, stop = stop, stop + len(block)
-            try:
-                pending[k] = steppers[k].send(values[start:stop])
-            except StopIteration as done:
-                del pending[k]
-                outcomes[k] = done.value
-    return [_opt_result(data, h, outcomes[k], None, "custom") for k in range(len(subsets))]
+    reflect, expand, contract, shrink = 1.0, 2.0, 0.5, 0.5
+    count, dim = len(subsets), data.search_dimension()
+    starts, max_evals = _search_start(data, init, budget, count)
+    starts = np.array(np.broadcast_to(starts, (count, dim)))
+    hs = np.broadcast_to(np.asarray(h, dtype=float), (count,))
+    objective = StackedObjective(data, subsets, hs)
+    everyone = np.arange(count)
+
+    f0 = objective(everyone, starts)
+    failed = ~np.isfinite(f0)
+    simplex = np.repeat(starts[:, None], dim + 1, axis=1)
+    diagonal = np.arange(dim)
+    simplex[:, diagonal + 1, diagonal] = np.where(starts != 0.0, starts * 1.05, 2.5e-4)
+    # a search stopped before its simplex keeps the start: its other values stay inf
+    values = np.full((count, dim + 1), np.inf)
+    values[:, 0] = f0
+    phase = np.full(count, DONE if max_evals < dim + 2 else INIT)
+    phase[failed] = DONE
+    evals = np.ones(count, dtype=int)
+    iterations = np.zeros(count, dtype=int)
+    converged = np.zeros(count, dtype=bool)
+    centroid = np.empty((count, dim))
+    # the pending point of a search in REFLECT, EXPAND or CONTRACT, and the
+    # reflected point and its value while it expands
+    trial = np.empty((count, dim))
+    reflected = np.empty((count, dim))
+    f_reflected = np.empty(count)
+    early = everyone[(phase == DONE) & ~failed]
+    trace_rows, trace_values = [early], [f0[early]]
+
+    while True:
+        live = np.flatnonzero(phase != DONE)
+        if not live.size:
+            break
+        live_phase = phase[live]
+        many = live[(live_phase == INIT) | (live_phase == SHRINK)]
+        one = live[(live_phase != INIT) & (live_phase != SHRINK)]
+        got = objective(np.concatenate([np.repeat(many, dim), one]),
+                        np.concatenate([simplex[many, 1:].reshape(-1, dim), trial[one]]))
+        values[many, 1:] = got[:many.size * dim].reshape(many.size, dim)
+        evals[many] += dim
+        evals[one] += 1
+        got, one_phase = got[many.size * dim:], phase[one]
+        # the searches whose simplex is complete again, to be sorted
+        ready = [many]
+
+        at = one_phase == REFLECT
+        s, f = one[at], got[at]
+        grow = f < values[s, 0]
+        keep = ~grow & (f < values[s, -2])
+        shrinking = ~grow & ~keep
+        g = s[grow]
+        reflected[g], f_reflected[g] = trial[g], f[grow]
+        trial[g] = centroid[g] + expand * (centroid[g] - simplex[g, -1])
+        phase[g] = EXPAND
+        k = s[keep]
+        simplex[k, -1], values[k, -1] = trial[k], f[keep]
+        ready.append(k)
+        c = s[shrinking]
+        trial[c] = centroid[c] + contract * (simplex[c, -1] - centroid[c])
+        phase[c] = CONTRACT
+
+        at = one_phase == EXPAND
+        s, f = one[at], got[at]
+        better = f < f_reflected[s]
+        simplex[s, -1] = np.where(better[:, None], trial[s], reflected[s])
+        values[s, -1] = np.where(better, f, f_reflected[s])
+        ready.append(s)
+
+        at = one_phase == CONTRACT
+        s, f = one[at], got[at]
+        better = f < values[s, -1]
+        k = s[better]
+        simplex[k, -1], values[k, -1] = trial[k], f[better]
+        ready.append(k)
+        k = s[~better]
+        simplex[k, 1:] = simplex[k, :1] + shrink * (simplex[k, 1:] - simplex[k, :1])
+        phase[k] = SHRINK
+
+        s = np.concatenate(ready)
+        order = values[s].argsort(axis=1, kind="stable")
+        simplex[s] = simplex[s[:, None], order]
+        values[s] = values[s[:, None], order]
+        trace_rows.append(s)
+        trace_values.append(values[s, 0])
+        spread = values[s, -1] - values[s, 0]
+        settled = np.isfinite(spread) & (spread < SPREAD_TOL)
+        converged[s[settled]] = True
+        stop = settled | (evals[s] >= max_evals)
+        phase[s[stop]] = DONE
+        s = s[~stop]
+        iterations[s] += 1
+        # per search np.mean's own sum and division, as in the serial search
+        centroid[s] = simplex[s, :-1].sum(axis=1) / dim
+        trial[s] = centroid[s] + reflect * (centroid[s] - simplex[s, -1])
+        phase[s] = REFLECT
+
+    rows = np.concatenate(trace_rows)
+    by_search = rows.argsort(kind="stable")
+    traced = np.concatenate(trace_values)[by_search].tolist()
+    bounds = np.searchsorted(rows[by_search], np.arange(count + 1)).tolist()
+    best = values.argmin(axis=1)
+    results = []
+    for k in range(count):
+        if failed[k]:
+            results.append(DegenerateObjectiveError(
+                "objective is not finite at the initialization"))
+            continue
+        b = int(best[k])
+        outcome = (simplex[k, b], float(values[k, b]), int(iterations[k]),
+                   bool(converged[k]), traced[bounds[k]:bounds[k + 1]], int(evals[k]))
+        results.append(_opt_result(data, float(hs[k]), outcome, None, "custom"))
+    return results
 
 
 def resolve_init(data: Dataset, strategy: InitStrategy) -> tuple[np.ndarray, str]:

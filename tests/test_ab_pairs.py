@@ -1,0 +1,68 @@
+"""Statistics of the paired A/B driver, on fixed numbers; no benchmark runs."""
+
+import importlib.util
+import json
+import pathlib
+
+import pytest
+
+PATH = pathlib.Path(__file__).resolve().parents[1] / "tools" / "ab_pairs.py"
+SPEC = importlib.util.spec_from_file_location("ab_pairs", PATH)
+ab_pairs = importlib.util.module_from_spec(SPEC)
+SPEC.loader.exec_module(ab_pairs)
+
+END_TO_END = [{"name": "wall_s", "better": "lower"}, {"name": "peak_rss_mb", "better": "lower"}]
+
+
+def run(wall, rss, failed=0, correct=True, rse=0.5):
+    return {"correct": correct, "failed": failed,
+            "metrics": {"wall_s": wall, "peak_rss_mb": rss},
+            "accuracy": {"failed_frac": 0.0, "rse_p50": rse, "rase_p50": 0.1, "rase2_p50": 9.0}}
+
+
+def test_parse_seeds():
+    assert ab_pairs.parse_seeds("1001-1003") == [1001, 1002, 1003]
+    assert ab_pairs.parse_seeds("5, 7,10-11") == [5, 7, 10, 11]
+
+
+def test_quartiles_inclusive():
+    assert ab_pairs.quartiles([4.0, 1.0, 3.0, 2.0, 5.0]) == (2.0, 3.0, 4.0)
+    assert ab_pairs.quartiles([1.0, 2.0, 3.0, 4.0]) == (1.75, 2.5, 3.25)
+    assert ab_pairs.quartiles([7.0]) == (7.0, 7.0, 7.0)
+
+
+def test_wins_count_strict_improvements_only():
+    parent = [10.0, 10.0, 10.0, 10.0]
+    change = [9.0, 10.0, 11.0, 8.0]
+    assert ab_pairs.wins(parent, change, "lower") == 2
+    assert ab_pairs.wins(parent, change, "higher") == 1
+    with pytest.raises(ValueError):
+        ab_pairs.wins(parent, change, "closer")
+
+
+def test_parse_run_reads_the_last_two_lines():
+    first = {"facts": {}, "fits": 3, "report": "x",
+             "unbounded": {"rse_p50": {"value": 0.25, "unit": "1"},
+                           "failed_frac": {"value": 0.0, "unit": "ratio"}}}
+    last = {"correct": True, "attempted": 3, "failed": 1,
+            "metrics": {"wall_s": {"value": 12.5, "unit": "s"}}}
+    parsed = ab_pairs.parse_run("noise\n" + json.dumps(first) + "\n" + json.dumps(last) + "\n")
+    assert parsed["correct"] is True and parsed["failed"] == 1
+    assert parsed["metrics"] == {"wall_s": 12.5}
+    assert parsed["accuracy"] == {"failed_frac": 0.0, "rse_p50": 0.25, "rase_p50": None,
+                                  "rase2_p50": None}
+
+
+def test_summary_lines():
+    pairs = [(run(10.0, 40.0), run(8.0, 41.0)),
+             (run(12.0, 40.0), run(9.0, 40.0)),
+             (run(11.0, 40.0, failed=1), run(11.0, 42.0, failed=1, rse=0.6))]
+    lines = ab_pairs.summary_lines(pairs, END_TO_END)
+    wall = next(line for line in lines if line.startswith("wall_s"))
+    assert "11 [10.5, 11.5]" in wall and "9 [8.5, 10]" in wall
+    assert wall.endswith("2/3 (-18.2% in the median)")
+    rss = next(line for line in lines if line.startswith("peak_rss_mb"))
+    assert rss.endswith("0/3 (+2.5% in the median)")
+    assert "parent: failed 1, correct 3/3" in lines
+    assert "change: failed 1, correct 3/3" in lines
+    assert lines[-1].endswith(": 2/3")

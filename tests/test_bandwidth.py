@@ -17,7 +17,14 @@ from fsim.model import (
     objective_loo_mse,
     spec_from_raw,
 )
-from fsim.optimize import InitStrategy, init_equal, init_random, minimize, minimize_lockstep
+from fsim.optimize import (
+    InitStrategy,
+    init_equal,
+    init_random,
+    minimize,
+    minimize_lockstep,
+    resolve_init,
+)
 
 
 def single_block_data(coeffs, y):
@@ -193,8 +200,17 @@ class TestKFold:
 
 
 def serial_searches(data, subsets, init, h, budget=None):
-    """One :func:`minimize` per training set: the oracle of the lockstep searches."""
-    return [minimize(data.subset(indices), init, h, budget) for indices in subsets]
+    """One :func:`minimize` per search, its error where it raises: the oracle of
+    the lockstep searches, with one start and one bandwidth per search or one for all."""
+    starts = np.broadcast_to(np.asarray(init, dtype=float),
+                             (len(subsets), data.search_dimension()))
+    results = []
+    for indices, x0, hk in zip(subsets, starts, np.broadcast_to(h, (len(subsets),))):
+        try:
+            results.append(minimize(data.subset(indices), x0, float(hk), budget))
+        except DegenerateObjectiveError as exc:
+            results.append(exc)
+    return results
 
 
 def training_indices(data, folds, seed):
@@ -203,10 +219,18 @@ def training_indices(data, folds, seed):
 
 
 def result_fields(result):
+    if isinstance(result, Exception):
+        return type(result), str(result)
     spec = result.spec
     return (spec.coefficient_vector().tobytes(), spec.bandwidth, spec.alpha, result.final_mse,
             result.iterations, result.converged, result.evaluations, result.trace,
             result.init_used)
+
+
+def report_fields(report):
+    return (report.method, report.grid.values.tobytes(), report.scores.tobytes(),
+            report.chosen_h, report.chosen_h_curvature, report.sigma_index,
+            result_fields(report.best_fit))
 
 
 def scalar_dataset(n, seed):
@@ -220,10 +244,14 @@ def scalar_dataset(n, seed):
     return Dataset(blocks=(first, second), y=y, w=w)
 
 
-# searches on subsets of several sizes for the batch-independence property
+# searches on subsets of several sizes, from several starts (one all zero, which
+# fails) at several bandwidths, for the batch-independence property
 POOL_DATA = linear_dataset(60, 0.2, seed=30)[0]
 POOL_SUBSETS = [np.sort(np.random.default_rng(31 + k).choice(60, size, replace=False))
                 for k, size in enumerate((20, 21, 21, 35, 48))]
+POOL_STARTS = [init_equal(3), np.array([1.0, 0.0, 0.0]), np.array([0.3, -1.2, 0.5]),
+               np.zeros(3)]
+POOL_BANDWIDTHS = [0.08, 0.1, 0.5]
 
 
 class TestLockstepFolds:
@@ -265,6 +293,16 @@ class TestLockstepFolds:
             bw.kfold_score(data, init, 0.5, folds=2)
         assert str(lockstep.value) == str(serial.value)
 
+    def test_failed_search_leaves_its_siblings_running(self):
+        # the first training set of three fails at its start; the second runs
+        data, _ = linear_dataset(7, 0.1, seed=6)
+        trains = training_indices(data, 2, 0)
+        lockstep = minimize_lockstep(data, trains, init_equal(3), 0.5, 40)
+        assert isinstance(lockstep[0], DegenerateObjectiveError)
+        assert lockstep[1].evaluations > 1
+        serial = serial_searches(data, trains, init_equal(3), 0.5, 40)
+        assert [result_fields(r) for r in lockstep] == [result_fields(r) for r in serial]
+
     def test_problems_above_one_tile(self, monkeypatch):
         # 300 samples in ten folds leave training sets of 270 > ONE_TILE_MAX
         data, _ = linear_dataset(300, 0.2, seed=23)
@@ -280,14 +318,102 @@ class TestLockstepFolds:
         self.assert_serial(monkeypatch, data, init_equal(3), 0.3, 5, 2, 40)
 
     @settings(max_examples=20, deadline=None)
-    @given(picks=st.lists(st.integers(0, len(POOL_SUBSETS) - 1), min_size=1, max_size=6),
-           h=st.sampled_from([0.1, 0.5]), budget=st.sampled_from([0, 4, 15, 40]))
-    def test_result_does_not_depend_on_the_batch(self, picks, h, budget):
-        subsets = [POOL_SUBSETS[k] for k in picks]
-        together = minimize_lockstep(POOL_DATA, subsets, init_equal(3), h, budget)
-        for indices, result in zip(subsets, together):
-            alone = minimize(POOL_DATA.subset(indices), init_equal(3), h, budget)
-            assert result_fields(result) == result_fields(alone)
+    @given(picks=st.lists(st.tuples(st.integers(0, len(POOL_SUBSETS) - 1),
+                                    st.integers(0, len(POOL_STARTS) - 1),
+                                    st.integers(0, len(POOL_BANDWIDTHS) - 1)),
+                          min_size=1, max_size=8),
+           budget=st.sampled_from([0, 4, 15, 40]))
+    def test_result_does_not_depend_on_the_batch(self, picks, budget):
+        # other folds, other starts and other bandwidths share the lockstep
+        subsets = [POOL_SUBSETS[a] for a, _, _ in picks]
+        starts = np.array([POOL_STARTS[b] for _, b, _ in picks])
+        hs = np.array([POOL_BANDWIDTHS[c] for _, _, c in picks])
+        together = minimize_lockstep(POOL_DATA, subsets, starts, hs, budget)
+        for k, result in enumerate(together):
+            alone = serial_searches(POOL_DATA, subsets[k:k + 1], starts[k], hs[k], budget)
+            assert result_fields(result) == result_fields(alone[0])
+
+
+def grid_oracle(monkeypatch, data, strategy, grid, folds, seed, budget):
+    """The k-fold report as a loop of :func:`kfold_score` over the grid, each
+    fold searched by its own :func:`minimize`."""
+    pool = init_random(data, grid.reference, strategy) if strategy.kind == "random" else None
+    scores = np.full(grid.values.size, np.inf)
+    with monkeypatch.context() as patch:
+        patch.setattr(bw, "minimize_lockstep", serial_searches)
+        for k, h in enumerate(grid.values):
+            try:
+                init = (resolve_init(data, strategy)[0] if pool is None
+                        else bw.choose_random_start(data, h, pool)[0])
+                scores[k] = bw.kfold_score(data, init, h, folds, seed, budget)
+            except EstimationError:
+                continue
+        # the same selection with every fold searched on its own
+        report = bw.select_bandwidth(data, strategy, grid, "kfold", folds, seed, budget)
+    np.testing.assert_array_equal(report.scores, scores)
+    return report
+
+
+class TestLockstepGrid:
+    """select_bandwidth runs the fold searches of every grid bandwidth as one lockstep."""
+
+    STRATEGIES = [InitStrategy(kind="true", true_coeffs=np.array([1.0, 0.0, 0.0])),
+                  InitStrategy(kind="linear"), InitStrategy(kind="equal"),
+                  InitStrategy(kind="random", candidate_count=20, keep_best=4, seed=3)]
+
+    def assert_grid(self, monkeypatch, data, strategy, grid, folds, seed, budget):
+        report = bw.select_bandwidth(data, strategy, grid, "kfold", folds, seed, budget)
+        oracle = grid_oracle(monkeypatch, data, strategy, grid, folds, seed, budget)
+        assert report_fields(report) == report_fields(oracle)
+        return report
+
+    # 53 samples do not split evenly into five folds; the true start has zero
+    # entries; budget 4 is below dim + 2 = 5
+    @pytest.mark.parametrize("strategy", STRATEGIES, ids=lambda s: s.kind)
+    @pytest.mark.parametrize("budget", [0, 4, 40])
+    def test_reports_equal_a_loop_of_kfold_score(self, monkeypatch, strategy, budget):
+        data, _ = linear_dataset(53, 0.2, seed=25)
+        grid = bw.BandwidthGrid(np.array([0.08, 0.3, 0.9]))
+        report = self.assert_grid(monkeypatch, data, strategy, grid, 5, 2, budget)
+        assert np.isfinite(report.scores).all()
+
+    def test_bandwidth_failing_at_its_start(self, monkeypatch):
+        # at h = 1e-7 every training sample is excluded at the start
+        data, truth = linear_dataset(40, 0.2, seed=26)
+        grid = bw.BandwidthGrid(np.array([1e-7, 0.3, 0.9]))
+        strategy = InitStrategy(kind="true", true_coeffs=truth)
+        report = self.assert_grid(monkeypatch, data, strategy, grid, 4, 1, 30)
+        assert np.isinf(report.scores[0]) and np.isfinite(report.scores[1:]).all()
+        with pytest.raises(DegenerateObjectiveError) as lockstep:
+            bw.kfold_score(data, truth, 1e-7, 4, 1, 30)
+        serial = serial_searches(data, training_indices(data, 4, 1), truth, 1e-7, 30)[0]
+        assert isinstance(serial, DegenerateObjectiveError)
+        assert str(lockstep.value) == str(serial)
+
+    def test_random_pool_failing_at_one_bandwidth(self, monkeypatch):
+        # every candidate is degenerate at h = 1e-7, so that bandwidth has no start
+        data, _ = linear_dataset(40, 0.2, seed=27)
+        grid = bw.BandwidthGrid(np.array([1e-7, 0.3, 0.9]))
+        strategy = InitStrategy(kind="random", candidate_count=20, keep_best=4, seed=5)
+        pool = init_random(data, grid.reference, strategy)
+        with pytest.raises(bw.SelectionError):
+            bw.choose_random_start(data, 1e-7, pool)
+        report = self.assert_grid(monkeypatch, data, strategy, grid, 4, 1, 30)
+        assert np.isinf(report.scores[0]) and np.isfinite(report.scores[1:]).all()
+
+    def test_problems_above_one_tile(self, monkeypatch):
+        # 300 samples in ten folds leave training sets of 270 > ONE_TILE_MAX
+        data, truth = linear_dataset(300, 0.2, seed=28)
+        grid = bw.BandwidthGrid(np.array([0.2, 0.5]))
+        strategy = InitStrategy(kind="true", true_coeffs=truth)
+        self.assert_grid(monkeypatch, data, strategy, grid, 10, 1, 8)
+
+    @pytest.mark.parametrize("one_tile_max", [16, 50])
+    def test_with_a_smaller_one_tile_cap(self, monkeypatch, one_tile_max):
+        monkeypatch.setattr(locfit, "ONE_TILE_MAX", one_tile_max)
+        data, _ = linear_dataset(60, 0.2, seed=29)
+        grid = bw.BandwidthGrid(np.array([0.1, 0.3, 0.9]))
+        self.assert_grid(monkeypatch, data, InitStrategy(kind="equal"), grid, 5, 2, 30)
 
 
 class TestFitPipeline:
@@ -374,19 +500,23 @@ class TestSelectBandwidth:
         strategy = InitStrategy(kind="random", candidate_count=30, keep_best=5, seed=2)
         pool = init_random(data, grid.reference, strategy)
         starts = []
+        grid_calls = []
 
         def spy(train, init, h, *args):
             starts.append((float(h), np.array(init)))
             return minimize(train, init, h, *args)
 
-        def spy_lockstep(data, trains, init, h, *args):
-            starts.append((float(h), np.array(init)))
-            return minimize_lockstep(data, trains, init, h, *args)
+        def spy_lockstep(data, trains, inits, hs, *args):
+            grid_calls.append(len(trains))
+            starts.extend((float(h), np.array(init)) for init, h in zip(inits, hs))
+            return minimize_lockstep(data, trains, inits, hs, *args)
 
-        # gcv searches through minimize; k-fold runs its fold searches in lockstep
+        # gcv searches through minimize; k-fold runs the fold searches of the
+        # whole grid as one lockstep
         monkeypatch.setattr(bw, "minimize", spy)
         monkeypatch.setattr(bw, "minimize_lockstep", spy_lockstep)
         bw.select_bandwidth(data, strategy, grid, method=method, folds=3, budget=20)
+        assert grid_calls == ([3 * grid.values.size] if method == "kfold" else [])
         for h, init in starts:
             np.testing.assert_array_equal(init, bw.choose_random_start(data, h, pool)[0])
         assert {h for h, _ in starts} == set(grid.values.tolist())

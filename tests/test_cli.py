@@ -91,7 +91,8 @@ class TestFit:
                    "--strategy", "equal,random", "--basis-dim", 7) == 3
 
     @pytest.mark.parametrize("flag, value", [("--grid-size", 0), ("--folds", 1),
-                                             ("--candidates", 0), ("--keep", 0)])
+                                             ("--candidates", 0), ("--keep", 0),
+                                             ("--budget", -1)])
     def test_out_of_range_argument_is_usage_error(self, synth_inputs, tmp_path, flag, value):
         assert run("fit", "--data", synth_inputs["data"], "--out", tmp_path / "o",
                    "--method", "kfold", flag, value) == 1
@@ -144,6 +145,14 @@ class TestPlot:
         assert not (out / "index_scatter.csv").exists()
         assert not (out / "curvature_scatter.csv").exists()
         assert not (out / "g_curve.svg").exists()
+
+    @pytest.mark.parametrize("points", [0, -3])
+    def test_grid_points_below_one_is_usage_error(self, synth_inputs, tmp_path, points):
+        out = tmp_path / "plots_no_grid"
+        assert run("plot", "--fit", synth_inputs["fit"], "--data", synth_inputs["data"],
+                   "--out", out, "--truth", synth_inputs["truth"], "--svg",
+                   "--grid-points", points) == 1
+        assert not out.exists()
 
     def test_missing_artifacts_is_data_error(self, synth_inputs, tmp_path):
         assert run("plot", "--fit", tmp_path / "none.json",

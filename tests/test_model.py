@@ -349,6 +349,23 @@ class TestStackedObjective:
                   for i, k in enumerate(which) if k and i != 2]
         assert 0 < max(counts)
 
+    def test_one_bandwidth_per_subset(self):
+        data = two_block_data(40, seed=16)
+        # one subset twice, at two bandwidths; rows of one stack keep
+        # different sample counts
+        subsets = [np.arange(30), np.arange(30), np.arange(39, 9, -1), np.arange(9, 40)]
+        hs = np.array([0.5, 0.05, 0.1, 1e-6])
+        datasets = [data.subset(indices) for indices in subsets]
+        rng = np.random.default_rng(17)
+        points = rng.normal(size=(16, data.search_dimension()))
+        which = np.arange(16) % 4
+        got = StackedObjective(data, subsets, hs)(which, points)
+        expected = [safe_objective(datasets[k], p, hs[k]) for k, p in zip(which, points)]
+        assert got.tolist() == expected
+        kept = {objective_loo_mse(datasets[k], points[i], hs[k]).excluded_count
+                for i, k in enumerate(which) if k in (1, 2)}
+        assert len(kept) > 2
+
     def test_rejects_bad_bandwidth(self):
         with pytest.raises(ValueError, match="bandwidth must be positive"):
             StackedObjective(two_block_data(10, seed=15), [np.arange(10)], 0.0)

@@ -228,7 +228,7 @@ class TestMinimize:
 
 
 def serial_nelder_mead(fn, x0, max_evals, spread_tol):
-    """The search loop as it was before it became a stepper: the oracle."""
+    """The search loop written with lists and np.mean, one call per point: the oracle."""
     reflect, expand, contract, shrink = 1.0, 2.0, 0.5, 0.5
     dim = x0.size
     evals = 0
@@ -333,6 +333,52 @@ class TestStepper:
         assert result.spec.bandwidth == spec.bandwidth
         # more calls than two per iteration: the search shrank its simplex
         assert (evals > 1 + init.size + 2 * iterations) == shrinks
+
+
+def quantized(points, h):
+    """A stand-in objective on a 1/4 grid, so that branch comparisons meet exact
+    ties; far from the origin it is not finite."""
+    points = np.atleast_2d(points)
+    value = np.floor(((points - h) ** 2).sum(axis=1) * 4.0) / 4.0
+    return np.where(np.abs(points).sum(axis=1) > 50.0, np.inf, value)
+
+
+class QuantizedStack:
+    def __init__(self, data, subsets, h):
+        self.h = np.broadcast_to(np.asarray(h, dtype=float), (len(subsets),))
+
+    def __call__(self, which, points):
+        return quantized(points, self.h[which, None])
+
+
+class TestLockstep:
+    # zero entries, a start whose value is not finite, budgets below dim + 2
+    @pytest.mark.parametrize("budget", [0, 4, 30, 200])
+    def test_each_search_is_the_serial_loop(self, monkeypatch, budget):
+        rng = np.random.default_rng(40)
+        data = single_block_data(rng.normal(size=(12, 4)), rng.normal(size=12))
+        starts = np.array([[0.0, 1.0, 0.0], [2.0, -1.0, 0.5], [30.0, 30.0, 30.0],
+                           [0.5, 0.5, 0.5], [3.0, 0.0, -2.0]])
+        hs = np.array([0.3, 1.0, 0.3, 0.7, 2.0])
+        monkeypatch.setattr(optimize, "StackedObjective", QuantizedStack)
+        got = optimize.minimize_lockstep(data, [np.arange(12)] * 5, starts, hs, budget)
+        for x0, h, result in zip(starts, hs, got):
+            try:
+                outcome = optimize._nelder_mead(lambda x: float(quantized(x, h)[0]), x0,
+                                                budget, optimize.SPREAD_TOL)
+            except DegenerateObjectiveError as exc:
+                assert isinstance(result, DegenerateObjectiveError)
+                assert str(result) == str(exc)
+                continue
+            expected = optimize._opt_result(data, h, outcome, None, "custom")
+            assert result.spec.coefficient_vector().tobytes() == \
+                expected.spec.coefficient_vector().tobytes()
+            assert result.spec.bandwidth == expected.spec.bandwidth
+            assert (result.final_mse, result.iterations, result.converged,
+                    result.evaluations, result.trace) == (
+                expected.final_mse, expected.iterations, expected.converged,
+                expected.evaluations, expected.trace)
+        assert isinstance(got[2], DegenerateObjectiveError)
 
 
 class TestStartStrategies:

@@ -256,3 +256,5 @@ class TestRunExperiment:
             ExperimentConfig(strategies=("best",))
         with pytest.raises(ValueError):
             ExperimentConfig(reps=0)
+        with pytest.raises(ValueError):
+            ExperimentConfig(opt_budget=-1)
