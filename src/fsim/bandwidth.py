@@ -207,7 +207,8 @@ def choose_random_start(data: Dataset, h: float, pool):
 
 def select_bandwidth(data: Dataset, strategy: InitStrategy, grid: BandwidthGrid,
                      method: str = "gcv", folds: int = 10, seed=0,
-                     budget: int | None = None, sign_reference=None) -> CVReport:
+                     budget: int | None = None, sign_reference=None,
+                     start: tuple[np.ndarray, str] | None = None) -> CVReport:
     """Score every grid bandwidth and return the argmin with its final fit.
 
     Coefficients are refit for every bandwidth.  GCV scores the smoother of
@@ -217,10 +218,12 @@ def select_bandwidth(data: Dataset, strategy: InitStrategy, grid: BandwidthGrid,
     bandwidth, which is the safer side for curvature estimation.
 
     The start rule: a deterministic strategy starts every search from its one
-    start vector.  The random strategy draws its pool once, prefiltered at
-    ``grid.reference``, and at each bandwidth h runs one search from the
-    candidate that scores best at h (:func:`choose_random_start`), so
-    different bandwidths may start from different candidates.  k-fold refits
+    start vector: ``start``, the ``(vector, label)`` of :func:`resolve_init`
+    when the caller has resolved it already, else resolved here.  The random
+    strategy draws its pool once, prefiltered at ``grid.reference``, and at
+    each bandwidth h runs one search from the candidate that scores best at
+    h (:func:`choose_random_start`), so different bandwidths may start from
+    different candidates.  k-fold refits
     every training fold from the start of its bandwidth; the fold searches
     of every bandwidth with a start run as one lockstep, each with the
     result :func:`kfold_score` would give at that bandwidth.
@@ -228,7 +231,9 @@ def select_bandwidth(data: Dataset, strategy: InitStrategy, grid: BandwidthGrid,
     if method not in ("gcv", "kfold"):
         raise ValueError(f"method must be 'gcv' or 'kfold', got {method!r}")
     pool = init_random(data, grid.reference, strategy) if strategy.kind == "random" else None
-    fixed = resolve_init(data, strategy) if pool is None else None
+    fixed = None
+    if pool is None:
+        fixed = start if start is not None else resolve_init(data, strategy)
 
     scores = np.full(grid.values.size, np.inf)
     starts: dict[int, tuple] = {}
@@ -278,16 +283,20 @@ def fit_pipeline(data: Dataset, strategy: InitStrategy, grid_size: int, method: 
     """The estimation pipeline: anchor the default grid, then select the bandwidth.
 
     The grid is :meth:`BandwidthGrid.default` with ``grid_size`` values at the
-    index scale of a reference vector: the strategy's start, or the all-equal
-    vector for the random strategy, which has no single start.  A constant
-    reference index raises :class:`SelectionError`.
+    index scale of a reference vector: the strategy's start, resolved once
+    and passed on to the search, or the all-equal vector for the random
+    strategy, which has no single start.  A constant reference index raises
+    :class:`SelectionError`.
     """
     if strategy.kind == "random":
+        start = None
         reference = init_equal(data.search_dimension())
     else:
-        reference = resolve_init(data, strategy)[0]
+        start = resolve_init(data, strategy)
+        reference = start[0]
     sigma_z = float(np.std(compute_index(data, spec_from_raw(data, reference, 1.0))))
     if sigma_z <= 0.0:
         raise SelectionError("reference index is constant; no usable bandwidth scale")
     grid = BandwidthGrid.default(data.n, sigma_z, grid_size)
-    return select_bandwidth(data, strategy, grid, method, folds, seed, budget, sign_reference)
+    return select_bandwidth(data, strategy, grid, method, folds, seed, budget, sign_reference,
+                            start)

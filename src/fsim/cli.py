@@ -135,9 +135,11 @@ def cmd_fit(args) -> int:
         print("fsim fit: no strategies given", file=sys.stderr)
         return USAGE_ERROR
     too_few_folds = args.method == "kfold" and args.folds < 2
-    if min(args.grid_size, args.candidates, args.keep) < 1 or too_few_folds or args.budget < 0:
+    if (min(args.grid_size, args.candidates, args.keep) < 1 or too_few_folds
+            or args.budget < 0 or not 2 <= args.basis_dim <= ingest.N_BINS):
         print("fsim fit: need --grid-size, --candidates and --keep >= 1, --budget >= 0,"
-              " and --folds >= 2 with --method kfold", file=sys.stderr)
+              f" --basis-dim in [2, {ingest.N_BINS}], and --folds >= 2 with --method kfold",
+              file=sys.stderr)
         return USAGE_ERROR
     try:
         data = _fit_dataset(args)
@@ -333,6 +335,10 @@ def cmd_plot(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    if args.n < 1 or args.noise_sd < 0 or not 3 <= args.basis_dim <= ingest.N_BINS:
+        print(f"fsim synth: need --n >= 1, --noise-sd >= 0 and --basis-dim in "
+              f"[3, {ingest.N_BINS}]", file=sys.stderr)
+        return USAGE_ERROR
     try:
         ingest.synth_ecology(
             args.out, n=args.n, seed=args.seed, link=args.link, alpha=args.alpha,

@@ -9,16 +9,18 @@ estimates (g(u), g'(u), g''(u)) = (a, b, c), and each estimate is a linear
 functional of the responses: the rows of (X'WX)^{-1} X'W, exposed here as
 smoother rows.
 
-All kernel sums run on one tile walk.  The kernel vanishes beyond one
-bandwidth, so above ``ONE_TILE_MAX`` samples the walk sorts the h-scaled
-index once and sums over row tiles, each against the contiguous window of
-samples it can reach; up to that size, where a timing sweep found the sort
-and tile loop no faster, it sums over one dense tile.  The walk serves the
-Nadaraya-Watson sums (the leave-one-out estimator inside the
-coefficient-search objective, and the held-out prediction of k-fold
-validation) and the batched local quadratic fits behind GCV, curve grids and
-RASE.  A batch of leave-one-out problems of one size (the training sets of
-the k-fold searches) runs as stacks of dense tiles.  The pointwise fits (:func:`local_quad_fit`, :func:`smoother_matrix`,
+All kernel sums run on sorted-window tile walks.  The kernel vanishes
+beyond one bandwidth, so above ``ONE_TILE_MAX`` samples a walk sorts the
+h-scaled index once and sums over row tiles, each against the contiguous
+window of samples it can reach; up to that size, where a timing sweep found
+the sort and tile loop no faster, it sums over one dense tile.  One walk
+serves the held-out Nadaraya-Watson prediction of k-fold validation and the
+batched local quadratic fits behind GCV, curve grids and RASE.  The
+leave-one-out estimator inside the coefficient-search objective has a
+symmetric walk of its own, which forms each in-reach pair once for both of
+its samples.  A batch of leave-one-out problems of one size (the training
+sets of the k-fold searches) runs as stacks of dense tiles.  The pointwise
+fits (:func:`local_quad_fit`, :func:`smoother_matrix`,
 :func:`relocated_fit`) stay as the reference for the batched ones.
 """
 
@@ -158,54 +160,70 @@ def local_quad_fit(index_values, responses, u: float, h: float) -> LocalQuadFit:
     )
 
 
-def _walk(tile, points, samples, data, leave_one_out: bool = False):
-    """The one sorted-window tile walk over h-scaled ``points`` and ``samples``.
+def _tiled(points, samples) -> bool:
+    """Whether a problem takes a sorted-window walk rather than one dense
+    tile: more than ``ONE_TILE_MAX`` points or samples, all of them finite."""
+    return (min(points.size, samples.size) > 0
+            and max(points.size, samples.size) > ONE_TILE_MAX
+            and bool(np.isfinite(points).all()) and bool(np.isfinite(samples).all()))
 
-    ``tile(rows, tile_points, window_samples, window_data, diagonal)`` sums
-    one tile and returns a tuple of arrays whose first axis runs over the
-    tile's points.  ``rows`` indexes those points in input order,
-    ``window_data`` holds the columns of ``data`` (per-sample values along
-    its last axis) of the window's samples, and ``diagonal`` is the window
-    column of the first point's own sample when ``leave_one_out`` (the
-    points are then the samples), ``None`` otherwise.  Up to
-    ``ONE_TILE_MAX`` points and samples the whole problem is one dense tile,
-    unsorted.  Beyond that both sides are sorted once and the points are
-    walked in tiles of ``TILE_ROWS`` rows, each against the contiguous run of
-    samples that lies within reach of the tile's first and last rows, so
-    tiles skip the pairs the compact kernel zeroes; the tile results are
-    scattered back to input order.  Non-finite input takes the dense tile.
+
+def _sorted_tiles(points, samples=None):
+    """The sort and tile bounds shared by both sorted-window walks.
+
+    Returns ``(order, p, by_index, s, tiles)``: ``p = points[order]`` and
+    ``s = samples[by_index]`` sorted (the samples are the points when
+    ``samples`` is ``None``), and ``tiles`` yields ``(a, b, c0, c1)`` for
+    each run of ``TILE_ROWS`` sorted rows [a, b), whose reach is the sorted
+    samples [c0, c1): those within one bandwidth of row a or row b - 1.
     """
-    m, n = points.size, samples.size
-    tiled = (min(m, n) > 0 and max(m, n) > ONE_TILE_MAX
-             and np.isfinite(points).all() and np.isfinite(samples).all())
-    if not tiled:
-        return tile(slice(None), points, samples, data, 0 if leave_one_out else None)
     order = np.argsort(points)
     p = points[order]
-    if leave_one_out:
-        s, data = p, data[..., order]
+    if samples is None:
+        by_index, s = order, p
     else:
         by_index = np.argsort(samples)
-        s, data = samples[by_index], data[..., by_index]
+        s = samples[by_index]
     # widen the reach by the rounding of p +- 1 so no in-window sample is cut
     reach = 1.0 + 4.0 * np.finfo(float).eps * (2.0 + max(-p[0], p[-1], -s[0], s[-1]))
-    starts = np.arange(0, m, TILE_ROWS)
-    stops = np.minimum(starts + TILE_ROWS, m)
+    starts = np.arange(0, p.size, TILE_ROWS)
+    stops = np.minimum(starts + TILE_ROWS, p.size)
     lo = s.searchsorted(p[starts] - reach, side="left")
     hi = s.searchsorted(p[stops - 1] + reach, side="right")
+    return order, p, by_index, s, zip(starts.tolist(), stops.tolist(), lo.tolist(), hi.tolist())
+
+
+def _walk(tile, points, samples, data):
+    """The sorted-window tile walk of h-scaled ``points`` over ``samples``.
+
+    ``tile(rows, tile_points, window_samples, window_data)`` sums one tile
+    and returns a tuple of arrays whose first axis runs over the tile's
+    points.  ``rows`` indexes those points in input order, and
+    ``window_data`` holds the columns of ``data`` (per-sample values along
+    its last axis) of the window's samples.  Up to ``ONE_TILE_MAX`` points
+    and samples the whole problem is one dense tile, unsorted.  Beyond that
+    the sorted points are walked in tiles of ``TILE_ROWS`` rows, each
+    against the contiguous run of sorted samples within reach of its first
+    and last rows, so tiles skip the pairs the compact kernel zeroes; the
+    tile results are scattered back to input order.  Non-finite input takes
+    the dense tile.
+    """
+    if not _tiled(points, samples):
+        return tile(slice(None), points, samples, data)
+    order, p, by_index, s, tiles = _sorted_tiles(points, samples)
+    data = data[..., by_index]
     results = None
-    for a, b, c0, c1 in zip(starts.tolist(), stops.tolist(), lo.tolist(), hi.tolist()):
+    for a, b, c0, c1 in tiles:
         rows = order[a:b]
-        parts = tile(rows, p[a:b], s[c0:c1], data[..., c0:c1],
-                     a - c0 if leave_one_out else None)
+        parts = tile(rows, p[a:b], s[c0:c1], data[..., c0:c1])
         if results is None:
-            results = tuple(np.empty((m,) + part.shape[1:], part.dtype) for part in parts)
+            results = tuple(np.empty((p.size,) + part.shape[1:], part.dtype) for part in parts)
         for result, part in zip(results, parts):
             result[rows] = part
     return results
 
 
-def _nw_tile(rows, points, samples, responses, diagonal):
+def _nw_tile(rows, points, samples, responses, diagonal=None):
     """Kernel row sums and kernel-weighted response sums of one tile.
 
     ``diagonal`` is the column of row 0's own sample, whose weight (and, down
@@ -220,6 +238,37 @@ def _nw_tile(rows, points, samples, responses, diagonal):
     return w.sum(axis=-1), (w @ responses[..., None])[..., 0]
 
 
+def _nw_loo_sums(points, responses):
+    """Leave-one-out kernel sums ``(den, num)`` at every h-scaled sample.
+
+    Up to ``ONE_TILE_MAX`` samples, or on non-finite input, this is one
+    dense tile with the own-sample diagonal zeroed.  Beyond that the walk
+    forms each in-reach pair once and uses it for both rows: K(s_i - s_j)
+    and K(s_j - s_i) are the same double, since s_j - s_i = -(s_i - s_j)
+    exactly.  The tile of sorted rows [a, b) forms weights against the
+    sorted samples [a, c1) only, where c1 ends the reach of row b - 1, and
+    zeroes the own-sample diagonal.  One matmul against the (1, y) columns
+    of samples [a, c1) adds (sum w, sum w y) to rows [a, b); the part right
+    of the tile, transposed, against the (1, y) columns of rows [a, b) adds
+    the same pairs to rows [b, c1).  Each row so gets its pairs with
+    earlier samples from earlier tiles.  The sums accumulate in sorted order
+    and are scattered back once.
+    """
+    if not _tiled(points, points):
+        return _nw_tile(slice(None), points, points, responses, 0)
+    order, p, _, _, tiles = _sorted_tiles(points)
+    ones_y = np.stack([np.ones(p.size), responses[order]], axis=1)
+    sums = np.zeros((p.size, 2))
+    for a, b, _, c1 in tiles:
+        w = transform_inplace(p[a:b, None] - p[None, a:c1])
+        w.reshape(-1)[::c1 - a + 1] = 0.0
+        sums[a:b] += w @ ones_y[a:c1]
+        sums[b:c1] += w[:, b - a:].T @ ones_y[a:b]
+    out = np.empty((2, p.size))
+    out[:, order] = sums.T
+    return out[0], out[1]
+
+
 def stack_size(elements: int) -> int:
     """How many problems of ``elements`` values each one stack holds: as many
     as fit in ``ONE_TILE_MAX**2`` values, the largest dense tile, and at
@@ -227,37 +276,11 @@ def stack_size(elements: int) -> int:
     return max(1, ONE_TILE_MAX**2 // max(1, elements))
 
 
-def _nw_sums(points, samples, responses, leave_one_out: bool):
-    """Nadaraya-Watson at h-scaled ``points`` from h-scaled ``samples``.
-
-    Returns ``(estimates, excluded)`` in the order of ``points``; with
-    ``leave_one_out`` the points are the samples and each sample's own
-    weight is zeroed.  Every weight is the same kernel value of the same
-    difference on either path of the walk; only the order of the sums
-    changes.  A leading batch axis holds problems of one size: up to
-    ``ONE_TILE_MAX`` points and samples they run as stacked dense tiles of
-    at most ``ONE_TILE_MAX**2`` pairs, the largest tile the walk builds,
-    and larger problems take the walk one by one.  Either way each problem
-    gets the values it gets alone, bit for bit.
-    """
-    if points.ndim == 1:
-        den, num = _walk(_nw_tile, points, samples, responses, leave_one_out)
-    else:
-        den, num = np.empty(points.shape), np.empty(points.shape)
-        (count, m), n = points.shape, samples.shape[-1]
-        if max(m, n) <= ONE_TILE_MAX:
-            step = stack_size(m * n)
-            for a in range(0, count, step):
-                chunk = slice(a, a + step)
-                den[chunk], num[chunk] = _nw_tile(
-                    chunk, points[chunk], samples[chunk], responses[chunk],
-                    0 if leave_one_out else None)
-        else:
-            for b in range(count):
-                den[b], num[b] = _walk(_nw_tile, points[b], samples[b], responses[b],
-                                       leave_one_out)
+def _nw_ratio(den, num):
+    """``(estimates, excluded)`` from the kernel sums: excluded marks an
+    empty window, whose estimate is NaN."""
     excluded = den == 0.0
-    estimates = np.divide(num, den, out=np.full(points.shape, np.nan), where=~excluded)
+    estimates = np.divide(num, den, out=np.full(den.shape, np.nan), where=~excluded)
     return estimates, excluded
 
 
@@ -268,8 +291,7 @@ def nw_loo_all(index_values, responses, h: float):
     other sample inside their window; their estimate entry is NaN.
     """
     z, y = _fit_inputs(index_values, responses, h)
-    scaled = z / h
-    return _nw_sums(scaled, scaled, y, leave_one_out=True)
+    return _nw_ratio(*_nw_loo_sums(z / h, y))
 
 
 def nw_loo_batch(index_values, responses, h):
@@ -277,7 +299,9 @@ def nw_loo_batch(index_values, responses, h):
 
     Row b of the (B, n) ``index_values`` and ``responses`` is one problem,
     smoothed with bandwidth ``h[b]``; returns (B, n) ``(estimates,
-    excluded)``.
+    excluded)``.  Up to ``ONE_TILE_MAX`` samples the problems run as stacked
+    dense tiles of at most ``ONE_TILE_MAX**2`` pairs, the largest tile
+    :func:`nw_loo_all` builds; larger problems take its walk one by one.
     """
     z = np.asarray(index_values, dtype=float)
     y = np.asarray(responses, dtype=float)
@@ -289,18 +313,30 @@ def nw_loo_batch(index_values, responses, h):
     if np.any(h <= 0):
         raise ValueError(f"bandwidths must be positive, got minimum {h.min()}")
     scaled = z / h[:, None]
-    return _nw_sums(scaled, scaled, y, leave_one_out=True)
+    den, num = np.empty(z.shape), np.empty(z.shape)
+    count, n = z.shape
+    if n <= ONE_TILE_MAX:
+        step = stack_size(n * n)
+        for a in range(0, count, step):
+            chunk = slice(a, a + step)
+            den[chunk], num[chunk] = _nw_tile(chunk, scaled[chunk], scaled[chunk], y[chunk], 0)
+    else:
+        for b in range(count):
+            den[b], num[b] = _nw_loo_sums(scaled[b], y[b])
+    return _nw_ratio(den, num)
 
 
 def nw_predict(index_values, responses, points, h: float):
     """Nadaraya-Watson prediction at held-out ``points`` from the samples.
 
     Returns ``(predictions, excluded)``; excluded marks points with no
-    sample inside their window, and their prediction is NaN.
+    sample inside their window, and their prediction is NaN.  Every weight
+    is the same kernel value of the same difference on either path of the
+    walk; only the order of the sums changes.
     """
     z, y = _fit_inputs(index_values, responses, h)
     u = _as_vector(points, "points")
-    return _nw_sums(u / h, z / h, y, leave_one_out=False)
+    return _nw_ratio(*_walk(_nw_tile, u / h, z / h, y))
 
 
 # Entry (p, q) of the normal matrix X'WX of the h-scaled design (1, s, s^2/2)
@@ -319,7 +355,7 @@ def _quad_tile(u: np.ndarray, h: float):
     pointwise ones bit for bit.  The powers overwrite one array in turn, so
     a tile holds two arrays of its shape.
     """
-    def tile(rows, _points, _samples, window, _diagonal):
+    def tile(rows, _points, _samples, window):
         z, y = window
         s = z[None, :] - u[rows][:, None]
         s /= h

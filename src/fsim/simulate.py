@@ -188,6 +188,8 @@ class ExperimentConfig:
             raise ValueError(f"method must be 'gcv' or 'kfold', got {self.method!r}")
         if self.reps < 1:
             raise ValueError("need at least one repetition")
+        if any(n < 1 for n in self.sizes) or self.noise_sd < 0 or self.basis_dim < 4:
+            raise ValueError("need sizes >= 1, noise_sd >= 0 and basis_dim >= 4")
         too_few_folds = self.method == "kfold" and self.folds < 2
         if (self.grid_size < 1 or too_few_folds or self.opt_budget < 0
                 or not 1 <= self.keep_best <= self.candidate_count):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fsim.bandwidth as bw
-from fsim import locfit
+from fsim import locfit, optimize
 from fsim.basis import FourierBasis
 from fsim.locfit import EstimationError, SingularFitError, local_quad_fit, smoother_matrix
 from fsim.model import (
@@ -20,6 +20,7 @@ from fsim.model import (
 from fsim.optimize import (
     InitStrategy,
     init_equal,
+    init_linear,
     init_random,
     minimize,
     minimize_lockstep,
@@ -433,6 +434,24 @@ class TestFitPipeline:
         for strategy, anchor in cases:
             report = bw.fit_pipeline(data, strategy, 3, "gcv", 5, 0, 40)
             np.testing.assert_array_equal(report.grid.values, grid_at(anchor))
+
+    @pytest.mark.parametrize("method", ["gcv", "kfold"])
+    def test_deterministic_start_resolved_once(self, monkeypatch, method):
+        data, _ = linear_dataset(60, 0.2, seed=17)
+        strategy = InitStrategy(kind="linear")
+        calls = []
+
+        def spy(train):
+            calls.append(train.n)
+            return init_linear(train)
+
+        monkeypatch.setattr(optimize, "init_linear", spy)
+        report = bw.fit_pipeline(data, strategy, 3, method, 5, 0, 40)
+        assert calls == [60]
+        # the start handed on is the one select_bandwidth resolves itself
+        alone = bw.select_bandwidth(data, strategy, report.grid, method, 5, 0, 40)
+        assert calls == [60, 60]
+        assert report_fields(report) == report_fields(alone)
 
     # too few samples for the objective, fewer samples than folds, and
     # training folds too small for the objective (n=5 in two folds)

@@ -38,7 +38,13 @@ class TestSynth:
         assert (tmp_path / "s.csv.truth.json").exists()
 
     def test_bad_parameters_are_data_errors(self, tmp_path):
-        assert run("synth", "--out", tmp_path / "s.csv", "--n", 10, "--basis-dim", 2) == 2
+        assert run("synth", "--out", tmp_path / "no-such-dir" / "s.csv", "--n", 10) == 2
+
+    @pytest.mark.parametrize("flag, value", [("--n", 0), ("--noise-sd", -1),
+                                             ("--basis-dim", 2), ("--basis-dim", 38)])
+    def test_out_of_range_argument_is_usage_error(self, tmp_path, flag, value):
+        assert run("synth", "--out", tmp_path / "s.csv", "--n", 10, flag, value) == 1
+        assert not any(tmp_path.iterdir())
 
 
 class TestFit:
@@ -92,10 +98,12 @@ class TestFit:
 
     @pytest.mark.parametrize("flag, value", [("--grid-size", 0), ("--folds", 1),
                                              ("--candidates", 0), ("--keep", 0),
-                                             ("--budget", -1)])
+                                             ("--budget", -1), ("--basis-dim", 0),
+                                             ("--basis-dim", 1), ("--basis-dim", 38)])
     def test_out_of_range_argument_is_usage_error(self, synth_inputs, tmp_path, flag, value):
         assert run("fit", "--data", synth_inputs["data"], "--out", tmp_path / "o",
                    "--method", "kfold", flag, value) == 1
+        assert not (tmp_path / "o").exists()
 
     def test_folds_are_not_checked_for_gcv(self, synth_inputs, tmp_path):
         assert run("fit", "--data", synth_inputs["data"], "--out", tmp_path / "o",
@@ -202,6 +210,11 @@ class TestSimulate:
         assert run("simulate", "--config", bad, "--out", tmp_path / "o") == 1
         missing = tmp_path / "missing.json"
         assert run("simulate", "--config", missing, "--out", tmp_path / "o") == 1
+        # out-of-range values stop before the output directory is made
+        for overrides in ({"noise_sd": -0.1}, {"basis_dim": 3}, {"sizes": [50, 0]}):
+            config = self.write_config(tmp_path / "config.json", **overrides)
+            assert run("simulate", "--config", config, "--out", tmp_path / "o") == 1
+        assert not (tmp_path / "o").exists()
 
     def test_reps_override(self, tmp_path):
         config = self.write_config(tmp_path / "config.json")

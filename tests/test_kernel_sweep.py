@@ -1,0 +1,36 @@
+"""The kernel timing sweep on a tiny problem: its table and that it restores the cap."""
+
+import importlib.util
+import pathlib
+
+from fsim import locfit
+
+PATH = pathlib.Path(__file__).resolve().parents[1] / "tools" / "kernel_sweep.py"
+SPEC = importlib.util.spec_from_file_location("kernel_sweep", PATH)
+kernel_sweep = importlib.util.module_from_spec(SPEC)
+SPEC.loader.exec_module(kernel_sweep)
+
+
+def test_table_of_one_round_at_a_tiny_n():
+    rows = kernel_sweep.sweep([20, 30], rounds=1, seed=3)
+    assert [n for n, _, _ in rows] == [20, 30]
+    assert all(dense > 0.0 and walk > 0.0 for _, dense, walk in rows)
+    assert locfit.ONE_TILE_MAX == 256
+    lines = kernel_sweep.table(rows)
+    assert lines[:2] == ["| n | dense tile | walk | walk speed-up |", "| --- | --- | --- | --- |"]
+    assert [line.split(" | ")[0] for line in lines[2:]] == ["| 20", "| 30"]
+    assert all(line.endswith("× |") for line in lines[2:])
+
+
+def test_table_formats_durations():
+    lines = kernel_sweep.table([(300, 4.5e-4, 3.0e-4), (4000, 0.0155, 0.0081)])
+    assert lines[2] == "| 300 | 450 µs | 300 µs | 1.50× |"
+    assert lines[3] == "| 4000 | 15.5 ms | 8.1 ms | 1.91× |"
+
+
+def test_main_prints_facts_and_table(capsys):
+    assert kernel_sweep.main(["--sizes", "20", "--rounds", "1"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "numpy" in out[0] and "Python" in out[0]
+    assert out[1].startswith("nw_loo_all per call")
+    assert out[-1].startswith("| 20 |")

@@ -1,5 +1,6 @@
 """Tests for the local quadratic smoother and the leave-one-out estimator."""
 
+import functools
 import math
 
 import numpy as np
@@ -171,10 +172,13 @@ def direct_nw(points, samples, y, h, leave_one_out):
         w = smooth_kernel(p[i] - s)
         if leave_one_out:
             w[i] = 0.0
+        # zero weights add nothing to an exactly rounded sum
+        inside = np.flatnonzero(w)
+        w, near = w[inside], y[inside]
         den = math.fsum(w)
         if den > 0.0:
-            estimates[i] = math.fsum(w * y) / den
-            scale[i] = math.fsum(w * np.abs(y)) / den
+            estimates[i] = math.fsum(w * near) / den
+            scale[i] = (w @ np.abs(near)) / den
     return estimates, np.isnan(estimates), scale
 
 
@@ -188,11 +192,21 @@ def assert_matches_oracle(got, oracle, rel=1e-12):
 
 
 def awkward_index(n, rng):
-    """Index values with ties, exact duplicates and a few isolated samples."""
+    """Index values with ties, exact duplicates and a few isolated samples.
+
+    Above two tiles of samples, the sorted rows ``T - 1`` and ``T`` are
+    exact duplicates across the first tile boundary, and a gap of 5 follows
+    sorted row ``2T - 1``, so at bandwidths below 5 the second tile reaches
+    no sample right of itself.
+    """
     z = rng.normal(size=n)
     z[: n // 3] = np.round(z[: n // 3], 1)
     z[n // 3: n // 2] = z[: n // 2 - n // 3]
     z[-3:] = 40.0 + 7.0 * np.arange(3)
+    if n > 2 * T:
+        z.sort()
+        z[T] = z[T - 1]
+        z[2 * T:-3] += 5.0
     return rng.permutation(z)
 
 
@@ -249,7 +263,8 @@ class TestNadarayaWatson:
 
 T = locfit.TILE_ROWS
 CUTOFF = locfit.ONE_TILE_MAX
-ENGINE_SIZES = [T - 1, T, T + 1, 3 * T + 5, CUTOFF - 1, CUTOFF, CUTOFF + 1, 1000]
+# 300, 1000 and 4000 end on a short tile, CUTOFF + 1 on a tile of one row
+ENGINE_SIZES = [T - 1, T, T + 1, 3 * T + 5, CUTOFF - 1, CUTOFF, CUTOFF + 1, 300, 1000, 4000]
 
 
 @pytest.fixture(params=["default", "tiled"])
@@ -260,15 +275,25 @@ def engine_path(request, monkeypatch):
     return request.param
 
 
+@functools.lru_cache(maxsize=None)
+def loo_oracles(n):
+    """Index, responses and leave-one-out oracles at each bandwidth for one
+    size, computed once for both engine paths; the last bandwidth is wider
+    than the whole index."""
+    rng = np.random.default_rng(n)
+    z = awkward_index(n, rng)
+    y = rng.normal(size=n)
+    return z, y, [(h, direct_nw(z, z, y, h, leave_one_out=True))
+                  for h in (0.004, 0.08, 0.5, 3.0, 200.0)]
+
+
 class TestKernelSumEngine:
     @pytest.mark.parametrize("n", ENGINE_SIZES)
     def test_loo_matches_direct_sums(self, n, engine_path):
-        rng = np.random.default_rng(n)
-        z = awkward_index(n, rng)
-        y = rng.normal(size=n)
-        for h in (0.004, 0.08, 0.5, 3.0):
-            oracle = direct_nw(z, z, y, h, leave_one_out=True)
-            assert oracle[1][z >= 40.0].all()
+        z, y, oracles = loo_oracles(n)
+        for h, oracle in oracles:
+            # the isolated samples, 7 apart, have empty windows below h = 7
+            assert oracle[1][z >= 40.0].all() == (h < 7.0)
             assert_matches_oracle(nw_loo_all(z, y, h), oracle)
 
     @pytest.mark.parametrize("m, n", [(10, 90), (T + 1, 3 * T + 5), (5, 1000), (1000, 20),
@@ -354,34 +379,59 @@ class TestKernelSumEngine:
             locfit.nw_loo_batch(z, z, [0.5, 0.0])
 
 
-index_arrays = st.integers(2, 2 * CUTOFF).flatmap(
-    lambda n: hnp.arrays(float, n, elements=st.floats(-4.0, 4.0, width=16)))
+def sized_index_arrays(low, high):
+    return st.integers(low, high).flatmap(
+        lambda n: hnp.arrays(float, n, elements=st.floats(-4.0, 4.0, width=16)))
+
+
+index_arrays = sized_index_arrays(2, 2 * CUTOFF)
+# every example takes the symmetric walk
+tiled_index_arrays = sized_index_arrays(CUTOFF + 1, 4 * CUTOFF)
+
+
+def check_permutation(z, seed, h):
+    rng = np.random.default_rng(seed)
+    y = rng.normal(size=z.size)
+    perm = rng.permutation(z.size)
+    estimates, excluded = nw_loo_all(z, y, h)
+    permuted, permuted_excluded = nw_loo_all(z[perm], y[perm], h)
+    np.testing.assert_array_equal(permuted_excluded, excluded[perm])
+    scale = direct_nw(z, z, y, h, leave_one_out=True)[2]
+    keep = ~excluded[perm]
+    assert np.all(np.abs(permuted[keep] - estimates[perm][keep]) <= 1e-12 * scale[perm][keep])
+
+
+def check_power_of_two_rescale(z, seed, h, power):
+    y = np.random.default_rng(seed).normal(size=z.size)
+    lam = 2.0**power
+    estimates, excluded = nw_loo_all(z, y, h)
+    scaled, scaled_excluded = nw_loo_all(lam * z, y, lam * h)
+    np.testing.assert_array_equal(scaled_excluded, excluded)
+    np.testing.assert_array_equal(scaled, estimates)
 
 
 class TestInvariances:
     @settings(max_examples=40, deadline=None)
     @given(z=index_arrays, seed=st.integers(0, 2**32 - 1), h=st.floats(0.05, 3.0))
     def test_permuting_samples_permutes_estimates(self, z, seed, h):
-        rng = np.random.default_rng(seed)
-        y = rng.normal(size=z.size)
-        perm = rng.permutation(z.size)
-        estimates, excluded = nw_loo_all(z, y, h)
-        permuted, permuted_excluded = nw_loo_all(z[perm], y[perm], h)
-        np.testing.assert_array_equal(permuted_excluded, excluded[perm])
-        scale = direct_nw(z, z, y, h, leave_one_out=True)[2]
-        keep = ~excluded[perm]
-        assert np.all(np.abs(permuted[keep] - estimates[perm][keep]) <= 1e-12 * scale[perm][keep])
+        check_permutation(z, seed, h)
+
+    @settings(max_examples=25, deadline=None)
+    @given(z=tiled_index_arrays, seed=st.integers(0, 2**32 - 1), h=st.floats(0.05, 3.0))
+    def test_permuting_samples_permutes_estimates_above_one_tile(self, z, seed, h):
+        check_permutation(z, seed, h)
 
     @settings(max_examples=40, deadline=None)
     @given(z=index_arrays, seed=st.integers(0, 2**32 - 1), h=st.floats(0.05, 3.0),
            power=st.integers(-20, 20))
     def test_power_of_two_rescale_is_exact(self, z, seed, h, power):
-        y = np.random.default_rng(seed).normal(size=z.size)
-        lam = 2.0**power
-        estimates, excluded = nw_loo_all(z, y, h)
-        scaled, scaled_excluded = nw_loo_all(lam * z, y, lam * h)
-        np.testing.assert_array_equal(scaled_excluded, excluded)
-        np.testing.assert_array_equal(scaled, estimates)
+        check_power_of_two_rescale(z, seed, h, power)
+
+    @settings(max_examples=25, deadline=None)
+    @given(z=tiled_index_arrays, seed=st.integers(0, 2**32 - 1), h=st.floats(0.05, 3.0),
+           power=st.integers(-20, 20))
+    def test_power_of_two_rescale_is_exact_above_one_tile(self, z, seed, h, power):
+        check_power_of_two_rescale(z, seed, h, power)
 
     @settings(max_examples=40, deadline=None)
     @given(z=index_arrays, seed=st.integers(0, 2**32 - 1), h=st.floats(0.05, 3.0),

@@ -258,3 +258,9 @@ class TestRunExperiment:
             ExperimentConfig(reps=0)
         with pytest.raises(ValueError):
             ExperimentConfig(opt_budget=-1)
+        with pytest.raises(ValueError):
+            ExperimentConfig(noise_sd=-0.1)
+        with pytest.raises(ValueError):
+            ExperimentConfig(basis_dim=3)
+        with pytest.raises(ValueError):
+            ExperimentConfig(sizes=(100, 0))

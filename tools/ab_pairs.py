@@ -1,9 +1,12 @@
 """Paired A/B runs of the benchmark: a parent revision against this checkout.
 
     python3 tools/ab_pairs.py --workload mc_kfold_n100 --seeds 1001-1010 [--parent HEAD]
+    python3 tools/ab_pairs.py --workload mc_kfold_n100 --seeds 1001-1010 --parent-dir DIR
 
 The parent revision is checked out with ``git worktree`` into a temporary
-directory (under ``$TMPDIR``), removed again on exit.  The change is the
+directory (under ``$TMPDIR``), removed again on exit; ``--parent-dir`` runs
+an existing checkout of the parent instead (say, one unpacked with
+``git archive``), and no worktree is made.  The change is the
 working tree this script sits in, uncommitted edits included.  Each seed
 runs ``perfbench/run.py --trace 0`` once on each side at ``run_seconds`` from
 BENCHMARK.json, one run at a time, and the side that runs first alternates
@@ -113,16 +116,19 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", required=True, type=parse_seeds,
                         help="seeds as a list of numbers and ranges, e.g. 1001-1010")
     parser.add_argument("--parent", default="HEAD", help="git revision of the parent side")
+    parser.add_argument("--parent-dir", type=pathlib.Path, default=None,
+                        help="an existing checkout of the parent side, used instead of --parent")
     args = parser.parse_args(argv)
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = float(benchmark["run_seconds"])
 
-    scratch = pathlib.Path(tempfile.mkdtemp(prefix="ab_pairs-"))
-    parent = scratch / "parent"
+    scratch = None if args.parent_dir else pathlib.Path(tempfile.mkdtemp(prefix="ab_pairs-"))
+    parent = args.parent_dir.resolve() if args.parent_dir else scratch / "parent"
+    pairs = []
     try:
-        subprocess.run(["git", "worktree", "add", "--detach", str(parent), args.parent],
-                       cwd=ROOT, check=True, capture_output=True)
-        pairs = []
+        if scratch is not None:
+            subprocess.run(["git", "worktree", "add", "--detach", str(parent), args.parent],
+                           cwd=ROOT, check=True, capture_output=True)
         for k, seed in enumerate(args.seeds):
             order = [(0, parent), (1, ROOT)] if k % 2 == 0 else [(1, ROOT), (0, parent)]
             pair = [None, None]
@@ -136,10 +142,11 @@ def main(argv=None) -> int:
                 f"{pair[1]['metrics'][m['name']]:.4g}" for m in benchmark["end_to_end"]),
                 flush=True)
     finally:
-        subprocess.run(["git", "worktree", "remove", "--force", str(parent)],
-                       cwd=ROOT, capture_output=True)
-        shutil.rmtree(scratch, ignore_errors=True)
-        subprocess.run(["git", "worktree", "prune"], cwd=ROOT, capture_output=True)
+        if scratch is not None:
+            subprocess.run(["git", "worktree", "remove", "--force", str(parent)],
+                           cwd=ROOT, capture_output=True)
+            shutil.rmtree(scratch, ignore_errors=True)
+            subprocess.run(["git", "worktree", "prune"], cwd=ROOT, capture_output=True)
     incomplete = len(args.seeds) - len(pairs)
     print(f"workload {args.workload}, {len(pairs)} complete pairs"
           + (f", {incomplete} incomplete (left out)" if incomplete else ""))

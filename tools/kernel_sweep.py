@@ -1,0 +1,114 @@
+"""Per-call timing of the leave-one-out kernel sums: one dense tile against the walk.
+
+    python3 tools/kernel_sweep.py --sizes 100,200,300,1000,4000 --rounds 7
+
+For each n the script draws a link-g3 sample (``simulate.generate``, seed
+``--seed``), takes its index at the true coefficients and times
+``nw_loo_all`` over the default 10-bandwidth grid, once with the whole
+problem as one dense tile and once on the sorted-window walk, by setting
+``locfit.ONE_TILE_MAX`` for the duration of each round.  A round times one
+pass over the grid on each path; the path that runs first alternates from
+round to round, and each path keeps its best round.  The script prints the
+machine facts, then a markdown table of the mean time per call on each path
+and the speed-up of the walk over the dense tile.  fsim is imported from
+``PYTHONPATH`` when that provides it, else from the ``src`` directory of this
+checkout, so one copy of the script can time another source tree.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import os
+import pathlib
+import platform
+import sys
+import time
+
+import numpy as np
+
+if importlib.util.find_spec("fsim") is None:
+    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+
+from fsim import locfit
+from fsim.bandwidth import BandwidthGrid
+from fsim.simulate import SimScenario, generate
+
+
+def machine_facts() -> str:
+    """CPU, core count, BLAS, numpy and Python, on one line."""
+    cpu = platform.processor() or platform.machine()
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as handle:
+            cpu = next((line.split(":", 1)[1].strip() for line in handle
+                        if line.startswith("model name")), cpu)
+    except OSError:
+        pass
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return (f"{cpu}, {os.cpu_count()} CPUs, BLAS {blas.get('name')} {blas.get('version')}, "
+            f"numpy {np.__version__}, Python {platform.python_version()}")
+
+
+def _pass_time(z, y, grid, one_tile_max: int) -> float:
+    """Mean seconds per ``nw_loo_all`` call over ``grid`` with ``ONE_TILE_MAX`` set."""
+    saved = locfit.ONE_TILE_MAX
+    locfit.ONE_TILE_MAX = one_tile_max
+    try:
+        started = time.perf_counter()
+        for h in grid:
+            locfit.nw_loo_all(z, y, h)
+        return (time.perf_counter() - started) / grid.size
+    finally:
+        locfit.ONE_TILE_MAX = saved
+
+
+def sweep(sizes, rounds: int, seed: int = 0) -> list[tuple[int, float, float]]:
+    """``(n, dense_s, walk_s)`` per size: the best mean time per call of each path."""
+    rows = []
+    for n in sizes:
+        data, truth = generate(SimScenario(n=n, link="g3", seed=seed))
+        z, y = truth.index, data.y
+        grid = BandwidthGrid.default(n, float(np.std(z))).values
+        # ONE_TILE_MAX = n keeps the problem on one dense tile; 0 sends it to the walk
+        paths = {"dense": n, "walk": 0}
+        best = {name: np.inf for name in paths}
+        for k in range(rounds):
+            for name in (paths if k % 2 == 0 else reversed(paths)):
+                best[name] = min(best[name], _pass_time(z, y, grid, paths[name]))
+        rows.append((n, best["dense"], best["walk"]))
+    return rows
+
+
+def _duration(seconds: float) -> str:
+    if seconds >= 1e-3:
+        return f"{seconds * 1e3:.3g} ms"
+    return f"{seconds * 1e6:.3g} µs"
+
+
+def table(rows) -> list[str]:
+    """The markdown table of :func:`sweep` rows."""
+    lines = ["| n | dense tile | walk | walk speed-up |", "| --- | --- | --- | --- |"]
+    for n, dense, walk in rows:
+        lines.append(f"| {n} | {_duration(dense)} | {_duration(walk)} | {dense / walk:.2f}× |")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--sizes", default="100,200,250,300,400,1000,4000",
+                        help="comma-separated sample sizes")
+    parser.add_argument("--rounds", type=int, default=7, help="alternating rounds per size")
+    parser.add_argument("--seed", type=int, default=0, help="seed of the g3 samples")
+    args = parser.parse_args(argv)
+    sizes = [int(part) for part in args.sizes.split(",") if part.strip()]
+    if not sizes or min(sizes) < 2 or args.rounds < 1:
+        parser.error("need sizes >= 2 and --rounds >= 1")
+    print(machine_facts())
+    print(f"nw_loo_all per call over the default grid, best of {args.rounds} rounds, "
+          f"TILE_ROWS={locfit.TILE_ROWS}, shipped ONE_TILE_MAX={locfit.ONE_TILE_MAX}")
+    print("\n".join(table(sweep(sizes, args.rounds, args.seed))))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
