@@ -18,12 +18,14 @@ from .optimize import (
     init_equal,
     init_random,
     minimize,
+    minimize_each,
     minimize_lockstep,
     resolve_init,
     safe_objective,
 )
 
 CURVATURE_EXPONENT = 5.0 / 7.0
+METHODS = ("gcv", "kfold")
 
 
 class SelectionError(EstimationError):
@@ -223,44 +225,48 @@ def select_bandwidth(data: Dataset, strategy: InitStrategy, grid: BandwidthGrid,
     strategy draws its pool once, prefiltered at ``grid.reference``, and at
     each bandwidth h runs one search from the candidate that scores best at
     h (:func:`choose_random_start`), so different bandwidths may start from
-    different candidates.  k-fold refits
-    every training fold from the start of its bandwidth; the fold searches
-    of every bandwidth with a start run as one lockstep, each with the
-    result :func:`kfold_score` would give at that bandwidth.
+    different candidates.
+
+    The searches of every bandwidth with a start run as one lockstep, each
+    with the result it would have alone: GCV runs one full-data search per
+    bandwidth (:func:`fsim.optimize.minimize_each`) and keeps the winner's
+    fit; k-fold refits every training fold from the start of its bandwidth
+    (the result :func:`kfold_score` would give there), then refits the
+    winner on all the data.
     """
-    if method not in ("gcv", "kfold"):
+    if method not in METHODS:
         raise ValueError(f"method must be 'gcv' or 'kfold', got {method!r}")
     pool = init_random(data, grid.reference, strategy) if strategy.kind == "random" else None
     fixed = None
     if pool is None:
         fixed = start if start is not None else resolve_init(data, strategy)
-
-    scores = np.full(grid.values.size, np.inf)
     starts: dict[int, tuple] = {}
-    fits: dict[int, OptResult] = {}
     for k, h in enumerate(grid.values):
         try:
-            init, label = starts[k] = fixed if pool is None else choose_random_start(data, h, pool)
-            if method == "gcv":
-                result = minimize(data, init, h, budget, sign_reference, label)
-                fits[k] = result
-                scores[k] = gcv_score(data, result.spec, h)
+            starts[k] = fixed if pool is None else choose_random_start(data, h, pool)
         except EstimationError:
             continue
-    if method == "kfold" and starts:
-        keys = list(starts)
+
+    keys = list(starts)
+    inits, hs = [starts[k][0] for k in keys], grid.values[keys]
+    outcomes = []
+    if keys and method == "gcv":
+        fits = minimize_each(data, inits, hs, budget, sign_reference,
+                             [starts[k][1] for k in keys])
+        outcomes = [_gcv_outcome(data, fit, h) for fit, h in zip(fits, hs)]
+    elif keys:
         try:
-            outcomes = _kfold_grid(data, [starts[k][0] for k in keys], grid.values[keys],
-                                   folds, seed, budget)
+            outcomes = _kfold_grid(data, inits, hs, folds, seed, budget)
         except EstimationError:
-            outcomes = []
-        for k, outcome in zip(keys, outcomes):
-            if not isinstance(outcome, EstimationError):
-                scores[k] = outcome
+            pass
+    scores = np.full(grid.values.size, np.inf)
+    for k, outcome in zip(keys, outcomes):
+        if not isinstance(outcome, EstimationError):
+            scores[k] = outcome
     chosen = argmin_prefer_larger(scores)
     chosen_h = float(grid.values[chosen])
-    if chosen in fits:
-        best_fit = fits[chosen]
+    if method == "gcv":
+        best_fit = fits[keys.index(chosen)]
     else:
         init, label = starts[chosen]
         best_fit = minimize(data, init, chosen_h, budget, sign_reference, label)
@@ -276,6 +282,17 @@ def select_bandwidth(data: Dataset, strategy: InitStrategy, grid: BandwidthGrid,
         best_fit=best_fit,
         sigma_index=sigma_index,
     )
+
+
+def _gcv_outcome(data: Dataset, fit: OptResult | EstimationError, h: float):
+    """The GCV score of a grid search's fit, or the :class:`EstimationError`
+    of the search or of its score."""
+    if isinstance(fit, EstimationError):
+        return fit
+    try:
+        return gcv_score(data, fit.spec, h)
+    except EstimationError as exc:
+        return exc
 
 
 def fit_pipeline(data: Dataset, strategy: InitStrategy, grid_size: int, method: str,

@@ -20,7 +20,7 @@ from . import ingest, simulate, svg
 from .basis import BasisExpansion, FourierBasis
 from .locfit import EstimationError, curve_estimates
 from .model import IndexModelSpec, compute_index
-from .optimize import InitStrategy
+from .optimize import INIT_KINDS, InitStrategy
 
 OK, USAGE_ERROR, DATA_ERROR, ESTIMATION_ERROR = 0, 1, 2, 3
 
@@ -48,7 +48,7 @@ def build_parser() -> _Parser:
     p_fit.add_argument("--out", required=True, help="output directory")
     p_fit.add_argument("--strategy", default="linear,equal,random",
                        help="comma-separated start strategies (linear,equal,random)")
-    p_fit.add_argument("--method", choices=("gcv", "kfold"), default="gcv")
+    p_fit.add_argument("--method", choices=bw.METHODS, default="gcv")
     p_fit.add_argument("--seed", type=int, default=0)
     p_fit.add_argument("--basis-dim", type=int, default=13,
                        help="Fourier dimension for the covariate projection")
@@ -128,7 +128,8 @@ def _fit_dataset(args):
 def cmd_fit(args) -> int:
     strategies = [s.strip() for s in args.strategy.split(",") if s.strip()]
     for name in strategies:
-        if name not in ("linear", "equal", "random"):
+        # the "true" start needs the generating coefficients, which a data file lacks
+        if name == "true" or name not in INIT_KINDS:
             print(f"fsim fit: unknown strategy {name!r}", file=sys.stderr)
             return USAGE_ERROR
     if not strategies:
@@ -260,13 +261,22 @@ def cmd_plot(args) -> int:
         basis = FourierBasis(int(payload["metadata"]["basis_dim"]), include_constant=True)
         data = ingest.to_dataset(records, basis)
         truth = ingest.EcologyTruth.from_json(args.truth) if args.truth else None
-    except (OSError, json.JSONDecodeError, KeyError, ingest.SchemaError, ValueError) as exc:
+        spec = _spec_from_payload(payload)
+        chosen_h = float(payload["selection"]["chosen_h"])
+        chosen_h2 = float(payload["selection"]["chosen_h_curvature"])
+        if not (0.0 < chosen_h < np.inf and 0.0 < chosen_h2 < np.inf):
+            raise ValueError(f"bandwidths must be finite and positive, got {chosen_h} "
+                             f"and {chosen_h2}")
+        selection = {"strategy": payload["selection"]["strategy"], "chosen_h": chosen_h,
+                     "chosen_h_curvature": chosen_h2,
+                     "sigma_index": payload["selection"]["sigma_index"]}
+        labels = [b["label"] for b in payload["model"]["blocks"]]
+        z_hat = compute_index(data, spec)
+    except (OSError, json.JSONDecodeError, KeyError, TypeError, ingest.SchemaError,
+            ValueError) as exc:
         print(f"fsim plot: {exc}", file=sys.stderr)
         return DATA_ERROR
 
-    spec = _spec_from_payload(payload)
-    chosen_h = float(payload["selection"]["chosen_h"])
-    chosen_h2 = float(payload["selection"]["chosen_h_curvature"])
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -274,18 +284,12 @@ def cmd_plot(args) -> int:
     with open(out / "metadata.json", "w", encoding="utf-8") as handle:
         json.dump({
             "fit_metadata": payload["metadata"],
-            "selection": {
-                "strategy": payload["selection"]["strategy"],
-                "chosen_h": chosen_h,
-                "chosen_h_curvature": chosen_h2,
-                "sigma_index": payload["selection"]["sigma_index"],
-            },
+            "selection": selection,
             "truth": args.truth,
             "grid_points": args.grid_points,
         }, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
-    z_hat = compute_index(data, spec)
     grid = np.linspace(float(z_hat.min()), float(z_hat.max()), args.grid_points)
     g_hat = curve_estimates(z_hat, data.y, grid, chosen_h, derivative=0)
     g2_hat = curve_estimates(z_hat, data.y, grid, chosen_h2, derivative=2)
@@ -300,7 +304,6 @@ def cmd_plot(args) -> int:
 
     t_grid = np.linspace(0.0, 1.0, 201)
     coef_head, coef_cols = ["t"], [t_grid]
-    labels = [b["label"] for b in payload["model"]["blocks"]]
     for label, beta in zip(labels, spec.beta_blocks):
         coef_head.append(f"beta_{label}")
         coef_cols.append(beta.basis.design_matrix(t_grid) @ beta.coeffs)

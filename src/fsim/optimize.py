@@ -1,16 +1,17 @@
 """Coefficient search: simplex minimization of the leave-one-out MSE.
 
 The objective is piecewise smooth in the coefficients (samples enter and
-leave kernel windows), so the outer search is derivative-free.  Four ways of
-choosing the start point are supported: the known truth (simulations), an
-ordinary least squares fit assuming a linear link, an all-equal vector, and a
-pool of standard normal draws prefiltered by objective value, from which
+leave kernel windows), so the outer search is derivative-free.  Every
+search, alone or with others, runs on one array-state Nelder-Mead
+(:func:`_nelder_mead`).  Four ways of choosing the start point are
+supported: the known truth (simulations), an ordinary least squares fit
+assuming a linear link, an all-equal vector, and a pool of standard normal
+draws prefiltered by objective value, from which
 :func:`fsim.bandwidth.select_bandwidth` picks one start per bandwidth.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,89 +136,16 @@ def safe_objective(data: Dataset, raw, h: float) -> float:
         return np.inf
 
 
-def _nelder_mead(fn, x0: np.ndarray, max_evals: int, spread_tol: float):
-    """Reflection / expansion / contraction / shrink search of ``fn`` from ``x0``.
-
-    Stops when the simplex objective spread drops below ``spread_tol`` or
-    the evaluation budget runs out, and returns the best vertex, its value,
-    the iteration count, the convergence flag, the per-iteration best-value
-    trace, and the number of evaluations spent.
-    """
-    reflect, expand, contract, shrink = 1.0, 2.0, 0.5, 0.5
-    dim = x0.size
-    f0 = float(fn(x0))
-    evals = 1
-    if not np.isfinite(f0):
-        raise DegenerateObjectiveError("objective is not finite at the initialization")
-    if max_evals < dim + 2:
-        return x0, f0, 0, False, [f0], evals
-
-    simplex = np.repeat(x0[None], dim + 1, axis=0)
-    for i in range(dim):
-        simplex[i + 1, i] = x0[i] * 1.05 if x0[i] != 0.0 else 2.5e-4
-    values = np.empty(dim + 1)
-    values[0] = f0
-    values[1:] = [fn(vertex) for vertex in simplex[1:]]
-    evals += dim
-
-    iterations = 0
-    converged = False
-    trace = []
-    while True:
-        order = values.argsort(kind="stable")
-        simplex = simplex[order]
-        values = values[order]
-        trace.append(float(values[0]))
-        spread = float(values[-1] - values[0])
-        if math.isfinite(spread) and spread < spread_tol:
-            converged = True
-            break
-        if evals >= max_evals:
-            break
-        iterations += 1
-
-        # np.mean's own sum and division, bit for bit, without its dispatch cost
-        centroid = simplex[:-1].sum(axis=0) / dim
-        reflected = centroid + reflect * (centroid - simplex[-1])
-        f_reflected = fn(reflected)
-        evals += 1
-        if f_reflected < values[0]:
-            expanded = centroid + expand * (centroid - simplex[-1])
-            f_expanded = fn(expanded)
-            evals += 1
-            if f_expanded < f_reflected:
-                simplex[-1], values[-1] = expanded, f_expanded
-            else:
-                simplex[-1], values[-1] = reflected, f_reflected
-            continue
-        if f_reflected < values[-2]:
-            simplex[-1], values[-1] = reflected, f_reflected
-            continue
-        contracted = centroid + contract * (simplex[-1] - centroid)
-        f_contracted = fn(contracted)
-        evals += 1
-        if f_contracted < values[-1]:
-            simplex[-1], values[-1] = contracted, f_contracted
-            continue
-        simplex[1:] = simplex[0] + shrink * (simplex[1:] - simplex[0])
-        values[1:] = [fn(vertex) for vertex in simplex[1:]]
-        evals += dim
-
-    best = int(np.argmin(values))
-    return simplex[best], float(values[best]), iterations, converged, trace, evals
-
-
 def _search_start(data: Dataset, init, budget: int | None,
-                  count: int | None = None) -> tuple[np.ndarray, int]:
-    """The checked start vector of a search and its evaluation budget.
-
-    With a search ``count``, ``init`` may also hold one start per search.
-    """
-    x0 = np.asarray(init, dtype=float).copy()
+                  count: int) -> tuple[np.ndarray, int]:
+    """The checked start vectors of ``count`` searches, from one start per
+    search or one for all, and their evaluation budget."""
     dim = data.search_dimension()
-    if x0.shape != (dim,) and (count is None or x0.shape != (count, dim)):
+    x0 = np.asarray(init, dtype=float)
+    if x0.shape != (dim,) and x0.shape != (count, dim):
         raise ValueError(f"expected a search vector of length {dim}, got shape {x0.shape}")
-    return x0, BUDGET_PER_DIM * dim if budget is None else budget
+    starts = np.array(np.broadcast_to(x0, (count, dim)))
+    return starts, BUDGET_PER_DIM * dim if budget is None else budget
 
 
 def _opt_result(data: Dataset, h: float, outcome, sign_reference, label: str) -> OptResult:
@@ -235,21 +163,48 @@ def _opt_result(data: Dataset, h: float, outcome, sign_reference, label: str) ->
     )
 
 
+def _opt_results(data: Dataset, hs, outcomes, sign_reference, labels
+                 ) -> list[OptResult | DegenerateObjectiveError]:
+    """:func:`_opt_result` of every finished search; a failed search keeps its error."""
+    return [outcome if isinstance(outcome, DegenerateObjectiveError)
+            else _opt_result(data, h, outcome, sign_reference, label)
+            for h, outcome, label in zip(hs, outcomes, labels)]
+
+
 def minimize(data: Dataset, init, h: float, budget: int | None = None,
              sign_reference=None, label: str = "custom") -> OptResult:
     """Run the simplex search on the raw search vector from one start point.
 
     The terminal point is normalized (unit functional norm, bandwidth record
     scaled by the terminal raw norm) and sign-canonicalized.  The returned
-    value never exceeds the objective at the initialization.
+    value never exceeds the objective at the initialization; a start whose
+    value is not finite raises :class:`DegenerateObjectiveError`.
     """
-    x0, budget = _search_start(data, init, budget)
-    outcome = _nelder_mead(lambda x: safe_objective(data, x, h), x0, budget, SPREAD_TOL)
-    return _opt_result(data, h, outcome, sign_reference, label)
+    (result,) = minimize_each(data, init, [h], budget, sign_reference, [label])
+    if isinstance(result, DegenerateObjectiveError):
+        raise result
+    return result
 
 
-# what the pending points of a lockstep search are; DONE has none
-INIT, REFLECT, EXPAND, CONTRACT, SHRINK, DONE = range(6)
+def minimize_each(data: Dataset, init, h, budget: int | None, sign_reference,
+                  labels) -> list[OptResult | DegenerateObjectiveError]:
+    """``minimize(data, init[s], h[s], budget, sign_reference, labels[s])`` for every search s.
+
+    ``h`` holds one bandwidth per search, ``init`` one start vector per
+    search or one for all, and ``labels`` one ``init_used`` per search.
+    The searches run in lockstep (:func:`_nelder_mead`), each point
+    evaluated on its own by :func:`safe_objective`, each search's points in
+    the order a search of its own evaluates them.  A failed search's slot
+    holds the error :func:`minimize` raises.
+    """
+    hs = np.asarray(h, dtype=float).tolist()
+    starts, max_evals = _search_start(data, init, budget, len(hs))
+
+    def objective(which, points):
+        return np.array([safe_objective(data, x, hs[k]) for k, x in zip(which.tolist(), points)])
+
+    outcomes = _nelder_mead(objective, starts, max_evals)
+    return _opt_results(data, hs, outcomes, sign_reference, labels)
 
 
 def minimize_lockstep(data: Dataset, subsets, init, h, budget: int | None = None
@@ -257,23 +212,43 @@ def minimize_lockstep(data: Dataset, subsets, init, h, budget: int | None = None
     """``minimize(data.subset(subsets[s]), init[s], h[s], budget)`` for every search s.
 
     ``init`` holds one start vector per search, or one for all; ``h`` one
-    bandwidth per search, or one for all.  The searches run in lockstep on
-    one array-state simplex: each step evaluates every running search's
-    pending points with one :class:`fsim.model.StackedObjective` call, then
-    applies each search's branch as a masked update.  Every reduction and
-    comparison stays per search, so each result is the serial one bit for
-    bit and does not depend on which searches share the lockstep.  A search
-    whose start value is not finite stops after it, and its slot holds the
-    :class:`DegenerateObjectiveError` that :func:`minimize` would raise; the
-    others run on.  A result's spec depends on the data only through their
-    design, which every subset shares with ``data``.
+    bandwidth per search, or one for all.  The searches run in lockstep
+    (:func:`_nelder_mead`); each step evaluates every running search's
+    pending points with one :class:`fsim.model.StackedObjective` call.  A
+    failed search's slot holds the error :func:`minimize` raises.  A
+    result's spec depends on the data only through their design, which
+    every subset shares with ``data``.
+    """
+    count = len(subsets)
+    starts, max_evals = _search_start(data, init, budget, count)
+    hs = np.broadcast_to(np.asarray(h, dtype=float), (count,))
+    outcomes = _nelder_mead(StackedObjective(data, subsets, hs), starts, max_evals)
+    return _opt_results(data, hs.tolist(), outcomes, None, ["custom"] * count)
+
+
+# what the pending points of a search are; DONE has none
+INIT, REFLECT, EXPAND, CONTRACT, SHRINK, DONE = range(6)
+
+
+def _nelder_mead(objective, starts: np.ndarray, max_evals: int) -> list:
+    """Reflection / expansion / contraction / shrink searches, one from each row of ``starts``.
+
+    ``objective(which, points)`` returns the value of each row of
+    ``points`` for search ``which[i]``.  The searches run in lockstep on one
+    array-state simplex: each step evaluates every running search's pending
+    points with one objective call, then applies each search's branch as a
+    masked update.  Every reduction and comparison stays per search, so a
+    search's points and result do not depend on which searches share the
+    lockstep.  A search stops when its simplex objective spread drops below
+    ``SPREAD_TOL`` or its evaluation budget runs out; a shrink step may
+    overshoot the budget by up to dim evaluations.  Its entry is then
+    ``(best vertex, its value, iterations, converged, per-iteration
+    best-value trace, evaluations)``.  A search whose start value is not
+    finite stops after it, and its entry is a
+    :class:`DegenerateObjectiveError`; the others run on.
     """
     reflect, expand, contract, shrink = 1.0, 2.0, 0.5, 0.5
-    count, dim = len(subsets), data.search_dimension()
-    starts, max_evals = _search_start(data, init, budget, count)
-    starts = np.array(np.broadcast_to(starts, (count, dim)))
-    hs = np.broadcast_to(np.asarray(h, dtype=float), (count,))
-    objective = StackedObjective(data, subsets, hs)
+    count, dim = starts.shape
     everyone = np.arange(count)
 
     f0 = objective(everyone, starts)
@@ -360,7 +335,7 @@ def minimize_lockstep(data: Dataset, subsets, init, h, budget: int | None = None
         phase[s[stop]] = DONE
         s = s[~stop]
         iterations[s] += 1
-        # per search np.mean's own sum and division, as in the serial search
+        # per search np.mean's own sum and division, bit for bit, without its dispatch cost
         centroid[s] = simplex[s, :-1].sum(axis=1) / dim
         trial[s] = centroid[s] + reflect * (centroid[s] - simplex[s, -1])
         phase[s] = REFLECT
@@ -370,17 +345,16 @@ def minimize_lockstep(data: Dataset, subsets, init, h, budget: int | None = None
     traced = np.concatenate(trace_values)[by_search].tolist()
     bounds = np.searchsorted(rows[by_search], np.arange(count + 1)).tolist()
     best = values.argmin(axis=1)
-    results = []
+    outcomes = []
     for k in range(count):
         if failed[k]:
-            results.append(DegenerateObjectiveError(
+            outcomes.append(DegenerateObjectiveError(
                 "objective is not finite at the initialization"))
             continue
         b = int(best[k])
-        outcome = (simplex[k, b], float(values[k, b]), int(iterations[k]),
-                   bool(converged[k]), traced[bounds[k]:bounds[k + 1]], int(evals[k]))
-        results.append(_opt_result(data, float(hs[k]), outcome, None, "custom"))
-    return results
+        outcomes.append((simplex[k, b], float(values[k, b]), int(iterations[k]),
+                         bool(converged[k]), traced[bounds[k]:bounds[k + 1]], int(evals[k])))
+    return outcomes
 
 
 def resolve_init(data: Dataset, strategy: InitStrategy) -> tuple[np.ndarray, str]:

@@ -15,11 +15,11 @@ from typing import Callable
 
 import numpy as np
 
-from .bandwidth import fit_pipeline
+from .bandwidth import METHODS, fit_pipeline
 from .basis import BasisExpansion, FourierBasis, readonly_array
 from .locfit import EstimationError, curve_estimates, relocated_fit
 from .model import Dataset, FunctionalBlock, IndexModelSpec, compute_index
-from .optimize import InitStrategy
+from .optimize import INIT_KINDS, InitStrategy
 
 
 @dataclass(frozen=True)
@@ -161,7 +161,7 @@ class ExperimentConfig:
 
     links: tuple[str, ...] = ("g1", "g2", "g3")
     sizes: tuple[int, ...] = (100, 1000)
-    strategies: tuple[str, ...] = ("true", "linear", "equal", "random")
+    strategies: tuple[str, ...] = INIT_KINDS
     method: str = "gcv"
     reps: int = 10
     seed: int = 0
@@ -182,9 +182,9 @@ class ExperimentConfig:
             if link not in LINKS:
                 raise ValueError(f"unknown link {link!r}")
         for strategy in self.strategies:
-            if strategy not in ("true", "linear", "equal", "random"):
+            if strategy not in INIT_KINDS:
                 raise ValueError(f"unknown strategy {strategy!r}")
-        if self.method not in ("gcv", "kfold"):
+        if self.method not in METHODS:
             raise ValueError(f"method must be 'gcv' or 'kfold', got {self.method!r}")
         if self.reps < 1:
             raise ValueError("need at least one repetition")

@@ -11,7 +11,8 @@ SPEC = importlib.util.spec_from_file_location("ab_pairs", PATH)
 ab_pairs = importlib.util.module_from_spec(SPEC)
 SPEC.loader.exec_module(ab_pairs)
 
-END_TO_END = [{"name": "wall_s", "better": "lower"}, {"name": "peak_rss_mb", "better": "lower"}]
+END_TO_END = [{"name": "wall_s", "better": "lower", "bound": 0.25},
+              {"name": "peak_rss_mb", "better": "lower", "bound": 0.02}]
 
 
 def run(wall, rss, failed=0, correct=True, rse=0.5):
@@ -40,6 +41,16 @@ def test_wins_count_strict_improvements_only():
         ab_pairs.wins(parent, change, "closer")
 
 
+def test_within_bound_on_either_side():
+    assert ab_pairs.within_bound(10.0, 12.5, "lower", 0.25)
+    assert not ab_pairs.within_bound(10.0, 12.6, "lower", 0.25)
+    assert ab_pairs.within_bound(10.0, 7.5, "higher", 0.25)
+    assert not ab_pairs.within_bound(10.0, 7.4, "higher", 0.25)
+    # an improvement is always within bound
+    assert ab_pairs.within_bound(10.0, 1.0, "lower", 0.0)
+    assert ab_pairs.within_bound(10.0, 20.0, "higher", 0.0)
+
+
 def test_parse_run_reads_the_last_two_lines():
     first = {"facts": {}, "fits": 3, "report": "x",
              "unbounded": {"rse_p50": {"value": 0.25, "unit": "1"},
@@ -60,9 +71,11 @@ def test_summary_lines():
     lines = ab_pairs.summary_lines(pairs, END_TO_END)
     wall = next(line for line in lines if line.startswith("wall_s"))
     assert "11 [10.5, 11.5]" in wall and "9 [8.5, 10]" in wall
-    assert wall.endswith("2/3 (-18.2% in the median)")
+    assert wall.endswith("2/3 (-18.2% in the median), within bound 25%")
     rss = next(line for line in lines if line.startswith("peak_rss_mb"))
-    assert rss.endswith("0/3 (+2.5% in the median)")
+    assert rss.endswith("0/3 (+2.5% in the median), beyond bound 2%")
+    looser = [dict(END_TO_END[1], bound=0.1)]
+    assert ab_pairs.summary_lines(pairs, looser)[1].endswith("within bound 10%")
     assert "parent: failed 1, correct 3/3" in lines
     assert "change: failed 1, correct 3/3" in lines
     assert lines[-1].endswith(": 2/3")

@@ -23,9 +23,11 @@ from fsim.optimize import (
     init_linear,
     init_random,
     minimize,
+    minimize_each,
     minimize_lockstep,
     resolve_init,
 )
+from test_optimize import serial_nelder_mead
 
 
 def single_block_data(coeffs, y):
@@ -355,8 +357,31 @@ def grid_oracle(monkeypatch, data, strategy, grid, folds, seed, budget):
     return report
 
 
+def serial_gcv_selection(data, strategy, grid, budget, sign_reference):
+    """The GCV selection as a loop over the grid: at each bandwidth the serial
+    search over safe_objective, then _opt_result, then gcv_score.  Returns the
+    scores, the chosen bandwidth and the fields of the winner's fit."""
+    pool = init_random(data, grid.reference, strategy) if strategy.kind == "random" else None
+    scores = np.full(grid.values.size, np.inf)
+    fits = {}
+    for k, h in enumerate(grid.values):
+        try:
+            init, label = (resolve_init(data, strategy) if pool is None
+                           else bw.choose_random_start(data, h, pool))
+            outcome = serial_nelder_mead(lambda x: optimize.safe_objective(data, x, h),
+                                         np.array(init, dtype=float), budget,
+                                         optimize.SPREAD_TOL)
+            fits[k] = optimize._opt_result(data, h, outcome, sign_reference, label)
+            scores[k] = bw.gcv_score(data, fits[k].spec, h)
+        except EstimationError:
+            continue
+    chosen = bw.argmin_prefer_larger(scores)
+    return scores.tobytes(), float(grid.values[chosen]), result_fields(fits[chosen])
+
+
 class TestLockstepGrid:
-    """select_bandwidth runs the fold searches of every grid bandwidth as one lockstep."""
+    """select_bandwidth runs the searches of every grid bandwidth as one lockstep:
+    the fold searches for k-fold, one full-data search each for GCV."""
 
     STRATEGIES = [InitStrategy(kind="true", true_coeffs=np.array([1.0, 0.0, 0.0])),
                   InitStrategy(kind="linear"), InitStrategy(kind="equal"),
@@ -415,6 +440,64 @@ class TestLockstepGrid:
         data, _ = linear_dataset(60, 0.2, seed=29)
         grid = bw.BandwidthGrid(np.array([0.1, 0.3, 0.9]))
         self.assert_grid(monkeypatch, data, InitStrategy(kind="equal"), grid, 5, 2, 30)
+
+    # a sign reference against the first coefficient flips every fit the
+    # default rule keeps, so a dropped reference shows
+    FLIP = np.array([-1.0, 0.0, 0.0])
+
+    @classmethod
+    def assert_gcv(cls, data, strategy, grid, budget):
+        """The GCV report equals the serial loop's, bit for bit, at every bandwidth."""
+        report = bw.select_bandwidth(data, strategy, grid, "gcv", budget=budget,
+                                     sign_reference=cls.FLIP)
+        expected = serial_gcv_selection(data, strategy, grid, budget, cls.FLIP)
+        assert (report.scores.tobytes(), report.chosen_h, result_fields(report.best_fit)) == \
+            expected
+        return report
+
+    # h = 0.08 leaves unusable rows in some smoothers, so those scores fail
+    @pytest.mark.parametrize("strategy", STRATEGIES, ids=lambda s: s.kind)
+    @pytest.mark.parametrize("budget", [0, 4, 40])
+    def test_gcv_report_equals_the_serial_loop(self, strategy, budget):
+        data, _ = linear_dataset(53, 0.2, seed=25)
+        grid = bw.BandwidthGrid(np.array([0.08, 0.3, 0.9]))
+        report = self.assert_gcv(data, strategy, grid, budget)
+        assert np.isfinite(report.scores[1:]).all()
+
+    def test_gcv_zero_start_fails_every_bandwidth(self):
+        data, _ = linear_dataset(40, 0.2, seed=26)
+        grid = bw.BandwidthGrid(np.array([0.3, 0.9]))
+        strategy = InitStrategy(kind="true", true_coeffs=np.zeros(3))
+        with pytest.raises(bw.SelectionError) as lockstep:
+            bw.select_bandwidth(data, strategy, grid, "gcv", budget=30)
+        with pytest.raises(bw.SelectionError) as serial:
+            serial_gcv_selection(data, strategy, grid, 30, None)
+        assert str(lockstep.value) == str(serial.value)
+
+    def test_gcv_bandwidth_failing_at_its_start(self):
+        # at h = 1e-7 every sample is excluded at the start
+        data, truth = linear_dataset(40, 0.2, seed=26)
+        grid = bw.BandwidthGrid(np.array([1e-7, 0.3, 0.9]))
+        report = self.assert_gcv(data, InitStrategy(kind="true", true_coeffs=truth), grid, 30)
+        assert np.isinf(report.scores[0]) and np.isfinite(report.scores[1:]).all()
+
+    def test_gcv_random_pool_failing_at_one_bandwidth(self):
+        # every candidate is degenerate at h = 1e-7, so that bandwidth has no
+        # search; on a curved link an interior bandwidth wins
+        rng = np.random.default_rng(27)
+        x = rng.uniform(-0.6, 0.6, size=(40, 4))
+        data = single_block_data(x, np.sin(5.0 * x[:, 1]) + 0.1 * rng.normal(size=40))
+        grid = bw.BandwidthGrid(np.array([1e-7, 0.15, 0.3, 0.9]))
+        strategy = InitStrategy(kind="random", candidate_count=20, keep_best=4, seed=5)
+        report = self.assert_gcv(data, strategy, grid, 30)
+        assert np.isinf(report.scores[0]) and np.isfinite(report.scores[1:]).all()
+        assert report.chosen_h == 0.3
+
+    def test_gcv_problems_above_one_tile(self):
+        data, truth = linear_dataset(300, 0.2, seed=28)
+        assert data.n > locfit.ONE_TILE_MAX
+        grid = bw.BandwidthGrid(np.array([0.2, 0.5]))
+        self.assert_gcv(data, InitStrategy(kind="true", true_coeffs=truth), grid, 40)
 
 
 class TestFitPipeline:
@@ -525,17 +608,23 @@ class TestSelectBandwidth:
             starts.append((float(h), np.array(init)))
             return minimize(train, init, h, *args)
 
+        def spy_each(data, inits, hs, *args):
+            grid_calls.append(len(hs))
+            starts.extend((float(h), np.array(init)) for init, h in zip(inits, hs))
+            return minimize_each(data, inits, hs, *args)
+
         def spy_lockstep(data, trains, inits, hs, *args):
             grid_calls.append(len(trains))
             starts.extend((float(h), np.array(init)) for init, h in zip(inits, hs))
             return minimize_lockstep(data, trains, inits, hs, *args)
 
-        # gcv searches through minimize; k-fold runs the fold searches of the
-        # whole grid as one lockstep
+        # gcv runs one search per bandwidth and k-fold the fold searches of the
+        # whole grid, each as one lockstep; k-fold refits the winner through minimize
         monkeypatch.setattr(bw, "minimize", spy)
+        monkeypatch.setattr(bw, "minimize_each", spy_each)
         monkeypatch.setattr(bw, "minimize_lockstep", spy_lockstep)
         bw.select_bandwidth(data, strategy, grid, method=method, folds=3, budget=20)
-        assert grid_calls == ([3 * grid.values.size] if method == "kfold" else [])
+        assert grid_calls == [(3 if method == "kfold" else 1) * grid.values.size]
         for h, init in starts:
             np.testing.assert_array_equal(init, bw.choose_random_start(data, h, pool)[0])
         assert {h for h, _ in starts} == set(grid.values.tolist())

@@ -166,6 +166,24 @@ class TestPlot:
         assert run("plot", "--fit", tmp_path / "none.json",
                    "--data", synth_inputs["data"], "--out", tmp_path / "o") == 2
 
+    # (section, key, value): key None drops the section; the fit has 7-dimensional blocks
+    @pytest.mark.parametrize("section, key, value", [
+        ("model", None, None), ("selection", "chosen_h", "abc"),
+        ("selection", "chosen_h", -1), ("metadata", "basis_dim", 5),
+    ], ids=["no-model", "text-bandwidth", "negative-bandwidth", "basis-mismatch"])
+    def test_inconsistent_fit_is_data_error(self, synth_inputs, tmp_path, section, key, value):
+        payload = json.loads(synth_inputs["fit"].read_text())
+        if key is None:
+            del payload[section]
+        else:
+            payload[section][key] = value
+        fit = tmp_path / "fit.json"
+        fit.write_text(json.dumps(payload))
+        out = tmp_path / "plots"
+        assert run("plot", "--fit", fit, "--data", synth_inputs["data"], "--out", out,
+                   "--truth", synth_inputs["truth"]) == 2
+        assert not out.exists()
+
 
 class TestSimulate:
     @staticmethod

@@ -364,8 +364,8 @@ class TestLockstep:
         got = optimize.minimize_lockstep(data, [np.arange(12)] * 5, starts, hs, budget)
         for x0, h, result in zip(starts, hs, got):
             try:
-                outcome = optimize._nelder_mead(lambda x: float(quantized(x, h)[0]), x0,
-                                                budget, optimize.SPREAD_TOL)
+                outcome = serial_nelder_mead(lambda x: float(quantized(x, h)[0]), x0,
+                                             budget, optimize.SPREAD_TOL)
             except DegenerateObjectiveError as exc:
                 assert isinstance(result, DegenerateObjectiveError)
                 assert str(result) == str(exc)

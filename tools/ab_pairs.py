@@ -11,9 +11,13 @@ working tree this script sits in, uncommitted edits included.  Each seed
 runs ``perfbench/run.py --trace 0`` once on each side at ``run_seconds`` from
 BENCHMARK.json, one run at a time, and the side that runs first alternates
 from seed to seed.  For every end-to-end
-metric the script prints each side's median and quartiles and the number of
-pairs the change won (a tie counts for neither side), then ``failed`` and
-``correct`` per side and the pairs whose accuracy figures agree.
+metric the script prints each side's median and quartiles, the number of
+pairs the change won (a tie counts for neither side), and whether the
+change's median is worse than the parent's by no more than the metric's
+``bound`` in BENCHMARK.json ("within bound") or by more ("beyond bound"),
+then ``failed`` and ``correct`` per side and the pairs whose accuracy
+figures agree.  Running it with ``--parent-dir`` set to a copy of this
+checkout (an A/A run) shows how far identical code drifts on the host.
 """
 
 from __future__ import annotations
@@ -58,6 +62,15 @@ def wins(parent, change, better: str) -> int:
     return sum(1 for a, b in zip(parent, change) if sign * (b - a) < 0.0)
 
 
+def within_bound(parent_median: float, change_median: float, better: str,
+                 bound: float) -> bool:
+    """Whether the change's median is worse than the parent's by at most the
+    fraction ``bound``."""
+    if better == "lower":
+        return change_median <= parent_median * (1.0 + bound)
+    return change_median >= parent_median * (1.0 - bound)
+
+
 def parse_run(stdout: str) -> dict:
     """The figures of one ``run.py`` call: its last line, and the unbounded
     figures of the line before it."""
@@ -96,9 +109,12 @@ def summary_lines(pairs, end_to_end) -> list[str]:
             q1, median, q3 = quartiles(values)
             cells.append(f"{median:.4g} [{q1:.4g}, {q3:.4g}]")
         won = wins(sides[0], sides[1], metric["better"])
-        change = statistics.median(sides[1]) / statistics.median(sides[0]) - 1.0
+        medians = [statistics.median(values) for values in sides]
+        change = medians[1] / medians[0] - 1.0
+        kept = within_bound(*medians, metric["better"], metric["bound"])
+        verdict = "within" if kept else "beyond"
         lines.append(f"{name:<13} {cells[0]:<32} {cells[1]:<32} {won}/{count} "
-                     f"({change:+.1%} in the median)")
+                     f"({change:+.1%} in the median), {verdict} bound {metric['bound'] * 100:g}%")
     for side, label in ((0, "parent"), (1, "change")):
         runs = [pair[side] for pair in pairs]
         lines.append(f"{label}: failed {sum(r['failed'] for r in runs)}, "
