@@ -220,9 +220,7 @@ def cmd_fit(args) -> int:
             ],
         },
     }
-    with open(out / "fit.json", "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    simulate.write_json(out / "fit.json", payload)
     return OK
 
 
@@ -240,12 +238,12 @@ def _spec_from_payload(payload) -> IndexModelSpec:
                           alpha=None if alpha is None else float(alpha))
 
 
-def _write_csv(path, header, columns):
-    rows = zip(*columns)
+def _write_csv(path, columns: dict):
+    """One CSV column per entry of ``columns``, named by its key, in order."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        writer.writerow(header)
-        for row in rows:
+        writer.writerow(columns)
+        for row in zip(*columns.values()):
             writer.writerow(["" if isinstance(v, float) and not np.isfinite(v) else repr(float(v))
                              for v in row])
 
@@ -272,6 +270,13 @@ def cmd_plot(args) -> int:
                      "sigma_index": payload["selection"]["sigma_index"]}
         labels = [b["label"] for b in payload["model"]["blocks"]]
         z_hat = compute_index(data, spec)
+        if truth is not None:
+            # the truth lives in its own basis, which the fit's need not match;
+            # projecting costs a least-squares solve per history, so reuse a match
+            truth_basis = FourierBasis(truth.basis_dim, include_constant=True)
+            true_betas = truth.beta_expansions(truth_basis)
+            z_true = truth.true_index(data if truth_basis == basis
+                                      else ingest.to_dataset(records, truth_basis))
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ingest.SchemaError,
             ValueError) as exc:
         print(f"fsim plot: {exc}", file=sys.stderr)
@@ -281,57 +286,40 @@ def cmd_plot(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     # keep the output directory self-describing: seed, bandwidths, strategy
-    with open(out / "metadata.json", "w", encoding="utf-8") as handle:
-        json.dump({
-            "fit_metadata": payload["metadata"],
-            "selection": selection,
-            "truth": args.truth,
-            "grid_points": args.grid_points,
-        }, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    simulate.write_json(out / "metadata.json", {
+        "fit_metadata": payload["metadata"],
+        "selection": selection,
+        "truth": args.truth,
+        "grid_points": args.grid_points,
+    })
 
     grid = np.linspace(float(z_hat.min()), float(z_hat.max()), args.grid_points)
-    g_hat = curve_estimates(z_hat, data.y, grid, chosen_h, derivative=0)
-    g2_hat = curve_estimates(z_hat, data.y, grid, chosen_h2, derivative=2)
-
-    link = simulate.LINKS[truth.link] if truth else None
-    g_cols = [grid, g_hat] + ([link.g(grid)] if link else [])
-    g_head = ["index", "g_hat"] + (["g_true"] if link else [])
-    _write_csv(out / "g_curve.csv", g_head, g_cols)
-    g2_cols = [grid, g2_hat] + ([link.curvature(grid)] if link else [])
-    g2_head = ["index", "g2_hat"] + (["g2_true"] if link else [])
-    _write_csv(out / "g2_curve.csv", g2_head, g2_cols)
-
+    g_series = {"g_hat": curve_estimates(z_hat, data.y, grid, chosen_h, derivative=0)}
+    g2_series = {"g2_hat": curve_estimates(z_hat, data.y, grid, chosen_h2, derivative=2)}
     t_grid = np.linspace(0.0, 1.0, 201)
-    coef_head, coef_cols = ["t"], [t_grid]
-    for label, beta in zip(labels, spec.beta_blocks):
-        coef_head.append(f"beta_{label}")
-        coef_cols.append(beta.basis.design_matrix(t_grid) @ beta.coeffs)
+    coef_series = {f"beta_{label}": beta.basis.design_matrix(t_grid) @ beta.coeffs
+                   for label, beta in zip(labels, spec.beta_blocks)}
     if truth is not None:
-        for label, true_beta in zip(labels, truth.beta_expansions(basis)):
-            coef_head.append(f"beta_{label}_true")
-            coef_cols.append(true_beta.basis.design_matrix(t_grid) @ true_beta.coeffs)
-    _write_csv(out / "coefficients.csv", coef_head, coef_cols)
+        link = simulate.LINKS[truth.link]
+        g_series["g_true"] = link.g(grid)
+        g2_series["g2_true"] = link.curvature(grid)
+        for label, beta in zip(labels, true_betas):
+            coef_series[f"beta_{label}_true"] = beta.basis.design_matrix(t_grid) @ beta.coeffs
+    _write_csv(out / "g_curve.csv", {"index": grid, **g_series})
+    _write_csv(out / "g2_curve.csv", {"index": grid, **g2_series})
+    _write_csv(out / "coefficients.csv", {"t": t_grid, **coef_series})
 
     if truth is not None:
-        z_true = truth.true_index(data)
         _write_csv(out / "index_scatter.csv",
-                   ["index_true", "index_est", "reference"],
-                   [z_true, z_hat, z_true])
+                   {"index_true": z_true, "index_est": z_hat, "reference": z_true})
         g2_at_samples = curve_estimates(z_hat, data.y, z_hat, chosen_h2, derivative=2)
         _write_csv(out / "curvature_scatter.csv",
-                   ["index_true", "g2_est", "g2_true"],
-                   [z_true, g2_at_samples, link.curvature(z_true)])
+                   {"index_true": z_true, "g2_est": g2_at_samples,
+                    "g2_true": link.curvature(z_true)})
 
     if args.svg:
-        g_series = {"g_hat": g_hat}
-        g2_series = {"g2_hat": g2_hat}
-        if link:
-            g_series["g_true"] = link.g(grid)
-            g2_series["g2_true"] = link.curvature(grid)
         svg.line_chart(out / "g_curve.svg", grid, g_series, title="link function")
         svg.line_chart(out / "g2_curve.svg", grid, g2_series, title="link curvature")
-        coef_series = {name: col for name, col in zip(coef_head[1:], coef_cols[1:])}
         svg.line_chart(out / "coefficients.svg", t_grid, coef_series,
                        title="coefficient functions")
     return OK

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import BasisExpansion, FourierBasis, project_samples, readonly_array
-from .model import Dataset, FunctionalBlock
-from .simulate import LINKS
+from .model import Dataset, FunctionalBlock, IndexModelSpec, compute_index
+from .simulate import LINKS, write_json
 
 N_BINS = 37
 PRECIP_COLUMNS = tuple(f"p.{i:02d}" for i in range(N_BINS))
@@ -142,6 +142,8 @@ class EcologyTruth:
     n: int
 
     def __post_init__(self):
+        if self.link not in LINKS:
+            raise ValueError(f"unknown link {self.link!r}, expected one of {sorted(LINKS)}")
         object.__setattr__(self, "beta1", readonly_array(self.beta1))
         object.__setattr__(self, "beta2", readonly_array(self.beta2))
 
@@ -151,13 +153,11 @@ class EcologyTruth:
 
     def true_index(self, data: Dataset) -> np.ndarray:
         """Index values implied by the truth on (projected) data."""
-        b1, b2 = self.beta_expansions(data.blocks[0].basis)
-        z = data.blocks[0].nonconstant() @ b1.coeffs
-        z += data.blocks[1].nonconstant() @ b2.coeffs
-        return z + self.alpha * data.w
+        betas = self.beta_expansions(data.blocks[0].basis)
+        return compute_index(data, IndexModelSpec(betas, bandwidth=1.0, alpha=self.alpha))
 
     def to_json(self, path) -> None:
-        payload = {
+        write_json(path, {
             "alpha": self.alpha,
             "beta1": [float(v) for v in self.beta1],
             "beta2": [float(v) for v in self.beta2],
@@ -166,10 +166,7 @@ class EcologyTruth:
             "basis_dim": self.basis_dim,
             "seed": self.seed,
             "n": self.n,
-        }
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        })
 
     @classmethod
     def from_json(cls, path) -> "EcologyTruth":
@@ -207,8 +204,6 @@ def synth_ecology(path, n: int, seed: int = 0, link: str = "g2", alpha: float = 
     combined (beta1, beta2) truth is unit norm.  A truth JSON is written next
     to the CSV (or at ``truth_path``).
     """
-    if link not in LINKS:
-        raise ValueError(f"unknown link {link!r}, expected one of {sorted(LINKS)}")
     if basis_dim < 3 or basis_dim > N_BINS:
         raise ValueError(f"basis dimension must be in [3, {N_BINS}], got {basis_dim}")
     basis = FourierBasis(basis_dim, include_constant=True)
@@ -221,6 +216,8 @@ def synth_ecology(path, n: int, seed: int = 0, link: str = "g2", alpha: float = 
     beta2 = np.asarray(beta2, dtype=float)
     if beta1.shape != (beta_dim,) or beta2.shape != (beta_dim,):
         raise ValueError(f"truth coefficients must have length {beta_dim}")
+    truth = EcologyTruth(alpha=alpha, beta1=beta1, beta2=beta2, link=link,
+                         noise_sd=noise_sd, basis_dim=basis_dim, seed=seed, n=n)
 
     rng = np.random.default_rng(seed)
     # decaying harmonic scales; pair k gets scale 0.6 / k
@@ -253,8 +250,6 @@ def synth_ecology(path, n: int, seed: int = 0, link: str = "g2", alpha: float = 
         for i in range(n)
     ]
     write_csv(records, path)
-    truth = EcologyTruth(alpha=alpha, beta1=beta1, beta2=beta2, link=link,
-                         noise_sd=noise_sd, basis_dim=basis_dim, seed=seed, n=n)
     if truth_path is None:
         truth_path = str(path) + ".truth.json"
     truth.to_json(truth_path)

@@ -56,9 +56,6 @@ class FunctionalBlock:
     def beta_basis(self) -> FourierBasis:
         return self.basis.drop_constant()
 
-    def expansion(self, i: int) -> BasisExpansion:
-        return BasisExpansion(self.basis, self.coeffs[i])
-
 
 @dataclass(frozen=True)
 class Dataset:
@@ -142,11 +139,11 @@ class ObjectiveReport:
     index_values: np.ndarray
 
 
-def _search_vector(data: Dataset, raw) -> np.ndarray:
+def _search_vector(data: Dataset, raw, lead=()) -> np.ndarray:
     raw = np.asarray(raw, dtype=float)
-    expected = data.search_dimension()
-    if raw.shape != (expected,):
-        raise ValueError(f"expected a search vector of length {expected}, got {raw.shape}")
+    expected = lead + (data.search_dimension(),)
+    if raw.shape != expected:
+        raise ValueError(f"expected search vectors of shape {expected}, got {raw.shape}")
     return raw
 
 
@@ -162,23 +159,32 @@ def split_raw(data: Dataset, raw) -> tuple[list[np.ndarray], float | None]:
     return parts, alpha
 
 
-def raw_index(data: Dataset, raw) -> tuple[np.ndarray, float]:
-    """Index values at an unnormalized search vector, with the coefficient norm.
+def search_index(data: Dataset, raw, samples=None) -> tuple[np.ndarray, np.ndarray]:
+    """Index values at unnormalized search vectors, with the coefficient norms.
 
-    Runs once per objective evaluation, so it reads slices of ``raw``
-    instead of building :func:`split_raw`'s parts and concatenating them.
+    A search vector holds each block's coefficients in block order, without
+    the constant column, then alpha when the data carry a scalar.  Given
+    ``samples``, ``raw`` is a stack of search vectors and row ``b`` is mapped
+    on the samples ``samples[b]``, bit for bit as on
+    ``data.subset(samples[b])``.  The norm is that of the functional part.
     """
-    raw = _search_vector(data, raw)
-    z = np.zeros(data.n)
+    rows = slice(None) if samples is None else samples
+    z = np.zeros(data.y[rows].shape)
+    raw = _search_vector(data, raw, z.shape[:-1])
     start = 0
     for block in data.blocks:
-        columns = block.nonconstant()
-        stop = start + columns.shape[1]
-        z += columns @ raw[start:stop]
+        # each slice has the layout of the subset's own coefficient matrix
+        columns = block.coeffs[rows]
+        if block.basis.include_constant:
+            columns = columns[..., 1:]
+        stop = start + columns.shape[-1]
+        z += (columns @ raw[..., start:stop, None])[..., 0]
         start = stop
     if data.w is not None:
-        z += float(raw[start]) * data.w
-    return z, float(np.linalg.norm(raw[:start]))
+        z += raw[..., start, None] * data.w[rows]
+    functional = raw[..., :start]
+    # per search vector the dot product np.linalg.norm takes the root of
+    return z, np.sqrt((functional[..., None, :] @ functional[..., :, None])[..., 0, 0])
 
 
 def spec_from_raw(data: Dataset, raw, h: float) -> IndexModelSpec:
@@ -210,17 +216,15 @@ def compute_index(data: Dataset, spec: IndexModelSpec) -> np.ndarray:
             f"spec has {len(spec.beta_blocks)} coefficient functions for "
             f"{len(data.blocks)} functional blocks"
         )
-    z = np.zeros(data.n)
     for k, (block, beta) in enumerate(zip(data.blocks, spec.beta_blocks)):
-        xs = block.nonconstant()
         if beta.basis != block.beta_basis():
             raise ValueError(f"block {k}: coefficient basis does not match covariate basis")
-        z += xs @ beta.coeffs
-    if spec.alpha is not None:
-        if data.w is None:
-            raise ValueError("spec has a scalar coefficient but the dataset has no scalar")
-        z += spec.alpha * data.w
-    return z
+    if (spec.alpha is None) != (data.w is None):
+        raise ValueError("spec has a scalar coefficient but the dataset has no scalar"
+                         if data.w is None else
+                         "dataset has a scalar but the spec has no scalar coefficient")
+    alpha = [] if spec.alpha is None else [spec.alpha]
+    return search_index(data, np.concatenate([spec.coefficient_vector(), alpha]))[0]
 
 
 def canonical_sign(spec: IndexModelSpec, reference=None) -> IndexModelSpec:
@@ -261,7 +265,7 @@ def objective_loo_mse(data: Dataset, raw_coeffs, h: float) -> ObjectiveReport:
             f"objective needs at least {MIN_SAMPLES} samples, got {data.n}")
     if h <= 0:
         raise ValueError(f"bandwidth must be positive, got {h}")
-    z, norm = raw_index(data, raw_coeffs)
+    z, norm = search_index(data, raw_coeffs)
     if norm == 0.0:
         raise NormalizationError("zero functional coefficient vector")
     estimates, excluded = nw_loo_all(z, data.y, h * norm)
@@ -296,7 +300,7 @@ class StackedObjective:
     sample excluded).  Points on subsets of one size are evaluated in
     stacks (:func:`fsim.locfit.stack_size`) whose kernel tile and gathered
     coefficients hold at most ``ONE_TILE_MAX**2`` values each: the index
-    values and coefficient norms come from stacked products, the kernel
+    values and coefficient norms come from :func:`search_index`, the kernel
     sums from :func:`fsim.locfit.nw_loo_batch`, and every other reduction
     runs per point, so each value is the serial one bit for bit.  The
     subsets' samples are gathered from ``data`` per stack, never copied
@@ -341,21 +345,7 @@ class StackedObjective:
         the matching row of ``samples`` at the matching bandwidth of ``h``,
         infinity where it raises."""
         data = self.data
-        z = np.zeros(samples.shape)
-        start = 0
-        for block in data.blocks:
-            # each slice has the layout of the subset's own coefficient matrix
-            columns = block.coeffs[samples]
-            if block.basis.include_constant:
-                columns = columns[:, :, 1:]
-            stop = start + columns.shape[2]
-            z += (columns @ raw[:, start:stop, None])[..., 0]
-            start = stop
-        if data.w is not None:
-            z += raw[:, start, None] * data.w[samples]
-        functional = raw[:, :start]
-        # per row the dot product np.linalg.norm takes the root of
-        norms = np.sqrt((functional[:, None, :] @ functional[:, :, None])[:, 0, 0])
+        z, norms = search_index(data, raw, samples)
         mse = np.full(len(raw), np.inf)
         ok = np.flatnonzero(norms != 0.0)
         y = data.y[samples[ok]]

@@ -296,8 +296,12 @@ def _format_cell(value):
     return value
 
 
-def write_table_json(rows: list[dict], path, metadata: dict | None = None) -> None:
-    payload = {"metadata": metadata or {}, "rows": rows}
+def write_json(path, payload) -> None:
+    """Write a JSON artifact: sorted keys, two-space indent, trailing newline."""
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
+
+
+def write_table_json(rows: list[dict], path, metadata: dict | None = None) -> None:
+    write_json(path, {"metadata": metadata or {}, "rows": rows})

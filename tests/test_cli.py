@@ -170,7 +170,8 @@ class TestPlot:
     @pytest.mark.parametrize("section, key, value", [
         ("model", None, None), ("selection", "chosen_h", "abc"),
         ("selection", "chosen_h", -1), ("metadata", "basis_dim", 5),
-    ], ids=["no-model", "text-bandwidth", "negative-bandwidth", "basis-mismatch"])
+        ("model", "alpha", None),
+    ], ids=["no-model", "text-bandwidth", "negative-bandwidth", "basis-mismatch", "no-alpha"])
     def test_inconsistent_fit_is_data_error(self, synth_inputs, tmp_path, section, key, value):
         payload = json.loads(synth_inputs["fit"].read_text())
         if key is None:
@@ -183,6 +184,32 @@ class TestPlot:
         assert run("plot", "--fit", fit, "--data", synth_inputs["data"], "--out", out,
                    "--truth", synth_inputs["truth"]) == 2
         assert not out.exists()
+
+    # (key, value): a truth file with an unknown link or a short coefficient vector
+    @pytest.mark.parametrize("key, value", [("link", "g9"), ("beta1", None)],
+                             ids=["unknown-link", "short-beta"])
+    def test_bad_truth_is_data_error(self, synth_inputs, tmp_path, key, value):
+        payload = json.loads(synth_inputs["truth"].read_text())
+        payload[key] = payload[key][:-1] if value is None else value
+        truth = tmp_path / "truth.json"
+        truth.write_text(json.dumps(payload))
+        out = tmp_path / "plots"
+        assert run("plot", "--fit", synth_inputs["fit"], "--data", synth_inputs["data"],
+                   "--out", out, "--truth", truth) == 2
+        assert not out.exists()
+
+    def test_truth_in_its_own_basis(self, synth_inputs, tmp_path):
+        # the truth has 7 basis functions, the fit 5
+        fit_dir = tmp_path / "fit5"
+        assert run("fit", "--data", synth_inputs["data"], "--out", fit_dir,
+                   "--strategy", "equal", "--basis-dim", 5, "--budget", 40,
+                   "--grid-size", 2) == 0
+        out = tmp_path / "plots"
+        assert run("plot", "--fit", fit_dir / "fit.json", "--data", synth_inputs["data"],
+                   "--out", out, "--truth", synth_inputs["truth"]) == 0
+        header = (out / "coefficients.csv").read_text().splitlines()[0]
+        assert header == "t,beta_precip,beta_temp,beta_precip_true,beta_temp_true"
+        assert (out / "index_scatter.csv").exists()
 
 
 class TestSimulate:

@@ -163,6 +163,20 @@ class TestSynthEcology:
         index = truth.true_index(data)
         np.testing.assert_allclose(data.y, LINKS["g2"].g(index), atol=1e-5)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_true_index_is_the_hand_formula(self, tmp_path, seed):
+        path = tmp_path / "synth.csv"
+        truth = synth_ecology(path, n=30, seed=seed, link="g1")
+        data = to_dataset(load_csv(path), FourierBasis(truth.basis_dim))
+        x1, x2 = (block.coeffs[:, 1:] for block in data.blocks)
+        hand = x1 @ truth.beta1 + x2 @ truth.beta2 + truth.alpha * data.w
+        assert truth.true_index(data).tobytes() == hand.tobytes()
+
+    def test_unknown_link_rejected(self):
+        with pytest.raises(ValueError, match="unknown link 'g9'"):
+            EcologyTruth(alpha=0.6, beta1=np.ones(2), beta2=np.ones(2), link="g9",
+                         noise_sd=0.05, basis_dim=3, seed=0, n=10)
+
     def test_truth_is_jointly_unit_norm(self, tmp_path):
         truth = synth_ecology(tmp_path / "s.csv", n=8, seed=5)
         joint = np.concatenate([truth.beta1, truth.beta2])

@@ -17,6 +17,7 @@ from fsim.model import (
     canonical_sign,
     compute_index,
     objective_loo_mse,
+    search_index,
     spec_from_raw,
 )
 from fsim.optimize import safe_objective
@@ -117,6 +118,16 @@ class TestComputeIndex:
         )
         with pytest.raises(ValueError):
             compute_index(data, spec)
+
+    def test_scalar_mismatch_in_either_direction(self):
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(4, 4))
+        beta = BasisExpansion(FourierBasis(3, include_constant=False), np.ones(3))
+        with pytest.raises(ValueError, match="spec has a scalar coefficient"):
+            compute_index(single_block_data(x, np.zeros(4)), IndexModelSpec((beta,), 1.0, 0.5))
+        with pytest.raises(ValueError, match="dataset has a scalar"):
+            compute_index(single_block_data(x, np.zeros(4), w=np.ones(4)),
+                          IndexModelSpec((beta,), 1.0))
 
 
 class TestNormalizeSpec:
@@ -369,3 +380,50 @@ class TestStackedObjective:
     def test_rejects_bad_bandwidth(self):
         with pytest.raises(ValueError, match="bandwidth must be positive"):
             StackedObjective(two_block_data(10, seed=15), [np.arange(10)], 0.0)
+
+
+class TestSearchIndex:
+    """One map from search vectors to index values, for one vector or a stack."""
+
+    @staticmethod
+    def hand_index(data, raw):
+        # the per-block loop the serial objective ran before the one map
+        z = np.zeros(data.n)
+        start = 0
+        for block in data.blocks:
+            columns = block.nonconstant()
+            z += columns @ raw[start:start + columns.shape[1]]
+            start += columns.shape[1]
+        if data.w is not None:
+            z += float(raw[start]) * data.w
+        return z, float(np.linalg.norm(raw[:start]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), stack=st.integers(1, 6),
+           fraction=st.floats(0.05, 1.0), two_blocks=st.booleans())
+    def test_stack_rows_are_the_map_on_each_subset(self, seed, n, stack, fraction, two_blocks):
+        rng = np.random.default_rng(seed)
+        if two_blocks:
+            data = two_block_data(n, seed)
+        else:
+            data = single_block_data(rng.normal(size=(n, 6)), rng.normal(size=n))
+        size = max(1, int(fraction * n))
+        samples = np.stack([rng.choice(n, size, replace=bool(rng.integers(2)))
+                            for _ in range(stack)])
+        raw = rng.normal(size=(stack, data.search_dimension()))
+        functional = sum(data.beta_dims())
+        z, norms = search_index(data, raw, samples)
+        assert z.shape == samples.shape and norms.shape == (stack,)
+        for b in range(stack):
+            subset = data.subset(samples[b])
+            z_b, norm_b = search_index(subset, raw[b])
+            hand_z, hand_norm = self.hand_index(subset, raw[b])
+            assert z[b].tobytes() == z_b.tobytes() == hand_z.tobytes()
+            assert norms[b] == norm_b == hand_norm == np.linalg.norm(raw[b, :functional])
+
+    def test_rejects_a_search_vector_of_the_wrong_shape(self):
+        data = two_block_data(6, seed=1)
+        with pytest.raises(ValueError, match="search vectors of shape"):
+            search_index(data, np.ones(data.search_dimension() - 1))
+        with pytest.raises(ValueError, match="search vectors of shape"):
+            search_index(data, np.ones((3, data.search_dimension())), np.zeros((2, 4), int))
