@@ -3,15 +3,19 @@
 The objective is piecewise smooth in the coefficients (samples enter and
 leave kernel windows), so the outer search is derivative-free.  Every
 search, alone or with others, runs on one array-state Nelder-Mead
-(:func:`_nelder_mead`).  Four ways of choosing the start point are
-supported: the known truth (simulations), an ordinary least squares fit
-assuming a linear link, an all-equal vector, and a pool of standard normal
-draws prefiltered by objective value, from which
+(:func:`_nelder_mead`); the searches of a lockstep are split across the
+CPUs this process may use (:func:`_in_parts`).  Four ways of choosing the
+start point are supported: the known truth (simulations), an ordinary
+least squares fit assuming a linear link, an all-equal vector, and a pool
+of standard normal draws prefiltered by objective value, from which
 :func:`fsim.bandwidth.select_bandwidth` picks one start per bandwidth.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,10 +196,11 @@ def minimize_each(data: Dataset, init, h, budget: int | None, sign_reference,
 
     ``h`` holds one bandwidth per search, ``init`` one start vector per
     search or one for all, and ``labels`` one ``init_used`` per search.
-    The searches run in lockstep (:func:`_nelder_mead`), each point
-    evaluated on its own by :func:`safe_objective`, each search's points in
-    the order a search of its own evaluates them.  A failed search's slot
-    holds the error :func:`minimize` raises.
+    The searches run in lockstep (:func:`_nelder_mead`), one lockstep per
+    part of :func:`_in_parts`, each point evaluated on its own by
+    :func:`safe_objective`, each search's points in the order a search of
+    its own evaluates them.  A failed search's slot holds the error
+    :func:`minimize` raises.
     """
     hs = np.asarray(h, dtype=float).tolist()
     starts, max_evals = _search_start(data, init, budget, len(hs))
@@ -203,7 +208,7 @@ def minimize_each(data: Dataset, init, h, budget: int | None, sign_reference,
     def objective(which, points):
         return np.array([safe_objective(data, x, hs[k]) for k, x in zip(which.tolist(), points)])
 
-    outcomes = _nelder_mead(objective, starts, max_evals)
+    outcomes = _searches(objective, starts, max_evals)
     return _opt_results(data, hs, outcomes, sign_reference, labels)
 
 
@@ -213,17 +218,108 @@ def minimize_lockstep(data: Dataset, subsets, init, h, budget: int | None = None
 
     ``init`` holds one start vector per search, or one for all; ``h`` one
     bandwidth per search, or one for all.  The searches run in lockstep
-    (:func:`_nelder_mead`); each step evaluates every running search's
-    pending points with one :class:`fsim.model.StackedObjective` call.  A
-    failed search's slot holds the error :func:`minimize` raises.  A
-    result's spec depends on the data only through their design, which
-    every subset shares with ``data``.
+    (:func:`_nelder_mead`), one lockstep per part of :func:`_in_parts`;
+    each step evaluates every running search's pending points with one
+    :class:`fsim.model.StackedObjective` call.  A failed search's slot
+    holds the error :func:`minimize` raises.  A result's spec depends on
+    the data only through their design, which every subset shares with
+    ``data``.
     """
     count = len(subsets)
     starts, max_evals = _search_start(data, init, budget, count)
     hs = np.broadcast_to(np.asarray(h, dtype=float), (count,))
-    outcomes = _nelder_mead(StackedObjective(data, subsets, hs), starts, max_evals)
+    outcomes = _searches(StackedObjective(data, subsets, hs), starts, max_evals)
     return _opt_results(data, hs.tolist(), outcomes, None, ["custom"] * count)
+
+
+def _searches(objective, starts: np.ndarray, max_evals: int) -> list:
+    """``_nelder_mead(objective, starts, max_evals)``, its searches split by :func:`_in_parts`.
+
+    Each part runs its own lockstep on its rows of ``starts``; a search's
+    result does not depend on which searches share its steps.
+    """
+    def run(rows):
+        return _nelder_mead(lambda which, points: objective(rows[which], points),
+                            starts[rows], max_evals)
+
+    return _in_parts(run, len(starts))
+
+
+def _in_parts(run, count: int) -> list:
+    """``run(rows)`` over ``count`` searches, split across the CPUs this process may use.
+
+    With W = min(usable CPUs, count) parts, part r holds searches r, r + W,
+    r + 2W, ..., so that cheap and costly searches mix.  ``run(rows)``
+    returns one outcome per search of the index array ``rows``; the
+    outcomes come back in search order.  This process runs part 0 and a
+    forked child runs each other part (:func:`_fork`).  A child's exception
+    is raised here, the first failing part's in part order.  If part 0
+    raises, every child is killed and reaped before the exception goes on,
+    so no child outlives the call.  Where ``os.fork`` or
+    ``os.sched_getaffinity`` is missing, W is 1 and nothing forks.
+    """
+    usable = (len(os.sched_getaffinity(0))
+              if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1)
+    width = max(1, min(usable, count))
+    parts = [np.arange(r, count, width) for r in range(width)]
+    if width == 1:
+        return run(parts[0])
+    children = []  # (pid, pipe) of every child not yet reaped, in part order
+    try:
+        for rows in parts[1:]:
+            children.append(_fork(run, rows))
+        messages = [(True, run(parts[0]))]
+        while children:
+            pid, pipe = children[0]
+            with pipe:
+                payload = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            children.pop(0)
+            messages.append(pickle.loads(payload) if payload else (False, RuntimeError(
+                f"search worker {pid} ended without a result (wait status {status})")))
+    except BaseException:
+        for pid, pipe in children:
+            pipe.close()
+            try:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            except (ProcessLookupError, ChildProcessError):
+                pass  # reaped just before the exception
+        raise
+    outcomes = [None] * count
+    for rows, (ok, value) in zip(parts, messages):
+        if not ok:
+            raise value
+        for k, outcome in zip(rows.tolist(), value):
+            outcomes[k] = outcome
+    return outcomes
+
+
+def _fork(run, rows) -> tuple:
+    """Fork a child that runs ``run(rows)``; returns its pid and the read end of its pipe.
+
+    The child pickles ``(True, outcomes)``, or ``(False, exception)`` when
+    ``run`` raises, to the pipe and always leaves through ``os._exit``, so
+    it never unwinds into its caller's frames.  It sends nothing when the
+    message cannot be pickled.
+    """
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write)
+        return pid, os.fdopen(read, "rb")
+    status = 1
+    try:
+        os.close(read)
+        try:
+            message = (True, run(rows))
+        except BaseException as exc:
+            message = (False, exc)
+        with os.fdopen(write, "wb") as pipe:
+            pipe.write(pickle.dumps(message))
+        status = 0
+    finally:
+        os._exit(status)
 
 
 # what the pending points of a search are; DONE has none
@@ -282,45 +378,58 @@ def _nelder_mead(objective, starts: np.ndarray, max_evals: int) -> list:
         one = live[(live_phase != INIT) & (live_phase != SHRINK)]
         got = objective(np.concatenate([np.repeat(many, dim), one]),
                         np.concatenate([simplex[many, 1:].reshape(-1, dim), trial[one]]))
-        values[many, 1:] = got[:many.size * dim].reshape(many.size, dim)
-        evals[many] += dim
-        evals[one] += 1
-        got, one_phase = got[many.size * dim:], phase[one]
-        # the searches whose simplex is complete again, to be sorted
-        ready = [many]
-
-        at = one_phase == REFLECT
-        s, f = one[at], got[at]
-        grow = f < values[s, 0]
-        keep = ~grow & (f < values[s, -2])
-        shrinking = ~grow & ~keep
-        g = s[grow]
-        reflected[g], f_reflected[g] = trial[g], f[grow]
-        trial[g] = centroid[g] + expand * (centroid[g] - simplex[g, -1])
-        phase[g] = EXPAND
-        k = s[keep]
-        simplex[k, -1], values[k, -1] = trial[k], f[keep]
-        ready.append(k)
-        c = s[shrinking]
-        trial[c] = centroid[c] + contract * (simplex[c, -1] - centroid[c])
-        phase[c] = CONTRACT
-
-        at = one_phase == EXPAND
-        s, f = one[at], got[at]
-        better = f < f_reflected[s]
-        simplex[s, -1] = np.where(better[:, None], trial[s], reflected[s])
-        values[s, -1] = np.where(better, f, f_reflected[s])
-        ready.append(s)
-
-        at = one_phase == CONTRACT
-        s, f = one[at], got[at]
-        better = f < values[s, -1]
-        k = s[better]
-        simplex[k, -1], values[k, -1] = trial[k], f[better]
-        ready.append(k)
-        k = s[~better]
-        simplex[k, 1:] = simplex[k, :1] + shrink * (simplex[k, 1:] - simplex[k, :1])
-        phase[k] = SHRINK
+        # the searches whose simplex is complete again, to be sorted; a
+        # branch no search takes is skipped, which changes no decision
+        ready = []
+        if many.size:
+            values[many, 1:] = got[:many.size * dim].reshape(many.size, dim)
+            evals[many] += dim
+            ready.append(many)
+        if one.size:
+            evals[one] += 1
+            got, one_phase = got[many.size * dim:], phase[one]
+            at = one_phase == REFLECT
+            s = one[at]
+            if s.size:
+                f = got[at]
+                grow = f < values[s, 0]
+                keep = ~grow & (f < values[s, -2])
+                g = s[grow]
+                if g.size:
+                    reflected[g], f_reflected[g] = trial[g], f[grow]
+                    trial[g] = centroid[g] + expand * (centroid[g] - simplex[g, -1])
+                    phase[g] = EXPAND
+                k = s[keep]
+                if k.size:
+                    simplex[k, -1], values[k, -1] = trial[k], f[keep]
+                    ready.append(k)
+                c = s[~grow & ~keep]
+                if c.size:
+                    trial[c] = centroid[c] + contract * (simplex[c, -1] - centroid[c])
+                    phase[c] = CONTRACT
+            at = one_phase == EXPAND
+            s = one[at]
+            if s.size:
+                f = got[at]
+                better = f < f_reflected[s]
+                simplex[s, -1] = np.where(better[:, None], trial[s], reflected[s])
+                values[s, -1] = np.where(better, f, f_reflected[s])
+                ready.append(s)
+            at = one_phase == CONTRACT
+            s = one[at]
+            if s.size:
+                f = got[at]
+                better = f < values[s, -1]
+                k = s[better]
+                if k.size:
+                    simplex[k, -1], values[k, -1] = trial[k], f[better]
+                    ready.append(k)
+                k = s[~better]
+                if k.size:
+                    simplex[k, 1:] = simplex[k, :1] + shrink * (simplex[k, 1:] - simplex[k, :1])
+                    phase[k] = SHRINK
+        if not ready:
+            continue
 
         s = np.concatenate(ready)
         order = values[s].argsort(axis=1, kind="stable")
@@ -334,6 +443,8 @@ def _nelder_mead(objective, starts: np.ndarray, max_evals: int) -> list:
         stop = settled | (evals[s] >= max_evals)
         phase[s[stop]] = DONE
         s = s[~stop]
+        if not s.size:
+            continue
         iterations[s] += 1
         # per search np.mean's own sum and division, bit for bit, without its dispatch cost
         centroid[s] = simplex[s, :-1].sum(axis=1) / dim

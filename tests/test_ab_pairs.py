@@ -15,8 +15,11 @@ END_TO_END = [{"name": "wall_s", "better": "lower", "bound": 0.25},
               {"name": "peak_rss_mb", "better": "lower", "bound": 0.02}]
 
 
-def run(wall, rss, failed=0, correct=True, rse=0.5):
-    return {"correct": correct, "failed": failed,
+MACHINE = {"nproc": 2, "cpus_usable": 2, "blas_threads": 2}
+
+
+def run(wall, rss, failed=0, correct=True, rse=0.5, machine=MACHINE):
+    return {"correct": correct, "failed": failed, "machine": dict(machine),
             "metrics": {"wall_s": wall, "peak_rss_mb": rss},
             "accuracy": {"failed_frac": 0.0, "rse_p50": rse, "rase_p50": 0.1, "rase2_p50": 9.0}}
 
@@ -52,7 +55,8 @@ def test_within_bound_on_either_side():
 
 
 def test_parse_run_reads_the_last_two_lines():
-    first = {"facts": {}, "fits": 3, "report": "x",
+    first = {"facts": {"nproc": 4, "cpus_usable": 2, "blas": {"vendor": "x", "threads": 1}},
+             "fits": 3, "report": "x",
              "unbounded": {"rse_p50": {"value": 0.25, "unit": "1"},
                            "failed_frac": {"value": 0.0, "unit": "ratio"}}}
     last = {"correct": True, "attempted": 3, "failed": 1,
@@ -62,6 +66,19 @@ def test_parse_run_reads_the_last_two_lines():
     assert parsed["metrics"] == {"wall_s": 12.5}
     assert parsed["accuracy"] == {"failed_frac": 0.0, "rse_p50": 0.25, "rase_p50": None,
                                   "rase2_p50": None}
+    assert parsed["machine"] == {"nproc": 4, "cpus_usable": 2, "blas_threads": 1}
+    # a run without the facts line has unknown machine facts
+    alone = ab_pairs.parse_run(json.dumps(last))
+    assert alone["machine"] == {"nproc": None, "cpus_usable": None, "blas_threads": None}
+
+
+@pytest.mark.parametrize("fact", ["nproc", "cpus_usable", "blas_threads"])
+def test_pairs_with_different_machine_facts_are_refused(fact):
+    assert ab_pairs.pair_problem(run(10.0, 40.0), run(9.0, 40.0)) is None
+    other = run(9.0, 40.0, machine=dict(MACHINE, **{fact: 1}))
+    problem = ab_pairs.pair_problem(run(10.0, 40.0), other)
+    assert problem.startswith("machine facts differ")
+    assert f"{fact} 1" in problem and f"{fact} 2" in problem
 
 
 def test_summary_lines():
@@ -76,6 +93,7 @@ def test_summary_lines():
     assert rss.endswith("0/3 (+2.5% in the median), beyond bound 2%")
     looser = [dict(END_TO_END[1], bound=0.1)]
     assert ab_pairs.summary_lines(pairs, looser)[1].endswith("within bound 10%")
-    assert "parent: failed 1, correct 3/3" in lines
-    assert "change: failed 1, correct 3/3" in lines
+    machine = "nproc 2, cpus_usable 2, blas_threads 2"
+    assert f"parent: failed 1, correct 3/3; {machine}" in lines
+    assert f"change: failed 1, correct 3/3; {machine}" in lines
     assert lines[-1].endswith(": 2/3")

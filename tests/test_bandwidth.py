@@ -1,5 +1,7 @@
 """Tests for bandwidth selection: GCV, k-fold CV, grid handling, rescale."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,7 +29,8 @@ from fsim.optimize import (
     minimize_lockstep,
     resolve_init,
 )
-from test_optimize import serial_nelder_mead
+from fsim.simulate import ExperimentConfig, run_experiment
+from test_optimize import no_child_left, result_fields, serial_nelder_mead, use_cpus  # noqa: F401
 
 
 def single_block_data(coeffs, y):
@@ -219,15 +222,6 @@ def serial_searches(data, subsets, init, h, budget=None):
 def training_indices(data, folds, seed):
     return [np.setdiff1d(np.arange(data.n), held_out)
             for held_out in bw._fold_assignment(data.n, folds, seed)]
-
-
-def result_fields(result):
-    if isinstance(result, Exception):
-        return type(result), str(result)
-    spec = result.spec
-    return (spec.coefficient_vector().tobytes(), spec.bandwidth, spec.alpha, result.final_mse,
-            result.iterations, result.converged, result.evaluations, result.trace,
-            result.init_used)
 
 
 def report_fields(report):
@@ -498,6 +492,42 @@ class TestLockstepGrid:
         assert data.n > locfit.ONE_TILE_MAX
         grid = bw.BandwidthGrid(np.array([0.2, 0.5]))
         self.assert_gcv(data, InitStrategy(kind="true", true_coeffs=truth), grid, 40)
+
+
+@pytest.mark.usefixtures("no_child_left")
+class TestWorkerParts:
+    """Every lockstep splits its searches across the usable CPUs (forced here
+    through os.sched_getaffinity); reports and tables are the same bits on
+    one, two or three parts."""
+
+    @staticmethod
+    def on_cpus(monkeypatch, compute):
+        results = []
+        for cpus in (1, 2, 3):
+            use_cpus(monkeypatch, cpus)
+            results.append(compute())
+        return results
+
+    # h = 0.08 fails some GCV scores; a random pool gives each bandwidth its start
+    @pytest.mark.parametrize("method", bw.METHODS)
+    @pytest.mark.parametrize("strategy", [InitStrategy(kind="equal"),
+                                          InitStrategy(kind="random", candidate_count=20,
+                                                       keep_best=4, seed=3)],
+                             ids=lambda s: s.kind)
+    def test_reports_do_not_depend_on_the_cpu_count(self, monkeypatch, method, strategy):
+        data, _ = linear_dataset(53, 0.2, seed=25)
+        grid = bw.BandwidthGrid(np.array([0.08, 0.2, 0.3, 0.9]))
+        reports = self.on_cpus(monkeypatch, lambda: report_fields(
+            bw.select_bandwidth(data, strategy, grid, method, 5, 2, 40)))
+        assert reports[1] == reports[0] and reports[2] == reports[0]
+
+    @pytest.mark.parametrize("method", bw.METHODS)
+    def test_experiment_rows_do_not_depend_on_the_cpu_count(self, monkeypatch, method):
+        config = ExperimentConfig(links=("g1", "g3"), sizes=(50,), strategies=("true", "random"),
+                                  method=method, reps=2, seed=4, basis_dim=9, grid_size=4,
+                                  folds=5, opt_budget=40, candidate_count=20, keep_best=2)
+        rows = self.on_cpus(monkeypatch, lambda: json.dumps(run_experiment(config)))
+        assert rows[1] == rows[0] and rows[2] == rows[0]
 
 
 class TestFitPipeline:

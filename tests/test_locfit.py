@@ -354,6 +354,29 @@ class TestKernelSumEngine:
             assert estimates[b].tobytes() == alone_estimates.tobytes()
             np.testing.assert_array_equal(excluded[b], alone_excluded)
 
+    @pytest.mark.parametrize("n", [90, 200, 1000])
+    def test_filled_differences_give_the_broadcast_bits(self, n, monkeypatch):
+        # the tiles fill samples - points in place; K is even and its
+        # transform squares first, so every result keeps the bits of the
+        # broadcast points - samples form
+        rng = np.random.default_rng(n + 7)
+        z = np.stack([awkward_index(n, rng) for _ in range(3)])
+        y = rng.normal(size=z.shape)
+        points = np.concatenate([rng.choice(z[0], 40), rng.normal(scale=2.0, size=40)])
+        h = np.array([0.004, 0.3, 3.0])
+
+        def outputs():
+            return ([nw_loo_all(z[b], y[b], h[b]) for b in range(3)]
+                    + [locfit.nw_loo_batch(z, y, h)]
+                    + [nw_predict(z[0], y[0], points, hb) for hb in h])
+
+        filled = outputs()
+        monkeypatch.setattr(locfit, "_differences",
+                            lambda points, samples: points[..., :, None] - samples[..., None, :])
+        for (estimates, excluded), (expected, expected_excluded) in zip(filled, outputs()):
+            assert estimates.tobytes() == expected.tobytes()
+            np.testing.assert_array_equal(excluded, expected_excluded)
+
     def test_batch_stacks_at_most_one_dense_tile_of_pairs(self, monkeypatch):
         shapes = []
         tile = locfit._nw_tile

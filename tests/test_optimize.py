@@ -1,5 +1,8 @@
 """Tests for the init strategies and the simplex coefficient search."""
 
+import os
+import time
+
 import numpy as np
 import pytest
 
@@ -29,6 +32,29 @@ from fsim.simulate import SimScenario, generate
 def single_block_data(coeffs, y, w=None):
     basis = FourierBasis(coeffs.shape[1], include_constant=True)
     return Dataset(blocks=(FunctionalBlock(basis, coeffs),), y=np.asarray(y, float), w=w)
+
+
+def use_cpus(monkeypatch, count):
+    """Make ``os.sched_getaffinity`` report ``count`` usable CPUs, the number of
+    parts ``optimize._in_parts`` splits a lockstep's searches into."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+@pytest.fixture
+def no_child_left():
+    """After the test this process has no child, running or unreaped."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def result_fields(result):
+    if isinstance(result, Exception):
+        return type(result), str(result)
+    spec = result.spec
+    return (spec.coefficient_vector().tobytes(), spec.bandwidth, spec.alpha, result.final_mse,
+            result.iterations, result.converged, result.evaluations, result.trace,
+            result.init_used)
 
 
 def angle_between(u, v):
@@ -414,3 +440,99 @@ class TestStartStrategies:
             medians["random"].append(random_fit.final_mse)
             medians["equal"].append(equal_fit.final_mse)
         assert np.median(medians["random"]) <= np.median(medians["equal"])
+
+
+@pytest.mark.usefixtures("no_child_left")
+class TestWorkerParts:
+    """_in_parts runs part 0 of a lockstep's searches here and every other part
+    in a forked child; W = min(usable CPUs, searches) parts, forced here
+    through os.sched_getaffinity."""
+
+    @pytest.mark.parametrize("cpus, count", [(1, 7), (2, 7), (3, 7), (3, 2)])
+    def test_round_robin_parts_come_back_in_search_order(self, monkeypatch, cpus, count):
+        use_cpus(monkeypatch, cpus)
+        got = optimize._in_parts(lambda rows: [(k, os.getpid()) for k in rows.tolist()],
+                                 count)
+        assert [k for k, _ in got] == list(range(count))
+        width = min(cpus, count)
+        # part r holds searches r, r + W, ...; this process runs part 0
+        assert all(got[k][1] == os.getpid() for k in range(0, count, width))
+        for r in range(width):
+            assert len({got[k][1] for k in range(r, count, width)}) == 1
+        assert len({pid for _, pid in got}) == width
+
+    def test_one_part_without_fork(self, monkeypatch):
+        use_cpus(monkeypatch, 3)
+        monkeypatch.delattr(os, "fork")
+        got = optimize._in_parts(lambda rows: [os.getpid()] * rows.size, 5)
+        assert got == [os.getpid()] * 5
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_a_childs_exception_is_raised_here(self, monkeypatch, cpus):
+        use_cpus(monkeypatch, cpus)
+
+        def run(rows):
+            if rows[0] == cpus - 1:
+                raise SingularFitError("unusable in the last part", row=int(rows[0]))
+            return [None] * rows.size
+
+        with pytest.raises(SingularFitError) as raised:
+            optimize._in_parts(run, 5)
+        assert (str(raised.value), raised.value.row) == ("unusable in the last part", cpus - 1)
+
+    def test_the_first_failing_part_in_part_order_raises(self, monkeypatch):
+        use_cpus(monkeypatch, 3)
+
+        def run(rows):
+            if rows[0] == 0:
+                return [None] * rows.size
+            # part 2 fails first in time, part 1 first in part order
+            time.sleep(0.2 if rows[0] == 1 else 0.0)
+            raise (ValueError if rows[0] == 1 else KeyError)(f"part {rows[0]}")
+
+        with pytest.raises(ValueError, match="part 1"):
+            optimize._in_parts(run, 6)
+
+    def test_a_child_that_ends_without_a_result(self, monkeypatch):
+        use_cpus(monkeypatch, 2)
+        parent = os.getpid()
+
+        def run(rows):
+            if os.getpid() != parent:
+                os._exit(3)
+            return [None] * rows.size
+
+        with pytest.raises(RuntimeError, match="ended without a result"):
+            optimize._in_parts(run, 2)
+
+    @pytest.mark.parametrize("error", [KeyboardInterrupt, DegenerateObjectiveError])
+    def test_a_raise_in_this_process_part_kills_the_children(self, monkeypatch, error):
+        use_cpus(monkeypatch, 3)
+        parent = os.getpid()
+
+        def run(rows):
+            if os.getpid() == parent:
+                raise error("stop")
+            time.sleep(60.0)
+            return [None] * rows.size
+
+        started = time.perf_counter()
+        with pytest.raises(error):
+            optimize._in_parts(run, 3)
+        # the children were killed and reaped, not waited for
+        assert time.perf_counter() - started < 30.0
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_lockstep_searches_do_not_depend_on_the_cpu_count(self, monkeypatch, cpus):
+        rng = np.random.default_rng(40)
+        data = single_block_data(rng.normal(size=(12, 4)), rng.normal(size=12))
+        starts = np.array([[0.0, 1.0, 0.0], [2.0, -1.0, 0.5], [30.0, 30.0, 30.0],
+                           [0.5, 0.5, 0.5], [3.0, 0.0, -2.0]])
+        hs = np.array([0.3, 1.0, 0.3, 0.7, 2.0])
+        monkeypatch.setattr(optimize, "StackedObjective", QuantizedStack)
+        use_cpus(monkeypatch, 1)
+        alone = optimize.minimize_lockstep(data, [np.arange(12)] * 5, starts, hs, 60)
+        use_cpus(monkeypatch, cpus)
+        split = optimize.minimize_lockstep(data, [np.arange(12)] * 5, starts, hs, 60)
+        assert [result_fields(r) for r in split] == [result_fields(r) for r in alone]
+        assert isinstance(split[2], DegenerateObjectiveError)

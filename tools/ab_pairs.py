@@ -15,8 +15,12 @@ metric the script prints each side's median and quartiles, the number of
 pairs the change won (a tie counts for neither side), and whether the
 change's median is worse than the parent's by no more than the metric's
 ``bound`` in BENCHMARK.json ("within bound") or by more ("beyond bound"),
-then ``failed`` and ``correct`` per side and the pairs whose accuracy
-figures agree.  Running it with ``--parent-dir`` set to a copy of this
+then ``failed`` and ``correct`` per side, the pairs whose accuracy
+figures agree, and each side's CPU count (``nproc``), usable CPUs
+(``cpus_usable``) and BLAS threads from the machine facts of its runs.
+The coefficient searches run on every usable CPU, so wall time depends on
+these facts: a pair whose sides report different ones is refused, and
+counts as incomplete.  Running it with ``--parent-dir`` set to a copy of this
 checkout (an A/A run) shows how far identical code drifts on the host.
 """
 
@@ -34,6 +38,8 @@ import tempfile
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 # figures a pair should repeat exactly when the change keeps the results
 ACCURACY = ("failed_frac", "rse_p50", "rase_p50", "rase2_p50")
+# machine facts both sides of a pair must share
+MACHINE = ("nproc", "cpus_usable", "blas_threads")
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -73,16 +79,32 @@ def within_bound(parent_median: float, change_median: float, better: str,
 
 def parse_run(stdout: str) -> dict:
     """The figures of one ``run.py`` call: its last line, and the unbounded
-    figures of the line before it."""
+    figures and machine facts of the line before it."""
     lines = stdout.strip().splitlines()
     result = json.loads(lines[-1])
-    unbounded = json.loads(lines[-2])["unbounded"] if len(lines) > 1 else {}
+    before = json.loads(lines[-2]) if len(lines) > 1 else {}
+    unbounded = before.get("unbounded", {})
+    facts = before.get("facts", {})
     return {
+        "machine": {"nproc": facts.get("nproc"), "cpus_usable": facts.get("cpus_usable"),
+                    "blas_threads": (facts.get("blas") or {}).get("threads")},
         "correct": bool(result["correct"]),
         "failed": int(result["failed"]),
         "metrics": {name: m["value"] for name, m in result["metrics"].items()},
         "accuracy": {name: unbounded.get(name, {}).get("value") for name in ACCURACY},
     }
+
+
+def machine_line(machine: dict) -> str:
+    return ", ".join(f"{name} {machine[name]}" for name in MACHINE)
+
+
+def pair_problem(parent: dict, change: dict) -> str | None:
+    """Why the two runs of a pair cannot be compared, or None when they can."""
+    if parent["machine"] != change["machine"]:
+        return (f"machine facts differ: parent {machine_line(parent['machine'])}; "
+                f"change {machine_line(change['machine'])}")
+    return None
 
 
 def run_once(tree: pathlib.Path, workload: str, seed: int, seconds: float) -> dict | None:
@@ -117,8 +139,10 @@ def summary_lines(pairs, end_to_end) -> list[str]:
                      f"({change:+.1%} in the median), {verdict} bound {metric['bound'] * 100:g}%")
     for side, label in ((0, "parent"), (1, "change")):
         runs = [pair[side] for pair in pairs]
+        machines = sorted({machine_line(r["machine"]) for r in runs})
         lines.append(f"{label}: failed {sum(r['failed'] for r in runs)}, "
-                     f"correct {sum(r['correct'] for r in runs)}/{count}")
+                     f"correct {sum(r['correct'] for r in runs)}/{count}; "
+                     + "; ".join(machines))
     same = sum(1 for a, b in pairs if a["accuracy"] == b["accuracy"]
                and a["failed"] == b["failed"] and a["correct"] == b["correct"])
     lines.append(f"pairs with equal failed, correct and {', '.join(ACCURACY)}: "
@@ -151,6 +175,10 @@ def main(argv=None) -> int:
             for side, tree in order:
                 pair[side] = run_once(tree, args.workload, seed, seconds)
             if None in pair:
+                continue
+            problem = pair_problem(*pair)
+            if problem:
+                print(f"ab_pairs: seed {seed} refused, {problem}", file=sys.stderr)
                 continue
             pairs.append(pair)
             print(f"seed {seed}: " + ", ".join(
