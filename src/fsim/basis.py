@@ -109,6 +109,32 @@ def inner_product(f: BasisExpansion, g: BasisExpansion) -> float:
     return float(f.coeffs @ g.coeffs)
 
 
+def project_sample_rows(values, basis: FourierBasis) -> np.ndarray:
+    """Coefficients of every row of ``values`` on ``basis``, shape (rows, dimension).
+
+    Each row holds samples on an equally spaced grid over [0, 1]; row k of
+    the result is ``project_samples(values[k], basis).coeffs``.  The grid
+    and the design matrix are built once for all rows; the quadrature runs
+    row by row, so no temporary grows with the row count.
+    """
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 2:
+        raise ValueError("expected a two-dimensional array of sample rows")
+    m = values.shape[1]
+    if m < basis.dimension:
+        raise ValueError(
+            f"projection underdetermined: {m} samples for {basis.dimension} basis functions"
+        )
+    if m < 2:
+        raise ValueError("need at least two samples for quadrature")
+    t = np.linspace(0.0, 1.0, m)
+    psi = basis.design_matrix(t)
+    coeffs = np.empty((values.shape[0], basis.dimension))
+    for k, row in enumerate(values):
+        coeffs[k] = _trapz(psi * row[:, None], t, axis=0)
+    return coeffs
+
+
 def project_samples(values, basis: FourierBasis) -> BasisExpansion:
     """Project values sampled on an equally spaced grid over [0, 1] onto ``basis``.
 
@@ -120,14 +146,4 @@ def project_samples(values, basis: FourierBasis) -> BasisExpansion:
     values = np.asarray(values, dtype=float)
     if values.ndim != 1:
         raise ValueError("expected a one-dimensional sample vector")
-    m = values.size
-    if m < basis.dimension:
-        raise ValueError(
-            f"projection underdetermined: {m} samples for {basis.dimension} basis functions"
-        )
-    if m < 2:
-        raise ValueError("need at least two samples for quadrature")
-    t = np.linspace(0.0, 1.0, m)
-    psi = basis.design_matrix(t)
-    coeffs = _trapz(psi * values[:, None], t, axis=0)
-    return BasisExpansion(basis, coeffs)
+    return BasisExpansion(basis, project_sample_rows(values[None], basis)[0])

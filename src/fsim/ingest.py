@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisExpansion, FourierBasis, project_samples, readonly_array
+from .basis import BasisExpansion, FourierBasis, project_sample_rows, readonly_array
 from .model import Dataset, FunctionalBlock, IndexModelSpec, compute_index
 from .simulate import LINKS, write_json
 
@@ -119,8 +119,8 @@ def to_dataset(records, basis: FourierBasis) -> Dataset:
         raise ValueError(
             f"projection underdetermined: basis dimension {basis.dimension} > {N_BINS} bins"
         )
-    precip = np.stack([project_samples(r.precip, basis).coeffs for r in records])
-    temp = np.stack([project_samples(r.temp, basis).coeffs for r in records])
+    precip = project_sample_rows(np.stack([r.precip for r in records]), basis)
+    temp = project_sample_rows(np.stack([r.temp for r in records]), basis)
     return Dataset(
         blocks=(FunctionalBlock(basis, precip), FunctionalBlock(basis, temp)),
         y=np.array([r.response for r in records]),

@@ -224,18 +224,23 @@ def _walk(tile, points, samples, data):
 
 
 def _differences(points, samples) -> np.ndarray:
-    """The kernel arguments ``samples[..., None, :] - points[..., :, None]`` of a tile.
+    """The kernel arguments ``samples[..., None, :] - points[..., :, None]`` of
+    a tile of finite values, as one matrix product.
 
-    The tile is filled with the samples row, then the points are subtracted
-    in place, which is faster than a broadcast subtract into a new array.
-    The sign is the opposite of ``points - samples``; K is even and
-    :func:`fsim.kernel.transform_inplace` squares first, so the weights are
-    the same bits.
+    Row i of the left factor is ``(points_i, 1)`` and column j of the right
+    one ``(-1, samples_j)``: both products in an entry are exact, and their
+    sum is rounded once in any order, so each entry is the broadcast
+    difference; only the sign of a zero may differ, which no kernel weight
+    and no sum with a nonzero term sees.  The product is one pass over the
+    tile, where the broadcast takes several.
     """
-    w = np.empty(points.shape + samples.shape[-1:])
-    w[...] = samples[..., None, :]
-    w -= points[..., :, None]
-    return w
+    left = np.empty(points.shape + (2,))
+    left[..., 0] = points
+    left[..., 1] = 1.0
+    right = np.empty(samples.shape[:-1] + (2,) + samples.shape[-1:])
+    right[..., 0, :] = -1.0
+    right[..., 1, :] = samples
+    return left @ right
 
 
 def _nw_tile(rows, points, samples, responses, diagonal=None):
@@ -245,9 +250,16 @@ def _nw_tile(rows, points, samples, responses, diagonal=None):
     the diagonal, every later row's) is zeroed; ``None`` keeps every weight.
     A leading batch axis on ``points``, ``samples`` and ``responses`` stacks
     tiles of one shape; the stacked products sum each slice exactly as it
-    would be summed alone.
+    would be summed alone.  A tile with a non-finite value (only the dense
+    tile of non-finite input) subtracts by broadcast instead of
+    :func:`_differences`: a BLAS product may multiply an infinity by the
+    zeros that pad its blocks and raise a spurious invalid-value warning.
     """
-    w = transform_inplace(_differences(points, samples))
+    if np.isfinite(points).all() and (samples is points or np.isfinite(samples).all()):
+        w = _differences(points, samples)
+    else:
+        w = samples[..., None, :] - points[..., :, None]
+    transform_inplace(w)
     if diagonal is not None:
         w.reshape(w.shape[:-2] + (-1,))[..., diagonal::samples.shape[-1] + 1] = 0.0
     return w.sum(axis=-1), (w @ responses[..., None])[..., 0]
@@ -334,7 +346,8 @@ def nw_loo_batch(index_values, responses, h):
         step = stack_size(n * n)
         for a in range(0, count, step):
             chunk = slice(a, a + step)
-            den[chunk], num[chunk] = _nw_tile(chunk, scaled[chunk], scaled[chunk], y[chunk], 0)
+            points = scaled[chunk]
+            den[chunk], num[chunk] = _nw_tile(chunk, points, points, y[chunk], 0)
     else:
         for b in range(count):
             den[b], num[b] = _nw_loo_sums(scaled[b], y[b])
@@ -372,7 +385,7 @@ def _quad_tile(u: np.ndarray, h: float):
     """
     def tile(rows, _points, _samples, window):
         z, y = window
-        s = z[None, :] - u[rows][:, None]
+        s = _differences(u[rows], z)
         s /= h
         ws = smooth_kernel(s)
         count = np.count_nonzero(ws, axis=1)

@@ -298,13 +298,13 @@ class StackedObjective:
     :func:`objective_loo_mse` value, or infinity where that raises
     (fewer than ``MIN_SAMPLES`` samples, a zero coefficient norm, every
     sample excluded).  Points on subsets of one size are evaluated in
-    stacks (:func:`fsim.locfit.stack_size`) whose kernel tile and gathered
-    coefficients hold at most ``ONE_TILE_MAX**2`` values each: the index
-    values and coefficient norms come from :func:`search_index`, the kernel
-    sums from :func:`fsim.locfit.nw_loo_batch`, and every other reduction
-    runs per point, so each value is the serial one bit for bit.  The
-    subsets' samples are gathered from ``data`` per stack, never copied
-    whole.
+    stacks (:func:`fsim.locfit.stack_size`) whose gathered coefficients
+    hold at most ``ONE_TILE_MAX**2`` values; :func:`fsim.locfit.nw_loo_batch`
+    splits each stack's kernel sums into tiles of at most that many pairs.
+    The index values and coefficient norms come from :func:`search_index`,
+    and every other reduction runs per point, so each value is the serial
+    one bit for bit.  The subsets' samples are gathered from ``data`` per
+    stack, never copied whole.
     """
 
     def __init__(self, data: Dataset, subsets, h):
@@ -312,7 +312,7 @@ class StackedObjective:
         if np.any(self._h <= 0):
             raise ValueError(f"bandwidth must be positive, got {self._h.min()}")
         self.data = data
-        # a stack's kernel tile holds n * n values, its coefficients n * width
+        # a stack gathers n * width coefficients per point
         self._width = max(block.coeffs.shape[1] for block in data.blocks)
         subsets = [np.asarray(indices, dtype=int) for indices in subsets]
         self._sizes = np.array([indices.size for indices in subsets], dtype=int)
@@ -332,7 +332,7 @@ class StackedObjective:
             if n < MIN_SAMPLES:
                 continue
             rows = np.flatnonzero(sizes == n)
-            step = stack_size(n * max(n, self._width))
+            step = stack_size(n * self._width)
             for a in range(0, rows.size, step):
                 part = rows[a:a + step]
                 search = which[part]

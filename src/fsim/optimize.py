@@ -376,8 +376,10 @@ def _nelder_mead(objective, starts: np.ndarray, max_evals: int) -> list:
         live_phase = phase[live]
         many = live[(live_phase == INIT) | (live_phase == SHRINK)]
         one = live[(live_phase != INIT) & (live_phase != SHRINK)]
-        got = objective(np.concatenate([np.repeat(many, dim), one]),
-                        np.concatenate([simplex[many, 1:].reshape(-1, dim), trial[one]]))
+        which, points = np.repeat(many, dim), simplex[many, 1:].reshape(-1, dim)
+        if one.size:
+            which, points = np.concatenate([which, one]), np.concatenate([points, trial[one]])
+        got = objective(which, points)
         # the searches whose simplex is complete again, to be sorted; a
         # branch no search takes is skipped, which changes no decision
         ready = []

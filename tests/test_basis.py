@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from fsim.basis import BasisExpansion, FourierBasis, inner_product, project_samples
+from fsim.basis import (
+    BasisExpansion,
+    FourierBasis,
+    _trapz,
+    inner_product,
+    project_sample_rows,
+    project_samples,
+)
 
 
 def quadrature_gram(basis, points=10_001):
@@ -144,3 +151,26 @@ class TestProjection:
     def test_underdetermined(self):
         with pytest.raises(ValueError):
             project_samples(np.ones(4), FourierBasis(6))
+        with pytest.raises(ValueError):
+            project_sample_rows(np.ones((3, 4)), FourierBasis(6))
+
+    @pytest.mark.parametrize("dimension, bins", [(1, 37), (13, 37), (25, 37), (37, 37), (9, 200)])
+    def test_rows_are_one_history_projections_byte_for_byte(self, dimension, bins):
+        rng = np.random.default_rng(dimension + bins)
+        values = rng.normal(size=(400, bins)) * rng.uniform(0.01, 100.0, size=(400, 1))
+        basis = FourierBasis(dimension)
+        t = np.linspace(0.0, 1.0, bins)
+        psi = basis.design_matrix(t)
+        rows = project_sample_rows(values, basis)
+        assert rows.shape == (400, dimension)
+        for k in range(400):
+            # the quadrature of one history on its own
+            alone = _trapz(psi * values[k][:, None], t, axis=0)
+            assert rows[k].tobytes() == alone.tobytes()
+            assert project_samples(values[k], basis).coeffs.tobytes() == alone.tobytes()
+
+    def test_rows_must_be_a_matrix(self):
+        with pytest.raises(ValueError, match="two-dimensional"):
+            project_sample_rows(np.ones(37), FourierBasis(5))
+        with pytest.raises(ValueError, match="one-dimensional"):
+            project_samples(np.ones((2, 37)), FourierBasis(5))

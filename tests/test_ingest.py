@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fsim.basis import FourierBasis
+from fsim.basis import FourierBasis, project_samples
 from fsim.ingest import (
     N_BINS,
     EcologyRecord,
@@ -116,6 +116,16 @@ class TestToDataset:
         data = to_dataset([record], basis)
         np.testing.assert_allclose(data.blocks[0].coeffs[0], true_p, atol=1e-3)
         np.testing.assert_allclose(data.blocks[1].coeffs[0], true_t, atol=1e-3)
+
+    def test_every_history_is_projected_as_on_its_own(self):
+        rng = np.random.default_rng(8)
+        records = [make_record(rng) for _ in range(30)]
+        basis = FourierBasis(13)
+        data = to_dataset(records, basis)
+        for k, record in enumerate(records):
+            for block, history in zip(data.blocks, (record.precip, record.temp)):
+                alone = project_samples(history, basis).coeffs
+                assert block.coeffs[k].tobytes() == alone.tobytes()
 
     def test_underdetermined_basis(self):
         rng = np.random.default_rng(7)

@@ -1,4 +1,4 @@
-"""The kernel timing sweep on a tiny problem: its table and that it restores the cap."""
+"""The kernel timing sweep on a tiny problem: its tables and that it restores the cap."""
 
 import importlib.util
 import pathlib
@@ -28,9 +28,19 @@ def test_table_formats_durations():
     assert lines[3] == "| 4000 | 15.5 ms | 8.1 ms | 1.91× |"
 
 
+def test_stacked_step_table():
+    seconds = kernel_sweep.stacked_step(rounds=1, seed=3)
+    assert seconds > 0.0
+    lines = kernel_sweep.step_table(2.5e-3)
+    assert lines == ["| layer | per call |", "| --- | --- |",
+                     "| k-fold step: 50 points on 10 training sets of 90 | 2.5 ms |"]
+
+
 def test_main_prints_facts_and_table(capsys):
     assert kernel_sweep.main(["--sizes", "20", "--rounds", "1"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert "numpy" in out[0] and "Python" in out[0]
     assert out[1].startswith("nw_loo_all per call")
-    assert out[-1].startswith("| 20 |")
+    assert out[4].startswith("| 20 |")
+    assert out[5:7] == ["| layer | per call |", "| --- | --- |"]
+    assert out[-1].startswith("| k-fold step: 50 points on 10 training sets of 90 | ")

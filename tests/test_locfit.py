@@ -355,27 +355,59 @@ class TestKernelSumEngine:
             np.testing.assert_array_equal(excluded[b], alone_excluded)
 
     @pytest.mark.parametrize("n", [90, 200, 1000])
-    def test_filled_differences_give_the_broadcast_bits(self, n, monkeypatch):
-        # the tiles fill samples - points in place; K is even and its
-        # transform squares first, so every result keeps the bits of the
-        # broadcast points - samples form
+    def test_product_differences_give_the_broadcast_bits(self, n, monkeypatch):
+        # finite tiles form samples - points as one matrix product; each
+        # entry is the broadcast difference (a zero's sign aside, which
+        # neither the kernel nor the tile sums see), so every result keeps
+        # the bits of the broadcast form, and non-finite tiles warn no more
+        # than it does
         rng = np.random.default_rng(n + 7)
         z = np.stack([awkward_index(n, rng) for _ in range(3)])
+        z[1, :6] = [0.0, -0.0, 0.0, -0.0, 0.0, -0.0]
         y = rng.normal(size=z.shape)
-        points = np.concatenate([rng.choice(z[0], 40), rng.normal(scale=2.0, size=40)])
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+        points = np.concatenate([rng.choice(z[0], 40), rng.normal(scale=2.0, size=40), z[1, :6]])
         h = np.array([0.004, 0.3, 3.0])
+        # one non-finite sample, or a non-finite point, sends a problem to the
+        # dense tile; an infinite sample is left out of the leave-one-out sums,
+        # whose own-sample difference inf - inf warns on either form
+        poisoned = np.stack([z[0]] * 3)
+        poisoned[:, 5] = special[2:]
+        odd_points = np.concatenate([points, special])
 
         def outputs():
-            return ([nw_loo_all(z[b], y[b], h[b]) for b in range(3)]
-                    + [locfit.nw_loo_batch(z, y, h)]
-                    + [nw_predict(z[0], y[0], points, hb) for hb in h])
+            results = [nw_loo_all(z[b], y[b], h[b]) for b in range(3)]
+            results += [nw_loo_all(poisoned[2], y[0], 0.3)]
+            results += [locfit.nw_loo_batch(z, y, h),
+                        locfit.nw_loo_batch(poisoned[[2, 2]], y[:2], h[:2])]
+            results += [nw_predict(z[0], y[0], at, hb) for at in (points, odd_points) for hb in h]
+            results += [nw_predict(bad, y[0], points, 0.3) for bad in poisoned]
+            results += [locfit._quad_fits(z[b], y[b], at, hb)
+                        for b in (0, 1) for at in (z[b], odd_points) for hb in h[1:]]
+            return [array for result in results for array in result]
 
-        filled = outputs()
+        product = outputs()
+        assert any(np.isnan(array).any() for array in product)
         monkeypatch.setattr(locfit, "_differences",
-                            lambda points, samples: points[..., :, None] - samples[..., None, :])
-        for (estimates, excluded), (expected, expected_excluded) in zip(filled, outputs()):
-            assert estimates.tobytes() == expected.tobytes()
-            np.testing.assert_array_equal(excluded, expected_excluded)
+                            lambda points, samples: samples[..., None, :] - points[..., :, None])
+        broadcast = outputs()
+        assert len(product) == len(broadcast) == 54
+        for got, expected in zip(product, broadcast):
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+    def test_product_differences_are_the_broadcast_values(self):
+        special = [0.0, -0.0, 1.5, -2.0, 1e300, -1e-300]
+        points = np.array(special * 3)
+        samples = np.array(special[::-1] * 5)
+        stacked = np.stack([points, points[::-1]]), np.stack([samples, samples[::-1]])
+        for p, s in ((points, samples), stacked):
+            got = locfit._differences(p, s)
+            expected = s[..., None, :] - p[..., :, None]
+            assert got.shape == expected.shape
+            # equal values, and equal bits wherever the difference is not zero
+            np.testing.assert_array_equal(got, expected)
+            nonzero = expected != 0.0
+            assert got[nonzero].tobytes() == expected[nonzero].tobytes()
 
     def test_batch_stacks_at_most_one_dense_tile_of_pairs(self, monkeypatch):
         shapes = []

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fsim import locfit
 from fsim.basis import BasisExpansion, FourierBasis
 from fsim.kernel import smooth_kernel
 from fsim.model import (
@@ -376,6 +377,39 @@ class TestStackedObjective:
         kept = {objective_loo_mse(datasets[k], points[i], hs[k]).excluded_count
                 for i, k in enumerate(which) if k in (1, 2)}
         assert len(kept) > 2
+
+    def test_stacks_span_several_kernel_chunks(self, monkeypatch):
+        # 95 samples in 10 folds train on 85 and 86 samples; a stack is
+        # bounded by its gathered coefficients, so it holds more training
+        # sets than one kernel tile, and nw_loo_batch splits its tiles
+        data = two_block_data(95, seed=18)
+        folds = np.array_split(np.random.default_rng(19).permutation(95), 10)
+        subsets = [np.setdiff1d(np.arange(95), fold) for fold in folds]
+        rng = np.random.default_rng(20)
+        points = rng.normal(size=(40, data.search_dimension()))
+        which = np.arange(40) % 10
+        hs = np.linspace(0.05, 0.8, 10)
+        stacks, tiles = [], []
+        loo_mse, nw_tile = StackedObjective._loo_mse, locfit._nw_tile
+
+        def stack_spy(self, samples, h, raw):
+            stacks.append(samples.shape)
+            return loo_mse(self, samples, h, raw)
+
+        def tile_spy(rows, points, samples, responses, diagonal=None):
+            tiles.append(points.shape + samples.shape[-1:])
+            return nw_tile(rows, points, samples, responses, diagonal)
+
+        monkeypatch.setattr(StackedObjective, "_loo_mse", stack_spy)
+        monkeypatch.setattr(locfit, "_nw_tile", tile_spy)
+        got = StackedObjective(data, subsets, hs)(which, points)
+        expected = [safe_objective(data.subset(subsets[k]), p, hs[k])
+                    for k, p in zip(which, points)]
+        assert got.tolist() == expected
+        assert sorted(stacks) == [(20, 85), (20, 86)]
+        assert all(20 > locfit.stack_size(n * n) for _, n in stacks)
+        assert len(tiles) > len(stacks)
+        assert all(np.prod(shape) <= locfit.ONE_TILE_MAX**2 for shape in tiles)
 
     def test_rejects_bad_bandwidth(self):
         with pytest.raises(ValueError, match="bandwidth must be positive"):

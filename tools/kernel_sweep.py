@@ -10,7 +10,11 @@ problem as one dense tile and once on the sorted-window walk, by setting
 pass over the grid on each path; the path that runs first alternates from
 round to round, and each path keeps its best round.  The script prints the
 machine facts, then a markdown table of the mean time per call on each path
-and the speed-up of the walk over the dense tile.  fsim is imported from
+and the speed-up of the walk over the dense tile.  A second table times one
+stacked k-fold step, which the benchmark's tracer does not see: one
+``StackedObjective`` call with 50 points, one per search, on the ten
+90-sample training sets of a 100-sample g1 draw, at five bandwidths of its
+grid, best of ``--rounds`` rounds of ten calls.  fsim is imported from
 ``PYTHONPATH`` when that provides it, else from the ``src`` directory of this
 checkout, so one copy of the script can time another source tree.
 """
@@ -31,7 +35,8 @@ if importlib.util.find_spec("fsim") is None:
     sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from fsim import locfit
-from fsim.bandwidth import BandwidthGrid
+from fsim.bandwidth import BandwidthGrid, _fold_assignment
+from fsim.model import StackedObjective
 from fsim.simulate import SimScenario, generate
 
 
@@ -79,6 +84,29 @@ def sweep(sizes, rounds: int, seed: int = 0) -> list[tuple[int, float, float]]:
     return rows
 
 
+def stacked_step(rounds: int, seed: int = 0) -> float:
+    """Best mean seconds per ``StackedObjective`` call of one k-fold lockstep step.
+
+    The step evaluates 50 searches, one pending point each: the ten folds of
+    a 100-sample g1 draw at every other bandwidth of its default grid.
+    """
+    data, truth = generate(SimScenario(n=100, link="g1", seed=seed))
+    trains = [np.setdiff1d(np.arange(data.n), fold)
+              for fold in _fold_assignment(data.n, 10, seed)]
+    hs = BandwidthGrid.default(data.n, float(np.std(truth.index))).values[::2]
+    objective = StackedObjective(data, trains * hs.size, np.repeat(hs, len(trains)))
+    rng = np.random.default_rng(seed)
+    points = truth.beta.coeffs + 0.1 * rng.standard_normal((50, data.search_dimension()))
+    which = np.arange(50)
+    best = np.inf
+    for _ in range(rounds):
+        started = time.perf_counter()
+        for _ in range(10):
+            objective(which, points)
+        best = min(best, (time.perf_counter() - started) / 10)
+    return best
+
+
 def _duration(seconds: float) -> str:
     if seconds >= 1e-3:
         return f"{seconds * 1e3:.3g} ms"
@@ -91,6 +119,12 @@ def table(rows) -> list[str]:
     for n, dense, walk in rows:
         lines.append(f"| {n} | {_duration(dense)} | {_duration(walk)} | {dense / walk:.2f}× |")
     return lines
+
+
+def step_table(seconds: float) -> list[str]:
+    """The markdown table of the :func:`stacked_step` time."""
+    return ["| layer | per call |", "| --- | --- |",
+            f"| k-fold step: 50 points on 10 training sets of 90 | {_duration(seconds)} |"]
 
 
 def main(argv=None) -> int:
@@ -107,6 +141,7 @@ def main(argv=None) -> int:
     print(f"nw_loo_all per call over the default grid, best of {args.rounds} rounds, "
           f"TILE_ROWS={locfit.TILE_ROWS}, shipped ONE_TILE_MAX={locfit.ONE_TILE_MAX}")
     print("\n".join(table(sweep(sizes, args.rounds, args.seed))))
+    print("\n".join(step_table(stacked_step(args.rounds, args.seed))))
     return 0
 
 
