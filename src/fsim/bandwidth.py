@@ -217,7 +217,9 @@ def select_bandwidth(data: Dataset, strategy: InitStrategy, grid: BandwidthGrid,
     the per-bandwidth fit; k-fold scores held-out prediction error.  A
     bandwidth whose search or score raises :class:`EstimationError` scores
     infinity; ties and exact score repeats resolve toward the larger
-    bandwidth, which is the safer side for curvature estimation.
+    bandwidth, which is the safer side for curvature estimation.  K-fold
+    with fewer samples than folds raises the :class:`SelectionError` of
+    :func:`kfold_score`.
 
     The start rule: a deterministic strategy starts every search from its one
     start vector: ``start``, the ``(vector, label)`` of :func:`resolve_init`
@@ -255,10 +257,7 @@ def select_bandwidth(data: Dataset, strategy: InitStrategy, grid: BandwidthGrid,
                              [starts[k][1] for k in keys])
         outcomes = [_gcv_outcome(data, fit, h) for fit, h in zip(fits, hs)]
     elif keys:
-        try:
-            outcomes = _kfold_grid(data, inits, hs, folds, seed, budget)
-        except EstimationError:
-            pass
+        outcomes = _kfold_grid(data, inits, hs, folds, seed, budget)
     scores = np.full(grid.values.size, np.inf)
     for k, outcome in zip(keys, outcomes):
         if not isinstance(outcome, EstimationError):

@@ -11,18 +11,20 @@ MAX_MOMENT = 8
 
 
 def transform_inplace(u: np.ndarray) -> np.ndarray:
-    """Overwrite an array of kernel arguments s with K(s).
+    """Overwrite an array of kernel arguments s with (1 - s^2)^4 on |s| < 1,
+    zero outside: the kernel without its constant ``NORMALIZER``.
 
-    Shared by the scalar entry point and the pairwise smoothing hot paths so
-    every caller computes bit-identical weights; the fourth power runs as two
-    squares because pow is far slower on large arrays.
+    :func:`smooth_kernel` scales the result; the Nadaraya-Watson sums take it
+    as it is, since their ratio sum(w y) / sum(w) cancels the constant.  One
+    function serves both so every caller forms bit-identical powers; the
+    fourth power runs as two squares because pow is far slower on large
+    arrays.
     """
     np.multiply(u, u, out=u)
     np.subtract(1.0, u, out=u)
     np.maximum(u, 0.0, out=u)
     np.multiply(u, u, out=u)
     np.multiply(u, u, out=u)
-    u *= NORMALIZER
     return u
 
 
@@ -32,9 +34,11 @@ def smooth_kernel(s):
     Nonnegative, symmetric, integrates to one.  The fourth power gives a
     quadruple zero at the support boundary, so the kernel is three times
     continuously differentiable on the whole line; lower-power polynomial
-    kernels (biweight, triweight) are not.
+    kernels (biweight, triweight) are not.  The value is
+    :func:`transform_inplace` times ``NORMALIZER``, bit for bit.
     """
     u = transform_inplace(np.array(s, dtype=float))
+    u *= NORMALIZER
     return float(u) if u.ndim == 0 else u
 
 

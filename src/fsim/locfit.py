@@ -243,26 +243,42 @@ def _differences(points, samples) -> np.ndarray:
     return left @ right
 
 
+def _ones_y(responses):
+    """The (1, y) columns of ``responses`` along a new last axis: a weight
+    tile times them gives (sum w, sum w y) for each of its rows."""
+    ones_y = np.empty(responses.shape + (2,))
+    ones_y[..., 0] = 1.0
+    ones_y[..., 1] = responses
+    return ones_y
+
+
 def _nw_tile(rows, points, samples, responses, diagonal=None):
     """Kernel row sums and kernel-weighted response sums of one tile.
 
-    ``diagonal`` is the column of row 0's own sample, whose weight (and, down
-    the diagonal, every later row's) is zeroed; ``None`` keeps every weight.
-    A leading batch axis on ``points``, ``samples`` and ``responses`` stacks
-    tiles of one shape; the stacked products sum each slice exactly as it
-    would be summed alone.  A tile with a non-finite value (only the dense
-    tile of non-finite input) subtracts by broadcast instead of
-    :func:`_differences`: a BLAS product may multiply an infinity by the
-    zeros that pad its blocks and raise a spurious invalid-value warning.
+    Both sums come from one product, the unnormalized weights
+    (:func:`transform_inplace`) times the (1, y) columns of the samples; the
+    kernel constant cancels in the ratio :func:`_nw_ratio` takes.
+    ``diagonal`` is the column of row 0's own sample, whose weight (and,
+    down the diagonal, every later row's) is zeroed; ``None`` keeps every
+    weight.  A leading batch axis on ``points``, ``samples`` and
+    ``responses`` stacks tiles of one shape; the stacked product sums each
+    slice exactly as it would be summed alone.  A tile with a non-finite
+    value (only the dense tile of non-finite input) subtracts by broadcast
+    instead of :func:`_differences`: a BLAS product may multiply an infinity
+    by the zeros that pad its blocks and raise a spurious invalid-value
+    warning.  The broadcast's inf - inf, an infinite sample against itself,
+    is NaN without a warning, as NaN input is.
     """
     if np.isfinite(points).all() and (samples is points or np.isfinite(samples).all()):
         w = _differences(points, samples)
     else:
-        w = samples[..., None, :] - points[..., :, None]
+        with np.errstate(invalid="ignore"):
+            w = samples[..., None, :] - points[..., :, None]
     transform_inplace(w)
     if diagonal is not None:
         w.reshape(w.shape[:-2] + (-1,))[..., diagonal::samples.shape[-1] + 1] = 0.0
-    return w.sum(axis=-1), (w @ responses[..., None])[..., 0]
+    sums = w @ _ones_y(responses)
+    return sums[..., 0], sums[..., 1]
 
 
 def _nw_loo_sums(points, responses):
@@ -284,7 +300,7 @@ def _nw_loo_sums(points, responses):
     if not _tiled(points, points):
         return _nw_tile(slice(None), points, points, responses, 0)
     order, p, _, _, tiles = _sorted_tiles(points)
-    ones_y = np.stack([np.ones(p.size), responses[order]], axis=1)
+    ones_y = _ones_y(responses[order])
     sums = np.zeros((p.size, 2))
     for a, b, _, c1 in tiles:
         w = transform_inplace(_differences(p[a:b], p[a:c1]))
@@ -389,7 +405,7 @@ def _quad_tile(u: np.ndarray, h: float):
         s /= h
         ws = smooth_kernel(s)
         count = np.count_nonzero(ws, axis=1)
-        ones_y = np.stack([np.ones_like(y), y], axis=1)
+        ones_y = _ones_y(y)
         sums = np.zeros((s.shape[0], 5, 2))
         for k in range(5):
             if k:

@@ -18,10 +18,11 @@ END_TO_END = [{"name": "wall_s", "better": "lower", "bound": 0.25},
 MACHINE = {"nproc": 2, "cpus_usable": 2, "blas_threads": 2}
 
 
-def run(wall, rss, failed=0, correct=True, rse=0.5, machine=MACHINE):
+def run(wall, rss, failed=0, correct=True, rse=0.5, machine=MACHINE, concave=None):
     return {"correct": correct, "failed": failed, "machine": dict(machine),
             "metrics": {"wall_s": wall, "peak_rss_mb": rss},
-            "accuracy": {"failed_frac": 0.0, "rse_p50": rse, "rase_p50": 0.1, "rase2_p50": 9.0}}
+            "accuracy": {"failed_frac": 0.0, "rse_p50": rse, "rase_p50": 0.1, "rase2_p50": 9.0,
+                         "concave_frac": concave}}
 
 
 def test_parse_seeds():
@@ -65,7 +66,7 @@ def test_parse_run_reads_the_last_two_lines():
     assert parsed["correct"] is True and parsed["failed"] == 1
     assert parsed["metrics"] == {"wall_s": 12.5}
     assert parsed["accuracy"] == {"failed_frac": 0.0, "rse_p50": 0.25, "rase_p50": None,
-                                  "rase2_p50": None}
+                                  "rase2_p50": None, "concave_frac": None}
     assert parsed["machine"] == {"nproc": 4, "cpus_usable": 2, "blas_threads": 1}
     # a run without the facts line has unknown machine facts
     alone = ab_pairs.parse_run(json.dumps(last))
@@ -97,3 +98,17 @@ def test_summary_lines():
     assert f"parent: failed 1, correct 3/3; {machine}" in lines
     assert f"change: failed 1, correct 3/3; {machine}" in lines
     assert lines[-1].endswith(": 2/3")
+
+
+def test_concave_frac_is_compared():
+    # the fit-and-plot workload reports concave_frac and none of the Monte-Carlo figures
+    eco = {"facts": {}, "unbounded": {name: {"value": None} for name in ab_pairs.ACCURACY}}
+    eco["unbounded"]["concave_frac"] = {"value": 0.4, "unit": "ratio"}
+    last = {"correct": True, "failed": 0, "metrics": {"wall_s": {"value": 20.0, "unit": "s"}}}
+    parsed = ab_pairs.parse_run(json.dumps(eco) + "\n" + json.dumps(last))
+    assert parsed["accuracy"]["concave_frac"] == 0.4
+    pairs = [(run(10.0, 40.0, concave=0.4), run(9.0, 40.0, concave=0.4)),
+             (run(10.0, 40.0, concave=0.4), run(9.0, 40.0, concave=0.45))]
+    lines = ab_pairs.summary_lines(pairs, END_TO_END)
+    assert "concave_frac" in lines[-1]
+    assert lines[-1].endswith(": 1/2")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fsim.kernel import MAX_MOMENT, NORMALIZER, kernel_moment, smooth_kernel
+from fsim.kernel import MAX_MOMENT, NORMALIZER, kernel_moment, smooth_kernel, transform_inplace
 
 
 def test_peak_value_is_normalization_constant():
@@ -20,6 +20,19 @@ def test_support_boundary_is_zero():
 def test_direct_formula_value():
     # (315/256) * (1 - 0.25)^4
     assert smooth_kernel(0.5) == pytest.approx(NORMALIZER * 0.75**4, abs=1e-15)
+
+
+def test_kernel_is_the_unnormalized_transform_times_the_constant():
+    # the Nadaraya-Watson sums take transform_inplace as it is; every other
+    # weight is smooth_kernel, the same powers scaled once, bit for bit
+    rng = np.random.default_rng(3)
+    s = np.concatenate([rng.uniform(-1.0, 1.0, 500), rng.uniform(-40.0, 40.0, 500),
+                        [0.0, -0.0, 1.0, -1.0, 1e-300, np.inf, -np.inf, np.nan]])
+    got = smooth_kernel(s)
+    assert got.tobytes() == (transform_inplace(s.copy()) * NORMALIZER).tobytes()
+    # the scalar entry point gives the same bits
+    for k in range(s.size - 8, s.size):
+        assert np.float64(smooth_kernel(s[k])).tobytes() == got[k].tobytes()
 
 
 def test_nonnegative_and_symmetric():

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from fsim import locfit
-from fsim.kernel import smooth_kernel
+from fsim.kernel import smooth_kernel, transform_inplace
 from fsim.locfit import (
     SingularFitError,
     curve_estimates,
@@ -315,11 +316,13 @@ class TestKernelSumEngine:
         z = rng.uniform(0.0, 3.0, size=CUTOFF)
         y = rng.normal(size=CUTOFF)
         scaled = z / 0.3
-        w = smooth_kernel(scaled[:, None] - scaled[None, :])
+        # unnormalized weights, own sample zeroed, both sums from one product
+        w = transform_inplace(scaled[None, :] - scaled[:, None])
         np.fill_diagonal(w, 0.0)
+        sums = w @ np.stack([np.ones(CUTOFF), y], axis=1)
         estimates, excluded = nw_loo_all(z, y, 0.3)
         assert not excluded.any()
-        np.testing.assert_array_equal(estimates, (w @ y) / w.sum(axis=1))
+        np.testing.assert_array_equal(estimates, sums[:, 1] / sums[:, 0])
 
     def test_non_finite_index_propagates_as_nan(self, engine_path):
         z = np.linspace(0.0, 1.0, 300)
@@ -327,6 +330,32 @@ class TestKernelSumEngine:
         estimates, excluded = nw_loo_all(z, np.ones(300), 0.1)
         assert np.isnan(estimates).all()
         assert not excluded.any()
+
+    @pytest.mark.parametrize("n", [40, CUTOFF + 1])
+    @pytest.mark.parametrize("inf", [np.inf, -np.inf])
+    def test_infinite_index_is_left_out_without_warning(self, n, inf):
+        # an infinite sample weighs zero against every finite one and has an
+        # empty window itself; its own difference, inf - inf, is NaN silently
+        rng = np.random.default_rng(n)
+        z = rng.normal(size=n)
+        y = rng.normal(size=n)
+        z[5] = inf
+        keep = np.arange(n) != 5
+        h = 0.3
+        points = np.concatenate([rng.choice(z[keep], 10), rng.normal(size=10), [inf, -inf]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            alone = nw_loo_all(z, y, h)
+            batch = locfit.nw_loo_batch(np.stack([z, z]), np.stack([y, y]), [h, h])
+            predictions, predicted_excluded = nw_predict(z, y, points, h)
+        loo_oracle = direct_nw(z[keep], z[keep], y[keep], h, leave_one_out=True)
+        for estimates, excluded in [alone, *zip(*batch)]:
+            assert np.isnan(estimates[5]) and excluded[5]
+            assert_matches_oracle((estimates[keep], excluded[keep]), loo_oracle)
+        predict_oracle = direct_nw(points[:-2], z[keep], y[keep], h, leave_one_out=False)
+        assert_matches_oracle((predictions[:-2], predicted_excluded[:-2]), predict_oracle)
+        # the point at the sample's own infinity meets inf - inf as well
+        assert np.isnan(predictions[-2:]).all()
 
     def test_no_points_or_no_samples(self):
         z = np.linspace(0.0, 1.0, CUTOFF + 1)
@@ -369,8 +398,7 @@ class TestKernelSumEngine:
         points = np.concatenate([rng.choice(z[0], 40), rng.normal(scale=2.0, size=40), z[1, :6]])
         h = np.array([0.004, 0.3, 3.0])
         # one non-finite sample, or a non-finite point, sends a problem to the
-        # dense tile; an infinite sample is left out of the leave-one-out sums,
-        # whose own-sample difference inf - inf warns on either form
+        # dense tile; infinite samples in leave-one-out sums have a test of their own
         poisoned = np.stack([z[0]] * 3)
         poisoned[:, 5] = special[2:]
         odd_points = np.concatenate([points, special])

@@ -37,7 +37,8 @@ import tempfile
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 # figures a pair should repeat exactly when the change keeps the results
-ACCURACY = ("failed_frac", "rse_p50", "rase_p50", "rase2_p50")
+# (concave_frac is the one such figure of cli_eco_n200, None on the others)
+ACCURACY = ("failed_frac", "rse_p50", "rase_p50", "rase2_p50", "concave_frac")
 # machine facts both sides of a pair must share
 MACHINE = ("nproc", "cpus_usable", "blas_threads")
 
