@@ -65,7 +65,10 @@ def load_csv(path) -> list[EcologyRecord]:
             raise SchemaError(f"{path}: missing columns {', '.join(missing)}")
         positions = {name: header.index(name) for name in REQUIRED_COLUMNS}
         records = []
-        for row_number, row in enumerate(reader, start=2):
+        for row in reader:
+            if not row:
+                continue  # a blank line, skipped as csv.DictReader skips it
+            row_number = reader.line_num
             if len(row) != len(header):
                 raise SchemaError(
                     f"{path}: line {row_number} has {len(row)} fields, header has {len(header)}"

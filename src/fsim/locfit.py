@@ -18,10 +18,11 @@ serves the held-out Nadaraya-Watson prediction of k-fold validation and the
 batched local quadratic fits behind GCV, curve grids and RASE.  The
 leave-one-out estimator inside the coefficient-search objective has a
 symmetric walk of its own, which forms each in-reach pair once for both of
-its samples.  A batch of leave-one-out problems of one size (the training
-sets of the k-fold searches) runs as stacks of dense tiles.  The pointwise
-fits (:func:`local_quad_fit`, :func:`smoother_matrix`,
-:func:`relocated_fit`) stay as the reference for the batched ones.
+its samples and runs one kernel transform per group of tiles.  A batch of
+leave-one-out problems of one size (the training sets of the k-fold
+searches) runs as stacks of dense tiles.  The pointwise fits
+(:func:`local_quad_fit`, :func:`smoother_matrix`, :func:`relocated_fit`)
+stay as the reference for the batched ones.
 """
 
 from __future__ import annotations
@@ -165,7 +166,8 @@ def _tiled(points, samples) -> bool:
     tile: more than ``ONE_TILE_MAX`` points or samples, all of them finite."""
     return (min(points.size, samples.size) > 0
             and max(points.size, samples.size) > ONE_TILE_MAX
-            and bool(np.isfinite(points).all()) and bool(np.isfinite(samples).all()))
+            and bool(np.isfinite(points).all())
+            and (samples is points or bool(np.isfinite(samples).all())))
 
 
 def _sorted_tiles(points, samples=None):
@@ -223,23 +225,29 @@ def _walk(tile, points, samples, data):
     return results
 
 
-def _differences(points, samples) -> np.ndarray:
-    """The kernel arguments ``samples[..., None, :] - points[..., :, None]`` of
-    a tile of finite values, as one matrix product.
-
-    Row i of the left factor is ``(points_i, 1)`` and column j of the right
-    one ``(-1, samples_j)``: both products in an entry are exact, and their
-    sum is rounded once in any order, so each entry is the broadcast
-    difference; only the sign of a zero may differ, which no kernel weight
-    and no sum with a nonzero term sees.  The product is one pass over the
-    tile, where the broadcast takes several.
-    """
+def _factors(points, samples):
+    """The factors whose product :func:`_differences` takes: rows
+    ``(points_i, 1)`` and columns ``(-1, samples_j)``."""
     left = np.empty(points.shape + (2,))
     left[..., 0] = points
     left[..., 1] = 1.0
     right = np.empty(samples.shape[:-1] + (2,) + samples.shape[-1:])
     right[..., 0, :] = -1.0
     right[..., 1, :] = samples
+    return left, right
+
+
+def _differences(points, samples) -> np.ndarray:
+    """The kernel arguments ``samples[..., None, :] - points[..., :, None]`` of
+    a tile of finite values, as one matrix product of :func:`_factors`.
+
+    Both products in an entry are exact, and their sum is rounded once in
+    any order, so each entry is the broadcast difference; only the sign of a
+    zero may differ, which no kernel weight and no sum with a nonzero term
+    sees.  The product is one pass over the tile, where the broadcast takes
+    several.
+    """
+    left, right = _factors(points, samples)
     return left @ right
 
 
@@ -281,6 +289,25 @@ def _nw_tile(rows, points, samples, responses, diagonal=None):
     return sums[..., 0], sums[..., 1]
 
 
+def _tile_groups(tiles):
+    """Group the symmetric walk's tiles ``(a, b, c0, c1)`` to share a buffer.
+
+    Yields ``(group, size)``: a run of consecutive tiles ``(a, b, c1)``, rows
+    [a, b) against samples [a, c1), and its count of weights, at most
+    ``ONE_TILE_MAX**2`` unless the run is one larger tile alone.
+    """
+    group, used = [], 0
+    for a, b, _, c1 in tiles:
+        size = (b - a) * (c1 - a)
+        if group and used + size > ONE_TILE_MAX**2:
+            yield group, used
+            group, used = [], 0
+        group.append((a, b, c1))
+        used += size
+    if group:
+        yield group, used
+
+
 def _nw_loo_sums(points, responses):
     """Leave-one-out kernel sums ``(den, num)`` at every h-scaled sample.
 
@@ -294,22 +321,42 @@ def _nw_loo_sums(points, responses):
     of samples [a, c1) adds (sum w, sum w y) to rows [a, b); the part right
     of the tile, transposed, against the (1, y) columns of rows [a, b) adds
     the same pairs to rows [b, c1).  Each row so gets its pairs with
-    earlier samples from earlier tiles.  The sums accumulate in sorted order
-    and are scattered back once.
+    earlier samples from earlier tiles.
+
+    The kernel-argument factors (:func:`_factors`) are built once over the
+    sorted index.  Consecutive tiles form groups of at most
+    ``ONE_TILE_MAX**2`` weights, the largest dense tile (a larger tile is a
+    group of its own), written into one reused buffer, each tile's
+    differences as one product into its part; one :func:`transform_inplace`
+    then turns the whole group into weights, and the group's tiles add their
+    sums in tile order.  Every weight and every sum is the one a tile alone
+    would form, bit for bit; grouping only cuts the calls per tile.  The
+    sums accumulate in sorted order and are scattered back once.
     """
     if not _tiled(points, points):
         return _nw_tile(slice(None), points, points, responses, 0)
     order, p, _, _, tiles = _sorted_tiles(points)
+    groups = list(_tile_groups(tiles))
+    left, right = _factors(p, p)
     ones_y = _ones_y(responses[order])
     sums = np.zeros((p.size, 2))
-    for a, b, _, c1 in tiles:
-        w = transform_inplace(_differences(p[a:b], p[a:c1]))
-        w.reshape(-1)[::c1 - a + 1] = 0.0
-        sums[a:b] += w @ ones_y[a:c1]
-        sums[b:c1] += w[:, b - a:].T @ ones_y[a:b]
-    out = np.empty((2, p.size))
-    out[:, order] = sums.T
-    return out[0], out[1]
+    buffer = np.empty(max(size for _, size in groups))
+    for group, size in groups:
+        weights, used = [], 0
+        for a, b, c1 in group:
+            flat = buffer[used:used + (b - a) * (c1 - a)]
+            np.matmul(left[a:b], right[:, a:c1], out=flat.reshape(b - a, c1 - a))
+            weights.append(flat)
+            used += flat.size
+        transform_inplace(buffer[:size])
+        for (a, b, c1), flat in zip(group, weights):
+            flat[::c1 - a + 1] = 0.0
+            w = flat.reshape(b - a, c1 - a)
+            sums[a:b] += w @ ones_y[a:c1]
+            sums[b:c1] += w[:, b - a:].T @ ones_y[a:b]
+    den, num = np.empty(p.size), np.empty(p.size)
+    den[order], num[order] = sums[:, 0], sums[:, 1]
+    return den, num
 
 
 def stack_size(elements: int) -> int:

@@ -9,6 +9,13 @@ MARGIN = 56
 COLORS = ("#000000", "#cc0000", "#0055aa", "#228833")
 
 
+def _escape(text) -> str:
+    """``text`` as XML character data, ``&``, ``<`` and ``>`` escaped as
+    ``xml.sax.saxutils.escape`` does; that module imports ``urllib.request``,
+    which would add tens of milliseconds to every start of the CLI."""
+    return str(text).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _ticks(lo: float, hi: float, count: int = 5):
     if hi <= lo:
         hi = lo + 1.0
@@ -49,7 +56,7 @@ def line_chart(path, x, series: dict, title: str = "") -> None:
     if title:
         parts.append(
             f'<text x="{WIDTH // 2}" y="{MARGIN - 20}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="16">{title}</text>'
+            f'font-family="sans-serif" font-size="16">{_escape(title)}</text>'
         )
     for tick in _ticks(x_lo, x_hi):
         parts.append(
@@ -80,7 +87,7 @@ def line_chart(path, x, series: dict, title: str = "") -> None:
                 )
         parts.append(
             f'<text x="{WIDTH - MARGIN - 8}" y="{MARGIN + 18 + 16 * k}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="12" fill="{color}">{label}</text>'
+            f'font-family="sans-serif" font-size="12" fill="{color}">{_escape(label)}</text>'
         )
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8") as handle:

@@ -112,3 +112,26 @@ def test_concave_frac_is_compared():
     lines = ab_pairs.summary_lines(pairs, END_TO_END)
     assert "concave_frac" in lines[-1]
     assert lines[-1].endswith(": 1/2")
+
+
+PARENT_WALL = [10.0, 10.2, 10.4, 10.6, 10.8, 11.0, 11.2, 11.4, 11.6, 11.8]
+
+
+@pytest.mark.parametrize("change, ratio, met", [
+    # ten wins, medians 1.5 apart against a parent IQR of 0.9
+    ([v - 1.5 for v in PARENT_WALL], 1.5 / 0.9, True),
+    # the same gap but two losses: 8/10 wins
+    ([v - 1.5 for v in PARENT_WALL[:8]] + [12.0, 12.0], 1.5 / 0.9, False),
+    # ten wins, but the gap of 0.5 is below the IQR
+    ([v - 0.5 for v in PARENT_WALL], 0.5 / 0.9, False),
+])
+def test_gain_rule(change, ratio, met):
+    got_ratio, got_met = ab_pairs.gain_rule(PARENT_WALL, change, "lower")
+    assert got_ratio == pytest.approx(ratio) and got_met is met
+    # the same figures for a metric where higher is better
+    flipped = ab_pairs.gain_rule([-v for v in PARENT_WALL], [-v for v in change], "higher")
+    assert flipped[0] == pytest.approx(ratio) and flipped[1] is met
+    pairs = [(run(a, 40.0), run(b, 40.0)) for a, b in zip(PARENT_WALL, change)]
+    lines = ab_pairs.summary_lines(pairs, END_TO_END[:1])
+    assert lines[2].endswith(f"median gap {ratio:.2f} times the parent's IQR, "
+                             f"gain rule {'met' if met else 'not met'}")

@@ -119,6 +119,17 @@ class TestFit:
         assert run("fit", "--data", data, "--out", tmp_path / "o", "--method", method,
                    "--folds", folds) == 3
 
+    def test_trailing_blank_line_fits_as_the_clean_file(self, synth_inputs, tmp_path):
+        data = tmp_path / "eco.csv"
+        data.write_text(synth_inputs["data"].read_text() + "\n")
+        fits = []
+        for source, out in ((synth_inputs["data"], tmp_path / "clean"), (data, tmp_path / "blank")):
+            assert run("fit", "--data", source, "--out", out, "--strategy", "equal",
+                       "--basis-dim", 7, "--budget", 40, "--grid-size", 2) == 0
+            fits.append(json.loads((out / "fit.json").read_text()))
+        assert fits[0]["model"] == fits[1]["model"]
+        assert fits[0]["selection"] == fits[1]["selection"]
+
     def test_single_strategy_reduces_to_it(self, synth_inputs, tmp_path):
         out = tmp_path / "single"
         assert run("fit", "--data", synth_inputs["data"], "--out", out,

@@ -82,6 +82,35 @@ class TestLoadCsv:
         with pytest.raises(SchemaError, match="line 2"):
             load_csv(path)
 
+    @pytest.mark.parametrize("blank_at", [None, 2])
+    def test_blank_lines_are_skipped(self, tmp_path, blank_at):
+        # a trailing blank line (blank_at None) or one between two records
+        rng = np.random.default_rng(6)
+        clean = tmp_path / "clean.csv"
+        write_csv([make_record(rng) for _ in range(3)], clean)
+        lines = clean.read_text().splitlines()
+        lines.insert(len(lines) if blank_at is None else blank_at, "")
+        blank = tmp_path / "blank.csv"
+        blank.write_text("\n".join(lines) + "\n")
+        expected, got = load_csv(clean), load_csv(blank)
+        assert len(got) == len(expected) == 3
+        for a, b in zip(got, expected):
+            assert (a.logarea_t1, a.logarea_t0, a.w) == (b.logarea_t1, b.logarea_t0, b.w)
+            np.testing.assert_array_equal(a.precip, b.precip)
+            np.testing.assert_array_equal(a.temp, b.temp)
+
+    def test_errors_after_a_blank_line_name_the_files_own_line(self, tmp_path):
+        rng = np.random.default_rng(7)
+        path = tmp_path / "eco.csv"
+        write_csv([make_record(rng), make_record(rng)], path)
+        lines = path.read_text().splitlines()
+        lines[2] = ",".join(lines[2].split(",")[:-1])
+        lines.insert(2, "")
+        path.write_text("\n".join(lines) + "\n")
+        # the short record is the file's fourth line, the data's second row
+        with pytest.raises(SchemaError, match="line 4 has"):
+            load_csv(path)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "eco.csv"
         path.write_text("")

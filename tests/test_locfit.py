@@ -288,6 +288,27 @@ def loo_oracles(n):
                   for h in (0.004, 0.08, 0.5, 3.0, 200.0)]
 
 
+def per_tile_loo_sums(points, responses):
+    """The symmetric walk one tile at a time: one :func:`locfit._differences`
+    and one :func:`transform_inplace` per tile, the reference for the walk
+    that groups its tiles."""
+    order, p, _, _, tiles = locfit._sorted_tiles(points)
+    ones_y = locfit._ones_y(responses[order])
+    sums = np.zeros((p.size, 2))
+    for a, b, _, c1 in tiles:
+        w = transform_inplace(locfit._differences(p[a:b], p[a:c1]))
+        w.reshape(-1)[::c1 - a + 1] = 0.0
+        sums[a:b] += w @ ones_y[a:c1]
+        sums[b:c1] += w[:, b - a:].T @ ones_y[a:b]
+    out = np.empty((2, p.size))
+    out[:, order] = sums.T
+    return out[0], out[1]
+
+
+# from a reach of one sample (or its exact duplicates) to wider than the whole index
+WALK_BANDWIDTHS = (1e-9, 0.004, 0.08, 0.5, 3.0, 200.0)
+
+
 class TestKernelSumEngine:
     @pytest.mark.parametrize("n", ENGINE_SIZES)
     def test_loo_matches_direct_sums(self, n, engine_path):
@@ -296,6 +317,51 @@ class TestKernelSumEngine:
             # the isolated samples, 7 apart, have empty windows below h = 7
             assert oracle[1][z >= 40.0].all() == (h < 7.0)
             assert_matches_oracle(nw_loo_all(z, y, h), oracle)
+
+    @pytest.mark.parametrize("n", [CUTOFF + 1, 300, 1000, 4000])
+    def test_grouped_walk_is_the_per_tile_walk_byte_for_byte(self, n):
+        rng = np.random.default_rng(n + 3)
+        z = awkward_index(n, rng)
+        y = rng.normal(size=n)
+        for h in WALK_BANDWIDTHS:
+            got = locfit._nw_loo_sums(z / h, y)
+            expected = per_tile_loo_sums(z / h, y)
+            for a, b in zip(got, expected):
+                assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("n", [CUTOFF + 1, 300, 1000, 4000])
+    def test_one_transform_per_group_of_tiles(self, n, monkeypatch):
+        groups = []
+        transform = locfit.transform_inplace
+
+        def spy(u):
+            groups.append(u.size)
+            return transform(u)
+
+        monkeypatch.setattr(locfit, "transform_inplace", spy)
+        rng = np.random.default_rng(n + 3)
+        z = awkward_index(n, rng)
+        y = rng.normal(size=n)
+        for h in WALK_BANDWIDTHS:
+            groups.clear()
+            sizes = [(b - a) * (c1 - a) for a, b, _, c1 in locfit._sorted_tiles(z / h)[4]]
+            locfit._nw_loo_sums(z / h, y)
+            assert sum(groups) == sum(sizes)
+            # each group is a run of consecutive tiles, as many as CUTOFF**2
+            # weights hold, or one larger tile alone
+            k = 0
+            for used in groups:
+                first, filled = k, 0
+                while k < len(sizes) and filled + sizes[k] <= used:
+                    filled += sizes[k]
+                    k += 1
+                assert filled == used and k > first
+                assert used <= CUTOFF**2 or k - first == 1
+                assert k == len(sizes) or used + sizes[k] > CUTOFF**2
+            assert k == len(sizes)
+            if n == 4000 and h == WALK_BANDWIDTHS[-1]:
+                # the first tile reaches every sample: 64 x 4000 weights, alone
+                assert groups[0] == T * n > CUTOFF**2
 
     @pytest.mark.parametrize("m, n", [(10, 90), (T + 1, 3 * T + 5), (5, 1000), (1000, 20),
                                       (CUTOFF + 1, CUTOFF + 1)])

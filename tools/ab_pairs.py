@@ -10,14 +10,17 @@ an existing checkout of the parent instead (say, one unpacked with
 working tree this script sits in, uncommitted edits included.  Each seed
 runs ``perfbench/run.py --trace 0`` once on each side at ``run_seconds`` from
 BENCHMARK.json, one run at a time, and the side that runs first alternates
-from seed to seed.  For every end-to-end
-metric the script prints each side's median and quartiles, the number of
-pairs the change won (a tie counts for neither side), and whether the
-change's median is worse than the parent's by no more than the metric's
-``bound`` in BENCHMARK.json ("within bound") or by more ("beyond bound"),
-then ``failed`` and ``correct`` per side, the pairs whose accuracy
-figures agree, and each side's CPU count (``nproc``), usable CPUs
-(``cpus_usable``) and BLAS threads from the machine facts of its runs.
+from seed to seed.  For every end-to-end metric the script prints each
+side's median and quartiles, the number of pairs the change won (a tie
+counts for neither side), and whether the change's median is worse than the
+parent's by no more than the metric's ``bound`` in BENCHMARK.json ("within
+bound") or by more ("beyond bound").  Under that it prints the gap between
+the medians in the better direction divided by the parent's interquartile
+range (IQR), and whether the gain rule is met: the change won at least 9/10
+of the pairs and that gap exceeds the IQR.  Then come ``failed`` and
+``correct`` per side, the pairs whose accuracy figures agree, and each
+side's CPU count (``nproc``), usable CPUs (``cpus_usable``) and BLAS
+threads from the machine facts of its runs.
 The coefficient searches run on every usable CPU, so wall time depends on
 these facts: a pair whose sides report different ones is refused, and
 counts as incomplete.  Running it with ``--parent-dir`` set to a copy of this
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import pathlib
 import shutil
 import statistics
@@ -76,6 +80,23 @@ def within_bound(parent_median: float, change_median: float, better: str,
     if better == "lower":
         return change_median <= parent_median * (1.0 + bound)
     return change_median >= parent_median * (1.0 - bound)
+
+
+def gain_rule(parent, change, better: str) -> tuple[float, bool]:
+    """The gap between the medians in the better direction, as a multiple of
+    the parent's interquartile range, and whether the gain rule holds: the
+    change wins at least 9 of every 10 pairs and that gap exceeds the
+    parent's interquartile range."""
+    q1, median, q3 = quartiles(parent)
+    sign = 1.0 if better == "lower" else -1.0
+    gap = sign * (median - statistics.median(change))
+    spread = q3 - q1
+    if spread:
+        ratio = gap / spread
+    else:
+        ratio = math.copysign(math.inf, gap) if gap else 0.0
+    met = 10 * wins(parent, change, better) >= 9 * len(parent) and gap > spread
+    return ratio, met
 
 
 def parse_run(stdout: str) -> dict:
@@ -138,6 +159,9 @@ def summary_lines(pairs, end_to_end) -> list[str]:
         verdict = "within" if kept else "beyond"
         lines.append(f"{name:<13} {cells[0]:<32} {cells[1]:<32} {won}/{count} "
                      f"({change:+.1%} in the median), {verdict} bound {metric['bound'] * 100:g}%")
+        ratio, met = gain_rule(*sides, metric["better"])
+        lines.append(f"{'':<13} median gap {ratio:.2f} times the parent's IQR, "
+                     f"gain rule {'met' if met else 'not met'}")
     for side, label in ((0, "parent"), (1, "change")):
         runs = [pair[side] for pair in pairs]
         machines = sorted({machine_line(r["machine"]) for r in runs})

@@ -6,9 +6,11 @@ For each n the script draws a link-g3 sample (``simulate.generate``, seed
 ``--seed``), takes its index at the true coefficients and times
 ``nw_loo_all`` over the default 10-bandwidth grid, once with the whole
 problem as one dense tile and once on the sorted-window walk, by setting
-``locfit.ONE_TILE_MAX`` for the duration of each round.  A round times one
-pass over the grid on each path; the path that runs first alternates from
-round to round, and each path keeps its best round.  The script prints the
+``locfit.ONE_TILE_MAX`` for the duration of each round: to n for the dense
+tile, and for the walk to the shipped value, or n - 1 where n is not above
+it (the symmetric walk groups its tiles by ``ONE_TILE_MAX**2`` weights).  A
+round times one pass over the grid on each path; the path that runs first
+alternates from round to round, and each path keeps its best round.  The script prints the
 machine facts, then a markdown table of the mean time per call on each path
 and the speed-up of the walk over the dense tile.  A second table times one
 stacked k-fold step, which the benchmark's tracer does not see: one
@@ -74,8 +76,10 @@ def sweep(sizes, rounds: int, seed: int = 0) -> list[tuple[int, float, float]]:
         data, truth = generate(SimScenario(n=n, link="g3", seed=seed))
         z, y = truth.index, data.y
         grid = BandwidthGrid.default(n, float(np.std(z))).values
-        # ONE_TILE_MAX = n keeps the problem on one dense tile; 0 sends it to the walk
-        paths = {"dense": n, "walk": 0}
+        # ONE_TILE_MAX = n keeps the problem on one dense tile, and any cap below n
+        # sends it to the walk; the shipped cap, where it is below n, keeps the
+        # walk's groups of tiles as shipped
+        paths = {"dense": n, "walk": min(n - 1, locfit.ONE_TILE_MAX)}
         best = {name: np.inf for name in paths}
         for k in range(rounds):
             for name in (paths if k % 2 == 0 else reversed(paths)):
