@@ -14,6 +14,7 @@ from .bandwidth import (
     SelectionError,
     curvature_bandwidth,
     fit_pipeline,
+    fit_pipelines,
     gcv_score,
     kfold_score,
     select_bandwidth,
@@ -59,7 +60,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BandwidthGrid", "CVReport", "SelectionError", "curvature_bandwidth",
-    "fit_pipeline", "gcv_score", "kfold_score", "select_bandwidth",
+    "fit_pipeline", "fit_pipelines", "gcv_score", "kfold_score", "select_bandwidth",
     "BasisExpansion", "FourierBasis", "inner_product", "project_samples",
     "EcologyRecord", "EcologyTruth", "load_csv", "synth_ecology", "to_dataset",
     "kernel_moment", "smooth_kernel",

@@ -123,6 +123,21 @@ def _fold_assignment(n: int, folds: int, seed) -> list[np.ndarray]:
     return np.array_split(permutation, folds)
 
 
+def _fold_split(n: int, folds: int, seed) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The training and held-out indices of every fold of the seeded split."""
+    if folds < 2:
+        raise ValueError(f"need at least 2 folds, got {folds}")
+    if n < folds:
+        raise SelectionError(f"k-fold needs n >= {folds}, got n={n}")
+    held_outs = _fold_assignment(n, folds, seed)
+    trains = []
+    for held_out in held_outs:
+        mask = np.ones(n, dtype=bool)
+        mask[held_out] = False
+        trains.append(np.nonzero(mask)[0])
+    return trains, held_outs
+
+
 def kfold_score(data: Dataset, init, h: float, folds: int = 10, seed=0,
                 budget: int | None = None) -> float:
     """K-fold cross-validation score of the full fit-then-predict pipeline.
@@ -138,49 +153,25 @@ def kfold_score(data: Dataset, init, h: float, folds: int = 10, seed=0,
     fails its search with :class:`DegenerateObjectiveError`, the first such
     fold in fold order raising.
     """
-    (outcome,) = _kfold_grid(data, [init], [h], folds, seed, budget)
+    split = _fold_split(data.n, folds, seed)
+    results = minimize_lockstep(data, split[0], init, h, budget)
+    outcome = _held_out_score(data, split, results, h)
     if isinstance(outcome, EstimationError):
         raise outcome
     return outcome
 
 
-def _kfold_grid(data: Dataset, starts, hs, folds: int, seed, budget: int | None
-                ) -> list[float | EstimationError]:
-    """:func:`kfold_score` at every bandwidth of ``hs`` from its start in ``starts``.
-
-    The fold searches of every bandwidth run as one lockstep.  Each entry
-    is the bandwidth's score or the :class:`EstimationError` its
-    :func:`kfold_score` raises; a failed fold's sibling searches still run
-    and are discarded.
-    """
-    if folds < 2:
-        raise ValueError(f"need at least 2 folds, got {folds}")
-    if data.n < folds:
-        raise SelectionError(f"k-fold needs n >= {folds}, got n={data.n}")
-    held_outs = _fold_assignment(data.n, folds, seed)
-    trains = []
-    for held_out in held_outs:
-        mask = np.ones(data.n, dtype=bool)
-        mask[held_out] = False
-        trains.append(np.nonzero(mask)[0])
-    starts = np.asarray(starts, dtype=float)
-    results = minimize_lockstep(data, trains * len(hs), np.repeat(starts, folds, axis=0),
-                                np.repeat(hs, folds), budget)
-    outcomes = []
-    for k, h in enumerate(hs):
-        fold_results = results[k * folds:(k + 1) * folds]
-        failure = next((r for r in fold_results if isinstance(r, EstimationError)), None)
-        outcomes.append(failure if failure is not None
-                        else _held_out_score(data, trains, held_outs, fold_results, h))
-    return outcomes
-
-
-def _held_out_score(data: Dataset, trains, held_outs, results, h: float):
-    """Mean squared held-out error of the fold fits, or the :class:`SelectionError`
-    of a bandwidth whose every held-out point is excluded."""
+def _held_out_score(data: Dataset, split, results, h: float):
+    """Mean squared held-out error of one bandwidth's fold fits on ``split``;
+    else the error of its first failed fold search, or the
+    :class:`SelectionError` of a bandwidth whose every held-out point is
+    excluded."""
+    failure = next((r for r in results if isinstance(r, EstimationError)), None)
+    if failure is not None:
+        return failure
     total_error = 0.0
     total_count = 0
-    for train_indices, held_out, result in zip(trains, held_outs, results):
+    for train_indices, held_out, result in zip(*split, results):
         train = data.subset(train_indices)
         test = data.subset(held_out)
         z_train = compute_index(train, result.spec)
@@ -207,10 +198,100 @@ def choose_random_start(data: Dataset, h: float, pool):
     return pool[best], f"random[{best}]"
 
 
+def _check_method(method: str) -> None:
+    if method not in METHODS:
+        raise ValueError(f"method must be 'gcv' or 'kfold', got {method!r}")
+
+
+@dataclass(frozen=True)
+class _GridSearches:
+    """One strategy's planned grid searches, run.
+
+    ``starts`` maps the grid index of every bandwidth with a start to its
+    ``(vector, label)``, in grid order.  ``results`` holds, in the same
+    order, each bandwidth's full-data search (GCV) or the searches of its
+    training folds (k-fold, on the ``(trains, held_outs)`` of ``split``);
+    a failed search keeps its error.  A k-fold split with fewer samples
+    than folds leaves ``results`` its :class:`SelectionError`.
+    """
+
+    starts: dict
+    results: list | EstimationError
+    split: tuple | None = None
+
+
+def _plan(data: Dataset, strategy: InitStrategy, grid: BandwidthGrid,
+          start: tuple[np.ndarray, str] | None = None) -> dict:
+    """The ``(vector, label)`` start of every grid bandwidth that has one, by grid index.
+
+    A deterministic strategy starts every bandwidth from ``start``, else from
+    :func:`resolve_init`; the random strategy draws its pool at
+    ``grid.reference`` and takes each bandwidth's :func:`choose_random_start`,
+    and a bandwidth where every candidate is degenerate has no start.
+    """
+    pool = init_random(data, grid.reference, strategy) if strategy.kind == "random" else None
+    fixed = None
+    if pool is None:
+        fixed = start if start is not None else resolve_init(data, strategy)
+    starts = {}
+    for k, h in enumerate(grid.values):
+        try:
+            starts[k] = fixed if pool is None else choose_random_start(data, h, pool)
+        except EstimationError:
+            continue
+    return starts
+
+
+def _run_searches(data: Dataset, grids, plans, method: str, folds: int, seeds,
+                  budget: int | None, sign_reference) -> list[_GridSearches]:
+    """The :class:`_GridSearches` of every strategy: ``plans[i]`` (:func:`_plan`) on
+    ``grids[i]``, split for k-fold by fold seed ``seeds[i]``.
+
+    Every planned search of every strategy runs in one lockstep, with the
+    result it would have alone: GCV runs one full-data search per planned
+    bandwidth (:func:`fsim.optimize.minimize_each`), k-fold one search per
+    planned bandwidth and training fold of its strategy's split
+    (:func:`fsim.optimize.minimize_lockstep`).  A strategy with no planned
+    bandwidth is not split.
+    """
+    searches = []  # (start, h, label, training indices or None), strategy by strategy
+    splits, counts = [], []
+    for grid, starts, seed in zip(grids, plans, seeds):
+        split = None
+        if method == "kfold" and starts:
+            try:
+                split = _fold_split(data.n, folds, seed)
+            except SelectionError as exc:
+                split = exc
+        trains = ([None] if split is None else [] if isinstance(split, EstimationError)
+                  else split[0])
+        mine = [(init, grid.values[k], label, train)
+                for k, (init, label) in starts.items() for train in trains]
+        searches.extend(mine)
+        splits.append(split)
+        counts.append(len(mine))
+    results = []
+    if searches:
+        inits, hs, labels, trains = zip(*searches)
+        inits, hs = np.array(inits), np.array(hs)
+        results = (minimize_each(data, inits, hs, budget, sign_reference, list(labels))
+                   if method == "gcv" else minimize_lockstep(data, list(trains), inits, hs, budget))
+    grid_searches = []
+    at = 0
+    for starts, split, count in zip(plans, splits, counts):
+        mine, at = results[at:at + count], at + count
+        if isinstance(split, EstimationError):
+            mine, split = split, None
+        elif split is not None:
+            mine = [mine[j:j + folds] for j in range(0, count, folds)]
+        grid_searches.append(_GridSearches(starts, mine, split))
+    return grid_searches
+
+
 def select_bandwidth(data: Dataset, strategy: InitStrategy, grid: BandwidthGrid,
                      method: str = "gcv", folds: int = 10, seed=0,
                      budget: int | None = None, sign_reference=None,
-                     start: tuple[np.ndarray, str] | None = None) -> CVReport:
+                     searches: _GridSearches | None = None) -> CVReport:
     """Score every grid bandwidth and return the argmin with its final fit.
 
     Coefficients are refit for every bandwidth.  GCV scores the smoother of
@@ -221,43 +302,35 @@ def select_bandwidth(data: Dataset, strategy: InitStrategy, grid: BandwidthGrid,
     with fewer samples than folds raises the :class:`SelectionError` of
     :func:`kfold_score`.
 
-    The start rule: a deterministic strategy starts every search from its one
-    start vector: ``start``, the ``(vector, label)`` of :func:`resolve_init`
-    when the caller has resolved it already, else resolved here.  The random
+    The start rule (:func:`_plan`): a deterministic strategy starts every
+    search from its one start vector (:func:`resolve_init`).  The random
     strategy draws its pool once, prefiltered at ``grid.reference``, and at
     each bandwidth h runs one search from the candidate that scores best at
     h (:func:`choose_random_start`), so different bandwidths may start from
     different candidates.
 
-    The searches of every bandwidth with a start run as one lockstep, each
-    with the result it would have alone: GCV runs one full-data search per
-    bandwidth (:func:`fsim.optimize.minimize_each`) and keeps the winner's
-    fit; k-fold refits every training fold from the start of its bandwidth
-    (the result :func:`kfold_score` would give there), then refits the
-    winner on all the data.
+    GCV runs one full-data search per bandwidth and keeps the winner's fit;
+    k-fold refits every training fold from the start of its bandwidth (the
+    result :func:`kfold_score` would give there), then refits the winner on
+    all the data in a search of its own.  ``searches`` is this strategy's
+    :class:`_GridSearches`, already run by :func:`fit_pipelines` in one
+    lockstep with other strategies' searches; without it this call plans
+    and runs them itself, through the same helpers.  Either way each search
+    has the result it would have alone.
     """
-    if method not in METHODS:
-        raise ValueError(f"method must be 'gcv' or 'kfold', got {method!r}")
-    pool = init_random(data, grid.reference, strategy) if strategy.kind == "random" else None
-    fixed = None
-    if pool is None:
-        fixed = start if start is not None else resolve_init(data, strategy)
-    starts: dict[int, tuple] = {}
-    for k, h in enumerate(grid.values):
-        try:
-            starts[k] = fixed if pool is None else choose_random_start(data, h, pool)
-        except EstimationError:
-            continue
-
-    keys = list(starts)
-    inits, hs = [starts[k][0] for k in keys], grid.values[keys]
-    outcomes = []
-    if keys and method == "gcv":
-        fits = minimize_each(data, inits, hs, budget, sign_reference,
-                             [starts[k][1] for k in keys])
-        outcomes = [_gcv_outcome(data, fit, h) for fit, h in zip(fits, hs)]
-    elif keys:
-        outcomes = _kfold_grid(data, inits, hs, folds, seed, budget)
+    _check_method(method)
+    if searches is None:
+        (searches,) = _run_searches(data, [grid], [_plan(data, strategy, grid)], method,
+                                    folds, [seed], budget, sign_reference)
+    if isinstance(searches.results, EstimationError):
+        raise searches.results
+    keys = list(searches.starts)
+    hs = grid.values[keys]
+    if method == "gcv":
+        outcomes = [_gcv_outcome(data, fit, h) for fit, h in zip(searches.results, hs)]
+    else:
+        outcomes = [_held_out_score(data, searches.split, fold_results, h)
+                    for fold_results, h in zip(searches.results, hs)]
     scores = np.full(grid.values.size, np.inf)
     for k, outcome in zip(keys, outcomes):
         if not isinstance(outcome, EstimationError):
@@ -265,9 +338,9 @@ def select_bandwidth(data: Dataset, strategy: InitStrategy, grid: BandwidthGrid,
     chosen = argmin_prefer_larger(scores)
     chosen_h = float(grid.values[chosen])
     if method == "gcv":
-        best_fit = fits[keys.index(chosen)]
+        best_fit = searches.results[keys.index(chosen)]
     else:
-        init, label = starts[chosen]
+        init, label = searches.starts[chosen]
         best_fit = minimize(data, init, chosen_h, budget, sign_reference, label)
     sigma_index = float(np.std(compute_index(data, best_fit.spec)))
     if sigma_index <= 0.0:
@@ -294,16 +367,9 @@ def _gcv_outcome(data: Dataset, fit: OptResult | EstimationError, h: float):
         return exc
 
 
-def fit_pipeline(data: Dataset, strategy: InitStrategy, grid_size: int, method: str,
-                 folds: int, seed, budget: int | None, sign_reference=None) -> CVReport:
-    """The estimation pipeline: anchor the default grid, then select the bandwidth.
-
-    The grid is :meth:`BandwidthGrid.default` with ``grid_size`` values at the
-    index scale of a reference vector: the strategy's start, resolved once
-    and passed on to the search, or the all-equal vector for the random
-    strategy, which has no single start.  A constant reference index raises
-    :class:`SelectionError`.
-    """
+def _anchored_grid(data: Dataset, strategy: InitStrategy, grid_size: int):
+    """The default grid of ``grid_size`` values at the index scale of the
+    strategy's reference vector, and its resolved start (None for random)."""
     if strategy.kind == "random":
         start = None
         reference = init_equal(data.search_dimension())
@@ -313,6 +379,66 @@ def fit_pipeline(data: Dataset, strategy: InitStrategy, grid_size: int, method: 
     sigma_z = float(np.std(compute_index(data, spec_from_raw(data, reference, 1.0))))
     if sigma_z <= 0.0:
         raise SelectionError("reference index is constant; no usable bandwidth scale")
-    grid = BandwidthGrid.default(data.n, sigma_z, grid_size)
-    return select_bandwidth(data, strategy, grid, method, folds, seed, budget, sign_reference,
-                            start)
+    return BandwidthGrid.default(data.n, sigma_z, grid_size), start
+
+
+def fit_pipelines(data: Dataset, strategies, grid_size: int, method: str, folds: int,
+                  seeds, budget: int | None, sign_reference=None
+                  ) -> list[CVReport | EstimationError]:
+    """:func:`fit_pipeline` for each strategy, with one lockstep for all their grid searches.
+
+    Entry i is the report of ``fit_pipeline(data, strategies[i], grid_size,
+    method, folds, seeds[i], budget, sign_reference)``, or the
+    :class:`EstimationError` it raises, bit for bit.  The work runs in three
+    stages:
+
+    - plan, per strategy: anchor the grid, resolve the start or draw the
+      random pool, and pick the start of each grid bandwidth (:func:`_plan`);
+    - search, once: every planned search of every strategy runs as one
+      lockstep (:func:`_run_searches`), k-fold splitting each strategy by its
+      own fold seed;
+    - select, per strategy: :func:`select_bandwidth` scores the strategy's
+      searches and picks its bandwidth, refitting the winner for k-fold.
+
+    A strategy whose plan or selection raises :class:`EstimationError` fails
+    alone; any other exception propagates.
+    """
+    _check_method(method)
+    outcomes: list = [None] * len(strategies)
+    planned = []  # (strategy index, grid, starts) of every strategy whose plan held
+    for i, strategy in enumerate(strategies):
+        try:
+            grid, start = _anchored_grid(data, strategy, grid_size)
+            planned.append((i, grid, _plan(data, strategy, grid, start)))
+        except EstimationError as exc:
+            outcomes[i] = exc
+    searches = _run_searches(data, [grid for _, grid, _ in planned],
+                             [starts for _, _, starts in planned], method, folds,
+                             [seeds[i] for i, _, _ in planned], budget, sign_reference)
+    for (i, grid, _), searched in zip(planned, searches):
+        try:
+            outcomes[i] = select_bandwidth(data, strategies[i], grid, method, folds, seeds[i],
+                                           budget, sign_reference, searched)
+        except EstimationError as exc:
+            outcomes[i] = exc
+    return outcomes
+
+
+def fit_pipeline(data: Dataset, strategy: InitStrategy, grid_size: int, method: str,
+                 folds: int, seed, budget: int | None, sign_reference=None) -> CVReport:
+    """The estimation pipeline of one strategy: anchor the default grid, then
+    select the bandwidth.
+
+    The grid is :meth:`BandwidthGrid.default` with ``grid_size`` values at the
+    index scale of a reference vector: the strategy's start, resolved once
+    and passed on to the search, or the all-equal vector for the random
+    strategy, which has no single start.  A constant reference index raises
+    :class:`SelectionError`; every other :class:`EstimationError` of the plan
+    or of :func:`select_bandwidth` is raised too.  This is the one-strategy
+    call of :func:`fit_pipelines`.
+    """
+    (outcome,) = fit_pipelines(data, [strategy], grid_size, method, folds, [seed], budget,
+                               sign_reference)
+    if isinstance(outcome, EstimationError):
+        raise outcome
+    return outcome

@@ -126,6 +126,16 @@ def _fit_dataset(args):
 
 
 def cmd_fit(args) -> int:
+    """Fit the model from each start strategy and write the best fit to ``fit.json``.
+
+    Every strategy runs the pipeline of :func:`fsim.bandwidth.fit_pipeline`,
+    all of them in one :func:`fsim.bandwidth.fit_pipelines` call, so that
+    their grid searches share one lockstep; strategy k draws its random pool
+    from seed ``(seed, k)`` and its folds from ``(seed, k, 1)``.  A strategy
+    that fails is reported and left out; the winner has the lowest final
+    score, ties going to the earlier strategy.  Usage errors are found
+    before any file is written.
+    """
     strategies = [s.strip() for s in args.strategy.split(",") if s.strip()]
     for name in strategies:
         # the "true" start needs the generating coefficients, which a data file lacks
@@ -135,12 +145,15 @@ def cmd_fit(args) -> int:
     if not strategies:
         print("fsim fit: no strategies given", file=sys.stderr)
         return USAGE_ERROR
+    if len(set(strategies)) < len(strategies):
+        print(f"fsim fit: a strategy is named twice in {args.strategy!r}", file=sys.stderr)
+        return USAGE_ERROR
     too_few_folds = args.method == "kfold" and args.folds < 2
     if (min(args.grid_size, args.candidates, args.keep) < 1 or too_few_folds
-            or args.budget < 0 or not 2 <= args.basis_dim <= ingest.N_BINS):
-        print("fsim fit: need --grid-size, --candidates and --keep >= 1, --budget >= 0,"
-              f" --basis-dim in [2, {ingest.N_BINS}], and --folds >= 2 with --method kfold",
-              file=sys.stderr)
+            or args.budget < 0 or args.seed < 0 or not 2 <= args.basis_dim <= ingest.N_BINS):
+        print("fsim fit: need --grid-size, --candidates and --keep >= 1, --budget and --seed"
+              f" >= 0, --basis-dim in [2, {ingest.N_BINS}], and --folds >= 2 with --method"
+              " kfold", file=sys.stderr)
         return USAGE_ERROR
     try:
         data = _fit_dataset(args)
@@ -150,19 +163,23 @@ def cmd_fit(args) -> int:
 
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    keep = min(args.keep, args.candidates)
+    outcomes = bw.fit_pipelines(
+        data,
+        [InitStrategy(kind=name, candidate_count=args.candidates, keep_best=keep,
+                      seed=np.random.SeedSequence((args.seed, k)))
+         for k, name in enumerate(strategies)],
+        args.grid_size, args.method, args.folds,
+        [np.random.SeedSequence((args.seed, k, 1)) for k in range(len(strategies))],
+        args.budget)
     reports = {}
     errors = {}
-    for k, name in enumerate(strategies):
-        strategy = InitStrategy(kind=name, candidate_count=args.candidates,
-                                keep_best=min(args.keep, args.candidates),
-                                seed=np.random.SeedSequence((args.seed, k)))
-        try:
-            reports[name] = bw.fit_pipeline(data, strategy, args.grid_size, args.method,
-                                            args.folds, np.random.SeedSequence((args.seed, k, 1)),
-                                            args.budget)
-        except EstimationError as exc:
-            errors[name] = str(exc)
-            print(f"fsim fit: strategy {name} failed: {exc}", file=sys.stderr)
+    for name, outcome in zip(strategies, outcomes):
+        if isinstance(outcome, EstimationError):
+            errors[name] = str(outcome)
+            print(f"fsim fit: strategy {name} failed: {outcome}", file=sys.stderr)
+        else:
+            reports[name] = outcome
     if not reports:
         print("fsim fit: every strategy failed", file=sys.stderr)
         return ESTIMATION_ERROR
@@ -326,8 +343,9 @@ def cmd_plot(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    if args.n < 1 or args.noise_sd < 0 or not 3 <= args.basis_dim <= ingest.N_BINS:
-        print(f"fsim synth: need --n >= 1, --noise-sd >= 0 and --basis-dim in "
+    if (args.n < 1 or args.noise_sd < 0 or args.seed < 0
+            or not 3 <= args.basis_dim <= ingest.N_BINS):
+        print(f"fsim synth: need --n >= 1, --noise-sd and --seed >= 0, and --basis-dim in "
               f"[3, {ingest.N_BINS}]", file=sys.stderr)
         return USAGE_ERROR
     try:

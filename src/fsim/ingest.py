@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,7 +82,7 @@ def load_csv(path) -> list[EcologyRecord]:
                     raise SchemaError(
                         f"{path}: line {row_number}, column {name}: not a number: {text!r}"
                     ) from None
-                if not np.isfinite(value):
+                if not math.isfinite(value):
                     raise SchemaError(
                         f"{path}: line {row_number}, column {name}: non-finite value"
                     )

@@ -7,8 +7,9 @@ search, alone or with others, runs on one array-state Nelder-Mead
 CPUs this process may use (:func:`_in_parts`).  Four ways of choosing the
 start point are supported: the known truth (simulations), an ordinary
 least squares fit assuming a linear link, an all-equal vector, and a pool
-of standard normal draws prefiltered by objective value, from which
-:func:`fsim.bandwidth.select_bandwidth` picks one start per bandwidth.
+of standard normal draws prefiltered by objective value, from which the
+bandwidth selection (:func:`fsim.bandwidth.select_bandwidth`) picks one
+start per bandwidth.
 """
 
 from __future__ import annotations

@@ -188,6 +188,9 @@ class ExperimentConfig:
             raise ValueError(f"method must be 'gcv' or 'kfold', got {self.method!r}")
         if self.reps < 1:
             raise ValueError("need at least one repetition")
+        # a bool is an int to Python, but "seed": true is a typo, not seed 1
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
         if any(n < 1 for n in self.sizes) or self.noise_sd < 0 or self.basis_dim < 4:
             raise ValueError("need sizes >= 1, noise_sd >= 0 and basis_dim >= 4")
         too_few_folds = self.method == "kfold" and self.folds < 2

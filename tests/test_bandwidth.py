@@ -588,6 +588,134 @@ class TestFitPipeline:
             bw.fit_pipeline(data, InitStrategy(kind="equal"), 3, "gcv", 5, 0, 40)
 
 
+def outcome_fields(outcome):
+    """A pipeline outcome as comparable bits: the report's fields, or a failed
+    strategy's error type and message."""
+    if isinstance(outcome, Exception):
+        return type(outcome), str(outcome)
+    return report_fields(outcome)
+
+
+def pipeline_loop(data, strategies, grid_size, method, folds, seeds, budget,
+                  sign_reference=None):
+    """The oracle of fit_pipelines: one fit_pipeline call, and lockstep, per strategy."""
+    outcomes = []
+    for strategy, seed in zip(strategies, seeds):
+        try:
+            outcomes.append(bw.fit_pipeline(data, strategy, grid_size, method, folds, seed,
+                                            budget, sign_reference))
+        except EstimationError as exc:
+            outcomes.append(exc)
+    return [outcome_fields(o) for o in outcomes]
+
+
+class TestFitPipelines:
+    """fit_pipelines runs the grid searches of every strategy as one lockstep;
+    each strategy's outcome is the one its own fit_pipeline call gives, bit for bit."""
+
+    @staticmethod
+    def strategies(truth=np.array([1.0, 0.0, 0.0])):
+        return [InitStrategy(kind="linear"), InitStrategy(kind="equal"),
+                InitStrategy(kind="random", candidate_count=20, keep_best=3,
+                             seed=np.random.SeedSequence((9, 2))),
+                InitStrategy(kind="true", true_coeffs=truth)]
+
+    @classmethod
+    def assert_loop(cls, data, strategies, grid_size, method, folds, budget,
+                    sign_reference=None):
+        # each strategy folds its own way, as fsim fit seeds them
+        seeds = [np.random.SeedSequence((9, k, 1)) for k in range(len(strategies))]
+        merged = bw.fit_pipelines(data, strategies, grid_size, method, folds, seeds, budget,
+                                  sign_reference)
+        assert [outcome_fields(o) for o in merged] == pipeline_loop(
+            data, strategies, grid_size, method, folds, seeds, budget, sign_reference)
+        return merged
+
+    # budget 4 is below dim + 2 = 5; the flip reference reaches every GCV fit
+    @pytest.mark.parametrize("method", bw.METHODS)
+    @pytest.mark.parametrize("budget, sign_reference", [(0, None), (4, None), (40, None),
+                                                        (40, TestLockstepGrid.FLIP)])
+    def test_equals_a_loop_of_fit_pipeline(self, method, budget, sign_reference):
+        data, _ = linear_dataset(53, 0.2, seed=25)
+        merged = self.assert_loop(data, self.strategies(), 3, method, 5, budget, sign_reference)
+        assert all(isinstance(o, bw.CVReport) for o in merged)
+
+    @pytest.mark.parametrize("method", bw.METHODS)
+    def test_strategy_failing_in_its_plan(self, method):
+        # 12 samples in 12 search dimensions starve the least-squares start
+        rng = np.random.default_rng(3)
+        x = rng.uniform(-0.6, 0.6, size=(12, 13))
+        data = single_block_data(x, x[:, 1] + 0.1 * rng.normal(size=12))
+        merged = self.assert_loop(data, self.strategies()[:3], 3, method, 3, 30)
+        assert isinstance(merged[0], SingularFitError)
+        assert isinstance(merged[1], bw.CVReport)
+
+    def test_gcv_strategy_failing_at_every_bandwidth(self):
+        # on six samples no linear-start fit leaves a usable smoother
+        data, _ = linear_dataset(6, 0.2, seed=2)
+        merged = self.assert_loop(data, self.strategies(), 3, "gcv", 5, 30)
+        assert isinstance(merged[0], bw.SelectionError)
+        assert all(isinstance(o, bw.CVReport) for o in merged[1:])
+
+    def test_kfold_strategies_failing_at_every_bandwidth(self):
+        # n=5 in two folds leaves training sets too small for the objective
+        data, _ = linear_dataset(5, 0.2, seed=2)
+        merged = self.assert_loop(data, self.strategies(), 3, "kfold", 2, 30)
+        assert all(isinstance(o, bw.SelectionError) for o in merged)
+
+    def test_too_few_samples_for_the_folds(self):
+        data, _ = linear_dataset(8, 0.2, seed=2)
+        merged = self.assert_loop(data, self.strategies(), 3, "kfold", 10, 30)
+        assert all(str(o) == "k-fold needs n >= 10, got n=8" for o in merged)
+
+    @pytest.mark.parametrize("method", bw.METHODS)
+    def test_random_pool_failing_at_one_bandwidth(self, monkeypatch, method):
+        # at 1e-7 index deviations every candidate is degenerate, so the random
+        # strategy has no search there and the deterministic ones fail theirs
+        def default(cls, n, sigma_z, count=10):
+            return cls(sigma_z * np.array([1e-7, 0.5, 1.5]))
+
+        monkeypatch.setattr(bw.BandwidthGrid, "default", classmethod(default))
+        data, _ = linear_dataset(40, 0.2, seed=27)
+        merged = self.assert_loop(data, self.strategies(), 3, method, 4, 30)
+        for report in merged:
+            assert np.isinf(report.scores[0]) and np.isfinite(report.scores).any()
+        pool = init_random(data, merged[2].grid.reference, self.strategies()[2])
+        with pytest.raises(bw.SelectionError):
+            bw.choose_random_start(data, merged[2].grid.values[0], pool)
+
+    @pytest.mark.usefixtures("no_child_left")
+    @pytest.mark.parametrize("method", bw.METHODS)
+    def test_outcomes_do_not_depend_on_the_cpu_count(self, monkeypatch, method):
+        data, _ = linear_dataset(53, 0.2, seed=25)
+        seeds = [np.random.SeedSequence((9, k, 1)) for k in range(4)]
+        outcomes = TestWorkerParts.on_cpus(monkeypatch, lambda: [
+            outcome_fields(o) for o in bw.fit_pipelines(data, self.strategies(), 3, method, 5,
+                                                        seeds, 40)])
+        assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
+
+    @pytest.mark.parametrize("method", bw.METHODS)
+    def test_one_lockstep_for_the_grid_searches(self, monkeypatch, method):
+        data, _ = linear_dataset(53, 0.2, seed=25)
+        in_parts = optimize._in_parts
+        counts = []
+
+        def spy(run, count):
+            counts.append(count)
+            return in_parts(run, count)
+
+        monkeypatch.setattr(optimize, "_in_parts", spy)
+        seeds = [np.random.SeedSequence((9, k, 1)) for k in range(4)]
+        bw.fit_pipelines(data, self.strategies(), 3, method, 5, seeds, 40)
+        # every strategy searches all three bandwidths; k-fold refits each winner alone
+        assert counts == ([4 * 3] if method == "gcv" else [4 * 3 * 5] + [1] * 4)
+
+    def test_unknown_method_raises_value_error(self):
+        data, _ = linear_dataset(20, 0.2, seed=2)
+        with pytest.raises(ValueError, match="method must be"):
+            bw.fit_pipelines(data, self.strategies(), 3, "loo", 5, [0] * 4, 40)
+
+
 class TestSelectBandwidth:
     def test_single_element_grid(self):
         data, truth = linear_dataset(60, 0.1, seed=8)

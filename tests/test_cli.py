@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from fsim import bandwidth
+from fsim import bandwidth, optimize
 from fsim.cli import main
 from fsim.locfit import EstimationError
 
@@ -36,6 +36,11 @@ class TestSynth:
         assert run("synth", "--out", out, "--n", 10, "--seed", 1) == 0
         assert out.exists()
         assert (tmp_path / "s.csv.truth.json").exists()
+
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        assert run("synth", "--out", tmp_path / "s.csv", "--n", 10, "--seed", -1) == 1
+        assert "--seed >= 0" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_bad_parameters_are_data_errors(self, tmp_path):
         assert run("synth", "--out", tmp_path / "no-such-dir" / "s.csv", "--n", 10) == 2
@@ -68,6 +73,39 @@ class TestFit:
     def test_unknown_strategy_is_usage_error(self, synth_inputs, tmp_path):
         assert run("fit", "--data", synth_inputs["data"], "--out", tmp_path / "o",
                    "--strategy", "best") == 1
+
+    def test_grid_searches_of_every_strategy_share_one_lockstep(self, synth_inputs, tmp_path,
+                                                                 monkeypatch):
+        in_parts = optimize._in_parts
+        counts = []
+
+        def spy(run, count):
+            counts.append(count)
+            return in_parts(run, count)
+
+        monkeypatch.setattr(optimize, "_in_parts", spy)
+        assert run("fit", "--data", synth_inputs["data"], "--out", tmp_path / "o",
+                   "--basis-dim", 7, "--budget", 40, "--grid-size", 3, "--candidates", 20,
+                   "--keep", 3) == 0
+        failed = json.loads((tmp_path / "o" / "fit.json").read_text())["selection"][
+            "failed_strategies"]
+        assert not failed
+        # linear, equal and random each search all three bandwidths
+        assert counts == [3 * 3]
+
+    def test_duplicate_strategy_is_usage_error(self, synth_inputs, tmp_path, capsys):
+        assert run("fit", "--data", synth_inputs["data"], "--out", tmp_path / "o",
+                   "--strategy", "equal,random, random") == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "named twice" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_negative_seed_is_usage_error(self, synth_inputs, tmp_path, capsys):
+        assert run("fit", "--data", synth_inputs["data"], "--out", tmp_path / "o",
+                   "--seed", -1) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--seed" in err
+        assert not (tmp_path / "o").exists()
 
     def test_all_strategies_failing_is_estimation_error(self, tmp_path):
         data = tmp_path / "tiny.csv"
@@ -270,6 +308,17 @@ class TestSimulate:
         for overrides in ({"noise_sd": -0.1}, {"basis_dim": 3}, {"sizes": [50, 0]}):
             config = self.write_config(tmp_path / "config.json", **overrides)
             assert run("simulate", "--config", config, "--out", tmp_path / "o") == 1
+        assert not (tmp_path / "o").exists()
+
+    # each is one line on stderr and exit 1, before the output directory is made
+    @pytest.mark.parametrize("config_seed, flag_seed", [(-3, None), (1.5, None), ("abc", None),
+                                                        (True, None), (11, -2)])
+    def test_bad_seed_is_usage_error(self, tmp_path, capsys, config_seed, flag_seed):
+        config = self.write_config(tmp_path / "config.json", seed=config_seed)
+        extra = () if flag_seed is None else ("--seed", flag_seed)
+        assert run("simulate", "--config", config, "--out", tmp_path / "o", *extra) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "seed must be an integer >= 0" in err
         assert not (tmp_path / "o").exists()
 
     def test_reps_override(self, tmp_path):

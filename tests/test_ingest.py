@@ -72,6 +72,20 @@ class TestLoadCsv:
         with pytest.raises(SchemaError, match=r"line 3, column p\.00"):
             load_csv(path)
 
+    # float() parses each of these; only the finiteness check rejects them
+    @pytest.mark.parametrize("text", ["inf", "-inf", "nan"])
+    def test_non_finite_cell_named(self, tmp_path, text):
+        rng = np.random.default_rng(8)
+        path = tmp_path / "eco.csv"
+        write_csv([make_record(rng), make_record(rng)], path)
+        lines = path.read_text().splitlines()
+        fields = lines[2].split(",")
+        fields[2] = text  # column W on data line 3
+        lines[2] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SchemaError, match=r"line 3, column W: non-finite value"):
+            load_csv(path)
+
     def test_short_row_rejected(self, tmp_path):
         rng = np.random.default_rng(4)
         path = tmp_path / "eco.csv"

@@ -264,3 +264,9 @@ class TestRunExperiment:
             ExperimentConfig(basis_dim=3)
         with pytest.raises(ValueError):
             ExperimentConfig(sizes=(100, 0))
+
+    # a bool is an int to Python; "seed": true in a config is not seed 1
+    @pytest.mark.parametrize("seed", [-3, 1.5, "abc", True, None])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            ExperimentConfig(seed=seed)
