@@ -1,6 +1,12 @@
 """Bandwidth selection over a grid: GCV of the local quadratic smoother, k-fold CV,
 and the power-law rescale that trades the level-optimal bandwidth for a
 curvature-friendly one.
+
+Both methods run one plan, search, select shape: the plan picks each grid
+bandwidth's start and, for k-fold, splits the samples; every planned search
+runs in one lockstep of :func:`fsim.optimize.minimize_each`, on the full
+data (GCV) or on the training folds (k-fold); the selection scores the
+searches and takes the argmin.
 """
 
 from __future__ import annotations
@@ -19,7 +25,6 @@ from .optimize import (
     init_random,
     minimize,
     minimize_each,
-    minimize_lockstep,
     resolve_init,
     safe_objective,
 )
@@ -76,6 +81,11 @@ class CVReport:
 
     def __post_init__(self):
         object.__setattr__(self, "scores", readonly_array(self.scores))
+
+    @property
+    def chosen_score(self) -> float:
+        """The smallest finite grid score, the one ``chosen_h`` won with."""
+        return float(np.min(self.scores[np.isfinite(self.scores)]))
 
 
 def argmin_prefer_larger(scores) -> int:
@@ -147,14 +157,14 @@ def kfold_score(data: Dataset, init, h: float, folds: int = 10, seed=0,
     Nadaraya-Watson at the fitted index; the score is the mean squared
     held-out error over all predictable points.  Fold assignment is a seeded
     permutation.  The fold searches run in lockstep
-    (:func:`fsim.optimize.minimize_lockstep`), each with the result a
-    :func:`minimize` of its own would give.  Fewer samples than folds raise
-    :class:`SelectionError`; a training fold too small for the objective
-    fails its search with :class:`DegenerateObjectiveError`, the first such
-    fold in fold order raising.
+    (:func:`fsim.optimize.minimize_each` on the training folds), each with
+    the result a :func:`minimize` of its own would give.  Fewer samples
+    than folds raise :class:`SelectionError`; a training fold too small for
+    the objective fails its search with :class:`DegenerateObjectiveError`,
+    the first such fold in fold order raising.
     """
     split = _fold_split(data.n, folds, seed)
-    results = minimize_lockstep(data, split[0], init, h, budget)
+    results = minimize_each(data, init, [h] * folds, budget, None, ["custom"] * folds, split[0])
     outcome = _held_out_score(data, split, results, h)
     if isinstance(outcome, EstimationError):
         raise outcome
@@ -211,23 +221,25 @@ class _GridSearches:
     ``(vector, label)``, in grid order.  ``results`` holds, in the same
     order, each bandwidth's full-data search (GCV) or the searches of its
     training folds (k-fold, on the ``(trains, held_outs)`` of ``split``);
-    a failed search keeps its error.  A k-fold split with fewer samples
-    than folds leaves ``results`` its :class:`SelectionError`.
+    a failed search keeps its error.
     """
 
     starts: dict
-    results: list | EstimationError
+    results: list
     split: tuple | None = None
 
 
-def _plan(data: Dataset, strategy: InitStrategy, grid: BandwidthGrid,
-          start: tuple[np.ndarray, str] | None = None) -> dict:
-    """The ``(vector, label)`` start of every grid bandwidth that has one, by grid index.
+def _plan(data: Dataset, strategy: InitStrategy, grid: BandwidthGrid, method: str,
+          folds: int, seed, start: tuple[np.ndarray, str] | None = None) -> tuple:
+    """``(starts, split)``: the ``(vector, label)`` start of every grid bandwidth
+    that has one, by grid index, and for k-fold the :func:`_fold_split` by ``seed``.
 
     A deterministic strategy starts every bandwidth from ``start``, else from
     :func:`resolve_init`; the random strategy draws its pool at
     ``grid.reference`` and takes each bandwidth's :func:`choose_random_start`,
-    and a bandwidth where every candidate is degenerate has no start.
+    and a bandwidth where every candidate is degenerate has no start.  A
+    plan with no start is not split; a k-fold plan with fewer samples than
+    folds raises the :class:`SelectionError` of :func:`_fold_split`.
     """
     pool = init_random(data, grid.reference, strategy) if strategy.kind == "random" else None
     fixed = None
@@ -239,51 +251,41 @@ def _plan(data: Dataset, strategy: InitStrategy, grid: BandwidthGrid,
             starts[k] = fixed if pool is None else choose_random_start(data, h, pool)
         except EstimationError:
             continue
-    return starts
+    split = _fold_split(data.n, folds, seed) if method == "kfold" and starts else None
+    return starts, split
 
 
-def _run_searches(data: Dataset, grids, plans, method: str, folds: int, seeds,
-                  budget: int | None, sign_reference) -> list[_GridSearches]:
+def _run_searches(data: Dataset, grids, plans, method: str, budget: int | None,
+                  sign_reference) -> list[_GridSearches]:
     """The :class:`_GridSearches` of every strategy: ``plans[i]`` (:func:`_plan`) on
-    ``grids[i]``, split for k-fold by fold seed ``seeds[i]``.
+    ``grids[i]``.
 
-    Every planned search of every strategy runs in one lockstep, with the
-    result it would have alone: GCV runs one full-data search per planned
-    bandwidth (:func:`fsim.optimize.minimize_each`), k-fold one search per
-    planned bandwidth and training fold of its strategy's split
-    (:func:`fsim.optimize.minimize_lockstep`).  A strategy with no planned
-    bandwidth is not split.
+    Every planned search of every strategy runs in one lockstep of
+    :func:`fsim.optimize.minimize_each`, with the result it would have
+    alone: GCV runs one full-data search per planned bandwidth, k-fold one
+    search per planned bandwidth and training fold of its strategy's split,
+    with the sign and label of a :func:`minimize` of its own.
     """
     searches = []  # (start, h, label, training indices or None), strategy by strategy
-    splits, counts = [], []
-    for grid, starts, seed in zip(grids, plans, seeds):
-        split = None
-        if method == "kfold" and starts:
-            try:
-                split = _fold_split(data.n, folds, seed)
-            except SelectionError as exc:
-                split = exc
-        trains = ([None] if split is None else [] if isinstance(split, EstimationError)
-                  else split[0])
-        mine = [(init, grid.values[k], label, train)
-                for k, (init, label) in starts.items() for train in trains]
-        searches.extend(mine)
-        splits.append(split)
-        counts.append(len(mine))
+    for grid, (starts, split) in zip(grids, plans):
+        trains = [None] if split is None else split[0]
+        searches.extend((init, grid.values[k], label if split is None else "custom", train)
+                        for k, (init, label) in starts.items() for train in trains)
     results = []
     if searches:
         inits, hs, labels, trains = zip(*searches)
-        inits, hs = np.array(inits), np.array(hs)
-        results = (minimize_each(data, inits, hs, budget, sign_reference, list(labels))
-                   if method == "gcv" else minimize_lockstep(data, list(trains), inits, hs, budget))
+        kfold = method == "kfold"
+        results = minimize_each(data, np.array(inits), hs, budget,
+                                None if kfold else sign_reference, list(labels),
+                                list(trains) if kfold else None)
     grid_searches = []
     at = 0
-    for starts, split, count in zip(plans, splits, counts):
-        mine, at = results[at:at + count], at + count
-        if isinstance(split, EstimationError):
-            mine, split = split, None
-        elif split is not None:
-            mine = [mine[j:j + folds] for j in range(0, count, folds)]
+    for starts, split in plans:
+        per = 1 if split is None else len(split[0])
+        mine = results[at:at + per * len(starts)]
+        at += len(mine)
+        if split is not None:
+            mine = [mine[j:j + per] for j in range(0, len(mine), per)]
         grid_searches.append(_GridSearches(starts, mine, split))
     return grid_searches
 
@@ -300,7 +302,7 @@ def select_bandwidth(data: Dataset, strategy: InitStrategy, grid: BandwidthGrid,
     infinity; ties and exact score repeats resolve toward the larger
     bandwidth, which is the safer side for curvature estimation.  K-fold
     with fewer samples than folds raises the :class:`SelectionError` of
-    :func:`kfold_score`.
+    :func:`_fold_split`, as :func:`kfold_score` does.
 
     The start rule (:func:`_plan`): a deterministic strategy starts every
     search from its one start vector (:func:`resolve_init`).  The random
@@ -320,10 +322,8 @@ def select_bandwidth(data: Dataset, strategy: InitStrategy, grid: BandwidthGrid,
     """
     _check_method(method)
     if searches is None:
-        (searches,) = _run_searches(data, [grid], [_plan(data, strategy, grid)], method,
-                                    folds, [seed], budget, sign_reference)
-    if isinstance(searches.results, EstimationError):
-        raise searches.results
+        plan = _plan(data, strategy, grid, method, folds, seed)
+        (searches,) = _run_searches(data, [grid], [plan], method, budget, sign_reference)
     keys = list(searches.starts)
     hs = grid.values[keys]
     if method == "gcv":
@@ -393,10 +393,10 @@ def fit_pipelines(data: Dataset, strategies, grid_size: int, method: str, folds:
     stages:
 
     - plan, per strategy: anchor the grid, resolve the start or draw the
-      random pool, and pick the start of each grid bandwidth (:func:`_plan`);
+      random pool, pick the start of each grid bandwidth, and for k-fold
+      split the samples by the strategy's own fold seed (:func:`_plan`);
     - search, once: every planned search of every strategy runs as one
-      lockstep (:func:`_run_searches`), k-fold splitting each strategy by its
-      own fold seed;
+      lockstep (:func:`_run_searches`);
     - select, per strategy: :func:`select_bandwidth` scores the strategy's
       searches and picks its bandwidth, refitting the winner for k-fold.
 
@@ -409,12 +409,12 @@ def fit_pipelines(data: Dataset, strategies, grid_size: int, method: str, folds:
     for i, strategy in enumerate(strategies):
         try:
             grid, start = _anchored_grid(data, strategy, grid_size)
-            planned.append((i, grid, _plan(data, strategy, grid, start)))
+            planned.append((i, grid, _plan(data, strategy, grid, method, folds, seeds[i],
+                                           start)))
         except EstimationError as exc:
             outcomes[i] = exc
     searches = _run_searches(data, [grid for _, grid, _ in planned],
-                             [starts for _, _, starts in planned], method, folds,
-                             [seeds[i] for i, _, _ in planned], budget, sign_reference)
+                             [plan for _, _, plan in planned], method, budget, sign_reference)
     for (i, grid, _), searched in zip(planned, searches):
         try:
             outcomes[i] = select_bandwidth(data, strategies[i], grid, method, folds, seeds[i],

@@ -157,7 +157,7 @@ def cmd_fit(args) -> int:
         return USAGE_ERROR
     try:
         data = _fit_dataset(args)
-    except (OSError, ingest.SchemaError, ValueError) as exc:
+    except (OSError, ingest.SchemaError, UnicodeDecodeError) as exc:
         print(f"fsim fit: {exc}", file=sys.stderr)
         return DATA_ERROR
 
@@ -183,12 +183,8 @@ def cmd_fit(args) -> int:
     if not reports:
         print("fsim fit: every strategy failed", file=sys.stderr)
         return ESTIMATION_ERROR
-
-    def final_score(name):
-        scores = reports[name].scores
-        return float(np.min(scores[np.isfinite(scores)]))
-
-    winner = min(reports, key=lambda name: (final_score(name), strategies.index(name)))
+    winner = min(reports, key=lambda name: (reports[name].chosen_score,
+                                            strategies.index(name)))
     report = reports[winner]
     spec = report.best_fit.spec
     block_labels = ["precip", "temp"]
@@ -207,13 +203,13 @@ def cmd_fit(args) -> int:
         },
         "selection": {
             "strategy": winner,
-            "score": final_score(winner),
+            "score": report.chosen_score,
             "chosen_h": report.chosen_h,
             "chosen_h_curvature": report.chosen_h_curvature,
             "sigma_index": report.sigma_index,
             "per_strategy": {
                 name: {
-                    "score": final_score(name),
+                    "score": reports[name].chosen_score,
                     "chosen_h": reports[name].chosen_h,
                     "grid": [float(v) for v in reports[name].grid.values],
                     "scores": [float(v) for v in reports[name].scores],
@@ -289,7 +285,8 @@ def cmd_plot(args) -> int:
         z_hat = compute_index(data, spec)
         if truth is not None:
             # the truth lives in its own basis, which the fit's need not match;
-            # projecting costs a least-squares solve per history, so reuse a match
+            # reprojecting reruns the trapezoid quadrature of every history
+            # (basis.project_sample_rows, one design per block), so reuse a match
             truth_basis = FourierBasis(truth.basis_dim, include_constant=True)
             true_betas = truth.beta_expansions(truth_basis)
             z_true = truth.true_index(data if truth_basis == basis

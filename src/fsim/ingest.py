@@ -118,7 +118,7 @@ def to_dataset(records, basis: FourierBasis) -> Dataset:
     """
     records = list(records)
     if not records:
-        raise ValueError("no records to convert")
+        raise SchemaError("no records to convert")
     if basis.dimension > N_BINS:
         raise ValueError(
             f"projection underdetermined: basis dimension {basis.dimension} > {N_BINS} bins"

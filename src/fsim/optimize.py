@@ -2,14 +2,16 @@
 
 The objective is piecewise smooth in the coefficients (samples enter and
 leave kernel windows), so the outer search is derivative-free.  Every
-search, alone or with others, runs on one array-state Nelder-Mead
-(:func:`_nelder_mead`); the searches of a lockstep are split across the
-CPUs this process may use (:func:`_in_parts`).  Four ways of choosing the
-start point are supported: the known truth (simulations), an ordinary
-least squares fit assuming a linear link, an all-equal vector, and a pool
-of standard normal draws prefiltered by objective value, from which the
-bandwidth selection (:func:`fsim.bandwidth.select_bandwidth`) picks one
-start per bandwidth.
+search runs through :func:`minimize_each`, many at once on the full data
+or on subsets of it (:func:`minimize` is its one-search call), on one
+array-state Nelder-Mead (:func:`_nelder_mead`); the searches of a
+lockstep are split across the CPUs this process may use
+(:func:`_in_parts`).  Four ways of choosing the start point are
+supported: the known truth (simulations), an ordinary least squares fit
+assuming a linear link, an all-equal vector, and a pool of standard
+normal draws prefiltered by objective value, from which the bandwidth
+selection (:func:`fsim.bandwidth.select_bandwidth`) picks one start per
+bandwidth.
 """
 
 from __future__ import annotations
@@ -141,18 +143,6 @@ def safe_objective(data: Dataset, raw, h: float) -> float:
         return np.inf
 
 
-def _search_start(data: Dataset, init, budget: int | None,
-                  count: int) -> tuple[np.ndarray, int]:
-    """The checked start vectors of ``count`` searches, from one start per
-    search or one for all, and their evaluation budget."""
-    dim = data.search_dimension()
-    x0 = np.asarray(init, dtype=float)
-    if x0.shape != (dim,) and x0.shape != (count, dim):
-        raise ValueError(f"expected a search vector of length {dim}, got shape {x0.shape}")
-    starts = np.array(np.broadcast_to(x0, (count, dim)))
-    return starts, BUDGET_PER_DIM * dim if budget is None else budget
-
-
 def _opt_result(data: Dataset, h: float, outcome, sign_reference, label: str) -> OptResult:
     """The normalized, sign-canonical result of a finished search."""
     best, f_best, iterations, converged, trace, evals = outcome
@@ -166,14 +156,6 @@ def _opt_result(data: Dataset, h: float, outcome, sign_reference, label: str) ->
         evaluations=evals,
         trace=tuple(trace),
     )
-
-
-def _opt_results(data: Dataset, hs, outcomes, sign_reference, labels
-                 ) -> list[OptResult | DegenerateObjectiveError]:
-    """:func:`_opt_result` of every finished search; a failed search keeps its error."""
-    return [outcome if isinstance(outcome, DegenerateObjectiveError)
-            else _opt_result(data, h, outcome, sign_reference, label)
-            for h, outcome, label in zip(hs, outcomes, labels)]
 
 
 def minimize(data: Dataset, init, h: float, budget: int | None = None,
@@ -191,59 +173,45 @@ def minimize(data: Dataset, init, h: float, budget: int | None = None,
     return result
 
 
-def minimize_each(data: Dataset, init, h, budget: int | None, sign_reference,
-                  labels) -> list[OptResult | DegenerateObjectiveError]:
-    """``minimize(data, init[s], h[s], budget, sign_reference, labels[s])`` for every search s.
+def minimize_each(data: Dataset, init, h, budget: int | None, sign_reference, labels,
+                  subsets=None) -> list[OptResult | DegenerateObjectiveError]:
+    """``minimize(part[s], init[s], h[s], budget, sign_reference, labels[s])`` for every search s.
 
-    ``h`` holds one bandwidth per search, ``init`` one start vector per
-    search or one for all, and ``labels`` one ``init_used`` per search.
-    The searches run in lockstep (:func:`_nelder_mead`), one lockstep per
-    part of :func:`_in_parts`, each point evaluated on its own by
+    ``part[s]`` is ``data`` without ``subsets``, else
+    ``data.subset(subsets[s])``.  ``h`` holds one bandwidth per search,
+    ``init`` one start vector per search or one for all, and ``labels`` one
+    ``init_used`` per search.  The searches run in lockstep
+    (:func:`_nelder_mead`), one lockstep per part of :func:`_in_parts`.
+    On the full data each point is evaluated on its own by
     :func:`safe_objective`, each search's points in the order a search of
-    its own evaluates them.  A failed search's slot holds the error
-    :func:`minimize` raises.
+    its own evaluates them; on subsets each step evaluates every running
+    search's pending points with one :class:`fsim.model.StackedObjective`
+    call.  A failed search's slot holds the error :func:`minimize` raises.
+    A result's spec depends on the data only through their design, which
+    every subset shares with ``data``.
     """
     hs = np.asarray(h, dtype=float).tolist()
-    starts, max_evals = _search_start(data, init, budget, len(hs))
+    dim = data.search_dimension()
+    x0 = np.asarray(init, dtype=float)
+    if x0.shape != (dim,) and x0.shape != (len(hs), dim):
+        raise ValueError(f"expected a search vector of length {dim}, got shape {x0.shape}")
+    starts = np.array(np.broadcast_to(x0, (len(hs), dim)))
+    max_evals = BUDGET_PER_DIM * dim if budget is None else budget
+    if subsets is None:
+        def objective(which, points):
+            return np.array([safe_objective(data, x, hs[k])
+                             for k, x in zip(which.tolist(), points)])
+    else:
+        objective = StackedObjective(data, subsets, hs)
 
-    def objective(which, points):
-        return np.array([safe_objective(data, x, hs[k]) for k, x in zip(which.tolist(), points)])
-
-    outcomes = _searches(objective, starts, max_evals)
-    return _opt_results(data, hs, outcomes, sign_reference, labels)
-
-
-def minimize_lockstep(data: Dataset, subsets, init, h, budget: int | None = None
-                      ) -> list[OptResult | DegenerateObjectiveError]:
-    """``minimize(data.subset(subsets[s]), init[s], h[s], budget)`` for every search s.
-
-    ``init`` holds one start vector per search, or one for all; ``h`` one
-    bandwidth per search, or one for all.  The searches run in lockstep
-    (:func:`_nelder_mead`), one lockstep per part of :func:`_in_parts`;
-    each step evaluates every running search's pending points with one
-    :class:`fsim.model.StackedObjective` call.  A failed search's slot
-    holds the error :func:`minimize` raises.  A result's spec depends on
-    the data only through their design, which every subset shares with
-    ``data``.
-    """
-    count = len(subsets)
-    starts, max_evals = _search_start(data, init, budget, count)
-    hs = np.broadcast_to(np.asarray(h, dtype=float), (count,))
-    outcomes = _searches(StackedObjective(data, subsets, hs), starts, max_evals)
-    return _opt_results(data, hs.tolist(), outcomes, None, ["custom"] * count)
-
-
-def _searches(objective, starts: np.ndarray, max_evals: int) -> list:
-    """``_nelder_mead(objective, starts, max_evals)``, its searches split by :func:`_in_parts`.
-
-    Each part runs its own lockstep on its rows of ``starts``; a search's
-    result does not depend on which searches share its steps.
-    """
     def run(rows):
+        # a search's result does not depend on which searches share its steps
         return _nelder_mead(lambda which, points: objective(rows[which], points),
                             starts[rows], max_evals)
 
-    return _in_parts(run, len(starts))
+    return [outcome if isinstance(outcome, DegenerateObjectiveError)
+            else _opt_result(data, hk, outcome, sign_reference, label)
+            for hk, outcome, label in zip(hs, _in_parts(run, len(hs)), labels)]
 
 
 def _in_parts(run, count: int) -> list:

@@ -176,7 +176,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "links", tuple(self.links))
-        object.__setattr__(self, "sizes", tuple(int(n) for n in self.sizes))
+        object.__setattr__(self, "sizes", tuple(self.sizes))
         object.__setattr__(self, "strategies", tuple(self.strategies))
         for link in self.links:
             if link not in LINKS:
@@ -186,18 +186,19 @@ class ExperimentConfig:
                 raise ValueError(f"unknown strategy {strategy!r}")
         if self.method not in METHODS:
             raise ValueError(f"method must be 'gcv' or 'kfold', got {self.method!r}")
-        if self.reps < 1:
-            raise ValueError("need at least one repetition")
-        # a bool is an int to Python, but "seed": true is a typo, not seed 1
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
-            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
-        if any(n < 1 for n in self.sizes) or self.noise_sd < 0 or self.basis_dim < 4:
-            raise ValueError("need sizes >= 1, noise_sd >= 0 and basis_dim >= 4")
-        too_few_folds = self.method == "kfold" and self.folds < 2
-        if (self.grid_size < 1 or too_few_folds or self.opt_budget < 0
-                or not 1 <= self.keep_best <= self.candidate_count):
-            raise ValueError("need grid_size >= 1, candidate_count >= keep_best >= 1, "
-                             "opt_budget >= 0, and folds >= 2 with method 'kfold'")
+        counts = {"reps": (self.reps, 1), "seed": (self.seed, 0),
+                  **{f"sizes[{k}]": (n, 1) for k, n in enumerate(self.sizes)},
+                  "basis_dim": (self.basis_dim, 4), "grid_size": (self.grid_size, 1),
+                  "folds": (self.folds, 2 if self.method == "kfold" else 1),
+                  "opt_budget": (self.opt_budget, 0),
+                  "candidate_count": (self.candidate_count, 1),
+                  "keep_best": (self.keep_best, 1)}
+        for name, (value, low) in counts.items():
+            # a bool is an int to Python, but "seed": true is a typo, not seed 1
+            if not isinstance(value, int) or isinstance(value, bool) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        if self.noise_sd < 0 or self.keep_best > self.candidate_count:
+            raise ValueError("need noise_sd >= 0 and candidate_count >= keep_best")
 
 
 def _strategy_for(kind: str, config: ExperimentConfig, truth: GroundTruth,
@@ -223,7 +224,7 @@ def run_single(data: Dataset, truth: GroundTruth, strategy_kind: str,
         "rse": rse(result.spec.beta_blocks[0], truth.beta),
         "rase": rase(data, truth, result.spec, 0, report.chosen_h).value,
         "rase2": rase(data, truth, result.spec, 2, report.chosen_h_curvature).value,
-        "cv_score": float(np.min(report.scores[np.isfinite(report.scores)])),
+        "cv_score": report.chosen_score,
         "chosen_h": report.chosen_h,
         "chosen_h_curvature": report.chosen_h_curvature,
     }

@@ -26,7 +26,6 @@ from fsim.optimize import (
     init_random,
     minimize,
     minimize_each,
-    minimize_lockstep,
     resolve_init,
 )
 from fsim.simulate import ExperimentConfig, run_experiment
@@ -205,18 +204,27 @@ class TestKFold:
         assert score == pytest.approx(report.mse, abs=1e-12)
 
 
-def serial_searches(data, subsets, init, h, budget=None):
+def serial_searches(data, init, h, budget, sign_reference, labels, subsets=None):
     """One :func:`minimize` per search, its error where it raises: the oracle of
-    the lockstep searches, with one start and one bandwidth per search or one for all."""
-    starts = np.broadcast_to(np.asarray(init, dtype=float),
-                             (len(subsets), data.search_dimension()))
+    :func:`minimize_each`, with one start per search or one for all."""
+    hs = np.asarray(h, dtype=float).tolist()
+    starts = np.broadcast_to(np.asarray(init, dtype=float), (len(hs), data.search_dimension()))
     results = []
-    for indices, x0, hk in zip(subsets, starts, np.broadcast_to(h, (len(subsets),))):
+    for k, (x0, hk, label) in enumerate(zip(starts, hs, labels)):
+        part = data if subsets is None else data.subset(subsets[k])
         try:
-            results.append(minimize(data.subset(indices), x0, float(hk), budget))
+            results.append(minimize(part, x0, hk, budget, sign_reference, label))
         except DegenerateObjectiveError as exc:
             results.append(exc)
     return results
+
+
+def on_folds(search, data, trains, init, h, budget):
+    """``search`` (:func:`minimize_each` or :func:`serial_searches`) on the
+    training sets ``trains`` from one start at one bandwidth, as
+    :func:`bw.kfold_score` calls it."""
+    count = len(trains)
+    return search(data, init, [h] * count, budget, None, ["custom"] * count, trains)
 
 
 def training_indices(data, folds, seed):
@@ -256,12 +264,12 @@ class TestLockstepFolds:
     def assert_serial(monkeypatch, data, init, h, folds, seed, budget):
         """Fold results and the score equal those of one minimize per fold, bit for bit."""
         trains = training_indices(data, folds, seed)
-        lockstep = minimize_lockstep(data, trains, init, h, budget)
-        serial = serial_searches(data, trains, init, h, budget)
+        lockstep = on_folds(minimize_each, data, trains, init, h, budget)
+        serial = on_folds(serial_searches, data, trains, init, h, budget)
         assert [result_fields(r) for r in lockstep] == [result_fields(r) for r in serial]
         score = bw.kfold_score(data, init, h, folds, seed, budget)
         with monkeypatch.context() as patch:
-            patch.setattr(bw, "minimize_lockstep", serial_searches)
+            patch.setattr(bw, "minimize_each", serial_searches)
             assert bw.kfold_score(data, init, h, folds, seed, budget) == score
         return score
 
@@ -285,7 +293,7 @@ class TestLockstepFolds:
         data, _ = linear_dataset(n, 0.1, seed=6)
         with pytest.raises(DegenerateObjectiveError) as lockstep:
             bw.kfold_score(data, init, 0.5, folds=2)
-        monkeypatch.setattr(bw, "minimize_lockstep", serial_searches)
+        monkeypatch.setattr(bw, "minimize_each", serial_searches)
         with pytest.raises(DegenerateObjectiveError) as serial:
             bw.kfold_score(data, init, 0.5, folds=2)
         assert str(lockstep.value) == str(serial.value)
@@ -294,10 +302,10 @@ class TestLockstepFolds:
         # the first training set of three fails at its start; the second runs
         data, _ = linear_dataset(7, 0.1, seed=6)
         trains = training_indices(data, 2, 0)
-        lockstep = minimize_lockstep(data, trains, init_equal(3), 0.5, 40)
+        lockstep = on_folds(minimize_each, data, trains, init_equal(3), 0.5, 40)
         assert isinstance(lockstep[0], DegenerateObjectiveError)
         assert lockstep[1].evaluations > 1
-        serial = serial_searches(data, trains, init_equal(3), 0.5, 40)
+        serial = on_folds(serial_searches, data, trains, init_equal(3), 0.5, 40)
         assert [result_fields(r) for r in lockstep] == [result_fields(r) for r in serial]
 
     def test_problems_above_one_tile(self, monkeypatch):
@@ -325,9 +333,11 @@ class TestLockstepFolds:
         subsets = [POOL_SUBSETS[a] for a, _, _ in picks]
         starts = np.array([POOL_STARTS[b] for _, b, _ in picks])
         hs = np.array([POOL_BANDWIDTHS[c] for _, _, c in picks])
-        together = minimize_lockstep(POOL_DATA, subsets, starts, hs, budget)
+        labels = ["custom"] * len(picks)
+        together = minimize_each(POOL_DATA, starts, hs, budget, None, labels, subsets)
         for k, result in enumerate(together):
-            alone = serial_searches(POOL_DATA, subsets[k:k + 1], starts[k], hs[k], budget)
+            alone = serial_searches(POOL_DATA, starts[k], hs[k:k + 1], budget, None,
+                                    labels[k:k + 1], subsets[k:k + 1])
             assert result_fields(result) == result_fields(alone[0])
 
 
@@ -337,7 +347,7 @@ def grid_oracle(monkeypatch, data, strategy, grid, folds, seed, budget):
     pool = init_random(data, grid.reference, strategy) if strategy.kind == "random" else None
     scores = np.full(grid.values.size, np.inf)
     with monkeypatch.context() as patch:
-        patch.setattr(bw, "minimize_lockstep", serial_searches)
+        patch.setattr(bw, "minimize_each", serial_searches)
         for k, h in enumerate(grid.values):
             try:
                 init = (resolve_init(data, strategy)[0] if pool is None
@@ -406,7 +416,8 @@ class TestLockstepGrid:
         assert np.isinf(report.scores[0]) and np.isfinite(report.scores[1:]).all()
         with pytest.raises(DegenerateObjectiveError) as lockstep:
             bw.kfold_score(data, truth, 1e-7, 4, 1, 30)
-        serial = serial_searches(data, training_indices(data, 4, 1), truth, 1e-7, 30)[0]
+        serial = on_folds(serial_searches, data, training_indices(data, 4, 1), truth, 1e-7,
+                          30)[0]
         assert isinstance(serial, DegenerateObjectiveError)
         assert str(lockstep.value) == str(serial)
 
@@ -773,16 +784,10 @@ class TestSelectBandwidth:
             starts.extend((float(h), np.array(init)) for init, h in zip(inits, hs))
             return minimize_each(data, inits, hs, *args)
 
-        def spy_lockstep(data, trains, inits, hs, *args):
-            grid_calls.append(len(trains))
-            starts.extend((float(h), np.array(init)) for init, h in zip(inits, hs))
-            return minimize_lockstep(data, trains, inits, hs, *args)
-
         # gcv runs one search per bandwidth and k-fold the fold searches of the
         # whole grid, each as one lockstep; k-fold refits the winner through minimize
         monkeypatch.setattr(bw, "minimize", spy)
         monkeypatch.setattr(bw, "minimize_each", spy_each)
-        monkeypatch.setattr(bw, "minimize_lockstep", spy_lockstep)
         bw.select_bandwidth(data, strategy, grid, method=method, folds=3, budget=20)
         assert grid_calls == [(3 if method == "kfold" else 1) * grid.values.size]
         for h, init in starts:

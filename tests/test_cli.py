@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from fsim import bandwidth, optimize
+from fsim import bandwidth, ingest, optimize
 from fsim.cli import main
 from fsim.locfit import EstimationError
 
@@ -69,6 +69,19 @@ class TestFit:
 
     def test_missing_file_is_data_error(self, tmp_path):
         assert run("fit", "--data", tmp_path / "nope.csv", "--out", tmp_path / "o") == 2
+
+    def test_header_only_file_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "eco.csv"
+        path.write_text(",".join(ingest.REQUIRED_COLUMNS) + "\n")
+        assert run("fit", "--data", path, "--out", tmp_path / "o") == 2
+        assert "no records to convert" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_undecodable_file_is_data_error(self, tmp_path):
+        path = tmp_path / "eco.csv"
+        path.write_bytes(b"\xff\xfe\x00")
+        assert run("fit", "--data", path, "--out", tmp_path / "o") == 2
+        assert not (tmp_path / "o").exists()
 
     def test_unknown_strategy_is_usage_error(self, synth_inputs, tmp_path):
         assert run("fit", "--data", synth_inputs["data"], "--out", tmp_path / "o",
@@ -310,15 +323,31 @@ class TestSimulate:
             assert run("simulate", "--config", config, "--out", tmp_path / "o") == 1
         assert not (tmp_path / "o").exists()
 
-    # each is one line on stderr and exit 1, before the output directory is made
-    @pytest.mark.parametrize("config_seed, flag_seed", [(-3, None), (1.5, None), ("abc", None),
-                                                        (True, None), (11, -2)])
-    def test_bad_seed_is_usage_error(self, tmp_path, capsys, config_seed, flag_seed):
-        config = self.write_config(tmp_path / "config.json", seed=config_seed)
+    # each bad seed or count is one line on stderr and exit 1, before the output
+    # directory is made; a bool is not a count
+    @pytest.mark.parametrize("overrides, flag_seed, name", [
+        pytest.param({"seed": -3}, None, "seed", id="-3-None"),
+        pytest.param({"seed": 1.5}, None, "seed", id="1.5-None"),
+        pytest.param({"seed": "abc"}, None, "seed", id="abc-None"),
+        pytest.param({"seed": True}, None, "seed", id="True-None"),
+        pytest.param({"seed": 11}, -2, "seed", id="11--2"),
+        pytest.param({"reps": 2.5}, None, "reps", id="reps-2.5"),
+        pytest.param({"reps": True, "sizes": [30.7]}, None, "reps", id="reps-True"),
+        pytest.param({"sizes": [50, 30.7]}, None, "sizes[1]", id="sizes-30.7"),
+        pytest.param({"basis_dim": 9.0}, None, "basis_dim", id="basis_dim-9.0"),
+        pytest.param({"grid_size": 2.0}, None, "grid_size", id="grid_size-2.0"),
+        pytest.param({"folds": 2.5}, None, "folds", id="folds-2.5"),
+        pytest.param({"opt_budget": 10.5}, None, "opt_budget", id="opt_budget-10.5"),
+        pytest.param({"candidate_count": 20.5}, None, "candidate_count",
+                     id="candidate_count-20.5"),
+        pytest.param({"keep_best": False}, None, "keep_best", id="keep_best-False"),
+    ])
+    def test_bad_seed_is_usage_error(self, tmp_path, capsys, overrides, flag_seed, name):
+        config = self.write_config(tmp_path / "config.json", **overrides)
         extra = () if flag_seed is None else ("--seed", flag_seed)
         assert run("simulate", "--config", config, "--out", tmp_path / "o", *extra) == 1
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "seed must be an integer >= 0" in err
+        assert err.count("\n") == 1 and f"{name} must be an integer >= " in err
         assert not (tmp_path / "o").exists()
 
     def test_reps_override(self, tmp_path):

@@ -133,6 +133,10 @@ class TestLoadCsv:
 
 
 class TestToDataset:
+    def test_no_records_is_a_schema_error(self):
+        with pytest.raises(SchemaError, match="no records to convert"):
+            to_dataset([], FourierBasis(9))
+
     def test_shapes(self, tmp_path):
         rng = np.random.default_rng(5)
         records = [make_record(rng) for _ in range(7)]

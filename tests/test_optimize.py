@@ -387,7 +387,8 @@ class TestLockstep:
                            [0.5, 0.5, 0.5], [3.0, 0.0, -2.0]])
         hs = np.array([0.3, 1.0, 0.3, 0.7, 2.0])
         monkeypatch.setattr(optimize, "StackedObjective", QuantizedStack)
-        got = optimize.minimize_lockstep(data, [np.arange(12)] * 5, starts, hs, budget)
+        got = optimize.minimize_each(data, starts, hs, budget, None, ["custom"] * 5,
+                                     [np.arange(12)] * 5)
         for x0, h, result in zip(starts, hs, got):
             try:
                 outcome = serial_nelder_mead(lambda x: float(quantized(x, h)[0]), x0,
@@ -405,6 +406,25 @@ class TestLockstep:
                 expected.final_mse, expected.iterations, expected.converged,
                 expected.evaluations, expected.trace)
         assert isinstance(got[2], DegenerateObjectiveError)
+
+    # at n = 300, above ONE_TILE_MAX, both objectives take the tiled walk; the
+    # all-zero start fails at its initialization
+    @pytest.mark.parametrize("n", [60, 300])
+    def test_full_data_and_subset_objectives_agree(self, n):
+        rng = np.random.default_rng(41)
+        x = rng.uniform(-0.6, 0.6, size=(n, 4))
+        data = single_block_data(x, np.sin(2.0 * x[:, 1]) + 0.1 * rng.normal(size=n))
+        starts = np.array([[1.0, 0.0, 0.0], [0.3, -1.2, 0.5], [0.0, 0.0, 0.0],
+                           [0.5, 0.5, 0.5]])
+        hs = [0.1, 0.3, 0.3, 0.8]
+        labels = ["first", "second", "third", "fourth"]
+        reference = np.array([0.0, -1.0, 0.0])
+        full = optimize.minimize_each(data, starts, hs, 40, reference, labels)
+        subsets = optimize.minimize_each(data, starts, hs, 40, reference, labels,
+                                         [np.arange(n)] * len(hs))
+        assert [result_fields(r) for r in subsets] == [result_fields(r) for r in full]
+        assert isinstance(full[2], DegenerateObjectiveError)
+        assert all(r.iterations > 0 for k, r in enumerate(full) if k != 2)
 
 
 class TestStartStrategies:
@@ -531,8 +551,9 @@ class TestWorkerParts:
         hs = np.array([0.3, 1.0, 0.3, 0.7, 2.0])
         monkeypatch.setattr(optimize, "StackedObjective", QuantizedStack)
         use_cpus(monkeypatch, 1)
-        alone = optimize.minimize_lockstep(data, [np.arange(12)] * 5, starts, hs, 60)
+        labels, subsets = ["custom"] * 5, [np.arange(12)] * 5
+        alone = optimize.minimize_each(data, starts, hs, 60, None, labels, subsets)
         use_cpus(monkeypatch, cpus)
-        split = optimize.minimize_lockstep(data, [np.arange(12)] * 5, starts, hs, 60)
+        split = optimize.minimize_each(data, starts, hs, 60, None, labels, subsets)
         assert [result_fields(r) for r in split] == [result_fields(r) for r in alone]
         assert isinstance(split[2], DegenerateObjectiveError)

@@ -265,8 +265,24 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             ExperimentConfig(sizes=(100, 0))
 
-    # a bool is an int to Python; "seed": true in a config is not seed 1
-    @pytest.mark.parametrize("seed", [-3, 1.5, "abc", True, None])
-    def test_seed_must_be_a_nonnegative_integer(self, seed):
-        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
-            ExperimentConfig(seed=seed)
+    # a bool is an int to Python; "seed": true in a config is not seed 1, and
+    # the counts follow the same rule
+    @pytest.mark.parametrize("overrides, message", [
+        pytest.param({"seed": -3}, "seed", id="-3"),
+        pytest.param({"seed": 1.5}, "seed", id="1.5"),
+        pytest.param({"seed": "abc"}, "seed", id="abc"),
+        pytest.param({"seed": True}, "seed", id="True"),
+        pytest.param({"seed": None}, "seed", id="None"),
+        pytest.param({"reps": 2.5}, "reps", id="reps-2.5"),
+        pytest.param({"reps": True}, "reps", id="reps-True"),
+        pytest.param({"sizes": (100, 30.7)}, r"sizes\[1\]", id="sizes-30.7"),
+        pytest.param({"basis_dim": 9.0}, "basis_dim", id="basis_dim-9.0"),
+        pytest.param({"grid_size": 2.0}, "grid_size", id="grid_size-2.0"),
+        pytest.param({"method": "kfold", "folds": 2.5}, "folds", id="folds-2.5"),
+        pytest.param({"opt_budget": 10.5}, "opt_budget", id="opt_budget-10.5"),
+        pytest.param({"candidate_count": 20.5}, "candidate_count", id="candidate_count-20.5"),
+        pytest.param({"keep_best": 2.0}, "keep_best", id="keep_best-2.0"),
+    ])
+    def test_seed_must_be_a_nonnegative_integer(self, overrides, message):
+        with pytest.raises(ValueError, match=f"{message} must be an integer >= "):
+            ExperimentConfig(**overrides)
