@@ -376,7 +376,7 @@ def _anchored_grid(data: Dataset, strategy: InitStrategy, grid_size: int):
     else:
         start = resolve_init(data, strategy)
         reference = start[0]
-    sigma_z = float(np.std(compute_index(data, spec_from_raw(data, reference, 1.0))))
+    sigma_z = float(np.std(compute_index(data, spec_from_raw(data, reference))))
     if sigma_z <= 0.0:
         raise SelectionError("reference index is constant; no usable bandwidth scale")
     return BandwidthGrid.default(data.n, sigma_z, grid_size), start

@@ -55,16 +55,6 @@ class FourierBasis:
             out[:, col] = root2 * (np.sin(arg) if pos % 2 == 0 else np.cos(arg))
         return out
 
-    def labels(self) -> list[str]:
-        names = ["const"] if self.include_constant else []
-        k = 1
-        while len(names) < self.dimension:
-            names.append(f"sin{k}")
-            if len(names) < self.dimension:
-                names.append(f"cos{k}")
-            k += 1
-        return names
-
     def drop_constant(self) -> "FourierBasis":
         """The matching coefficient-function basis (constant term removed)."""
         if not self.include_constant:

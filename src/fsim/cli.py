@@ -221,7 +221,6 @@ def cmd_fit(args) -> int:
         },
         "model": {
             "alpha": spec.alpha,
-            "bandwidth_record": spec.bandwidth,
             "blocks": [
                 {
                     "label": block_labels[k] if k < len(block_labels) else f"block{k}",
@@ -237,18 +236,33 @@ def cmd_fit(args) -> int:
     return OK
 
 
-def _spec_from_payload(payload) -> IndexModelSpec:
-    blocks = payload["model"]["blocks"]
-    betas = tuple(
-        BasisExpansion(
-            FourierBasis(b["basis_dim"], include_constant=b["include_constant"]),
-            np.asarray(b["coefficients"], dtype=float),
-        )
-        for b in blocks
-    )
-    alpha = payload["model"]["alpha"]
-    return IndexModelSpec(betas, bandwidth=float(payload["model"]["bandwidth_record"]),
-                          alpha=None if alpha is None else float(alpha))
+def _bandwidth(payload, key) -> float:
+    value = payload["selection"][key]
+    if not simulate.finite_number(value) or value <= 0:
+        raise ingest.SchemaError(f"selection.{key} must be a positive number, got {value!r}")
+    return float(value)
+
+
+def _spec_from_payload(payload, data) -> IndexModelSpec:
+    """The fitted spec of a ``fit.json`` payload on the data it was fit to.
+
+    A payload whose blocks do not match the data's blocks and
+    ``metadata.basis_dim``, or whose alpha is not a number (ecology data
+    carry the scalar W), raises :class:`fsim.ingest.SchemaError`.
+    """
+    blocks, alpha = payload["model"]["blocks"], payload["model"]["alpha"]
+    beta_basis = data.blocks[0].beta_basis()
+    layout = (beta_basis.dimension, False, beta_basis.dimension)
+    if len(blocks) != len(data.blocks) or not all(
+            (b["basis_dim"], b["include_constant"], len(b["coefficients"])) == layout
+            and all(map(simulate.finite_number, b["coefficients"])) for b in blocks):
+        raise ingest.SchemaError(
+            f"model.blocks must be {len(data.blocks)} blocks of {beta_basis.dimension} finite "
+            f"coefficients without a constant term, as metadata.basis_dim asks")
+    if not simulate.finite_number(alpha):
+        raise ingest.SchemaError(f"model.alpha must be a number, got {alpha!r}")
+    return IndexModelSpec(tuple(BasisExpansion(beta_basis, b["coefficients"]) for b in blocks),
+                          alpha=float(alpha))
 
 
 def _write_csv(path, columns: dict):
@@ -269,15 +283,16 @@ def cmd_plot(args) -> int:
         with open(args.fit, encoding="utf-8") as handle:
             payload = json.load(handle)
         records = ingest.load_csv(args.data)
-        basis = FourierBasis(int(payload["metadata"]["basis_dim"]), include_constant=True)
+        dim = payload["metadata"]["basis_dim"]
+        if not isinstance(dim, int) or isinstance(dim, bool) or not 2 <= dim <= ingest.N_BINS:
+            raise ingest.SchemaError(f"metadata.basis_dim must be an integer in "
+                                     f"[2, {ingest.N_BINS}], got {dim!r}")
+        basis = FourierBasis(dim, include_constant=True)
         data = ingest.to_dataset(records, basis)
         truth = ingest.EcologyTruth.from_json(args.truth) if args.truth else None
-        spec = _spec_from_payload(payload)
-        chosen_h = float(payload["selection"]["chosen_h"])
-        chosen_h2 = float(payload["selection"]["chosen_h_curvature"])
-        if not (0.0 < chosen_h < np.inf and 0.0 < chosen_h2 < np.inf):
-            raise ValueError(f"bandwidths must be finite and positive, got {chosen_h} "
-                             f"and {chosen_h2}")
+        spec = _spec_from_payload(payload, data)
+        chosen_h = _bandwidth(payload, "chosen_h")
+        chosen_h2 = _bandwidth(payload, "chosen_h_curvature")
         selection = {"strategy": payload["selection"]["strategy"], "chosen_h": chosen_h,
                      "chosen_h_curvature": chosen_h2,
                      "sigma_index": payload["selection"]["sigma_index"]}
@@ -291,8 +306,8 @@ def cmd_plot(args) -> int:
             true_betas = truth.beta_expansions(truth_basis)
             z_true = truth.true_index(data if truth_basis == basis
                                       else ingest.to_dataset(records, truth_basis))
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ingest.SchemaError,
-            ValueError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError,
+            ingest.SchemaError) as exc:
         print(f"fsim plot: {exc}", file=sys.stderr)
         return DATA_ERROR
 
@@ -340,10 +355,10 @@ def cmd_plot(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    if (args.n < 1 or args.noise_sd < 0 or args.seed < 0
-            or not 3 <= args.basis_dim <= ingest.N_BINS):
-        print(f"fsim synth: need --n >= 1, --noise-sd and --seed >= 0, and --basis-dim in "
-              f"[3, {ingest.N_BINS}]", file=sys.stderr)
+    if (args.n < 1 or not 0 <= args.noise_sd < np.inf or not np.isfinite(args.alpha)
+            or args.seed < 0 or not 3 <= args.basis_dim <= ingest.N_BINS):
+        print(f"fsim synth: need --n >= 1, a finite --noise-sd >= 0, a finite --alpha, "
+              f"--seed >= 0, and --basis-dim in [3, {ingest.N_BINS}]", file=sys.stderr)
         return USAGE_ERROR
     try:
         ingest.synth_ecology(

@@ -150,6 +150,10 @@ class EcologyTruth:
             raise ValueError(f"unknown link {self.link!r}, expected one of {sorted(LINKS)}")
         object.__setattr__(self, "beta1", readonly_array(self.beta1))
         object.__setattr__(self, "beta2", readonly_array(self.beta2))
+        if not (3 <= self.basis_dim <= N_BINS
+                and self.beta1.shape == self.beta2.shape == (self.basis_dim - 1,)):
+            raise ValueError(f"need basis_dim in [3, {N_BINS}] and basis_dim - 1 "
+                             "coefficients in beta1 and beta2")
 
     def beta_expansions(self, basis: FourierBasis) -> tuple[BasisExpansion, BasisExpansion]:
         beta_basis = basis.drop_constant()
@@ -158,7 +162,7 @@ class EcologyTruth:
     def true_index(self, data: Dataset) -> np.ndarray:
         """Index values implied by the truth on (projected) data."""
         betas = self.beta_expansions(data.blocks[0].basis)
-        return compute_index(data, IndexModelSpec(betas, bandwidth=1.0, alpha=self.alpha))
+        return compute_index(data, IndexModelSpec(betas, alpha=self.alpha))
 
     def to_json(self, path) -> None:
         write_json(path, {
@@ -174,18 +178,22 @@ class EcologyTruth:
 
     @classmethod
     def from_json(cls, path) -> "EcologyTruth":
+        """Read a truth file; values that make no truth raise :class:`SchemaError`."""
         with open(path, encoding="utf-8") as handle:
             payload = json.load(handle)
-        return cls(
-            alpha=float(payload["alpha"]),
-            beta1=np.asarray(payload["beta1"], dtype=float),
-            beta2=np.asarray(payload["beta2"], dtype=float),
-            link=str(payload["link"]),
-            noise_sd=float(payload["noise_sd"]),
-            basis_dim=int(payload["basis_dim"]),
-            seed=int(payload["seed"]),
-            n=int(payload["n"]),
-        )
+        try:
+            return cls(
+                alpha=float(payload["alpha"]),
+                beta1=np.asarray(payload["beta1"], dtype=float),
+                beta2=np.asarray(payload["beta2"], dtype=float),
+                link=str(payload["link"]),
+                noise_sd=float(payload["noise_sd"]),
+                basis_dim=int(payload["basis_dim"]),
+                seed=int(payload["seed"]),
+                n=int(payload["n"]),
+            )
+        except ValueError as exc:  # raised only by the conversions and checks of the values
+            raise SchemaError(f"{path}: {exc}") from None
 
 
 def _default_truth_coeffs(beta_dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -214,12 +222,8 @@ def synth_ecology(path, n: int, seed: int = 0, link: str = "g2", alpha: float = 
     beta_dim = basis_dim - 1
     if beta1 is None or beta2 is None:
         default1, default2 = _default_truth_coeffs(beta_dim)
-        beta1 = default1 if beta1 is None else np.asarray(beta1, dtype=float)
-        beta2 = default2 if beta2 is None else np.asarray(beta2, dtype=float)
-    beta1 = np.asarray(beta1, dtype=float)
-    beta2 = np.asarray(beta2, dtype=float)
-    if beta1.shape != (beta_dim,) or beta2.shape != (beta_dim,):
-        raise ValueError(f"truth coefficients must have length {beta_dim}")
+        beta1 = default1 if beta1 is None else beta1
+        beta2 = default2 if beta2 is None else beta2
     truth = EcologyTruth(alpha=alpha, beta1=beta1, beta2=beta2, link=link,
                          noise_sd=noise_sd, basis_dim=basis_dim, seed=seed, n=n)
 
@@ -239,7 +243,7 @@ def synth_ecology(path, n: int, seed: int = 0, link: str = "g2", alpha: float = 
     p_coeffs = draw_histories(mean_level=1.0)
     t_coeffs = draw_histories(mean_level=0.5)
     w = 1.0 + 0.5 * rng.standard_normal(n)
-    index = p_coeffs[:, 1:] @ beta1 + t_coeffs[:, 1:] @ beta2 + alpha * w
+    index = p_coeffs[:, 1:] @ truth.beta1 + t_coeffs[:, 1:] @ truth.beta2 + alpha * w
     response = LINKS[link].g(index) + noise_sd * rng.standard_normal(n)
     logarea_t0 = 2.0 + 0.5 * rng.standard_normal(n)
 

@@ -105,23 +105,19 @@ class Dataset:
 
 @dataclass(frozen=True)
 class IndexModelSpec:
-    """Identifiability-normalized model coefficients plus a bandwidth record.
+    """Identifiability-normalized model coefficients: coefficient functions and alpha.
 
-    ``bandwidth`` is the working bandwidth at the point the spec was built
-    from (the search bandwidth times the raw coefficient norm); smoothing
-    entry points take their bandwidth explicitly.
+    Smoothing entry points take their bandwidth explicitly; a fit's are the
+    ones its bandwidth selection chose.
     """
 
     beta_blocks: tuple[BasisExpansion, ...]
-    bandwidth: float
     alpha: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "beta_blocks", tuple(self.beta_blocks))
         if not self.beta_blocks:
             raise ValueError("spec needs at least one coefficient function")
-        if self.bandwidth <= 0:
-            raise ValueError(f"bandwidth must be positive, got {self.bandwidth}")
         for beta in self.beta_blocks:
             if beta.basis.include_constant:
                 raise ValueError("coefficient functions must not carry a constant term")
@@ -136,7 +132,6 @@ class ObjectiveReport:
 
     mse: float
     excluded_count: int
-    index_values: np.ndarray
 
 
 def _search_vector(data: Dataset, raw, lead=()) -> np.ndarray:
@@ -187,12 +182,13 @@ def search_index(data: Dataset, raw, samples=None) -> tuple[np.ndarray, np.ndarr
     return z, np.sqrt((functional[..., None, :] @ functional[..., :, None])[..., 0, 0])
 
 
-def spec_from_raw(data: Dataset, raw, h: float) -> IndexModelSpec:
+def spec_from_raw(data: Dataset, raw) -> IndexModelSpec:
     """Normalized spec at a raw search point.
 
     The functional coefficients (and alpha with them, so the index only
-    changes scale) are divided by the joint coefficient norm, and the
-    bandwidth is multiplied by it, recording the working bandwidth.
+    changes scale) are divided by the joint coefficient norm, so the
+    objective at ``raw`` and bandwidth ``h`` equals, up to rounding, the
+    objective at the spec's coefficients and the same ``h``.
     """
     parts, alpha = split_raw(data, raw)
     norm = float(np.linalg.norm(np.concatenate(parts)))
@@ -202,11 +198,7 @@ def spec_from_raw(data: Dataset, raw, h: float) -> IndexModelSpec:
         BasisExpansion(block.beta_basis(), part / norm)
         for block, part in zip(data.blocks, parts)
     )
-    return IndexModelSpec(
-        beta_blocks=betas,
-        bandwidth=h * norm,
-        alpha=None if alpha is None else alpha / norm,
-    )
+    return IndexModelSpec(beta_blocks=betas, alpha=None if alpha is None else alpha / norm)
 
 
 def compute_index(data: Dataset, spec: IndexModelSpec) -> np.ndarray:
@@ -248,7 +240,7 @@ def canonical_sign(spec: IndexModelSpec, reference=None) -> IndexModelSpec:
         return spec
     betas = tuple(BasisExpansion(b.basis, -b.coeffs) for b in spec.beta_blocks)
     alpha = None if spec.alpha is None else -spec.alpha
-    return IndexModelSpec(betas, spec.bandwidth, alpha)
+    return IndexModelSpec(betas, alpha)
 
 
 def objective_loo_mse(data: Dataset, raw_coeffs, h: float) -> ObjectiveReport:
@@ -256,9 +248,10 @@ def objective_loo_mse(data: Dataset, raw_coeffs, h: float) -> ObjectiveReport:
 
     The kernel bandwidth is ``h`` times the functional coefficient norm, which
     makes the value invariant to rescaling the search vector; equivalently the
-    model is evaluated at unit norm with bandwidth ``h``.  Samples with an
-    empty leave-one-out window are excluded from the average and counted, so
-    the bandwidth selector can reject pathological bandwidths.
+    model is evaluated at the unit-norm coefficients of :func:`spec_from_raw`
+    with bandwidth ``h``.  Samples with an empty leave-one-out window are
+    excluded from the average and counted, so the bandwidth selector can
+    reject pathological bandwidths; the report holds the value and that count.
     """
     if data.n < MIN_SAMPLES:
         raise DegenerateObjectiveError(
@@ -278,13 +271,10 @@ def objective_loo_mse(data: Dataset, raw_coeffs, h: float) -> ObjectiveReport:
     if excluded_count:
         residuals = residuals[~excluded]
     squares = residuals * residuals
-    z /= norm
-    z.flags.writeable = False
     return ObjectiveReport(
         # np.mean's own sum and division, bit for bit, without its dispatch cost
         mse=float(squares.sum() / squares.size),
         excluded_count=excluded_count,
-        index_values=z,
     )
 
 

@@ -143,10 +143,10 @@ def safe_objective(data: Dataset, raw, h: float) -> float:
         return np.inf
 
 
-def _opt_result(data: Dataset, h: float, outcome, sign_reference, label: str) -> OptResult:
+def _opt_result(data: Dataset, outcome, sign_reference, label: str) -> OptResult:
     """The normalized, sign-canonical result of a finished search."""
     best, f_best, iterations, converged, trace, evals = outcome
-    spec = canonical_sign(spec_from_raw(data, best, h), sign_reference)
+    spec = canonical_sign(spec_from_raw(data, best), sign_reference)
     return OptResult(
         spec=spec,
         final_mse=f_best,
@@ -162,10 +162,10 @@ def minimize(data: Dataset, init, h: float, budget: int | None = None,
              sign_reference=None, label: str = "custom") -> OptResult:
     """Run the simplex search on the raw search vector from one start point.
 
-    The terminal point is normalized (unit functional norm, bandwidth record
-    scaled by the terminal raw norm) and sign-canonicalized.  The returned
-    value never exceeds the objective at the initialization; a start whose
-    value is not finite raises :class:`DegenerateObjectiveError`.
+    The terminal point is normalized to unit functional norm and
+    sign-canonicalized.  The returned value never exceeds the objective at
+    the initialization; a start whose value is not finite raises
+    :class:`DegenerateObjectiveError`.
     """
     (result,) = minimize_each(data, init, [h], budget, sign_reference, [label])
     if isinstance(result, DegenerateObjectiveError):
@@ -210,8 +210,8 @@ def minimize_each(data: Dataset, init, h, budget: int | None, sign_reference, la
                             starts[rows], max_evals)
 
     return [outcome if isinstance(outcome, DegenerateObjectiveError)
-            else _opt_result(data, hk, outcome, sign_reference, label)
-            for hk, outcome, label in zip(hs, _in_parts(run, len(hs)), labels)]
+            else _opt_result(data, outcome, sign_reference, label)
+            for outcome, label in zip(_in_parts(run, len(hs)), labels)]
 
 
 def _in_parts(run, count: int) -> list:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -47,7 +48,6 @@ class SimScenario:
     basis_dim: int = 25
     noise_sd: float = 0.1
     seed: object = 0
-    normalize_truth: bool = True
 
     def __post_init__(self):
         if self.n < 1:
@@ -59,27 +59,17 @@ class SimScenario:
         if self.noise_sd < 0:
             raise ValueError(f"noise level must be nonnegative, got {self.noise_sd}")
 
-    def raw_true_coeffs(self) -> np.ndarray:
-        """The textbook coefficient vector (0, 1, 1, 0.5, 0, ...) over the full basis."""
-        raw = np.zeros(self.basis_dim)
-        raw[1] = 1.0
-        raw[2] = 1.0
-        raw[3] = 0.5
-        return raw
-
 
 @dataclass(frozen=True)
 class GroundTruth:
     """Everything the generator knows that an estimator must recover."""
 
     beta: BasisExpansion
-    raw_coeffs: np.ndarray
     index: np.ndarray
     link: LinkSpec
     noise_sd: float
 
     def __post_init__(self):
-        object.__setattr__(self, "raw_coeffs", readonly_array(self.raw_coeffs))
         object.__setattr__(self, "index", readonly_array(self.index))
 
 
@@ -95,17 +85,15 @@ def generate(scenario: SimScenario) -> tuple[Dataset, GroundTruth]:
     scales = coefficient_scales(scenario.basis_dim)
     coeffs = rng.standard_normal((scenario.n, scenario.basis_dim)) * scales
     x_basis = FourierBasis(scenario.basis_dim, include_constant=True)
-    raw = scenario.raw_true_coeffs()
-    beta_coeffs = raw[1:]
-    if scenario.normalize_truth:
-        beta_coeffs = beta_coeffs / np.linalg.norm(beta_coeffs)
-    beta = BasisExpansion(x_basis.drop_constant(), beta_coeffs)
+    # the textbook truth (1, 1, 0.5, 0, ...) over the coefficient basis, at unit norm
+    beta_coeffs = np.zeros(scenario.basis_dim - 1)
+    beta_coeffs[:3] = (1.0, 1.0, 0.5)
+    beta = BasisExpansion(x_basis.drop_constant(), beta_coeffs / np.linalg.norm(beta_coeffs))
     index = coeffs[:, 1:] @ beta.coeffs
     link = LINKS[scenario.link]
     noise = scenario.noise_sd * rng.standard_normal(scenario.n)
     data = Dataset(blocks=(FunctionalBlock(x_basis, coeffs),), y=link.g(index) + noise)
-    truth = GroundTruth(beta=beta, raw_coeffs=raw, index=index, link=link,
-                        noise_sd=scenario.noise_sd)
+    truth = GroundTruth(beta=beta, index=index, link=link, noise_sd=scenario.noise_sd)
     return data, truth
 
 
@@ -127,28 +115,33 @@ class RaseResult:
 
 
 def rase(data: Dataset, truth: GroundTruth, spec: IndexModelSpec,
-         derivative: int = 0, bandwidth: float | None = None) -> RaseResult:
+         derivative: int, bandwidth: float) -> RaseResult:
     """Root average squared error of the fitted link (or curvature) at the samples.
 
-    Compares the local quadratic estimate at each fitted index value against
-    the true link derivative at the true index value.  All samples are fit in
-    one batch; those whose fit is singular are evaluated at the nearest
-    admissible point and counted in ``relocated``.
+    Compares the local quadratic estimate with bandwidth ``bandwidth`` at
+    each fitted index value against the true link (``derivative`` 0) or its
+    curvature (2) at the true index value.  All samples are fit in one batch;
+    those whose fit is singular are evaluated at the nearest admissible point
+    and counted in ``relocated``.
     """
     if derivative not in (0, 2):
         raise ValueError(f"derivative order must be 0 or 2, got {derivative}")
-    h = spec.bandwidth if bandwidth is None else bandwidth
     z_hat = compute_index(data, spec)
     target = truth.link.g(truth.index) if derivative == 0 else truth.link.curvature(truth.index)
-    estimates = curve_estimates(z_hat, data.y, z_hat, h, derivative)
+    estimates = curve_estimates(z_hat, data.y, z_hat, bandwidth, derivative)
     center = float(np.median(z_hat))
     relocated = 0
     for i in np.flatnonzero(np.isnan(estimates)):
-        fit_i, moved = relocated_fit(z_hat, data.y, float(z_hat[i]), h, center=center)
+        fit_i, moved = relocated_fit(z_hat, data.y, float(z_hat[i]), bandwidth, center=center)
         relocated += int(moved)
         estimates[i] = fit_i.a_hat if derivative == 0 else fit_i.c_hat
     errors = estimates - target
     return RaseResult(value=float(np.sqrt(np.mean(errors * errors))), relocated=relocated)
+
+
+def finite_number(value) -> bool:
+    """Whether a config or JSON value is a finite number; a bool is not one."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -175,9 +168,12 @@ class ExperimentConfig:
     rescale_comparison: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "links", tuple(self.links))
-        object.__setattr__(self, "sizes", tuple(self.sizes))
-        object.__setattr__(self, "strategies", tuple(self.strategies))
+        for name in ("links", "sizes", "strategies"):
+            value = getattr(self, name)
+            # a string is a sequence too: "links": "g1" would read as links g and 1
+            if not isinstance(value, (list, tuple)):
+                raise ValueError(f"{name} must be a list, got {value!r}")
+            object.__setattr__(self, name, tuple(value))
         for link in self.links:
             if link not in LINKS:
                 raise ValueError(f"unknown link {link!r}")
@@ -197,8 +193,12 @@ class ExperimentConfig:
             # a bool is an int to Python, but "seed": true is a typo, not seed 1
             if not isinstance(value, int) or isinstance(value, bool) or value < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-        if self.noise_sd < 0 or self.keep_best > self.candidate_count:
-            raise ValueError("need noise_sd >= 0 and candidate_count >= keep_best")
+        if not finite_number(self.noise_sd) or self.noise_sd < 0:
+            raise ValueError(f"noise_sd must be a finite number >= 0, got {self.noise_sd!r}")
+        if not isinstance(self.rescale_comparison, bool):
+            raise ValueError(f"rescale_comparison must be a bool, got {self.rescale_comparison!r}")
+        if self.keep_best > self.candidate_count:
+            raise ValueError("need candidate_count >= keep_best")
 
 
 def _strategy_for(kind: str, config: ExperimentConfig, truth: GroundTruth,

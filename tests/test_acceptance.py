@@ -115,7 +115,7 @@ def test_c04_known_beta_curvature_convergence():
             data, truth = generate(SimScenario(n=n, link="g1", noise_sd=0.1, seed=seed))
             sigma = float(np.std(truth.index))
             h = n ** (-1.0 / 7.0) * sigma
-            spec = spec_from_raw(data, truth.beta.coeffs, h)
+            spec = spec_from_raw(data, truth.beta.coeffs)
             z = compute_index(data, spec)
             estimates = curve_estimates(z, data.y, z, h, derivative=2)
             target = truth.link.curvature(truth.index)
@@ -240,7 +240,7 @@ def test_c09_oracle_equivalences():
     assert abs(report_obj.mse - oracle_mse) < 1e-10
 
     # GCV: explicit matrix assembly from pointwise smoother rows
-    spec = spec_from_raw(data, raw, h)
+    spec = spec_from_raw(data, raw)
     z_spec = compute_index(data, spec)
     smoother = np.stack([local_quad_fit(z_spec, y, u, 0.6).smoother_row_0 for u in z_spec])
     residual = y - smoother @ y
@@ -249,7 +249,7 @@ def test_c09_oracle_equivalences():
 
     # RASE: literal loop over sample points
     data_sim, truth = generate(SimScenario(n=20, link="g1", noise_sd=0.1, seed=109))
-    spec_sim = spec_from_raw(data_sim, truth.beta.coeffs, 1.0)
+    spec_sim = spec_from_raw(data_sim, truth.beta.coeffs)
     sigma = float(np.std(truth.index))
     h_sim = 2.0 * sigma
     value = rase(data_sim, truth, spec_sim, derivative=2, bandwidth=h_sim)

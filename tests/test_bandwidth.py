@@ -119,7 +119,7 @@ class TestGcvScore:
         truth = np.array([1.0, 0.0, 0.0])
         z = x[:, 1:] @ truth
         data = single_block_data(x, 1.0 + 2.0 * z - 3.0 * z * z)
-        spec = spec_from_raw(data, truth, 1.0)
+        spec = spec_from_raw(data, truth)
         assert bw.gcv_score(data, spec, 0.8) == pytest.approx(0.0, abs=1e-20)
 
     def test_matrix_assembly_oracle(self):
@@ -128,7 +128,7 @@ class TestGcvScore:
         y = np.exp(-x[:, 1]) + 0.1 * rng.normal(size=20)
         data = single_block_data(x, y)
         raw = np.array([1.0, 0.3, -0.2])
-        spec = spec_from_raw(data, raw, 0.6)
+        spec = spec_from_raw(data, raw)
         h = 0.7
         z = compute_index(data, spec)
         smoother = np.stack([local_quad_fit(z, y, u, h).smoother_row_0 for u in z])
@@ -138,7 +138,7 @@ class TestGcvScore:
 
     def test_matches_smoother_matrix_beyond_one_tile(self):
         data, truth = linear_dataset(300, 0.1, seed=7)
-        spec = spec_from_raw(data, truth, 1.0)
+        spec = spec_from_raw(data, truth)
         h = 0.15
         smoother = smoother_matrix(compute_index(data, spec), h)
         residual = data.y - smoother @ data.y
@@ -147,7 +147,7 @@ class TestGcvScore:
 
     def test_unusable_row_raises_like_smoother_matrix(self):
         data, truth = linear_dataset(300, 0.1, seed=8)
-        spec = spec_from_raw(data, truth, 1.0)
+        spec = spec_from_raw(data, truth)
         with pytest.raises(SingularFitError) as expected:
             smoother_matrix(compute_index(data, spec), 0.015)
         with pytest.raises(SingularFitError) as got:
@@ -158,7 +158,7 @@ class TestGcvScore:
     def test_interpolating_smoother_raises(self, monkeypatch):
         rng = np.random.default_rng(2)
         data, truth = linear_dataset(10, 0.1, seed=3)
-        spec = spec_from_raw(data, truth, 1.0)
+        spec = spec_from_raw(data, truth)
         # the smoother S = I: fitted values are the responses, the diagonal is all ones
         monkeypatch.setattr(bw, "level_fits", lambda z, y, h: (np.array(y), np.ones(10)))
         with pytest.raises(bw.SelectionError):
@@ -375,7 +375,7 @@ def serial_gcv_selection(data, strategy, grid, budget, sign_reference):
             outcome = serial_nelder_mead(lambda x: optimize.safe_objective(data, x, h),
                                          np.array(init, dtype=float), budget,
                                          optimize.SPREAD_TOL)
-            fits[k] = optimize._opt_result(data, h, outcome, sign_reference, label)
+            fits[k] = optimize._opt_result(data, outcome, sign_reference, label)
             scores[k] = bw.gcv_score(data, fits[k].spec, h)
         except EstimationError:
             continue
@@ -546,7 +546,7 @@ class TestFitPipeline:
         data, truth = linear_dataset(40, 0.2, seed=14)
 
         def grid_at(raw):
-            sigma = float(np.std(compute_index(data, spec_from_raw(data, raw, 1.0))))
+            sigma = float(np.std(compute_index(data, spec_from_raw(data, raw))))
             return bw.BandwidthGrid.default(40, sigma, 3).values
 
         # the random strategy has no single start and anchors at the all-equal vector
@@ -739,7 +739,7 @@ class TestSelectBandwidth:
 
     def test_chosen_h_minimizes_scores_with_larger_h_ties(self):
         data, truth = linear_dataset(80, 0.2, seed=9)
-        sigma = float(np.std(compute_index(data, spec_from_raw(data, truth, 1.0))))
+        sigma = float(np.std(compute_index(data, spec_from_raw(data, truth))))
         grid = bw.BandwidthGrid.default(80, sigma, count=6)
         report = bw.select_bandwidth(
             data, InitStrategy(kind="true", true_coeffs=truth), grid, budget=80
@@ -840,6 +840,6 @@ class TestSelectBandwidth:
         x = rng.uniform(-0.6, 0.6, size=(60, 4))
         truth = np.array([1.0, 0.0, 0.0])
         data = single_block_data(x, np.full(60, 2.5))
-        spec = spec_from_raw(data, truth, 1.0)
+        spec = spec_from_raw(data, truth)
         assert bw.gcv_score(data, spec, 0.9) <= 1e-6
         assert bw.kfold_score(data, truth, 0.9, folds=10, seed=0, budget=0) <= 1e-6

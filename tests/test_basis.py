@@ -20,12 +20,6 @@ def quadrature_gram(basis, points=10_001):
 
 
 class TestFourierBasis:
-    def test_ordering(self):
-        assert FourierBasis(6).labels() == ["const", "sin1", "cos1", "sin2", "cos2", "sin3"]
-        assert FourierBasis(4, include_constant=False).labels() == [
-            "sin1", "cos1", "sin2", "cos2"
-        ]
-
     def test_design_matrix_values(self):
         psi = FourierBasis(3).design_matrix(np.array([0.0, 0.25]))
         np.testing.assert_allclose(psi[0], [1.0, 0.0, np.sqrt(2.0)], atol=1e-14)

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from fsim import bandwidth, ingest, optimize
+from fsim import bandwidth, cli, ingest, optimize
 from fsim.cli import main
 from fsim.locfit import EstimationError
 
@@ -46,7 +46,8 @@ class TestSynth:
         assert run("synth", "--out", tmp_path / "no-such-dir" / "s.csv", "--n", 10) == 2
 
     @pytest.mark.parametrize("flag, value", [("--n", 0), ("--noise-sd", -1),
-                                             ("--basis-dim", 2), ("--basis-dim", 38)])
+                                             ("--basis-dim", 2), ("--basis-dim", 38),
+                                             ("--noise-sd", "nan"), ("--alpha", "inf")])
     def test_out_of_range_argument_is_usage_error(self, tmp_path, flag, value):
         assert run("synth", "--out", tmp_path / "s.csv", "--n", 10, flag, value) == 1
         assert not any(tmp_path.iterdir())
@@ -260,6 +261,55 @@ class TestPlot:
                    "--out", out, "--truth", truth) == 2
         assert not out.exists()
 
+    # a block that does not hold the 6 finite coefficients, without a constant
+    # term, of the fit's 7-dimensional covariate basis
+    @pytest.mark.parametrize("key, value", [
+        ("include_constant", True), ("basis_dim", 7), ("coefficients", [0.5] * 5),
+        ("coefficients", [0.5] * 5 + ["x"]), ("coefficients", [0.5] * 5 + [float("nan")]),
+    ], ids=["constant", "basis-dim", "short", "text", "nan"])
+    def test_block_not_on_the_fit_basis_is_data_error(self, synth_inputs, tmp_path, key,
+                                                      value):
+        payload = json.loads(synth_inputs["fit"].read_text())
+        payload["model"]["blocks"][1][key] = value
+        fit = tmp_path / "fit.json"
+        fit.write_text(json.dumps(payload))
+        out = tmp_path / "plots"
+        assert run("plot", "--fit", fit, "--data", synth_inputs["data"], "--out", out) == 2
+        assert not out.exists()
+
+    def test_undecodable_data_is_data_error(self, synth_inputs, tmp_path):
+        data = tmp_path / "latin1.csv"
+        data.write_bytes(synth_inputs["data"].read_bytes().replace(b"W", b"\xd7", 1))
+        out = tmp_path / "plots"
+        assert run("plot", "--fit", synth_inputs["fit"], "--data", data, "--out", out) == 2
+        assert not out.exists()
+
+    def test_bug_is_not_a_data_error(self, synth_inputs, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("a bug, not bad data")
+
+        monkeypatch.setattr(cli, "compute_index", broken)
+        with pytest.raises(ValueError, match="a bug"):
+            run("plot", "--fit", synth_inputs["fit"], "--data", synth_inputs["data"],
+                "--out", tmp_path / "plots")
+
+    def test_fit_with_a_bandwidth_record_plots_the_same(self, synth_inputs, tmp_path):
+        # fit.json files written before the record was dropped carry
+        # model.bandwidth_record, which plotting never used
+        payload = json.loads(synth_inputs["fit"].read_text())
+        assert "bandwidth_record" not in payload["model"]
+        payload["model"]["bandwidth_record"] = 0.4
+        old_fit = tmp_path / "fit.json"
+        old_fit.write_text(json.dumps(payload))
+        outputs = {}
+        for name, fit in (("new", synth_inputs["fit"]), ("old", old_fit)):
+            out = tmp_path / name
+            assert run("plot", "--fit", fit, "--data", synth_inputs["data"], "--out", out,
+                       "--truth", synth_inputs["truth"], "--svg") == 0
+            outputs[name] = {f.name: f.read_bytes() for f in out.iterdir()}
+        assert len(outputs["new"]) == 9
+        assert outputs["old"] == outputs["new"]
+
     def test_truth_in_its_own_basis(self, synth_inputs, tmp_path):
         # the truth has 7 basis functions, the fit 5
         fit_dir = tmp_path / "fit5"
@@ -323,31 +373,50 @@ class TestSimulate:
             assert run("simulate", "--config", config, "--out", tmp_path / "o") == 1
         assert not (tmp_path / "o").exists()
 
-    # each bad seed or count is one line on stderr and exit 1, before the output
-    # directory is made; a bool is not a count
-    @pytest.mark.parametrize("overrides, flag_seed, name", [
-        pytest.param({"seed": -3}, None, "seed", id="-3-None"),
-        pytest.param({"seed": 1.5}, None, "seed", id="1.5-None"),
-        pytest.param({"seed": "abc"}, None, "seed", id="abc-None"),
-        pytest.param({"seed": True}, None, "seed", id="True-None"),
-        pytest.param({"seed": 11}, -2, "seed", id="11--2"),
-        pytest.param({"reps": 2.5}, None, "reps", id="reps-2.5"),
-        pytest.param({"reps": True, "sizes": [30.7]}, None, "reps", id="reps-True"),
-        pytest.param({"sizes": [50, 30.7]}, None, "sizes[1]", id="sizes-30.7"),
-        pytest.param({"basis_dim": 9.0}, None, "basis_dim", id="basis_dim-9.0"),
-        pytest.param({"grid_size": 2.0}, None, "grid_size", id="grid_size-2.0"),
-        pytest.param({"folds": 2.5}, None, "folds", id="folds-2.5"),
-        pytest.param({"opt_budget": 10.5}, None, "opt_budget", id="opt_budget-10.5"),
-        pytest.param({"candidate_count": 20.5}, None, "candidate_count",
+    # each bad seed, count or value of the wrong type is one line on stderr and
+    # exit 1, before the output directory is made; a bool is not a count, a
+    # string is not a list
+    @pytest.mark.parametrize("overrides, flag_seed, message", [
+        pytest.param({"seed": -3}, None, "seed must be an integer >= ", id="-3-None"),
+        pytest.param({"seed": 1.5}, None, "seed must be an integer >= ", id="1.5-None"),
+        pytest.param({"seed": "abc"}, None, "seed must be an integer >= ", id="abc-None"),
+        pytest.param({"seed": True}, None, "seed must be an integer >= ", id="True-None"),
+        pytest.param({"seed": 11}, -2, "seed must be an integer >= ", id="11--2"),
+        pytest.param({"reps": 2.5}, None, "reps must be an integer >= ", id="reps-2.5"),
+        pytest.param({"reps": True, "sizes": [30.7]}, None, "reps must be an integer >= ",
+                     id="reps-True"),
+        pytest.param({"sizes": [50, 30.7]}, None, "sizes[1] must be an integer >= ",
+                     id="sizes-30.7"),
+        pytest.param({"basis_dim": 9.0}, None, "basis_dim must be an integer >= ",
+                     id="basis_dim-9.0"),
+        pytest.param({"grid_size": 2.0}, None, "grid_size must be an integer >= ",
+                     id="grid_size-2.0"),
+        pytest.param({"folds": 2.5}, None, "folds must be an integer >= ", id="folds-2.5"),
+        pytest.param({"opt_budget": 10.5}, None, "opt_budget must be an integer >= ",
+                     id="opt_budget-10.5"),
+        pytest.param({"candidate_count": 20.5}, None, "candidate_count must be an integer >= ",
                      id="candidate_count-20.5"),
-        pytest.param({"keep_best": False}, None, "keep_best", id="keep_best-False"),
+        pytest.param({"keep_best": False}, None, "keep_best must be an integer >= ",
+                     id="keep_best-False"),
+        pytest.param({"noise_sd": True}, None, "noise_sd must be a finite number >= 0",
+                     id="noise_sd-True"),
+        pytest.param({"noise_sd": float("nan")}, None, "noise_sd must be a finite number >= 0",
+                     id="noise_sd-nan"),
+        pytest.param({"noise_sd": float("inf")}, None, "noise_sd must be a finite number >= 0",
+                     id="noise_sd-inf"),
+        pytest.param({"rescale_comparison": "no"}, None, "rescale_comparison must be a bool",
+                     id="rescale_comparison-no"),
+        pytest.param({"links": "g3"}, None, "links must be a list", id="links-string"),
+        pytest.param({"strategies": "true"}, None, "strategies must be a list",
+                     id="strategies-string"),
+        pytest.param({"sizes": "50"}, None, "sizes must be a list", id="sizes-string"),
     ])
-    def test_bad_seed_is_usage_error(self, tmp_path, capsys, overrides, flag_seed, name):
+    def test_bad_seed_is_usage_error(self, tmp_path, capsys, overrides, flag_seed, message):
         config = self.write_config(tmp_path / "config.json", **overrides)
         extra = () if flag_seed is None else ("--seed", flag_seed)
         assert run("simulate", "--config", config, "--out", tmp_path / "o", *extra) == 1
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and f"{name} must be an integer >= " in err
+        assert err.count("\n") == 1 and message in err
         assert not (tmp_path / "o").exists()
 
     def test_reps_override(self, tmp_path):

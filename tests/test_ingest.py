@@ -246,5 +246,5 @@ class TestSynthEcology:
         basis = FourierBasis(truth.basis_dim)
         data = to_dataset(load_csv(path), basis)
         b1, b2 = truth.beta_expansions(basis)
-        spec = IndexModelSpec((b1, b2), bandwidth=1.0, alpha=truth.alpha)
+        spec = IndexModelSpec((b1, b2), alpha=truth.alpha)
         np.testing.assert_allclose(compute_index(data, spec), data.y, atol=1e-6)

@@ -66,7 +66,6 @@ class TestComputeIndex:
         data = single_block_data(x, np.zeros(2))
         spec = IndexModelSpec(
             (BasisExpansion(FourierBasis(3, include_constant=False), beta_coeffs),),
-            bandwidth=1.0,
         )
         np.testing.assert_allclose(compute_index(data, spec), [1.0, 1.0], atol=1e-15)
 
@@ -75,7 +74,6 @@ class TestComputeIndex:
         data = single_block_data(rng.normal(size=(4, 4)), np.zeros(4), w=rng.normal(size=4))
         spec = IndexModelSpec(
             (BasisExpansion(FourierBasis(3, include_constant=False), np.zeros(3)),),
-            bandwidth=1.0,
             alpha=0.0,
         )
         np.testing.assert_array_equal(compute_index(data, spec), np.zeros(4))
@@ -91,7 +89,6 @@ class TestComputeIndex:
                 BasisExpansion(beta_basis, [0.5, -1.0]),
                 BasisExpansion(beta_basis, [2.0, 0.5]),
             ),
-            bandwidth=1.0,
             alpha=0.25,
         )
         # 0.25*2 + (1*0.5 - 2*1) + (3*2 - 1*0.5) = 0.5 - 1.5 + 5.5
@@ -104,9 +101,9 @@ class TestComputeIndex:
         beta_basis = FourierBasis(4, include_constant=False)
         c1 = rng.normal(size=4)
         c2 = rng.normal(size=4)
-        z1 = compute_index(data, IndexModelSpec((BasisExpansion(beta_basis, c1),), 1.0))
-        z2 = compute_index(data, IndexModelSpec((BasisExpansion(beta_basis, c2),), 1.0))
-        z12 = compute_index(data, IndexModelSpec((BasisExpansion(beta_basis, c1 + c2),), 1.0))
+        z1 = compute_index(data, IndexModelSpec((BasisExpansion(beta_basis, c1),)))
+        z2 = compute_index(data, IndexModelSpec((BasisExpansion(beta_basis, c2),)))
+        z12 = compute_index(data, IndexModelSpec((BasisExpansion(beta_basis, c1 + c2),)))
         np.testing.assert_allclose(z12, z1 + z2, atol=1e-12)
 
     def test_block_count_mismatch(self):
@@ -115,7 +112,6 @@ class TestComputeIndex:
         beta_basis = FourierBasis(3, include_constant=False)
         spec = IndexModelSpec(
             (BasisExpansion(beta_basis, np.ones(3)), BasisExpansion(beta_basis, np.ones(3))),
-            bandwidth=1.0,
         )
         with pytest.raises(ValueError):
             compute_index(data, spec)
@@ -125,35 +121,33 @@ class TestComputeIndex:
         x = rng.normal(size=(4, 4))
         beta = BasisExpansion(FourierBasis(3, include_constant=False), np.ones(3))
         with pytest.raises(ValueError, match="spec has a scalar coefficient"):
-            compute_index(single_block_data(x, np.zeros(4)), IndexModelSpec((beta,), 1.0, 0.5))
+            compute_index(single_block_data(x, np.zeros(4)), IndexModelSpec((beta,), 0.5))
         with pytest.raises(ValueError, match="dataset has a scalar"):
             compute_index(single_block_data(x, np.zeros(4), w=np.ones(4)),
-                          IndexModelSpec((beta,), 1.0))
+                          IndexModelSpec((beta,)))
 
 
 class TestNormalizeSpec:
     """Normalization of a raw search vector by :func:`spec_from_raw`."""
 
-    def test_rescales_coefficients_and_bandwidth(self):
+    def test_rescales_coefficients(self):
         data = single_block_data(np.zeros((3, 6)), np.zeros(3))
         raw = np.zeros(5)
         raw[0] = 2.0
-        spec = spec_from_raw(data, raw, 0.5)
+        spec = spec_from_raw(data, raw)
         np.testing.assert_allclose(spec.beta_blocks[0].coeffs, [1, 0, 0, 0, 0])
-        assert spec.bandwidth == pytest.approx(1.0)
 
     def test_unit_vector_unchanged(self):
         data = single_block_data(np.zeros((3, 5)), np.zeros(3))
         raw = np.zeros(4)
         raw[1] = 1.0
-        spec = spec_from_raw(data, raw, 0.37)
+        spec = spec_from_raw(data, raw)
         np.testing.assert_allclose(spec.beta_blocks[0].coeffs, raw)
-        assert spec.bandwidth == pytest.approx(0.37)
 
     def test_zero_vector(self):
         data = single_block_data(np.zeros((3, 5)), np.zeros(3))
         with pytest.raises(NormalizationError):
-            spec_from_raw(data, np.zeros(4), 0.5)
+            spec_from_raw(data, np.zeros(4))
 
     def test_objective_weights_invariant_under_normalization(self):
         # the search objective scales its bandwidth by the current coefficient
@@ -168,7 +162,7 @@ class TestNormalizeSpec:
         weights_raw = smooth_kernel(
             (z_raw[:, None] - z_raw[None, :]) / (h * np.linalg.norm(raw))
         )
-        spec = spec_from_raw(data, raw, h)
+        spec = spec_from_raw(data, raw)
         z_unit = compute_index(data, spec)
         weights_unit = smooth_kernel((z_unit[:, None] - z_unit[None, :]) / h)
         np.testing.assert_allclose(weights_raw, weights_unit, atol=1e-12)
@@ -177,23 +171,22 @@ class TestNormalizeSpec:
         rng = np.random.default_rng(6)
         data = single_block_data(rng.normal(size=(5, 4)), np.zeros(5), w=rng.normal(size=5))
         raw = np.array([3.0, 0.0, 4.0, 2.5])  # functional part norm 5, alpha 2.5
-        spec = spec_from_raw(data, raw, h=0.2)
+        spec = spec_from_raw(data, raw)
         np.testing.assert_allclose(spec.beta_blocks[0].coeffs, [0.6, 0.0, 0.8])
         assert spec.alpha == pytest.approx(0.5)
-        assert spec.bandwidth == pytest.approx(1.0)
 
 
 class TestCanonicalSign:
     def test_first_nonzero_positive(self):
         beta_basis = FourierBasis(3, include_constant=False)
-        spec = IndexModelSpec((BasisExpansion(beta_basis, [-0.6, 0.8, 0.0]),), 1.0, alpha=0.3)
+        spec = IndexModelSpec((BasisExpansion(beta_basis, [-0.6, 0.8, 0.0]),), alpha=0.3)
         flipped = canonical_sign(spec)
         np.testing.assert_allclose(flipped.coefficient_vector(), [0.6, -0.8, 0.0])
         assert flipped.alpha == pytest.approx(-0.3)
 
     def test_reference_alignment(self):
         beta_basis = FourierBasis(3, include_constant=False)
-        spec = IndexModelSpec((BasisExpansion(beta_basis, [0.6, -0.8, 0.0]),), 1.0)
+        spec = IndexModelSpec((BasisExpansion(beta_basis, [0.6, -0.8, 0.0]),))
         reference = np.array([-1.0, 1.0, 0.0])
         flipped = canonical_sign(spec, reference)
         np.testing.assert_allclose(flipped.coefficient_vector(), [-0.6, 0.8, 0.0])
@@ -322,14 +315,6 @@ class TestObjective:
         data = single_block_data(np.zeros((3, 3)), np.zeros(3))
         with pytest.raises(DegenerateObjectiveError, match="at least 4 samples"):
             objective_loo_mse(data, np.ones(2), 0.5)
-
-    def test_reported_index_is_normalized(self):
-        rng = np.random.default_rng(12)
-        x = rng.normal(size=(8, 4))
-        data = single_block_data(x, rng.normal(size=8))
-        raw = np.array([6.0, 0.0, 8.0])
-        report = objective_loo_mse(data, raw, 0.7)
-        np.testing.assert_allclose(report.index_values, x[:, 1:] @ (raw / 10.0), atol=1e-14)
 
 
 def two_block_data(n, seed):

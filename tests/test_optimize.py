@@ -52,7 +52,7 @@ def result_fields(result):
     if isinstance(result, Exception):
         return type(result), str(result)
     spec = result.spec
-    return (spec.coefficient_vector().tobytes(), spec.bandwidth, spec.alpha, result.final_mse,
+    return (spec.coefficient_vector().tobytes(), spec.alpha, result.final_mse,
             result.iterations, result.converged, result.evaluations, result.trace,
             result.init_used)
 
@@ -354,9 +354,8 @@ class TestStepper:
         assert result.evaluations == evals == len(calls)
         assert (result.final_mse, result.iterations, result.converged, result.trace) == (
             f_best, iterations, converged, tuple(trace))
-        spec = canonical_sign(spec_from_raw(data, best, h))
+        spec = canonical_sign(spec_from_raw(data, best))
         assert result.spec.coefficient_vector().tobytes() == spec.coefficient_vector().tobytes()
-        assert result.spec.bandwidth == spec.bandwidth
         # more calls than two per iteration: the search shrank its simplex
         assert (evals > 1 + init.size + 2 * iterations) == shrinks
 
@@ -397,10 +396,9 @@ class TestLockstep:
                 assert isinstance(result, DegenerateObjectiveError)
                 assert str(result) == str(exc)
                 continue
-            expected = optimize._opt_result(data, h, outcome, None, "custom")
+            expected = optimize._opt_result(data, outcome, None, "custom")
             assert result.spec.coefficient_vector().tobytes() == \
                 expected.spec.coefficient_vector().tobytes()
-            assert result.spec.bandwidth == expected.spec.bandwidth
             assert (result.final_mse, result.iterations, result.converged,
                     result.evaluations, result.trace) == (
                 expected.final_mse, expected.iterations, expected.converged,

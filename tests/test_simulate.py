@@ -37,16 +37,11 @@ class TestGenerate:
         data, _ = generate(SimScenario(n=100, seed=3))
         np.testing.assert_array_equal(data.blocks[0].coeffs[:, 0], np.zeros(100))
 
-    def test_truth_is_normalized_with_raw_recorded(self):
+    def test_truth_is_the_normalized_textbook_vector(self):
         _, truth = generate(SimScenario(n=5, seed=4))
         assert np.linalg.norm(truth.beta.coeffs) == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_array_equal(truth.raw_coeffs[:4], [0.0, 1.0, 1.0, 0.5])
-        assert np.all(truth.raw_coeffs[4:] == 0.0)
         np.testing.assert_allclose(truth.beta.coeffs[:3], np.array([1, 1, 0.5]) / 1.5)
-
-    def test_unnormalized_truth_option(self):
-        _, truth = generate(SimScenario(n=5, seed=4, normalize_truth=False))
-        np.testing.assert_array_equal(truth.beta.coeffs[:3], [1.0, 1.0, 0.5])
+        assert np.all(truth.beta.coeffs[3:] == 0.0)
 
     def test_coefficient_scale_law(self):
         scenario = SimScenario(n=100_000, seed=5)
@@ -114,7 +109,7 @@ class TestRse:
 class TestRase:
     def test_exact_quadratic_curvature(self):
         data, truth = generate(SimScenario(n=80, link="g2", noise_sd=0.0, seed=9))
-        spec = spec_from_raw(data, truth.beta.coeffs, 1.0)
+        spec = spec_from_raw(data, truth.beta.coeffs)
         sigma = float(np.std(truth.index))
         result = rase(data, truth, spec, derivative=2, bandwidth=2.0 * sigma)
         assert result.value <= 1e-6
@@ -122,17 +117,17 @@ class TestRase:
     def test_constant_link_level_error_zero(self):
         data, truth = generate(SimScenario(n=40, link="g3", noise_sd=0.0, seed=10))
         constant = LinkSpec("const", lambda s: np.full_like(s, 2.5), lambda s: np.zeros_like(s))
-        flat_truth = GroundTruth(beta=truth.beta, raw_coeffs=truth.raw_coeffs,
-                                 index=truth.index, link=constant, noise_sd=0.0)
+        flat_truth = GroundTruth(beta=truth.beta, index=truth.index, link=constant,
+                                 noise_sd=0.0)
         flat_data = type(data)(blocks=data.blocks, y=np.full(40, 2.5))
-        spec = spec_from_raw(flat_data, truth.beta.coeffs, 1.0)
+        spec = spec_from_raw(flat_data, truth.beta.coeffs)
         sigma = float(np.std(truth.index))
         result = rase(flat_data, flat_truth, spec, derivative=0, bandwidth=sigma)
         assert result.value == pytest.approx(0.0, abs=1e-10)
 
     def test_loop_by_loop_oracle(self):
         data, truth = generate(SimScenario(n=50, link="g1", noise_sd=0.1, seed=11))
-        spec = spec_from_raw(data, truth.beta.coeffs, 1.0)
+        spec = spec_from_raw(data, truth.beta.coeffs)
         sigma = float(np.std(truth.index))
         h = 1.5 * sigma
         result = rase(data, truth, spec, derivative=2, bandwidth=h)
@@ -147,7 +142,7 @@ class TestRase:
     @pytest.mark.parametrize("derivative", [0, 2])
     def test_relocation_loop_oracle(self, derivative):
         data, truth = generate(SimScenario(n=300, link="g1", noise_sd=0.1, seed=14))
-        spec = spec_from_raw(data, truth.beta.coeffs, 1.0)
+        spec = spec_from_raw(data, truth.beta.coeffs)
         h = 0.2 * float(np.std(truth.index))
         result = rase(data, truth, spec, derivative=derivative, bandwidth=h)
         z_hat = data.blocks[0].coeffs[:, 1:] @ spec.beta_blocks[0].coeffs
@@ -165,9 +160,9 @@ class TestRase:
 
     def test_rejects_other_derivatives(self):
         data, truth = generate(SimScenario(n=30, seed=12))
-        spec = spec_from_raw(data, truth.beta.coeffs, 1.0)
+        spec = spec_from_raw(data, truth.beta.coeffs)
         with pytest.raises(ValueError):
-            rase(data, truth, spec, derivative=1)
+            rase(data, truth, spec, derivative=1, bandwidth=float(np.std(truth.index)))
 
 
 class TestRunExperiment:
