@@ -199,8 +199,9 @@ class EcologyTruth:
 def _default_truth_coeffs(beta_dim: int) -> tuple[np.ndarray, np.ndarray]:
     beta1 = np.zeros(beta_dim)
     beta2 = np.zeros(beta_dim)
-    beta1[:4] = (1.0, 0.6, 0.0, 0.3)
-    beta2[:4] = (0.4, -0.8, 0.25, 0.0)
+    # basis_dim 3 and 4 leave fewer than four coefficients: keep the leading ones
+    beta1[:4] = (1.0, 0.6, 0.0, 0.3)[:beta_dim]
+    beta2[:4] = (0.4, -0.8, 0.25, 0.0)[:beta_dim]
     joint = np.linalg.norm(np.concatenate([beta1, beta2]))
     return beta1 / joint, beta2 / joint
 

@@ -39,7 +39,7 @@ CONDITION_LIMIT = 1e12
 # Rows per tile of the sorted-window kernel sums, and the largest problem that
 # runs as one dense tile without sorting.  A per-call timing sweep over the
 # default bandwidth grid put the crossover at about 250 samples (see README,
-# "Kernel sums").
+# "Performance").
 TILE_ROWS = 64
 ONE_TILE_MAX = 256
 

@@ -174,12 +174,12 @@ class ExperimentConfig:
             if not isinstance(value, (list, tuple)):
                 raise ValueError(f"{name} must be a list, got {value!r}")
             object.__setattr__(self, name, tuple(value))
-        for link in self.links:
-            if link not in LINKS:
-                raise ValueError(f"unknown link {link!r}")
-        for strategy in self.strategies:
-            if strategy not in INIT_KINDS:
-                raise ValueError(f"unknown strategy {strategy!r}")
+        for name, known in (("links", tuple(LINKS)), ("strategies", INIT_KINDS)):
+            for k, value in enumerate(getattr(self, name)):
+                # a list entry is unhashable, so its type is checked before membership
+                if not isinstance(value, str) or value not in known:
+                    raise ValueError(f"{name}[{k}] must be one of {', '.join(known)}, "
+                                     f"got {value!r}")
         if self.method not in METHODS:
             raise ValueError(f"method must be 'gcv' or 'kfold', got {self.method!r}")
         counts = {"reps": (self.reps, 1), "seed": (self.seed, 0),

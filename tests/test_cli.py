@@ -45,6 +45,18 @@ class TestSynth:
     def test_bad_parameters_are_data_errors(self, tmp_path):
         assert run("synth", "--out", tmp_path / "no-such-dir" / "s.csv", "--n", 10) == 2
 
+    # the smallest bases hold fewer than the four leading truth coefficients
+    @pytest.mark.parametrize("basis_dim", [3, 4])
+    def test_smallest_bases(self, tmp_path, basis_dim):
+        out = tmp_path / "s.csv"
+        assert run("synth", "--out", out, "--n", 10, "--basis-dim", basis_dim) == 0
+        assert len(out.read_text().splitlines()) == 11
+        truth = ingest.EcologyTruth.from_json(tmp_path / "s.csv.truth.json")
+        assert truth.basis_dim == basis_dim
+        assert len(truth.beta1) == len(truth.beta2) == basis_dim - 1
+        joint = np.concatenate([truth.beta1, truth.beta2])
+        assert np.linalg.norm(joint) == pytest.approx(1.0)
+
     @pytest.mark.parametrize("flag, value", [("--n", 0), ("--noise-sd", -1),
                                              ("--basis-dim", 2), ("--basis-dim", 38),
                                              ("--noise-sd", "nan"), ("--alpha", "inf")])
@@ -410,6 +422,17 @@ class TestSimulate:
         pytest.param({"strategies": "true"}, None, "strategies must be a list",
                      id="strategies-string"),
         pytest.param({"sizes": "50"}, None, "sizes must be a list", id="sizes-string"),
+        pytest.param({"links": [["g1"]]}, None,
+                     "links[0] must be one of g1, g2, g3, got ['g1']", id="links-nested"),
+        pytest.param({"links": ["g3", 1]}, None, "links[1] must be one of g1, g2, g3, got 1",
+                     id="links-number"),
+        pytest.param({"links": ["g9"]}, None, "links[0] must be one of g1, g2, g3, got 'g9'",
+                     id="links-unknown"),
+        pytest.param({"strategies": [["true"]]}, None,
+                     "strategies[0] must be one of true, linear, equal, random, got ['true']",
+                     id="strategies-nested"),
+        pytest.param({"strategies": [None]}, None, "strategies[0] must be one of ",
+                     id="strategies-null"),
     ])
     def test_bad_seed_is_usage_error(self, tmp_path, capsys, overrides, flag_seed, message):
         config = self.write_config(tmp_path / "config.json", **overrides)
