@@ -365,7 +365,7 @@ def cmd_synth(args) -> int:
             args.out, n=args.n, seed=args.seed, link=args.link, alpha=args.alpha,
             noise_sd=args.noise_sd, basis_dim=args.basis_dim, truth_path=args.truth_out,
         )
-    except (OSError, ValueError) as exc:
+    except (OSError, ingest.SchemaError) as exc:
         print(f"fsim synth: {exc}", file=sys.stderr)
         return DATA_ERROR
     return OK

@@ -215,7 +215,9 @@ def synth_ecology(path, n: int, seed: int = 0, link: str = "g2", alpha: float = 
     basis with decaying harmonic scales and a nonzero mean level, so the index
     has a nonzero mean and the model's linear component is visible.  The
     combined (beta1, beta2) truth is unit norm.  A truth JSON is written next
-    to the CSV (or at ``truth_path``).
+    to the CSV (or at ``truth_path``).  Parameters under which a generated
+    column is not finite raise :class:`SchemaError` before anything is
+    written, since :func:`load_csv` would refuse the file.
     """
     if basis_dim < 3 or basis_dim > N_BINS:
         raise ValueError(f"basis dimension must be in [3, {N_BINS}], got {basis_dim}")
@@ -244,13 +246,20 @@ def synth_ecology(path, n: int, seed: int = 0, link: str = "g2", alpha: float = 
     p_coeffs = draw_histories(mean_level=1.0)
     t_coeffs = draw_histories(mean_level=0.5)
     w = 1.0 + 0.5 * rng.standard_normal(n)
-    index = p_coeffs[:, 1:] @ truth.beta1 + t_coeffs[:, 1:] @ truth.beta2 + alpha * w
-    response = LINKS[link].g(index) + noise_sd * rng.standard_normal(n)
-    logarea_t0 = 2.0 + 0.5 * rng.standard_normal(n)
+    # a large alpha can overflow the index or the link; the check below reports it
+    with np.errstate(over="ignore"):
+        index = p_coeffs[:, 1:] @ truth.beta1 + t_coeffs[:, 1:] @ truth.beta2 + alpha * w
+        response = LINKS[link].g(index) + noise_sd * rng.standard_normal(n)
+        logarea_t0 = 2.0 + 0.5 * rng.standard_normal(n)
+        logarea_t1 = logarea_t0 + response
+    if not np.isfinite(logarea_t1).all():
+        row = int(np.flatnonzero(~np.isfinite(logarea_t1))[0])
+        raise SchemaError(f"generated logarea.t1 is not finite in row {row + 1} "
+                          f"(link {link}, alpha={alpha!r}); nothing written")
 
     records = [
         EcologyRecord(
-            logarea_t1=float(logarea_t0[i] + response[i]),
+            logarea_t1=float(logarea_t1[i]),
             logarea_t0=float(logarea_t0[i]),
             w=float(w[i]),
             precip=design @ p_coeffs[i],

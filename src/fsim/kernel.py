@@ -1,5 +1,24 @@
-"""Compactly supported smoothing kernel with three continuous derivatives."""
+"""Compactly supported smoothing kernel with three continuous derivatives.
 
+:func:`transform_inplace`, the kernel without its constant, is the innermost
+loop of every kernel sum.  On a writeable, aligned, C-contiguous float64
+array it runs one C loop, which the system C compiler (``cc``) builds once
+into a per-user cache and ``ctypes`` loads when this module is imported;
+``COMPILED_LIBRARY`` is the path of the library loaded, or ``None``.  Every
+other array, and every array when no library could be built, loaded or
+trusted, takes the five numpy passes the loop reproduces bit for bit.  The
+choice depends only on what the loader finds and on the array; no option
+selects it.
+"""
+
+import contextlib
+import ctypes
+import os
+import platform
+import shutil
+import stat
+import tempfile
+import zlib
 from math import comb
 
 import numpy as np
@@ -9,6 +28,146 @@ NORMALIZER = 315.0 / 256.0
 SUPPORT = 1.0
 MAX_MOMENT = 8
 
+# The numpy passes element by element: the same IEEE operations in the same
+# order.  The select keeps NaN (and would keep -0.0) as np.maximum(x, 0.0)
+# does.  On x86-64 Linux the loader picks the widest clone the CPU runs.
+_SOURCE = r"""
+#include <stddef.h>
+#if defined(__x86_64__) && defined(__linux__)
+__attribute__((target_clones("avx512f", "avx2", "default")))
+#endif
+void fsim_kernel_transform(double *u, size_t n)
+{
+    for (size_t i = 0; i < n; i++) {
+        double x = u[i];
+        x = 1.0 - x * x;
+        x = x < 0.0 ? 0.0 : x;
+        x = x * x;
+        u[i] = x * x;
+    }
+}
+"""
+# -ffp-contract=off: a fused multiply-add would round 1 - x*x once, not twice,
+# and change the bits (GCC fuses by default in GNU C mode).  -O3 with
+# -fno-trapping-math lets GCC vectorize the select; without them the loop is
+# scalar and branchy, slower than numpy.  Never -ffast-math or -Ofast, whose
+# libraries can switch on flush-to-zero for the whole process, and never
+# -march=native, since the cached library can outlive the machine it was
+# built on.
+_FLAGS = ("-O3", "-fno-trapping-math", "-ffp-contract=off", "-fPIC", "-shared")
+# kernel arguments a library must turn into the numpy passes' bits before it is used
+_PROBE = np.concatenate([np.linspace(-1.1, 1.1, 45),
+                         [0.0, -0.0, 1.0, -1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0),
+                          5e-324, 1e-300, 1e200, np.inf, -np.inf, np.nan]])
+
+
+def _numpy_passes(u: np.ndarray) -> np.ndarray:
+    """The kernel transform as five numpy passes over ``u``, in place.
+
+    The fourth power runs as two squares because pow is far slower on large
+    arrays.  An s^2 that overflows gives weight 0 without a warning, as in
+    the compiled loop, which raises none.
+    """
+    with np.errstate(over="ignore"):
+        np.multiply(u, u, out=u)
+        np.subtract(1.0, u, out=u)
+        np.maximum(u, 0.0, out=u)
+        np.multiply(u, u, out=u)
+        np.multiply(u, u, out=u)
+    return u
+
+
+def _cache_dir() -> str | None:
+    """The first usable cache directory, made if missing, or ``None``.
+
+    ``$XDG_CACHE_HOME/fsim`` (``~/.cache/fsim`` when that is unset), else
+    ``<tempdir>/fsim-<uid>``.  A directory is usable when it is no link, this
+    user owns it and its mode is 0700, so no other user can place a library
+    in it.
+    """
+    if not hasattr(os, "getuid"):
+        return None
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        base = os.path.join(os.path.expanduser("~"), ".cache")
+    for directory in (os.path.join(base, "fsim"),
+                      os.path.join(tempfile.gettempdir(), f"fsim-{os.getuid()}")):
+        if not os.path.isabs(directory):
+            continue
+        try:
+            os.makedirs(directory, mode=0o700, exist_ok=True)
+            info = os.lstat(directory)
+        except OSError:
+            continue
+        if (stat.S_ISDIR(info.st_mode) and info.st_uid == os.getuid()
+                and stat.S_IMODE(info.st_mode) == 0o700):
+            return directory
+    return None
+
+
+def _library_path(directory: str) -> str:
+    """The library's path in ``directory``, named by a CRC-32 of source, flags
+    and machine.  The directory is private, so the name only has to tell
+    builds apart; hashlib would add milliseconds to every import."""
+    key = "\0".join((_SOURCE, *_FLAGS, platform.system(), platform.machine()))
+    return os.path.join(directory, f"transform-{zlib.crc32(key.encode()):08x}.so")
+
+
+def _build(path: str) -> None:
+    """Compile the loop into ``path``; raise :class:`OSError` when that fails.
+
+    The compiler writes a temporary name in the same directory, which then
+    replaces ``path`` in one step, so a concurrent import never loads a
+    half-written file.
+    """
+    import subprocess  # only a build needs it, and it would add 8 ms to every import
+
+    compiler = shutil.which("cc")
+    if compiler is None:
+        raise FileNotFoundError("no C compiler cc on PATH")
+    handle, partial = tempfile.mkstemp(suffix=".part", dir=os.path.dirname(path))
+    os.close(handle)
+    try:
+        subprocess.run([compiler, *_FLAGS, "-o", partial, "-x", "c", "-"], input=_SOURCE.encode(),
+                       capture_output=True, check=True, timeout=120)
+        os.replace(partial, path)
+    except subprocess.SubprocessError as exc:
+        raise OSError(f"{compiler} could not build {path}") from exc
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(partial)
+
+
+def _open(path: str):
+    """The loop in the library at ``path``, once it has matched the numpy passes on a probe."""
+    loop = ctypes.CDLL(path).fsim_kernel_transform
+    loop.argtypes = (ctypes.POINTER(ctypes.c_double), ctypes.c_size_t)
+    loop.restype = None
+    probe = _PROBE.copy()
+    loop(ctypes.c_double.from_buffer(probe), probe.size)
+    if probe.tobytes() != _numpy_passes(_PROBE.copy()).tobytes():
+        raise OSError(f"{path} does not reproduce the numpy kernel transform")
+    return loop
+
+
+def _load():
+    """``(loop, path)`` of the cached library, built first when missing, or
+    ``(None, None)`` when there is no usable cache directory or the build,
+    the load or the probe fails."""
+    directory = _cache_dir()
+    if directory is None:
+        return None, None
+    path = _library_path(directory)
+    try:
+        if not os.path.exists(path):
+            _build(path)
+        return _open(path), path
+    except (OSError, AttributeError):
+        return None, None
+
+
+_loop, COMPILED_LIBRARY = _load()
+
 
 def transform_inplace(u: np.ndarray) -> np.ndarray:
     """Overwrite an array of kernel arguments s with (1 - s^2)^4 on |s| < 1,
@@ -16,16 +175,17 @@ def transform_inplace(u: np.ndarray) -> np.ndarray:
 
     :func:`smooth_kernel` scales the result; the Nadaraya-Watson sums take it
     as it is, since their ratio sum(w y) / sum(w) cancels the constant.  One
-    function serves both so every caller forms bit-identical powers; the
-    fourth power runs as two squares because pow is far slower on large
-    arrays.
+    function serves both so every caller forms bit-identical powers.  A
+    nonempty, writeable, aligned, C-contiguous float64 array of at least one
+    dimension goes through the compiled loop when one is loaded; anything
+    else takes the numpy passes, which give the same bits, raise on a
+    read-only array before writing to it, and keep the dtype of a float32
+    one.  Neither path warns: an s^2 that overflows gives weight 0.
     """
-    np.multiply(u, u, out=u)
-    np.subtract(1.0, u, out=u)
-    np.maximum(u, 0.0, out=u)
-    np.multiply(u, u, out=u)
-    np.multiply(u, u, out=u)
-    return u
+    if _loop is not None and u.dtype == np.float64 and u.ndim and u.size and u.flags.carray:
+        _loop(ctypes.c_double.from_buffer(u), u.size)
+        return u
+    return _numpy_passes(u)
 
 
 def smooth_kernel(s):

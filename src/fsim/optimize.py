@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .basis import readonly_array
 from .locfit import SingularFitError
 from .model import (
     Dataset,
@@ -79,7 +80,7 @@ class OptResult:
     converged: bool
     init_used: str
     evaluations: int
-    trace: tuple[float, ...]
+    trace: np.ndarray  # read-only float64: the best value at the start and after each iteration
 
 
 def init_equal(dim: int) -> np.ndarray:
@@ -154,7 +155,7 @@ def _opt_result(data: Dataset, outcome, sign_reference, label: str) -> OptResult
         converged=converged,
         init_used=label,
         evaluations=evals,
-        trace=tuple(trace),
+        trace=readonly_array(trace),
     )
 
 
@@ -424,7 +425,7 @@ def _nelder_mead(objective, starts: np.ndarray, max_evals: int) -> list:
 
     rows = np.concatenate(trace_rows)
     by_search = rows.argsort(kind="stable")
-    traced = np.concatenate(trace_values)[by_search].tolist()
+    traced = np.concatenate(trace_values)[by_search]
     bounds = np.searchsorted(rows[by_search], np.arange(count + 1)).tolist()
     best = values.argmin(axis=1)
     outcomes = []

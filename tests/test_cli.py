@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -44,6 +45,16 @@ class TestSynth:
 
     def test_bad_parameters_are_data_errors(self, tmp_path):
         assert run("synth", "--out", tmp_path / "no-such-dir" / "s.csv", "--n", 10) == 2
+
+    @pytest.mark.parametrize("link, alpha", [("g2", 1e200), ("g1", -1e200), ("g3", 1e308)])
+    def test_overflowing_alpha_writes_nothing(self, tmp_path, capsys, link, alpha):
+        # a finite alpha the usage check accepts, but the link or the index overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("synth", "--out", tmp_path / "s.csv", "--n", 20, "--link", link,
+                       f"--alpha={alpha!r}") == 2
+        assert "logarea.t1 is not finite" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     # the smallest bases hold fewer than the four leading truth coefficients
     @pytest.mark.parametrize("basis_dim", [3, 4])

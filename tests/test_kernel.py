@@ -1,9 +1,25 @@
-"""Tests for the smoothing kernel: shape, normalization, moments, smoothness."""
+"""Tests for the smoothing kernel: shape, normalization, moments, smoothness, and
+the compiled transform against the numpy passes it replaces."""
+
+import json
+import os
+import pathlib
+import shutil
+import stat
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from fsim import kernel
 from fsim.kernel import MAX_MOMENT, NORMALIZER, kernel_moment, smooth_kernel, transform_inplace
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 def test_peak_value_is_normalization_constant():
@@ -90,3 +106,214 @@ def test_third_derivative_continuous_at_boundary():
     assert jumps.max() < 1.0
     near_boundary = fd3[np.abs(s - 1.0) < 2.5 * step]
     assert np.all(np.abs(near_boundary) < 1.5)
+
+
+@pytest.fixture(scope="module")
+def loop(tmp_path_factory):
+    """The compiled loop, built afresh from the shipped source and flags."""
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler cc on PATH")
+    path = kernel._library_path(str(tmp_path_factory.mktemp("kernel")))
+    kernel._build(path)
+    return kernel._open(path)
+
+
+def run_loop(loop, values):
+    u = np.array(values, dtype=np.float64)
+    loop(kernel.ctypes.c_double.from_buffer(u), u.size)
+    return u
+
+
+EDGES = [0.0, -0.0, 1.0, -1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0),
+         np.nextafter(-1.0, 0.0), np.nextafter(-1.0, -2.0), 5e-324, -5e-324, 2.2e-308,
+         1.3e154, 1.4e154, -1e200, 1.7976931348623157e308, np.inf, -np.inf, np.nan]
+KERNEL_ARGUMENTS = st.one_of(
+    st.sampled_from(EDGES),
+    st.floats(-1.5, 1.5),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+)
+
+
+class TestCompiledTransform:
+    @settings(max_examples=300, deadline=None)
+    @given(arrays(np.float64, st.integers(1, 70), elements=KERNEL_ARGUMENTS))
+    def test_loop_matches_the_numpy_passes_bit_for_bit(self, loop, values):
+        got = run_loop(loop, values)
+        expected = kernel._numpy_passes(values.copy())
+        assert got.tobytes() == expected.tobytes()
+        nan = np.isnan(values)
+        assert np.isnan(got[nan]).all() and np.isnan(expected[nan]).all()
+
+    def test_edges_and_every_vector_tail(self, loop):
+        rng = np.random.default_rng(11)
+        values = np.concatenate([EDGES, rng.uniform(-1.2, 1.2, 1000)])
+        for size in range(1, 40):
+            assert run_loop(loop, values[:size]).tobytes() == \
+                kernel._numpy_passes(values[:size].copy()).tobytes()
+        assert run_loop(loop, values).tobytes() == kernel._numpy_passes(values.copy()).tobytes()
+
+    def test_loaded_library_sits_in_a_private_directory(self):
+        if kernel.COMPILED_LIBRARY is None:
+            pytest.skip("the numpy passes run here")
+        assert os.path.isfile(kernel.COMPILED_LIBRARY)
+        info = os.lstat(os.path.dirname(kernel.COMPILED_LIBRARY))
+        assert stat.S_IMODE(info.st_mode) == 0o700 and info.st_uid == os.getuid()
+
+
+class TestDispatch:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Sizes of the arrays the compiled loop receives, with a loop that
+        records them and then runs the numpy passes."""
+        seen = []
+
+        def recording(pointer, size):
+            seen.append(size)
+            ctypes = kernel.ctypes
+            buffer = np.ctypeslib.as_array(
+                (ctypes.c_double * size).from_address(ctypes.addressof(pointer)))
+            kernel._numpy_passes(buffer)
+
+        monkeypatch.setattr(kernel, "_loop", recording)
+        return seen
+
+    def test_contiguous_float64_takes_the_loop(self, calls):
+        u = np.linspace(-2.0, 2.0, 12).reshape(3, 4)
+        expected = kernel._numpy_passes(u.copy())
+        assert transform_inplace(u) is u
+        assert calls == [12]
+        assert u.tobytes() == expected.tobytes()
+
+    def test_other_arrays_take_the_numpy_passes(self, calls):
+        scalar = np.array(0.5)
+        assert transform_inplace(scalar) == 0.75**4
+        strided = np.linspace(-2.0, 2.0, 12)
+        view = strided[::2]
+        transform_inplace(view)
+        assert view.tobytes() == kernel._numpy_passes(np.linspace(-2.0, 2.0, 12)[::2]).tobytes()
+        assert strided[1::2].tobytes() == np.linspace(-2.0, 2.0, 12)[1::2].tobytes()
+        single = np.linspace(-2.0, 2.0, 12, dtype=np.float32)
+        transform_inplace(single)
+        assert single.dtype == np.float32
+        assert single.tobytes() == kernel._numpy_passes(
+            np.linspace(-2.0, 2.0, 12, dtype=np.float32)).tobytes()
+        transform_inplace(np.empty(0))
+        assert calls == []
+
+    def test_read_only_array_raises_and_keeps_its_values(self, calls):
+        u = np.linspace(-2.0, 2.0, 12)
+        u.flags.writeable = False
+        with pytest.raises(ValueError):
+            transform_inplace(u)
+        assert u.tobytes() == np.linspace(-2.0, 2.0, 12).tobytes()
+        assert calls == []
+
+
+@pytest.mark.parametrize("compiled", [True, False])
+def test_neither_path_warns(monkeypatch, compiled):
+    # an s^2 that overflows is weight 0 on both paths, without a warning
+    if not compiled:
+        monkeypatch.setattr(kernel, "_loop", None)
+    elif kernel.COMPILED_LIBRARY is None:
+        pytest.skip("the numpy passes run here")
+    u = np.array([1.4e154, -1e200, 1.7976931348623157e308, np.inf, -np.inf, np.nan, 0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        transform_inplace(u)
+        np.ones(3) * 2.0  # no floating-point flag of the loop leaks into later numpy calls
+    assert u[:5].tolist() == [0.0] * 5
+    assert np.isnan(u[5]) and u[6] == 0.75**4
+
+
+# prints which transform ran and a hash of the leave-one-out sums (dense and
+# walked) and of a curve grid; a fresh process runs the loader as shipped
+PROBE_SCRIPT = """
+import hashlib, json
+import numpy as np
+from fsim import kernel, locfit
+rng = np.random.default_rng(7)
+z = rng.standard_normal(400)
+y = np.sin(z) + 0.1 * rng.standard_normal(400)
+parts = [*locfit.nw_loo_all(z[:100], y[:100], 0.4), *locfit.nw_loo_all(z, y, 0.3),
+         locfit.curve_estimates(z, y, np.linspace(-2.0, 2.0, 41), 0.5, derivative=2)]
+digest = hashlib.sha256(b"".join(part.tobytes() for part in parts)).hexdigest()
+print(json.dumps({"library": kernel.COMPILED_LIBRARY, "digest": digest}))
+"""
+
+
+def fresh_import(tmp_path, path_dirs):
+    """Run the probe script in a new process with ``PATH`` set to ``path_dirs``
+    and the cache and temporary directories under ``tmp_path``."""
+    scratch = tmp_path / "tmp"
+    scratch.mkdir(exist_ok=True)
+    env = dict(os.environ, PATH=os.pathsep.join(str(p) for p in path_dirs),
+               XDG_CACHE_HOME=str(tmp_path / "cache"), TMPDIR=str(scratch), PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", PROBE_SCRIPT], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    return json.loads(done.stdout)
+
+
+def fake_compiler(directory, marker):
+    """A ``cc`` on ``directory`` that records its call in ``marker`` and fails."""
+    directory.mkdir()
+    script = directory / "cc"
+    script.write_text(f"#!/bin/sh\n: > '{marker}'\nexit 1\n")
+    script.chmod(0o755)
+    return directory
+
+
+@pytest.fixture(scope="module")
+def numpy_digest(tmp_path_factory):
+    """The probe's digest with no compiler on PATH: the numpy passes."""
+    root = tmp_path_factory.mktemp("numpy")
+    empty = root / "bin"
+    empty.mkdir()
+    result = fresh_import(root, [empty])
+    assert result["library"] is None
+    return result["digest"]
+
+
+class TestLoader:
+    def test_compiled_sums_match_the_numpy_passes(self, tmp_path, numpy_digest):
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler cc on PATH")
+        result = fresh_import(tmp_path, os.environ["PATH"].split(os.pathsep))
+        assert result["library"] is not None
+        assert result["library"].startswith(str(tmp_path / "cache" / "fsim"))
+        assert result["digest"] == numpy_digest
+
+    def test_failing_build_falls_back(self, tmp_path, numpy_digest):
+        marker = tmp_path / "called"
+        result = fresh_import(tmp_path, [fake_compiler(tmp_path / "bin", marker)])
+        assert marker.exists()
+        assert result == {"library": None, "digest": numpy_digest}
+        assert not [p for p in (tmp_path / "cache" / "fsim").iterdir()]
+
+    def test_unusable_cache_falls_back(self, tmp_path, numpy_digest):
+        # mode 0500 (unwritable), or a file where the directory should be
+        cache = tmp_path / "cache"
+        (cache / "fsim").mkdir(parents=True)
+        (cache / "fsim").chmod(0o500)
+        (tmp_path / "tmp").mkdir()
+        (tmp_path / "tmp" / f"fsim-{os.getuid()}").write_text("")
+        result = fresh_import(tmp_path, os.environ["PATH"].split(os.pathsep))
+        assert result == {"library": None, "digest": numpy_digest}
+
+    def test_second_load_reuses_the_cache(self, tmp_path):
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler cc on PATH")
+        first = fresh_import(tmp_path, os.environ["PATH"].split(os.pathsep))
+        assert first["library"] is not None
+        marker = tmp_path / "called"
+        second = fresh_import(tmp_path, [fake_compiler(tmp_path / "bin", marker)])
+        assert second == first
+        assert not marker.exists()
+
+    def test_private_directory_of_the_temporary_root(self, tmp_path, monkeypatch):
+        # with the user cache unusable the library lives in <tempdir>/fsim-<uid>
+        (tmp_path / "file").write_text("")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "file"))
+        monkeypatch.setattr(kernel.tempfile, "tempdir", str(tmp_path))
+        directory = kernel._cache_dir()
+        assert directory == str(tmp_path / f"fsim-{os.getuid()}")
+        assert stat.S_IMODE(os.lstat(directory).st_mode) == 0o700

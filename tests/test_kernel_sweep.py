@@ -40,7 +40,15 @@ def test_main_prints_facts_and_table(capsys):
     assert kernel_sweep.main(["--sizes", "20", "--rounds", "1"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert "numpy" in out[0] and "Python" in out[0]
+    assert out[0].endswith(f"kernel transform: {kernel_sweep.transform_path()}")
     assert out[1].startswith("nw_loo_all per call")
     assert out[4].startswith("| 20 |")
     assert out[5:7] == ["| layer | per call |", "| --- | --- |"]
     assert out[-1].startswith("| k-fold step: 50 points on 10 training sets of 90 | ")
+
+
+def test_transform_path_names_the_loaded_library(monkeypatch):
+    monkeypatch.setattr(kernel_sweep.kernel, "COMPILED_LIBRARY", "/cache/transform-0.so")
+    assert kernel_sweep.transform_path() == "compiled loop (/cache/transform-0.so)"
+    monkeypatch.setattr(kernel_sweep.kernel, "COMPILED_LIBRARY", None)
+    assert kernel_sweep.transform_path() == "numpy passes"

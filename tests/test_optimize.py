@@ -53,7 +53,7 @@ def result_fields(result):
         return type(result), str(result)
     spec = result.spec
     return (spec.coefficient_vector().tobytes(), spec.alpha, result.final_mse,
-            result.iterations, result.converged, result.evaluations, result.trace,
+            result.iterations, result.converged, result.evaluations, result.trace.tobytes(),
             result.init_used)
 
 
@@ -209,8 +209,9 @@ class TestMinimize:
         y = x[:, 1] ** 2 + 0.1 * rng.normal(size=50)
         data = single_block_data(x, y)
         result = minimize(data, init_equal(3), 0.4, budget=400)
-        trace = np.array(result.trace)
-        assert np.all(np.diff(trace) <= 0.0)
+        assert result.trace.dtype == np.float64 and not result.trace.flags.writeable
+        assert result.trace.size == result.iterations + 1
+        assert np.all(np.diff(result.trace) <= 0.0)
 
     def test_never_worse_than_init(self):
         rng = np.random.default_rng(9)
@@ -352,8 +353,9 @@ class TestStepper:
         result = minimize(data, init, h, budget)
         assert calls == expected
         assert result.evaluations == evals == len(calls)
-        assert (result.final_mse, result.iterations, result.converged, result.trace) == (
-            f_best, iterations, converged, tuple(trace))
+        assert (result.final_mse, result.iterations, result.converged) == (
+            f_best, iterations, converged)
+        assert np.array_equal(result.trace, trace)
         spec = canonical_sign(spec_from_raw(data, best))
         assert result.spec.coefficient_vector().tobytes() == spec.coefficient_vector().tobytes()
         # more calls than two per iteration: the search shrank its simplex
@@ -400,9 +402,10 @@ class TestLockstep:
             assert result.spec.coefficient_vector().tobytes() == \
                 expected.spec.coefficient_vector().tobytes()
             assert (result.final_mse, result.iterations, result.converged,
-                    result.evaluations, result.trace) == (
+                    result.evaluations) == (
                 expected.final_mse, expected.iterations, expected.converged,
-                expected.evaluations, expected.trace)
+                expected.evaluations)
+            assert np.array_equal(result.trace, expected.trace)
         assert isinstance(got[2], DegenerateObjectiveError)
 
     # at n = 300, above ONE_TILE_MAX, both objectives take the tiled walk; the

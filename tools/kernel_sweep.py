@@ -10,13 +10,15 @@ problem as one dense tile and once on the sorted-window walk, by setting
 tile, and for the walk to the shipped value, or n - 1 where n is not above
 it (the symmetric walk groups its tiles by ``ONE_TILE_MAX**2`` weights).  A
 round times one pass over the grid on each path; the path that runs first
-alternates from round to round, and each path keeps its best round.  The script prints the
-machine facts, then a markdown table of the mean time per call on each path
-and the speed-up of the walk over the dense tile.  A second table times one
-stacked k-fold step, which the benchmark's tracer does not see: one
-``StackedObjective`` call with 50 points, one per search, on the ten
-90-sample training sets of a 100-sample g1 draw, at five bandwidths of its
-grid, best of ``--rounds`` rounds of ten calls.  fsim is imported from
+alternates from round to round, and each path keeps its best round.  The
+script prints the machine facts, with the kernel transform that runs (the
+compiled loop or the numpy passes; see ``fsim.kernel``), then a markdown
+table of the mean time per call on each path and the speed-up of the walk
+over the dense tile.  A second table times one stacked k-fold step, which
+the benchmark's tracer does not see: one ``StackedObjective`` call with 50
+points, one per search, on the ten 90-sample training sets of a 100-sample
+g1 draw, at five bandwidths of its grid, best of ``--rounds`` rounds of ten
+calls.  fsim is imported from
 ``PYTHONPATH`` when that provides it, else from the ``src`` directory of this
 checkout, so one copy of the script can time another source tree.
 """
@@ -36,14 +38,21 @@ import numpy as np
 if importlib.util.find_spec("fsim") is None:
     sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from fsim import locfit
+from fsim import kernel, locfit
 from fsim.bandwidth import BandwidthGrid, _fold_assignment
 from fsim.model import StackedObjective
 from fsim.simulate import SimScenario, generate
 
 
+def transform_path() -> str:
+    """Which kernel transform runs: the compiled loop and its library, or the numpy passes
+    (also in a source tree older than the compiled loop)."""
+    library = getattr(kernel, "COMPILED_LIBRARY", None)
+    return f"compiled loop ({library})" if library else "numpy passes"
+
+
 def machine_facts() -> str:
-    """CPU, core count, BLAS, numpy and Python, on one line."""
+    """CPU, core count, BLAS, numpy, Python and the kernel transform, on one line."""
     cpu = platform.processor() or platform.machine()
     try:
         with open("/proc/cpuinfo", encoding="utf-8") as handle:
@@ -53,7 +62,8 @@ def machine_facts() -> str:
         pass
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return (f"{cpu}, {os.cpu_count()} CPUs, BLAS {blas.get('name')} {blas.get('version')}, "
-            f"numpy {np.__version__}, Python {platform.python_version()}")
+            f"numpy {np.__version__}, Python {platform.python_version()}, "
+            f"kernel transform: {transform_path()}")
 
 
 def _pass_time(z, y, grid, one_tile_max: int) -> float:
