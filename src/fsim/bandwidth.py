@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import readonly_array
-from .locfit import EstimationError, level_fits, nw_predict
+from .locfit import EstimationError, check_bandwidth, level_fits, nw_predict
 from .model import Dataset, IndexModelSpec, compute_index, spec_from_raw
 from .optimize import (
     InitStrategy,
@@ -47,16 +47,18 @@ class BandwidthGrid:
         values = readonly_array(self.values)
         if values.ndim != 1 or values.size == 0:
             raise ValueError("grid must be a nonempty vector")
-        if np.any(values <= 0.0) or np.any(np.diff(values) <= 0.0):
-            raise ValueError("grid values must be positive and strictly increasing")
+        check_bandwidth(values, "grid values")
+        if np.any(np.diff(values) <= 0.0):
+            raise ValueError("grid values must be strictly increasing")
         object.__setattr__(self, "values", values)
 
     @classmethod
     def default(cls, n: int, sigma_z: float, count: int = 10) -> "BandwidthGrid":
         """Log-spaced grid spanning 0.5 n^{-1/6} to 2 n^{-1/8} index standard
         deviations, bracketing the consistency window for the curvature."""
-        if n < 2 or sigma_z <= 0.0:
-            raise ValueError("need n >= 2 and a positive index scale")
+        if n < 2:
+            raise ValueError(f"need n >= 2, got {n}")
+        check_bandwidth(sigma_z, "index scale")
         low = 0.5 * n ** (-1.0 / 6.0) * sigma_z
         high = 2.0 * n ** (-1.0 / 8.0) * sigma_z
         return cls(np.geomspace(low, high, count))
@@ -105,8 +107,8 @@ def curvature_bandwidth(h: float, sigma_z: float) -> float:
     The exponent map applies to a unitless bandwidth, so ``h`` is expressed
     in index standard deviations, raised to the 5/7 power, and mapped back.
     """
-    if h <= 0.0 or sigma_z <= 0.0:
-        raise ValueError("bandwidth and index scale must be positive")
+    check_bandwidth(h)
+    check_bandwidth(sigma_z, "index scale")
     return float((h / sigma_z) ** CURVATURE_EXPONENT * sigma_z)
 
 
@@ -343,8 +345,8 @@ def select_bandwidth(data: Dataset, strategy: InitStrategy, grid: BandwidthGrid,
         init, label = searches.starts[chosen]
         best_fit = minimize(data, init, chosen_h, budget, sign_reference, label)
     sigma_index = float(np.std(compute_index(data, best_fit.spec)))
-    if sigma_index <= 0.0:
-        raise SelectionError("fitted index is constant; no usable scale")
+    if not 0.0 < sigma_index < np.inf:
+        raise SelectionError("fitted index is constant or not finite; no usable scale")
     return CVReport(
         method=method,
         grid=grid,
@@ -356,15 +358,26 @@ def select_bandwidth(data: Dataset, strategy: InitStrategy, grid: BandwidthGrid,
     )
 
 
+def _failure(exc: EstimationError) -> EstimationError:
+    """``exc``, kept as a failure, without its traceback and chained errors.
+
+    A caught error's frames link back to the frame that keeps the list of
+    failures, so they would hold every failed call's arrays in a reference
+    cycle until the cyclic collector runs.  The message stays whole.
+    """
+    exc.__cause__ = exc.__context__ = None
+    return exc.with_traceback(None)
+
+
 def _gcv_outcome(data: Dataset, fit: OptResult | EstimationError, h: float):
     """The GCV score of a grid search's fit, or the :class:`EstimationError`
-    of the search or of its score."""
+    of the search or of its score (:func:`_failure`)."""
     if isinstance(fit, EstimationError):
         return fit
     try:
         return gcv_score(data, fit.spec, h)
     except EstimationError as exc:
-        return exc
+        return _failure(exc)
 
 
 def _anchored_grid(data: Dataset, strategy: InitStrategy, grid_size: int):
@@ -377,8 +390,9 @@ def _anchored_grid(data: Dataset, strategy: InitStrategy, grid_size: int):
         start = resolve_init(data, strategy)
         reference = start[0]
     sigma_z = float(np.std(compute_index(data, spec_from_raw(data, reference))))
-    if sigma_z <= 0.0:
-        raise SelectionError("reference index is constant; no usable bandwidth scale")
+    if not 0.0 < sigma_z < np.inf:
+        raise SelectionError(
+            "reference index is constant or not finite; no usable bandwidth scale")
     return BandwidthGrid.default(data.n, sigma_z, grid_size), start
 
 
@@ -401,7 +415,8 @@ def fit_pipelines(data: Dataset, strategies, grid_size: int, method: str, folds:
       searches and picks its bandwidth, refitting the winner for k-fold.
 
     A strategy whose plan or selection raises :class:`EstimationError` fails
-    alone; any other exception propagates.
+    alone, and its slot holds the :func:`_failure`; any other exception
+    propagates.
     """
     _check_method(method)
     outcomes: list = [None] * len(strategies)
@@ -412,7 +427,7 @@ def fit_pipelines(data: Dataset, strategies, grid_size: int, method: str, folds:
             planned.append((i, grid, _plan(data, strategy, grid, method, folds, seeds[i],
                                            start)))
         except EstimationError as exc:
-            outcomes[i] = exc
+            outcomes[i] = _failure(exc)
     searches = _run_searches(data, [grid for _, grid, _ in planned],
                              [plan for _, _, plan in planned], method, budget, sign_reference)
     for (i, grid, _), searched in zip(planned, searches):
@@ -420,7 +435,7 @@ def fit_pipelines(data: Dataset, strategies, grid_size: int, method: str, folds:
             outcomes[i] = select_bandwidth(data, strategies[i], grid, method, folds, seeds[i],
                                            budget, sign_reference, searched)
         except EstimationError as exc:
-            outcomes[i] = exc
+            outcomes[i] = _failure(exc)
     return outcomes
 
 

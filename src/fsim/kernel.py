@@ -1,14 +1,17 @@
 """Compactly supported smoothing kernel with three continuous derivatives.
 
 :func:`transform_inplace`, the kernel without its constant, is the innermost
-loop of every kernel sum.  On a writeable, aligned, C-contiguous float64
-array it runs one C loop, which the system C compiler (``cc``) builds once
-into a per-user cache and ``ctypes`` loads when this module is imported;
-``COMPILED_LIBRARY`` is the path of the library loaded, or ``None``.  Every
-other array, and every array when no library could be built, loaded or
-trusted, takes the five numpy passes the loop reproduces bit for bit.  The
-choice depends only on what the loader finds and on the array; no option
-selects it.
+loop of every kernel sum.  Given an array of kernel arguments it turns them
+into weights in place; given a tile's points and samples as well, it forms
+each argument samples[j] - points[i] and its weight in the same pass, so
+the Nadaraya-Watson tiles never write the arguments out.  On writeable,
+aligned, C-contiguous float64 arrays it runs a C loop, which the system C
+compiler (``cc``) builds once into a per-user cache and ``ctypes`` loads when
+this module is imported; ``COMPILED_LIBRARY`` is the path of the library
+loaded, or ``None``.  Other arrays, and all arrays when no library could be
+built, loaded or trusted, take a broadcast subtraction and five numpy
+passes, which the loops reproduce bit for bit.  The choice depends only on
+what the loader finds and on the arrays; no option selects it.
 """
 
 import contextlib
@@ -30,21 +33,40 @@ MAX_MOMENT = 8
 
 # The numpy passes element by element: the same IEEE operations in the same
 # order.  The select keeps NaN (and would keep -0.0) as np.maximum(x, 0.0)
-# does.  On x86-64 Linux the loader picks the widest clone the CPU runs.
+# does.  fsim_kernel_weights forms each argument as the broadcast subtraction
+# samples[j] - points[i] does, then its weight, in one pass over the tile.
+# On x86-64 Linux the loader picks the widest clone the CPU runs.
 _SOURCE = r"""
 #include <stddef.h>
 #if defined(__x86_64__) && defined(__linux__)
-__attribute__((target_clones("avx512f", "avx2", "default")))
+#define CLONES __attribute__((target_clones("avx512f", "avx2", "default")))
+#else
+#define CLONES
 #endif
-void fsim_kernel_transform(double *u, size_t n)
+
+static inline double weight(double x)
 {
-    for (size_t i = 0; i < n; i++) {
-        double x = u[i];
-        x = 1.0 - x * x;
-        x = x < 0.0 ? 0.0 : x;
-        x = x * x;
-        u[i] = x * x;
-    }
+    x = 1.0 - x * x;
+    x = x < 0.0 ? 0.0 : x;
+    x = x * x;
+    return x * x;
+}
+
+CLONES void fsim_kernel_transform(double *u, size_t n)
+{
+    for (size_t i = 0; i < n; i++)
+        u[i] = weight(u[i]);
+}
+
+CLONES void fsim_kernel_weights(double *u, const double *points, const double *samples,
+                                size_t batch, size_t rows, size_t columns)
+{
+    for (size_t b = 0; b < batch; b++, samples += columns)
+        for (size_t i = 0; i < rows; i++, u += columns) {
+            double point = *points++;
+            for (size_t j = 0; j < columns; j++)
+                u[j] = weight(samples[j] - point);
+        }
 }
 """
 # -ffp-contract=off: a fused multiply-add would round 1 - x*x once, not twice,
@@ -75,6 +97,16 @@ def _numpy_passes(u: np.ndarray) -> np.ndarray:
         np.multiply(u, u, out=u)
         np.multiply(u, u, out=u)
     return u
+
+
+def _numpy_weights(u: np.ndarray, points: np.ndarray, samples: np.ndarray) -> np.ndarray:
+    """The weights of the arguments ``samples[..., None, :] - points[..., :, None]``
+    as a broadcast subtraction into ``u`` and the five passes.  A difference
+    that overflows, or inf - inf, is the infinity or the NaN the compiled
+    loop forms, without a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.subtract(samples[..., None, :], points[..., :, None], out=u)
+    return _numpy_passes(u)
 
 
 def _cache_dir() -> str | None:
@@ -138,54 +170,90 @@ def _build(path: str) -> None:
             os.unlink(partial)
 
 
+# A loop's pointer argument: from_buffer refuses a read-only or non-contiguous
+# array, and on numpy 2.4 costs a third of what arr.ctypes.data does per call.
+_pointer = ctypes.c_double.from_buffer
+
+
 def _open(path: str):
-    """The loop in the library at ``path``, once it has matched the numpy passes on a probe."""
-    loop = ctypes.CDLL(path).fsim_kernel_transform
-    loop.argtypes = (ctypes.POINTER(ctypes.c_double), ctypes.c_size_t)
-    loop.restype = None
+    """``(transform, weights)``, the two loops of the library at ``path``, once
+    each has matched its numpy form on a probe."""
+    library = ctypes.CDLL(path)
+    transform, weights = library.fsim_kernel_transform, library.fsim_kernel_weights
+    double_p = ctypes.POINTER(ctypes.c_double)
+    transform.argtypes = (double_p, ctypes.c_size_t)
+    weights.argtypes = (double_p, double_p, double_p, ctypes.c_size_t, ctypes.c_size_t,
+                        ctypes.c_size_t)
+    transform.restype = weights.restype = None
     probe = _PROBE.copy()
-    loop(ctypes.c_double.from_buffer(probe), probe.size)
-    if probe.tobytes() != _numpy_passes(_PROBE.copy()).tobytes():
+    transform(_pointer(probe), probe.size)
+    # three stacked tiles: every probe value against every one in its stack,
+    # inf - inf, overflowing differences and exact cancellations included
+    points, samples = _PROBE.reshape(3, -1).copy(), _PROBE[::-1].reshape(3, -1).copy()
+    tiles = np.empty(points.shape + samples.shape[-1:])
+    weights(_pointer(tiles), _pointer(points), _pointer(samples), *tiles.shape)
+    if (probe.tobytes() != _numpy_passes(_PROBE.copy()).tobytes()
+            or tiles.tobytes() != _numpy_weights(np.empty_like(tiles), points, samples).tobytes()):
         raise OSError(f"{path} does not reproduce the numpy kernel transform")
-    return loop
+    return transform, weights
 
 
 def _load():
-    """``(loop, path)`` of the cached library, built first when missing, or
-    ``(None, None)`` when there is no usable cache directory or the build,
-    the load or the probe fails."""
+    """``(transform, weights, path)`` of the cached library, built first when
+    missing, or ``(None, None, None)`` when there is no usable cache directory
+    or the build, the load or the probe fails."""
     directory = _cache_dir()
     if directory is None:
-        return None, None
+        return None, None, None
     path = _library_path(directory)
     try:
         if not os.path.exists(path):
             _build(path)
-        return _open(path), path
+        return *_open(path), path
     except (OSError, AttributeError):
-        return None, None
+        return None, None, None
 
 
-_loop, COMPILED_LIBRARY = _load()
+_loop, _weights, COMPILED_LIBRARY = _load()
 
 
-def transform_inplace(u: np.ndarray) -> np.ndarray:
-    """Overwrite an array of kernel arguments s with (1 - s^2)^4 on |s| < 1,
-    zero outside: the kernel without its constant ``NORMALIZER``.
+def transform_inplace(u: np.ndarray, points: np.ndarray | None = None,
+                      samples: np.ndarray | None = None) -> np.ndarray:
+    """Overwrite ``u`` with the kernel (1 - s^2)^4 on |s| < 1, zero outside,
+    without its constant ``NORMALIZER``, and return it.
+
+    Alone, ``u`` holds the kernel arguments s.  With ``points`` and
+    ``samples`` (float arrays of shapes (..., m) and (..., n) with the same
+    leading axes) the arguments are ``samples[..., None, :] - points[..., :,
+    None]``, and ``u`` of shape (..., m, n) receives their weights; it must
+    not share memory with either.
 
     :func:`smooth_kernel` scales the result; the Nadaraya-Watson sums take it
     as it is, since their ratio sum(w y) / sum(w) cancels the constant.  One
-    function serves both so every caller forms bit-identical powers.  A
-    nonempty, writeable, aligned, C-contiguous float64 array of at least one
-    dimension goes through the compiled loop when one is loaded; anything
-    else takes the numpy passes, which give the same bits, raise on a
-    read-only array before writing to it, and keep the dtype of a float32
-    one.  Neither path warns: an s^2 that overflows gives weight 0.
+    function serves both so every caller forms bit-identical powers.  When a
+    library is loaded, nonempty, writeable, aligned, C-contiguous float64
+    arrays of at least one dimension go through its compiled loops, which
+    form each difference and each weight in one pass; anything else takes a
+    broadcast subtraction and the numpy passes, which give the same bits,
+    raise on a read-only ``u`` before writing to it, and keep the dtype of a
+    float32 one.  Neither path warns: an s^2 that overflows gives weight 0,
+    and inf - inf gives NaN.
     """
-    if _loop is not None and u.dtype == np.float64 and u.ndim and u.size and u.flags.carray:
-        _loop(ctypes.c_double.from_buffer(u), u.size)
+    if points is None:
+        if _loop is not None and u.dtype == np.float64 and u.ndim and u.size and u.flags.carray:
+            _loop(_pointer(u), u.size)
+            return u
+        return _numpy_passes(u)
+    if (_weights is not None and u.size and points.ndim and samples.ndim
+            and u.shape == points.shape + samples.shape[-1:]
+            and points.shape[:-1] == samples.shape[:-1]
+            and u.dtype == points.dtype == samples.dtype == np.float64
+            and u.flags.carray and points.flags.carray and samples.flags.carray):
+        rows, columns = u.shape[-2:]
+        _weights(_pointer(u), _pointer(points), _pointer(samples), u.size // (rows * columns),
+                 rows, columns)
         return u
-    return _numpy_passes(u)
+    return _numpy_weights(u, points, samples)
 
 
 def smooth_kernel(s):

@@ -18,9 +18,10 @@ serves the held-out Nadaraya-Watson prediction of k-fold validation and the
 batched local quadratic fits behind GCV, curve grids and RASE.  The
 leave-one-out estimator inside the coefficient-search objective has a
 symmetric walk of its own, which forms each in-reach pair once for both of
-its samples and runs one kernel transform per group of tiles.  A batch of
-leave-one-out problems of one size (the training sets of the k-fold
-searches) runs as stacks of dense tiles.  The pointwise fits
+its samples.  A batch of leave-one-out problems of one size (the training
+sets of the k-fold searches) runs as stacks of dense tiles.  Every
+Nadaraya-Watson tile, dense, stacked or walked, forms its weights from its
+points and samples in one :func:`transform_inplace` call.  The pointwise fits
 (:func:`local_quad_fit`, :func:`smoother_matrix`, :func:`relocated_fit`)
 stay as the reference for the batched ones.
 """
@@ -37,9 +38,11 @@ from .kernel import smooth_kernel, transform_inplace
 MIN_WINDOW_POINTS = 3
 CONDITION_LIMIT = 1e12
 # Rows per tile of the sorted-window kernel sums, and the largest problem that
-# runs as one dense tile without sorting.  A per-call timing sweep over the
-# default bandwidth grid put the crossover at about 250 samples (see README,
-# "Performance").
+# runs as one dense tile without sorting.  The cap sat at the crossover of the
+# numpy transform, about 250 samples; with the fused compiled weights
+# tools/kernel_sweep.py puts the walk behind the dense tile up to 500 samples
+# and ahead from 700.  The cap stays, as moving it changes the bits of every
+# problem it moves (see README, "Performance").
 TILE_ROWS = 64
 ONE_TILE_MAX = 256
 
@@ -83,14 +86,24 @@ def _as_vector(values, name: str) -> np.ndarray:
     return arr
 
 
+def check_bandwidth(h, name: str = "bandwidth") -> None:
+    """Raise :class:`ValueError` unless ``h``, a number or an array of them,
+    is positive and finite throughout: NaN and infinity are refused as zero is."""
+    if isinstance(h, np.ndarray) and h.ndim:
+        bad = ~((0.0 < h) & (h < np.inf))
+        if bad.any():
+            raise ValueError(f"{name} must be positive and finite, got {h[bad][0]}")
+    elif not 0.0 < h < np.inf:
+        raise ValueError(f"{name} must be positive and finite, got {h}")
+
+
 def _fit_inputs(index_values, responses, h: float):
     """Checked index and response vectors of one smoothing call."""
     z = _as_vector(index_values, "index_values")
     y = _as_vector(responses, "responses")
     if z.size != y.size:
         raise ValueError(f"got {z.size} index values but {y.size} responses")
-    if h <= 0:
-        raise ValueError(f"bandwidth must be positive, got {h}")
+    check_bandwidth(h)
     return z, y
 
 
@@ -225,21 +238,10 @@ def _walk(tile, points, samples, data):
     return results
 
 
-def _factors(points, samples):
-    """The factors whose product :func:`_differences` takes: rows
-    ``(points_i, 1)`` and columns ``(-1, samples_j)``."""
-    left = np.empty(points.shape + (2,))
-    left[..., 0] = points
-    left[..., 1] = 1.0
-    right = np.empty(samples.shape[:-1] + (2,) + samples.shape[-1:])
-    right[..., 0, :] = -1.0
-    right[..., 1, :] = samples
-    return left, right
-
-
 def _differences(points, samples) -> np.ndarray:
     """The kernel arguments ``samples[..., None, :] - points[..., :, None]`` of
-    a tile of finite values, as one matrix product of :func:`_factors`.
+    a tile of finite values, as one matrix product: rows ``(points_i, 1)``
+    against columns ``(-1, samples_j)``.
 
     Both products in an entry are exact, and their sum is rounded once in
     any order, so each entry is the broadcast difference; only the sign of a
@@ -247,7 +249,12 @@ def _differences(points, samples) -> np.ndarray:
     sees.  The product is one pass over the tile, where the broadcast takes
     several.
     """
-    left, right = _factors(points, samples)
+    left = np.empty(points.shape + (2,))
+    left[..., 0] = points
+    left[..., 1] = 1.0
+    right = np.empty(samples.shape[:-1] + (2,) + samples.shape[-1:])
+    right[..., 0, :] = -1.0
+    right[..., 1, :] = samples
     return left @ right
 
 
@@ -263,49 +270,24 @@ def _ones_y(responses):
 def _nw_tile(rows, points, samples, responses, diagonal=None):
     """Kernel row sums and kernel-weighted response sums of one tile.
 
-    Both sums come from one product, the unnormalized weights
-    (:func:`transform_inplace`) times the (1, y) columns of the samples; the
-    kernel constant cancels in the ratio :func:`_nw_ratio` takes.
-    ``diagonal`` is the column of row 0's own sample, whose weight (and,
-    down the diagonal, every later row's) is zeroed; ``None`` keeps every
-    weight.  A leading batch axis on ``points``, ``samples`` and
-    ``responses`` stacks tiles of one shape; the stacked product sums each
-    slice exactly as it would be summed alone.  A tile with a non-finite
-    value (only the dense tile of non-finite input) subtracts by broadcast
-    instead of :func:`_differences`: a BLAS product may multiply an infinity
-    by the zeros that pad its blocks and raise a spurious invalid-value
-    warning.  The broadcast's inf - inf, an infinite sample against itself,
-    is NaN without a warning, as NaN input is.
+    One :func:`transform_inplace` call forms the unnormalized weights of the
+    differences ``samples[j] - points[i]``, and one product of them with the
+    (1, y) columns of the samples gives both sums; the kernel constant
+    cancels in the ratio :func:`_nw_ratio` takes.  ``diagonal`` is the
+    column of row 0's own sample, whose weight (and, down the diagonal,
+    every later row's) is zeroed; ``None`` keeps every weight.  A leading
+    batch axis on ``points``, ``samples`` and ``responses`` stacks tiles of
+    one shape; the stacked product sums each slice exactly as it would be
+    summed alone.  Only the dense tile of non-finite input holds a
+    non-finite value: an infinity weighs 0 against every finite value, and
+    an infinite sample against itself is inf - inf, NaN without a warning,
+    as NaN input is.
     """
-    if np.isfinite(points).all() and (samples is points or np.isfinite(samples).all()):
-        w = _differences(points, samples)
-    else:
-        with np.errstate(invalid="ignore"):
-            w = samples[..., None, :] - points[..., :, None]
-    transform_inplace(w)
+    w = transform_inplace(np.empty(points.shape + samples.shape[-1:]), points, samples)
     if diagonal is not None:
         w.reshape(w.shape[:-2] + (-1,))[..., diagonal::samples.shape[-1] + 1] = 0.0
     sums = w @ _ones_y(responses)
     return sums[..., 0], sums[..., 1]
-
-
-def _tile_groups(tiles):
-    """Group the symmetric walk's tiles ``(a, b, c0, c1)`` to share a buffer.
-
-    Yields ``(group, size)``: a run of consecutive tiles ``(a, b, c1)``, rows
-    [a, b) against samples [a, c1), and its count of weights, at most
-    ``ONE_TILE_MAX**2`` unless the run is one larger tile alone.
-    """
-    group, used = [], 0
-    for a, b, _, c1 in tiles:
-        size = (b - a) * (c1 - a)
-        if group and used + size > ONE_TILE_MAX**2:
-            yield group, used
-            group, used = [], 0
-        group.append((a, b, c1))
-        used += size
-    if group:
-        yield group, used
 
 
 def _nw_loo_sums(points, responses):
@@ -316,44 +298,29 @@ def _nw_loo_sums(points, responses):
     forms each in-reach pair once and uses it for both rows: K(s_i - s_j)
     and K(s_j - s_i) are the same double, since s_j - s_i = -(s_i - s_j)
     exactly.  The tile of sorted rows [a, b) forms weights against the
-    sorted samples [a, c1) only, where c1 ends the reach of row b - 1, and
-    zeroes the own-sample diagonal.  One matmul against the (1, y) columns
-    of samples [a, c1) adds (sum w, sum w y) to rows [a, b); the part right
-    of the tile, transposed, against the (1, y) columns of rows [a, b) adds
-    the same pairs to rows [b, c1).  Each row so gets its pairs with
-    earlier samples from earlier tiles.
-
-    The kernel-argument factors (:func:`_factors`) are built once over the
-    sorted index.  Consecutive tiles form groups of at most
-    ``ONE_TILE_MAX**2`` weights, the largest dense tile (a larger tile is a
-    group of its own), written into one reused buffer, each tile's
-    differences as one product into its part; one :func:`transform_inplace`
-    then turns the whole group into weights, and the group's tiles add their
-    sums in tile order.  Every weight and every sum is the one a tile alone
-    would form, bit for bit; grouping only cuts the calls per tile.  The
-    sums accumulate in sorted order and are scattered back once.
+    sorted samples [a, c1) only, where c1 ends the reach of row b - 1, in
+    one :func:`transform_inplace` call into a buffer reused by every tile (a
+    fresh array per tile timed up to 1.5 times slower at n = 4000), and
+    zeroes the own-sample diagonal.  One matmul against the (1, y)
+    columns of samples [a, c1) adds (sum w, sum w y) to rows [a, b); the
+    part right of the tile, transposed, against the (1, y) columns of rows
+    [a, b) adds the same pairs to rows [b, c1).  Each row so gets its pairs
+    with earlier samples from earlier tiles.  The sums accumulate in sorted
+    order and are scattered back once.
     """
     if not _tiled(points, points):
         return _nw_tile(slice(None), points, points, responses, 0)
     order, p, _, _, tiles = _sorted_tiles(points)
-    groups = list(_tile_groups(tiles))
-    left, right = _factors(p, p)
+    tiles = [(a, b, c1) for a, b, _, c1 in tiles]
     ones_y = _ones_y(responses[order])
     sums = np.zeros((p.size, 2))
-    buffer = np.empty(max(size for _, size in groups))
-    for group, size in groups:
-        weights, used = [], 0
-        for a, b, c1 in group:
-            flat = buffer[used:used + (b - a) * (c1 - a)]
-            np.matmul(left[a:b], right[:, a:c1], out=flat.reshape(b - a, c1 - a))
-            weights.append(flat)
-            used += flat.size
-        transform_inplace(buffer[:size])
-        for (a, b, c1), flat in zip(group, weights):
-            flat[::c1 - a + 1] = 0.0
-            w = flat.reshape(b - a, c1 - a)
-            sums[a:b] += w @ ones_y[a:c1]
-            sums[b:c1] += w[:, b - a:].T @ ones_y[a:b]
+    buffer = np.empty(max((b - a) * (c1 - a) for a, b, c1 in tiles))
+    for a, b, c1 in tiles:
+        w = buffer[:(b - a) * (c1 - a)].reshape(b - a, c1 - a)
+        transform_inplace(w, p[a:b], p[a:c1])
+        w.reshape(-1)[::c1 - a + 1] = 0.0
+        sums[a:b] += w @ ones_y[a:c1]
+        sums[b:c1] += w[:, b - a:].T @ ones_y[a:b]
     den, num = np.empty(p.size), np.empty(p.size)
     den[order], num[order] = sums[:, 0], sums[:, 1]
     return den, num
@@ -370,6 +337,8 @@ def _nw_ratio(den, num):
     """``(estimates, excluded)`` from the kernel sums: excluded marks an
     empty window, whose estimate is NaN."""
     excluded = den == 0.0
+    if not excluded.any():
+        return num / den, excluded
     estimates = np.divide(num, den, out=np.full(den.shape, np.nan), where=~excluded)
     return estimates, excluded
 
@@ -400,8 +369,7 @@ def nw_loo_batch(index_values, responses, h):
         raise ValueError(
             f"expected (B, n) index values and responses and B bandwidths, got "
             f"{z.shape}, {y.shape} and {h.shape}")
-    if np.any(h <= 0):
-        raise ValueError(f"bandwidths must be positive, got minimum {h.min()}")
+    check_bandwidth(h)
     scaled = z / h[:, None]
     den, num = np.empty(z.shape), np.empty(z.shape)
     count, n = z.shape
@@ -512,8 +480,7 @@ def smoother_matrix(index_values, h: float) -> np.ndarray:
     row index attached.
     """
     z = _as_vector(index_values, "index_values")
-    if h <= 0:
-        raise ValueError(f"bandwidth must be positive, got {h}")
+    check_bandwidth(h)
     out = np.empty((z.size, z.size))
     for j in range(z.size):
         out[j] = _tagged_rows(z, j, h)[0]

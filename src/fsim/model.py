@@ -11,11 +11,12 @@ objective invariant to rescaling the search vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .basis import BasisExpansion, FourierBasis, readonly_array
-from .locfit import EstimationError, nw_loo_all, nw_loo_batch, stack_size
+from .locfit import EstimationError, check_bandwidth, nw_loo_all, nw_loo_batch, stack_size
 
 # fewest samples the leave-one-out objective accepts
 MIN_SAMPLES = 4
@@ -87,12 +88,23 @@ class Dataset:
     def n(self) -> int:
         return self.y.size
 
+    @cached_property
+    def search_columns(self) -> tuple[np.ndarray, ...]:
+        """Each block's nonconstant columns (views, made once): the design
+        :func:`search_index` multiplies by the search vector.  Contiguous
+        copies timed no faster and would hold a second copy of the data."""
+        return tuple(block.nonconstant() for block in self.blocks)
+
     def beta_dims(self) -> tuple[int, ...]:
-        return tuple(block.nonconstant().shape[1] for block in self.blocks)
+        return tuple(columns.shape[1] for columns in self.search_columns)
+
+    @cached_property
+    def _search_dimension(self) -> int:
+        return sum(self.beta_dims()) + (1 if self.w is not None else 0)
 
     def search_dimension(self) -> int:
         """Length of the raw search vector: functional coefficients plus alpha."""
-        return sum(self.beta_dims()) + (1 if self.w is not None else 0)
+        return self._search_dimension
 
     def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices)
@@ -161,24 +173,35 @@ def search_index(data: Dataset, raw, samples=None) -> tuple[np.ndarray, np.ndarr
     the constant column, then alpha when the data carry a scalar.  Given
     ``samples``, ``raw`` is a stack of search vectors and row ``b`` is mapped
     on the samples ``samples[b]``, bit for bit as on
-    ``data.subset(samples[b])``.  The norm is that of the functional part.
+    ``data.subset(samples[b])``.  The norm is that of the functional part,
+    the root of the dot product np.linalg.norm takes.
     """
-    rows = slice(None) if samples is None else samples
-    z = np.zeros(data.y[rows].shape)
+    if samples is None:
+        raw = _search_vector(data, raw)
+        z = np.zeros(data.n)
+        start = 0
+        for columns in data.search_columns:
+            stop = start + columns.shape[1]
+            z += columns @ raw[start:stop]
+            start = stop
+        if data.w is not None:
+            z += raw[start] * data.w
+        functional = raw[:start]
+        return z, np.sqrt(functional @ functional)
+    z = np.zeros(samples.shape)
     raw = _search_vector(data, raw, z.shape[:-1])
     start = 0
     for block in data.blocks:
         # each slice has the layout of the subset's own coefficient matrix
-        columns = block.coeffs[rows]
+        columns = block.coeffs[samples]
         if block.basis.include_constant:
             columns = columns[..., 1:]
         stop = start + columns.shape[-1]
         z += (columns @ raw[..., start:stop, None])[..., 0]
         start = stop
     if data.w is not None:
-        z += raw[..., start, None] * data.w[rows]
+        z += raw[..., start, None] * data.w[samples]
     functional = raw[..., :start]
-    # per search vector the dot product np.linalg.norm takes the root of
     return z, np.sqrt((functional[..., None, :] @ functional[..., :, None])[..., 0, 0])
 
 
@@ -256,8 +279,7 @@ def objective_loo_mse(data: Dataset, raw_coeffs, h: float) -> ObjectiveReport:
     if data.n < MIN_SAMPLES:
         raise DegenerateObjectiveError(
             f"objective needs at least {MIN_SAMPLES} samples, got {data.n}")
-    if h <= 0:
-        raise ValueError(f"bandwidth must be positive, got {h}")
+    check_bandwidth(h)
     z, norm = search_index(data, raw_coeffs)
     if norm == 0.0:
         raise NormalizationError("zero functional coefficient vector")
@@ -299,8 +321,7 @@ class StackedObjective:
 
     def __init__(self, data: Dataset, subsets, h):
         self._h = np.broadcast_to(np.asarray(h, dtype=float), (len(subsets),))
-        if np.any(self._h <= 0):
-            raise ValueError(f"bandwidth must be positive, got {self._h.min()}")
+        check_bandwidth(self._h)
         self.data = data
         # a stack gathers n * width coefficients per point
         self._width = max(block.coeffs.shape[1] for block in data.blocks)

@@ -1,5 +1,6 @@
 """Tests for bandwidth selection: GCV, k-fold CV, grid handling, rescale."""
 
+import gc
 import json
 
 import numpy as np
@@ -64,6 +65,16 @@ class TestBandwidthGrid:
         with pytest.raises(ValueError):
             bw.BandwidthGrid(np.array([]))
 
+    @pytest.mark.parametrize("values", [[np.nan, 1.0], [0.5, np.inf], [0.5, np.nan, 1.0]])
+    def test_rejects_non_finite_values(self, values):
+        with pytest.raises(ValueError, match="grid values must be positive and finite"):
+            bw.BandwidthGrid(np.array(values))
+
+    @pytest.mark.parametrize("sigma_z", [np.nan, np.inf, 0.0, -1.0])
+    def test_default_rejects_a_bad_index_scale(self, sigma_z):
+        with pytest.raises(ValueError, match="index scale must be positive and finite"):
+            bw.BandwidthGrid.default(100, sigma_z)
+
     def test_reference_is_mean(self):
         grid = bw.BandwidthGrid(np.array([0.1, 0.2, 0.6]))
         assert grid.reference == pytest.approx(0.3)
@@ -110,6 +121,9 @@ class TestCurvatureBandwidth:
             bw.curvature_bandwidth(-0.1, 1.0)
         with pytest.raises(ValueError):
             bw.curvature_bandwidth(0.1, 0.0)
+        for h, sigma in [(np.nan, 1.0), (np.inf, 1.0), (0.1, np.nan), (0.1, np.inf)]:
+            with pytest.raises(ValueError, match="must be positive and finite"):
+                bw.curvature_bandwidth(h, sigma)
 
 
 class TestGcvScore:
@@ -667,6 +681,22 @@ class TestFitPipelines:
         merged = self.assert_loop(data, self.strategies(), 3, "gcv", 5, 30)
         assert isinstance(merged[0], bw.SelectionError)
         assert all(isinstance(o, bw.CVReport) for o in merged[1:])
+
+    def test_failures_leave_no_reference_cycle(self):
+        # a failure keeps its message but not the frames of the failed calls,
+        # which would hold their arrays in a cycle until the collector runs
+        data, _ = linear_dataset(6, 0.2, seed=2)
+        gc.collect()
+        gc.disable()
+        try:
+            merged = bw.fit_pipelines(data, self.strategies()[:1], 3, "gcv", 5,
+                                      [np.random.SeedSequence(1)], 30)
+            assert str(merged[0]).startswith("no grid bandwidth produced a usable score")
+            assert merged[0].__traceback__ is None and merged[0].__context__ is None
+            del merged
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_kfold_strategies_failing_at_every_bandwidth(self):
         # n=5 in two folds leaves training sets too small for the objective

@@ -109,13 +109,19 @@ def test_third_derivative_continuous_at_boundary():
 
 
 @pytest.fixture(scope="module")
-def loop(tmp_path_factory):
-    """The compiled loop, built afresh from the shipped source and flags."""
+def loops(tmp_path_factory):
+    """The compiled loops ``(transform, weights)``, built afresh from the
+    shipped source and flags."""
     if shutil.which("cc") is None:
         pytest.skip("no C compiler cc on PATH")
     path = kernel._library_path(str(tmp_path_factory.mktemp("kernel")))
     kernel._build(path)
     return kernel._open(path)
+
+
+@pytest.fixture(scope="module")
+def loop(loops):
+    return loops[0]
 
 
 def run_loop(loop, values):
@@ -132,6 +138,27 @@ KERNEL_ARGUMENTS = st.one_of(
     st.floats(-1.5, 1.5),
     st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
 )
+# points and samples of a tile: kernel arguments, values whose differences
+# overflow, and a small set of values that meet each other (exact zeros)
+TILE_VALUES = st.one_of(KERNEL_ARGUMENTS, st.sampled_from([1e200, -1e200, 0.25, -0.25]))
+
+
+@st.composite
+def tiles(draw):
+    """``(points, samples)`` of one tile, (m,) and (n,), or of a stack, (B, m) and (B, n)."""
+    lead = draw(st.sampled_from([(), (1,), (3,)]))
+    m, n = draw(st.integers(1, 12)), draw(st.integers(1, 40))
+    points = draw(arrays(np.float64, lead + (m,), elements=TILE_VALUES))
+    samples = draw(arrays(np.float64, lead + (n,), elements=TILE_VALUES))
+    return points, samples
+
+
+def broadcast_weights(points, samples):
+    """The weights of ``samples - points`` by broadcast subtraction and the
+    five numpy passes."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = samples[..., None, :] - points[..., :, None]
+    return kernel._numpy_passes(u)
 
 
 class TestCompiledTransform:
@@ -151,6 +178,39 @@ class TestCompiledTransform:
             assert run_loop(loop, values[:size]).tobytes() == \
                 kernel._numpy_passes(values[:size].copy()).tobytes()
         assert run_loop(loop, values).tobytes() == kernel._numpy_passes(values.copy()).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(tiles())
+    def test_fused_weights_match_the_broadcast_and_passes(self, loops, tile):
+        points, samples = tile
+        u = np.empty(points.shape + samples.shape[-1:])
+        loops[1](kernel.ctypes.c_double.from_buffer(u), kernel.ctypes.c_double.from_buffer(points),
+                 kernel.ctypes.c_double.from_buffer(samples),
+                 u.size // (u.shape[-2] * u.shape[-1]), *u.shape[-2:])
+        expected = broadcast_weights(points, samples)
+        assert u.tobytes() == expected.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(tiles(), st.sampled_from(["compiled", "strided", "float32", "numpy"]))
+    def test_transform_of_a_tile_is_the_broadcast_and_passes(self, tile, path):
+        # whichever path transform_inplace takes, compiled or fallback
+        points, samples = tile
+        expected = broadcast_weights(points, samples)
+        u = np.empty(expected.shape)
+        if path == "strided":
+            points = np.repeat(points, 2, axis=-1)[..., ::2]
+            samples = np.repeat(samples, 2, axis=-1)[..., ::2]
+        elif path == "float32":
+            u = np.empty(expected.shape, dtype=np.float32)
+            with np.errstate(over="ignore"):  # 1e200 is infinite in float32
+                points, samples = points.astype(np.float32), samples.astype(np.float32)
+            expected = broadcast_weights(points, samples)
+        with warnings.catch_warnings(), pytest.MonkeyPatch.context() as patch:
+            if path == "numpy":
+                patch.setattr(kernel, "_weights", None)
+            warnings.simplefilter("error")
+            assert transform_inplace(u, points, samples) is u
+        assert u.dtype == expected.dtype and u.tobytes() == expected.tobytes()
 
     def test_loaded_library_sits_in_a_private_directory(self):
         if kernel.COMPILED_LIBRARY is None:
@@ -174,7 +234,19 @@ class TestDispatch:
                 (ctypes.c_double * size).from_address(ctypes.addressof(pointer)))
             kernel._numpy_passes(buffer)
 
+        def recording_weights(u, points, samples, batch, rows, columns):
+            seen.append((batch, rows, columns))
+            ctypes = kernel.ctypes
+
+            def view(pointer, size):
+                return np.ctypeslib.as_array(
+                    (ctypes.c_double * size).from_address(ctypes.addressof(pointer)))
+            out = view(u, batch * rows * columns).reshape(batch, rows, columns)
+            kernel._numpy_weights(out, view(points, batch * rows).reshape(batch, rows),
+                                  view(samples, batch * columns).reshape(batch, columns))
+
         monkeypatch.setattr(kernel, "_loop", recording)
+        monkeypatch.setattr(kernel, "_weights", recording_weights)
         return seen
 
     def test_contiguous_float64_takes_the_loop(self, calls):
@@ -200,6 +272,37 @@ class TestDispatch:
         transform_inplace(np.empty(0))
         assert calls == []
 
+    def test_contiguous_float64_tiles_take_the_fused_loop(self, calls):
+        points = np.linspace(-2.0, 2.0, 6).reshape(2, 3)
+        samples = np.linspace(-1.0, 1.5, 8).reshape(2, 4)
+        u = np.empty((2, 3, 4))
+        assert transform_inplace(u, points, samples) is u
+        first = u[0]
+        assert transform_inplace(first, points[0], samples[0]) is first
+        assert calls == [(2, 3, 4), (1, 3, 4)]
+        assert u.tobytes() == broadcast_weights(points, samples).tobytes()
+
+    def test_other_tiles_take_the_broadcast(self, calls):
+        points, samples = np.linspace(-2.0, 2.0, 6), np.linspace(-1.0, 1.5, 8)
+        expected = broadcast_weights(points, samples)
+        for p, s, u in [(points[::2], samples, np.empty((3, 8))),
+                        (points, samples[::2], np.empty((6, 4))),
+                        (points.astype(np.float32), samples, np.empty((6, 8))),
+                        (points, samples, np.empty((8, 6)).T),
+                        (points, samples[None], np.empty((1, 6, 8))),
+                        (points, samples, np.empty((0, 6, 8)))]:
+            transform_inplace(u, p, s)
+            if u.size:
+                assert u.tobytes() == broadcast_weights(
+                    p.astype(float), s.astype(float)).reshape(u.shape).tobytes()
+        assert calls == []
+        # a read-only tile raises before anything is written
+        u = np.zeros((6, 8))
+        u.flags.writeable = False
+        with pytest.raises(ValueError):
+            transform_inplace(u, points, samples)
+        assert not u.any() and expected.any()
+
     def test_read_only_array_raises_and_keeps_its_values(self, calls):
         u = np.linspace(-2.0, 2.0, 12)
         u.flags.writeable = False
@@ -212,21 +315,30 @@ class TestDispatch:
 @pytest.mark.parametrize("compiled", [True, False])
 def test_neither_path_warns(monkeypatch, compiled):
     # an s^2 that overflows is weight 0 on both paths, without a warning
+    # and so is a difference that overflows; inf - inf is NaN, also silently
     if not compiled:
         monkeypatch.setattr(kernel, "_loop", None)
+        monkeypatch.setattr(kernel, "_weights", None)
     elif kernel.COMPILED_LIBRARY is None:
         pytest.skip("the numpy passes run here")
     u = np.array([1.4e154, -1e200, 1.7976931348623157e308, np.inf, -np.inf, np.nan, 0.5])
+    points = np.array([-1.7976931348623157e308, np.inf, 0.0])
+    samples = np.array([1.7976931348623157e308, np.inf, 0.5])
+    tile = np.empty((3, 3))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         transform_inplace(u)
+        transform_inplace(tile, points, samples)
         np.ones(3) * 2.0  # no floating-point flag of the loop leaks into later numpy calls
     assert u[:5].tolist() == [0.0] * 5
     assert np.isnan(u[5]) and u[6] == 0.75**4
+    assert np.isnan(tile[1, 1]) and tile[2, 2] == 0.75**4
+    assert np.delete(tile.ravel(), [4, 8]).tolist() == [0.0] * 7
 
 
-# prints which transform ran and a hash of the leave-one-out sums (dense and
-# walked) and of a curve grid; a fresh process runs the loader as shipped
+# prints which transform ran and a hash of the leave-one-out sums (dense,
+# walked and stacked), of held-out predictions (dense and walked) and of a
+# curve grid; a fresh process runs the loader as shipped
 PROBE_SCRIPT = """
 import hashlib, json
 import numpy as np
@@ -234,7 +346,10 @@ from fsim import kernel, locfit
 rng = np.random.default_rng(7)
 z = rng.standard_normal(400)
 y = np.sin(z) + 0.1 * rng.standard_normal(400)
+at = np.linspace(-3.0, 3.0, 300)
 parts = [*locfit.nw_loo_all(z[:100], y[:100], 0.4), *locfit.nw_loo_all(z, y, 0.3),
+         *locfit.nw_loo_batch(z.reshape(20, 20), y.reshape(20, 20), np.linspace(0.2, 1.0, 20)),
+         *locfit.nw_predict(z[:100], y[:100], at[:50], 0.4), *locfit.nw_predict(z, y, at, 0.2),
          locfit.curve_estimates(z, y, np.linspace(-2.0, 2.0, 41), 0.5, derivative=2)]
 digest = hashlib.sha256(b"".join(part.tobytes() for part in parts)).hexdigest()
 print(json.dumps({"library": kernel.COMPILED_LIBRARY, "digest": digest}))

@@ -31,9 +31,15 @@ def test_table_formats_durations():
 def test_stacked_step_table():
     seconds = kernel_sweep.stacked_step(rounds=1, seed=3)
     assert seconds > 0.0
-    lines = kernel_sweep.step_table(2.5e-3)
+    lines = kernel_sweep.step_table([(90, 4.2e-5), (1000, 4.5e-4)], 2.5e-3)
     assert lines == ["| layer | per call |", "| --- | --- |",
+                     "| objective_loo_mse, n = 90 | 42 µs |",
+                     "| objective_loo_mse, n = 1000 | 450 µs |",
                      "| k-fold step: 50 points on 10 training sets of 90 | 2.5 ms |"]
+
+
+def test_objective_time_at_a_tiny_n():
+    assert kernel_sweep.objective_time(30, rounds=1, seed=3) > 0.0
 
 
 def test_main_prints_facts_and_table(capsys):
@@ -44,11 +50,17 @@ def test_main_prints_facts_and_table(capsys):
     assert out[1].startswith("nw_loo_all per call")
     assert out[4].startswith("| 20 |")
     assert out[5:7] == ["| layer | per call |", "| --- | --- |"]
+    assert [line.split(" | ")[0] for line in out[7:10]] == [
+        f"| objective_loo_mse, n = {n}" for n in kernel_sweep.OBJECTIVE_SIZES]
     assert out[-1].startswith("| k-fold step: 50 points on 10 training sets of 90 | ")
 
 
 def test_transform_path_names_the_loaded_library(monkeypatch):
     monkeypatch.setattr(kernel_sweep.kernel, "COMPILED_LIBRARY", "/cache/transform-0.so")
+    monkeypatch.setattr(kernel_sweep.kernel, "_weights", print)
+    assert kernel_sweep.transform_path() == "fused compiled weights (/cache/transform-0.so)"
+    # a source tree older than the fused weights has the transform loop alone
+    monkeypatch.delattr(kernel_sweep.kernel, "_weights")
     assert kernel_sweep.transform_path() == "compiled loop (/cache/transform-0.so)"
     monkeypatch.setattr(kernel_sweep.kernel, "COMPILED_LIBRARY", None)
     assert kernel_sweep.transform_path() == "numpy passes"

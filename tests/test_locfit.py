@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fsim import locfit
+from fsim import kernel, locfit
 from fsim.kernel import smooth_kernel, transform_inplace
 from fsim.locfit import (
     SingularFitError,
@@ -289,9 +289,10 @@ def loo_oracles(n):
 
 
 def per_tile_loo_sums(points, responses):
-    """The symmetric walk one tile at a time: one :func:`locfit._differences`
-    and one :func:`transform_inplace` per tile, the reference for the walk
-    that groups its tiles."""
+    """The symmetric walk one tile at a time from the kernel arguments: one
+    :func:`locfit._differences` and one plain :func:`transform_inplace` per
+    tile, the reference for the walk that forms each tile's weights from its
+    points and samples in one pass."""
     order, p, _, _, tiles = locfit._sorted_tiles(points)
     ones_y = locfit._ones_y(responses[order])
     sums = np.zeros((p.size, 2))
@@ -330,38 +331,28 @@ class TestKernelSumEngine:
                 assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("n", [CUTOFF + 1, 300, 1000, 4000])
-    def test_one_transform_per_group_of_tiles(self, n, monkeypatch):
-        groups = []
+    def test_one_transform_per_tile(self, n, monkeypatch):
+        # each tile forms its weights in one transform_inplace call from its
+        # rows and its reach, the sorted samples [a, c1)
+        calls = []
         transform = locfit.transform_inplace
 
-        def spy(u):
-            groups.append(u.size)
-            return transform(u)
+        def spy(u, points, samples):
+            calls.append((u.shape, points.size, samples.size))
+            return transform(u, points, samples)
 
         monkeypatch.setattr(locfit, "transform_inplace", spy)
         rng = np.random.default_rng(n + 3)
         z = awkward_index(n, rng)
         y = rng.normal(size=n)
         for h in WALK_BANDWIDTHS:
-            groups.clear()
-            sizes = [(b - a) * (c1 - a) for a, b, _, c1 in locfit._sorted_tiles(z / h)[4]]
+            calls.clear()
+            tiles = [(b - a, c1 - a) for a, b, _, c1 in locfit._sorted_tiles(z / h)[4]]
             locfit._nw_loo_sums(z / h, y)
-            assert sum(groups) == sum(sizes)
-            # each group is a run of consecutive tiles, as many as CUTOFF**2
-            # weights hold, or one larger tile alone
-            k = 0
-            for used in groups:
-                first, filled = k, 0
-                while k < len(sizes) and filled + sizes[k] <= used:
-                    filled += sizes[k]
-                    k += 1
-                assert filled == used and k > first
-                assert used <= CUTOFF**2 or k - first == 1
-                assert k == len(sizes) or used + sizes[k] > CUTOFF**2
-            assert k == len(sizes)
+            assert calls == [(tile, *tile) for tile in tiles]
             if n == 4000 and h == WALK_BANDWIDTHS[-1]:
-                # the first tile reaches every sample: 64 x 4000 weights, alone
-                assert groups[0] == T * n > CUTOFF**2
+                # the first tile reaches every sample: 64 x 4000 weights
+                assert calls[0][0] == (T, n)
 
     @pytest.mark.parametrize("m, n", [(10, 90), (T + 1, 3 * T + 5), (5, 1000), (1000, 20),
                                       (CUTOFF + 1, CUTOFF + 1)])
@@ -451,11 +442,12 @@ class TestKernelSumEngine:
 
     @pytest.mark.parametrize("n", [90, 200, 1000])
     def test_product_differences_give_the_broadcast_bits(self, n, monkeypatch):
-        # finite tiles form samples - points as one matrix product; each
-        # entry is the broadcast difference (a zero's sign aside, which
-        # neither the kernel nor the tile sums see), so every result keeps
-        # the bits of the broadcast form, and non-finite tiles warn no more
-        # than it does
+        # the Nadaraya-Watson tiles form each weight from samples - points in
+        # one compiled pass, and the local-quadratic tiles form samples -
+        # points as one matrix product; each difference is the broadcast one
+        # (a zero's sign aside, which neither the kernel nor the tile sums
+        # see), so every result keeps the bits of the broadcast subtraction
+        # and the numpy passes, and non-finite tiles warn no more than they do
         rng = np.random.default_rng(n + 7)
         z = np.stack([awkward_index(n, rng) for _ in range(3)])
         z[1, :6] = [0.0, -0.0, 0.0, -0.0, 0.0, -0.0]
@@ -484,6 +476,8 @@ class TestKernelSumEngine:
         assert any(np.isnan(array).any() for array in product)
         monkeypatch.setattr(locfit, "_differences",
                             lambda points, samples: samples[..., None, :] - points[..., :, None])
+        monkeypatch.setattr(kernel, "_weights", None)
+        monkeypatch.setattr(kernel, "_loop", None)
         broadcast = outputs()
         assert len(product) == len(broadcast) == 54
         for got, expected in zip(product, broadcast):
@@ -517,6 +511,20 @@ class TestKernelSumEngine:
         locfit.nw_loo_batch(z, rng.normal(size=z.shape), np.full(20, 0.5))
         # 8 problems of 90 x 90 pairs fit in CUTOFF**2 = 65536 pairs, 9 do not
         assert shapes == [(8, 90, 90), (8, 90, 90), (4, 90, 90)]
+
+    @pytest.mark.parametrize("h", [np.nan, np.inf, -np.inf])
+    def test_non_finite_bandwidth_is_refused_everywhere(self, h):
+        # NaN once slipped through every h <= 0 guard: nw_loo_all returned NaN
+        # estimates with nothing excluded, and the local fits raised LinAlgError
+        z = np.linspace(0.0, 1.0, 30)
+        y = np.sin(z)
+        calls = [lambda: nw_loo_all(z, y, h), lambda: nw_predict(z, y, [0.5], h),
+                 lambda: curve_estimates(z, y, [0.5], h), lambda: level_fits(z, y, h),
+                 lambda: local_quad_fit(z, y, 0.5, h), lambda: smoother_matrix(z, h),
+                 lambda: locfit.nw_loo_batch(np.stack([z, z]), np.stack([y, y]), [0.3, h])]
+        for call in calls:
+            with pytest.raises(ValueError, match="bandwidth must be positive and finite"):
+                call()
 
     def test_batch_rejects_mismatched_shapes_and_bad_bandwidth(self):
         z = np.zeros((2, 5))
@@ -777,7 +785,7 @@ class TestCurveHelpers:
         assert np.isnan(values[1])
         assert values[0] == pytest.approx(local_quad_fit(z, y, 0.5, 0.3).a_hat)
 
-    @pytest.mark.parametrize("h", [0.0, -0.3])
+    @pytest.mark.parametrize("h", [0.0, -0.3, np.nan, np.inf])
     def test_curve_estimates_rejects_bad_bandwidth(self, h):
         with pytest.raises(ValueError, match="bandwidth must be positive"):
             curve_estimates(np.arange(5.0), np.zeros(5), [1.0], h)

@@ -400,6 +400,12 @@ class TestStackedObjective:
         with pytest.raises(ValueError, match="bandwidth must be positive"):
             StackedObjective(two_block_data(10, seed=15), [np.arange(10)], 0.0)
 
+    @pytest.mark.parametrize("h", [np.nan, np.inf, [0.5, np.nan], [np.inf, 0.5]])
+    def test_rejects_non_finite_bandwidths(self, h):
+        data = two_block_data(10, seed=15)
+        with pytest.raises(ValueError, match="bandwidth must be positive and finite"):
+            StackedObjective(data, [np.arange(10), np.arange(9)], h)
+
 
 class TestSearchIndex:
     """One map from search vectors to index values, for one vector or a stack."""
@@ -446,3 +452,11 @@ class TestSearchIndex:
             search_index(data, np.ones(data.search_dimension() - 1))
         with pytest.raises(ValueError, match="search vectors of shape"):
             search_index(data, np.ones((3, data.search_dimension())), np.zeros((2, 4), int))
+
+
+@pytest.mark.parametrize("h", [np.nan, np.inf, -np.inf, 0.0])
+def test_objective_rejects_a_bandwidth_that_is_not_finite_and_positive(h):
+    data = two_block_data(20, seed=3)
+    raw = np.ones(data.search_dimension())
+    with pytest.raises(ValueError, match="bandwidth must be positive and finite"):
+        objective_loo_mse(data, raw, h)

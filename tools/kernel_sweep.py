@@ -1,4 +1,4 @@
-"""Per-call timing of the leave-one-out kernel sums: one dense tile against the walk.
+"""Per-call timing of the leave-one-out kernel sums and of the objective around them.
 
     python3 tools/kernel_sweep.py --sizes 100,200,300,1000,4000 --rounds 7
 
@@ -7,20 +7,23 @@ For each n the script draws a link-g3 sample (``simulate.generate``, seed
 ``nw_loo_all`` over the default 10-bandwidth grid, once with the whole
 problem as one dense tile and once on the sorted-window walk, by setting
 ``locfit.ONE_TILE_MAX`` for the duration of each round: to n for the dense
-tile, and for the walk to the shipped value, or n - 1 where n is not above
-it (the symmetric walk groups its tiles by ``ONE_TILE_MAX**2`` weights).  A
-round times one pass over the grid on each path; the path that runs first
-alternates from round to round, and each path keeps its best round.  The
-script prints the machine facts, with the kernel transform that runs (the
-compiled loop or the numpy passes; see ``fsim.kernel``), then a markdown
-table of the mean time per call on each path and the speed-up of the walk
-over the dense tile.  A second table times one stacked k-fold step, which
+tile and to n - 1 for the walk.  A round times one pass over the grid on
+each path; the path that runs first alternates from round to round, and
+each path keeps its best round.  The script prints the machine facts, with
+the kernel transform that runs (the compiled loops, with or without the
+fused tile weights, or the numpy passes; see ``fsim.kernel``), then a
+markdown table of the mean time per call on each path and the speed-up of
+the walk over the dense tile.  A second table times the layers a
+coefficient search spends its evaluations in: one full-data
+``objective_loo_mse`` call at n = 90, 200 and 1000 (a g3 draw at its true
+coefficients and the middle bandwidth of its grid, best of ``--rounds``
+rounds of 200 calls, 20 at n = 1000), and one stacked k-fold step, which
 the benchmark's tracer does not see: one ``StackedObjective`` call with 50
 points, one per search, on the ten 90-sample training sets of a 100-sample
 g1 draw, at five bandwidths of its grid, best of ``--rounds`` rounds of ten
-calls.  fsim is imported from
-``PYTHONPATH`` when that provides it, else from the ``src`` directory of this
-checkout, so one copy of the script can time another source tree.
+calls.  fsim is imported from ``PYTHONPATH`` when that provides it, else
+from the ``src`` directory of this checkout, so one copy of the script can
+time another source tree.
 """
 
 from __future__ import annotations
@@ -40,15 +43,24 @@ if importlib.util.find_spec("fsim") is None:
 
 from fsim import kernel, locfit
 from fsim.bandwidth import BandwidthGrid, _fold_assignment
-from fsim.model import StackedObjective
+from fsim.model import StackedObjective, objective_loo_mse
 from fsim.simulate import SimScenario, generate
 
 
+# full-data objective sizes of the layer table
+OBJECTIVE_SIZES = (90, 200, 1000)
+
+
 def transform_path() -> str:
-    """Which kernel transform runs: the compiled loop and its library, or the numpy passes
-    (also in a source tree older than the compiled loop)."""
+    """Which kernel transform runs: the compiled loops and their library, with
+    the fused tile weights where the tree has them, or the numpy passes (also
+    in a source tree older than the compiled loop)."""
     library = getattr(kernel, "COMPILED_LIBRARY", None)
-    return f"compiled loop ({library})" if library else "numpy passes"
+    if not library:
+        return "numpy passes"
+    if getattr(kernel, "_weights", None) is not None:
+        return f"fused compiled weights ({library})"
+    return f"compiled loop ({library})"
 
 
 def machine_facts() -> str:
@@ -86,16 +98,29 @@ def sweep(sizes, rounds: int, seed: int = 0) -> list[tuple[int, float, float]]:
         data, truth = generate(SimScenario(n=n, link="g3", seed=seed))
         z, y = truth.index, data.y
         grid = BandwidthGrid.default(n, float(np.std(z))).values
-        # ONE_TILE_MAX = n keeps the problem on one dense tile, and any cap below n
-        # sends it to the walk; the shipped cap, where it is below n, keeps the
-        # walk's groups of tiles as shipped
-        paths = {"dense": n, "walk": min(n - 1, locfit.ONE_TILE_MAX)}
+        # ONE_TILE_MAX = n keeps the problem on one dense tile, n - 1 sends it to the walk
+        paths = {"dense": n, "walk": n - 1}
         best = {name: np.inf for name in paths}
         for k in range(rounds):
             for name in (paths if k % 2 == 0 else reversed(paths)):
                 best[name] = min(best[name], _pass_time(z, y, grid, paths[name]))
         rows.append((n, best["dense"], best["walk"]))
     return rows
+
+
+def objective_time(n: int, rounds: int, seed: int = 0) -> float:
+    """Best mean seconds per full-data ``objective_loo_mse`` call on a g3 draw
+    of ``n`` samples, at its true coefficients and the middle grid bandwidth."""
+    data, truth = generate(SimScenario(n=n, link="g3", seed=seed))
+    h = BandwidthGrid.default(n, float(np.std(truth.index))).values[5]
+    calls = 20 if n >= 1000 else 200
+    best = np.inf
+    for _ in range(rounds):
+        started = time.perf_counter()
+        for _ in range(calls):
+            objective_loo_mse(data, truth.beta.coeffs, h)
+        best = min(best, (time.perf_counter() - started) / calls)
+    return best
 
 
 def stacked_step(rounds: int, seed: int = 0) -> float:
@@ -135,10 +160,12 @@ def table(rows) -> list[str]:
     return lines
 
 
-def step_table(seconds: float) -> list[str]:
-    """The markdown table of the :func:`stacked_step` time."""
-    return ["| layer | per call |", "| --- | --- |",
-            f"| k-fold step: 50 points on 10 training sets of 90 | {_duration(seconds)} |"]
+def step_table(objective, seconds: float) -> list[str]:
+    """The markdown table of the layers: ``(n, seconds)`` pairs of
+    :func:`objective_time`, then the :func:`stacked_step` time."""
+    return (["| layer | per call |", "| --- | --- |"]
+            + [f"| objective_loo_mse, n = {n} | {_duration(t)} |" for n, t in objective]
+            + [f"| k-fold step: 50 points on 10 training sets of 90 | {_duration(seconds)} |"])
 
 
 def main(argv=None) -> int:
@@ -155,7 +182,8 @@ def main(argv=None) -> int:
     print(f"nw_loo_all per call over the default grid, best of {args.rounds} rounds, "
           f"TILE_ROWS={locfit.TILE_ROWS}, shipped ONE_TILE_MAX={locfit.ONE_TILE_MAX}")
     print("\n".join(table(sweep(sizes, args.rounds, args.seed))))
-    print("\n".join(step_table(stacked_step(args.rounds, args.seed))))
+    objective = [(n, objective_time(n, args.rounds, args.seed)) for n in OBJECTIVE_SIZES]
+    print("\n".join(step_table(objective, stacked_step(args.rounds, args.seed))))
     return 0
 
 
