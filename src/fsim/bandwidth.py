@@ -166,10 +166,14 @@ def kfold_score(data: Dataset, init, h: float, folds: int = 10, seed=0,
     the first such fold in fold order raising.
     """
     split = _fold_split(data.n, folds, seed)
-    results = minimize_each(data, init, [h] * folds, budget, None, ["custom"] * folds, split[0])
-    outcome = _held_out_score(data, split, results, h)
+    # the fold results stay out of this frame, as the failure may be one of them
+    outcome = _held_out_score(data, split, minimize_each(
+        data, init, [h] * folds, budget, None, ["custom"] * folds, split[0]), h)
     if isinstance(outcome, EstimationError):
-        raise outcome
+        try:
+            raise outcome
+        finally:
+            del outcome  # the traceback holds this frame: error, frame and local would cycle
     return outcome
 
 
@@ -455,5 +459,8 @@ def fit_pipeline(data: Dataset, strategy: InitStrategy, grid_size: int, method: 
     (outcome,) = fit_pipelines(data, [strategy], grid_size, method, folds, [seed], budget,
                                sign_reference)
     if isinstance(outcome, EstimationError):
-        raise outcome
+        try:
+            raise outcome
+        finally:
+            del outcome  # the traceback holds this frame: error, frame and local would cycle
     return outcome

@@ -21,6 +21,11 @@ def readonly_array(values, dtype=float) -> np.ndarray:
     return out
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is an integer, a numpy one included; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class FourierBasis:
     """Orthonormal Fourier system on [0, 1].

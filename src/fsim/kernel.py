@@ -1,17 +1,17 @@
 """Compactly supported smoothing kernel with three continuous derivatives.
 
 :func:`transform_inplace`, the kernel without its constant, is the innermost
-loop of every kernel sum.  Given an array of kernel arguments it turns them
-into weights in place; given a tile's points and samples as well, it forms
-each argument samples[j] - points[i] and its weight in the same pass, so
-the Nadaraya-Watson tiles never write the arguments out.  On writeable,
-aligned, C-contiguous float64 arrays it runs a C loop, which the system C
-compiler (``cc``) builds once into a per-user cache and ``ctypes`` loads when
-this module is imported; ``COMPILED_LIBRARY`` is the path of the library
-loaded, or ``None``.  Other arrays, and all arrays when no library could be
-built, loaded or trusted, take a broadcast subtraction and five numpy
-passes, which the loops reproduce bit for bit.  The choice depends only on
-what the loader finds and on the arrays; no option selects it.
+loop of every kernel sum.  Given a tile's points and samples it forms each
+kernel argument samples[j] - points[i] and its weight in one pass, so no
+caller writes the arguments out; :func:`smooth_kernel` passes its arguments
+as samples against one zero point.  On writeable, aligned, C-contiguous
+float64 arrays it runs a C loop, which the system C compiler (``cc``) builds
+once into a per-user cache and ``ctypes`` loads when this module is
+imported; ``COMPILED_LIBRARY`` is the path of the library loaded, or
+``None``.  Other arrays, and all arrays when no library could be built,
+loaded or trusted, take a broadcast subtraction and five numpy passes, which
+the loop reproduces bit for bit.  The choice depends only on what the loader
+finds and on the arrays; no option selects it.
 """
 
 import contextlib
@@ -28,7 +28,6 @@ import numpy as np
 
 # 1 / integral of (1 - s^2)^4 over [-1, 1]
 NORMALIZER = 315.0 / 256.0
-SUPPORT = 1.0
 MAX_MOMENT = 8
 
 # The numpy passes element by element: the same IEEE operations in the same
@@ -52,12 +51,6 @@ static inline double weight(double x)
     return x * x;
 }
 
-CLONES void fsim_kernel_transform(double *u, size_t n)
-{
-    for (size_t i = 0; i < n; i++)
-        u[i] = weight(u[i]);
-}
-
 CLONES void fsim_kernel_weights(double *u, const double *points, const double *samples,
                                 size_t batch, size_t rows, size_t columns)
 {
@@ -77,7 +70,7 @@ CLONES void fsim_kernel_weights(double *u, const double *points, const double *s
 # -march=native, since the cached library can outlive the machine it was
 # built on.
 _FLAGS = ("-O3", "-fno-trapping-math", "-ffp-contract=off", "-fPIC", "-shared")
-# kernel arguments a library must turn into the numpy passes' bits before it is used
+# points and samples whose weights a library must give the numpy forms' bits before it is used
 _PROBE = np.concatenate([np.linspace(-1.1, 1.1, 45),
                          [0.0, -0.0, 1.0, -1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0),
                           5e-324, 1e-300, 1e200, np.inf, -np.inf, np.nan]])
@@ -176,74 +169,66 @@ _pointer = ctypes.c_double.from_buffer
 
 
 def _open(path: str):
-    """``(transform, weights)``, the two loops of the library at ``path``, once
-    each has matched its numpy form on a probe."""
-    library = ctypes.CDLL(path)
-    transform, weights = library.fsim_kernel_transform, library.fsim_kernel_weights
+    """The fused loop of the library at ``path``, once it has matched its
+    numpy form on a probe."""
+    weights = ctypes.CDLL(path).fsim_kernel_weights
     double_p = ctypes.POINTER(ctypes.c_double)
-    transform.argtypes = (double_p, ctypes.c_size_t)
     weights.argtypes = (double_p, double_p, double_p, ctypes.c_size_t, ctypes.c_size_t,
                         ctypes.c_size_t)
-    transform.restype = weights.restype = None
-    probe = _PROBE.copy()
-    transform(_pointer(probe), probe.size)
+    weights.restype = None
     # three stacked tiles: every probe value against every one in its stack,
     # inf - inf, overflowing differences and exact cancellations included
     points, samples = _PROBE.reshape(3, -1).copy(), _PROBE[::-1].reshape(3, -1).copy()
     tiles = np.empty(points.shape + samples.shape[-1:])
     weights(_pointer(tiles), _pointer(points), _pointer(samples), *tiles.shape)
-    if (probe.tobytes() != _numpy_passes(_PROBE.copy()).tobytes()
-            or tiles.tobytes() != _numpy_weights(np.empty_like(tiles), points, samples).tobytes()):
+    if tiles.tobytes() != _numpy_weights(np.empty_like(tiles), points, samples).tobytes():
         raise OSError(f"{path} does not reproduce the numpy kernel transform")
-    return transform, weights
+    return weights
 
 
 def _load():
-    """``(transform, weights, path)`` of the cached library, built first when
-    missing, or ``(None, None, None)`` when there is no usable cache directory
-    or the build, the load or the probe fails."""
+    """``(weights, path)`` of the cached library, built first when missing,
+    or ``(None, None)`` when there is no usable cache directory or the build,
+    the load or the probe fails."""
     directory = _cache_dir()
     if directory is None:
-        return None, None, None
+        return None, None
     path = _library_path(directory)
     try:
         if not os.path.exists(path):
             _build(path)
-        return *_open(path), path
+        return _open(path), path
     except (OSError, AttributeError):
-        return None, None, None
+        return None, None
 
 
-_loop, _weights, COMPILED_LIBRARY = _load()
+_weights, COMPILED_LIBRARY = _load()
+# the one point smooth_kernel measures its arguments from: s - (+0) is s for
+# every double, -0, the infinities and NaN included
+_ORIGIN = np.zeros(1)
 
 
-def transform_inplace(u: np.ndarray, points: np.ndarray | None = None,
-                      samples: np.ndarray | None = None) -> np.ndarray:
-    """Overwrite ``u`` with the kernel (1 - s^2)^4 on |s| < 1, zero outside,
-    without its constant ``NORMALIZER``, and return it.
+def transform_inplace(u: np.ndarray, points: np.ndarray, samples: np.ndarray) -> np.ndarray:
+    """Overwrite ``u`` with the kernel weights (1 - s^2)^4 on |s| < 1, zero
+    outside, without the constant ``NORMALIZER``, and return it.
 
-    Alone, ``u`` holds the kernel arguments s.  With ``points`` and
-    ``samples`` (float arrays of shapes (..., m) and (..., n) with the same
-    leading axes) the arguments are ``samples[..., None, :] - points[..., :,
-    None]``, and ``u`` of shape (..., m, n) receives their weights; it must
-    not share memory with either.
+    ``points`` and ``samples`` are float arrays of shapes (..., m) and
+    (..., n) with the same leading axes; the arguments are
+    ``samples[..., None, :] - points[..., :, None]``, and ``u`` of shape
+    (..., m, n) receives their weights.  It must not share memory with
+    either.
 
     :func:`smooth_kernel` scales the result; the Nadaraya-Watson sums take it
     as it is, since their ratio sum(w y) / sum(w) cancels the constant.  One
     function serves both so every caller forms bit-identical powers.  When a
     library is loaded, nonempty, writeable, aligned, C-contiguous float64
-    arrays of at least one dimension go through its compiled loops, which
-    form each difference and each weight in one pass; anything else takes a
+    arrays of at least one dimension go through its compiled loop, which
+    forms each difference and its weight in one pass; anything else takes a
     broadcast subtraction and the numpy passes, which give the same bits,
     raise on a read-only ``u`` before writing to it, and keep the dtype of a
     float32 one.  Neither path warns: an s^2 that overflows gives weight 0,
     and inf - inf gives NaN.
     """
-    if points is None:
-        if _loop is not None and u.dtype == np.float64 and u.ndim and u.size and u.flags.carray:
-            _loop(_pointer(u), u.size)
-            return u
-        return _numpy_passes(u)
     if (_weights is not None and u.size and points.ndim and samples.ndim
             and u.shape == points.shape + samples.shape[-1:]
             and points.shape[:-1] == samples.shape[:-1]
@@ -263,11 +248,14 @@ def smooth_kernel(s):
     quadruple zero at the support boundary, so the kernel is three times
     continuously differentiable on the whole line; lower-power polynomial
     kernels (biweight, triweight) are not.  The value is
-    :func:`transform_inplace` times ``NORMALIZER``, bit for bit.
+    :func:`transform_inplace` of the samples ``s`` against one zero point,
+    times ``NORMALIZER``, which is the five numpy passes over ``s`` times
+    ``NORMALIZER``, bit for bit.
     """
-    u = transform_inplace(np.array(s, dtype=float))
+    s = np.asarray(s, dtype=float)
+    u = transform_inplace(np.empty((1, s.size)), _ORIGIN, s.ravel())
     u *= NORMALIZER
-    return float(u) if u.ndim == 0 else u
+    return float(u[0, 0]) if s.ndim == 0 else u.reshape(s.shape)
 
 
 def kernel_moment(p: int) -> float:

@@ -21,7 +21,9 @@ symmetric walk of its own, which forms each in-reach pair once for both of
 its samples.  A batch of leave-one-out problems of one size (the training
 sets of the k-fold searches) runs as stacks of dense tiles.  Every
 Nadaraya-Watson tile, dense, stacked or walked, forms its weights from its
-points and samples in one :func:`transform_inplace` call.  The pointwise fits
+points and samples in one :func:`transform_inplace` call; the local quadratic
+tiles, which need the kernel arguments for their moments, form them by
+broadcast subtraction, as that call does.  The pointwise fits
 (:func:`local_quad_fit`, :func:`smoother_matrix`, :func:`relocated_fit`)
 stay as the reference for the batched ones.
 """
@@ -32,11 +34,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import readonly_array
-from .kernel import smooth_kernel, transform_inplace
+from .basis import is_integer, readonly_array
+from .kernel import NORMALIZER, smooth_kernel, transform_inplace
 
 MIN_WINDOW_POINTS = 3
 CONDITION_LIMIT = 1e12
+# steps of h/4 that relocated_fit takes toward the data centre before it gives up
+RELOCATION_STEPS = 64
 # Rows per tile of the sorted-window kernel sums, and the largest problem that
 # runs as one dense tile without sorting.  The cap sat at the crossover of the
 # numpy transform, about 250 samples; with the fused compiled weights
@@ -238,26 +242,6 @@ def _walk(tile, points, samples, data):
     return results
 
 
-def _differences(points, samples) -> np.ndarray:
-    """The kernel arguments ``samples[..., None, :] - points[..., :, None]`` of
-    a tile of finite values, as one matrix product: rows ``(points_i, 1)``
-    against columns ``(-1, samples_j)``.
-
-    Both products in an entry are exact, and their sum is rounded once in
-    any order, so each entry is the broadcast difference; only the sign of a
-    zero may differ, which no kernel weight and no sum with a nonzero term
-    sees.  The product is one pass over the tile, where the broadcast takes
-    several.
-    """
-    left = np.empty(points.shape + (2,))
-    left[..., 0] = points
-    left[..., 1] = 1.0
-    right = np.empty(samples.shape[:-1] + (2,) + samples.shape[-1:])
-    right[..., 0, :] = -1.0
-    right[..., 1, :] = samples
-    return left @ right
-
-
 def _ones_y(responses):
     """The (1, y) columns of ``responses`` along a new last axis: a weight
     tile times them gives (sum w, sum w y) for each of its rows."""
@@ -416,7 +400,7 @@ def _quad_tile(u: np.ndarray, h: float):
     """
     def tile(rows, _points, _samples, window):
         z, y = window
-        s = _differences(u[rows], z)
+        s = np.subtract(z, u[rows, None])
         s /= h
         ws = smooth_kernel(s)
         count = np.count_nonzero(ws, axis=1)
@@ -468,7 +452,7 @@ def _quad_fits(z: np.ndarray, y: np.ndarray, points: np.ndarray, h: float):
     solution = np.linalg.solve(scaled[ok], rhs)
     fitted = at[ok]
     coefficients[:, fitted] = (solution[:, :, 0] / h_powers).T
-    leverage[fitted] = smooth_kernel(0.0) * solution[:, 0, 1]
+    leverage[fitted] = NORMALIZER * solution[:, 0, 1]
     return coefficients, usable, leverage
 
 
@@ -512,7 +496,7 @@ def curve_estimates(index_values, responses, grid, h: float, derivative: int = 0
     One batched pass; each value is the matching estimate of
     :func:`local_quad_fit` up to the order of the sums.
     """
-    if derivative not in (0, 1, 2):
+    if not is_integer(derivative) or derivative not in (0, 1, 2):
         raise ValueError(f"derivative order must be 0, 1 or 2, got {derivative}")
     z, y = _fit_inputs(index_values, responses, h)
     points = np.asarray(grid, dtype=float).ravel()
@@ -520,14 +504,14 @@ def curve_estimates(index_values, responses, grid, h: float, derivative: int = 0
 
 
 def relocated_fit(index_values, responses, u: float, h: float,
-                  center: float | None = None, max_steps: int = 64):
+                  center: float | None = None):
     """Local quadratic fit at ``u``, stepping toward the data centre on failure.
 
     Sparse windows near the index extremes can make the fit singular; the
     evaluation point is then moved toward ``center`` (default: median index)
-    in steps of h/4 until a fit succeeds.  Returns ``(fit, moved)``.  A
-    non-finite index value or ``u`` leaves every point unusable, so it
-    raises at once.
+    in steps of h/4 until a fit succeeds, at most ``RELOCATION_STEPS`` of
+    them.  Returns ``(fit, moved)``.  A non-finite index value or ``u``
+    leaves every point unusable, so it raises at once.
     """
     z = _as_vector(index_values, "index_values")
     if not (np.isfinite(u) and np.isfinite(z).all()):
@@ -536,7 +520,7 @@ def relocated_fit(index_values, responses, u: float, h: float,
         center = float(np.median(z))
     point = float(u)
     step = 0.25 * h * (1.0 if center >= point else -1.0)
-    for k in range(max_steps + 1):
+    for k in range(RELOCATION_STEPS + 1):
         try:
             return local_quad_fit(z, responses, point, h), k > 0
         except SingularFitError:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import readonly_array
+from .basis import is_integer, readonly_array
 from .locfit import SingularFitError
 from .model import (
     Dataset,
@@ -59,9 +59,10 @@ class InitStrategy:
     def __post_init__(self):
         if self.kind not in INIT_KINDS:
             raise ValueError(f"unknown init kind {self.kind!r}, expected one of {INIT_KINDS}")
-        if not 1 <= self.keep_best <= self.candidate_count:
+        if not (is_integer(self.candidate_count) and is_integer(self.keep_best)
+                and 1 <= self.keep_best <= self.candidate_count):
             raise ValueError(
-                f"need candidate_count >= keep_best >= 1, got "
+                f"need integers candidate_count >= keep_best >= 1, got "
                 f"{self.candidate_count} and {self.keep_best}"
             )
         if self.kind == "true" and self.true_coeffs is None:
@@ -170,7 +171,10 @@ def minimize(data: Dataset, init, h: float, budget: int | None = None,
     """
     (result,) = minimize_each(data, init, [h], budget, sign_reference, [label])
     if isinstance(result, DegenerateObjectiveError):
-        raise result
+        try:
+            raise result
+        finally:
+            del result  # the traceback holds this frame: error, frame and local would cycle
     return result
 
 

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .bandwidth import METHODS, fit_pipeline
-from .basis import BasisExpansion, FourierBasis, readonly_array
+from .basis import BasisExpansion, FourierBasis, is_integer, readonly_array
 from .locfit import EstimationError, curve_estimates, relocated_fit
 from .model import Dataset, FunctionalBlock, IndexModelSpec, compute_index
 from .optimize import INIT_KINDS, InitStrategy
@@ -50,14 +50,10 @@ class SimScenario:
     seed: object = 0
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"need n >= 1, got {self.n}")
+        _check_counts({"n": (self.n, 1), "basis_dim": (self.basis_dim, 4)})
         if self.link not in LINKS:
             raise ValueError(f"unknown link {self.link!r}, expected one of {sorted(LINKS)}")
-        if self.basis_dim < 4:
-            raise ValueError(f"basis dimension must be >= 4, got {self.basis_dim}")
-        if self.noise_sd < 0:
-            raise ValueError(f"noise level must be nonnegative, got {self.noise_sd}")
+        _check_noise(self.noise_sd)
 
 
 @dataclass(frozen=True)
@@ -124,7 +120,7 @@ def rase(data: Dataset, truth: GroundTruth, spec: IndexModelSpec,
     those whose fit is singular are evaluated at the nearest admissible point
     and counted in ``relocated``.
     """
-    if derivative not in (0, 2):
+    if not is_integer(derivative) or derivative not in (0, 2):
         raise ValueError(f"derivative order must be 0 or 2, got {derivative}")
     z_hat = compute_index(data, spec)
     target = truth.link.g(truth.index) if derivative == 0 else truth.link.curvature(truth.index)
@@ -142,6 +138,20 @@ def rase(data: Dataset, truth: GroundTruth, spec: IndexModelSpec,
 def finite_number(value) -> bool:
     """Whether a config or JSON value is a finite number; a bool is not one."""
     return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _check_counts(counts: dict) -> None:
+    """Raise :class:`ValueError` unless every ``name: (value, low)`` entry
+    holds an integer of at least ``low``.  A bool is an int to Python, but
+    "seed": true in a config is a typo, not seed 1."""
+    for name, (value, low) in counts.items():
+        if not is_integer(value) or value < low:
+            raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def _check_noise(noise_sd) -> None:
+    if not finite_number(noise_sd) or noise_sd < 0:
+        raise ValueError(f"noise_sd must be a finite number >= 0, got {noise_sd!r}")
 
 
 @dataclass(frozen=True)
@@ -182,19 +192,14 @@ class ExperimentConfig:
                                      f"got {value!r}")
         if self.method not in METHODS:
             raise ValueError(f"method must be 'gcv' or 'kfold', got {self.method!r}")
-        counts = {"reps": (self.reps, 1), "seed": (self.seed, 0),
-                  **{f"sizes[{k}]": (n, 1) for k, n in enumerate(self.sizes)},
-                  "basis_dim": (self.basis_dim, 4), "grid_size": (self.grid_size, 1),
-                  "folds": (self.folds, 2 if self.method == "kfold" else 1),
-                  "opt_budget": (self.opt_budget, 0),
-                  "candidate_count": (self.candidate_count, 1),
-                  "keep_best": (self.keep_best, 1)}
-        for name, (value, low) in counts.items():
-            # a bool is an int to Python, but "seed": true is a typo, not seed 1
-            if not isinstance(value, int) or isinstance(value, bool) or value < low:
-                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-        if not finite_number(self.noise_sd) or self.noise_sd < 0:
-            raise ValueError(f"noise_sd must be a finite number >= 0, got {self.noise_sd!r}")
+        _check_counts({"reps": (self.reps, 1), "seed": (self.seed, 0),
+                       **{f"sizes[{k}]": (n, 1) for k, n in enumerate(self.sizes)},
+                       "basis_dim": (self.basis_dim, 4), "grid_size": (self.grid_size, 1),
+                       "folds": (self.folds, 2 if self.method == "kfold" else 1),
+                       "opt_budget": (self.opt_budget, 0),
+                       "candidate_count": (self.candidate_count, 1),
+                       "keep_best": (self.keep_best, 1)})
+        _check_noise(self.noise_sd)
         if not isinstance(self.rescale_comparison, bool):
             raise ValueError(f"rescale_comparison must be a bool, got {self.rescale_comparison!r}")
         if self.keep_best > self.candidate_count:

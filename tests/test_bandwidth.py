@@ -698,6 +698,27 @@ class TestFitPipelines:
         finally:
             gc.enable()
 
+    @pytest.mark.parametrize("call", ["minimize", "fit_pipeline", "kfold_score"])
+    def test_raised_failure_leaves_no_frame_in_a_cycle(self, call):
+        # a raised error's traceback holds the raising frame, so a local of that
+        # frame still holding the error would close a cycle only the collector frees
+        data, _ = linear_dataset(5 if call == "kfold_score" else 6, 0.2, seed=2)
+        failing = {"minimize": lambda: minimize(data, np.zeros(3), 0.5),
+                   "fit_pipeline": lambda: bw.fit_pipeline(data, self.strategies()[0], 3, "gcv",
+                                                           5, 1, 30),
+                   "kfold_score": lambda: bw.kfold_score(data, np.ones(3), 0.5, 2, budget=30)}
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            with pytest.raises(EstimationError):
+                failing[call]()
+            gc.collect()
+            frames = [o.f_code.co_name for o in gc.garbage if hasattr(o, "f_code")]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert call not in frames
+
     def test_kfold_strategies_failing_at_every_bandwidth(self):
         # n=5 in two folds leaves training sets too small for the objective
         data, _ = linear_dataset(5, 0.2, seed=2)

@@ -38,19 +38,6 @@ def test_direct_formula_value():
     assert smooth_kernel(0.5) == pytest.approx(NORMALIZER * 0.75**4, abs=1e-15)
 
 
-def test_kernel_is_the_unnormalized_transform_times_the_constant():
-    # the Nadaraya-Watson sums take transform_inplace as it is; every other
-    # weight is smooth_kernel, the same powers scaled once, bit for bit
-    rng = np.random.default_rng(3)
-    s = np.concatenate([rng.uniform(-1.0, 1.0, 500), rng.uniform(-40.0, 40.0, 500),
-                        [0.0, -0.0, 1.0, -1.0, 1e-300, np.inf, -np.inf, np.nan]])
-    got = smooth_kernel(s)
-    assert got.tobytes() == (transform_inplace(s.copy()) * NORMALIZER).tobytes()
-    # the scalar entry point gives the same bits
-    for k in range(s.size - 8, s.size):
-        assert np.float64(smooth_kernel(s[k])).tobytes() == got[k].tobytes()
-
-
 def test_nonnegative_and_symmetric():
     s = np.linspace(-1.5, 1.5, 4001)
     values = smooth_kernel(s)
@@ -109,9 +96,8 @@ def test_third_derivative_continuous_at_boundary():
 
 
 @pytest.fixture(scope="module")
-def loops(tmp_path_factory):
-    """The compiled loops ``(transform, weights)``, built afresh from the
-    shipped source and flags."""
+def loop(tmp_path_factory):
+    """The compiled loop, built afresh from the shipped source and flags."""
     if shutil.which("cc") is None:
         pytest.skip("no C compiler cc on PATH")
     path = kernel._library_path(str(tmp_path_factory.mktemp("kernel")))
@@ -119,14 +105,12 @@ def loops(tmp_path_factory):
     return kernel._open(path)
 
 
-@pytest.fixture(scope="module")
-def loop(loops):
-    return loops[0]
-
-
-def run_loop(loop, values):
-    u = np.array(values, dtype=np.float64)
-    loop(kernel.ctypes.c_double.from_buffer(u), u.size)
+def run_loop(loop, points, samples):
+    """The loop's weights of ``samples - points``: one tile, or a stack of them."""
+    u = np.empty(points.shape + samples.shape[-1:])
+    pointer = kernel.ctypes.c_double.from_buffer
+    loop(pointer(u), pointer(points), pointer(samples), u.size // (u.shape[-2] * u.shape[-1]),
+         *u.shape[-2:])
     return u
 
 
@@ -161,34 +145,50 @@ def broadcast_weights(points, samples):
     return kernel._numpy_passes(u)
 
 
+@settings(max_examples=200, deadline=None)
+@given(arrays(np.float64, st.sampled_from([(), (1,), (9,), (3, 5), (70,)]),
+              elements=KERNEL_ARGUMENTS),
+       st.sampled_from(["array", "strided", "float32"]), st.booleans())
+def test_kernel_is_the_unnormalized_transform_times_the_constant(s, form, compiled):
+    # the Nadaraya-Watson sums take transform_inplace as it is; every other
+    # weight is smooth_kernel, the same powers scaled once, bit for bit, on the
+    # compiled path and the fallback
+    if form == "strided" and s.ndim:
+        s = np.repeat(s, 2, axis=-1)[..., ::2]
+    elif form == "float32":
+        with np.errstate(over="ignore"):
+            s = s.astype(np.float32)
+    expected = kernel._numpy_passes(np.array(s, dtype=float)) * NORMALIZER
+    with warnings.catch_warnings(), pytest.MonkeyPatch.context() as patch:
+        if not compiled:
+            patch.setattr(kernel, "_weights", None)
+        warnings.simplefilter("error")
+        got = smooth_kernel(s)
+    assert type(got) is float if s.ndim == 0 else got.shape == s.shape
+    assert np.float64(got).tobytes() == expected.tobytes()
+
+
 class TestCompiledTransform:
     @settings(max_examples=300, deadline=None)
     @given(arrays(np.float64, st.integers(1, 70), elements=KERNEL_ARGUMENTS))
     def test_loop_matches_the_numpy_passes_bit_for_bit(self, loop, values):
-        got = run_loop(loop, values)
-        expected = kernel._numpy_passes(values.copy())
-        assert got.tobytes() == expected.tobytes()
-        nan = np.isnan(values)
-        assert np.isnan(got[nan]).all() and np.isnan(expected[nan]).all()
+        # s - (+0) is s for every double, so one zero point turns the samples
+        # themselves into weights, as smooth_kernel does
+        got = run_loop(loop, np.zeros(1), values)[0]
+        assert got.tobytes() == kernel._numpy_passes(values.copy()).tobytes()
+        assert np.isnan(got[np.isnan(values)]).all()
 
     def test_edges_and_every_vector_tail(self, loop):
         rng = np.random.default_rng(11)
         values = np.concatenate([EDGES, rng.uniform(-1.2, 1.2, 1000)])
-        for size in range(1, 40):
-            assert run_loop(loop, values[:size]).tobytes() == \
+        for size in [*range(1, 40), values.size]:
+            assert run_loop(loop, np.zeros(1), values[:size]).tobytes() == \
                 kernel._numpy_passes(values[:size].copy()).tobytes()
-        assert run_loop(loop, values).tobytes() == kernel._numpy_passes(values.copy()).tobytes()
 
     @settings(max_examples=300, deadline=None)
     @given(tiles())
-    def test_fused_weights_match_the_broadcast_and_passes(self, loops, tile):
-        points, samples = tile
-        u = np.empty(points.shape + samples.shape[-1:])
-        loops[1](kernel.ctypes.c_double.from_buffer(u), kernel.ctypes.c_double.from_buffer(points),
-                 kernel.ctypes.c_double.from_buffer(samples),
-                 u.size // (u.shape[-2] * u.shape[-1]), *u.shape[-2:])
-        expected = broadcast_weights(points, samples)
-        assert u.tobytes() == expected.tobytes()
+    def test_fused_weights_match_the_broadcast_and_passes(self, loop, tile):
+        assert run_loop(loop, *tile).tobytes() == broadcast_weights(*tile).tobytes()
 
     @settings(max_examples=150, deadline=None)
     @given(tiles(), st.sampled_from(["compiled", "strided", "float32", "numpy"]))
@@ -223,54 +223,19 @@ class TestCompiledTransform:
 class TestDispatch:
     @pytest.fixture
     def calls(self, monkeypatch):
-        """Sizes of the arrays the compiled loop receives, with a loop that
-        records them and then runs the numpy passes."""
+        """``(batch, rows, columns)`` of every tile the compiled loop receives,
+        with a loop that records them and then runs the numpy form on the
+        arrays themselves, passed in place of their pointers."""
         seen = []
 
-        def recording(pointer, size):
-            seen.append(size)
-            ctypes = kernel.ctypes
-            buffer = np.ctypeslib.as_array(
-                (ctypes.c_double * size).from_address(ctypes.addressof(pointer)))
-            kernel._numpy_passes(buffer)
-
-        def recording_weights(u, points, samples, batch, rows, columns):
+        def recording(u, points, samples, batch, rows, columns):
             seen.append((batch, rows, columns))
-            ctypes = kernel.ctypes
+            kernel._numpy_weights(u.reshape(batch, rows, columns), points.reshape(batch, rows),
+                                  samples.reshape(batch, columns))
 
-            def view(pointer, size):
-                return np.ctypeslib.as_array(
-                    (ctypes.c_double * size).from_address(ctypes.addressof(pointer)))
-            out = view(u, batch * rows * columns).reshape(batch, rows, columns)
-            kernel._numpy_weights(out, view(points, batch * rows).reshape(batch, rows),
-                                  view(samples, batch * columns).reshape(batch, columns))
-
-        monkeypatch.setattr(kernel, "_loop", recording)
-        monkeypatch.setattr(kernel, "_weights", recording_weights)
+        monkeypatch.setattr(kernel, "_pointer", lambda array: array)
+        monkeypatch.setattr(kernel, "_weights", recording)
         return seen
-
-    def test_contiguous_float64_takes_the_loop(self, calls):
-        u = np.linspace(-2.0, 2.0, 12).reshape(3, 4)
-        expected = kernel._numpy_passes(u.copy())
-        assert transform_inplace(u) is u
-        assert calls == [12]
-        assert u.tobytes() == expected.tobytes()
-
-    def test_other_arrays_take_the_numpy_passes(self, calls):
-        scalar = np.array(0.5)
-        assert transform_inplace(scalar) == 0.75**4
-        strided = np.linspace(-2.0, 2.0, 12)
-        view = strided[::2]
-        transform_inplace(view)
-        assert view.tobytes() == kernel._numpy_passes(np.linspace(-2.0, 2.0, 12)[::2]).tobytes()
-        assert strided[1::2].tobytes() == np.linspace(-2.0, 2.0, 12)[1::2].tobytes()
-        single = np.linspace(-2.0, 2.0, 12, dtype=np.float32)
-        transform_inplace(single)
-        assert single.dtype == np.float32
-        assert single.tobytes() == kernel._numpy_passes(
-            np.linspace(-2.0, 2.0, 12, dtype=np.float32)).tobytes()
-        transform_inplace(np.empty(0))
-        assert calls == []
 
     def test_contiguous_float64_tiles_take_the_fused_loop(self, calls):
         points = np.linspace(-2.0, 2.0, 6).reshape(2, 3)
@@ -284,7 +249,6 @@ class TestDispatch:
 
     def test_other_tiles_take_the_broadcast(self, calls):
         points, samples = np.linspace(-2.0, 2.0, 6), np.linspace(-1.0, 1.5, 8)
-        expected = broadcast_weights(points, samples)
         for p, s, u in [(points[::2], samples, np.empty((3, 8))),
                         (points, samples[::2], np.empty((6, 4))),
                         (points.astype(np.float32), samples, np.empty((6, 8))),
@@ -296,19 +260,30 @@ class TestDispatch:
                 assert u.tobytes() == broadcast_weights(
                     p.astype(float), s.astype(float)).reshape(u.shape).tobytes()
         assert calls == []
+
+    def test_contiguous_float64_takes_the_loop(self, calls):
+        # smooth_kernel's arguments, 0-d, stacked, strided or float32, reach the
+        # loop as the one row of a fresh tile against one zero point
+        values = np.linspace(-2.0, 2.0, 12)
+        for s in (0.5, values.reshape(3, 4), values[::2], values.astype(np.float32)):
+            smooth_kernel(s)
+        assert calls == [(1, 1, 1), (1, 1, 12), (1, 1, 6), (1, 1, 12)]
+
+    def test_other_arrays_take_the_numpy_passes(self, calls):
+        frozen = np.linspace(-2.0, 2.0, 12)
+        frozen.flags.writeable = False
+        assert smooth_kernel(frozen).tobytes() == smooth_kernel(frozen.copy()).tobytes()
+        assert smooth_kernel(np.empty((0, 3))).shape == (0, 3)
+        assert calls == [(1, 1, 12)]
+
+    def test_read_only_array_raises_and_keeps_its_values(self, calls):
         # a read-only tile raises before anything is written
+        points, samples = np.linspace(-2.0, 2.0, 6), np.linspace(-1.0, 1.5, 8)
         u = np.zeros((6, 8))
         u.flags.writeable = False
         with pytest.raises(ValueError):
             transform_inplace(u, points, samples)
-        assert not u.any() and expected.any()
-
-    def test_read_only_array_raises_and_keeps_its_values(self, calls):
-        u = np.linspace(-2.0, 2.0, 12)
-        u.flags.writeable = False
-        with pytest.raises(ValueError):
-            transform_inplace(u)
-        assert u.tobytes() == np.linspace(-2.0, 2.0, 12).tobytes()
+        assert not u.any() and broadcast_weights(points, samples).any()
         assert calls == []
 
 
@@ -317,21 +292,20 @@ def test_neither_path_warns(monkeypatch, compiled):
     # an s^2 that overflows is weight 0 on both paths, without a warning
     # and so is a difference that overflows; inf - inf is NaN, also silently
     if not compiled:
-        monkeypatch.setattr(kernel, "_loop", None)
         monkeypatch.setattr(kernel, "_weights", None)
     elif kernel.COMPILED_LIBRARY is None:
         pytest.skip("the numpy passes run here")
-    u = np.array([1.4e154, -1e200, 1.7976931348623157e308, np.inf, -np.inf, np.nan, 0.5])
+    s = np.array([1.4e154, -1e200, 1.7976931348623157e308, np.inf, -np.inf, np.nan, 0.5])
     points = np.array([-1.7976931348623157e308, np.inf, 0.0])
     samples = np.array([1.7976931348623157e308, np.inf, 0.5])
     tile = np.empty((3, 3))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        transform_inplace(u)
+        u = smooth_kernel(s)
         transform_inplace(tile, points, samples)
         np.ones(3) * 2.0  # no floating-point flag of the loop leaks into later numpy calls
     assert u[:5].tolist() == [0.0] * 5
-    assert np.isnan(u[5]) and u[6] == 0.75**4
+    assert np.isnan(u[5]) and u[6] == NORMALIZER * 0.75**4
     assert np.isnan(tile[1, 1]) and tile[2, 2] == 0.75**4
     assert np.delete(tile.ravel(), [4, 8]).tolist() == [0.0] * 7
 

@@ -52,14 +52,22 @@ def test_main_prints_facts_and_table(capsys):
     assert out[5:7] == ["| layer | per call |", "| --- | --- |"]
     assert [line.split(" | ")[0] for line in out[7:10]] == [
         f"| objective_loo_mse, n = {n}" for n in kernel_sweep.OBJECTIVE_SIZES]
-    assert out[-1].startswith("| k-fold step: 50 points on 10 training sets of 90 | ")
+    assert out[10].startswith("| k-fold step: 50 points on 10 training sets of 90 | ")
+    assert out[11] == "| local-quadratic layer | per call |" and len(out) == 16
+
+
+def test_local_quadratic_table_at_a_tiny_n():
+    rows = kernel_sweep.local_quadratic_times(1, seed=3, sizes=(30,), points=40, curve_n=30)
+    assert kernel_sweep.quad_table([(layer, 1.5e-3) for layer, _ in rows])[2:] == [
+        "| level_fits pass, n = 30 | 1.5 ms |", "| curve_estimates, 40 points at n = 30 | 1.5 ms |"]
+    assert all(seconds > 0.0 for _, seconds in rows)
 
 
 def test_transform_path_names_the_loaded_library(monkeypatch):
     monkeypatch.setattr(kernel_sweep.kernel, "COMPILED_LIBRARY", "/cache/transform-0.so")
     monkeypatch.setattr(kernel_sweep.kernel, "_weights", print)
-    assert kernel_sweep.transform_path() == "fused compiled weights (/cache/transform-0.so)"
-    # a source tree older than the fused weights has the transform loop alone
+    assert kernel_sweep.transform_path() == "compiled weights (/cache/transform-0.so)"
+    # a source tree older than the compiled weights has the in-place loop alone
     monkeypatch.delattr(kernel_sweep.kernel, "_weights")
     assert kernel_sweep.transform_path() == "compiled loop (/cache/transform-0.so)"
     monkeypatch.setattr(kernel_sweep.kernel, "COMPILED_LIBRARY", None)

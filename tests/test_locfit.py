@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from fsim import kernel, locfit
-from fsim.kernel import smooth_kernel, transform_inplace
+from fsim.kernel import smooth_kernel
 from fsim.locfit import (
     SingularFitError,
     curve_estimates,
@@ -289,15 +289,13 @@ def loo_oracles(n):
 
 
 def per_tile_loo_sums(points, responses):
-    """The symmetric walk one tile at a time from the kernel arguments: one
-    :func:`locfit._differences` and one plain :func:`transform_inplace` per
-    tile, the reference for the walk that forms each tile's weights from its
-    points and samples in one pass."""
+    """The symmetric walk one tile at a time, each tile's weights from a broadcast
+    subtraction and the numpy passes: the reference for the compiled walk."""
     order, p, _, _, tiles = locfit._sorted_tiles(points)
     ones_y = locfit._ones_y(responses[order])
     sums = np.zeros((p.size, 2))
     for a, b, _, c1 in tiles:
-        w = transform_inplace(locfit._differences(p[a:b], p[a:c1]))
+        w = kernel._numpy_passes(p[None, a:c1] - p[a:b, None])
         w.reshape(-1)[::c1 - a + 1] = 0.0
         sums[a:b] += w @ ones_y[a:c1]
         sums[b:c1] += w[:, b - a:].T @ ones_y[a:b]
@@ -374,7 +372,7 @@ class TestKernelSumEngine:
         y = rng.normal(size=CUTOFF)
         scaled = z / 0.3
         # unnormalized weights, own sample zeroed, both sums from one product
-        w = transform_inplace(scaled[None, :] - scaled[:, None])
+        w = kernel._numpy_passes(scaled[None, :] - scaled[:, None])
         np.fill_diagonal(w, 0.0)
         sums = w @ np.stack([np.ones(CUTOFF), y], axis=1)
         estimates, excluded = nw_loo_all(z, y, 0.3)
@@ -441,13 +439,11 @@ class TestKernelSumEngine:
             np.testing.assert_array_equal(excluded[b], alone_excluded)
 
     @pytest.mark.parametrize("n", [90, 200, 1000])
-    def test_product_differences_give_the_broadcast_bits(self, n, monkeypatch):
-        # the Nadaraya-Watson tiles form each weight from samples - points in
-        # one compiled pass, and the local-quadratic tiles form samples -
-        # points as one matrix product; each difference is the broadcast one
-        # (a zero's sign aside, which neither the kernel nor the tile sums
-        # see), so every result keeps the bits of the broadcast subtraction
-        # and the numpy passes, and non-finite tiles warn no more than they do
+    def test_compiled_weights_give_the_broadcast_bits(self, n, monkeypatch):
+        # every tile takes its weights from the compiled loop, which forms
+        # samples - points as the broadcast subtraction does; so every result
+        # keeps the bits of the broadcast subtraction and the numpy passes,
+        # signed zeros included, and non-finite tiles warn no more than they do
         rng = np.random.default_rng(n + 7)
         z = np.stack([awkward_index(n, rng) for _ in range(3)])
         z[1, :6] = [0.0, -0.0, 0.0, -0.0, 0.0, -0.0]
@@ -472,30 +468,13 @@ class TestKernelSumEngine:
                         for b in (0, 1) for at in (z[b], odd_points) for hb in h[1:]]
             return [array for result in results for array in result]
 
-        product = outputs()
-        assert any(np.isnan(array).any() for array in product)
-        monkeypatch.setattr(locfit, "_differences",
-                            lambda points, samples: samples[..., None, :] - points[..., :, None])
+        compiled = outputs()
+        assert any(np.isnan(array).any() for array in compiled)
         monkeypatch.setattr(kernel, "_weights", None)
-        monkeypatch.setattr(kernel, "_loop", None)
         broadcast = outputs()
-        assert len(product) == len(broadcast) == 54
-        for got, expected in zip(product, broadcast):
+        assert len(compiled) == len(broadcast) == 54
+        for got, expected in zip(compiled, broadcast):
             assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
-
-    def test_product_differences_are_the_broadcast_values(self):
-        special = [0.0, -0.0, 1.5, -2.0, 1e300, -1e-300]
-        points = np.array(special * 3)
-        samples = np.array(special[::-1] * 5)
-        stacked = np.stack([points, points[::-1]]), np.stack([samples, samples[::-1]])
-        for p, s in ((points, samples), stacked):
-            got = locfit._differences(p, s)
-            expected = s[..., None, :] - p[..., :, None]
-            assert got.shape == expected.shape
-            # equal values, and equal bits wherever the difference is not zero
-            np.testing.assert_array_equal(got, expected)
-            nonzero = expected != 0.0
-            assert got[nonzero].tobytes() == expected[nonzero].tobytes()
 
     def test_batch_stacks_at_most_one_dense_tile_of_pairs(self, monkeypatch):
         shapes = []
@@ -790,6 +769,12 @@ class TestCurveHelpers:
         with pytest.raises(ValueError, match="bandwidth must be positive"):
             curve_estimates(np.arange(5.0), np.zeros(5), [1.0], h)
 
+    def test_curve_estimates_rejects_orders_other_than_0_1_2(self):
+        # True once returned all three coefficient rows, False none, and 2.0 an IndexError
+        for order in (True, False, 2.0, 3, -1, "1"):
+            with pytest.raises(ValueError, match="derivative order must be 0, 1 or 2"):
+                curve_estimates(np.arange(5.0), np.zeros(5), [1.0], 0.5, derivative=order)
+
     def test_curve_estimates_rejects_mismatched_lengths(self):
         with pytest.raises(ValueError, match="got 5 index values but 4 responses"):
             curve_estimates(np.arange(5.0), np.zeros(4), [1.0], 0.5)
@@ -804,10 +789,13 @@ class TestCurveHelpers:
         fit2, moved2 = relocated_fit(z, y, 0.5, 0.4)
         assert not moved2
 
-    def test_relocated_fit_gives_up(self):
-        z = np.array([0.0, 10.0, 20.0])
+    def test_relocated_fit_gives_up(self, monkeypatch):
+        # h/4 steps from 0 to the median 10 would be 4000 fits; it stops after 64
+        calls, fit = [], locfit.local_quad_fit
+        monkeypatch.setattr(locfit, "local_quad_fit", lambda *args: calls.append(args) or fit(*args))
         with pytest.raises(SingularFitError):
-            relocated_fit(z, np.zeros(3), 0.0, 0.01, max_steps=4)
+            relocated_fit(np.array([0.0, 10.0, 20.0]), np.zeros(3), 0.0, 0.01)
+        assert len(calls) == locfit.RELOCATION_STEPS + 1 == 65
 
     @pytest.mark.parametrize("bad", ["nan_sample", "inf_sample", "nan_point", "inf_point"])
     def test_relocated_fit_gives_up_at_once_on_non_finite_input(self, bad, monkeypatch):

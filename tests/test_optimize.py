@@ -161,8 +161,11 @@ class TestInitRandom:
         assert max(kept_scores) <= min(all_scores[5:])
 
     def test_strategy_validation(self):
-        with pytest.raises(ValueError):
-            InitStrategy(kind="random", candidate_count=3, keep_best=5)
+        for counts in [(3, 5), (10.5, 2), (10, 2.0), (True, 1), (10, True)]:
+            with pytest.raises(ValueError, match="need integers"):
+                InitStrategy(kind="random", candidate_count=counts[0], keep_best=counts[1])
+        cfg = InitStrategy(kind="random", candidate_count=np.int64(3), keep_best=np.int32(2))
+        assert len(init_random(self.data(), 0.5, cfg)) == 2
         with pytest.raises(ValueError):
             InitStrategy(kind="nope")
         with pytest.raises(ValueError):

@@ -62,11 +62,15 @@ class TestGenerate:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            SimScenario(n=0)
-        with pytest.raises(ValueError):
             SimScenario(n=5, link="g9")
-        with pytest.raises(ValueError):
-            SimScenario(n=5, basis_dim=3)
+        # ExperimentConfig's rules: integers that are not bools, a finite noise level
+        for field, value in [("n", 0), ("n", 10.5), ("n", True), ("basis_dim", 3),
+                             ("basis_dim", 6.5), ("basis_dim", False), ("noise_sd", -0.1),
+                             ("noise_sd", np.nan), ("noise_sd", np.inf), ("noise_sd", True)]:
+            with pytest.raises(ValueError, match=f"{field} must be a"):
+                SimScenario(**{"n": 10, field: value})
+        data, _ = generate(SimScenario(n=np.int64(6), basis_dim=np.int32(5), seed=1))
+        assert data.blocks[0].coeffs.shape == (6, 5)
 
 
 class TestRse:
@@ -161,8 +165,10 @@ class TestRase:
     def test_rejects_other_derivatives(self):
         data, truth = generate(SimScenario(n=30, seed=12))
         spec = spec_from_raw(data, truth.beta.coeffs)
-        with pytest.raises(ValueError):
-            rase(data, truth, spec, derivative=1, bandwidth=float(np.std(truth.index)))
+        # False once ran as order 0 into a NaN with two RuntimeWarnings
+        for order in (1, False, True, 2.0):
+            with pytest.raises(ValueError, match="derivative order must be 0 or 2"):
+                rase(data, truth, spec, derivative=order, bandwidth=float(np.std(truth.index)))
 
 
 class TestRunExperiment:

@@ -10,20 +10,24 @@ problem as one dense tile and once on the sorted-window walk, by setting
 tile and to n - 1 for the walk.  A round times one pass over the grid on
 each path; the path that runs first alternates from round to round, and
 each path keeps its best round.  The script prints the machine facts, with
-the kernel transform that runs (the compiled loops, with or without the
-fused tile weights, or the numpy passes; see ``fsim.kernel``), then a
-markdown table of the mean time per call on each path and the speed-up of
-the walk over the dense tile.  A second table times the layers a
-coefficient search spends its evaluations in: one full-data
-``objective_loo_mse`` call at n = 90, 200 and 1000 (a g3 draw at its true
-coefficients and the middle bandwidth of its grid, best of ``--rounds``
-rounds of 200 calls, 20 at n = 1000), and one stacked k-fold step, which
-the benchmark's tracer does not see: one ``StackedObjective`` call with 50
-points, one per search, on the ten 90-sample training sets of a 100-sample
-g1 draw, at five bandwidths of its grid, best of ``--rounds`` rounds of ten
-calls.  fsim is imported from ``PYTHONPATH`` when that provides it, else
-from the ``src`` directory of this checkout, so one copy of the script can
-time another source tree.
+the kernel transform that runs (the compiled weights or the numpy passes;
+see ``fsim.kernel``), then a markdown table of the mean time per call on
+each path and the speed-up of the walk over the dense tile.  A second table
+times the layers a coefficient search spends its evaluations in: one
+full-data ``objective_loo_mse`` call at n = 90, 200 and 1000 (a g3 draw at
+its true coefficients and the middle bandwidth of its grid, best of
+``--rounds`` rounds of 200 calls, 20 at n = 1000), and one stacked k-fold
+step, which the benchmark's tracer does not see: one ``StackedObjective``
+call with 50 points, one per search, on the ten 90-sample training sets of
+a 100-sample g1 draw, at five bandwidths of its grid, best of ``--rounds``
+rounds of ten calls.  A third table times the batched local-quadratic fits
+on the same g3 draws and bandwidths: the pass ``level_fits`` makes for GCV
+(``locfit._quad_fits`` at every sample, which unlike ``level_fits`` does
+not raise on an unusable row) at n = 200 and 1000, and one
+``curve_estimates`` call of ``g''`` over 1000 grid points at n = 200, best
+of ``--rounds`` rounds of 20 calls.  fsim is imported from ``PYTHONPATH``
+when that provides it, else from the ``src`` directory of this checkout, so
+one copy of the script can time another source tree.
 """
 
 from __future__ import annotations
@@ -49,18 +53,22 @@ from fsim.simulate import SimScenario, generate
 
 # full-data objective sizes of the layer table
 OBJECTIVE_SIZES = (90, 200, 1000)
+# the local-quadratic table: level_fits passes at these sizes, and one
+# curve_estimates call over CURVE_POINTS grid points at n = CURVE_N
+LEVEL_SIZES = (200, 1000)
+CURVE_POINTS, CURVE_N = 1000, 200
 
 
 def transform_path() -> str:
-    """Which kernel transform runs: the compiled loops and their library, with
-    the fused tile weights where the tree has them, or the numpy passes (also
-    in a source tree older than the compiled loop)."""
+    """Which kernel transform runs: the compiled weights and their library,
+    or the numpy passes.  A source tree older than the compiled weights runs
+    the in-place compiled loop, or the numpy passes when it is older still."""
     library = getattr(kernel, "COMPILED_LIBRARY", None)
     if not library:
         return "numpy passes"
-    if getattr(kernel, "_weights", None) is not None:
-        return f"fused compiled weights ({library})"
-    return f"compiled loop ({library})"
+    if getattr(kernel, "_weights", None) is None:
+        return f"compiled loop ({library})"
+    return f"compiled weights ({library})"
 
 
 def machine_facts() -> str:
@@ -108,19 +116,48 @@ def sweep(sizes, rounds: int, seed: int = 0) -> list[tuple[int, float, float]]:
     return rows
 
 
-def objective_time(n: int, rounds: int, seed: int = 0) -> float:
-    """Best mean seconds per full-data ``objective_loo_mse`` call on a g3 draw
-    of ``n`` samples, at its true coefficients and the middle grid bandwidth."""
-    data, truth = generate(SimScenario(n=n, link="g3", seed=seed))
-    h = BandwidthGrid.default(n, float(np.std(truth.index))).values[5]
-    calls = 20 if n >= 1000 else 200
+def _best(call, rounds: int, calls: int) -> float:
+    """Best mean seconds per ``call()`` over ``rounds`` rounds of ``calls`` calls."""
     best = np.inf
     for _ in range(rounds):
         started = time.perf_counter()
         for _ in range(calls):
-            objective_loo_mse(data, truth.beta.coeffs, h)
+            call()
         best = min(best, (time.perf_counter() - started) / calls)
     return best
+
+
+def _g3_draw(n: int, seed: int):
+    """A g3 draw of ``n`` samples and the middle bandwidth of its grid at the true index."""
+    data, truth = generate(SimScenario(n=n, link="g3", seed=seed))
+    return data, truth, BandwidthGrid.default(n, float(np.std(truth.index))).values[5]
+
+
+def objective_time(n: int, rounds: int, seed: int = 0) -> float:
+    """Best mean seconds per full-data ``objective_loo_mse`` call on a g3 draw
+    of ``n`` samples, at its true coefficients and the middle grid bandwidth."""
+    data, truth, h = _g3_draw(n, seed)
+    return _best(lambda: objective_loo_mse(data, truth.beta.coeffs, h), rounds,
+                 20 if n >= 1000 else 200)
+
+
+def local_quadratic_times(rounds: int, seed: int = 0, sizes=LEVEL_SIZES,
+                          points: int = CURVE_POINTS, curve_n: int = CURVE_N):
+    """``(layer, seconds)`` rows of the local-quadratic table: the best mean
+    seconds per ``level_fits`` pass at each of ``sizes``, then per
+    ``curve_estimates`` call over ``points`` grid points at ``curve_n``."""
+    rows = []
+    for n in sizes:
+        data, truth, h = _g3_draw(n, seed)
+        rows.append((f"level_fits pass, n = {n}",
+                     _best(lambda: locfit._quad_fits(truth.index, data.y, truth.index, h),
+                           rounds, 20)))
+    data, truth, h = _g3_draw(curve_n, seed)
+    grid = np.linspace(truth.index.min(), truth.index.max(), points)
+    rows.append((f"curve_estimates, {points} points at n = {curve_n}",
+                 _best(lambda: locfit.curve_estimates(truth.index, data.y, grid, h, 2),
+                       rounds, 20)))
+    return rows
 
 
 def stacked_step(rounds: int, seed: int = 0) -> float:
@@ -137,13 +174,7 @@ def stacked_step(rounds: int, seed: int = 0) -> float:
     rng = np.random.default_rng(seed)
     points = truth.beta.coeffs + 0.1 * rng.standard_normal((50, data.search_dimension()))
     which = np.arange(50)
-    best = np.inf
-    for _ in range(rounds):
-        started = time.perf_counter()
-        for _ in range(10):
-            objective(which, points)
-        best = min(best, (time.perf_counter() - started) / 10)
-    return best
+    return _best(lambda: objective(which, points), rounds, 10)
 
 
 def _duration(seconds: float) -> str:
@@ -168,6 +199,12 @@ def step_table(objective, seconds: float) -> list[str]:
             + [f"| k-fold step: 50 points on 10 training sets of 90 | {_duration(seconds)} |"])
 
 
+def quad_table(rows) -> list[str]:
+    """The markdown table of :func:`local_quadratic_times` rows."""
+    return (["| local-quadratic layer | per call |", "| --- | --- |"]
+            + [f"| {layer} | {_duration(seconds)} |" for layer, seconds in rows])
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sizes", default="100,200,250,300,400,1000,4000",
@@ -184,6 +221,7 @@ def main(argv=None) -> int:
     print("\n".join(table(sweep(sizes, args.rounds, args.seed))))
     objective = [(n, objective_time(n, args.rounds, args.seed)) for n in OBJECTIVE_SIZES]
     print("\n".join(step_table(objective, stacked_step(args.rounds, args.seed))))
+    print("\n".join(quad_table(local_quadratic_times(args.rounds, args.seed))))
     return 0
 
 
