@@ -1,17 +1,19 @@
 """Compactly supported smoothing kernel with three continuous derivatives.
 
 :func:`transform_inplace`, the kernel without its constant, is the innermost
-loop of every kernel sum.  Given a tile's points and samples it forms each
-kernel argument samples[j] - points[i] and its weight in one pass, so no
-caller writes the arguments out; :func:`smooth_kernel` passes its arguments
-as samples against one zero point.  On writeable, aligned, C-contiguous
-float64 arrays it runs a C loop, which the system C compiler (``cc``) builds
-once into a per-user cache and ``ctypes`` loads when this module is
-imported; ``COMPILED_LIBRARY`` is the path of the library loaded, or
-``None``.  Other arrays, and all arrays when no library could be built,
-loaded or trusted, take a broadcast subtraction and five numpy passes, which
-the loop reproduces bit for bit.  The choice depends only on what the loader
-finds and on the arrays; no option selects it.
+loop of every kernel sum over a tile.  Given a tile's points and samples it
+forms each kernel argument samples[j] - points[i] and its weight in one
+pass, so no caller writes the arguments out; :func:`smooth_kernel` passes
+its arguments as samples against one zero point.  :func:`loo_sums` gives the
+leave-one-out sums (sum w, sum w y) of every sample of a sorted index in one
+call, each row summed over its own window in ascending order.  On writeable,
+aligned, C-contiguous float64 arrays both run C loops, which the system C
+compiler (``cc``) builds once into a per-user cache and ``ctypes`` loads
+when this module is imported; ``COMPILED_LIBRARY`` is the path of the
+library loaded, or ``None``.  Other arrays, and all arrays when no library
+could be built, loaded or trusted, take their numpy forms, which the loops
+reproduce bit for bit.  The choice depends only on what the loader finds and
+on the arrays; no option selects it.
 """
 
 import contextlib
@@ -35,13 +37,21 @@ MAX_MOMENT = 8
 # does.  fsim_kernel_weights forms each argument as the broadcast subtraction
 # samples[j] - points[i] does, then its weight, in one pass over the tile.
 # On x86-64 Linux the loader picks the widest clone the CPU runs.
-_SOURCE = r"""
+_HEAD = r"""
 #include <stddef.h>
 #if defined(__x86_64__) && defined(__linux__)
 #define CLONES __attribute__((target_clones("avx512f", "avx2", "default")))
+#define WIDTH_8 __attribute__((target("avx512f")))
+#define WIDTH_4 __attribute__((target("avx2")))
+#define WIDEST (__builtin_cpu_init(), __builtin_cpu_supports("avx512f") ? 8 \
+                : __builtin_cpu_supports("avx2") ? 4 : 2)
 #else
 #define CLONES
+#define WIDTH_8
+#define WIDTH_4
+#define WIDEST 2
 #endif
+#define WIDTH_2
 
 static inline double weight(double x)
 {
@@ -62,6 +72,70 @@ CLONES void fsim_kernel_weights(double *u, const double *points, const double *s
         }
 }
 """
+# The leave-one-out sums at LANES sorted rows at a time, one vector register
+# of rows (8 with AVX-512, 4 with AVX2, 2 otherwise: a wider block than the
+# registers ran 4-5 times slower).  Each block runs over the samples [lo, hi)
+# that any of its rows reaches, lo ending the reach of its first row and hi
+# that of its last, both found by comparing the difference the weight uses
+# with -1 and 1.  Each lane adds its row's terms sample by sample, so a row's
+# sums run in ascending sample order from +0; a sample outside the row's
+# window weighs +0 and the row's own sample is masked to +0, so they add an
+# exact +-0 and leave the sums as the row's own window gives them.  The
+# select of the weight is the scalar one's: NaN is not below 0.
+_LOO_SUMS = r"""
+typedef double doubles_LANES __attribute__((vector_size(LANES * sizeof(double))));
+typedef long long bits_LANES __attribute__((vector_size(LANES * sizeof(double))));
+
+WIDTH_LANES static void loo_sums_LANES(double *den, double *num, const double *p,
+                                       const double *y, size_t n)
+{
+    bits_LANES lane;
+    for (size_t l = 0; l < LANES; l++)
+        lane[l] = (long long)l;
+    for (size_t i = 0, lo = 0, hi = 0; i < n; i += LANES) {
+        size_t rows = n - i < LANES ? n - i : LANES, last = i + rows - 1;
+        doubles_LANES at, sw = {0.0}, swy = {0.0};
+        for (size_t l = 0; l < LANES; l++)
+            at[l] = p[l < rows ? i + l : last];
+        while (p[lo] - p[i] <= -1.0)
+            lo++;
+        if (hi <= last)
+            hi = last + 1;
+        while (hi < n && p[hi] - p[last] < 1.0)
+            hi++;
+        for (size_t j = lo; j < hi; j++) {
+            doubles_LANES x = p[j] - at;
+            x = 1.0 - x * x;
+            x = (doubles_LANES)((bits_LANES)x & ~(x < 0.0));
+            x = x * x;
+            x = x * x;
+            if (j - i < rows)
+                x = (doubles_LANES)((bits_LANES)x & (lane != (long long)(j - i)));
+            sw += x;
+            swy += x * y[j];
+        }
+        for (size_t l = 0; l < rows; l++) {
+            den[i + l] = sw[l];
+            num[i + l] = swy[l];
+        }
+    }
+}
+"""
+_SOURCE = _HEAD + "".join(_LOO_SUMS.replace("LANES", str(lanes)) for lanes in (8, 4, 2)) + r"""
+void fsim_loo_sums(double *den, double *num, const double *p, const double *y, size_t n)
+{
+    switch (WIDEST) {
+    case 8:
+        loo_sums_8(den, num, p, y, n);
+        break;
+    case 4:
+        loo_sums_4(den, num, p, y, n);
+        break;
+    default:
+        loo_sums_2(den, num, p, y, n);
+    }
+}
+"""
 # -ffp-contract=off: a fused multiply-add would round 1 - x*x once, not twice,
 # and change the bits (GCC fuses by default in GNU C mode).  -O3 with
 # -fno-trapping-math lets GCC vectorize the select; without them the loop is
@@ -74,6 +148,18 @@ _FLAGS = ("-O3", "-fno-trapping-math", "-ffp-contract=off", "-fPIC", "-shared")
 _PROBE = np.concatenate([np.linspace(-1.1, 1.1, 45),
                          [0.0, -0.0, 1.0, -1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0),
                           5e-324, 1e-300, 1e200, np.inf, -np.inf, np.nan]])
+# a sorted index whose leave-one-out sums a library must give the numpy form's
+# bits: ties, differences of exactly 1, within one rounding of 1 and
+# subnormal, squares that overflow, differences that overflow, and 53 rows,
+# a ragged last block at every width
+_SORTED_PROBE = np.array(sorted([
+    *np.linspace(-1.5, 1.5, 31).tolist(), 0.0, 0.0, -0.0, 0.5, 0.5, 1.5, -1.0, 1.0, 2.0,
+    np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0), np.nextafter(-1.0, 0.0), 5e-324, 1e-310,
+    2e154, 2e154 + 1e138, 3e154, 1e200, -1e200, 1.7e308, -1.7e308, 1.6e308]))
+_SORTED_PROBE_Y = np.array([-0.0 if k % 7 == 0 else (k * 5 % 11 - 5.0) / 3.0
+                            for k in range(_SORTED_PROBE.size)])
+# rows per tile of the numpy leave-one-out sums
+_TILE_ROWS = 64
 
 
 def _numpy_passes(u: np.ndarray) -> np.ndarray:
@@ -100,6 +186,40 @@ def _numpy_weights(u: np.ndarray, points: np.ndarray, samples: np.ndarray) -> np
     with np.errstate(over="ignore", invalid="ignore"):
         np.subtract(samples[..., None, :], points[..., :, None], out=u)
     return _numpy_passes(u)
+
+
+def _numpy_loo_sums(p: np.ndarray, y: np.ndarray):
+    """The leave-one-out sums of :func:`loo_sums` in numpy, bit for bit.
+
+    Tiles of ``_TILE_ROWS`` sorted rows each take the run of samples their
+    rows can reach, found by a reach widened by the rounding of p +- 1 so no
+    in-window sample is cut; every other sample weighs +0 and adds an exact
+    +-0, as does the row's own, zeroed.  A tile holds its terms sample-major,
+    so ``np.add.reduce`` over samples, which numpy sums one sample after the
+    other from ``initial`` off the fast axis (pairwise only along it), sums
+    each row in the loop's order; ``np.add.accumulate`` gives the same bits
+    about nine times slower.
+    """
+    sums = np.empty((2, p.size))
+    if not p.size:
+        return sums[0], sums[1]
+    reach = 1.0 + 4.0 * np.finfo(float).eps * (2.0 + max(-p[0], p[-1]))
+    # the last tile takes up to one row more: a tile of one row would make
+    # the samples the fast axis
+    starts = np.arange(0, max(p.size - 1, 1), _TILE_ROWS)
+    stops = np.append(starts[1:], p.size)
+    # a reach bound or a sum that overflows is an infinity, as in the loop
+    with np.errstate(over="ignore"):
+        lo = p.searchsorted(p[starts] - reach, side="left")
+        hi = p.searchsorted(p[stops - 1] + reach, side="right")
+        for a, b, c0, c1 in zip(starts.tolist(), stops.tolist(), lo.tolist(), hi.tolist()):
+            # w[j, i] weighs p[a + i] - p[c0 + j], the exact negation of the
+            # loop's difference, so the same weight
+            w = _numpy_weights(np.empty((c1 - c0, b - a)), p[c0:c1], p[a:b])
+            w[np.arange(a - c0, b - c0), np.arange(b - a)] = 0.0
+            np.add.reduce(w * y[c0:c1, None], axis=0, out=sums[1, a:b], initial=0.0)
+            np.add.reduce(w, axis=0, out=sums[0, a:b], initial=0.0)
+    return sums[0], sums[1]
 
 
 def _cache_dir() -> str | None:
@@ -169,13 +289,15 @@ _pointer = ctypes.c_double.from_buffer
 
 
 def _open(path: str):
-    """The fused loop of the library at ``path``, once it has matched its
-    numpy form on a probe."""
-    weights = ctypes.CDLL(path).fsim_kernel_weights
+    """``(weights, loo_sums)``, the two loops of the library at ``path``, once
+    each has matched its numpy form on a probe."""
+    library = ctypes.CDLL(path)
+    weights, loo = library.fsim_kernel_weights, library.fsim_loo_sums
     double_p = ctypes.POINTER(ctypes.c_double)
     weights.argtypes = (double_p, double_p, double_p, ctypes.c_size_t, ctypes.c_size_t,
                         ctypes.c_size_t)
-    weights.restype = None
+    loo.argtypes = (double_p, double_p, double_p, double_p, ctypes.c_size_t)
+    weights.restype = loo.restype = None
     # three stacked tiles: every probe value against every one in its stack,
     # inf - inf, overflowing differences and exact cancellations included
     points, samples = _PROBE.reshape(3, -1).copy(), _PROBE[::-1].reshape(3, -1).copy()
@@ -183,26 +305,31 @@ def _open(path: str):
     weights(_pointer(tiles), _pointer(points), _pointer(samples), *tiles.shape)
     if tiles.tobytes() != _numpy_weights(np.empty_like(tiles), points, samples).tobytes():
         raise OSError(f"{path} does not reproduce the numpy kernel transform")
-    return weights
+    p, y = _SORTED_PROBE.copy(), _SORTED_PROBE_Y.copy()
+    sums = np.empty((2, p.size))
+    loo(_pointer(sums[0]), _pointer(sums[1]), _pointer(p), _pointer(y), p.size)
+    if sums.tobytes() != np.stack(_numpy_loo_sums(p, y)).tobytes():
+        raise OSError(f"{path} does not reproduce the numpy leave-one-out sums")
+    return weights, loo
 
 
 def _load():
-    """``(weights, path)`` of the cached library, built first when missing,
-    or ``(None, None)`` when there is no usable cache directory or the build,
-    the load or the probe fails."""
+    """``(weights, loo_sums, path)`` of the cached library, built first when
+    missing, or ``(None, None, None)`` when there is no usable cache
+    directory or the build, the load or a probe fails."""
     directory = _cache_dir()
     if directory is None:
-        return None, None
+        return None, None, None
     path = _library_path(directory)
     try:
         if not os.path.exists(path):
             _build(path)
-        return _open(path), path
+        return *_open(path), path
     except (OSError, AttributeError):
-        return None, None
+        return None, None, None
 
 
-_weights, COMPILED_LIBRARY = _load()
+_weights, _loo_sums, COMPILED_LIBRARY = _load()
 # the one point smooth_kernel measures its arguments from: s - (+0) is s for
 # every double, -0, the infinities and NaN included
 _ORIGIN = np.zeros(1)
@@ -239,6 +366,26 @@ def transform_inplace(u: np.ndarray, points: np.ndarray, samples: np.ndarray) ->
                  rows, columns)
         return u
     return _numpy_weights(u, points, samples)
+
+
+def loo_sums(p: np.ndarray, y: np.ndarray):
+    """Leave-one-out kernel sums ``(den, num)`` at every point of a sorted index.
+
+    ``p`` is finite and ascending, ``y`` holds finite responses of the same
+    size.  For every row i, ``den[i]`` and ``num[i]`` sum the unnormalized
+    weight w of p[j] - p[i], and w y[j], over the samples j != i of the
+    row's window, the j with |p[j] - p[i]| < 1, in ascending order of j and
+    from +0.  When a library is loaded, nonempty, writeable, aligned,
+    C-contiguous float64 arrays go through its loop, which runs a vector
+    register of rows at a time; anything else takes the numpy form, which
+    gives the same bits.
+    """
+    if (_loo_sums is not None and p.size and p.shape == y.shape == (p.size,)
+            and p.dtype == y.dtype == np.float64 and p.flags.carray and y.flags.carray):
+        sums = np.empty((2, p.size))
+        _loo_sums(_pointer(sums[0]), _pointer(sums[1]), _pointer(p), _pointer(y), p.size)
+        return sums[0], sums[1]
+    return _numpy_loo_sums(p, y)
 
 
 def smooth_kernel(s):

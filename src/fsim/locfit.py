@@ -9,23 +9,23 @@ estimates (g(u), g'(u), g''(u)) = (a, b, c), and each estimate is a linear
 functional of the responses: the rows of (X'WX)^{-1} X'W, exposed here as
 smoother rows.
 
-All kernel sums run on sorted-window tile walks.  The kernel vanishes
-beyond one bandwidth, so above ``ONE_TILE_MAX`` samples a walk sorts the
-h-scaled index once and sums over row tiles, each against the contiguous
-window of samples it can reach; up to that size, where a timing sweep found
-the sort and tile loop no faster, it sums over one dense tile.  One walk
-serves the held-out Nadaraya-Watson prediction of k-fold validation and the
-batched local quadratic fits behind GCV, curve grids and RASE.  The
-leave-one-out estimator inside the coefficient-search objective has a
-symmetric walk of its own, which forms each in-reach pair once for both of
-its samples.  A batch of leave-one-out problems of one size (the training
-sets of the k-fold searches) runs as stacks of dense tiles.  Every
-Nadaraya-Watson tile, dense, stacked or walked, forms its weights from its
-points and samples in one :func:`transform_inplace` call; the local quadratic
-tiles, which need the kernel arguments for their moments, form them by
-broadcast subtraction, as that call does.  The pointwise fits
-(:func:`local_quad_fit`, :func:`smoother_matrix`, :func:`relocated_fit`)
-stay as the reference for the batched ones.
+All kernel sums run on sorted windows.  The kernel vanishes beyond one
+bandwidth, so above ``ONE_TILE_MAX`` samples a sum sorts the h-scaled index
+once and sums each point only over the contiguous run of samples it can
+reach; up to that size it sums over one dense tile.  The leave-one-out
+estimator inside the coefficient-search objective takes one call to the
+compiled loop of :func:`fsim.kernel.loo_sums`, which sums every sorted row
+over its own window in ascending sample order.  The held-out
+Nadaraya-Watson prediction of k-fold validation and the batched local
+quadratic fits behind GCV, curve grids and RASE share a walk over tiles of
+``TILE_ROWS`` sorted points.  A batch of leave-one-out problems of one size
+(the training sets of the k-fold searches) runs as stacks of dense tiles.
+Every other Nadaraya-Watson tile, dense, stacked or walked, forms its
+weights from its points and samples in one :func:`transform_inplace` call;
+the local quadratic tiles, which need the kernel arguments for their
+moments, form them by broadcast subtraction, as that call does.  The
+pointwise fits (:func:`local_quad_fit`, :func:`smoother_matrix`,
+:func:`relocated_fit`) stay as the reference for the batched ones.
 """
 
 from __future__ import annotations
@@ -35,18 +35,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import is_integer, readonly_array
-from .kernel import NORMALIZER, smooth_kernel, transform_inplace
+from .kernel import NORMALIZER, loo_sums, smooth_kernel, transform_inplace
 
 MIN_WINDOW_POINTS = 3
 CONDITION_LIMIT = 1e12
 # steps of h/4 that relocated_fit takes toward the data centre before it gives up
 RELOCATION_STEPS = 64
-# Rows per tile of the sorted-window kernel sums, and the largest problem that
-# runs as one dense tile without sorting.  The cap sat at the crossover of the
-# numpy transform, about 250 samples; with the fused compiled weights
-# tools/kernel_sweep.py puts the walk behind the dense tile up to 500 samples
-# and ahead from 700.  The cap stays, as moving it changes the bits of every
-# problem it moves (see README, "Performance").
+# Rows per tile of the held-out and local-quadratic walk, and the largest
+# problem that runs as one dense tile without sorting.  The cap sat at the
+# crossover of the numpy transform, about 250 samples; tools/kernel_sweep.py
+# puts the compiled leave-one-out walk ahead of the dense tile at every size
+# it times, from 90 samples.  The cap stays, as moving it changes the bits of
+# every problem it moves (see README, "Performance").
 TILE_ROWS = 64
 ONE_TILE_MAX = 256
 
@@ -187,22 +187,19 @@ def _tiled(points, samples) -> bool:
             and (samples is points or bool(np.isfinite(samples).all())))
 
 
-def _sorted_tiles(points, samples=None):
-    """The sort and tile bounds shared by both sorted-window walks.
+def _sorted_tiles(points, samples):
+    """The sort and tile bounds of the sorted-window walk.
 
     Returns ``(order, p, by_index, s, tiles)``: ``p = points[order]`` and
-    ``s = samples[by_index]`` sorted (the samples are the points when
-    ``samples`` is ``None``), and ``tiles`` yields ``(a, b, c0, c1)`` for
-    each run of ``TILE_ROWS`` sorted rows [a, b), whose reach is the sorted
-    samples [c0, c1): those within one bandwidth of row a or row b - 1.
+    ``s = samples[by_index]`` sorted, and ``tiles`` yields ``(a, b, c0,
+    c1)`` for each run of ``TILE_ROWS`` sorted rows [a, b), whose reach is
+    the sorted samples [c0, c1): those within one bandwidth of row a or row
+    b - 1.
     """
     order = np.argsort(points)
     p = points[order]
-    if samples is None:
-        by_index, s = order, p
-    else:
-        by_index = np.argsort(samples)
-        s = samples[by_index]
+    by_index = np.argsort(samples)
+    s = samples[by_index]
     # widen the reach by the rounding of p +- 1 so no in-window sample is cut
     reach = 1.0 + 4.0 * np.finfo(float).eps * (2.0 + max(-p[0], p[-1], -s[0], s[-1]))
     starts = np.arange(0, p.size, TILE_ROWS)
@@ -278,35 +275,16 @@ def _nw_loo_sums(points, responses):
     """Leave-one-out kernel sums ``(den, num)`` at every h-scaled sample.
 
     Up to ``ONE_TILE_MAX`` samples, or on non-finite input, this is one
-    dense tile with the own-sample diagonal zeroed.  Beyond that the walk
-    forms each in-reach pair once and uses it for both rows: K(s_i - s_j)
-    and K(s_j - s_i) are the same double, since s_j - s_i = -(s_i - s_j)
-    exactly.  The tile of sorted rows [a, b) forms weights against the
-    sorted samples [a, c1) only, where c1 ends the reach of row b - 1, in
-    one :func:`transform_inplace` call into a buffer reused by every tile (a
-    fresh array per tile timed up to 1.5 times slower at n = 4000), and
-    zeroes the own-sample diagonal.  One matmul against the (1, y)
-    columns of samples [a, c1) adds (sum w, sum w y) to rows [a, b); the
-    part right of the tile, transposed, against the (1, y) columns of rows
-    [a, b) adds the same pairs to rows [b, c1).  Each row so gets its pairs
-    with earlier samples from earlier tiles.  The sums accumulate in sorted
-    order and are scattered back once.
+    dense tile with the own-sample diagonal zeroed.  Beyond that the index
+    is sorted once and :func:`fsim.kernel.loo_sums` sums every sorted row
+    over its own window in one call; the sums are scattered back to input
+    order.
     """
     if not _tiled(points, points):
         return _nw_tile(slice(None), points, points, responses, 0)
-    order, p, _, _, tiles = _sorted_tiles(points)
-    tiles = [(a, b, c1) for a, b, _, c1 in tiles]
-    ones_y = _ones_y(responses[order])
-    sums = np.zeros((p.size, 2))
-    buffer = np.empty(max((b - a) * (c1 - a) for a, b, c1 in tiles))
-    for a, b, c1 in tiles:
-        w = buffer[:(b - a) * (c1 - a)].reshape(b - a, c1 - a)
-        transform_inplace(w, p[a:b], p[a:c1])
-        w.reshape(-1)[::c1 - a + 1] = 0.0
-        sums[a:b] += w @ ones_y[a:c1]
-        sums[b:c1] += w[:, b - a:].T @ ones_y[a:b]
-    den, num = np.empty(p.size), np.empty(p.size)
-    den[order], num[order] = sums[:, 0], sums[:, 1]
+    order = np.argsort(points)
+    den, num = np.empty(points.size), np.empty(points.size)
+    den[order], num[order] = loo_sums(points[order], responses[order])
     return den, num
 
 

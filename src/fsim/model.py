@@ -23,7 +23,30 @@ MIN_SAMPLES = 4
 
 
 class NormalizationError(EstimationError):
-    """A zero functional coefficient vector cannot be normalized."""
+    """A functional coefficient vector cannot be normalized: its squared norm
+    is zero, subnormal, infinite or NaN."""
+
+
+# the root of finfo.tiny, 2**-511: a squared norm f @ f lies in [tiny, inf)
+# exactly when its correctly rounded root lies in [2**-511, inf)
+_MIN_NORM = float(np.sqrt(np.finfo(float).tiny))
+
+
+def _normalizable(norm):
+    """Whether the norm of :func:`search_index` can scale a bandwidth, for
+    one norm or an array of them.  A squared norm that overflows leaves no
+    finite bandwidth, and a subnormal one has lost digits, so the bandwidth
+    and the objective would move with the coefficients' scale."""
+    return (_MIN_NORM <= norm) & (norm < np.inf)
+
+
+def _check_norm(norm: float) -> None:
+    """Raise :class:`NormalizationError` unless :func:`_normalizable`."""
+    if not _MIN_NORM <= norm < np.inf:
+        raise NormalizationError(
+            "zero functional coefficient vector" if norm == 0.0 else
+            f"functional coefficient norm {norm:.3g} out of range: its square is "
+            f"subnormal, infinite or NaN")
 
 
 class DegenerateObjectiveError(EstimationError):
@@ -174,7 +197,9 @@ def search_index(data: Dataset, raw, samples=None) -> tuple[np.ndarray, np.ndarr
     ``samples``, ``raw`` is a stack of search vectors and row ``b`` is mapped
     on the samples ``samples[b]``, bit for bit as on
     ``data.subset(samples[b])``.  The norm is that of the functional part,
-    the root of the dot product np.linalg.norm takes.
+    the root of the dot product np.linalg.norm takes; a square that
+    overflows gives an infinite norm without a warning, which the objective
+    refuses (:func:`_normalizable`).
     """
     if samples is None:
         raw = _search_vector(data, raw)
@@ -187,7 +212,8 @@ def search_index(data: Dataset, raw, samples=None) -> tuple[np.ndarray, np.ndarr
         if data.w is not None:
             z += raw[start] * data.w
         functional = raw[:start]
-        return z, np.sqrt(functional @ functional)
+        with np.errstate(over="ignore"):
+            return z, np.sqrt(functional @ functional)
     z = np.zeros(samples.shape)
     raw = _search_vector(data, raw, z.shape[:-1])
     start = 0
@@ -202,7 +228,8 @@ def search_index(data: Dataset, raw, samples=None) -> tuple[np.ndarray, np.ndarr
     if data.w is not None:
         z += raw[..., start, None] * data.w[samples]
     functional = raw[..., :start]
-    return z, np.sqrt((functional[..., None, :] @ functional[..., :, None])[..., 0, 0])
+    with np.errstate(over="ignore"):
+        return z, np.sqrt((functional[..., None, :] @ functional[..., :, None])[..., 0, 0])
 
 
 def spec_from_raw(data: Dataset, raw) -> IndexModelSpec:
@@ -214,9 +241,9 @@ def spec_from_raw(data: Dataset, raw) -> IndexModelSpec:
     objective at the spec's coefficients and the same ``h``.
     """
     parts, alpha = split_raw(data, raw)
-    norm = float(np.linalg.norm(np.concatenate(parts)))
-    if norm == 0.0:
-        raise NormalizationError("zero functional coefficient vector")
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(np.concatenate(parts)))
+    _check_norm(norm)
     betas = tuple(
         BasisExpansion(block.beta_basis(), part / norm)
         for block, part in zip(data.blocks, parts)
@@ -281,8 +308,7 @@ def objective_loo_mse(data: Dataset, raw_coeffs, h: float) -> ObjectiveReport:
             f"objective needs at least {MIN_SAMPLES} samples, got {data.n}")
     check_bandwidth(h)
     z, norm = search_index(data, raw_coeffs)
-    if norm == 0.0:
-        raise NormalizationError("zero functional coefficient vector")
+    _check_norm(norm)
     estimates, excluded = nw_loo_all(z, data.y, h * norm)
     excluded_count = int(np.count_nonzero(excluded))
     if excluded_count == data.n:
@@ -308,11 +334,12 @@ class StackedObjective:
     ``h[which[i]]`` (``h`` holds one bandwidth per subset, or one for all),
     the value :func:`fsim.optimize.safe_objective` gives there: the
     :func:`objective_loo_mse` value, or infinity where that raises
-    (fewer than ``MIN_SAMPLES`` samples, a zero coefficient norm, every
-    sample excluded).  Points on subsets of one size are evaluated in
-    stacks (:func:`fsim.locfit.stack_size`) whose gathered coefficients
-    hold at most ``ONE_TILE_MAX**2`` values; :func:`fsim.locfit.nw_loo_batch`
-    splits each stack's kernel sums into tiles of at most that many pairs.
+    (fewer than ``MIN_SAMPLES`` samples, a coefficient norm that cannot be
+    normalized, every sample excluded).  Points on subsets of one size are
+    evaluated in stacks (:func:`fsim.locfit.stack_size`) whose gathered
+    coefficients hold at most ``ONE_TILE_MAX**2`` values;
+    :func:`fsim.locfit.nw_loo_batch` splits each stack's kernel sums into
+    tiles of at most that many pairs.
     The index values and coefficient norms come from :func:`search_index`,
     and every other reduction runs per point, so each value is the serial
     one bit for bit.  The subsets' samples are gathered from ``data`` per
@@ -358,7 +385,7 @@ class StackedObjective:
         data = self.data
         z, norms = search_index(data, raw, samples)
         mse = np.full(len(raw), np.inf)
-        ok = np.flatnonzero(norms != 0.0)
+        ok = np.flatnonzero(_normalizable(norms))
         y = data.y[samples[ok]]
         estimates, excluded = nw_loo_batch(z[ok], y, h[ok] * norms[ok])
         residuals = y - estimates

@@ -96,13 +96,19 @@ def test_third_derivative_continuous_at_boundary():
 
 
 @pytest.fixture(scope="module")
-def loop(tmp_path_factory):
-    """The compiled loop, built afresh from the shipped source and flags."""
+def loops(tmp_path_factory):
+    """The compiled loops ``(weights, loo_sums)``, built afresh from the
+    shipped source and flags."""
     if shutil.which("cc") is None:
         pytest.skip("no C compiler cc on PATH")
     path = kernel._library_path(str(tmp_path_factory.mktemp("kernel")))
     kernel._build(path)
     return kernel._open(path)
+
+
+@pytest.fixture(scope="module")
+def loop(loops):
+    return loops[0]
 
 
 def run_loop(loop, points, samples):
@@ -285,6 +291,81 @@ class TestDispatch:
             transform_inplace(u, points, samples)
         assert not u.any() and broadcast_weights(points, samples).any()
         assert calls == []
+
+
+FINITE_EDGES = [value for value in EDGES if np.isfinite(value)] + [-1.7976931348623157e308]
+SORTED_VALUES = st.one_of(st.sampled_from(FINITE_EDGES), st.floats(-3.0, 3.0),
+                          st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True))
+RESPONSES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -2.5]), st.floats(-10.0, 10.0),
+                      st.floats(allow_nan=False, allow_infinity=False))
+
+
+def run_loo_sums(loo, p, y):
+    sums = np.empty((2, p.size))
+    pointer = kernel.ctypes.c_double.from_buffer
+    loo(pointer(sums[0]), pointer(sums[1]), pointer(p), pointer(y), p.size)
+    return sums
+
+
+class TestCompiledLooSums:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 90).flatmap(lambda n: st.tuples(
+        arrays(np.float64, n, elements=SORTED_VALUES), arrays(np.float64, n, elements=RESPONSES))))
+    def test_loop_matches_the_numpy_form_bit_for_bit(self, loops, index):
+        # ties, differences of exactly +-1 and within one rounding of it,
+        # subnormal and overflowing differences and squares, signed zeros
+        values, y = index
+        p = np.sort(values)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            expected = np.stack(kernel._numpy_loo_sums(p, y))
+        assert run_loo_sums(loops[1], p, y).tobytes() == expected.tobytes()
+
+    def test_rows_sum_their_window_in_ascending_order(self, loops):
+        # every block width and ragged tail: sequential sums from +0 over
+        # |p[j] - p[i]| < 1, j != i, written out one pair at a time
+        rng = np.random.default_rng(5)
+        for n in [*range(1, 20), 64, 65, 66, 129, 200]:
+            p = np.sort(np.round(rng.normal(scale=1.5, size=n), 1))
+            y = rng.normal(size=n)
+            y[::3] = -0.0
+            expected = np.zeros((2, n))
+            for i in range(n):
+                for j in range(n):
+                    w = kernel._numpy_passes(np.array([p[j] - p[i]]))[0]
+                    if j != i and abs(p[j] - p[i]) < 1.0:
+                        expected[:, i] += w, w * y[j]
+            assert run_loo_sums(loops[1], p, y).tobytes() == expected.tobytes()
+            assert np.stack(kernel._numpy_loo_sums(p, y)).tobytes() == expected.tobytes()
+
+    def test_a_library_with_other_sums_is_refused(self, tmp_path, monkeypatch):
+        # a loop that keeps each row's own weight fails the load-time probe
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler cc on PATH")
+        source = kernel._SOURCE.replace("if (j - i < rows)", "if (0)")
+        assert source != kernel._SOURCE
+        monkeypatch.setattr(kernel, "_SOURCE", source)
+        path = kernel._library_path(str(tmp_path))
+        kernel._build(path)
+        with pytest.raises(OSError, match="leave-one-out sums"):
+            kernel._open(path)
+
+    def test_other_arrays_take_the_numpy_form(self, monkeypatch):
+        # strided, read-only and float32 arrays, and empty ones, never reach the loop
+        seen = []
+        monkeypatch.setattr(kernel, "_pointer", lambda array: array)
+        monkeypatch.setattr(kernel, "_loo_sums", lambda *args: seen.append(args[-1]))
+        p = np.linspace(-2.0, 2.0, 12)
+        y = np.cos(p)
+        frozen = p.copy()
+        frozen.flags.writeable = False
+        for args in [(p[::2], y[::2]), (frozen, y), (p, y.astype(np.float32)),
+                     (p[:0], y[:0])]:
+            assert (np.stack(kernel.loo_sums(*args)).tobytes()
+                    == np.stack(kernel._numpy_loo_sums(*args)).tobytes())
+        assert seen == []
+        kernel.loo_sums(p, y)
+        assert seen == [12]
 
 
 @pytest.mark.parametrize("compiled", [True, False])

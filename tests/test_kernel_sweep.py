@@ -49,11 +49,22 @@ def test_main_prints_facts_and_table(capsys):
     assert out[0].endswith(f"kernel transform: {kernel_sweep.transform_path()}")
     assert out[1].startswith("nw_loo_all per call")
     assert out[4].startswith("| 20 |")
-    assert out[5:7] == ["| layer | per call |", "| --- | --- |"]
-    assert [line.split(" | ")[0] for line in out[7:10]] == [
+    assert out[5].startswith("crossover: ") and "n = 20" in out[5]
+    assert out[6:8] == ["| layer | per call |", "| --- | --- |"]
+    assert [line.split(" | ")[0] for line in out[8:11]] == [
         f"| objective_loo_mse, n = {n}" for n in kernel_sweep.OBJECTIVE_SIZES]
-    assert out[10].startswith("| k-fold step: 50 points on 10 training sets of 90 | ")
-    assert out[11] == "| local-quadratic layer | per call |" and len(out) == 16
+    assert out[11].startswith("| k-fold step: 50 points on 10 training sets of 90 | ")
+    assert out[12] == "| local-quadratic layer | per call |" and len(out) == 17
+
+
+def test_crossover_names_where_the_walk_keeps_winning():
+    rows = [(90, 1.0, 3.0), (200, 2.0, 2.5), (300, 3.0, 2.0), (500, 4.0, 4.5), (1000, 9.0, 5.0)]
+    assert kernel_sweep.crossover(rows) == (
+        "crossover: between n = 500 (dense faster) and n = 1000 (walk faster)")
+    assert kernel_sweep.crossover(rows[:2]) == (
+        "crossover: the dense tile is faster at n = 200, the largest size")
+    assert kernel_sweep.crossover(rows[2:3]) == (
+        "crossover: the walk is faster from n = 300, the smallest size")
 
 
 def test_local_quadratic_table_at_a_tiny_n():

@@ -288,22 +288,6 @@ def loo_oracles(n):
                   for h in (0.004, 0.08, 0.5, 3.0, 200.0)]
 
 
-def per_tile_loo_sums(points, responses):
-    """The symmetric walk one tile at a time, each tile's weights from a broadcast
-    subtraction and the numpy passes: the reference for the compiled walk."""
-    order, p, _, _, tiles = locfit._sorted_tiles(points)
-    ones_y = locfit._ones_y(responses[order])
-    sums = np.zeros((p.size, 2))
-    for a, b, _, c1 in tiles:
-        w = kernel._numpy_passes(p[None, a:c1] - p[a:b, None])
-        w.reshape(-1)[::c1 - a + 1] = 0.0
-        sums[a:b] += w @ ones_y[a:c1]
-        sums[b:c1] += w[:, b - a:].T @ ones_y[a:b]
-    out = np.empty((2, p.size))
-    out[:, order] = sums.T
-    return out[0], out[1]
-
-
 # from a reach of one sample (or its exact duplicates) to wider than the whole index
 WALK_BANDWIDTHS = (1e-9, 0.004, 0.08, 0.5, 3.0, 200.0)
 
@@ -317,40 +301,46 @@ class TestKernelSumEngine:
             assert oracle[1][z >= 40.0].all() == (h < 7.0)
             assert_matches_oracle(nw_loo_all(z, y, h), oracle)
 
-    @pytest.mark.parametrize("n", [CUTOFF + 1, 300, 1000, 4000])
-    def test_grouped_walk_is_the_per_tile_walk_byte_for_byte(self, n):
+    @pytest.mark.parametrize("n", [n for n in ENGINE_SIZES if n > CUTOFF])
+    def test_compiled_walk_is_the_numpy_walk_byte_for_byte(self, n, monkeypatch):
+        # the compiled loop and its numpy form sum each row over its window in
+        # the same order, signed zeros included, and so does the walk of either
         rng = np.random.default_rng(n + 3)
         z = awkward_index(n, rng)
         y = rng.normal(size=n)
-        for h in WALK_BANDWIDTHS:
-            got = locfit._nw_loo_sums(z / h, y)
-            expected = per_tile_loo_sums(z / h, y)
-            for a, b in zip(got, expected):
-                assert a.tobytes() == b.tobytes()
+        y[::5] = -0.0
+        walks = {}
+        for path in ("compiled", "numpy"):
+            if path == "numpy":
+                monkeypatch.setattr(kernel, "_loo_sums", None)
+            walks[path] = [array for h in WALK_BANDWIDTHS
+                           for array in locfit._nw_loo_sums(z / h, y)]
+            order = np.argsort(z)
+            p, sorted_y = z[order] / 0.08, y[order]
+            assert (np.stack(kernel.loo_sums(p, sorted_y)).tobytes()
+                    == np.stack(kernel._numpy_loo_sums(p, sorted_y)).tobytes())
+        for got, expected in zip(walks["compiled"], walks["numpy"]):
+            assert got.tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("n", [CUTOFF + 1, 300, 1000, 4000])
-    def test_one_transform_per_tile(self, n, monkeypatch):
-        # each tile forms its weights in one transform_inplace call from its
-        # rows and its reach, the sorted samples [a, c1)
-        calls = []
-        transform = locfit.transform_inplace
-
-        def spy(u, points, samples):
-            calls.append((u.shape, points.size, samples.size))
-            return transform(u, points, samples)
-
-        monkeypatch.setattr(locfit, "transform_inplace", spy)
+    @pytest.mark.parametrize("n", [n for n in ENGINE_SIZES if n > CUTOFF])
+    def test_one_loop_call_per_walk(self, n, monkeypatch):
+        # the walk sorts the index once and sums it in one loo_sums call,
+        # with no kernel transform of its own
+        calls, transforms = [], []
+        sums = locfit.loo_sums
+        monkeypatch.setattr(locfit, "loo_sums", lambda p, y: calls.append((p, y)) or sums(p, y))
+        monkeypatch.setattr(locfit, "transform_inplace", lambda *args: transforms.append(args))
         rng = np.random.default_rng(n + 3)
         z = awkward_index(n, rng)
         y = rng.normal(size=n)
         for h in WALK_BANDWIDTHS:
             calls.clear()
-            tiles = [(b - a, c1 - a) for a, b, _, c1 in locfit._sorted_tiles(z / h)[4]]
             locfit._nw_loo_sums(z / h, y)
-            assert calls == [(tile, *tile) for tile in tiles]
-            if n == 4000 and h == WALK_BANDWIDTHS[-1]:
-                # the first tile reaches every sample: 64 x 4000 weights
-                assert calls[0][0] == (T, n)
+            [(p, sorted_y)] = calls
+            order = np.argsort(z / h)
+            np.testing.assert_array_equal(p, (z / h)[order])
+            np.testing.assert_array_equal(sorted_y, y[order])
+        assert transforms == []
 
     @pytest.mark.parametrize("m, n", [(10, 90), (T + 1, 3 * T + 5), (5, 1000), (1000, 20),
                                       (CUTOFF + 1, CUTOFF + 1)])

@@ -1,5 +1,7 @@
 """Tests for the index model: index computation, normalization, objective."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -460,3 +462,104 @@ def test_objective_rejects_a_bandwidth_that_is_not_finite_and_positive(h):
     raw = np.ones(data.search_dimension())
     with pytest.raises(ValueError, match="bandwidth must be positive and finite"):
         objective_loo_mse(data, raw, h)
+
+
+@pytest.mark.parametrize("scale", [1e155, 1e-160, 2.0**-512, np.nan])
+def test_a_norm_whose_square_is_not_a_normal_double_is_refused(scale):
+    # a squared norm that overflows, or is subnormal (2 * 2**-1024 is just
+    # below finfo.tiny), scales the bandwidth to infinity or by a norm that
+    # has lost digits; every path refuses it alike
+    data = two_block_data(50, seed=3)
+    raw = np.zeros(data.search_dimension())
+    raw[[0, 4, -1]] = scale, -scale, 0.5
+    with pytest.raises(NormalizationError, match="out of range"):
+        objective_loo_mse(data, raw, 0.5)
+    with pytest.raises(NormalizationError, match="out of range"):
+        spec_from_raw(data, raw)
+    assert safe_objective(data, raw, 0.5) == np.inf
+    stacked = StackedObjective(data, [np.arange(50), np.arange(10, 50)], 0.5)
+    assert stacked([0, 1, 1], [raw, raw, np.ones(raw.size)])[:2].tolist() == [np.inf] * 2
+
+
+def test_the_smallest_normal_squared_norm_is_accepted():
+    data = two_block_data(50, seed=3)
+    raw = np.zeros(data.search_dimension())
+    raw[0] = 2.0**-511  # squared norm finfo.tiny
+    report = objective_loo_mse(data, raw, 0.5)
+    assert np.isfinite(report.mse)
+    assert spec_from_raw(data, raw).beta_blocks[0].coeffs[0] == 1.0
+    stacked = StackedObjective(data, [np.arange(50)], 0.5)
+    assert stacked([0], [raw]).tolist() == [report.mse]
+
+
+@functools.lru_cache(maxsize=None)
+def property_data(n):
+    """A two-block dataset with a scalar at n = 60, one dense tile, and at
+    n = 300, on the sorted walk."""
+    return two_block_data(n, seed=n)
+
+
+PROPERTY_SIZES = pytest.mark.parametrize("n", [60, 300])
+
+
+class TestEstimatorProperties:
+    @PROPERTY_SIZES
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), h=st.floats(0.1, 3.0),
+           exponent=st.floats(-100.0, 100.0), negative=st.booleans())
+    def test_objective_is_invariant_to_coefficient_scale_and_sign(self, n, seed, h, exponent,
+                                                                 negative):
+        data = property_data(n)
+        raw = np.random.default_rng(seed).normal(size=data.search_dimension())
+        lam = (-1.0 if negative else 1.0) * 10.0**exponent
+        z, norm = search_index(data, raw)
+        # a pair within rounding of the window edge may flip in or out
+        gaps = np.abs(np.abs(z[:, None] - z[None, :]) / (h * norm) - 1.0)
+        assume(not np.any(gaps < 1e-9))
+        try:
+            base = objective_loo_mse(data, raw, h)
+        except DegenerateObjectiveError:
+            with pytest.raises(DegenerateObjectiveError):
+                objective_loo_mse(data, lam * raw, h)
+            return
+        scaled = objective_loo_mse(data, lam * raw, h)
+        assert scaled.excluded_count == base.excluded_count
+        assert scaled.mse == pytest.approx(base.mse, rel=1e-9, abs=1e-15)
+
+    @PROPERTY_SIZES
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), h=st.floats(0.1, 3.0),
+           power=st.integers(-300, 300), factor=st.floats(1e-3, 1e3))
+    def test_loo_estimates_are_equivariant_under_rescaling(self, n, seed, h, power, factor):
+        # (z, h) -> (lam z, lam h) leaves every kernel argument as it is when
+        # lam is a power of two, and moves it by rounding otherwise
+        data = property_data(n)
+        raw = np.random.default_rng(seed).normal(size=data.search_dimension())
+        z = search_index(data, raw)[0]
+        base = locfit.nw_loo_all(z, data.y, h)
+        exact = locfit.nw_loo_all(2.0**power * z, data.y, 2.0**power * h)
+        for got, expected in zip(exact, base):
+            assert got.tobytes() == expected.tobytes()
+        gaps = np.abs(np.abs(z[:, None] - z[None, :]) / h - 1.0)
+        assume(not np.any(gaps < 1e-9))
+        estimates, excluded = locfit.nw_loo_all(factor * z, data.y, factor * h)
+        np.testing.assert_array_equal(excluded, base[1])
+        np.testing.assert_allclose(estimates, base[0], rtol=1e-9,
+                                   atol=1e-12 * np.abs(data.y).max())
+
+    @PROPERTY_SIZES
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), h=st.floats(0.1, 3.0), ties=st.booleans())
+    def test_permuting_samples_permutes_loo_estimates(self, n, seed, h, ties):
+        # the sums may run in another order: ties in the index swap places
+        data = property_data(n)
+        rng = np.random.default_rng(seed)
+        z = search_index(data, rng.normal(size=data.search_dimension()))[0]
+        if ties:
+            z = np.round(z, 1)
+        perm = rng.permutation(n)
+        estimates, excluded = locfit.nw_loo_all(z, data.y, h)
+        permuted, permuted_excluded = locfit.nw_loo_all(z[perm], data.y[perm], h)
+        np.testing.assert_array_equal(permuted_excluded, excluded[perm])
+        np.testing.assert_allclose(permuted, estimates[perm], rtol=1e-12,
+                                   atol=1e-12 * np.abs(data.y).max())

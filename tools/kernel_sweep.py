@@ -1,18 +1,20 @@
 """Per-call timing of the leave-one-out kernel sums and of the objective around them.
 
-    python3 tools/kernel_sweep.py --sizes 100,200,300,1000,4000 --rounds 7
+    python3 tools/kernel_sweep.py --sizes 90,200,256,300,500,1000 --rounds 7
 
 For each n the script draws a link-g3 sample (``simulate.generate``, seed
 ``--seed``), takes its index at the true coefficients and times
 ``nw_loo_all`` over the default 10-bandwidth grid, once with the whole
-problem as one dense tile and once on the sorted-window walk, by setting
-``locfit.ONE_TILE_MAX`` for the duration of each round: to n for the dense
-tile and to n - 1 for the walk.  A round times one pass over the grid on
-each path; the path that runs first alternates from round to round, and
-each path keeps its best round.  The script prints the machine facts, with
-the kernel transform that runs (the compiled weights or the numpy passes;
-see ``fsim.kernel``), then a markdown table of the mean time per call on
-each path and the speed-up of the walk over the dense tile.  A second table
+problem as one dense tile and once on the sorted walk (one
+``kernel.loo_sums`` call), by setting ``locfit.ONE_TILE_MAX`` for the
+duration of each round: to n for the dense tile and to n - 1 for the walk.
+A round times one pass over the grid on each path; the path that runs first
+alternates from round to round, and each path keeps its best round.  The
+script prints the machine facts, with the kernel transform that runs (the
+compiled loops or the numpy forms; see ``fsim.kernel``), then a markdown
+table of the mean time per call on each path and the speed-up of the walk
+over the dense tile, and the crossover: the sizes between which the walk
+starts to win and keeps winning.  A second table
 times the layers a coefficient search spends its evaluations in: one
 full-data ``objective_loo_mse`` call at n = 90, 200 and 1000 (a g3 draw at
 its true coefficients and the middle bandwidth of its grid, best of
@@ -116,6 +118,21 @@ def sweep(sizes, rounds: int, seed: int = 0) -> list[tuple[int, float, float]]:
     return rows
 
 
+def crossover(rows) -> str:
+    """Where the walk overtakes the dense tile in :func:`sweep` rows: the
+    first size from which the walk is faster at every listed size."""
+    faster = [walk < dense for _, dense, walk in rows]
+    k = len(rows)
+    while k and faster[k - 1]:
+        k -= 1
+    if k == len(rows):
+        return f"crossover: the dense tile is faster at n = {rows[-1][0]}, the largest size"
+    if k == 0:
+        return f"crossover: the walk is faster from n = {rows[0][0]}, the smallest size"
+    return (f"crossover: between n = {rows[k - 1][0]} (dense faster) "
+            f"and n = {rows[k][0]} (walk faster)")
+
+
 def _best(call, rounds: int, calls: int) -> float:
     """Best mean seconds per ``call()`` over ``rounds`` rounds of ``calls`` calls."""
     best = np.inf
@@ -207,7 +224,7 @@ def quad_table(rows) -> list[str]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--sizes", default="100,200,250,300,400,1000,4000",
+    parser.add_argument("--sizes", default="90,200,256,300,500,1000",
                         help="comma-separated sample sizes")
     parser.add_argument("--rounds", type=int, default=7, help="alternating rounds per size")
     parser.add_argument("--seed", type=int, default=0, help="seed of the g3 samples")
@@ -218,7 +235,9 @@ def main(argv=None) -> int:
     print(machine_facts())
     print(f"nw_loo_all per call over the default grid, best of {args.rounds} rounds, "
           f"TILE_ROWS={locfit.TILE_ROWS}, shipped ONE_TILE_MAX={locfit.ONE_TILE_MAX}")
-    print("\n".join(table(sweep(sizes, args.rounds, args.seed))))
+    rows = sweep(sizes, args.rounds, args.seed)
+    print("\n".join(table(rows)))
+    print(crossover(rows))
     objective = [(n, objective_time(n, args.rounds, args.seed)) for n in OBJECTIVE_SIZES]
     print("\n".join(step_table(objective, stacked_step(args.rounds, args.seed))))
     print("\n".join(quad_table(local_quadratic_times(args.rounds, args.seed))))
