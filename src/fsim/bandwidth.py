@@ -31,6 +31,10 @@ from .optimize import (
 
 CURVATURE_EXPONENT = 5.0 / 7.0
 METHODS = ("gcv", "kfold")
+# the smallest normalized trace of I - S a GCV score takes: an interpolating
+# smoother has trace n, which the batched leverages reach only within their
+# rounding, so an exact comparison with 0 passes or fails it by chance
+MIN_TRACE_TERM = float(np.sqrt(np.finfo(float).eps))
 
 
 class SelectionError(EstimationError):
@@ -116,16 +120,16 @@ def gcv_score(data: Dataset, spec: IndexModelSpec, h: float) -> float:
     """Generalized cross-validation score of the level smoother at ``h``.
 
     Mean squared residual of the smoother fit divided by the squared
-    normalized trace of (I - S); raises :class:`SelectionError` when the
-    trace is not positive (the smoother has interpolated the data).  The
-    fitted values and the diagonal of S come from one batched pass, without
-    building S.
+    normalized trace of (I - S); raises :class:`SelectionError` when that
+    trace is not above ``MIN_TRACE_TERM`` (the smoother has interpolated the
+    data).  The fitted values and the diagonal of S come from one batched
+    pass, without building S.
     """
     z = compute_index(data, spec)
     fitted, leverage = level_fits(z, data.y, h)
     residuals = data.y - fitted
     trace_term = (data.n - float(leverage.sum())) / data.n
-    if trace_term <= 0.0:
+    if trace_term <= MIN_TRACE_TERM:
         raise SelectionError(f"smoother trace degeneracy at h={h:.6g} (overfit)")
     return float(np.mean(residuals * residuals) / trace_term**2)
 

@@ -1,19 +1,21 @@
 """Compactly supported smoothing kernel with three continuous derivatives.
 
-:func:`transform_inplace`, the kernel without its constant, is the innermost
-loop of every kernel sum over a tile.  Given a tile's points and samples it
-forms each kernel argument samples[j] - points[i] and its weight in one
-pass, so no caller writes the arguments out; :func:`smooth_kernel` passes
-its arguments as samples against one zero point.  :func:`loo_sums` gives the
-leave-one-out sums (sum w, sum w y) of every sample of a sorted index in one
-call, each row summed over its own window in ascending order.  On writeable,
-aligned, C-contiguous float64 arrays both run C loops, which the system C
-compiler (``cc``) builds once into a per-user cache and ``ctypes`` loads
-when this module is imported; ``COMPILED_LIBRARY`` is the path of the
-library loaded, or ``None``.  Other arrays, and all arrays when no library
-could be built, loaded or trusted, take their numpy forms, which the loops
-reproduce bit for bit.  The choice depends only on what the loader finds and
-on the arrays; no option selects it.
+:func:`transform_inplace`, the kernel without its constant, forms the
+weights of a dense tile: given a tile's points and samples it forms each
+kernel argument samples[j] - points[i] and its weight in one pass, so no
+caller writes the arguments out; :func:`smooth_kernel` passes its arguments
+as samples against one zero point.  :func:`window_sums` forms every other
+kernel sum: for sorted points and samples it sums each point over its own
+window in ascending sample order, in one call, giving the leave-one-out sums
+(sum w, sum w y) of a sorted index, the same sums of held-out points, or
+the local quadratic moments.  On writeable, aligned, C-contiguous float64
+arrays both run C loops, which the system C compiler (``cc``) builds once
+into a per-user cache and ``ctypes`` loads when this module is imported;
+``COMPILED_LIBRARY`` is the path of the library loaded, or ``None``.  Other
+arrays, and all arrays when no library could be built, loaded or trusted,
+take their numpy forms, which the loops reproduce bit for bit.  The choice
+depends only on what the loader finds and on the arrays; no option selects
+it.
 """
 
 import contextlib
@@ -27,6 +29,8 @@ import zlib
 from math import comb
 
 import numpy as np
+
+from .basis import is_integer
 
 # 1 / integral of (1 - s^2)^4 over [-1, 1]
 NORMALIZER = 315.0 / 256.0
@@ -72,70 +76,87 @@ CLONES void fsim_kernel_weights(double *u, const double *points, const double *s
         }
 }
 """
-# The leave-one-out sums at LANES sorted rows at a time, one vector register
-# of rows (8 with AVX-512, 4 with AVX2, 2 otherwise: a wider block than the
+# The window sums of LANES sorted points at a time, one vector register of
+# points (8 with AVX-512, 4 with AVX2, 2 otherwise: a wider block than the
 # registers ran 4-5 times slower).  Each block runs over the samples [lo, hi)
-# that any of its rows reaches, lo ending the reach of its first row and hi
-# that of its last, both found by comparing the difference the weight uses
-# with -1 and 1.  Each lane adds its row's terms sample by sample, so a row's
-# sums run in ascending sample order from +0; a sample outside the row's
-# window weighs +0 and the row's own sample is masked to +0, so they add an
-# exact +-0 and leave the sums as the row's own window gives them.  The
-# select of the weight is the scalar one's: NaN is not below 0.
-_LOO_SUMS = r"""
+# that any of its points reaches, lo ending the reach of its first point and
+# hi that of its last, both found by comparing the argument the weight uses
+# with -1 and 1.  Each lane adds its point's terms sample by sample, so a
+# point's sums run in ascending sample order from +0; a sample outside the
+# point's window weighs +0, its argument is zeroed before the powers, and the
+# point's own sample in the leave-one-out sums is masked to +0, so they add
+# an exact +-0 and leave the sums as the point's own window gives them.  The
+# select of the weight is the scalar one's: NaN is not below 0.  The moments
+# weigh by the kernel with its constant, smooth_kernel's bits.  One body
+# serves every kind of sums: MASK, MOMENTS and SCALE are replaced by
+# constants and the compiler drops the branches a kind does not take.
+_WINDOW_SUMS = r"""
 typedef double doubles_LANES __attribute__((vector_size(LANES * sizeof(double))));
 typedef long long bits_LANES __attribute__((vector_size(LANES * sizeof(double))));
 
-WIDTH_LANES static void loo_sums_LANES(double *den, double *num, const double *p,
-                                       const double *y, size_t n)
+WIDTH_LANES static void KIND_LANES(double *sums, const double *p, size_t m, const double *s,
+                                   const double *y, size_t n, double h)
 {
     bits_LANES lane;
     for (size_t l = 0; l < LANES; l++)
         lane[l] = (long long)l;
-    for (size_t i = 0, lo = 0, hi = 0; i < n; i += LANES) {
-        size_t rows = n - i < LANES ? n - i : LANES, last = i + rows - 1;
-        doubles_LANES at, sw = {0.0}, swy = {0.0};
+    for (size_t i = 0, lo = 0, hi = 0; i < m; i += LANES) {
+        size_t rows = m - i < LANES ? m - i : LANES, last = i + rows - 1;
+        doubles_LANES at, sum[9] = {{0.0}};
         for (size_t l = 0; l < LANES; l++)
             at[l] = p[l < rows ? i + l : last];
-        while (p[lo] - p[i] <= -1.0)
+        while (lo < n && (s[lo] - p[i])SCALE <= -1.0)
             lo++;
-        if (hi <= last)
-            hi = last + 1;
-        while (hi < n && p[hi] - p[last] < 1.0)
+        if (hi < lo)
+            hi = lo;
+        while (hi < n && (s[hi] - p[last])SCALE < 1.0)
             hi++;
         for (size_t j = lo; j < hi; j++) {
-            doubles_LANES x = p[j] - at;
-            x = 1.0 - x * x;
-            x = (doubles_LANES)((bits_LANES)x & ~(x < 0.0));
-            x = x * x;
-            x = x * x;
-            if (j - i < rows)
-                x = (doubles_LANES)((bits_LANES)x & (lane != (long long)(j - i)));
-            sw += x;
-            swy += x * y[j];
+            doubles_LANES x = (s[j] - at)SCALE, w = 1.0 - x * x;
+            w = (doubles_LANES)((bits_LANES)w & ~(w < 0.0));
+            w = w * w;
+            w = w * w;
+            if (MASK && j - i < rows)
+                w = (doubles_LANES)((bits_LANES)w & (lane != (long long)(j - i)));
+            if (MOMENTS) {
+                bits_LANES inside = (bits_LANES)(w != 0.0);
+                w *= NORMALIZER;
+                x = (doubles_LANES)((bits_LANES)x & inside);
+                sum[8] -= __builtin_convertvector(inside, doubles_LANES);
+            }
+            for (int q = 0; q < (MOMENTS ? 5 : 1); q++, w *= x) {
+                sum[q] += w;
+                if (q < 3)
+                    sum[MOMENTS ? 5 + q : 1] += w * y[j];
+            }
         }
-        for (size_t l = 0; l < rows; l++) {
-            den[i + l] = sw[l];
-            num[i + l] = swy[l];
-        }
+        for (size_t t = 0; t < (MOMENTS ? 9 : 2); t++)
+            if (rows == LANES)
+                __builtin_memcpy(sums + t * m + i, &sum[t], sizeof sum[t]);
+            else
+                for (size_t l = 0; l < rows; l++)
+                    sums[t * m + i + l] = sum[t][l];
     }
 }
 """
-_SOURCE = _HEAD + "".join(_LOO_SUMS.replace("LANES", str(lanes)) for lanes in (8, 4, 2)) + r"""
-void fsim_loo_sums(double *den, double *num, const double *p, const double *y, size_t n)
+_WIDTHS = (8, 4, 2)
+# (MASK, MOMENTS, SCALE) of each kind of window sums, numbered in this order
+_KINDS = {"loo": ("1", "0", ""), "sums": ("0", "0", ""), "moments": ("0", "1", " / h")}
+_SOURCE = _HEAD + f"#define NORMALIZER {NORMALIZER!r}\n" + "".join(
+    _WINDOW_SUMS.replace("KIND", kind).replace("MASK", mask).replace("MOMENTS", moments)
+    .replace("SCALE", scale).replace("LANES", str(lanes))
+    for lanes in _WIDTHS for kind, (mask, moments, scale) in _KINDS.items()) + r"""
+typedef void window_sums(double *, const double *, size_t, const double *, const double *,
+                         size_t, double);
+static window_sums *const LOOPS[][3] = {%s};
+
+void fsim_window_sums(int kind, double *sums, const double *p, size_t m, const double *s,
+                      const double *y, size_t n, double h)
 {
-    switch (WIDEST) {
-    case 8:
-        loo_sums_8(den, num, p, y, n);
-        break;
-    case 4:
-        loo_sums_4(den, num, p, y, n);
-        break;
-    default:
-        loo_sums_2(den, num, p, y, n);
-    }
+    int widest = WIDEST;
+    LOOPS[kind][widest == 8 ? 0 : widest == 4 ? 1 : 2](sums, p, m, s, y, n, h);
 }
-"""
+""" % ", ".join("{" + ", ".join(f"{kind}_{lanes}" for lanes in _WIDTHS) + "}" for kind in _KINDS)
 # -ffp-contract=off: a fused multiply-add would round 1 - x*x once, not twice,
 # and change the bits (GCC fuses by default in GNU C mode).  -O3 with
 # -fno-trapping-math lets GCC vectorize the select; without them the loop is
@@ -148,9 +169,9 @@ _FLAGS = ("-O3", "-fno-trapping-math", "-ffp-contract=off", "-fPIC", "-shared")
 _PROBE = np.concatenate([np.linspace(-1.1, 1.1, 45),
                          [0.0, -0.0, 1.0, -1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0),
                           5e-324, 1e-300, 1e200, np.inf, -np.inf, np.nan]])
-# a sorted index whose leave-one-out sums a library must give the numpy form's
-# bits: ties, differences of exactly 1, within one rounding of 1 and
-# subnormal, squares that overflow, differences that overflow, and 53 rows,
+# a sorted index whose window sums of every kind a library must give the numpy
+# form's bits: ties, differences of exactly 1, within one rounding of 1 and
+# subnormal, squares that overflow, differences that overflow, and 53 points,
 # a ragged last block at every width
 _SORTED_PROBE = np.array(sorted([
     *np.linspace(-1.5, 1.5, 31).tolist(), 0.0, 0.0, -0.0, 0.5, 0.5, 1.5, -1.0, 1.0, 2.0,
@@ -158,7 +179,7 @@ _SORTED_PROBE = np.array(sorted([
     2e154, 2e154 + 1e138, 3e154, 1e200, -1e200, 1.7e308, -1.7e308, 1.6e308]))
 _SORTED_PROBE_Y = np.array([-0.0 if k % 7 == 0 else (k * 5 % 11 - 5.0) / 3.0
                             for k in range(_SORTED_PROBE.size)])
-# rows per tile of the numpy leave-one-out sums
+# points per tile of the numpy window sums
 _TILE_ROWS = 64
 
 
@@ -188,38 +209,53 @@ def _numpy_weights(u: np.ndarray, points: np.ndarray, samples: np.ndarray) -> np
     return _numpy_passes(u)
 
 
-def _numpy_loo_sums(p: np.ndarray, y: np.ndarray):
-    """The leave-one-out sums of :func:`loo_sums` in numpy, bit for bit.
+def _numpy_window_sums(points: np.ndarray, samples: np.ndarray, responses: np.ndarray,
+                       h: float | None = None, leave_one_out: bool = False) -> np.ndarray:
+    """The sums of :func:`window_sums` in numpy, bit for bit.
 
-    Tiles of ``_TILE_ROWS`` sorted rows each take the run of samples their
-    rows can reach, found by a reach widened by the rounding of p +- 1 so no
-    in-window sample is cut; every other sample weighs +0 and adds an exact
-    +-0, as does the row's own, zeroed.  A tile holds its terms sample-major,
-    so ``np.add.reduce`` over samples, which numpy sums one sample after the
-    other from ``initial`` off the fast axis (pairwise only along it), sums
-    each row in the loop's order; ``np.add.accumulate`` gives the same bits
-    about nine times slower.
+    Tiles of ``_TILE_ROWS`` sorted points each take the run of samples their
+    first and last points reach, found by the loop's own comparisons; a
+    sample outside a point's window weighs +0 and adds an exact +-0, as does
+    the point's own sample in the leave-one-out sums.  A tile holds its terms
+    sample-major, so ``np.add.reduce`` over samples, which numpy sums one
+    sample after the other from ``initial`` off the fast axis (pairwise only
+    along it), sums each point in the loop's order; ``np.add.accumulate``
+    gives the same bits about nine times slower.  A tile of one point takes
+    it twice, as one column would make the samples the fast axis.
     """
-    sums = np.empty((2, p.size))
-    if not p.size:
-        return sums[0], sums[1]
-    reach = 1.0 + 4.0 * np.finfo(float).eps * (2.0 + max(-p[0], p[-1]))
-    # the last tile takes up to one row more: a tile of one row would make
-    # the samples the fast axis
-    starts = np.arange(0, max(p.size - 1, 1), _TILE_ROWS)
-    stops = np.append(starts[1:], p.size)
-    # a reach bound or a sum that overflows is an infinity, as in the loop
-    with np.errstate(over="ignore"):
-        lo = p.searchsorted(p[starts] - reach, side="left")
-        hi = p.searchsorted(p[stops - 1] + reach, side="right")
-        for a, b, c0, c1 in zip(starts.tolist(), stops.tolist(), lo.tolist(), hi.tolist()):
-            # w[j, i] weighs p[a + i] - p[c0 + j], the exact negation of the
-            # loop's difference, so the same weight
-            w = _numpy_weights(np.empty((c1 - c0, b - a)), p[c0:c1], p[a:b])
-            w[np.arange(a - c0, b - c0), np.arange(b - a)] = 0.0
-            np.add.reduce(w * y[c0:c1, None], axis=0, out=sums[1, a:b], initial=0.0)
-            np.add.reduce(w, axis=0, out=sums[0, a:b], initial=0.0)
-    return sums[0], sums[1]
+    def arguments(samples, points):
+        x = np.subtract(samples, points)
+        if h is not None:
+            x /= h
+        return x
+
+    sums = np.empty((2 if h is None else 9, points.size))
+    # an argument, a square or a sum that overflows is an infinity, and a sum
+    # of opposite infinities NaN, as in the loop, without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a in range(0, points.size, _TILE_ROWS):
+            rows = np.arange(a, min(a + _TILE_ROWS, points.size))
+            tile = rows if rows.size > 1 else rows.repeat(2)
+            lo = np.count_nonzero(arguments(samples, points[tile[0]]) <= -1.0)
+            hi = np.count_nonzero(arguments(samples, points[tile[-1]]) < 1.0)
+            x = arguments(samples[lo:hi, None], points[tile])
+            w = _numpy_passes(x if h is None else x.copy())
+            if leave_one_out:
+                w[tile - lo, np.arange(tile.size)] = 0.0
+            powers = [w]
+            if h is not None:
+                inside = w != 0.0
+                w *= NORMALIZER
+                x[~inside] = 0.0
+                for _ in range(4):
+                    powers.append(powers[-1] * x)
+            y = responses[lo:hi, None]
+            terms = powers + [power * y for power in powers[:3]]
+            if h is not None:
+                terms.append(inside * 1.0)
+            for row, term in zip(sums, terms):
+                row[rows] = np.add.reduce(term, axis=0, initial=0.0)[:rows.size]
+    return sums
 
 
 def _cache_dir() -> str | None:
@@ -259,18 +295,21 @@ def _library_path(directory: str) -> str:
 
 
 def _build(path: str) -> None:
-    """Compile the loop into ``path``; raise :class:`OSError` when that fails.
+    """Compile the loops into ``path``; raise :class:`OSError` when that fails.
 
     The compiler writes a temporary name in the same directory, which then
     replaces ``path`` in one step, so a concurrent import never loads a
-    half-written file.
+    half-written file.  A successful build then removes the directory's
+    other libraries, builds of other sources or flags, so the cache holds
+    one.
     """
     import subprocess  # only a build needs it, and it would add 8 ms to every import
 
     compiler = shutil.which("cc")
     if compiler is None:
         raise FileNotFoundError("no C compiler cc on PATH")
-    handle, partial = tempfile.mkstemp(suffix=".part", dir=os.path.dirname(path))
+    directory, name = os.path.split(path)
+    handle, partial = tempfile.mkstemp(suffix=".part", dir=directory)
     os.close(handle)
     try:
         subprocess.run([compiler, *_FLAGS, "-o", partial, "-x", "c", "-"], input=_SOURCE.encode(),
@@ -281,6 +320,11 @@ def _build(path: str) -> None:
     finally:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(partial)
+    for other in os.listdir(directory):
+        if other != name and other.startswith("transform-") and other.endswith(".so"):
+            # a concurrent import may have removed it first
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(os.path.join(directory, other))
 
 
 # A loop's pointer argument: from_buffer refuses a read-only or non-contiguous
@@ -289,15 +333,17 @@ _pointer = ctypes.c_double.from_buffer
 
 
 def _open(path: str):
-    """``(weights, loo_sums)``, the two loops of the library at ``path``, once
-    each has matched its numpy form on a probe."""
+    """``(weights, window)``, the two loops of the library at ``path``, once
+    each has matched its numpy form on a probe, every kind of window sums
+    included."""
     library = ctypes.CDLL(path)
-    weights, loo = library.fsim_kernel_weights, library.fsim_loo_sums
+    weights, window = library.fsim_kernel_weights, library.fsim_window_sums
     double_p = ctypes.POINTER(ctypes.c_double)
     weights.argtypes = (double_p, double_p, double_p, ctypes.c_size_t, ctypes.c_size_t,
                         ctypes.c_size_t)
-    loo.argtypes = (double_p, double_p, double_p, double_p, ctypes.c_size_t)
-    weights.restype = loo.restype = None
+    window.argtypes = (ctypes.c_int, double_p, double_p, ctypes.c_size_t, double_p, double_p,
+                       ctypes.c_size_t, ctypes.c_double)
+    weights.restype = window.restype = None
     # three stacked tiles: every probe value against every one in its stack,
     # inf - inf, overflowing differences and exact cancellations included
     points, samples = _PROBE.reshape(3, -1).copy(), _PROBE[::-1].reshape(3, -1).copy()
@@ -305,16 +351,22 @@ def _open(path: str):
     weights(_pointer(tiles), _pointer(points), _pointer(samples), *tiles.shape)
     if tiles.tobytes() != _numpy_weights(np.empty_like(tiles), points, samples).tobytes():
         raise OSError(f"{path} does not reproduce the numpy kernel transform")
-    p, y = _SORTED_PROBE.copy(), _SORTED_PROBE_Y.copy()
-    sums = np.empty((2, p.size))
-    loo(_pointer(sums[0]), _pointer(sums[1]), _pointer(p), _pointer(y), p.size)
-    if sums.tobytes() != np.stack(_numpy_loo_sums(p, y)).tobytes():
-        raise OSError(f"{path} does not reproduce the numpy leave-one-out sums")
-    return weights, loo
+    # the leave-one-out sums of the sorted probe, and its sums and moments
+    # (h = 0.75) at every third of its values
+    s, y = _SORTED_PROBE.copy(), _SORTED_PROBE_Y.copy()
+    third = s[::3].copy()
+    for kind, (p, h) in enumerate([(s, None), (third, None), (third, 0.75)]):
+        expected = _numpy_window_sums(p, s, y, h, kind == 0)
+        sums = np.empty_like(expected)
+        window(kind, _pointer(sums), _pointer(p), p.size, _pointer(s), _pointer(y), s.size,
+               1.0 if h is None else h)
+        if sums.tobytes() != expected.tobytes():
+            raise OSError(f"{path} does not reproduce the numpy {list(_KINDS)[kind]} window sums")
+    return weights, window
 
 
 def _load():
-    """``(weights, loo_sums, path)`` of the cached library, built first when
+    """``(weights, window, path)`` of the cached library, built first when
     missing, or ``(None, None, None)`` when there is no usable cache
     directory or the build, the load or a probe fails."""
     directory = _cache_dir()
@@ -329,7 +381,7 @@ def _load():
         return None, None, None
 
 
-_weights, _loo_sums, COMPILED_LIBRARY = _load()
+_weights, _window_sums, COMPILED_LIBRARY = _load()
 # the one point smooth_kernel measures its arguments from: s - (+0) is s for
 # every double, -0, the infinities and NaN included
 _ORIGIN = np.zeros(1)
@@ -368,24 +420,40 @@ def transform_inplace(u: np.ndarray, points: np.ndarray, samples: np.ndarray) ->
     return _numpy_weights(u, points, samples)
 
 
-def loo_sums(p: np.ndarray, y: np.ndarray):
-    """Leave-one-out kernel sums ``(den, num)`` at every point of a sorted index.
+def window_sums(points: np.ndarray, samples: np.ndarray, responses: np.ndarray,
+                h: float | None = None, leave_one_out: bool = False) -> np.ndarray:
+    """Kernel sums of every sorted point over its own window of sorted samples.
 
-    ``p`` is finite and ascending, ``y`` holds finite responses of the same
-    size.  For every row i, ``den[i]`` and ``num[i]`` sum the unnormalized
-    weight w of p[j] - p[i], and w y[j], over the samples j != i of the
-    row's window, the j with |p[j] - p[i]| < 1, in ascending order of j and
+    ``points`` (m,) and ``samples`` (n,) are finite and ascending, and
+    ``responses`` holds the n samples' finite responses.  Without ``h`` the
+    argument of point i and sample j is samples[j] - points[i], and the
+    (2, m) result holds, for every point, sum w and sum w y over the samples
+    of its window, those with an argument in (-1, 1); w is the kernel weight
+    without ``NORMALIZER``.  ``leave_one_out`` takes ``samples is points``
+    and leaves each point's own sample out.  With a bandwidth ``h`` the
+    argument is s = (samples[j] - points[i]) / h and its weight w = K(s),
+    formed as the pointwise local fit forms them, and the (9, m) result
+    holds S_0 to S_4, T_0 to T_2 and the count of nonzero weights, with
+    S_k = sum w s^k and T_k = sum w s^k y; each power of s multiplies the
+    previous term.  Every sum runs in ascending sample order
     from +0.  When a library is loaded, nonempty, writeable, aligned,
     C-contiguous float64 arrays go through its loop, which runs a vector
-    register of rows at a time; anything else takes the numpy form, which
+    register of points at a time; anything else takes the numpy form, which
     gives the same bits.
     """
-    if (_loo_sums is not None and p.size and p.shape == y.shape == (p.size,)
-            and p.dtype == y.dtype == np.float64 and p.flags.carray and y.flags.carray):
-        sums = np.empty((2, p.size))
-        _loo_sums(_pointer(sums[0]), _pointer(sums[1]), _pointer(p), _pointer(y), p.size)
-        return sums[0], sums[1]
-    return _numpy_loo_sums(p, y)
+    if leave_one_out and (h is not None or samples is not points):
+        raise ValueError("the leave-one-out sums take the points as samples and no h")
+    if (_window_sums is not None and points.size and samples.size
+            and points.shape == (points.size,)
+            and samples.shape == responses.shape == (samples.size,)
+            and points.dtype == samples.dtype == responses.dtype == np.float64
+            and points.flags.carray and samples.flags.carray and responses.flags.carray):
+        sums = np.empty((2 if h is None else 9, points.size))
+        kind = 2 if h is not None else 0 if leave_one_out else 1
+        _window_sums(kind, _pointer(sums), _pointer(points), points.size, _pointer(samples),
+                     _pointer(responses), samples.size, 1.0 if h is None else h)
+        return sums
+    return _numpy_window_sums(points, samples, responses, h, leave_one_out)
 
 
 def smooth_kernel(s):
@@ -406,9 +474,11 @@ def smooth_kernel(s):
 
 
 def kernel_moment(p: int) -> float:
-    """Integral of s^p times the kernel over [-1, 1]; zero for odd p."""
-    if p < 0 or p > MAX_MOMENT:
-        raise ValueError(f"moment order must be in [0, {MAX_MOMENT}], got {p}")
+    """Integral of s^p times the kernel over [-1, 1]; zero for odd p.  The
+    order is an integer from 0 to ``MAX_MOMENT``: a bool or a float, even an
+    integer-valued one, is refused."""
+    if not is_integer(p) or not 0 <= p <= MAX_MOMENT:
+        raise ValueError(f"moment order must be an integer in [0, {MAX_MOMENT}], got {p!r}")
     if p % 2 == 1:
         return 0.0
     # expand (1 - s^2)^4 and integrate term by term over [-1, 1]

@@ -10,20 +10,16 @@ functional of the responses: the rows of (X'WX)^{-1} X'W, exposed here as
 smoother rows.
 
 All kernel sums run on sorted windows.  The kernel vanishes beyond one
-bandwidth, so above ``ONE_TILE_MAX`` samples a sum sorts the h-scaled index
-once and sums each point only over the contiguous run of samples it can
-reach; up to that size it sums over one dense tile.  The leave-one-out
-estimator inside the coefficient-search objective takes one call to the
-compiled loop of :func:`fsim.kernel.loo_sums`, which sums every sorted row
-over its own window in ascending sample order.  The held-out
-Nadaraya-Watson prediction of k-fold validation and the batched local
-quadratic fits behind GCV, curve grids and RASE share a walk over tiles of
-``TILE_ROWS`` sorted points.  A batch of leave-one-out problems of one size
-(the training sets of the k-fold searches) runs as stacks of dense tiles.
-Every other Nadaraya-Watson tile, dense, stacked or walked, forms its
-weights from its points and samples in one :func:`transform_inplace` call;
-the local quadratic tiles, which need the kernel arguments for their
-moments, form them by broadcast subtraction, as that call does.  The
+bandwidth, so a sum sorts its points and samples once and the compiled loop
+of :func:`fsim.kernel.window_sums` sums every point over its own run of
+samples, in ascending sample order: the leave-one-out estimator inside the
+coefficient-search objective above ``ONE_TILE_MAX`` samples, the held-out
+Nadaraya-Watson prediction of k-fold validation, and the moments of the
+batched local quadratic fits behind GCV, curve grids and RASE.  A
+leave-one-out problem of up to ``ONE_TILE_MAX`` samples, or with a
+non-finite index value, runs as one dense tile whose weights come from one
+:func:`transform_inplace` call, and a batch of them of one size (the
+training sets of the k-fold searches) as stacks of such tiles.  The
 pointwise fits (:func:`local_quad_fit`, :func:`smoother_matrix`,
 :func:`relocated_fit`) stay as the reference for the batched ones.
 """
@@ -35,19 +31,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import is_integer, readonly_array
-from .kernel import NORMALIZER, loo_sums, smooth_kernel, transform_inplace
+from .kernel import NORMALIZER, smooth_kernel, transform_inplace, window_sums
 
 MIN_WINDOW_POINTS = 3
 CONDITION_LIMIT = 1e12
 # steps of h/4 that relocated_fit takes toward the data centre before it gives up
 RELOCATION_STEPS = 64
-# Rows per tile of the held-out and local-quadratic walk, and the largest
-# problem that runs as one dense tile without sorting.  The cap sat at the
-# crossover of the numpy transform, about 250 samples; tools/kernel_sweep.py
-# puts the compiled leave-one-out walk ahead of the dense tile at every size
-# it times, from 90 samples.  The cap stays, as moving it changes the bits of
-# every problem it moves (see README, "Performance").
-TILE_ROWS = 64
+# The largest leave-one-out problem that runs as one dense tile without
+# sorting.  The cap sat at the crossover of the numpy transform, about 250
+# samples; tools/kernel_sweep.py puts the compiled window sums level with
+# the dense tile at 90 samples and ahead from 200.  The cap stays, as moving
+# it changes the bits of every problem it moves (see README,
+# "Performance").
 ONE_TILE_MAX = 256
 
 
@@ -178,96 +173,47 @@ def local_quad_fit(index_values, responses, u: float, h: float) -> LocalQuadFit:
     )
 
 
-def _tiled(points, samples) -> bool:
-    """Whether a problem takes a sorted-window walk rather than one dense
-    tile: more than ``ONE_TILE_MAX`` points or samples, all of them finite."""
-    return (min(points.size, samples.size) > 0
-            and max(points.size, samples.size) > ONE_TILE_MAX
-            and bool(np.isfinite(points).all())
-            and (samples is points or bool(np.isfinite(samples).all())))
-
-
-def _sorted_tiles(points, samples):
-    """The sort and tile bounds of the sorted-window walk.
-
-    Returns ``(order, p, by_index, s, tiles)``: ``p = points[order]`` and
-    ``s = samples[by_index]`` sorted, and ``tiles`` yields ``(a, b, c0,
-    c1)`` for each run of ``TILE_ROWS`` sorted rows [a, b), whose reach is
-    the sorted samples [c0, c1): those within one bandwidth of row a or row
-    b - 1.
-    """
+def _sorted_sums(points, samples, responses, h=None, leave_one_out=False):
+    """:func:`fsim.kernel.window_sums` of finite points and samples in any
+    order: both are sorted once, and the sums come back in the input order
+    of the points."""
     order = np.argsort(points)
     p = points[order]
-    by_index = np.argsort(samples)
-    s = samples[by_index]
-    # widen the reach by the rounding of p +- 1 so no in-window sample is cut
-    reach = 1.0 + 4.0 * np.finfo(float).eps * (2.0 + max(-p[0], p[-1], -s[0], s[-1]))
-    starts = np.arange(0, p.size, TILE_ROWS)
-    stops = np.minimum(starts + TILE_ROWS, p.size)
-    lo = s.searchsorted(p[starts] - reach, side="left")
-    hi = s.searchsorted(p[stops - 1] + reach, side="right")
-    return order, p, by_index, s, zip(starts.tolist(), stops.tolist(), lo.tolist(), hi.tolist())
+    if leave_one_out:
+        s, y = p, responses[order]
+    else:
+        by_index = np.argsort(samples)
+        s, y = samples[by_index], responses[by_index]
+    sorted_sums = window_sums(p, s, y, h, leave_one_out)
+    sums = np.empty_like(sorted_sums)
+    # row by row: numpy scatters a 2-d array along its last axis 4x slower
+    for row, sorted_row in zip(sums, sorted_sums):
+        row[order] = sorted_row
+    return sums
 
 
-def _walk(tile, points, samples, data):
-    """The sorted-window tile walk of h-scaled ``points`` over ``samples``.
+def _nw_tile(points, responses):
+    """Leave-one-out kernel row sums and kernel-weighted response sums of one
+    dense tile.
 
-    ``tile(rows, tile_points, window_samples, window_data)`` sums one tile
-    and returns a tuple of arrays whose first axis runs over the tile's
-    points.  ``rows`` indexes those points in input order, and
-    ``window_data`` holds the columns of ``data`` (per-sample values along
-    its last axis) of the window's samples.  Up to ``ONE_TILE_MAX`` points
-    and samples the whole problem is one dense tile, unsorted.  Beyond that
-    the sorted points are walked in tiles of ``TILE_ROWS`` rows, each
-    against the contiguous run of sorted samples within reach of its first
-    and last rows, so tiles skip the pairs the compact kernel zeroes; the
-    tile results are scattered back to input order.  Non-finite input takes
-    the dense tile.
+    One :func:`transform_inplace` call forms the unnormalized weights of the
+    differences ``points[j] - points[i]``, the diagonal of each row's own
+    sample is zeroed, and one product of the weights with the (1, y) columns
+    gives both sums; the kernel constant cancels in the ratio
+    :func:`_nw_ratio` takes.  A leading batch axis on ``points`` and
+    ``responses`` stacks tiles of one shape; the stacked product sums each
+    slice exactly as it would be summed alone.  Only a tile of non-finite
+    input holds a non-finite value: an infinity weighs 0 against every finite
+    value, and an infinite sample against itself is inf - inf, NaN without a
+    warning, as NaN input is.
     """
-    if not _tiled(points, samples):
-        return tile(slice(None), points, samples, data)
-    order, p, by_index, s, tiles = _sorted_tiles(points, samples)
-    data = data[..., by_index]
-    results = None
-    for a, b, c0, c1 in tiles:
-        rows = order[a:b]
-        parts = tile(rows, p[a:b], s[c0:c1], data[..., c0:c1])
-        if results is None:
-            results = tuple(np.empty((p.size,) + part.shape[1:], part.dtype) for part in parts)
-        for result, part in zip(results, parts):
-            result[rows] = part
-    return results
-
-
-def _ones_y(responses):
-    """The (1, y) columns of ``responses`` along a new last axis: a weight
-    tile times them gives (sum w, sum w y) for each of its rows."""
+    n = points.shape[-1]
+    w = transform_inplace(np.empty(points.shape + (n,)), points, points)
+    w.reshape(w.shape[:-2] + (-1,))[..., ::n + 1] = 0.0
     ones_y = np.empty(responses.shape + (2,))
     ones_y[..., 0] = 1.0
     ones_y[..., 1] = responses
-    return ones_y
-
-
-def _nw_tile(rows, points, samples, responses, diagonal=None):
-    """Kernel row sums and kernel-weighted response sums of one tile.
-
-    One :func:`transform_inplace` call forms the unnormalized weights of the
-    differences ``samples[j] - points[i]``, and one product of them with the
-    (1, y) columns of the samples gives both sums; the kernel constant
-    cancels in the ratio :func:`_nw_ratio` takes.  ``diagonal`` is the
-    column of row 0's own sample, whose weight (and, down the diagonal,
-    every later row's) is zeroed; ``None`` keeps every weight.  A leading
-    batch axis on ``points``, ``samples`` and ``responses`` stacks tiles of
-    one shape; the stacked product sums each slice exactly as it would be
-    summed alone.  Only the dense tile of non-finite input holds a
-    non-finite value: an infinity weighs 0 against every finite value, and
-    an infinite sample against itself is inf - inf, NaN without a warning,
-    as NaN input is.
-    """
-    w = transform_inplace(np.empty(points.shape + samples.shape[-1:]), points, samples)
-    if diagonal is not None:
-        w.reshape(w.shape[:-2] + (-1,))[..., diagonal::samples.shape[-1] + 1] = 0.0
-    sums = w @ _ones_y(responses)
+    sums = w @ ones_y
     return sums[..., 0], sums[..., 1]
 
 
@@ -275,17 +221,12 @@ def _nw_loo_sums(points, responses):
     """Leave-one-out kernel sums ``(den, num)`` at every h-scaled sample.
 
     Up to ``ONE_TILE_MAX`` samples, or on non-finite input, this is one
-    dense tile with the own-sample diagonal zeroed.  Beyond that the index
-    is sorted once and :func:`fsim.kernel.loo_sums` sums every sorted row
-    over its own window in one call; the sums are scattered back to input
-    order.
+    dense tile.  Beyond that the index is sorted once and one call to
+    :func:`fsim.kernel.window_sums` sums every sample over its own window.
     """
-    if not _tiled(points, points):
-        return _nw_tile(slice(None), points, points, responses, 0)
-    order = np.argsort(points)
-    den, num = np.empty(points.size), np.empty(points.size)
-    den[order], num[order] = loo_sums(points[order], responses[order])
-    return den, num
+    if points.size <= ONE_TILE_MAX or not np.isfinite(points).all():
+        return _nw_tile(points, responses)
+    return _sorted_sums(points, points, responses, leave_one_out=True)
 
 
 def stack_size(elements: int) -> int:
@@ -322,7 +263,8 @@ def nw_loo_batch(index_values, responses, h):
     smoothed with bandwidth ``h[b]``; returns (B, n) ``(estimates,
     excluded)``.  Up to ``ONE_TILE_MAX`` samples the problems run as stacked
     dense tiles of at most ``ONE_TILE_MAX**2`` pairs, the largest tile
-    :func:`nw_loo_all` builds; larger problems take its walk one by one.
+    :func:`nw_loo_all` builds; larger problems take its window sums one by
+    one.
     """
     z = np.asarray(index_values, dtype=float)
     y = np.asarray(responses, dtype=float)
@@ -339,8 +281,7 @@ def nw_loo_batch(index_values, responses, h):
         step = stack_size(n * n)
         for a in range(0, count, step):
             chunk = slice(a, a + step)
-            points = scaled[chunk]
-            den[chunk], num[chunk] = _nw_tile(chunk, points, points, y[chunk], 0)
+            den[chunk], num[chunk] = _nw_tile(scaled[chunk], y[chunk])
     else:
         for b in range(count):
             den[b], num[b] = _nw_loo_sums(scaled[b], y[b])
@@ -351,13 +292,19 @@ def nw_predict(index_values, responses, points, h: float):
     """Nadaraya-Watson prediction at held-out ``points`` from the samples.
 
     Returns ``(predictions, excluded)``; excluded marks points with no
-    sample inside their window, and their prediction is NaN.  Every weight
-    is the same kernel value of the same difference on either path of the
-    walk; only the order of the sums changes.
+    sample inside their window, and their prediction is NaN.  The sums run
+    over the h-scaled index in one :func:`fsim.kernel.window_sums` call.  An
+    infinite sample weighs 0 against every finite point and is left out; a
+    non-finite point, or every point when a sample is NaN, predicts NaN and
+    is not excluded.
     """
     z, y = _fit_inputs(index_values, responses, h)
-    u = _as_vector(points, "points")
-    return _nw_ratio(*_walk(_nw_tile, u / h, z / h, y))
+    p, s = _as_vector(points, "points") / h, z / h
+    sums = np.full((2, p.size), np.nan)
+    if not np.isnan(s).any():
+        at, kept = np.isfinite(p), np.isfinite(s)
+        sums[:, at] = _sorted_sums(p[at], s[kept], y[kept])
+    return _nw_ratio(*sums)
 
 
 # Entry (p, q) of the normal matrix X'WX of the h-scaled design (1, s, s^2/2)
@@ -366,37 +313,8 @@ _HANKEL = np.add.outer(np.arange(3), np.arange(3))
 _HALVES = np.outer([1.0, 1.0, 0.5], [1.0, 1.0, 0.5])
 
 
-def _quad_tile(u: np.ndarray, h: float):
-    """Tile of the local quadratic fits at the raw evaluation points ``u``.
-
-    The tile returns the in-window count of every point and, in
-    ``sums[:, k]``, the sums of w s^k (k <= 4) and of w s^k y (k <= 2),
-    with s = (z - u) / h and w = K(s) formed exactly as
-    :func:`_smoother_rows` forms them, so the weights and the counts are the
-    pointwise ones bit for bit.  The powers overwrite one array in turn, so
-    a tile holds two arrays of its shape.
-    """
-    def tile(rows, _points, _samples, window):
-        z, y = window
-        s = np.subtract(z, u[rows, None])
-        s /= h
-        ws = smooth_kernel(s)
-        count = np.count_nonzero(ws, axis=1)
-        ones_y = _ones_y(y)
-        sums = np.zeros((s.shape[0], 5, 2))
-        for k in range(5):
-            if k:
-                ws *= s
-            if k < 3:
-                sums[:, k] = ws @ ones_y
-            else:
-                sums[:, k, 0] = ws.sum(axis=1)
-        return count, sums
-    return tile
-
-
 def _quad_fits(z: np.ndarray, y: np.ndarray, points: np.ndarray, h: float):
-    """Local quadratic fits at every evaluation point from one tile walk.
+    """Local quadratic fits at every evaluation point from one pass of window sums.
 
     Returns ``(coefficients, usable, leverage)``.  ``coefficients[k]`` holds
     the k-th estimate of (a, b, c) at every point, NaN where the point is
@@ -405,8 +323,9 @@ def _quad_fits(z: np.ndarray, y: np.ndarray, points: np.ndarray, h: float):
     finite raw condition number up to ``CONDITION_LIMIT`` (from the
     h-scaled moments rescaled by h^(p+q)), and a nonzero LU pivot.
     ``leverage`` is K(0) (A^{-1})_00, the weight of the level row on a
-    sample at the evaluation point itself.  Non-finite points, or any
-    non-finite sample, leave a point unusable.
+    sample at the evaluation point itself.  The weights are the pointwise
+    ones bit for bit; only the order of the sums differs.  Non-finite
+    points, or any non-finite sample, leave a point unusable.
     """
     m = points.size
     coefficients = np.full((3, m), np.nan)
@@ -415,17 +334,16 @@ def _quad_fits(z: np.ndarray, y: np.ndarray, points: np.ndarray, h: float):
     at = np.flatnonzero(usable)
     if at.size == 0:
         return coefficients, usable, leverage
-    u = points[at]
-    count, sums = _walk(_quad_tile(u, h), u / h, z / h, np.stack([z, y]))
-    scaled = sums[:, _HANKEL, 0] * _HALVES
+    sums = _sorted_sums(points[at], z, y, h)
+    scaled = sums[:5].T[:, _HANKEL] * _HALVES
     h_powers = np.array([1.0, h, h * h])
     cond = np.linalg.cond(scaled * np.outer(h_powers, h_powers))
-    ok = (count >= MIN_WINDOW_POINTS) & np.isfinite(cond) & (cond <= CONDITION_LIMIT)
+    ok = (sums[8] >= MIN_WINDOW_POINTS) & np.isfinite(cond) & (cond <= CONDITION_LIMIT)
     # np.linalg.solve raises on a zero LU pivot; det runs the same factorization
     ok[ok] = np.linalg.det(scaled[ok]) != 0.0
     usable[at] = ok
     rhs = np.zeros((int(ok.sum()), 3, 2))
-    rhs[:, :, 0] = sums[ok, :3, 1] * _HALVES[0]
+    rhs[:, :, 0] = sums[5:8, ok].T * _HALVES[0]
     rhs[:, 0, 1] = 1.0
     solution = np.linalg.solve(scaled[ok], rhs)
     fitted = at[ok]

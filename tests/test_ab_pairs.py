@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import pathlib
+import subprocess
 
 import pytest
 
@@ -135,3 +136,41 @@ def test_gain_rule(change, ratio, met):
     lines = ab_pairs.summary_lines(pairs, END_TO_END[:1])
     assert lines[2].endswith(f"median gap {ratio:.2f} times the parent's IQR, "
                              f"gain rule {'met' if met else 'not met'}")
+
+
+def test_each_side_runs_on_its_own_fresh_bytecode_cache(tmp_path, monkeypatch, capsys):
+    # one untimed set-up import per side writes its cache, the change's side
+    # first, then every run of a side reads that side's cache
+    calls = []
+    facts = {"facts": {"nproc": 2, "cpus_usable": 2, "blas": {"threads": 1}}, "unbounded": {}}
+    last = {"correct": True, "failed": 0,
+            "metrics": {name: {"value": 1.0} for name in ("setup_s", "wall_s", "peak_rss_mb")}}
+
+    def fake_run(command, cwd, env=None, **kwargs):
+        calls.append((pathlib.Path(cwd), command, env))
+        return subprocess.CompletedProcess(
+            command, 0, stdout=json.dumps(facts) + "\n" + json.dumps(last) + "\n", stderr="")
+
+    scratch = tmp_path / "scratch"
+    scratch.mkdir()
+    monkeypatch.setattr(ab_pairs.subprocess, "run", fake_run)
+    monkeypatch.setattr(ab_pairs.tempfile, "mkdtemp", lambda prefix: str(scratch))
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    parent = tmp_path / "parent"
+    assert ab_pairs.main(["--workload", "mc_kfold_n100", "--seeds", "7-8",
+                          "--parent-dir", str(parent)]) == 0
+    assert "2 complete pairs" in capsys.readouterr().out
+    root = ab_pairs.ROOT
+    assert [tree for tree, _, _ in calls] == [root, parent, parent, root, root, parent]
+    caches = {tree: {env["PYTHONPYCACHEPREFIX"] for _, _, env in group}
+              for tree, group in [(t, [c for c in calls if c[0] == t])
+                                  for t in (parent, root)]}
+    [[parent_cache], [change_cache]] = caches.values()
+    assert parent_cache != change_cache
+    assert {pathlib.Path(parent_cache).parent, pathlib.Path(change_cache).parent} == {scratch}
+    for _, command, env in calls[:2]:
+        assert command[1:2] == ["perfbench/workloads.py"] and command[-2:] == ["--mode", "setup"]
+        assert "PYTHONDONTWRITEBYTECODE" not in env
+    for _, command, env in calls[2:]:
+        assert command[1] == "perfbench/run.py" and env["PYTHONDONTWRITEBYTECODE"] == "1"
+    assert not scratch.exists()

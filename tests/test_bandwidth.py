@@ -178,6 +178,19 @@ class TestGcvScore:
         with pytest.raises(bw.SelectionError):
             bw.gcv_score(data, spec, 0.5)
 
+    @pytest.mark.parametrize("gap", [2.0**-52, 1e-9])
+    def test_smoother_interpolating_within_rounding_raises(self, monkeypatch, gap):
+        # leverages a rounding below one leave a trace of I - S made of
+        # rounding; the exact comparison with 0 once scored it (about 1e30 * mse)
+        data, truth = linear_dataset(10, 0.1, seed=3)
+        spec = spec_from_raw(data, truth)
+        fitted = data.y + 1e-9
+        monkeypatch.setattr(bw, "level_fits", lambda z, y, h: (fitted, np.full(10, 1.0 - gap)))
+        with pytest.raises(bw.SelectionError, match="trace degeneracy"):
+            bw.gcv_score(data, spec, 0.5)
+        monkeypatch.setattr(bw, "level_fits", lambda z, y, h: (fitted, np.full(10, 0.999)))
+        assert bw.gcv_score(data, spec, 0.5) == pytest.approx(1e-18 / 1e-6)
+
 
 class TestKFold:
     def test_constant_responses_score_zero(self):

@@ -70,10 +70,11 @@ class TestMoments:
         assert kernel_moment(2) == pytest.approx(0.09090909090909091, abs=1e-12)
 
     def test_order_out_of_range(self):
-        with pytest.raises(ValueError):
-            kernel_moment(MAX_MOMENT + 1)
-        with pytest.raises(ValueError):
-            kernel_moment(-1)
+        # 2.5 and 1.5 once gave 0.0599 and 0.1448, True gave 0.0
+        for order in (MAX_MOMENT + 1, -1, 2.5, 1.5, True, False, 2.0, np.float64(4.0), "2"):
+            with pytest.raises(ValueError, match="moment order must be an integer"):
+                kernel_moment(order)
+        assert kernel_moment(np.int64(2)) == kernel_moment(2)
 
 
 def test_third_derivative_continuous_at_boundary():
@@ -97,7 +98,7 @@ def test_third_derivative_continuous_at_boundary():
 
 @pytest.fixture(scope="module")
 def loops(tmp_path_factory):
-    """The compiled loops ``(weights, loo_sums)``, built afresh from the
+    """The compiled loops ``(weights, window)``, built afresh from the
     shipped source and flags."""
     if shutil.which("cc") is None:
         pytest.skip("no C compiler cc on PATH")
@@ -300,10 +301,32 @@ RESPONSES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -2.5]), st.floats(-10.0, 
                       st.floats(allow_nan=False, allow_infinity=False))
 
 
-def run_loo_sums(loo, p, y):
-    sums = np.empty((2, p.size))
+def run_window(window, points, samples, y, h=None, leave_one_out=False):
+    """The loop's window sums, called as :func:`kernel.window_sums` calls it."""
+    sums = np.empty((2 if h is None else 9, points.size))
+    kind = 2 if h is not None else 0 if leave_one_out else 1
     pointer = kernel.ctypes.c_double.from_buffer
-    loo(pointer(sums[0]), pointer(sums[1]), pointer(p), pointer(y), p.size)
+    window(kind, pointer(sums), pointer(points), points.size, pointer(samples), pointer(y),
+           samples.size, 1.0 if h is None else h)
+    return sums
+
+
+def sequential_sums(points, samples, y, h=None, leave_one_out=False):
+    """Window sums written out one pair at a time: from +0, in ascending
+    sample order, over |argument| < 1, the own sample left out; the moments
+    weigh by the kernel with its constant."""
+    sums = np.zeros((2 if h is None else 9, points.size))
+    for i in range(points.size):
+        for j in range(samples.size):
+            x = samples[j] - points[i] if h is None else (samples[j] - points[i]) / h
+            w = kernel._numpy_passes(np.array([x]))[0] * (1.0 if h is None else NORMALIZER)
+            if abs(x) >= 1.0 or (leave_one_out and j == i):
+                continue
+            powers = [w]
+            if h is not None:
+                for _ in range(4):
+                    powers.append(powers[-1] * x)
+            sums[:, i] += powers + [power * y[j] for power in powers[:3]] + [1.0] * (h is not None)
     return sums
 
 
@@ -318,8 +341,8 @@ class TestCompiledLooSums:
         p = np.sort(values)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            expected = np.stack(kernel._numpy_loo_sums(p, y))
-        assert run_loo_sums(loops[1], p, y).tobytes() == expected.tobytes()
+            expected = kernel._numpy_window_sums(p, p, y, leave_one_out=True)
+        assert run_window(loops[1], p, p, y, leave_one_out=True).tobytes() == expected.tobytes()
 
     def test_rows_sum_their_window_in_ascending_order(self, loops):
         # every block width and ragged tail: sequential sums from +0 over
@@ -329,43 +352,125 @@ class TestCompiledLooSums:
             p = np.sort(np.round(rng.normal(scale=1.5, size=n), 1))
             y = rng.normal(size=n)
             y[::3] = -0.0
-            expected = np.zeros((2, n))
-            for i in range(n):
-                for j in range(n):
-                    w = kernel._numpy_passes(np.array([p[j] - p[i]]))[0]
-                    if j != i and abs(p[j] - p[i]) < 1.0:
-                        expected[:, i] += w, w * y[j]
-            assert run_loo_sums(loops[1], p, y).tobytes() == expected.tobytes()
-            assert np.stack(kernel._numpy_loo_sums(p, y)).tobytes() == expected.tobytes()
+            expected = sequential_sums(p, p, y, leave_one_out=True).tobytes()
+            assert run_window(loops[1], p, p, y, leave_one_out=True).tobytes() == expected
+            assert kernel._numpy_window_sums(p, p, y, leave_one_out=True).tobytes() == expected
 
     def test_a_library_with_other_sums_is_refused(self, tmp_path, monkeypatch):
         # a loop that keeps each row's own weight fails the load-time probe
-        if shutil.which("cc") is None:
-            pytest.skip("no C compiler cc on PATH")
-        source = kernel._SOURCE.replace("if (j - i < rows)", "if (0)")
-        assert source != kernel._SOURCE
-        monkeypatch.setattr(kernel, "_SOURCE", source)
-        path = kernel._library_path(str(tmp_path))
-        kernel._build(path)
-        with pytest.raises(OSError, match="leave-one-out sums"):
-            kernel._open(path)
+        refuse_library(tmp_path, monkeypatch, ["if (1 && j - i < rows)"], "if (0)", "loo")
 
     def test_other_arrays_take_the_numpy_form(self, monkeypatch):
         # strided, read-only and float32 arrays, and empty ones, never reach the loop
         seen = []
         monkeypatch.setattr(kernel, "_pointer", lambda array: array)
-        monkeypatch.setattr(kernel, "_loo_sums", lambda *args: seen.append(args[-1]))
+        monkeypatch.setattr(kernel, "_window_sums", lambda *args: seen.append(args[0]))
         p = np.linspace(-2.0, 2.0, 12)
         y = np.cos(p)
         frozen = p.copy()
         frozen.flags.writeable = False
-        for args in [(p[::2], y[::2]), (frozen, y), (p, y.astype(np.float32)),
-                     (p[:0], y[:0])]:
-            assert (np.stack(kernel.loo_sums(*args)).tobytes()
-                    == np.stack(kernel._numpy_loo_sums(*args)).tobytes())
+        for args in [(p[::2], y[::2]), (frozen, y), (p, y.astype(np.float32)), (p[:0], y[:0])]:
+            assert (kernel.window_sums(args[0], args[0], args[1], leave_one_out=True).tobytes()
+                    == kernel._numpy_window_sums(args[0], args[0], args[1],
+                                                 leave_one_out=True).tobytes())
+        for args in [(p[::2], p, y), (p, p[::2], y[::2]), (frozen, p, y), (p, frozen, y),
+                     (p, p, y.astype(np.float32)), (p[:0], p, y), (p, p[:0], y[:0])]:
+            for h in (None, 0.5):
+                assert (kernel.window_sums(*args, h).tobytes()
+                        == kernel._numpy_window_sums(*args, h).tobytes())
         assert seen == []
-        kernel.loo_sums(p, y)
-        assert seen == [12]
+        kernel.window_sums(p, p, y, leave_one_out=True)
+        kernel.window_sums(p[:5].copy(), p, y)
+        kernel.window_sums(p[:5].copy(), p, y, 0.5)
+        assert seen == [0, 1, 2]
+
+
+def refuse_library(tmp_path, monkeypatch, lines, replacement, kind):
+    """Build the shipped source with each of ``lines`` replaced and check that
+    the load-time probe refuses the library for its ``kind`` of window sums."""
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler cc on PATH")
+    source = kernel._SOURCE
+    for line in lines:
+        assert line in source
+        source = source.replace(line, replacement)
+    monkeypatch.setattr(kernel, "_SOURCE", source)
+    path = kernel._library_path(str(tmp_path))
+    kernel._build(path)
+    with pytest.raises(OSError, match=f"numpy {kind} window sums"):
+        kernel._open(path)
+
+
+SAMPLED_H = st.one_of(st.sampled_from([1.0, 0.5, 3.0, 1e-300, 1e300, 5e-324]),
+                      st.floats(1e-3, 1e3))
+
+
+@st.composite
+def windows(draw):
+    """Sorted points and samples (up to 40 and 90), the samples' responses
+    and a bandwidth: the values of the leave-one-out index."""
+    n = draw(st.integers(0, 90))
+    samples = np.sort(draw(arrays(np.float64, n, elements=SORTED_VALUES)))
+    pick = draw(st.booleans()) and n
+    if pick:
+        points = samples[draw(arrays(np.intp, draw(st.integers(1, 40)),
+                                     elements=st.integers(0, n - 1)))]
+    else:
+        points = draw(arrays(np.float64, draw(st.integers(0, 40)), elements=SORTED_VALUES))
+    y = draw(arrays(np.float64, n, elements=RESPONSES))
+    return np.sort(points), samples, y, draw(SAMPLED_H)
+
+
+class TestCompiledWindowSums:
+    @settings(max_examples=300, deadline=None)
+    @given(windows(), st.booleans())
+    def test_loop_matches_the_numpy_form_bit_for_bit(self, loops, window, moments):
+        # sums and moments of points against other samples: ties, points at
+        # samples, arguments of exactly +-1 and within one rounding of it,
+        # subnormal arguments, and arguments and squares that overflow
+        points, samples, y, h = window
+        h = h if moments else None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            expected = kernel._numpy_window_sums(points, samples, y, h)
+        if points.size and samples.size:
+            assert run_window(loops[1], points, samples, y, h).tobytes() == expected.tobytes()
+        assert kernel.window_sums(points, samples, y, h).tobytes() == expected.tobytes()
+
+    def test_points_sum_their_window_in_ascending_order(self, loops):
+        rng = np.random.default_rng(6)
+        for m, n in [(1, 1), (1, 50), (2, 50), (3, 7), (17, 40), (64, 100), (65, 130), (129, 200)]:
+            samples = np.sort(np.round(rng.normal(scale=1.5, size=n), 1))
+            points = np.sort(np.concatenate([rng.choice(samples, m - m // 2),
+                                             rng.normal(scale=2.0, size=m // 2)]))
+            y = rng.normal(size=n)
+            y[::3] = -0.0
+            for h in (None, 0.3, 1.0, 2.5):
+                expected = sequential_sums(points, samples, y, h).tobytes()
+                assert run_window(loops[1], points, samples, y, h).tobytes() == expected
+                assert kernel._numpy_window_sums(points, samples, y, h).tobytes() == expected
+
+    def test_moments_count_the_nonzero_weights_of_the_pointwise_fit(self, loops):
+        # the argument is (z - u) / h, as the pointwise fit forms it, so the
+        # window is the pointwise one where z / h - u / h rounds across its edge
+        for z, u, h in [(0.4702734042712358, -0.4638766728140493, 0.9341500770852852),
+                        (-1.0502013799081846, -0.08498784700926532, 0.9652135328989193)]:
+            pointwise = np.count_nonzero(smooth_kernel((z - u) / h))
+            assert pointwise != np.count_nonzero(smooth_kernel(z / h - u / h))
+            sums = run_window(loops[1], np.array([u]), np.array([z]), np.ones(1), h)
+            assert sums[8].tolist() == [pointwise]
+
+    def test_a_library_with_other_moments_is_refused(self, tmp_path, monkeypatch):
+        # powers that take the argument of a sample outside the window turn an
+        # overflowing argument into NaN and fail the load-time probe
+        lines = [f"x = (doubles_{lanes})((bits_{lanes})x & inside);" for lanes in kernel._WIDTHS]
+        refuse_library(tmp_path, monkeypatch, lines, "", "moments")
+
+    def test_leave_one_out_takes_the_points_as_samples_and_no_h(self):
+        p = np.linspace(0.0, 1.0, 5)
+        for args in [(p, p.copy(), p), (p, p, p, 0.5)]:
+            with pytest.raises(ValueError, match="leave-one-out sums take the points"):
+                kernel.window_sums(*args, leave_one_out=True)
 
 
 @pytest.mark.parametrize("compiled", [True, False])
@@ -478,6 +583,23 @@ class TestLoader:
         second = fresh_import(tmp_path, [fake_compiler(tmp_path / "bin", marker)])
         assert second == first
         assert not marker.exists()
+
+    def test_a_build_removes_the_other_libraries(self, tmp_path, monkeypatch):
+        # libraries of older sources or flags go, other files stay, and a
+        # library a concurrent import removed first is no error
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler cc on PATH")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        directory = pathlib.Path(kernel._cache_dir())
+        for name in ("transform-869277a1.so", "transform-d1aacf73.so", "notes.txt"):
+            (directory / name).write_text("")
+        path = kernel._library_path(str(directory))
+        kernel._build(path)
+        assert sorted(os.listdir(directory)) == sorted(["notes.txt", os.path.basename(path)])
+        listdir = os.listdir
+        monkeypatch.setattr(kernel.os, "listdir", lambda d: [*listdir(d), "transform-0.so"])
+        kernel._build(path)
+        assert sorted(listdir(directory)) == sorted(["notes.txt", os.path.basename(path)])
 
     def test_private_directory_of_the_temporary_root(self, tmp_path, monkeypatch):
         # with the user cache unusable the library lives in <tempdir>/fsim-<uid>

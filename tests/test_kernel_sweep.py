@@ -54,7 +54,13 @@ def test_main_prints_facts_and_table(capsys):
     assert [line.split(" | ")[0] for line in out[8:11]] == [
         f"| objective_loo_mse, n = {n}" for n in kernel_sweep.OBJECTIVE_SIZES]
     assert out[11].startswith("| k-fold step: 50 points on 10 training sets of 90 | ")
-    assert out[12] == "| local-quadratic layer | per call |" and len(out) == 17
+    assert out[12] == "| local-quadratic layer | per call |"
+    assert [line.split(" | ")[0] for line in out[14:18]] == [
+        *(f"| level_fits pass, n = {n}" for n in kernel_sweep.LEVEL_SIZES),
+        f"| curve_estimates, {kernel_sweep.CURVE_POINTS} points at n = {kernel_sweep.CURVE_N}"]
+    assert out[18] == "| n | walk, no compiler | level_fits pass, no compiler |"
+    assert [line.split(" | ")[0] for line in out[20:]] == [
+        f"| {n}" for n in kernel_sweep.FALLBACK_SIZES]
 
 
 def test_crossover_names_where_the_walk_keeps_winning():
@@ -72,6 +78,27 @@ def test_local_quadratic_table_at_a_tiny_n():
     assert kernel_sweep.quad_table([(layer, 1.5e-3) for layer, _ in rows])[2:] == [
         "| level_fits pass, n = 30 | 1.5 ms |", "| curve_estimates, 40 points at n = 30 | 1.5 ms |"]
     assert all(seconds > 0.0 for _, seconds in rows)
+
+
+def test_fallback_table_runs_without_a_compiled_loop(monkeypatch):
+    # every compiled loop is off while the table runs, and back on after it
+    seen = []
+    quad_fits = kernel_sweep.locfit._quad_fits
+
+    def spy(*args):
+        seen.append(tuple(getattr(kernel_sweep.kernel, name, None)
+                          for name in kernel_sweep.LOOPS))
+        return quad_fits(*args)
+
+    monkeypatch.setattr(kernel_sweep.locfit, "_quad_fits", spy)
+    loops = [getattr(kernel_sweep.kernel, name, None) for name in kernel_sweep.LOOPS]
+    rows = kernel_sweep.fallback_times(1, seed=3, sizes=(30,))
+    assert [n for n, _, _ in rows] == [30] and all(t > 0.0 for _, *times in rows for t in times)
+    assert seen and set(seen) == {(None, None, None)}
+    assert [getattr(kernel_sweep.kernel, name, None) for name in kernel_sweep.LOOPS] == loops
+    assert kernel_sweep.fallback_table([(90, 2.5e-4, 1.5e-3)]) == [
+        "| n | walk, no compiler | level_fits pass, no compiler |", "| --- | --- | --- |",
+        "| 90 | 250 µs | 1.5 ms |"]
 
 
 def test_transform_path_names_the_loaded_library(monkeypatch):

@@ -183,6 +183,16 @@ def direct_nw(points, samples, y, h, leave_one_out):
     return estimates, np.isnan(estimates), scale
 
 
+def spy_window_sums(calls):
+    """``locfit.window_sums`` that records its arguments in ``calls``."""
+    sums = locfit.window_sums
+
+    def spy(*args):
+        calls.append(args)
+        return sums(*args)
+    return spy
+
+
 def assert_matches_oracle(got, oracle, rel=1e-12):
     estimates, excluded = got
     expected, expected_excluded, scale = oracle
@@ -195,10 +205,10 @@ def assert_matches_oracle(got, oracle, rel=1e-12):
 def awkward_index(n, rng):
     """Index values with ties, exact duplicates and a few isolated samples.
 
-    Above two tiles of samples, the sorted rows ``T - 1`` and ``T`` are
-    exact duplicates across the first tile boundary, and a gap of 5 follows
-    sorted row ``2T - 1``, so at bandwidths below 5 the second tile reaches
-    no sample right of itself.
+    Above two tiles of the numpy window sums, the sorted rows ``T - 1`` and
+    ``T`` are exact duplicates across the first tile boundary, and a gap of
+    5 follows sorted row ``2T - 1``, so at bandwidths below 5 the second tile
+    reaches no sample right of itself.
     """
     z = rng.normal(size=n)
     z[: n // 3] = np.round(z[: n // 3], 1)
@@ -262,10 +272,13 @@ class TestNadarayaWatson:
         assert np.isnan(estimates[3])
 
 
-T = locfit.TILE_ROWS
+# points per tile of the numpy window sums, a multiple of every vector block
+T = kernel._TILE_ROWS
 CUTOFF = locfit.ONE_TILE_MAX
-# 300, 1000 and 4000 end on a short tile, CUTOFF + 1 on a tile of one row
-ENGINE_SIZES = [T - 1, T, T + 1, 3 * T + 5, CUTOFF - 1, CUTOFF, CUTOFF + 1, 300, 1000, 4000]
+# sizes about the tile edges of the numpy window sums and the dense cap:
+# 300, 1000 and 4000 end on a short tile, 65 and CUTOFF + 1 on a tile of one
+# point, and every size but 64, 256, 1000 and 4000 on a ragged block of eight
+ENGINE_SIZES = [63, 64, 65, 197, CUTOFF - 1, CUTOFF, CUTOFF + 1, 300, 1000, 4000]
 
 
 @pytest.fixture(params=["default", "tiled"])
@@ -312,23 +325,39 @@ class TestKernelSumEngine:
         walks = {}
         for path in ("compiled", "numpy"):
             if path == "numpy":
-                monkeypatch.setattr(kernel, "_loo_sums", None)
+                monkeypatch.setattr(kernel, "_window_sums", None)
             walks[path] = [array for h in WALK_BANDWIDTHS
                            for array in locfit._nw_loo_sums(z / h, y)]
-            order = np.argsort(z)
-            p, sorted_y = z[order] / 0.08, y[order]
-            assert (np.stack(kernel.loo_sums(p, sorted_y)).tobytes()
-                    == np.stack(kernel._numpy_loo_sums(p, sorted_y)).tobytes())
         for got, expected in zip(walks["compiled"], walks["numpy"]):
+            assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n", ENGINE_SIZES)
+    def test_compiled_predictions_and_fits_are_the_numpy_ones_byte_for_byte(self, n,
+                                                                           monkeypatch):
+        # held-out predictions and local quadratic fits take the window sums
+        # at every size, the same bits on the compiled loop and its numpy form
+        rng = np.random.default_rng(n + 4)
+        z = awkward_index(n, rng)
+        y = rng.normal(size=n)
+        y[::5] = -0.0
+        points = np.concatenate([rng.choice(z, 30), rng.normal(scale=2.0, size=30), [-60.0]])
+        results = {}
+        for path in ("compiled", "numpy"):
+            if path == "numpy":
+                monkeypatch.setattr(kernel, "_window_sums", None)
+            results[path] = [array for h in WALK_BANDWIDTHS[1:-1]
+                             for result in (nw_predict(z, y, points, h),
+                                            locfit._quad_fits(z, y, points, h))
+                             for array in result]
+        for got, expected in zip(results["compiled"], results["numpy"]):
             assert got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("n", [n for n in ENGINE_SIZES if n > CUTOFF])
     def test_one_loop_call_per_walk(self, n, monkeypatch):
-        # the walk sorts the index once and sums it in one loo_sums call,
+        # the walk sorts the index once and sums it in one window_sums call,
         # with no kernel transform of its own
         calls, transforms = [], []
-        sums = locfit.loo_sums
-        monkeypatch.setattr(locfit, "loo_sums", lambda p, y: calls.append((p, y)) or sums(p, y))
+        monkeypatch.setattr(locfit, "window_sums", spy_window_sums(calls))
         monkeypatch.setattr(locfit, "transform_inplace", lambda *args: transforms.append(args))
         rng = np.random.default_rng(n + 3)
         z = awkward_index(n, rng)
@@ -336,13 +365,38 @@ class TestKernelSumEngine:
         for h in WALK_BANDWIDTHS:
             calls.clear()
             locfit._nw_loo_sums(z / h, y)
-            [(p, sorted_y)] = calls
+            [(p, s, sorted_y, no_h, leave_one_out)] = calls
             order = np.argsort(z / h)
             np.testing.assert_array_equal(p, (z / h)[order])
             np.testing.assert_array_equal(sorted_y, y[order])
+            assert s is p and no_h is None and leave_one_out
         assert transforms == []
 
-    @pytest.mark.parametrize("m, n", [(10, 90), (T + 1, 3 * T + 5), (5, 1000), (1000, 20),
+    @pytest.mark.parametrize("n", [10, 200, CUTOFF + 1])
+    def test_one_loop_call_per_prediction_or_fit_pass(self, n, monkeypatch):
+        # at every size held-out prediction and the local quadratic fits sort
+        # their points and samples once and sum them in one window_sums call:
+        # the sums of the h-scaled index, or the moments of the raw one
+        calls, transforms = [], []
+        monkeypatch.setattr(locfit, "window_sums", spy_window_sums(calls))
+        monkeypatch.setattr(locfit, "transform_inplace", lambda *args: transforms.append(args))
+        monkeypatch.setattr(locfit, "smooth_kernel", lambda *args: transforms.append(args))
+        rng = np.random.default_rng(n)
+        z = rng.normal(size=n)
+        y = rng.normal(size=n)
+        points = rng.normal(size=25)
+        nw_predict(z, y, points, 0.5)
+        locfit._quad_fits(z, y, points, 0.5)
+        [(p, s, sorted_y, no_h, _), (u, samples, moment_y, h, _)] = calls
+        order = np.argsort(z)
+        np.testing.assert_array_equal(p, np.sort(points / 0.5))
+        np.testing.assert_array_equal(s, (z / 0.5)[order])
+        np.testing.assert_array_equal(u, np.sort(points))
+        np.testing.assert_array_equal(samples, z[order])
+        assert sorted_y.tolist() == moment_y.tolist() == y[order].tolist()
+        assert no_h is None and h == 0.5 and transforms == []
+
+    @pytest.mark.parametrize("m, n", [(10, 90), (65, 197), (5, 1000), (1000, 20),
                                       (CUTOFF + 1, CUTOFF + 1)])
     def test_predict_matches_direct_sums(self, m, n, engine_path):
         rng = np.random.default_rng(m * n)
@@ -415,7 +469,7 @@ class TestKernelSumEngine:
         with pytest.raises(ValueError):
             nw_predict(np.arange(5.0), np.zeros(5), [0.5], 0.0)
 
-    @pytest.mark.parametrize("n", [T, CUTOFF, CUTOFF + 1])
+    @pytest.mark.parametrize("n", [64, CUTOFF, CUTOFF + 1])
     def test_batch_matches_each_problem_alone(self, n, engine_path):
         rng = np.random.default_rng(n + 1)
         z = np.stack([awkward_index(n, rng) for _ in range(5)])
@@ -470,9 +524,9 @@ class TestKernelSumEngine:
         shapes = []
         tile = locfit._nw_tile
 
-        def spy(rows, points, samples, responses, diagonal):
-            shapes.append(points.shape + samples.shape[-1:])
-            return tile(rows, points, samples, responses, diagonal)
+        def spy(points, responses):
+            shapes.append(points.shape + points.shape[-1:])
+            return tile(points, responses)
 
         monkeypatch.setattr(locfit, "_nw_tile", spy)
         rng = np.random.default_rng(12)
@@ -612,16 +666,25 @@ def assert_fits_match(got, oracle, h, rel=1e-12):
     assert np.all(error <= rel * kappa[~unusable] * scale[~unusable])
 
 
+@functools.lru_cache(maxsize=None)
+def fit_oracles(n):
+    """Index, responses, evaluation points and the pointwise fits at each
+    bandwidth for one size, computed once for both engine paths."""
+    rng = np.random.default_rng(n)
+    z = awkward_index(n, rng)
+    y = rng.normal(size=n)
+    # at the samples, between them, and far off
+    points = np.concatenate([z, rng.normal(scale=2.0, size=40), [-60.0]])
+    return z, y, points, [(h, pointwise_fits(z, y, points, h)) for h in (0.004, 0.08, 0.5, 3.0)]
+
+
 class TestBatchedFits:
-    @pytest.mark.parametrize("n", [T - 1, T, T + 1, CUTOFF - 1, CUTOFF, CUTOFF + 1, 1000])
+    @pytest.mark.parametrize("n", ENGINE_SIZES)
     def test_matches_pointwise_fits(self, n, engine_path):
-        rng = np.random.default_rng(n)
-        z = awkward_index(n, rng)
-        y = rng.normal(size=n)
-        # at the samples, between them, and far off
-        points = np.concatenate([z, rng.normal(scale=2.0, size=40), [-60.0]])
-        for h in (0.004, 0.08, 0.5, 3.0):
-            oracle = pointwise_fits(z, y, points, h)
+        # the same unusable points as the pointwise fits, and estimates within
+        # the kappa bound of the order of the sums
+        z, y, points, oracles = fit_oracles(n)
+        for h, oracle in oracles:
             assert np.isnan(oracle[0][0, :n][z >= 40.0]).all()
             assert_fits_match(locfit._quad_fits(z, y, points, h)[0], oracle, h)
 

@@ -383,9 +383,9 @@ class TestStackedObjective:
             stacks.append(samples.shape)
             return loo_mse(self, samples, h, raw)
 
-        def tile_spy(rows, points, samples, responses, diagonal=None):
-            tiles.append(points.shape + samples.shape[-1:])
-            return nw_tile(rows, points, samples, responses, diagonal)
+        def tile_spy(points, responses):
+            tiles.append(points.shape + points.shape[-1:])
+            return nw_tile(points, responses)
 
         monkeypatch.setattr(StackedObjective, "_loo_mse", stack_spy)
         monkeypatch.setattr(locfit, "_nw_tile", tile_spy)

@@ -3,8 +3,8 @@
     python3 tools/ab_pairs.py --workload mc_kfold_n100 --seeds 1001-1010 [--parent HEAD]
     python3 tools/ab_pairs.py --workload mc_kfold_n100 --seeds 1001-1010 --parent-dir DIR
 
-The parent revision is checked out with ``git worktree`` into a temporary
-directory (under ``$TMPDIR``), removed again on exit; ``--parent-dir`` runs
+The parent revision is checked out with ``git worktree`` into the script's
+temporary directory (under ``$TMPDIR``), removed again on exit; ``--parent-dir`` runs
 an existing checkout of the parent instead (say, one unpacked with
 ``git archive``), and no worktree is made.  The change is the
 working tree this script sits in, uncommitted edits included.  Each seed
@@ -23,7 +23,13 @@ side's CPU count (``nproc``), usable CPUs (``cpus_usable``) and BLAS
 threads from the machine facts of its runs.
 The coefficient searches run on every usable CPU, so wall time depends on
 these facts: a pair whose sides report different ones is refused, and
-counts as incomplete.  Running it with ``--parent-dir`` set to a copy of this
+counts as incomplete.  Each side runs with its own fresh bytecode cache
+(``PYTHONPYCACHEPREFIX``) under the script's temporary directory, which
+one untimed import of the benchmark's set-up writes before the first pair
+(with ``PYTHONDONTWRITEBYTECODE`` dropped for it); so with that variable
+set, neither side runs on whatever ``__pycache__`` its tree happens to
+hold.  The import also builds a side's kernel library if it is missing;
+the change's side goes first.  Running it with ``--parent-dir`` set to a copy of this
 checkout (an A/A run) shows how far identical code drifts on the host.
 """
 
@@ -32,6 +38,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import pathlib
 import shutil
 import statistics
@@ -129,10 +136,26 @@ def pair_problem(parent: dict, change: dict) -> str | None:
     return None
 
 
-def run_once(tree: pathlib.Path, workload: str, seed: int, seconds: float) -> dict | None:
+def side_env(cache: pathlib.Path) -> dict:
+    """The environment of one side's runs: this one, with the side's own
+    bytecode cache directory ``cache``."""
+    return dict(os.environ, PYTHONPYCACHEPREFIX=str(cache))
+
+
+def warm_up(tree: pathlib.Path, env: dict, workload: str, seed: int) -> None:
+    """One untimed import of the benchmark's set-up in ``tree``, which writes
+    the bytecode cache of ``env`` even when it disallows writing one."""
+    env = {key: value for key, value in env.items() if key != "PYTHONDONTWRITEBYTECODE"}
+    subprocess.run([sys.executable, "perfbench/workloads.py", "--workload", workload,
+                    "--seed", str(seed), "--mode", "setup"],
+                   cwd=tree, env=env, capture_output=True, check=True)
+
+
+def run_once(tree: pathlib.Path, workload: str, seed: int, seconds: float,
+             env: dict) -> dict | None:
     command = [sys.executable, "perfbench/run.py", "--workload", workload,
                "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    done = subprocess.run(command, cwd=tree, capture_output=True, text=True)
+    done = subprocess.run(command, cwd=tree, env=env, capture_output=True, text=True)
     if done.returncode != 0:
         print(f"ab_pairs: seed {seed} in {tree} exited {done.returncode}: "
               f"{done.stderr.strip()[-300:]}", file=sys.stderr)
@@ -187,18 +210,21 @@ def main(argv=None) -> int:
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = float(benchmark["run_seconds"])
 
-    scratch = None if args.parent_dir else pathlib.Path(tempfile.mkdtemp(prefix="ab_pairs-"))
+    scratch = pathlib.Path(tempfile.mkdtemp(prefix="ab_pairs-"))
     parent = args.parent_dir.resolve() if args.parent_dir else scratch / "parent"
+    envs = [side_env(scratch / "pycache-parent"), side_env(scratch / "pycache-change")]
     pairs = []
     try:
-        if scratch is not None:
+        if not args.parent_dir:
             subprocess.run(["git", "worktree", "add", "--detach", str(parent), args.parent],
                            cwd=ROOT, check=True, capture_output=True)
+        for side, tree in [(1, ROOT), (0, parent)]:
+            warm_up(tree, envs[side], args.workload, args.seeds[0])
         for k, seed in enumerate(args.seeds):
             order = [(0, parent), (1, ROOT)] if k % 2 == 0 else [(1, ROOT), (0, parent)]
             pair = [None, None]
             for side, tree in order:
-                pair[side] = run_once(tree, args.workload, seed, seconds)
+                pair[side] = run_once(tree, args.workload, seed, seconds, envs[side])
             if None in pair:
                 continue
             problem = pair_problem(*pair)
@@ -211,11 +237,11 @@ def main(argv=None) -> int:
                 f"{pair[1]['metrics'][m['name']]:.4g}" for m in benchmark["end_to_end"]),
                 flush=True)
     finally:
-        if scratch is not None:
+        if not args.parent_dir:
             subprocess.run(["git", "worktree", "remove", "--force", str(parent)],
                            cwd=ROOT, capture_output=True)
-            shutil.rmtree(scratch, ignore_errors=True)
             subprocess.run(["git", "worktree", "prune"], cwd=ROOT, capture_output=True)
+        shutil.rmtree(scratch, ignore_errors=True)
     incomplete = len(args.seeds) - len(pairs)
     print(f"workload {args.workload}, {len(pairs)} complete pairs"
           + (f", {incomplete} incomplete (left out)" if incomplete else ""))

@@ -6,7 +6,7 @@ For each n the script draws a link-g3 sample (``simulate.generate``, seed
 ``--seed``), takes its index at the true coefficients and times
 ``nw_loo_all`` over the default 10-bandwidth grid, once with the whole
 problem as one dense tile and once on the sorted walk (one
-``kernel.loo_sums`` call), by setting ``locfit.ONE_TILE_MAX`` for the
+``kernel.window_sums`` call), by setting ``locfit.ONE_TILE_MAX`` for the
 duration of each round: to n for the dense tile and to n - 1 for the walk.
 A round times one pass over the grid on each path; the path that runs first
 alternates from round to round, and each path keeps its best round.  The
@@ -25,9 +25,13 @@ a 100-sample g1 draw, at five bandwidths of its grid, best of ``--rounds``
 rounds of ten calls.  A third table times the batched local-quadratic fits
 on the same g3 draws and bandwidths: the pass ``level_fits`` makes for GCV
 (``locfit._quad_fits`` at every sample, which unlike ``level_fits`` does
-not raise on an unusable row) at n = 200 and 1000, and one
+not raise on an unusable row) at n = 250, 1000 and 4000, and one
 ``curve_estimates`` call of ``g''`` over 1000 grid points at n = 200, best
-of ``--rounds`` rounds of 20 calls.  fsim is imported from ``PYTHONPATH``
+of ``--rounds`` rounds of 20 calls.  A last table times the numpy forms
+that run without a compiler, every compiled loop of ``fsim.kernel`` set to
+``None``: the walk of the first table and the ``level_fits`` pass at
+n = 90, 200 and 1000, best of ``--rounds`` rounds (a round of the pass is
+five calls).  fsim is imported from ``PYTHONPATH``
 when that provides it, else from the ``src`` directory of this checkout, so
 one copy of the script can time another source tree.
 """
@@ -57,8 +61,12 @@ from fsim.simulate import SimScenario, generate
 OBJECTIVE_SIZES = (90, 200, 1000)
 # the local-quadratic table: level_fits passes at these sizes, and one
 # curve_estimates call over CURVE_POINTS grid points at n = CURVE_N
-LEVEL_SIZES = (200, 1000)
+LEVEL_SIZES = (250, 1000, 4000)
 CURVE_POINTS, CURVE_N = 1000, 200
+# sizes of the table without a compiler, and the compiled loops it switches
+# off: those of this tree, and the leave-one-out loop of an older one
+FALLBACK_SIZES = (90, 200, 1000)
+LOOPS = ("_weights", "_window_sums", "_loo_sums")
 
 
 def transform_path() -> str:
@@ -105,9 +113,8 @@ def sweep(sizes, rounds: int, seed: int = 0) -> list[tuple[int, float, float]]:
     """``(n, dense_s, walk_s)`` per size: the best mean time per call of each path."""
     rows = []
     for n in sizes:
-        data, truth = generate(SimScenario(n=n, link="g3", seed=seed))
+        data, truth, grid = _g3_draw(n, seed)
         z, y = truth.index, data.y
-        grid = BandwidthGrid.default(n, float(np.std(z))).values
         # ONE_TILE_MAX = n keeps the problem on one dense tile, n - 1 sends it to the walk
         paths = {"dense": n, "walk": n - 1}
         best = {name: np.inf for name in paths}
@@ -145,16 +152,16 @@ def _best(call, rounds: int, calls: int) -> float:
 
 
 def _g3_draw(n: int, seed: int):
-    """A g3 draw of ``n`` samples and the middle bandwidth of its grid at the true index."""
+    """A g3 draw of ``n`` samples and the bandwidth grid at its true index."""
     data, truth = generate(SimScenario(n=n, link="g3", seed=seed))
-    return data, truth, BandwidthGrid.default(n, float(np.std(truth.index))).values[5]
+    return data, truth, BandwidthGrid.default(n, float(np.std(truth.index))).values
 
 
 def objective_time(n: int, rounds: int, seed: int = 0) -> float:
     """Best mean seconds per full-data ``objective_loo_mse`` call on a g3 draw
     of ``n`` samples, at its true coefficients and the middle grid bandwidth."""
-    data, truth, h = _g3_draw(n, seed)
-    return _best(lambda: objective_loo_mse(data, truth.beta.coeffs, h), rounds,
+    data, truth, grid = _g3_draw(n, seed)
+    return _best(lambda: objective_loo_mse(data, truth.beta.coeffs, grid[5]), rounds,
                  20 if n >= 1000 else 200)
 
 
@@ -165,16 +172,40 @@ def local_quadratic_times(rounds: int, seed: int = 0, sizes=LEVEL_SIZES,
     ``curve_estimates`` call over ``points`` grid points at ``curve_n``."""
     rows = []
     for n in sizes:
-        data, truth, h = _g3_draw(n, seed)
-        rows.append((f"level_fits pass, n = {n}",
-                     _best(lambda: locfit._quad_fits(truth.index, data.y, truth.index, h),
-                           rounds, 20)))
-    data, truth, h = _g3_draw(curve_n, seed)
-    grid = np.linspace(truth.index.min(), truth.index.max(), points)
+        rows.append((f"level_fits pass, n = {n}", _level_time(n, rounds, 20, seed)))
+    data, truth, grid = _g3_draw(curve_n, seed)
+    at = np.linspace(truth.index.min(), truth.index.max(), points)
     rows.append((f"curve_estimates, {points} points at n = {curve_n}",
-                 _best(lambda: locfit.curve_estimates(truth.index, data.y, grid, h, 2),
+                 _best(lambda: locfit.curve_estimates(truth.index, data.y, at, grid[5], 2),
                        rounds, 20)))
     return rows
+
+
+def _level_time(n: int, rounds: int, calls: int, seed: int) -> float:
+    """Best mean seconds per ``level_fits`` pass on a g3 draw of ``n``
+    samples at the middle bandwidth of its grid."""
+    data, truth, grid = _g3_draw(n, seed)
+    return _best(lambda: locfit._quad_fits(truth.index, data.y, truth.index, grid[5]),
+                 rounds, calls)
+
+
+def fallback_times(rounds: int, seed: int = 0, sizes=FALLBACK_SIZES):
+    """``(n, walk_s, level_s)`` per size with every compiled loop switched
+    off: the best mean seconds per walked ``nw_loo_all`` call over the
+    default grid and per ``level_fits`` pass, both on the numpy forms."""
+    saved = {name: getattr(kernel, name) for name in LOOPS if hasattr(kernel, name)}
+    try:
+        for name in saved:
+            setattr(kernel, name, None)
+        rows = []
+        for n in sizes:
+            data, truth, grid = _g3_draw(n, seed)
+            walk = min(_pass_time(truth.index, data.y, grid, n - 1) for _ in range(rounds))
+            rows.append((n, walk, _level_time(n, rounds, 5, seed)))
+        return rows
+    finally:
+        for name, value in saved.items():
+            setattr(kernel, name, value)
 
 
 def stacked_step(rounds: int, seed: int = 0) -> float:
@@ -222,6 +253,12 @@ def quad_table(rows) -> list[str]:
             + [f"| {layer} | {_duration(seconds)} |" for layer, seconds in rows])
 
 
+def fallback_table(rows) -> list[str]:
+    """The markdown table of :func:`fallback_times` rows."""
+    return (["| n | walk, no compiler | level_fits pass, no compiler |", "| --- | --- | --- |"]
+            + [f"| {n} | {_duration(walk)} | {_duration(level)} |" for n, walk, level in rows])
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sizes", default="90,200,256,300,500,1000",
@@ -234,13 +271,14 @@ def main(argv=None) -> int:
         parser.error("need sizes >= 2 and --rounds >= 1")
     print(machine_facts())
     print(f"nw_loo_all per call over the default grid, best of {args.rounds} rounds, "
-          f"TILE_ROWS={locfit.TILE_ROWS}, shipped ONE_TILE_MAX={locfit.ONE_TILE_MAX}")
+          f"shipped ONE_TILE_MAX={locfit.ONE_TILE_MAX}")
     rows = sweep(sizes, args.rounds, args.seed)
     print("\n".join(table(rows)))
     print(crossover(rows))
     objective = [(n, objective_time(n, args.rounds, args.seed)) for n in OBJECTIVE_SIZES]
     print("\n".join(step_table(objective, stacked_step(args.rounds, args.seed))))
     print("\n".join(quad_table(local_quadratic_times(args.rounds, args.seed))))
+    print("\n".join(fallback_table(fallback_times(args.rounds, args.seed))))
     return 0
 
 
