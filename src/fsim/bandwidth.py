@@ -25,8 +25,8 @@ from .optimize import (
     init_random,
     minimize,
     minimize_each,
+    objective_values,
     resolve_init,
-    safe_objective,
 )
 
 CURVATURE_EXPONENT = 5.0 / 7.0
@@ -211,7 +211,7 @@ def choose_random_start(data: Dataset, h: float, pool):
 
     Returns ``(start, label)``; ties go to the earlier candidate.
     """
-    scores = [safe_objective(data, candidate, h) for candidate in pool]
+    scores = objective_values(data, pool, h)
     best = int(np.argmin(scores))
     if not np.isfinite(scores[best]):
         raise SelectionError(f"every random start is degenerate at h={h:.6g}")

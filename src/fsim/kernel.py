@@ -85,16 +85,21 @@ CLONES void fsim_kernel_weights(double *u, const double *points, const double *s
 # point's sums run in ascending sample order from +0; a sample outside the
 # point's window weighs +0, its argument is zeroed before the powers, and the
 # point's own sample in the leave-one-out sums is masked to +0, so they add
-# an exact +-0 and leave the sums as the point's own window gives them.  The
-# select of the weight is the scalar one's: NaN is not below 0.  The moments
-# weigh by the kernel with its constant, smooth_kernel's bits.  One body
-# serves every kind of sums: MASK, MOMENTS and SCALE are replaced by
-# constants and the compiler drops the branches a kind does not take.
+# an exact +-0 and leave the sums as the point's own window gives them.  A
+# NaN or infinite response would make its w y terms NaN even at weight +0,
+# so when a call has one (NONFINITE) every w y term is masked to +0 outside
+# its window, and such a response reaches only the sums of the windows that
+# hold it; finite responses skip the mask, which changes no bit of theirs,
+# since +0 and -0 add alike to a sum that starts at +0.  The select of the
+# weight is the scalar one's: NaN is not below 0.  The moments weigh by the
+# kernel with its constant, smooth_kernel's bits.  One body serves every
+# kind of sums: MASK, MOMENTS, SCALE and NONFINITE are replaced by constants
+# and the compiler drops the branches a kind does not take.
 _WINDOW_SUMS = r"""
 typedef double doubles_LANES __attribute__((vector_size(LANES * sizeof(double))));
 typedef long long bits_LANES __attribute__((vector_size(LANES * sizeof(double))));
 
-WIDTH_LANES static void KIND_LANES(double *sums, const double *p, size_t m, const double *s,
+WIDTH_LANES static void NAME_LANES(double *sums, const double *p, size_t m, const double *s,
                                    const double *y, size_t n, double h)
 {
     bits_LANES lane;
@@ -118,16 +123,22 @@ WIDTH_LANES static void KIND_LANES(double *sums, const double *p, size_t m, cons
             w = w * w;
             if (MASK && j - i < rows)
                 w = (doubles_LANES)((bits_LANES)w & (lane != (long long)(j - i)));
+            bits_LANES inside = {0};
             if (MOMENTS) {
-                bits_LANES inside = (bits_LANES)(w != 0.0);
+                inside = (bits_LANES)(w != 0.0);
                 w *= NORMALIZER;
                 x = (doubles_LANES)((bits_LANES)x & inside);
                 sum[8] -= __builtin_convertvector(inside, doubles_LANES);
             }
             for (int q = 0; q < (MOMENTS ? 5 : 1); q++, w *= x) {
                 sum[q] += w;
-                if (q < 3)
-                    sum[MOMENTS ? 5 + q : 1] += w * y[j];
+                if (q < 3) {
+                    doubles_LANES term = w * y[j];
+                    if (NONFINITE)
+                        term = (doubles_LANES)((bits_LANES)term
+                                               & (MOMENTS ? inside : (bits_LANES)(w != 0.0)));
+                    sum[MOMENTS ? 5 + q : 1] += term;
+                }
             }
         }
         for (size_t t = 0; t < (MOMENTS ? 9 : 2); t++)
@@ -143,20 +154,31 @@ _WIDTHS = (8, 4, 2)
 # (MASK, MOMENTS, SCALE) of each kind of window sums, numbered in this order
 _KINDS = {"loo": ("1", "0", ""), "sums": ("0", "0", ""), "moments": ("0", "1", " / h")}
 _SOURCE = _HEAD + f"#define NORMALIZER {NORMALIZER!r}\n" + "".join(
-    _WINDOW_SUMS.replace("KIND", kind).replace("MASK", mask).replace("MOMENTS", moments)
-    .replace("SCALE", scale).replace("LANES", str(lanes))
-    for lanes in _WIDTHS for kind, (mask, moments, scale) in _KINDS.items()) + r"""
+    _WINDOW_SUMS.replace("NAME", kind + "_nonfinite" * nonfinite).replace("MASK", mask)
+    .replace("MOMENTS", moments).replace("SCALE", scale).replace("NONFINITE", str(nonfinite))
+    .replace("LANES", str(lanes))
+    for lanes in _WIDTHS for kind, (mask, moments, scale) in _KINDS.items()
+    for nonfinite in (0, 1)) + r"""
 typedef void window_sums(double *, const double *, size_t, const double *, const double *,
                          size_t, double);
-static window_sums *const LOOPS[][3] = {%s};
+static window_sums *const LOOPS[][2][3] = {%s};
 
+/* the sums of batch problems, each of m points and n samples, one after the
+   other; the mask of non-finite responses runs when the batch has one */
 void fsim_window_sums(int kind, double *sums, const double *p, size_t m, const double *s,
-                      const double *y, size_t n, double h)
+                      const double *y, size_t n, double h, size_t batch)
 {
-    int widest = WIDEST;
-    LOOPS[kind][widest == 8 ? 0 : widest == 4 ? 1 : 2](sums, p, m, s, y, n, h);
+    int widest = WIDEST, finite = 1;
+    for (size_t j = 0; j < batch * n; j++)
+        finite &= y[j] - y[j] == 0.0;
+    window_sums *loop = LOOPS[kind][!finite][widest == 8 ? 0 : widest == 4 ? 1 : 2];
+    size_t terms = kind == 2 ? 9 : 2;
+    for (size_t b = 0; b < batch; b++)
+        loop(sums + b * terms * m, p + b * m, m, s + b * n, y + b * n, n, h);
 }
-""" % ", ".join("{" + ", ".join(f"{kind}_{lanes}" for lanes in _WIDTHS) + "}" for kind in _KINDS)
+""" % ", ".join("{" + ", ".join("{" + ", ".join(f"{kind}{'_nonfinite' * nonfinite}_{lanes}"
+                                                 for lanes in _WIDTHS) + "}"
+                                for nonfinite in (0, 1)) + "}" for kind in _KINDS)
 # -ffp-contract=off: a fused multiply-add would round 1 - x*x once, not twice,
 # and change the bits (GCC fuses by default in GNU C mode).  -O3 with
 # -fno-trapping-math lets GCC vectorize the select; without them the loop is
@@ -179,6 +201,10 @@ _SORTED_PROBE = np.array(sorted([
     2e154, 2e154 + 1e138, 3e154, 1e200, -1e200, 1.7e308, -1.7e308, 1.6e308]))
 _SORTED_PROBE_Y = np.array([-0.0 if k % 7 == 0 else (k * 5 % 11 - 5.0) / 3.0
                             for k in range(_SORTED_PROBE.size)])
+# the same with a NaN response in the central cluster and an infinite one at
+# an isolated sample, so the sums show which windows each reaches
+_POISONED_PROBE_Y = _SORTED_PROBE_Y.copy()
+_POISONED_PROBE_Y[np.searchsorted(_SORTED_PROBE, [0.5, 1e200])] = [np.nan, np.inf]
 # points per tile of the numpy window sums
 _TILE_ROWS = 64
 
@@ -213,10 +239,12 @@ def _numpy_window_sums(points: np.ndarray, samples: np.ndarray, responses: np.nd
                        h: float | None = None, leave_one_out: bool = False) -> np.ndarray:
     """The sums of :func:`window_sums` in numpy, bit for bit.
 
-    Tiles of ``_TILE_ROWS`` sorted points each take the run of samples their
-    first and last points reach, found by the loop's own comparisons; a
-    sample outside a point's window weighs +0 and adds an exact +-0, as does
-    the point's own sample in the leave-one-out sums.  A tile holds its terms
+    A stack of problems is summed one problem after the other.  Tiles of
+    ``_TILE_ROWS`` sorted points each take the run of samples their first and
+    last points reach, found by the loop's own comparisons; a sample outside
+    a point's window weighs +0 and adds an exact +-0, as does the point's own
+    sample in the leave-one-out sums, and their w y terms are +0 whatever the
+    response.  A tile holds its terms
     sample-major, so ``np.add.reduce`` over samples, which numpy sums one
     sample after the other from ``initial`` off the fast axis (pairwise only
     along it), sums each point in the loop's order; ``np.add.accumulate``
@@ -229,7 +257,14 @@ def _numpy_window_sums(points: np.ndarray, samples: np.ndarray, responses: np.nd
             x /= h
         return x
 
+    if points.ndim > 1:
+        sums = np.empty(points.shape[:-1] + (2 if h is None else 9, points.shape[-1]))
+        for b in np.ndindex(points.shape[:-1]):
+            sums[b] = _numpy_window_sums(points[b], samples[b], responses[b], h, leave_one_out)
+        return sums
     sums = np.empty((2 if h is None else 9, points.size))
+    # finite responses need no mask: their w y terms at weight +0 are +-0
+    finite = np.isfinite(responses).all()
     # an argument, a square or a sum that overflows is an infinity, and a sum
     # of opposite infinities NaN, as in the loop, without a warning
     with np.errstate(over="ignore", invalid="ignore"):
@@ -242,15 +277,16 @@ def _numpy_window_sums(points: np.ndarray, samples: np.ndarray, responses: np.nd
             w = _numpy_passes(x if h is None else x.copy())
             if leave_one_out:
                 w[tile - lo, np.arange(tile.size)] = 0.0
+            inside = w != 0.0
             powers = [w]
             if h is not None:
-                inside = w != 0.0
                 w *= NORMALIZER
                 x[~inside] = 0.0
                 for _ in range(4):
                     powers.append(powers[-1] * x)
             y = responses[lo:hi, None]
-            terms = powers + [power * y for power in powers[:3]]
+            terms = powers + [power * y if finite else np.where(inside, power * y, 0.0)
+                              for power in powers[:3]]
             if h is not None:
                 terms.append(inside * 1.0)
             for row, term in zip(sums, terms):
@@ -342,7 +378,7 @@ def _open(path: str):
     weights.argtypes = (double_p, double_p, double_p, ctypes.c_size_t, ctypes.c_size_t,
                         ctypes.c_size_t)
     window.argtypes = (ctypes.c_int, double_p, double_p, ctypes.c_size_t, double_p, double_p,
-                       ctypes.c_size_t, ctypes.c_double)
+                       ctypes.c_size_t, ctypes.c_double, ctypes.c_size_t)
     weights.restype = window.restype = None
     # three stacked tiles: every probe value against every one in its stack,
     # inf - inf, overflowing differences and exact cancellations included
@@ -351,17 +387,22 @@ def _open(path: str):
     weights(_pointer(tiles), _pointer(points), _pointer(samples), *tiles.shape)
     if tiles.tobytes() != _numpy_weights(np.empty_like(tiles), points, samples).tobytes():
         raise OSError(f"{path} does not reproduce the numpy kernel transform")
-    # the leave-one-out sums of the sorted probe, and its sums and moments
-    # (h = 0.75) at every third of its values
-    s, y = _SORTED_PROBE.copy(), _SORTED_PROBE_Y.copy()
-    third = s[::3].copy()
-    for kind, (p, h) in enumerate([(s, None), (third, None), (third, 0.75)]):
-        expected = _numpy_window_sums(p, s, y, h, kind == 0)
-        sums = np.empty_like(expected)
-        window(kind, _pointer(sums), _pointer(p), p.size, _pointer(s), _pointer(y), s.size,
-               1.0 if h is None else h)
-        if sums.tobytes() != expected.tobytes():
-            raise OSError(f"{path} does not reproduce the numpy {list(_KINDS)[kind]} window sums")
+    # the leave-one-out sums of a stack of the sorted probe and its half, and
+    # the probe's sums and moments (h = 0.75) at every third of its values,
+    # with finite responses and with non-finite ones
+    s = _SORTED_PROBE.copy()
+    third, stack = s[::3].copy(), np.stack([s, s / 2.0])
+    for y in (_SORTED_PROBE_Y.copy(), _POISONED_PROBE_Y.copy()):
+        cases = [(stack, stack, np.stack([y, -y]), None), (third, s, y, None), (third, s, y, 0.75)]
+        for kind, (p, samples, responses, h) in enumerate(cases):
+            expected = _numpy_window_sums(p, samples, responses, h, kind == 0)
+            sums = np.empty_like(expected)
+            window(kind, _pointer(sums), _pointer(p), p.shape[-1], _pointer(samples),
+                   _pointer(responses), samples.shape[-1], 1.0 if h is None else h,
+                   p.size // p.shape[-1])
+            if sums.tobytes() != expected.tobytes():
+                raise OSError(
+                    f"{path} does not reproduce the numpy {list(_KINDS)[kind]} window sums")
     return weights, window
 
 
@@ -425,7 +466,10 @@ def window_sums(points: np.ndarray, samples: np.ndarray, responses: np.ndarray,
     """Kernel sums of every sorted point over its own window of sorted samples.
 
     ``points`` (m,) and ``samples`` (n,) are finite and ascending, and
-    ``responses`` holds the n samples' finite responses.  Without ``h`` the
+    ``responses`` holds the n samples' responses.  Leading axes stack
+    independent problems: ``points`` (..., m), ``samples`` and ``responses``
+    (..., n) with the same leading axes give (..., K, m) sums, each problem's
+    the sums it has alone, in one call.  Without ``h`` the
     argument of point i and sample j is samples[j] - points[i], and the
     (2, m) result holds, for every point, sum w and sum w y over the samples
     of its window, those with an argument in (-1, 1); w is the kernel weight
@@ -436,22 +480,25 @@ def window_sums(points: np.ndarray, samples: np.ndarray, responses: np.ndarray,
     holds S_0 to S_4, T_0 to T_2 and the count of nonzero weights, with
     S_k = sum w s^k and T_k = sum w s^k y; each power of s multiplies the
     previous term.  Every sum runs in ascending sample order
-    from +0.  When a library is loaded, nonempty, writeable, aligned,
-    C-contiguous float64 arrays go through its loop, which runs a vector
-    register of points at a time; anything else takes the numpy form, which
-    gives the same bits.
+    from +0, and a response outside a point's window, NaN and infinity
+    included, adds +0 to it.  When a library is loaded, nonempty, writeable,
+    aligned, C-contiguous float64 arrays go through its loop, which runs a
+    vector register of points at a time; anything else takes the numpy form,
+    which gives the same bits.
     """
     if leave_one_out and (h is not None or samples is not points):
         raise ValueError("the leave-one-out sums take the points as samples and no h")
     if (_window_sums is not None and points.size and samples.size
-            and points.shape == (points.size,)
-            and samples.shape == responses.shape == (samples.size,)
+            and points.ndim == samples.ndim and points.shape[:-1] == samples.shape[:-1]
+            and samples.shape == responses.shape
             and points.dtype == samples.dtype == responses.dtype == np.float64
             and points.flags.carray and samples.flags.carray and responses.flags.carray):
-        sums = np.empty((2 if h is None else 9, points.size))
+        m = points.shape[-1]
+        sums = np.empty(points.shape[:-1] + (2 if h is None else 9, m))
         kind = 2 if h is not None else 0 if leave_one_out else 1
-        _window_sums(kind, _pointer(sums), _pointer(points), points.size, _pointer(samples),
-                     _pointer(responses), samples.size, 1.0 if h is None else h)
+        _window_sums(kind, _pointer(sums), _pointer(points), m, _pointer(samples),
+                     _pointer(responses), samples.shape[-1], 1.0 if h is None else h,
+                     points.size // m)
         return sums
     return _numpy_window_sums(points, samples, responses, h, leave_one_out)
 

@@ -9,19 +9,22 @@ estimates (g(u), g'(u), g''(u)) = (a, b, c), and each estimate is a linear
 functional of the responses: the rows of (X'WX)^{-1} X'W, exposed here as
 smoother rows.
 
-All kernel sums run on sorted windows.  The kernel vanishes beyond one
-bandwidth, so a sum sorts its points and samples once and the compiled loop
-of :func:`fsim.kernel.window_sums` sums every point over its own run of
-samples, in ascending sample order: the leave-one-out estimator inside the
-coefficient-search objective above ``ONE_TILE_MAX`` samples, the held-out
-Nadaraya-Watson prediction of k-fold validation, and the moments of the
-batched local quadratic fits behind GCV, curve grids and RASE.  A
-leave-one-out problem of up to ``ONE_TILE_MAX`` samples, or with a
-non-finite index value, runs as one dense tile whose weights come from one
-:func:`transform_inplace` call, and a batch of them of one size (the
-training sets of the k-fold searches) as stacks of such tiles.  The
-pointwise fits (:func:`local_quad_fit`, :func:`smoother_matrix`,
-:func:`relocated_fit`) stay as the reference for the batched ones.
+All kernel sums above the smallest problems run on sorted windows.  The
+kernel vanishes beyond one bandwidth, so a sum sorts its points and samples
+once and the compiled loop of :func:`fsim.kernel.window_sums` sums every
+point over its own run of samples, in ascending sample order: the held-out
+Nadaraya-Watson prediction of k-fold validation, the moments of the batched
+local quadratic fits behind GCV, curve grids and RASE, and the
+leave-one-out estimator inside the coefficient-search objective above
+``ONE_TILE_MAX`` samples.  :func:`nw_loo_all` takes one leave-one-out
+problem or a stack of them, the points of a lockstep step: above the cap
+one batched sort and one window-sums call cover the stack, and up to it
+(or for a problem with a non-finite index value) one
+:func:`transform_inplace` call forms the weights of a dense stack of
+tiles.  The call never splits a stack; its callers bound them by
+:func:`stack_size`.  The pointwise fits (:func:`local_quad_fit`,
+:func:`smoother_matrix`, :func:`relocated_fit`) stay as the reference for
+the batched ones.
 """
 
 from __future__ import annotations
@@ -37,13 +40,12 @@ MIN_WINDOW_POINTS = 3
 CONDITION_LIMIT = 1e12
 # steps of h/4 that relocated_fit takes toward the data centre before it gives up
 RELOCATION_STEPS = 64
-# The largest leave-one-out problem that runs as one dense tile without
-# sorting.  The cap sat at the crossover of the numpy transform, about 250
-# samples; tools/kernel_sweep.py puts the compiled window sums level with
-# the dense tile at 90 samples and ahead from 200.  The cap stays, as moving
-# it changes the bits of every problem it moves (see README,
-# "Performance").
-ONE_TILE_MAX = 256
+# The largest leave-one-out problem that runs as a dense tile without
+# sorting.  tools/kernel_sweep.py puts the crossover of a 30-point lockstep
+# step between 40 and 48 samples with the compiled loops, and between 64
+# and 90 for 10-point steps; without a compiler the dense numpy stack wins
+# well beyond both (see README, "Performance").
+ONE_TILE_MAX = 64
 
 
 class EstimationError(RuntimeError):
@@ -89,8 +91,9 @@ def check_bandwidth(h, name: str = "bandwidth") -> None:
     """Raise :class:`ValueError` unless ``h``, a number or an array of them,
     is positive and finite throughout: NaN and infinity are refused as zero is."""
     if isinstance(h, np.ndarray) and h.ndim:
-        bad = ~((0.0 < h) & (h < np.inf))
-        if bad.any():
+        # min and max are NaN when any value is
+        if h.size and not (0.0 < h.min() and h.max() < np.inf):
+            bad = ~((0.0 < h) & (h < np.inf))
             raise ValueError(f"{name} must be positive and finite, got {h[bad][0]}")
     elif not 0.0 < h < np.inf:
         raise ValueError(f"{name} must be positive and finite, got {h}")
@@ -194,22 +197,22 @@ def _sorted_sums(points, samples, responses, h=None, leave_one_out=False):
 
 def _nw_tile(points, responses):
     """Leave-one-out kernel row sums and kernel-weighted response sums of one
-    dense tile.
+    dense tile, or of a stack of them.
 
     One :func:`transform_inplace` call forms the unnormalized weights of the
-    differences ``points[j] - points[i]``, the diagonal of each row's own
-    sample is zeroed, and one product of the weights with the (1, y) columns
-    gives both sums; the kernel constant cancels in the ratio
-    :func:`_nw_ratio` takes.  A leading batch axis on ``points`` and
-    ``responses`` stacks tiles of one shape; the stacked product sums each
-    slice exactly as it would be summed alone.  Only a tile of non-finite
-    input holds a non-finite value: an infinity weighs 0 against every finite
-    value, and an infinite sample against itself is inf - inf, NaN without a
-    warning, as NaN input is.
+    differences ``points[..., j] - points[..., i]``, the diagonal of each
+    row's own sample is zeroed, and one product of the weights with the
+    (1, y) columns gives both sums; the kernel constant cancels in the ratio
+    :func:`_nw_ratio` takes.  A leading batch axis on ``points`` stacks
+    tiles of one shape, with ``responses`` of the same shape or one vector
+    for all; the stacked product sums each slice exactly as it would be
+    summed alone.  Only a tile of non-finite input holds a non-finite value:
+    an infinity weighs 0 against every finite value, and an infinite sample
+    against itself is inf - inf, NaN without a warning, as NaN input is.
     """
     n = points.shape[-1]
     w = transform_inplace(np.empty(points.shape + (n,)), points, points)
-    w.reshape(w.shape[:-2] + (-1,))[..., ::n + 1] = 0.0
+    w.reshape(w.shape[:-2] + (n * n,))[..., ::n + 1] = 0.0
     ones_y = np.empty(responses.shape + (2,))
     ones_y[..., 0] = 1.0
     ones_y[..., 1] = responses
@@ -218,22 +221,53 @@ def _nw_tile(points, responses):
 
 
 def _nw_loo_sums(points, responses):
-    """Leave-one-out kernel sums ``(den, num)`` at every h-scaled sample.
+    """Leave-one-out kernel sums ``(den, num)`` at every h-scaled sample of a
+    stack of (B, n) problems, with (B, n) responses or one (n,) vector for all.
 
-    Up to ``ONE_TILE_MAX`` samples, or on non-finite input, this is one
-    dense tile.  Beyond that the index is sorted once and one call to
-    :func:`fsim.kernel.window_sums` sums every sample over its own window.
+    Up to ``ONE_TILE_MAX`` samples the stack is one dense stack of tiles
+    (:func:`_nw_tile`).  Beyond that one batched sort orders every problem,
+    one call to :func:`fsim.kernel.window_sums` sums every sample over its
+    own window, and the sums are put back in sample order; a problem with a
+    non-finite index value runs as a dense tile of its own.
     """
-    if points.size <= ONE_TILE_MAX or not np.isfinite(points).all():
+    n = points.shape[-1]
+    if n <= ONE_TILE_MAX:
         return _nw_tile(points, responses)
-    return _sorted_sums(points, points, responses, leave_one_out=True)
+    den, num = np.empty(points.shape), np.empty(points.shape)
+    if not np.isfinite(points).all():
+        finite = np.isfinite(points).all(axis=-1)
+        for b in np.flatnonzero(~finite).tolist():
+            den[b], num[b] = _nw_tile(points[b], responses[b] if responses.ndim > 1 else responses)
+        rows = np.flatnonzero(finite)
+        den[rows], num[rows] = _nw_loo_sums(points[rows],
+                                            responses[rows] if responses.ndim > 1 else responses)
+        return den, num
+    # each problem sorted, and its sums put back in sample order, through
+    # flat indices: take_along_axis, or a scatter along the last axis of a
+    # 2-d array, is several times slower
+    order = np.argsort(points, axis=-1)
+    at = (order + n * np.arange(len(order))[:, None]).reshape(-1)
+    p = points.reshape(-1)[at].reshape(points.shape)
+    y = (responses.reshape(-1)[at] if responses.ndim > 1 else responses[order.reshape(-1)]
+         ).reshape(points.shape)
+    sums = window_sums(p, p, y, None, True)
+    den.reshape(-1)[at] = sums[:, 0].reshape(-1)
+    num.reshape(-1)[at] = sums[:, 1].reshape(-1)
+    return den, num
 
 
-def stack_size(elements: int) -> int:
-    """How many problems of ``elements`` values each one stack holds: as many
-    as fit in ``ONE_TILE_MAX**2`` values, the largest dense tile, and at
-    least one."""
-    return max(1, ONE_TILE_MAX**2 // max(1, elements))
+# the largest dense stack of one nw_loo_all call (S n^2 weights), and the
+# largest (S, n) array of a windowed one; callers split their stacks by stack_size
+STACK_PAIRS = 2**16
+STACK_VALUES = 2**13
+
+
+def stack_size(n: int) -> int:
+    """How many leave-one-out problems of ``n`` samples one :func:`nw_loo_all`
+    call should take: a dense stack of at most ``STACK_PAIRS`` weights up to
+    ``ONE_TILE_MAX`` samples, at most ``STACK_VALUES`` values per (S, n)
+    array above it, and at least one problem."""
+    return max(1, STACK_PAIRS // (n * n) if n <= ONE_TILE_MAX else STACK_VALUES // max(1, n))
 
 
 def _nw_ratio(den, num):
@@ -246,46 +280,32 @@ def _nw_ratio(den, num):
     return estimates, excluded
 
 
-def nw_loo_all(index_values, responses, h: float):
-    """Leave-one-out Nadaraya-Watson at every sample.
+def nw_loo_all(index_values, responses, h):
+    """Leave-one-out Nadaraya-Watson at every sample, of one problem or a stack.
 
-    Returns ``(estimates, excluded)`` where excluded marks samples with no
-    other sample inside their window; their estimate entry is NaN.
-    """
-    z, y = _fit_inputs(index_values, responses, h)
-    return _nw_ratio(*_nw_loo_sums(z / h, y))
-
-
-def nw_loo_batch(index_values, responses, h):
-    """:func:`nw_loo_all` for a batch of problems of one size, bit for bit.
-
-    Row b of the (B, n) ``index_values`` and ``responses`` is one problem,
-    smoothed with bandwidth ``h[b]``; returns (B, n) ``(estimates,
-    excluded)``.  Up to ``ONE_TILE_MAX`` samples the problems run as stacked
-    dense tiles of at most ``ONE_TILE_MAX**2`` pairs, the largest tile
-    :func:`nw_loo_all` builds; larger problems take its window sums one by
-    one.
+    ``index_values`` is (n,), or (B, n) for B problems of one size;
+    ``responses`` is (n,), shared by every problem, or of the shape of
+    ``index_values``; ``h`` is one bandwidth, or one per problem.  Returns
+    ``(estimates, excluded)`` of the shape of ``index_values``, where
+    excluded marks samples with no other sample inside their window; their
+    estimate entry is NaN.  Each problem's results are those it has alone,
+    bit for bit, whatever shares its stack.  The call makes one dense stack
+    or one window-sums call (:func:`_nw_loo_sums`) however large the stack:
+    callers split large ones by :func:`stack_size`.
     """
     z = np.asarray(index_values, dtype=float)
     y = np.asarray(responses, dtype=float)
     h = np.asarray(h, dtype=float)
-    if z.ndim != 2 or y.shape != z.shape or h.shape != z.shape[:1]:
+    if z.ndim not in (1, 2) or y.shape not in (z.shape, z.shape[-1:]) or h.shape != z.shape[:-1]:
         raise ValueError(
-            f"expected (B, n) index values and responses and B bandwidths, got "
-            f"{z.shape}, {y.shape} and {h.shape}")
+            f"expected (n,) or (B, n) index values, responses of that shape or (n,), and one "
+            f"bandwidth per problem, got {z.shape}, {y.shape} and {h.shape}")
     check_bandwidth(h)
-    scaled = z / h[:, None]
-    den, num = np.empty(z.shape), np.empty(z.shape)
-    count, n = z.shape
-    if n <= ONE_TILE_MAX:
-        step = stack_size(n * n)
-        for a in range(0, count, step):
-            chunk = slice(a, a + step)
-            den[chunk], num[chunk] = _nw_tile(scaled[chunk], y[chunk])
-    else:
-        for b in range(count):
-            den[b], num[b] = _nw_loo_sums(scaled[b], y[b])
-    return _nw_ratio(den, num)
+    scaled = z / h[..., None]
+    if z.ndim == 1:
+        den, num = _nw_loo_sums(scaled[None], y)
+        return _nw_ratio(den[0], num[0])
+    return _nw_ratio(*_nw_loo_sums(scaled, y))
 
 
 def nw_predict(index_values, responses, points, h: float):

@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .basis import BasisExpansion, FourierBasis, readonly_array
-from .locfit import EstimationError, check_bandwidth, nw_loo_all, nw_loo_batch, stack_size
+from .locfit import STACK_PAIRS, EstimationError, check_bandwidth, nw_loo_all, stack_size
 
 # fewest samples the leave-one-out objective accepts
 MIN_SAMPLES = 4
@@ -163,9 +163,10 @@ class IndexModelSpec:
 
 @dataclass(frozen=True)
 class ObjectiveReport:
-    """Leave-one-out MSE value with its exclusion bookkeeping."""
+    """Leave-one-out MSE value with its exclusion bookkeeping: one value, or
+    one per row of a stack with the stack's total count."""
 
-    mse: float
+    mse: float | np.ndarray
     excluded_count: int
 
 
@@ -193,40 +194,35 @@ def search_index(data: Dataset, raw, samples=None) -> tuple[np.ndarray, np.ndarr
     """Index values at unnormalized search vectors, with the coefficient norms.
 
     A search vector holds each block's coefficients in block order, without
-    the constant column, then alpha when the data carry a scalar.  Given
-    ``samples``, ``raw`` is a stack of search vectors and row ``b`` is mapped
-    on the samples ``samples[b]``, bit for bit as on
+    the constant column, then alpha when the data carry a scalar.  ``raw``
+    is one search vector (dim,) or a stack of them (S, dim), each mapped on
+    the full data by the broadcast product ``columns @ raw[..., None]``,
+    with no gather; a stack's rows have the bits of one vector's map.
+    Given ``samples``, ``raw`` is a stack of search vectors and row ``b`` is
+    mapped on the samples ``samples[b]``, bit for bit as on
     ``data.subset(samples[b])``.  The norm is that of the functional part,
-    the root of the dot product np.linalg.norm takes; a square that
-    overflows gives an infinite norm without a warning, which the objective
-    refuses (:func:`_normalizable`).
+    the root of its dot product; a square that overflows gives an infinite
+    norm without a warning, which the objective refuses
+    (:func:`_normalizable`).
     """
+    raw = np.asarray(raw, dtype=float)
     if samples is None:
-        raw = _search_vector(data, raw)
-        z = np.zeros(data.n)
-        start = 0
-        for columns in data.search_columns:
-            stop = start + columns.shape[1]
-            z += columns @ raw[start:stop]
-            start = stop
-        if data.w is not None:
-            z += raw[start] * data.w
-        functional = raw[:start]
-        with np.errstate(over="ignore"):
-            return z, np.sqrt(functional @ functional)
-    z = np.zeros(samples.shape)
+        z = np.zeros((raw.shape[:1] if raw.ndim == 2 else ()) + (data.n,))
+    else:
+        z = np.zeros(samples.shape)
     raw = _search_vector(data, raw, z.shape[:-1])
     start = 0
-    for block in data.blocks:
-        # each slice has the layout of the subset's own coefficient matrix
-        columns = block.coeffs[samples]
-        if block.basis.include_constant:
-            columns = columns[..., 1:]
+    for block, columns in zip(data.blocks, data.search_columns):
+        if samples is not None:
+            # each slice has the layout of the subset's own coefficient matrix
+            columns = block.coeffs[samples]
+            if block.basis.include_constant:
+                columns = columns[..., 1:]
         stop = start + columns.shape[-1]
         z += (columns @ raw[..., start:stop, None])[..., 0]
         start = stop
     if data.w is not None:
-        z += raw[..., start, None] * data.w[samples]
+        z += raw[..., start, None] * (data.w if samples is None else data.w[samples])
     functional = raw[..., :start]
     with np.errstate(over="ignore"):
         return z, np.sqrt((functional[..., None, :] @ functional[..., :, None])[..., 0, 0])
@@ -293,8 +289,8 @@ def canonical_sign(spec: IndexModelSpec, reference=None) -> IndexModelSpec:
     return IndexModelSpec(betas, alpha)
 
 
-def objective_loo_mse(data: Dataset, raw_coeffs, h: float) -> ObjectiveReport:
-    """Leave-one-out Nadaraya-Watson mean squared error at a raw search point.
+def objective_loo_mse(data: Dataset, raw_coeffs, h) -> ObjectiveReport:
+    """Leave-one-out Nadaraya-Watson mean squared error at raw search points.
 
     The kernel bandwidth is ``h`` times the functional coefficient norm, which
     makes the value invariant to rescaling the search vector; equivalently the
@@ -302,28 +298,72 @@ def objective_loo_mse(data: Dataset, raw_coeffs, h: float) -> ObjectiveReport:
     with bandwidth ``h``.  Samples with an empty leave-one-out window are
     excluded from the average and counted, so the bandwidth selector can
     reject pathological bandwidths; the report holds the value and that count.
+
+    One search vector (dim,) at one ``h`` gives a float ``mse`` and raises
+    :class:`DegenerateObjectiveError` (fewer than ``MIN_SAMPLES`` samples,
+    every sample excluded) or :class:`NormalizationError`.  A stack (S, dim)
+    with one ``h`` per row, or one for all, is scored in one call: one
+    batched index map (:func:`search_index`) and one :func:`nw_loo_all`
+    call, so the caller bounds S by :func:`fsim.locfit.stack_size`.  Its
+    ``mse`` holds each row's value, bit for bit the one-point value, and
+    infinity where the one-point call would raise; ``excluded_count`` is
+    the total over the stack.
     """
-    if data.n < MIN_SAMPLES:
+    raw = np.asarray(raw_coeffs, dtype=float)
+    one = raw.ndim == 1
+    if one and data.n < MIN_SAMPLES:
         raise DegenerateObjectiveError(
             f"objective needs at least {MIN_SAMPLES} samples, got {data.n}")
+    h = np.asarray(h, dtype=float)
     check_bandwidth(h)
-    z, norm = search_index(data, raw_coeffs)
-    _check_norm(norm)
-    estimates, excluded = nw_loo_all(z, data.y, h * norm)
-    excluded_count = int(np.count_nonzero(excluded))
-    if excluded_count == data.n:
+    z, norms = search_index(data, raw[None] if one else raw)
+    if one:
+        _check_norm(float(norms[0]))
+    elif data.n < MIN_SAMPLES:
+        return ObjectiveReport(mse=np.full(len(z), np.inf), excluded_count=0)
+    mse, excluded = _loo_mse(z, norms, h, data.y, max(len(z), 1))
+    if not one:
+        return ObjectiveReport(mse=mse, excluded_count=int(excluded.sum()))
+    if excluded[0] == data.n:
         raise DegenerateObjectiveError(
-            f"every sample excluded at h={h:.6g}; bandwidth far too small"
-        )
-    residuals = data.y - estimates
-    if excluded_count:
-        residuals = residuals[~excluded]
+            f"every sample excluded at h={h.item():.6g}; bandwidth far too small")
+    return ObjectiveReport(mse=float(mse[0]), excluded_count=int(excluded[0]))
+
+
+def _loo_mse(z, norms, h, y, step: int):
+    """``(mse, excluded)``: the leave-one-out MSE of each row of the (S, n)
+    index values ``z`` at bandwidth ``h * norms`` (``h`` one bandwidth or
+    one per row), and its count of
+    excluded samples; infinity where the norm cannot be normalized or every
+    sample is excluded.  ``y`` holds the (n,) responses of every row or
+    (S, n) ones per row; the kernel sums run ``step`` rows to a
+    :func:`nw_loo_all` call, one call at least.  Each row is reduced on its
+    own: all n squares, or its kept ones compacted, summed as numpy sums
+    one vector."""
+    count, n = z.shape
+    ok = _normalizable(norms)
+    rows = slice(None) if ok.all() else np.flatnonzero(ok)
+    z, bandwidths = z[rows], (h[rows] if h.ndim else h) * norms[rows]
+    if y.ndim > 1:
+        y = y[rows]
+    parts = [nw_loo_all(z[a:a + step], y[a:a + step] if y.ndim > 1 else y,
+                        bandwidths[a:a + step]) for a in range(0, max(len(z), 1), step)]
+    estimates, excluded = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+    residuals = y - estimates
     squares = residuals * residuals
-    return ObjectiveReport(
-        # np.mean's own sum and division, bit for bit, without its dispatch cost
-        mse=float(squares.sum() / squares.size),
-        excluded_count=excluded_count,
-    )
+    values = squares.sum(axis=-1) / n
+    if not excluded.any():
+        counts = np.zeros(len(z), dtype=int)
+    else:
+        counts = np.count_nonzero(excluded, axis=-1)
+        for r in np.flatnonzero(counts).tolist():
+            kept = squares[r][~excluded[r]]
+            values[r] = kept.sum() / kept.size if kept.size else np.inf
+    if isinstance(rows, slice):
+        return values, counts
+    mse, excluded_count = np.full(count, np.inf), np.zeros(count, dtype=int)
+    mse[rows], excluded_count[rows] = values, counts
+    return mse, excluded_count
 
 
 class StackedObjective:
@@ -332,16 +372,14 @@ class StackedObjective:
     ``objective(which, points)`` returns, for each row of ``points``
     evaluated on ``data.subset(subsets[which[i]])`` at bandwidth
     ``h[which[i]]`` (``h`` holds one bandwidth per subset, or one for all),
-    the value :func:`fsim.optimize.safe_objective` gives there: the
-    :func:`objective_loo_mse` value, or infinity where that raises
+    the :func:`objective_loo_mse` value, or infinity where that raises
     (fewer than ``MIN_SAMPLES`` samples, a coefficient norm that cannot be
     normalized, every sample excluded).  Points on subsets of one size are
-    evaluated in stacks (:func:`fsim.locfit.stack_size`) whose gathered
-    coefficients hold at most ``ONE_TILE_MAX**2`` values;
-    :func:`fsim.locfit.nw_loo_batch` splits each stack's kernel sums into
-    tiles of at most that many pairs.
-    The index values and coefficient norms come from :func:`search_index`,
-    and every other reduction runs per point, so each value is the serial
+    evaluated in stacks whose gathered coefficients hold at most
+    ``STACK_PAIRS`` values, and each stack's kernel sums run
+    :func:`fsim.locfit.stack_size` rows to a :func:`nw_loo_all` call.  The
+    index values and coefficient norms come from :func:`search_index`, and
+    every other reduction runs per point, so each value is the one-point
     one bit for bit.  The subsets' samples are gathered from ``data`` per
     stack, never copied whole.
     """
@@ -370,7 +408,7 @@ class StackedObjective:
             if n < MIN_SAMPLES:
                 continue
             rows = np.flatnonzero(sizes == n)
-            step = stack_size(n * self._width)
+            step = max(1, STACK_PAIRS // (n * self._width))
             for a in range(0, rows.size, step):
                 part = rows[a:a + step]
                 search = which[part]
@@ -382,25 +420,5 @@ class StackedObjective:
         """:func:`objective_loo_mse` at every row of ``raw`` on the subset of
         the matching row of ``samples`` at the matching bandwidth of ``h``,
         infinity where it raises."""
-        data = self.data
-        z, norms = search_index(data, raw, samples)
-        mse = np.full(len(raw), np.inf)
-        ok = np.flatnonzero(_normalizable(norms))
-        y = data.y[samples[ok]]
-        estimates, excluded = nw_loo_batch(z[ok], y, h[ok] * norms[ok])
-        residuals = y - estimates
-        squares = residuals * residuals
-        n = samples.shape[1]
-        mse[ok] = squares.sum(axis=-1) / n
-        kept = n - np.count_nonzero(excluded, axis=1)
-        partial = np.flatnonzero(kept < n)
-        kept = kept[partial]
-        # rows with the same kept count compact into one matrix, each row
-        # summed on its own as the serial objective sums its kept samples
-        for c in set(kept.tolist()):
-            rows = partial[kept == c]
-            if c == 0:
-                mse[ok[rows]] = np.inf
-                continue
-            mse[ok[rows]] = squares[rows][~excluded[rows]].reshape(rows.size, c).sum(axis=-1) / c
-        return mse
+        z, norms = search_index(self.data, raw, samples)
+        return _loo_mse(z, norms, h, self.data.y[samples], stack_size(samples.shape[1]))[0]

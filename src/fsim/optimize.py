@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import is_integer, readonly_array
-from .locfit import SingularFitError
+from .locfit import SingularFitError, stack_size
 from .model import (
     Dataset,
     DegenerateObjectiveError,
@@ -131,18 +131,24 @@ def init_random(data: Dataset, h_ref: float, cfg: InitStrategy) -> list[np.ndarr
         raise ValueError(f"expected a random strategy, got kind {cfg.kind!r}")
     rng = np.random.default_rng(cfg.seed)
     candidates = rng.standard_normal((cfg.candidate_count, data.search_dimension()))
-    scores = np.array([safe_objective(data, c, h_ref) for c in candidates])
+    scores = objective_values(data, candidates, h_ref)
     if not np.any(np.isfinite(scores)):
         raise DegenerateObjectiveError("every random start candidate is degenerate")
     order = np.argsort(scores, kind="stable")
     return [candidates[i] for i in order[: cfg.keep_best]]
 
 
-def safe_objective(data: Dataset, raw, h: float) -> float:
-    try:
-        return objective_loo_mse(data, raw, h).mse
-    except (DegenerateObjectiveError, NormalizationError):
-        return np.inf
+def objective_values(data: Dataset, points, h) -> np.ndarray:
+    """The leave-one-out MSE of every row of ``points`` at ``h`` (one
+    bandwidth, or one per row), infinity where the one-point
+    :func:`objective_loo_mse` raises.  The rows go through stacked
+    :func:`objective_loo_mse` calls of :func:`fsim.locfit.stack_size` rows."""
+    points = np.asarray(points, dtype=float)
+    h = np.asarray(h, dtype=float)
+    step = stack_size(data.n)
+    return np.concatenate([objective_loo_mse(data, points[a:a + step],
+                                             h[a:a + step] if h.ndim else h).mse
+                           for a in range(0, max(len(points), 1), step)])
 
 
 def _opt_result(data: Dataset, outcome, sign_reference, label: str) -> OptResult:
@@ -187,11 +193,13 @@ def minimize_each(data: Dataset, init, h, budget: int | None, sign_reference, la
     ``init`` one start vector per search or one for all, and ``labels`` one
     ``init_used`` per search.  The searches run in lockstep
     (:func:`_nelder_mead`), one lockstep per part of :func:`_in_parts`.
-    On the full data each point is evaluated on its own by
-    :func:`safe_objective`, each search's points in the order a search of
-    its own evaluates them; on subsets each step evaluates every running
-    search's pending points with one :class:`fsim.model.StackedObjective`
-    call.  A failed search's slot holds the error :func:`minimize` raises.
+    Each step scores every running search's pending points at once: on the
+    full data in stacked :func:`fsim.model.objective_loo_mse` calls of at
+    most :func:`fsim.locfit.stack_size` points (:func:`objective_values`),
+    on subsets in one :class:`fsim.model.StackedObjective` call.  A point's
+    value does not depend on which points share its stack, so each search
+    has the values of a search of its own.  A failed search's slot holds
+    the error :func:`minimize` raises.
     A result's spec depends on the data only through their design, which
     every subset shares with ``data``.
     """
@@ -203,9 +211,10 @@ def minimize_each(data: Dataset, init, h, budget: int | None, sign_reference, la
     starts = np.array(np.broadcast_to(x0, (len(hs), dim)))
     max_evals = BUDGET_PER_DIM * dim if budget is None else budget
     if subsets is None:
+        bandwidths = np.array(hs)
+
         def objective(which, points):
-            return np.array([safe_objective(data, x, hs[k])
-                             for k, x in zip(which.tolist(), points)])
+            return objective_values(data, points, bandwidths[which])
     else:
         objective = StackedObjective(data, subsets, hs)
 

@@ -30,7 +30,8 @@ from fsim.optimize import (
     resolve_init,
 )
 from fsim.simulate import ExperimentConfig, run_experiment
-from test_optimize import no_child_left, result_fields, serial_nelder_mead, use_cpus  # noqa: F401
+from test_optimize import (  # noqa: F401
+    no_child_left, one_point_value, result_fields, serial_nelder_mead, use_cpus)
 
 
 def single_block_data(coeffs, y):
@@ -341,8 +342,8 @@ class TestLockstepFolds:
         assert min(t.size for t in training_indices(data, 10, 1)) > locfit.ONE_TILE_MAX
         self.assert_serial(monkeypatch, data, init_equal(3), 0.3, 10, 1, 12)
 
-    # 16: every training set of 48 takes the tiled walk; 50 and 100 stack one
-    # and four of them per dense tile
+    # 16: every training set of 48 takes the window sums; 50 and 100 keep
+    # them on dense stacks
     @pytest.mark.parametrize("one_tile_max", [16, 50, 100])
     def test_with_a_smaller_one_tile_cap(self, monkeypatch, one_tile_max):
         monkeypatch.setattr(locfit, "ONE_TILE_MAX", one_tile_max)
@@ -390,7 +391,7 @@ def grid_oracle(monkeypatch, data, strategy, grid, folds, seed, budget):
 
 def serial_gcv_selection(data, strategy, grid, budget, sign_reference):
     """The GCV selection as a loop over the grid: at each bandwidth the serial
-    search over safe_objective, then _opt_result, then gcv_score.  Returns the
+    search over the one-point objective, then _opt_result, then gcv_score.  Returns the
     scores, the chosen bandwidth and the fields of the winner's fit."""
     pool = init_random(data, grid.reference, strategy) if strategy.kind == "random" else None
     scores = np.full(grid.values.size, np.inf)
@@ -399,7 +400,7 @@ def serial_gcv_selection(data, strategy, grid, budget, sign_reference):
         try:
             init, label = (resolve_init(data, strategy) if pool is None
                            else bw.choose_random_start(data, h, pool))
-            outcome = serial_nelder_mead(lambda x: optimize.safe_objective(data, x, h),
+            outcome = serial_nelder_mead(lambda x: one_point_value(data, x, h),
                                          np.array(init, dtype=float), budget,
                                          optimize.SPREAD_TOL)
             fits[k] = optimize._opt_result(data, outcome, sign_reference, label)

@@ -302,13 +302,26 @@ RESPONSES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -2.5]), st.floats(-10.0, 
 
 
 def run_window(window, points, samples, y, h=None, leave_one_out=False):
-    """The loop's window sums, called as :func:`kernel.window_sums` calls it."""
-    sums = np.empty((2 if h is None else 9, points.size))
+    """The loop's window sums, called as :func:`kernel.window_sums` calls it;
+    leading axes stack problems."""
+    m = points.shape[-1]
+    sums = np.empty(points.shape[:-1] + (2 if h is None else 9, m))
     kind = 2 if h is not None else 0 if leave_one_out else 1
     pointer = kernel.ctypes.c_double.from_buffer
-    window(kind, pointer(sums), pointer(points), points.size, pointer(samples), pointer(y),
-           samples.size, 1.0 if h is None else h)
+    window(kind, pointer(sums), pointer(points), m, pointer(samples), pointer(y),
+           samples.shape[-1], 1.0 if h is None else h, points.size // m)
     return sums
+
+
+def window_of(points, samples, h=None, leave_one_out=False):
+    """Whether sample j lies in the window of point i, as an (m, n) mask:
+    |argument| < 1, the point's own sample left out."""
+    with np.errstate(over="ignore"):
+        x = samples[None, :] - points[:, None]
+        inside = np.abs(x if h is None else x / h) < 1.0
+    if leave_one_out:
+        np.fill_diagonal(inside, False)
+    return inside
 
 
 def sequential_sums(points, samples, y, h=None, leave_one_out=False):
@@ -466,6 +479,89 @@ class TestCompiledWindowSums:
         lines = [f"x = (doubles_{lanes})((bits_{lanes})x & inside);" for lanes in kernel._WIDTHS]
         refuse_library(tmp_path, monkeypatch, lines, "", "moments")
 
+    @settings(max_examples=150, deadline=None)
+    @given(windows(), st.sampled_from(["loo", "sums", "moments"]), st.data())
+    def test_a_non_finite_response_reaches_only_the_windows_that_hold_it(self, loops, window,
+                                                                      kind, data):
+        # at the sums a clean response gives, NaN or infinite responses leave
+        # every window without them as it was, bit for bit, on the loop and on
+        # the numpy form, and make non-finite the response sums of every window
+        # with one
+        points, samples, y, h = window
+        if kind == "loo":
+            points = samples
+        h = h if kind == "moments" else None
+        loo = kind == "loo"
+        bad = data.draw(arrays(np.bool_, samples.size))
+        poison = data.draw(arrays(np.float64, samples.size,
+                                  elements=st.sampled_from([np.nan, np.inf, -np.inf])))
+        dirty = np.where(bad, poison, y)
+        clean = np.where(bad, 0.0, y)
+        holds = (window_of(points, samples, h, loo) & bad).any(axis=1)
+        response_rows = [1] if h is None else [5, 6, 7]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            expected = kernel._numpy_window_sums(points, samples, clean, h, loo)
+            forms = [kernel._numpy_window_sums(points, samples, dirty, h, loo)]
+        if points.size and samples.size:
+            forms.append(run_window(loops[1], points, samples, dirty, h, loo))
+        for got in forms:
+            assert got[:, ~holds].tobytes() == expected[:, ~holds].tobytes()
+            assert not np.isfinite(got[response_rows][:, holds]).any()
+            other = [row for row in range(len(got)) if row not in response_rows]
+            assert got[other].tobytes() == expected[other].tobytes()
+
+    def test_a_nan_response_poisons_the_windows_that_hold_it(self, loops):
+        # one NaN among 300 responses: NaN exactly at the points whose window
+        # holds that sample, at the shipped width and on the numpy form
+        rng = np.random.default_rng(8)
+        samples = np.sort(rng.normal(size=300))
+        points = np.linspace(-3.0, 3.0, 41)
+        y = rng.normal(size=300)
+        y[137] = np.nan
+        for h, loo in [(None, False), (None, True), (0.3, False)]:
+            p = samples if loo else (points / 0.3 if h is None else points)
+            s = samples if loo else (samples / 0.3 if h is None else samples)
+            holds = window_of(p, s, h, loo)[:, 137]
+            assert 0 < holds.sum() < p.size
+            for sums in (run_window(loops[1], p, s, y, h, loo),
+                         kernel._numpy_window_sums(p, s, y, h, loo)):
+                rows = [1] if h is None else [5, 6, 7]
+                assert (np.isnan(sums[rows]) == holds).all()
+                assert not np.isnan(np.delete(sums, rows, axis=0)).any()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 4), windows(), st.sampled_from(["loo", "sums", "moments"]), st.data())
+    def test_a_batch_is_each_problem_alone(self, loops, batch, window, kind, data):
+        # each problem's sums are those it has alone, byte for byte, on the
+        # loop and the numpy form, whatever shares its batch: ragged last
+        # blocks, empty windows and every kind
+        points, samples, y, h = window
+        n, m = samples.size, (samples.size if kind == "loo" else points.size)
+        if not (n and m):
+            return
+        h = h if kind == "moments" else None
+        stack_s = np.sort(np.stack([samples] + [
+            data.draw(arrays(np.float64, n, elements=SORTED_VALUES)) for _ in range(batch - 1)]))
+        stack_y = np.stack([y] + [data.draw(arrays(np.float64, n, elements=RESPONSES))
+                                  for _ in range(batch - 1)])
+        stack_p = stack_s if kind == "loo" else np.sort(np.stack([points] + [
+            data.draw(arrays(np.float64, m, elements=SORTED_VALUES)) for _ in range(batch - 1)]))
+        loo = kind == "loo"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            alone = np.stack([kernel._numpy_window_sums(p, s, r, h, loo)
+                              for p, s, r in zip(stack_p, stack_s, stack_y)])
+            assert kernel._numpy_window_sums(stack_p, stack_s, stack_y, h, loo).tobytes() == \
+                alone.tobytes()
+        assert kernel.window_sums(stack_p, stack_s, stack_y, h, loo).tobytes() == alone.tobytes()
+        assert run_window(loops[1], stack_p, stack_s, stack_y, h, loo).tobytes() == \
+            alone.tobytes()
+        for b in range(batch):
+            one = run_window(loops[1], stack_p[b].copy(), stack_s[b].copy(), stack_y[b].copy(),
+                             h, loo)
+            assert one.tobytes() == alone[b].tobytes()
+
     def test_leave_one_out_takes_the_points_as_samples_and_no_h(self):
         p = np.linspace(0.0, 1.0, 5)
         for args in [(p, p.copy(), p), (p, p, p, 0.5)]:
@@ -508,7 +604,7 @@ z = rng.standard_normal(400)
 y = np.sin(z) + 0.1 * rng.standard_normal(400)
 at = np.linspace(-3.0, 3.0, 300)
 parts = [*locfit.nw_loo_all(z[:100], y[:100], 0.4), *locfit.nw_loo_all(z, y, 0.3),
-         *locfit.nw_loo_batch(z.reshape(20, 20), y.reshape(20, 20), np.linspace(0.2, 1.0, 20)),
+         *locfit.nw_loo_all(z.reshape(20, 20), y.reshape(20, 20), np.linspace(0.2, 1.0, 20)),
          *locfit.nw_predict(z[:100], y[:100], at[:50], 0.4), *locfit.nw_predict(z, y, at, 0.2),
          locfit.curve_estimates(z, y, np.linspace(-2.0, 2.0, 41), 0.5, derivative=2)]
 digest = hashlib.sha256(b"".join(part.tobytes() for part in parts)).hexdigest()

@@ -14,10 +14,12 @@ SPEC.loader.exec_module(kernel_sweep)
 def test_table_of_one_round_at_a_tiny_n():
     rows = kernel_sweep.sweep([20, 30], rounds=1, seed=3)
     assert [n for n, _, _ in rows] == [20, 30]
-    assert all(dense > 0.0 and walk > 0.0 for _, dense, walk in rows)
-    assert locfit.ONE_TILE_MAX == 256
+    assert all(dense > 0.0 and window > 0.0 for _, dense, window in rows)
+    # the cap the sweep's crossover put between 40 and 90 samples (CHANGES.md)
+    assert locfit.ONE_TILE_MAX == 64
     lines = kernel_sweep.table(rows)
-    assert lines[:2] == ["| n | dense tile | walk | walk speed-up |", "| --- | --- | --- | --- |"]
+    assert lines[:2] == ["| n | dense stack | window sums | window speed-up |",
+                         "| --- | --- | --- | --- |"]
     assert [line.split(" | ")[0] for line in lines[2:]] == ["| 20", "| 30"]
     assert all(line.endswith("× |") for line in lines[2:])
 
@@ -31,15 +33,20 @@ def test_table_formats_durations():
 def test_stacked_step_table():
     seconds = kernel_sweep.stacked_step(rounds=1, seed=3)
     assert seconds > 0.0
-    lines = kernel_sweep.step_table([(90, 4.2e-5), (1000, 4.5e-4)], 2.5e-3)
-    assert lines == ["| layer | per call |", "| --- | --- |",
-                     "| objective_loo_mse, n = 90 | 42 µs |",
-                     "| objective_loo_mse, n = 1000 | 450 µs |",
-                     "| k-fold step: 50 points on 10 training sets of 90 | 2.5 ms |"]
+    lines = kernel_sweep.step_table([(90, (4.2e-5, 1.5e-5, 6e-5, 2e-4)),
+                                     (1000, (4.5e-4, 1e-4, 2e-3, 1.6e-3))], 2.5e-3)
+    assert lines == ["| full-data step, per evaluation | one-point calls | one stacked call "
+                     "| one-point, no compiler | stacked, no compiler |",
+                     "| --- | --- | --- | --- | --- |",
+                     "| n = 90 | 42 µs | 15 µs | 60 µs | 200 µs |",
+                     "| n = 1000 | 450 µs | 100 µs | 2 ms | 1.6 ms |",
+                     "", "| k-fold step | per call |", "| --- | --- |",
+                     "| 50 points on 10 training sets of 90 | 2.5 ms |"]
 
 
 def test_objective_time_at_a_tiny_n():
-    assert kernel_sweep.objective_time(30, rounds=1, seed=3) > 0.0
+    times = kernel_sweep.objective_time(30, rounds=1, seed=3)
+    assert len(times) == 4 and all(t > 0.0 for t in times)
 
 
 def test_main_prints_facts_and_table(capsys):
@@ -47,30 +54,32 @@ def test_main_prints_facts_and_table(capsys):
     out = capsys.readouterr().out.splitlines()
     assert "numpy" in out[0] and "Python" in out[0]
     assert out[0].endswith(f"kernel transform: {kernel_sweep.transform_path()}")
-    assert out[1].startswith("nw_loo_all per call")
+    assert out[1].startswith("nw_loo_all per evaluation of a 30-problem step")
     assert out[4].startswith("| 20 |")
     assert out[5].startswith("crossover: ") and "n = 20" in out[5]
-    assert out[6:8] == ["| layer | per call |", "| --- | --- |"]
-    assert [line.split(" | ")[0] for line in out[8:11]] == [
-        f"| objective_loo_mse, n = {n}" for n in kernel_sweep.OBJECTIVE_SIZES]
-    assert out[11].startswith("| k-fold step: 50 points on 10 training sets of 90 | ")
-    assert out[12] == "| local-quadratic layer | per call |"
-    assert [line.split(" | ")[0] for line in out[14:18]] == [
+    assert out[6].startswith("| full-data step, per evaluation | one-point calls |")
+    assert [line.split(" | ")[0] for line in out[8:12]] == [
+        f"| n = {n}" for n in kernel_sweep.OBJECTIVE_SIZES]
+    assert out[12:15] == ["", "| k-fold step | per call |", "| --- | --- |"]
+    assert out[15].startswith("| 50 points on 10 training sets of 90 | ")
+    assert out[16] == "| local-quadratic layer | per call |"
+    assert [line.split(" | ")[0] for line in out[18:22]] == [
         *(f"| level_fits pass, n = {n}" for n in kernel_sweep.LEVEL_SIZES),
         f"| curve_estimates, {kernel_sweep.CURVE_POINTS} points at n = {kernel_sweep.CURVE_N}"]
-    assert out[18] == "| n | walk, no compiler | level_fits pass, no compiler |"
-    assert [line.split(" | ")[0] for line in out[20:]] == [
+    assert out[22] == ("| n | window sums per evaluation, no compiler "
+                       "| level_fits pass, no compiler |")
+    assert [line.split(" | ")[0] for line in out[24:]] == [
         f"| {n}" for n in kernel_sweep.FALLBACK_SIZES]
 
 
 def test_crossover_names_where_the_walk_keeps_winning():
     rows = [(90, 1.0, 3.0), (200, 2.0, 2.5), (300, 3.0, 2.0), (500, 4.0, 4.5), (1000, 9.0, 5.0)]
     assert kernel_sweep.crossover(rows) == (
-        "crossover: between n = 500 (dense faster) and n = 1000 (walk faster)")
+        "crossover: between n = 500 (dense faster) and n = 1000 (window sums faster)")
     assert kernel_sweep.crossover(rows[:2]) == (
-        "crossover: the dense tile is faster at n = 200, the largest size")
+        "crossover: the dense stack is faster at n = 200, the largest size")
     assert kernel_sweep.crossover(rows[2:3]) == (
-        "crossover: the walk is faster from n = 300, the smallest size")
+        "crossover: the window sums are faster from n = 300, the smallest size")
 
 
 def test_local_quadratic_table_at_a_tiny_n():
@@ -94,11 +103,11 @@ def test_fallback_table_runs_without_a_compiled_loop(monkeypatch):
     loops = [getattr(kernel_sweep.kernel, name, None) for name in kernel_sweep.LOOPS]
     rows = kernel_sweep.fallback_times(1, seed=3, sizes=(30,))
     assert [n for n, _, _ in rows] == [30] and all(t > 0.0 for _, *times in rows for t in times)
-    assert seen and set(seen) == {(None, None, None)}
+    assert seen and set(seen) == {(None,) * len(kernel_sweep.LOOPS)}
     assert [getattr(kernel_sweep.kernel, name, None) for name in kernel_sweep.LOOPS] == loops
     assert kernel_sweep.fallback_table([(90, 2.5e-4, 1.5e-3)]) == [
-        "| n | walk, no compiler | level_fits pass, no compiler |", "| --- | --- | --- |",
-        "| 90 | 250 µs | 1.5 ms |"]
+        "| n | window sums per evaluation, no compiler | level_fits pass, no compiler |",
+        "| --- | --- | --- |", "| 90 | 250 µs | 1.5 ms |"]
 
 
 def test_transform_path_names_the_loaded_library(monkeypatch):

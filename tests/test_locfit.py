@@ -275,10 +275,12 @@ class TestNadarayaWatson:
 # points per tile of the numpy window sums, a multiple of every vector block
 T = kernel._TILE_ROWS
 CUTOFF = locfit.ONE_TILE_MAX
-# sizes about the tile edges of the numpy window sums and the dense cap:
-# 300, 1000 and 4000 end on a short tile, 65 and CUTOFF + 1 on a tile of one
-# point, and every size but 64, 256, 1000 and 4000 on a ragged block of eight
-ENGINE_SIZES = [63, 64, 65, 197, CUTOFF - 1, CUTOFF, CUTOFF + 1, 300, 1000, 4000]
+# sizes about the tile edges of the numpy window sums, the dense cap and the
+# cap it had before: 300, 1000 and 4000 end on a short tile, 65 and 257 on a
+# tile of one point, and every size but 64, 256, 1000 and 4000 on a ragged
+# block of eight
+ENGINE_SIZES = sorted({63, 64, 65, 197, 255, 256, 257, 300, 1000, 4000,
+                       CUTOFF - 1, CUTOFF, CUTOFF + 1})
 
 
 @pytest.fixture(params=["default", "tiled"])
@@ -327,7 +329,7 @@ class TestKernelSumEngine:
             if path == "numpy":
                 monkeypatch.setattr(kernel, "_window_sums", None)
             walks[path] = [array for h in WALK_BANDWIDTHS
-                           for array in locfit._nw_loo_sums(z / h, y)]
+                           for array in locfit._nw_loo_sums((z / h)[None], y)]
         for got, expected in zip(walks["compiled"], walks["numpy"]):
             assert got.tobytes() == expected.tobytes()
 
@@ -364,15 +366,15 @@ class TestKernelSumEngine:
         y = rng.normal(size=n)
         for h in WALK_BANDWIDTHS:
             calls.clear()
-            locfit._nw_loo_sums(z / h, y)
+            locfit._nw_loo_sums((z / h)[None], y)
             [(p, s, sorted_y, no_h, leave_one_out)] = calls
             order = np.argsort(z / h)
-            np.testing.assert_array_equal(p, (z / h)[order])
-            np.testing.assert_array_equal(sorted_y, y[order])
+            np.testing.assert_array_equal(p, (z / h)[order][None])
+            np.testing.assert_array_equal(sorted_y, y[order][None])
             assert s is p and no_h is None and leave_one_out
         assert transforms == []
 
-    @pytest.mark.parametrize("n", [10, 200, CUTOFF + 1])
+    @pytest.mark.parametrize("n", sorted({10, CUTOFF + 1, 200, 257}))
     def test_one_loop_call_per_prediction_or_fit_pass(self, n, monkeypatch):
         # at every size held-out prediction and the local quadratic fits sort
         # their points and samples once and sum them in one window_sums call:
@@ -397,7 +399,7 @@ class TestKernelSumEngine:
         assert no_h is None and h == 0.5 and transforms == []
 
     @pytest.mark.parametrize("m, n", [(10, 90), (65, 197), (5, 1000), (1000, 20),
-                                      (CUTOFF + 1, CUTOFF + 1)])
+                                      (CUTOFF + 1, CUTOFF + 1), (257, 257)])
     def test_predict_matches_direct_sums(self, m, n, engine_path):
         rng = np.random.default_rng(m * n)
         z = awkward_index(n, rng)
@@ -430,7 +432,7 @@ class TestKernelSumEngine:
         assert np.isnan(estimates).all()
         assert not excluded.any()
 
-    @pytest.mark.parametrize("n", [40, CUTOFF + 1])
+    @pytest.mark.parametrize("n", sorted({40, CUTOFF + 1, 257}))
     @pytest.mark.parametrize("inf", [np.inf, -np.inf])
     def test_infinite_index_is_left_out_without_warning(self, n, inf):
         # an infinite sample weighs zero against every finite one and has an
@@ -445,7 +447,7 @@ class TestKernelSumEngine:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             alone = nw_loo_all(z, y, h)
-            batch = locfit.nw_loo_batch(np.stack([z, z]), np.stack([y, y]), [h, h])
+            batch = nw_loo_all(np.stack([z, z]), np.stack([y, y]), [h, h])
             predictions, predicted_excluded = nw_predict(z, y, points, h)
         loo_oracle = direct_nw(z[keep], z[keep], y[keep], h, leave_one_out=True)
         for estimates, excluded in [alone, *zip(*batch)]:
@@ -469,14 +471,14 @@ class TestKernelSumEngine:
         with pytest.raises(ValueError):
             nw_predict(np.arange(5.0), np.zeros(5), [0.5], 0.0)
 
-    @pytest.mark.parametrize("n", [64, CUTOFF, CUTOFF + 1])
+    @pytest.mark.parametrize("n", sorted({64, CUTOFF, CUTOFF + 1, 256, 257}))
     def test_batch_matches_each_problem_alone(self, n, engine_path):
         rng = np.random.default_rng(n + 1)
         z = np.stack([awkward_index(n, rng) for _ in range(5)])
         y = rng.normal(size=z.shape)
         z[3, 7] = np.nan
         h = np.array([0.004, 0.08, 0.5, 0.5, 3.0])
-        estimates, excluded = locfit.nw_loo_batch(z, y, h)
+        estimates, excluded = nw_loo_all(z, y, h)
         for b in range(5):
             alone_estimates, alone_excluded = nw_loo_all(z[b], y[b], h[b])
             assert estimates[b].tobytes() == alone_estimates.tobytes()
@@ -504,8 +506,7 @@ class TestKernelSumEngine:
         def outputs():
             results = [nw_loo_all(z[b], y[b], h[b]) for b in range(3)]
             results += [nw_loo_all(poisoned[2], y[0], 0.3)]
-            results += [locfit.nw_loo_batch(z, y, h),
-                        locfit.nw_loo_batch(poisoned[[2, 2]], y[:2], h[:2])]
+            results += [nw_loo_all(z, y, h), nw_loo_all(poisoned[[2, 2]], y[:2], h[:2])]
             results += [nw_predict(z[0], y[0], at, hb) for at in (points, odd_points) for hb in h]
             results += [nw_predict(bad, y[0], points, 0.3) for bad in poisoned]
             results += [locfit._quad_fits(z[b], y[b], at, hb)
@@ -521,7 +522,9 @@ class TestKernelSumEngine:
             assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
 
     def test_batch_stacks_at_most_one_dense_tile_of_pairs(self, monkeypatch):
-        shapes = []
+        # a batch makes one dense stack or one window-sums call, however
+        # large; stack_size tells callers how many problems to pass
+        shapes, calls = [], []
         tile = locfit._nw_tile
 
         def spy(points, responses):
@@ -529,11 +532,18 @@ class TestKernelSumEngine:
             return tile(points, responses)
 
         monkeypatch.setattr(locfit, "_nw_tile", spy)
+        monkeypatch.setattr(locfit, "window_sums", spy_window_sums(calls))
         rng = np.random.default_rng(12)
-        z = rng.normal(size=(20, 90))
-        locfit.nw_loo_batch(z, rng.normal(size=z.shape), np.full(20, 0.5))
-        # 8 problems of 90 x 90 pairs fit in CUTOFF**2 = 65536 pairs, 9 do not
-        assert shapes == [(8, 90, 90), (8, 90, 90), (4, 90, 90)]
+        for n in (CUTOFF, CUTOFF + 1):
+            z = rng.normal(size=(20, n))
+            nw_loo_all(z, rng.normal(size=z.shape), np.full(20, 0.5))
+        assert shapes == [(20, CUTOFF, CUTOFF)]
+        [(p, s, _, _, _)] = calls
+        assert p.shape == (20, CUTOFF + 1) and s is p
+        # problems of 90 x 90 pairs: 8 fit in STACK_PAIRS = 65536 pairs, 9 do not
+        monkeypatch.setattr(locfit, "ONE_TILE_MAX", 90)
+        assert locfit.stack_size(90) == 8 and locfit.stack_size(91) == locfit.STACK_VALUES // 91
+        assert locfit.stack_size(10**5) == 1
 
     @pytest.mark.parametrize("h", [np.nan, np.inf, -np.inf])
     def test_non_finite_bandwidth_is_refused_everywhere(self, h):
@@ -544,7 +554,7 @@ class TestKernelSumEngine:
         calls = [lambda: nw_loo_all(z, y, h), lambda: nw_predict(z, y, [0.5], h),
                  lambda: curve_estimates(z, y, [0.5], h), lambda: level_fits(z, y, h),
                  lambda: local_quad_fit(z, y, 0.5, h), lambda: smoother_matrix(z, h),
-                 lambda: locfit.nw_loo_batch(np.stack([z, z]), np.stack([y, y]), [0.3, h])]
+                 lambda: nw_loo_all(np.stack([z, z]), np.stack([y, y]), [0.3, h])]
         for call in calls:
             with pytest.raises(ValueError, match="bandwidth must be positive and finite"):
                 call()
@@ -552,11 +562,15 @@ class TestKernelSumEngine:
     def test_batch_rejects_mismatched_shapes_and_bad_bandwidth(self):
         z = np.zeros((2, 5))
         with pytest.raises(ValueError):
-            locfit.nw_loo_batch(z, np.zeros((2, 4)), [0.5, 0.5])
+            nw_loo_all(z, np.zeros((2, 4)), [0.5, 0.5])
         with pytest.raises(ValueError):
-            locfit.nw_loo_batch(z, z, [0.5])
+            nw_loo_all(z, z, [0.5])
         with pytest.raises(ValueError):
-            locfit.nw_loo_batch(z, z, [0.5, 0.0])
+            nw_loo_all(z, z, 0.5)
+        with pytest.raises(ValueError):
+            nw_loo_all(np.zeros((2, 2, 5)), np.zeros(5), np.full((2, 2), 0.5))
+        with pytest.raises(ValueError):
+            nw_loo_all(z, z, [0.5, 0.0])
 
 
 def sized_index_arrays(low, high):

@@ -23,7 +23,7 @@ from fsim.model import (
     search_index,
     spec_from_raw,
 )
-from fsim.optimize import safe_objective
+from test_optimize import one_point_value
 
 
 def single_block_data(coeffs, y, w=None):
@@ -329,7 +329,7 @@ def two_block_data(n, seed):
 
 
 class TestStackedObjective:
-    def test_matches_safe_objective_at_every_guard(self):
+    def test_matches_the_one_point_objective_at_every_guard(self):
         data = two_block_data(40, seed=13)
         # three samples (below MIN_SAMPLES) and two subset sizes
         subsets = [np.arange(3), np.arange(30), np.arange(39, 9, -1), np.arange(9, 40)]
@@ -341,7 +341,7 @@ class TestStackedObjective:
         # every sample excluded, about half excluded, a few excluded
         for h in (1e-6, 0.05, 0.5):
             got = StackedObjective(data, subsets, h)(which, points)
-            expected = [safe_objective(datasets[k], p, h) for k, p in zip(which, points)]
+            expected = [one_point_value(datasets[k], p, h) for k, p in zip(which, points)]
             assert got.tolist() == expected
             assert np.isinf(got[which == 0]).all() and np.isinf(got[2])
         counts = [objective_loo_mse(datasets[k], points[i], 0.5).excluded_count
@@ -359,16 +359,18 @@ class TestStackedObjective:
         points = rng.normal(size=(16, data.search_dimension()))
         which = np.arange(16) % 4
         got = StackedObjective(data, subsets, hs)(which, points)
-        expected = [safe_objective(datasets[k], p, hs[k]) for k, p in zip(which, points)]
+        expected = [one_point_value(datasets[k], p, hs[k]) for k, p in zip(which, points)]
         assert got.tolist() == expected
         kept = {objective_loo_mse(datasets[k], points[i], hs[k]).excluded_count
                 for i, k in enumerate(which) if k in (1, 2)}
         assert len(kept) > 2
 
     def test_stacks_span_several_kernel_chunks(self, monkeypatch):
-        # 95 samples in 10 folds train on 85 and 86 samples; a stack is
-        # bounded by its gathered coefficients, so it holds more training
-        # sets than one kernel tile, and nw_loo_batch splits its tiles
+        # 95 samples in 10 folds train on 85 and 86 samples, kept on dense
+        # stacks here; a stack is bounded by its gathered coefficients, so it
+        # holds more training sets than one nw_loo_all call takes, and it
+        # splits its kernel sums into calls of stack_size rows
+        monkeypatch.setattr(locfit, "ONE_TILE_MAX", 100)
         data = two_block_data(95, seed=18)
         folds = np.array_split(np.random.default_rng(19).permutation(95), 10)
         subsets = [np.setdiff1d(np.arange(95), fold) for fold in folds]
@@ -390,13 +392,13 @@ class TestStackedObjective:
         monkeypatch.setattr(StackedObjective, "_loo_mse", stack_spy)
         monkeypatch.setattr(locfit, "_nw_tile", tile_spy)
         got = StackedObjective(data, subsets, hs)(which, points)
-        expected = [safe_objective(data.subset(subsets[k]), p, hs[k])
+        expected = [one_point_value(data.subset(subsets[k]), p, hs[k])
                     for k, p in zip(which, points)]
         assert got.tolist() == expected
         assert sorted(stacks) == [(20, 85), (20, 86)]
-        assert all(20 > locfit.stack_size(n * n) for _, n in stacks)
+        assert all(20 > locfit.stack_size(n) for _, n in stacks)
         assert len(tiles) > len(stacks)
-        assert all(np.prod(shape) <= locfit.ONE_TILE_MAX**2 for shape in tiles)
+        assert all(np.prod(shape) <= locfit.STACK_PAIRS for shape in tiles)
 
     def test_rejects_bad_bandwidth(self):
         with pytest.raises(ValueError, match="bandwidth must be positive"):
@@ -476,7 +478,8 @@ def test_a_norm_whose_square_is_not_a_normal_double_is_refused(scale):
         objective_loo_mse(data, raw, 0.5)
     with pytest.raises(NormalizationError, match="out of range"):
         spec_from_raw(data, raw)
-    assert safe_objective(data, raw, 0.5) == np.inf
+    assert one_point_value(data, raw, 0.5) == np.inf
+    assert objective_loo_mse(data, np.stack([raw, raw]), 0.5).mse.tolist() == [np.inf] * 2
     stacked = StackedObjective(data, [np.arange(50), np.arange(10, 50)], 0.5)
     assert stacked([0, 1, 1], [raw, raw, np.ones(raw.size)])[:2].tolist() == [np.inf] * 2
 
@@ -492,10 +495,90 @@ def test_the_smallest_normal_squared_norm_is_accepted():
     assert stacked([0], [raw]).tolist() == [report.mse]
 
 
+class TestStackedFullDataObjective:
+    """A stack of search vectors scored in one call: each row is the
+    one-point objective bit for bit, whatever shares its stack."""
+
+    # n = 60 runs as a dense stack and n = 150 on the batched window sums
+    @pytest.mark.parametrize("n", [60, 150])
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 12), data=st.data())
+    def test_each_row_is_the_one_point_call(self, n, seed, count, data):
+        assert 60 <= locfit.ONE_TILE_MAX < 150
+        dataset = property_data(n)
+        rng = np.random.default_rng(seed)
+        dim = dataset.search_dimension()
+        points = rng.normal(size=(count, dim)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(count, 1))
+        # zero functional norm (nonzero alpha), or a norm whose square overflows
+        points[rng.random(count) < 0.15, :-1] = 0.0
+        points[rng.random(count) < 0.1, 0] = 1e160
+        # every sample excluded, some excluded, none
+        hs = rng.choice([1e-7, 0.02, 0.1, 0.5, 3.0], size=count)
+        expected = np.array([one_point_value(dataset, p, h) for p, h in zip(points, hs)])
+        report = objective_loo_mse(dataset, points, hs)
+        assert report.mse.tobytes() == expected.tobytes()
+        counts = 0
+        for p, h in zip(points, hs):
+            try:
+                counts += objective_loo_mse(dataset, p, h).excluded_count
+            except DegenerateObjectiveError:
+                counts += n
+            except NormalizationError:
+                pass
+        assert report.excluded_count == counts and isinstance(report.excluded_count, int)
+        # another order and another split into calls
+        order = np.array(data.draw(st.permutations(range(count))))
+        cut = data.draw(st.integers(1, count))
+        parts = [objective_loo_mse(dataset, points[order[a:b]], hs[order[a:b]]).mse
+                 for a, b in [(0, cut), (cut, count)] if b > a]
+        assert np.concatenate(parts).tobytes() == expected[order].tobytes()
+        # one bandwidth for every row
+        one_h = np.array([one_point_value(dataset, p, 0.5) for p in points])
+        assert objective_loo_mse(dataset, points, 0.5).mse.tobytes() == one_h.tobytes()
+
+    def test_the_objective_values_of_a_step_split_into_stacks(self, monkeypatch):
+        # a step larger than stack_size runs as several stacked calls, each
+        # value still the one-point one
+        from fsim import optimize
+        data = two_block_data(30, seed=31)
+        points = np.random.default_rng(32).normal(size=(7, data.search_dimension()))
+        hs = np.linspace(0.05, 1.0, 7)
+        sizes = []
+        objective = optimize.objective_loo_mse
+
+        def spy(data, points, h):
+            sizes.append(len(points))
+            return objective(data, points, h)
+
+        monkeypatch.setattr(optimize, "stack_size", lambda n: 3)
+        monkeypatch.setattr(optimize, "objective_loo_mse", spy)
+        got = optimize.objective_values(data, points, hs)
+        assert sizes == [3, 3, 1]
+        expected = [one_point_value(data, p, h) for p, h in zip(points, hs)]
+        assert got.tolist() == expected
+        assert optimize.objective_values(data, points, 0.5).tolist() == [
+            one_point_value(data, p, 0.5) for p in points]
+
+    @pytest.mark.parametrize("n", [30, 100])
+    def test_an_empty_stack_scores_nothing(self, n):
+        # on a dense stack and on the window sums
+        data = two_block_data(n, seed=34)
+        report = objective_loo_mse(data, np.empty((0, data.search_dimension())), np.empty(0))
+        assert report.mse.shape == (0,) and report.excluded_count == 0
+
+    def test_too_few_samples_score_infinity_in_a_stack(self):
+        data = two_block_data(3, seed=33)
+        points = np.ones((2, data.search_dimension()))
+        report = objective_loo_mse(data, points, 0.5)
+        assert report.mse.tolist() == [np.inf, np.inf] and report.excluded_count == 0
+        with pytest.raises(DegenerateObjectiveError, match="at least"):
+            objective_loo_mse(data, points[0], 0.5)
+
+
 @functools.lru_cache(maxsize=None)
 def property_data(n):
-    """A two-block dataset with a scalar at n = 60, one dense tile, and at
-    n = 300, on the sorted walk."""
+    """A two-block dataset with a scalar: at n = 60 one dense tile, and at
+    n = 150 and 300 on the window sums."""
     return two_block_data(n, seed=n)
 
 

@@ -34,6 +34,15 @@ def single_block_data(coeffs, y, w=None):
     return Dataset(blocks=(FunctionalBlock(basis, coeffs),), y=np.asarray(y, float), w=w)
 
 
+def one_point_value(data, raw, h):
+    """The one-point objective, infinity where it raises: the value every
+    stacked evaluation of ``raw`` must give, bit for bit."""
+    try:
+        return objective_loo_mse(data, raw, h).mse
+    except (DegenerateObjectiveError, NormalizationError):
+        return np.inf
+
+
 def use_cpus(monkeypatch, count):
     """Make ``os.sched_getaffinity`` report ``count`` usable CPUs, the number of
     parts ``optimize._in_parts`` splits a lockstep's searches into."""
@@ -341,18 +350,19 @@ class TestStepper:
 
         def fn(point):
             expected.append(np.array(point).tobytes())
-            return optimize.safe_objective(data, point, h)
+            return one_point_value(data, point, h)
 
         best, f_best, iterations, converged, trace, evals = serial_nelder_mead(
             fn, init.copy(), budget, optimize.SPREAD_TOL)
         calls = []
-        objective = optimize.safe_objective
+        objective = optimize.objective_loo_mse
 
-        def spy(data, point, h):
-            calls.append(np.array(point).tobytes())
-            return objective(data, point, h)
+        def spy(data, points, h):
+            # every step's points in one stacked call, in the serial order
+            calls.extend(np.array(point).tobytes() for point in points)
+            return objective(data, points, h)
 
-        monkeypatch.setattr(optimize, "safe_objective", spy)
+        monkeypatch.setattr(optimize, "objective_loo_mse", spy)
         result = minimize(data, init, h, budget)
         assert calls == expected
         assert result.evaluations == evals == len(calls)

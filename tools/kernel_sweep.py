@@ -1,39 +1,42 @@
-"""Per-call timing of the leave-one-out kernel sums and of the objective around them.
+"""Per-evaluation timing of the leave-one-out kernel sums and of the objective around them.
 
-    python3 tools/kernel_sweep.py --sizes 90,200,256,300,500,1000 --rounds 7
+    python3 tools/kernel_sweep.py --sizes 40,64,90,128,200,256,1000 --rounds 7
 
 For each n the script draws a link-g3 sample (``simulate.generate``, seed
-``--seed``), takes its index at the true coefficients and times
-``nw_loo_all`` over the default 10-bandwidth grid, once with the whole
-problem as one dense tile and once on the sorted walk (one
-``kernel.window_sums`` call), by setting ``locfit.ONE_TILE_MAX`` for the
-duration of each round: to n for the dense tile and to n - 1 for the walk.
-A round times one pass over the grid on each path; the path that runs first
-alternates from round to round, and each path keeps its best round.  The
-script prints the machine facts, with the kernel transform that runs (the
-compiled loops or the numpy forms; see ``fsim.kernel``), then a markdown
-table of the mean time per call on each path and the speed-up of the walk
-over the dense tile, and the crossover: the sizes between which the walk
-starts to win and keeps winning.  A second table
-times the layers a coefficient search spends its evaluations in: one
-full-data ``objective_loo_mse`` call at n = 90, 200 and 1000 (a g3 draw at
-its true coefficients and the middle bandwidth of its grid, best of
-``--rounds`` rounds of 200 calls, 20 at n = 1000), and one stacked k-fold
-step, which the benchmark's tracer does not see: one ``StackedObjective``
-call with 50 points, one per search, on the ten 90-sample training sets of
-a 100-sample g1 draw, at five bandwidths of its grid, best of ``--rounds``
-rounds of ten calls.  A third table times the batched local-quadratic fits
-on the same g3 draws and bandwidths: the pass ``level_fits`` makes for GCV
-(``locfit._quad_fits`` at every sample, which unlike ``level_fits`` does
-not raise on an unusable row) at n = 250, 1000 and 4000, and one
-``curve_estimates`` call of ``g''`` over 1000 grid points at n = 200, best
-of ``--rounds`` rounds of 20 calls.  A last table times the numpy forms
-that run without a compiler, every compiled loop of ``fsim.kernel`` set to
-``None``: the walk of the first table and the ``level_fits`` pass at
-n = 90, 200 and 1000, best of ``--rounds`` rounds (a round of the pass is
-five calls).  fsim is imported from ``PYTHONPATH``
-when that provides it, else from the ``src`` directory of this checkout, so
-one copy of the script can time another source tree.
+``--seed``) and times one lockstep step of ``STEP_POINTS`` = 30 leave-one-out
+problems, its true index at the bandwidths of the default 10-bandwidth grid
+in turn, through ``nw_loo_all`` in calls of ``locfit.stack_size`` problems,
+as a coefficient search's step makes them: once on dense stacks and once on
+the batched window sums (one ``kernel.window_sums`` call per call), by
+setting ``locfit.ONE_TILE_MAX`` for the duration of each round: to n for the
+dense stacks and to n - 1 for the window sums.  A round times one step on
+each path; the path that runs first alternates from round to round, and
+each path keeps its best round.  The script prints the machine facts, with
+the kernel transform that runs (the compiled loops or the numpy forms; see
+``fsim.kernel``), then a markdown table of the time per evaluation on each
+path and the speed-up of the window sums, and the crossover: the sizes
+between which the window sums start to win and keep winning, where
+``ONE_TILE_MAX`` belongs.  A second table times a full-data lockstep step of
+30 points (a g3 draw near its true coefficients, at the bandwidths of its
+grid in turn) at n = 40, 90, 200 and 1000 both ways: one
+``objective_loo_mse`` call per point, and one stacked call
+(``optimize.objective_values``), per evaluation, with the compiled loops and
+with every compiled loop of ``fsim.kernel`` set to ``None``; best of
+``--rounds`` rounds.  Under it comes one stacked k-fold step, which the
+benchmark's tracer does not see: one ``StackedObjective`` call with 50
+points, one per search, on the ten 90-sample training sets of a 100-sample
+g1 draw, at five bandwidths of its grid, best of ``--rounds`` rounds of ten
+calls.  A third table times the batched local-quadratic fits on the same g3
+draws and bandwidths: the pass ``level_fits`` makes for GCV
+(``locfit._quad_fits`` at every sample, which unlike ``level_fits`` does not
+raise on an unusable row) at n = 250, 1000 and 4000, and one
+``curve_estimates`` call of ``g''`` over 1000 grid points at n = 200, best of
+``--rounds`` rounds of 20 calls.  A last table times the numpy forms that run
+without a compiler: the step of the first table on the window sums and the
+``level_fits`` pass at n = 90, 200 and 1000, best of ``--rounds`` rounds (a
+round of the pass is five calls).  fsim is imported from ``PYTHONPATH`` when
+that provides it, else from the ``src`` directory of this checkout; the
+stacked calls need a source tree that has them.
 """
 
 from __future__ import annotations
@@ -53,20 +56,23 @@ if importlib.util.find_spec("fsim") is None:
 
 from fsim import kernel, locfit
 from fsim.bandwidth import BandwidthGrid, _fold_assignment
-from fsim.model import StackedObjective, objective_loo_mse
+from fsim.model import DegenerateObjectiveError, NormalizationError, StackedObjective, \
+    objective_loo_mse
+from fsim.optimize import objective_values
 from fsim.simulate import SimScenario, generate
 
 
-# full-data objective sizes of the layer table
-OBJECTIVE_SIZES = (90, 200, 1000)
+# points of one lockstep step, in the crossover and the step tables
+STEP_POINTS = 30
+# full-data step sizes of the step table
+OBJECTIVE_SIZES = (40, 90, 200, 1000)
 # the local-quadratic table: level_fits passes at these sizes, and one
 # curve_estimates call over CURVE_POINTS grid points at n = CURVE_N
 LEVEL_SIZES = (250, 1000, 4000)
 CURVE_POINTS, CURVE_N = 1000, 200
-# sizes of the table without a compiler, and the compiled loops it switches
-# off: those of this tree, and the leave-one-out loop of an older one
+# sizes of the table without a compiler, and the compiled loops it switches off
 FALLBACK_SIZES = (90, 200, 1000)
-LOOPS = ("_weights", "_window_sums", "_loo_sums")
+LOOPS = ("_weights", "_window_sums")
 
 
 def transform_path() -> str:
@@ -96,48 +102,55 @@ def machine_facts() -> str:
             f"kernel transform: {transform_path()}")
 
 
-def _pass_time(z, y, grid, one_tile_max: int) -> float:
-    """Mean seconds per ``nw_loo_all`` call over ``grid`` with ``ONE_TILE_MAX`` set."""
+def _step_time(z, y, hs, one_tile_max: int) -> float:
+    """Seconds per evaluation of one step: ``nw_loo_all`` of the index ``z``
+    at every bandwidth of ``hs``, in calls of ``stack_size`` problems, with
+    ``ONE_TILE_MAX`` set."""
     saved = locfit.ONE_TILE_MAX
     locfit.ONE_TILE_MAX = one_tile_max
     try:
+        step = locfit.stack_size(z.size)
+        stack = np.broadcast_to(z, (step, z.size))
         started = time.perf_counter()
-        for h in grid:
-            locfit.nw_loo_all(z, y, h)
-        return (time.perf_counter() - started) / grid.size
+        for a in range(0, hs.size, step):
+            part = hs[a:a + step]
+            locfit.nw_loo_all(stack[:part.size], y, part)
+        return (time.perf_counter() - started) / hs.size
     finally:
         locfit.ONE_TILE_MAX = saved
 
 
 def sweep(sizes, rounds: int, seed: int = 0) -> list[tuple[int, float, float]]:
-    """``(n, dense_s, walk_s)`` per size: the best mean time per call of each path."""
+    """``(n, dense_s, window_s)`` per size: the best time per evaluation of a
+    ``STEP_POINTS`` step on each path."""
     rows = []
     for n in sizes:
         data, truth, grid = _g3_draw(n, seed)
-        z, y = truth.index, data.y
-        # ONE_TILE_MAX = n keeps the problem on one dense tile, n - 1 sends it to the walk
-        paths = {"dense": n, "walk": n - 1}
+        z, y, hs = truth.index, data.y, np.resize(grid, STEP_POINTS)
+        # ONE_TILE_MAX = n keeps the problems on dense stacks, n - 1 sends
+        # them to the window sums
+        paths = {"dense": n, "window": n - 1}
         best = {name: np.inf for name in paths}
         for k in range(rounds):
             for name in (paths if k % 2 == 0 else reversed(paths)):
-                best[name] = min(best[name], _pass_time(z, y, grid, paths[name]))
-        rows.append((n, best["dense"], best["walk"]))
+                best[name] = min(best[name], _step_time(z, y, hs, paths[name]))
+        rows.append((n, best["dense"], best["window"]))
     return rows
 
 
 def crossover(rows) -> str:
-    """Where the walk overtakes the dense tile in :func:`sweep` rows: the
-    first size from which the walk is faster at every listed size."""
-    faster = [walk < dense for _, dense, walk in rows]
+    """Where the window sums overtake the dense stacks in :func:`sweep` rows:
+    the first size from which the window sums are faster at every listed size."""
+    faster = [window < dense for _, dense, window in rows]
     k = len(rows)
     while k and faster[k - 1]:
         k -= 1
     if k == len(rows):
-        return f"crossover: the dense tile is faster at n = {rows[-1][0]}, the largest size"
+        return f"crossover: the dense stack is faster at n = {rows[-1][0]}, the largest size"
     if k == 0:
-        return f"crossover: the walk is faster from n = {rows[0][0]}, the smallest size"
+        return f"crossover: the window sums are faster from n = {rows[0][0]}, the smallest size"
     return (f"crossover: between n = {rows[k - 1][0]} (dense faster) "
-            f"and n = {rows[k][0]} (walk faster)")
+            f"and n = {rows[k][0]} (window sums faster)")
 
 
 def _best(call, rounds: int, calls: int) -> float:
@@ -157,12 +170,44 @@ def _g3_draw(n: int, seed: int):
     return data, truth, BandwidthGrid.default(n, float(np.std(truth.index))).values
 
 
-def objective_time(n: int, rounds: int, seed: int = 0) -> float:
-    """Best mean seconds per full-data ``objective_loo_mse`` call on a g3 draw
-    of ``n`` samples, at its true coefficients and the middle grid bandwidth."""
+def _without_compiler(call):
+    """``call()`` with every compiled loop of ``fsim.kernel`` set to ``None``."""
+    saved = {name: getattr(kernel, name) for name in LOOPS if hasattr(kernel, name)}
+    try:
+        for name in saved:
+            setattr(kernel, name, None)
+        return call()
+    finally:
+        for name, value in saved.items():
+            setattr(kernel, name, value)
+
+
+def _one_point(data, x, h) -> float:
+    try:
+        return objective_loo_mse(data, x, h).mse
+    except (DegenerateObjectiveError, NormalizationError):
+        return np.inf
+
+
+def objective_time(n: int, rounds: int, seed: int = 0) -> tuple[float, ...]:
+    """Best seconds per evaluation of a full-data lockstep step of
+    ``STEP_POINTS`` points on a g3 draw of ``n`` samples, near its true
+    coefficients at the bandwidths of its grid in turn: ``(one-point calls,
+    one stacked call)`` with the compiled loops, then the same without them."""
     data, truth, grid = _g3_draw(n, seed)
-    return _best(lambda: objective_loo_mse(data, truth.beta.coeffs, grid[5]), rounds,
-                 20 if n >= 1000 else 200)
+    rng = np.random.default_rng(seed)
+    points = truth.beta.coeffs + 0.05 * rng.standard_normal((STEP_POINTS, truth.beta.coeffs.size))
+    hs = np.resize(grid, STEP_POINTS)
+    calls = 1 if n >= 1000 else 5
+
+    def one_point():
+        return [_one_point(data, x, h) for x, h in zip(points, hs.tolist())]
+
+    def times():
+        return tuple(_best(step, rounds, calls) / STEP_POINTS
+                     for step in (one_point, lambda: objective_values(data, points, hs)))
+
+    return times() + _without_compiler(times)
 
 
 def local_quadratic_times(rounds: int, seed: int = 0, sizes=LEVEL_SIZES,
@@ -190,22 +235,19 @@ def _level_time(n: int, rounds: int, calls: int, seed: int) -> float:
 
 
 def fallback_times(rounds: int, seed: int = 0, sizes=FALLBACK_SIZES):
-    """``(n, walk_s, level_s)`` per size with every compiled loop switched
-    off: the best mean seconds per walked ``nw_loo_all`` call over the
-    default grid and per ``level_fits`` pass, both on the numpy forms."""
-    saved = {name: getattr(kernel, name) for name in LOOPS if hasattr(kernel, name)}
-    try:
-        for name in saved:
-            setattr(kernel, name, None)
+    """``(n, window_s, level_s)`` per size with every compiled loop switched
+    off: the best seconds per evaluation of a :func:`sweep` step on the
+    window sums and per ``level_fits`` pass, both on the numpy forms."""
+    def times():
         rows = []
         for n in sizes:
             data, truth, grid = _g3_draw(n, seed)
-            walk = min(_pass_time(truth.index, data.y, grid, n - 1) for _ in range(rounds))
-            rows.append((n, walk, _level_time(n, rounds, 5, seed)))
+            hs = np.resize(grid, STEP_POINTS)
+            window = min(_step_time(truth.index, data.y, hs, n - 1) for _ in range(rounds))
+            rows.append((n, window, _level_time(n, rounds, 5, seed)))
         return rows
-    finally:
-        for name, value in saved.items():
-            setattr(kernel, name, value)
+
+    return _without_compiler(times)
 
 
 def stacked_step(rounds: int, seed: int = 0) -> float:
@@ -233,18 +275,23 @@ def _duration(seconds: float) -> str:
 
 def table(rows) -> list[str]:
     """The markdown table of :func:`sweep` rows."""
-    lines = ["| n | dense tile | walk | walk speed-up |", "| --- | --- | --- | --- |"]
-    for n, dense, walk in rows:
-        lines.append(f"| {n} | {_duration(dense)} | {_duration(walk)} | {dense / walk:.2f}× |")
+    lines = ["| n | dense stack | window sums | window speed-up |", "| --- | --- | --- | --- |"]
+    for n, dense, window in rows:
+        lines.append(f"| {n} | {_duration(dense)} | {_duration(window)} | "
+                     f"{dense / window:.2f}× |")
     return lines
 
 
 def step_table(objective, seconds: float) -> list[str]:
-    """The markdown table of the layers: ``(n, seconds)`` pairs of
+    """The markdown table of the steps: ``(n, times)`` pairs of
     :func:`objective_time`, then the :func:`stacked_step` time."""
-    return (["| layer | per call |", "| --- | --- |"]
-            + [f"| objective_loo_mse, n = {n} | {_duration(t)} |" for n, t in objective]
-            + [f"| k-fold step: 50 points on 10 training sets of 90 | {_duration(seconds)} |"])
+    return (["| full-data step, per evaluation | one-point calls | one stacked call "
+             "| one-point, no compiler | stacked, no compiler |",
+             "| --- | --- | --- | --- | --- |"]
+            + [f"| n = {n} | " + " | ".join(_duration(t) for t in times) + " |"
+               for n, times in objective]
+            + ["", "| k-fold step | per call |", "| --- | --- |",
+               f"| 50 points on 10 training sets of 90 | {_duration(seconds)} |"])
 
 
 def quad_table(rows) -> list[str]:
@@ -255,13 +302,15 @@ def quad_table(rows) -> list[str]:
 
 def fallback_table(rows) -> list[str]:
     """The markdown table of :func:`fallback_times` rows."""
-    return (["| n | walk, no compiler | level_fits pass, no compiler |", "| --- | --- | --- |"]
-            + [f"| {n} | {_duration(walk)} | {_duration(level)} |" for n, walk, level in rows])
+    return (["| n | window sums per evaluation, no compiler | level_fits pass, no compiler |",
+             "| --- | --- | --- |"]
+            + [f"| {n} | {_duration(window)} | {_duration(level)} |"
+               for n, window, level in rows])
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--sizes", default="90,200,256,300,500,1000",
+    parser.add_argument("--sizes", default="40,64,90,128,200,256,1000",
                         help="comma-separated sample sizes")
     parser.add_argument("--rounds", type=int, default=7, help="alternating rounds per size")
     parser.add_argument("--seed", type=int, default=0, help="seed of the g3 samples")
@@ -270,8 +319,8 @@ def main(argv=None) -> int:
     if not sizes or min(sizes) < 2 or args.rounds < 1:
         parser.error("need sizes >= 2 and --rounds >= 1")
     print(machine_facts())
-    print(f"nw_loo_all per call over the default grid, best of {args.rounds} rounds, "
-          f"shipped ONE_TILE_MAX={locfit.ONE_TILE_MAX}")
+    print(f"nw_loo_all per evaluation of a {STEP_POINTS}-problem step, best of {args.rounds} "
+          f"rounds, shipped ONE_TILE_MAX={locfit.ONE_TILE_MAX}")
     rows = sweep(sizes, args.rounds, args.seed)
     print("\n".join(table(rows)))
     print(crossover(rows))
