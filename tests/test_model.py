@@ -367,9 +367,9 @@ class TestStackedObjective:
 
     def test_stacks_span_several_kernel_chunks(self, monkeypatch):
         # 95 samples in 10 folds train on 85 and 86 samples, kept on dense
-        # stacks here; a stack is bounded by its gathered coefficients, so it
-        # holds more training sets than one nw_loo_all call takes, and it
-        # splits its kernel sums into calls of stack_size rows
+        # stacks here; a step of 20 points of each size spans several stacks
+        # of stack_size training sets (9 of 85, 8 of 86), and each stack's
+        # kernel sums are one nw_loo_all call
         monkeypatch.setattr(locfit, "ONE_TILE_MAX", 100)
         data = two_block_data(95, seed=18)
         folds = np.array_split(np.random.default_rng(19).permutation(95), 10)
@@ -378,6 +378,8 @@ class TestStackedObjective:
         points = rng.normal(size=(40, data.search_dimension()))
         which = np.arange(40) % 10
         hs = np.linspace(0.05, 0.8, 10)
+        expected = [one_point_value(data.subset(subsets[k]), p, hs[k])
+                    for k, p in zip(which, points)]
         stacks, tiles = [], []
         loo_mse, nw_tile = StackedObjective._loo_mse, locfit._nw_tile
 
@@ -392,13 +394,77 @@ class TestStackedObjective:
         monkeypatch.setattr(StackedObjective, "_loo_mse", stack_spy)
         monkeypatch.setattr(locfit, "_nw_tile", tile_spy)
         got = StackedObjective(data, subsets, hs)(which, points)
-        expected = [one_point_value(data.subset(subsets[k]), p, hs[k])
-                    for k, p in zip(which, points)]
         assert got.tolist() == expected
-        assert sorted(stacks) == [(20, 85), (20, 86)]
-        assert all(20 > locfit.stack_size(n) for _, n in stacks)
-        assert len(tiles) > len(stacks)
+        assert sorted(stacks) == [(2, 85), (4, 86), (8, 86), (8, 86), (9, 85), (9, 85)]
+        assert all(count <= locfit.stack_size(n) for count, n in stacks)
+        assert tiles == [(count, n, n) for count, n in stacks]
         assert all(np.prod(shape) <= locfit.STACK_PAIRS for shape in tiles)
+
+    # n = 60 runs as a dense stack and n = 150 on the batched window sums
+    @pytest.mark.parametrize("n", [60, 150])
+    def test_the_identity_subset_is_the_full_data_objective(self, n):
+        # the two paths share one index map, so on the whole data they agree
+        # bit for bit at every guard
+        from fsim.optimize import objective_values
+        data = property_data(n)
+        rng = np.random.default_rng(40)
+        points = rng.normal(size=(24, data.search_dimension()))
+        points *= 10.0 ** rng.uniform(-3.0, 3.0, size=(24, 1))
+        points[3, :-1] = 0.0  # zero functional norm, nonzero alpha
+        points[5, 0] = 1e160  # a norm whose square overflows
+        hs = np.array([1e-7, 0.02, 0.1, 0.5, 3.0])
+        which = np.arange(24) % hs.size
+        got = StackedObjective(data, [np.arange(n)] * hs.size, hs)(which, points)
+        assert got.tobytes() == objective_values(data, points, hs[which]).tobytes()
+        assert np.isinf(got[which == 0]).all() and np.isfinite(got[which == 4]).all()
+
+    @pytest.mark.parametrize("n", [60, 150])
+    def test_each_row_reduces_its_own_kept_samples(self, n):
+        # rows of one stack with every sample excluded, many, a few and none:
+        # each is its one-point value bit for bit, the mean of its kept
+        # squares summed as numpy sums the squares with the excluded zeroed
+        data = property_data(n)
+        raw = np.random.default_rng(41).normal(size=data.search_dimension())
+        hs = np.array([1e-7, 0.01, 0.3, 3.0])
+        z, norm = search_index(data, raw)
+        counts, expected = [], []
+        for h in hs:
+            estimates, excluded = locfit.nw_loo_all(z, data.y, h * norm)
+            squares = np.where(excluded, 0.0, (data.y - estimates) ** 2)
+            kept = n - int(excluded.sum())
+            counts.append(n - kept)
+            expected.append(squares.sum() / kept if kept else np.inf)
+        assert counts[0] == n and n > counts[1] > counts[2] > counts[3] == 0
+        points = np.stack([raw] * hs.size)
+        report = objective_loo_mse(data, points, hs)
+        assert report.mse.tolist() == expected == [one_point_value(data, raw, h) for h in hs]
+        assert report.excluded_count == sum(counts)
+        got = StackedObjective(data, [np.arange(n)] * hs.size, hs)(np.arange(hs.size), points)
+        assert got.tolist() == expected
+
+    @pytest.mark.parametrize("n", [60, 150])
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), folds=st.integers(2, 10),
+           h=st.sampled_from([0.05, 0.2, 0.5, 3.0]))
+    def test_a_subset_value_is_the_subset_objective_within_rounding(self, n, seed, folds, h):
+        # a subset's index values are gathered from the full-data map, which
+        # may round them differently from the subset's own map; a design of
+        # 12 columns does so (4 columns do not), and moved random points by
+        # up to 2.9e-15 relative in 18,182 scratch evaluations
+        data = wide_data(n)
+        rng = np.random.default_rng(seed)
+        subsets = [np.setdiff1d(np.arange(n), fold)
+                   for fold in np.array_split(rng.permutation(n), folds)]
+        points = rng.normal(size=(folds, data.search_dimension()))
+        got = StackedObjective(data, subsets, h)(np.arange(folds), points)
+        for value, indices, raw in zip(got, subsets, points):
+            subset = data.subset(indices)
+            z, norm = search_index(subset, raw)
+            # a pair within rounding of the window edge may flip in or out
+            gaps = np.abs(np.abs(z[:, None] - z[None, :]) / (h * norm) - 1.0)
+            assume(not np.any(gaps < 1e-9))
+            expected = objective_loo_mse(subset, raw, h).mse
+            assert abs(value - expected) <= 1e-14 * expected
 
     def test_rejects_bad_bandwidth(self):
         with pytest.raises(ValueError, match="bandwidth must be positive"):
@@ -431,31 +497,44 @@ class TestSearchIndex:
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), stack=st.integers(1, 6),
            fraction=st.floats(0.05, 1.0), two_blocks=st.booleans())
     def test_stack_rows_are_the_map_on_each_subset(self, seed, n, stack, fraction, two_blocks):
+        # each row of a stack is the one-vector map bit for bit; gathered at a
+        # subset's samples it is the subset's own map within the rounding of
+        # the two products, 2 dim eps times the sum of the terms' magnitudes
         rng = np.random.default_rng(seed)
         if two_blocks:
             data = two_block_data(n, seed)
         else:
-            data = single_block_data(rng.normal(size=(n, 6)), rng.normal(size=n))
+            data = single_block_data(rng.normal(size=(n, 13)), rng.normal(size=n))
         size = max(1, int(fraction * n))
         samples = np.stack([rng.choice(n, size, replace=bool(rng.integers(2)))
                             for _ in range(stack)])
         raw = rng.normal(size=(stack, data.search_dimension()))
         functional = sum(data.beta_dims())
-        z, norms = search_index(data, raw, samples)
-        assert z.shape == samples.shape and norms.shape == (stack,)
+        z, norms = search_index(data, raw)
+        assert z.shape == (stack, n) and norms.shape == (stack,)
         for b in range(stack):
-            subset = data.subset(samples[b])
-            z_b, norm_b = search_index(subset, raw[b])
-            hand_z, hand_norm = self.hand_index(subset, raw[b])
+            z_b, norm_b = search_index(data, raw[b])
+            hand_z, hand_norm = self.hand_index(data, raw[b])
             assert z[b].tobytes() == z_b.tobytes() == hand_z.tobytes()
             assert norms[b] == norm_b == hand_norm == np.linalg.norm(raw[b, :functional])
+            subset = data.subset(samples[b])
+            magnitude = self.hand_index(absolute(subset), np.abs(raw[b]))[0]
+            drift = np.abs(z[b][samples[b]] - search_index(subset, raw[b])[0])
+            assert np.all(drift <= 2 * raw.shape[1] * np.finfo(float).eps * magnitude)
 
     def test_rejects_a_search_vector_of_the_wrong_shape(self):
         data = two_block_data(6, seed=1)
         with pytest.raises(ValueError, match="search vectors of shape"):
             search_index(data, np.ones(data.search_dimension() - 1))
         with pytest.raises(ValueError, match="search vectors of shape"):
-            search_index(data, np.ones((3, data.search_dimension())), np.zeros((2, 4), int))
+            search_index(data, np.ones((3, data.search_dimension() + 1)))
+
+
+def absolute(data):
+    """``data`` with every coefficient and scalar replaced by its magnitude."""
+    return Dataset(tuple(FunctionalBlock(block.basis, np.abs(block.coeffs))
+                         for block in data.blocks),
+                   data.y, None if data.w is None else np.abs(data.w))
 
 
 @pytest.mark.parametrize("h", [np.nan, np.inf, -np.inf, 0.0])
@@ -580,6 +659,14 @@ def property_data(n):
     """A two-block dataset with a scalar: at n = 60 one dense tile, and at
     n = 150 and 300 on the window sums."""
     return two_block_data(n, seed=n)
+
+
+@functools.lru_cache(maxsize=None)
+def wide_data(n):
+    """One block of 12 nonconstant columns and a scalar, as wide as the
+    product needs to round a row by its position."""
+    rng = np.random.default_rng(n)
+    return single_block_data(rng.normal(size=(n, 13)), rng.normal(size=n), w=rng.normal(size=n))
 
 
 PROPERTY_SIZES = pytest.mark.parametrize("n", [60, 300])

@@ -22,14 +22,18 @@ grid in turn) at n = 40, 90, 200 and 1000 both ways: one
 ``objective_loo_mse`` call per point, and one stacked call
 (``optimize.objective_values``), per evaluation, with the compiled loops and
 with every compiled loop of ``fsim.kernel`` set to ``None``; best of
-``--rounds`` rounds.  Under it comes one stacked k-fold step, which the
-benchmark's tracer does not see: one ``StackedObjective`` call with 50
+``--rounds`` rounds.  Under it comes a table of the k-fold layers, with
+the compiled loops and without them: one stacked k-fold step, which the
+benchmark's tracer does not see (one ``StackedObjective`` call with 50
 points, one per search, on the ten 90-sample training sets of a 100-sample
 g1 draw, at five bandwidths of its grid, best of ``--rounds`` rounds of ten
-calls.  A third table times the batched local-quadratic fits on the same g3
-draws and bandwidths: the pass ``level_fits`` makes for GCV
-(``locfit._quad_fits`` at every sample, which unlike ``level_fits`` does not
-raise on an unusable row) at n = 250, 1000 and 4000, and one
+calls), and the held-out scoring of one k-fold grid on the same draw
+(``bandwidth._held_out_score`` of each of the ten bandwidths of its grid,
+over the ten fold fits from perturbed true coefficients, best of
+``--rounds`` rounds of five grids).  A third table times the batched
+local-quadratic fits on the same g3 draws and bandwidths: the pass
+``level_fits`` makes for GCV (``locfit._quad_fits`` at every sample, which
+unlike ``level_fits`` does not raise on an unusable row) at n = 250, 1000 and 4000, and one
 ``curve_estimates`` call of ``g''`` over 1000 grid points at n = 200, best of
 ``--rounds`` rounds of 20 calls.  A last table times the numpy forms that run
 without a compiler: the step of the first table on the window sums and the
@@ -55,10 +59,10 @@ if importlib.util.find_spec("fsim") is None:
     sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from fsim import kernel, locfit
-from fsim.bandwidth import BandwidthGrid, _fold_assignment
+from fsim.bandwidth import BandwidthGrid, _fold_split, _held_out_score
 from fsim.model import DegenerateObjectiveError, NormalizationError, StackedObjective, \
     objective_loo_mse
-from fsim.optimize import objective_values
+from fsim.optimize import minimize_each, objective_values
 from fsim.simulate import SimScenario, generate
 
 
@@ -250,21 +254,50 @@ def fallback_times(rounds: int, seed: int = 0, sizes=FALLBACK_SIZES):
     return _without_compiler(times)
 
 
+def _g1_folds(seed: int):
+    """A 100-sample g1 draw, its truth, its ten-fold split and its default grid."""
+    data, truth = generate(SimScenario(n=100, link="g1", seed=seed))
+    split = _fold_split(data.n, 10, seed)
+    return data, truth, split, BandwidthGrid.default(data.n, float(np.std(truth.index))).values
+
+
 def stacked_step(rounds: int, seed: int = 0) -> float:
     """Best mean seconds per ``StackedObjective`` call of one k-fold lockstep step.
 
     The step evaluates 50 searches, one pending point each: the ten folds of
     a 100-sample g1 draw at every other bandwidth of its default grid.
     """
-    data, truth = generate(SimScenario(n=100, link="g1", seed=seed))
-    trains = [np.setdiff1d(np.arange(data.n), fold)
-              for fold in _fold_assignment(data.n, 10, seed)]
-    hs = BandwidthGrid.default(data.n, float(np.std(truth.index))).values[::2]
+    data, truth, (trains, _), grid = _g1_folds(seed)
+    hs = grid[::2]
     objective = StackedObjective(data, trains * hs.size, np.repeat(hs, len(trains)))
     rng = np.random.default_rng(seed)
     points = truth.beta.coeffs + 0.1 * rng.standard_normal((50, data.search_dimension()))
     which = np.arange(50)
     return _best(lambda: objective(which, points), rounds, 10)
+
+
+def held_out_grid(rounds: int, seed: int = 0) -> float:
+    """Best mean seconds to score one k-fold grid: ``_held_out_score`` at each
+    of the ten bandwidths of the default grid of a 100-sample g1 draw, each
+    over the fits of its ten folds (unsearched, from perturbed true
+    coefficients), best of ``rounds`` rounds of five grids."""
+    data, truth, split, grid = _g1_folds(seed)
+    rng = np.random.default_rng(seed)
+    starts = truth.beta.coeffs + 0.1 * rng.standard_normal((10, data.search_dimension()))
+    fits = [minimize_each(data, starts, [h] * 10, 0, None, ["custom"] * 10, split[0])
+            for h in grid.tolist()]
+    return _best(lambda: [_held_out_score(data, split, results, h)
+                          for results, h in zip(fits, grid.tolist())], rounds, 5)
+
+
+def kfold_times(rounds: int, seed: int = 0) -> list[tuple[str, float, float]]:
+    """``(layer, compiled_s, numpy_s)`` rows of the k-fold table: the
+    :func:`stacked_step` and the :func:`held_out_grid`, with the compiled
+    loops and with every compiled loop of ``fsim.kernel`` set to ``None``."""
+    return [(layer, timer(rounds, seed), _without_compiler(lambda: timer(rounds, seed)))
+            for layer, timer in (("step: 50 points on 10 training sets of 90", stacked_step),
+                                ("held-out scoring: 10 bandwidths x 10 folds, n = 100",
+                                 held_out_grid))]
 
 
 def _duration(seconds: float) -> str:
@@ -282,16 +315,17 @@ def table(rows) -> list[str]:
     return lines
 
 
-def step_table(objective, seconds: float) -> list[str]:
-    """The markdown table of the steps: ``(n, times)`` pairs of
-    :func:`objective_time`, then the :func:`stacked_step` time."""
+def step_table(objective, kfold) -> list[str]:
+    """The markdown tables of the steps: ``(n, times)`` pairs of
+    :func:`objective_time`, then the :func:`kfold_times` rows."""
     return (["| full-data step, per evaluation | one-point calls | one stacked call "
              "| one-point, no compiler | stacked, no compiler |",
              "| --- | --- | --- | --- | --- |"]
             + [f"| n = {n} | " + " | ".join(_duration(t) for t in times) + " |"
                for n, times in objective]
-            + ["", "| k-fold step | per call |", "| --- | --- |",
-               f"| 50 points on 10 training sets of 90 | {_duration(seconds)} |"])
+            + ["", "| k-fold layer, per call | compiled | no compiler |", "| --- | --- | --- |"]
+            + [f"| {layer} | {_duration(compiled)} | {_duration(numpy)} |"
+               for layer, compiled, numpy in kfold])
 
 
 def quad_table(rows) -> list[str]:
@@ -325,7 +359,7 @@ def main(argv=None) -> int:
     print("\n".join(table(rows)))
     print(crossover(rows))
     objective = [(n, objective_time(n, args.rounds, args.seed)) for n in OBJECTIVE_SIZES]
-    print("\n".join(step_table(objective, stacked_step(args.rounds, args.seed))))
+    print("\n".join(step_table(objective, kfold_times(args.rounds, args.seed))))
     print("\n".join(quad_table(local_quadratic_times(args.rounds, args.seed))))
     print("\n".join(fallback_table(fallback_times(args.rounds, args.seed))))
     return 0
