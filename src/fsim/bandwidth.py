@@ -17,7 +17,14 @@ import numpy as np
 
 from .basis import readonly_array
 from .locfit import EstimationError, check_bandwidth, level_fits, nw_predict
-from .model import Dataset, IndexModelSpec, compute_index, search_index, spec_from_raw
+from .model import (
+    Dataset,
+    IndexModelSpec,
+    StackedObjective,
+    compute_index,
+    search_index,
+    spec_from_raw,
+)
 from .optimize import (
     InitStrategy,
     OptResult,
@@ -25,7 +32,6 @@ from .optimize import (
     init_random,
     minimize,
     minimize_each,
-    objective_values,
     resolve_init,
 )
 
@@ -210,9 +216,10 @@ def _held_out_score(data: Dataset, split, results, h: float):
 def choose_random_start(data: Dataset, h: float, pool):
     """The candidate of the random ``pool`` with the lowest objective at ``h``.
 
-    Returns ``(start, label)``; ties go to the earlier candidate.
+    Returns ``(start, label)``; ties go to the earlier candidate.  The pool
+    is scored in one full-data :class:`fsim.model.StackedObjective` call.
     """
-    scores = objective_values(data, pool, h)
+    scores = StackedObjective(data, None, h)(np.zeros(len(pool), dtype=int), pool)
     best = int(np.argmin(scores))
     if not np.isfinite(scores[best]):
         raise SelectionError(f"every random start is degenerate at h={h:.6g}")

@@ -285,7 +285,7 @@ def canonical_sign(spec: IndexModelSpec, reference=None) -> IndexModelSpec:
     return IndexModelSpec(betas, alpha)
 
 
-def objective_loo_mse(data: Dataset, raw_coeffs, h) -> ObjectiveReport:
+def objective_loo_mse(data: Dataset, raw_coeffs, h, samples=None) -> ObjectiveReport:
     """Leave-one-out Nadaraya-Watson mean squared error at raw search points.
 
     The kernel bandwidth is ``h`` times the functional coefficient norm, which
@@ -304,39 +304,35 @@ def objective_loo_mse(data: Dataset, raw_coeffs, h) -> ObjectiveReport:
     ``mse`` holds each row's value, bit for bit the one-point value, and
     infinity where the one-point call would raise; ``excluded_count`` is
     the total over the stack.
+
+    A stack may carry ``samples``, an (S, m) integer array of indices in
+    [0, n), unchecked here: row i is then scored on
+    ``data.subset(samples[i])``, with index values gathered from the
+    full-data map through flat indices, which can be one rounding from the
+    subset's own map (:func:`search_index`).  Each row's squares, excluded
+    ones zeroed, are summed by one ``sum(axis=-1)``, as numpy sums the row
+    alone.
     """
     raw = np.asarray(raw_coeffs, dtype=float)
     one = raw.ndim == 1
-    if one and data.n < MIN_SAMPLES:
+    if samples is not None and (one or samples.ndim != 2 or len(samples) != len(raw)):
+        raise ValueError(f"expected one row of samples per search vector, got "
+                         f"{samples.shape} for {raw.shape}")
+    n = data.n if samples is None else samples.shape[-1]
+    if one and n < MIN_SAMPLES:
         raise DegenerateObjectiveError(
-            f"objective needs at least {MIN_SAMPLES} samples, got {data.n}")
+            f"objective needs at least {MIN_SAMPLES} samples, got {n}")
     h = np.asarray(h, dtype=float)
     check_bandwidth(h)
     z, norms = search_index(data, raw[None] if one else raw)
     if one:
         _check_norm(float(norms[0]))
-    elif data.n < MIN_SAMPLES:
+    elif n < MIN_SAMPLES:
         return ObjectiveReport(mse=np.full(len(z), np.inf), excluded_count=0)
-    mse, excluded = _loo_mse(z, norms, h, data.y)
-    if not one:
-        return ObjectiveReport(mse=mse, excluded_count=int(excluded.sum()))
-    if excluded[0] == data.n:
-        raise DegenerateObjectiveError(
-            f"every sample excluded at h={h.item():.6g}; bandwidth far too small")
-    return ObjectiveReport(mse=float(mse[0]), excluded_count=int(excluded[0]))
-
-
-def _loo_mse(z, norms, h, y):
-    """``(mse, excluded)``: the leave-one-out MSE of each row of the (S, n)
-    index values ``z`` at bandwidth ``h * norms`` (``h`` one bandwidth or
-    one per row), and its count of excluded samples; infinity where the
-    norm cannot be normalized or every sample is excluded.  ``y`` holds the
-    (n,) responses of every row or (S, n) ones per row.  The kernel sums
-    run in one :func:`nw_loo_all` call, so the caller bounds S by
-    :func:`fsim.locfit.stack_size`.  The squares of excluded samples are
-    zeroed and each row's n squares summed by one ``sum(axis=-1)``, which
-    sums each row as numpy sums it alone, and divided by the kept count."""
-    count, n = z.shape
+    y = data.y
+    if samples is not None:
+        z = z.reshape(-1)[samples + data.n * np.arange(len(samples))[:, None]]
+        y = y[samples]
     ok = _normalizable(norms)
     rows = slice(None) if ok.all() else np.flatnonzero(ok)
     if y.ndim > 1:
@@ -346,44 +342,56 @@ def _loo_mse(z, norms, h, y):
     squares = residuals * residuals
     squares[excluded] = 0.0
     counts = np.count_nonzero(excluded, axis=-1)
-    values = np.divide(squares.sum(axis=-1), n - counts, out=np.full(len(counts), np.inf),
-                       where=counts < n)
-    if isinstance(rows, slice):
-        return values, counts
-    mse, excluded_count = np.full(count, np.inf), np.zeros(count, dtype=int)
-    mse[rows], excluded_count[rows] = values, counts
-    return mse, excluded_count
+    mse = np.full(len(z), np.inf)
+    mse[rows] = np.divide(squares.sum(axis=-1), n - counts, out=np.full(len(counts), np.inf),
+                          where=counts < n)
+    if not one:
+        return ObjectiveReport(mse=mse, excluded_count=int(counts.sum()))
+    if counts[0] == n:
+        raise DegenerateObjectiveError(
+            f"every sample excluded at h={h.item():.6g}; bandwidth far too small")
+    return ObjectiveReport(mse=float(mse[0]), excluded_count=int(counts[0]))
 
 
 class StackedObjective:
-    """The leave-one-out objective on subsets of one dataset, one bandwidth each.
+    """The leave-one-out objective of many searches on one dataset, each at a
+    bandwidth of its own, all on the full data or each on a subset of it.
 
-    ``objective(which, points)`` returns, for each row of ``points``
-    evaluated on ``data.subset(subsets[which[i]])`` at bandwidth
-    ``h[which[i]]`` (``h`` holds one bandwidth per subset, or one for all),
-    the :func:`objective_loo_mse` value, or infinity where that raises
-    (fewer than ``MIN_SAMPLES`` samples, a coefficient norm that cannot be
-    normalized, every sample excluded).  Points on subsets of one size run
-    in stacks of :func:`fsim.locfit.stack_size` points, one :func:`_loo_mse`
-    each, whose index values are gathered from one full-data
-    :func:`search_index` product: the map of :func:`objective_loo_mse`, bit
-    for bit on the identity subset.  On a proper subset they can be one
-    rounding from those of ``data.subset`` (:func:`search_index`), which
-    moved the objective by at most 5.0e-16 relative on simulated draws.
+    ``objective(which, points)`` returns, for each row of ``points``, the
+    one-point :func:`objective_loo_mse` value of search ``which[i]``, or
+    infinity where that raises.  With ``subsets`` None ``h`` holds one
+    bandwidth per search (a scalar is one search); else search k runs on
+    ``data.subset(subsets[k])`` and ``h`` holds one bandwidth per subset,
+    or one for all.  Points on samples of one size run in stacks of
+    :func:`fsim.locfit.stack_size` points, each one
+    :func:`objective_loo_mse` call: with no gather on the full data, with
+    each point's subset as its ``samples`` row otherwise, which moved the
+    objective by at most 5.0e-16 relative on simulated draws.  A subset
+    index outside [0, n) raises :class:`ValueError`, since the flat gather
+    would read another row's map.
     """
 
     def __init__(self, data: Dataset, subsets, h):
-        self._h = np.broadcast_to(np.asarray(h, dtype=float), (len(subsets),))
-        check_bandwidth(self._h)
+        h = np.asarray(h, dtype=float)
         self.data = data
-        subsets = [np.asarray(indices, dtype=int) for indices in subsets]
-        self._sizes = np.array([indices.size for indices in subsets], dtype=int)
-        self._positions = np.empty(len(subsets), dtype=int)
-        self._members = {}
-        for n in sorted(set(self._sizes.tolist())):
-            members = np.flatnonzero(self._sizes == n)
-            self._positions[members] = np.arange(members.size)
-            self._members[n] = np.stack([subsets[k] for k in members.tolist()])
+        if subsets is None:
+            self._h = h.reshape(-1)
+            self._sizes = np.full(self._h.size, data.n)
+            self._members = {data.n: None}
+        else:
+            self._h = np.broadcast_to(h, (len(subsets),))
+            subsets = [np.asarray(indices, dtype=int) for indices in subsets]
+            for k, indices in enumerate(subsets):
+                if np.any((indices < 0) | (indices >= data.n)):
+                    raise ValueError(f"subset {k} has sample indices outside [0, {data.n})")
+            self._sizes = np.array([indices.size for indices in subsets], dtype=int)
+            self._positions = np.empty(len(subsets), dtype=int)
+            self._members = {}
+            for n in sorted(set(self._sizes.tolist())):
+                members = np.flatnonzero(self._sizes == n)
+                self._positions[members] = np.arange(members.size)
+                self._members[n] = np.stack([subsets[k] for k in members.tolist()])
+        check_bandwidth(self._h)
 
     def __call__(self, which, points) -> np.ndarray:
         which = np.asarray(which, dtype=int)
@@ -398,15 +406,7 @@ class StackedObjective:
             for a in range(0, rows.size, step):
                 part = rows[a:a + step]
                 search = which[part]
-                values[part] = self._loo_mse(members[self._positions[search]],
-                                             self._h[search], points[part])
+                samples = None if members is None else members[self._positions[search]]
+                values[part] = objective_loo_mse(self.data, points[part], self._h[search],
+                                                 samples).mse
         return values
-
-    def _loo_mse(self, samples: np.ndarray, h: np.ndarray, raw: np.ndarray) -> np.ndarray:
-        """:func:`objective_loo_mse` at every row of ``raw`` on the subset of
-        the matching row of ``samples`` at the matching bandwidth of ``h``,
-        infinity where it raises: the index values of each row's full-data
-        map, gathered at its samples through flat indices."""
-        z, norms = search_index(self.data, raw)
-        at = samples + self.data.n * np.arange(len(samples))[:, None]
-        return _loo_mse(z.reshape(-1)[at], norms, h, self.data.y[samples])[0]

@@ -4,12 +4,13 @@ The objective is piecewise smooth in the coefficients (samples enter and
 leave kernel windows), so the outer search is derivative-free.  Every
 search runs through :func:`minimize_each`, many at once on the full data
 or on subsets of it (:func:`minimize` is its one-search call), on one
-array-state Nelder-Mead (:func:`_nelder_mead`); the searches of a
-lockstep are split across the CPUs this process may use
-(:func:`_in_parts`).  Four ways of choosing the start point are
-supported: the known truth (simulations), an ordinary least squares fit
-assuming a linear link, an all-equal vector, and a pool of standard
-normal draws prefiltered by objective value, from which the bandwidth
+array-state Nelder-Mead (:func:`_nelder_mead`) whose every step is one
+:class:`fsim.model.StackedObjective` call; the searches of a lockstep
+are split across the CPUs this process may use (:func:`_in_parts`).
+Four ways of choosing the start point are supported: the known truth
+(simulations), an ordinary least squares fit assuming a linear link, an
+all-equal vector, and a pool of standard normal draws prefiltered by
+objective value through the same object, from which the bandwidth
 selection (:func:`fsim.bandwidth.select_bandwidth`) picks one start per
 bandwidth.
 """
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import is_integer, readonly_array
-from .locfit import SingularFitError, stack_size
+from .locfit import SingularFitError
 from .model import (
     Dataset,
     DegenerateObjectiveError,
@@ -32,7 +33,6 @@ from .model import (
     NormalizationError,
     StackedObjective,
     canonical_sign,
-    objective_loo_mse,
     spec_from_raw,
 )
 
@@ -124,31 +124,20 @@ def init_random(data: Dataset, h_ref: float, cfg: InitStrategy) -> list[np.ndarr
     """The best ``keep_best`` of ``candidate_count`` standard normal draws.
 
     Candidates are scored by the leave-one-out MSE at the reference bandwidth
-    (degenerate candidates score infinity) and returned best first, breaking
-    ties by draw order, so a fixed seed fixes the output.
+    (one full-data :class:`fsim.model.StackedObjective` call; degenerate
+    candidates score infinity) and returned best first, breaking ties by
+    draw order, so a fixed seed fixes the output.
     """
     if cfg.kind != "random":
         raise ValueError(f"expected a random strategy, got kind {cfg.kind!r}")
     rng = np.random.default_rng(cfg.seed)
     candidates = rng.standard_normal((cfg.candidate_count, data.search_dimension()))
-    scores = objective_values(data, candidates, h_ref)
+    scores = StackedObjective(data, None, h_ref)(np.zeros(len(candidates), dtype=int),
+                                                 candidates)
     if not np.any(np.isfinite(scores)):
         raise DegenerateObjectiveError("every random start candidate is degenerate")
     order = np.argsort(scores, kind="stable")
     return [candidates[i] for i in order[: cfg.keep_best]]
-
-
-def objective_values(data: Dataset, points, h) -> np.ndarray:
-    """The leave-one-out MSE of every row of ``points`` at ``h`` (one
-    bandwidth, or one per row), infinity where the one-point
-    :func:`objective_loo_mse` raises.  The rows go through stacked
-    :func:`objective_loo_mse` calls of :func:`fsim.locfit.stack_size` rows."""
-    points = np.asarray(points, dtype=float)
-    h = np.asarray(h, dtype=float)
-    step = stack_size(data.n)
-    return np.concatenate([objective_loo_mse(data, points[a:a + step],
-                                             h[a:a + step] if h.ndim else h).mse
-                           for a in range(0, max(len(points), 1), step)])
 
 
 def _opt_result(data: Dataset, outcome, sign_reference, label: str) -> OptResult:
@@ -193,13 +182,12 @@ def minimize_each(data: Dataset, init, h, budget: int | None, sign_reference, la
     ``init`` one start vector per search or one for all, and ``labels`` one
     ``init_used`` per search.  The searches run in lockstep
     (:func:`_nelder_mead`), one lockstep per part of :func:`_in_parts`.
-    Each step scores every running search's pending points at once: on the
-    full data in stacked :func:`fsim.model.objective_loo_mse` calls of at
-    most :func:`fsim.locfit.stack_size` points (:func:`objective_values`),
-    on subsets in one :class:`fsim.model.StackedObjective` call.  A point's
-    value does not depend on which points share its stack, so each search
-    has the values of a search of its own.  A failed search's slot holds
-    the error :func:`minimize` raises.
+    Each step scores every running search's pending points in one call of
+    the one :class:`fsim.model.StackedObjective` of all the searches, on
+    the full data or on the subsets alike.  A point's value does not
+    depend on which points share its stack, so each search has the values
+    of a search of its own.  A failed search's slot holds the error
+    :func:`minimize` raises.
     A result's spec depends on the data only through their design, which
     every subset shares with ``data``.
     """
@@ -210,13 +198,7 @@ def minimize_each(data: Dataset, init, h, budget: int | None, sign_reference, la
         raise ValueError(f"expected a search vector of length {dim}, got shape {x0.shape}")
     starts = np.array(np.broadcast_to(x0, (len(hs), dim)))
     max_evals = BUDGET_PER_DIM * dim if budget is None else budget
-    if subsets is None:
-        bandwidths = np.array(hs)
-
-        def objective(which, points):
-            return objective_values(data, points, bandwidths[which])
-    else:
-        objective = StackedObjective(data, subsets, hs)
+    objective = StackedObjective(data, subsets, hs)
 
     def run(rows):
         # a search's result does not depend on which searches share its steps

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fsim import locfit
+from fsim import locfit, model
 from fsim.basis import BasisExpansion, FourierBasis
 from fsim.kernel import smooth_kernel
 from fsim.model import (
@@ -365,37 +365,42 @@ class TestStackedObjective:
                 for i, k in enumerate(which) if k in (1, 2)}
         assert len(kept) > 2
 
-    def test_stacks_span_several_kernel_chunks(self, monkeypatch):
+    @pytest.mark.parametrize("full", [False, True], ids=["folds", "full-data"])
+    def test_stacks_span_several_kernel_chunks(self, monkeypatch, full):
         # 95 samples in 10 folds train on 85 and 86 samples, kept on dense
         # stacks here; a step of 20 points of each size spans several stacks
-        # of stack_size training sets (9 of 85, 8 of 86), and each stack's
-        # kernel sums are one nw_loo_all call
+        # of stack_size training sets (9 of 85, 8 of 86), and on the full
+        # data a step of 40 points spans stacks of 7; each stack is one
+        # objective_loo_mse call, whose kernel sums are one nw_loo_all call,
+        # and only training sets pass sample rows
         monkeypatch.setattr(locfit, "ONE_TILE_MAX", 100)
         data = two_block_data(95, seed=18)
         folds = np.array_split(np.random.default_rng(19).permutation(95), 10)
-        subsets = [np.setdiff1d(np.arange(95), fold) for fold in folds]
+        subsets = None if full else [np.setdiff1d(np.arange(95), fold) for fold in folds]
+        parts = [data] * 10 if full else [data.subset(indices) for indices in subsets]
         rng = np.random.default_rng(20)
         points = rng.normal(size=(40, data.search_dimension()))
         which = np.arange(40) % 10
         hs = np.linspace(0.05, 0.8, 10)
-        expected = [one_point_value(data.subset(subsets[k]), p, hs[k])
-                    for k, p in zip(which, points)]
+        expected = [one_point_value(parts[k], p, hs[k]) for k, p in zip(which, points)]
         stacks, tiles = [], []
-        loo_mse, nw_tile = StackedObjective._loo_mse, locfit._nw_tile
+        objective, nw_tile = model.objective_loo_mse, locfit._nw_tile
 
-        def stack_spy(self, samples, h, raw):
-            stacks.append(samples.shape)
-            return loo_mse(self, samples, h, raw)
+        def stack_spy(data, points, h, samples=None):
+            assert (samples is None) == full
+            stacks.append((len(points), data.n if full else samples.shape[1]))
+            return objective(data, points, h, samples)
 
         def tile_spy(points, responses):
             tiles.append(points.shape + points.shape[-1:])
             return nw_tile(points, responses)
 
-        monkeypatch.setattr(StackedObjective, "_loo_mse", stack_spy)
+        monkeypatch.setattr(model, "objective_loo_mse", stack_spy)
         monkeypatch.setattr(locfit, "_nw_tile", tile_spy)
         got = StackedObjective(data, subsets, hs)(which, points)
         assert got.tolist() == expected
-        assert sorted(stacks) == [(2, 85), (4, 86), (8, 86), (8, 86), (9, 85), (9, 85)]
+        assert sorted(stacks) == ([(5, 95)] + [(7, 95)] * 5 if full else
+                                  [(2, 85), (4, 86), (8, 86), (8, 86), (9, 85), (9, 85)])
         assert all(count <= locfit.stack_size(n) for count, n in stacks)
         assert tiles == [(count, n, n) for count, n in stacks]
         assert all(np.prod(shape) <= locfit.STACK_PAIRS for shape in tiles)
@@ -403,9 +408,9 @@ class TestStackedObjective:
     # n = 60 runs as a dense stack and n = 150 on the batched window sums
     @pytest.mark.parametrize("n", [60, 150])
     def test_the_identity_subset_is_the_full_data_objective(self, n):
-        # the two paths share one index map, so on the whole data they agree
-        # bit for bit at every guard
-        from fsim.optimize import objective_values
+        # the gather of the identity subset reads the full-data map, so the
+        # two groups agree bit for bit at every guard, and with the
+        # one-point objective
         data = property_data(n)
         rng = np.random.default_rng(40)
         points = rng.normal(size=(24, data.search_dimension()))
@@ -414,9 +419,16 @@ class TestStackedObjective:
         points[5, 0] = 1e160  # a norm whose square overflows
         hs = np.array([1e-7, 0.02, 0.1, 0.5, 3.0])
         which = np.arange(24) % hs.size
+        full = StackedObjective(data, None, hs)(which, points)
         got = StackedObjective(data, [np.arange(n)] * hs.size, hs)(which, points)
-        assert got.tobytes() == objective_values(data, points, hs[which]).tobytes()
+        assert got.tobytes() == full.tobytes()
+        expected = np.array([one_point_value(data, p, hs[k]) for k, p in zip(which, points)])
+        assert full.tobytes() == expected.tobytes()
         assert np.isinf(got[which == 0]).all() and np.isfinite(got[which == 4]).all()
+        # a scalar bandwidth is one search
+        one_h = np.array([one_point_value(data, p, 0.5) for p in points])
+        assert StackedObjective(data, None, 0.5)(np.zeros(24, dtype=int), points).tobytes() \
+            == one_h.tobytes()
 
     @pytest.mark.parametrize("n", [60, 150])
     def test_each_row_reduces_its_own_kept_samples(self, n):
@@ -469,6 +481,27 @@ class TestStackedObjective:
     def test_rejects_bad_bandwidth(self):
         with pytest.raises(ValueError, match="bandwidth must be positive"):
             StackedObjective(two_block_data(10, seed=15), [np.arange(10)], 0.0)
+        with pytest.raises(ValueError, match="bandwidth must be positive"):
+            StackedObjective(two_block_data(10, seed=15), None, [0.5, 0.0])
+
+    @pytest.mark.parametrize("indices", [np.arange(-1, 49), np.arange(1, 51), [0, 1, 2, 3, 60]])
+    def test_rejects_subset_indices_outside_the_data(self, indices):
+        # a flat gather would read index -1 of the first row from the last
+        # row's map, and index n from the next row's, giving a wrong value
+        # where data.subset gives another
+        data = two_block_data(50, seed=21)
+        with pytest.raises(ValueError, match=r"subset 1 has sample indices outside \[0, 50\)"):
+            StackedObjective(data, [np.arange(50), indices], 0.5)
+
+    def test_sample_rows_need_one_row_per_stacked_point(self):
+        data = two_block_data(20, seed=22)
+        points = np.ones((2, data.search_dimension()))
+        rows = np.stack([np.arange(10), np.arange(10, 20)])
+        assert objective_loo_mse(data, points, 0.5, rows).mse.tolist() == [
+            one_point_value(data.subset(indices), p, 0.5) for indices, p in zip(rows, points)]
+        for raw, samples in [(points[0], rows[:1]), (points, rows[:1]), (points, rows[0])]:
+            with pytest.raises(ValueError, match="one row of samples per search vector"):
+                objective_loo_mse(data, raw, 0.5, samples)
 
     @pytest.mark.parametrize("h", [np.nan, np.inf, [0.5, np.nan], [np.inf, 0.5]])
     def test_rejects_non_finite_bandwidths(self, h):
@@ -614,29 +647,6 @@ class TestStackedFullDataObjective:
         # one bandwidth for every row
         one_h = np.array([one_point_value(dataset, p, 0.5) for p in points])
         assert objective_loo_mse(dataset, points, 0.5).mse.tobytes() == one_h.tobytes()
-
-    def test_the_objective_values_of_a_step_split_into_stacks(self, monkeypatch):
-        # a step larger than stack_size runs as several stacked calls, each
-        # value still the one-point one
-        from fsim import optimize
-        data = two_block_data(30, seed=31)
-        points = np.random.default_rng(32).normal(size=(7, data.search_dimension()))
-        hs = np.linspace(0.05, 1.0, 7)
-        sizes = []
-        objective = optimize.objective_loo_mse
-
-        def spy(data, points, h):
-            sizes.append(len(points))
-            return objective(data, points, h)
-
-        monkeypatch.setattr(optimize, "stack_size", lambda n: 3)
-        monkeypatch.setattr(optimize, "objective_loo_mse", spy)
-        got = optimize.objective_values(data, points, hs)
-        assert sizes == [3, 3, 1]
-        expected = [one_point_value(data, p, h) for p, h in zip(points, hs)]
-        assert got.tolist() == expected
-        assert optimize.objective_values(data, points, 0.5).tolist() == [
-            one_point_value(data, p, 0.5) for p in points]
 
     @pytest.mark.parametrize("n", [30, 100])
     def test_an_empty_stack_scores_nothing(self, n):

@@ -9,7 +9,7 @@ import pytest
 from fsim.bandwidth import choose_random_start
 from fsim.basis import FourierBasis
 from fsim.locfit import SingularFitError
-from fsim import optimize
+from fsim import model, optimize
 from fsim.model import (
     Dataset,
     DegenerateObjectiveError,
@@ -355,14 +355,15 @@ class TestStepper:
         best, f_best, iterations, converged, trace, evals = serial_nelder_mead(
             fn, init.copy(), budget, optimize.SPREAD_TOL)
         calls = []
-        objective = optimize.objective_loo_mse
+        objective = model.objective_loo_mse
 
-        def spy(data, points, h):
-            # every step's points in one stacked call, in the serial order
+        def spy(data, points, h, samples=None):
+            # every step's points in one stacked full-data call, in the serial order
+            assert samples is None
             calls.extend(np.array(point).tobytes() for point in points)
-            return objective(data, points, h)
+            return objective(data, points, h, samples)
 
-        monkeypatch.setattr(optimize, "objective_loo_mse", spy)
+        monkeypatch.setattr(model, "objective_loo_mse", spy)
         result = minimize(data, init, h, budget)
         assert calls == expected
         assert result.evaluations == evals == len(calls)

@@ -19,15 +19,15 @@ between which the window sums start to win and keep winning, where
 ``ONE_TILE_MAX`` belongs.  A second table times a full-data lockstep step of
 30 points (a g3 draw near its true coefficients, at the bandwidths of its
 grid in turn) at n = 40, 90, 200 and 1000 both ways: one
-``objective_loo_mse`` call per point, and one stacked call
-(``optimize.objective_values``), per evaluation, with the compiled loops and
-with every compiled loop of ``fsim.kernel`` set to ``None``; best of
-``--rounds`` rounds.  Under it comes a table of the k-fold layers, with
-the compiled loops and without them: one stacked k-fold step, which the
-benchmark's tracer does not see (one ``StackedObjective`` call with 50
-points, one per search, on the ten 90-sample training sets of a 100-sample
-g1 draw, at five bandwidths of its grid, best of ``--rounds`` rounds of ten
-calls), and the held-out scoring of one k-fold grid on the same draw
+``objective_loo_mse`` call per point, and one full-data
+``StackedObjective`` call (one search per point), per evaluation, with
+the compiled loops and with every compiled loop of ``fsim.kernel`` set to
+``None``; best of ``--rounds`` rounds.  Under it comes a table of the
+k-fold layers, with the compiled loops and without them: one stacked
+k-fold step (one ``StackedObjective`` call with 50 points, one per
+search, on the ten 90-sample training sets of a 100-sample g1 draw, at
+five bandwidths of its grid, best of ``--rounds`` rounds of ten calls),
+and the held-out scoring of one k-fold grid on the same draw
 (``bandwidth._held_out_score`` of each of the ten bandwidths of its grid,
 over the ten fold fits from perturbed true coefficients, best of
 ``--rounds`` rounds of five grids).  A third table times the batched
@@ -62,7 +62,7 @@ from fsim import kernel, locfit
 from fsim.bandwidth import BandwidthGrid, _fold_split, _held_out_score
 from fsim.model import DegenerateObjectiveError, NormalizationError, StackedObjective, \
     objective_loo_mse
-from fsim.optimize import minimize_each, objective_values
+from fsim.optimize import minimize_each
 from fsim.simulate import SimScenario, generate
 
 
@@ -197,19 +197,21 @@ def objective_time(n: int, rounds: int, seed: int = 0) -> tuple[float, ...]:
     """Best seconds per evaluation of a full-data lockstep step of
     ``STEP_POINTS`` points on a g3 draw of ``n`` samples, near its true
     coefficients at the bandwidths of its grid in turn: ``(one-point calls,
-    one stacked call)`` with the compiled loops, then the same without them."""
+    one full-data StackedObjective call)`` with the compiled loops, then the
+    same without them."""
     data, truth, grid = _g3_draw(n, seed)
     rng = np.random.default_rng(seed)
     points = truth.beta.coeffs + 0.05 * rng.standard_normal((STEP_POINTS, truth.beta.coeffs.size))
     hs = np.resize(grid, STEP_POINTS)
     calls = 1 if n >= 1000 else 5
+    stacked, which = StackedObjective(data, None, hs), np.arange(STEP_POINTS)
 
     def one_point():
         return [_one_point(data, x, h) for x, h in zip(points, hs.tolist())]
 
     def times():
         return tuple(_best(step, rounds, calls) / STEP_POINTS
-                     for step in (one_point, lambda: objective_values(data, points, hs)))
+                     for step in (one_point, lambda: stacked(which, points)))
 
     return times() + _without_compiler(times)
 
