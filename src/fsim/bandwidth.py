@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import readonly_array
-from .locfit import EstimationError, check_bandwidth, level_fits, nw_predict
+from .locfit import EstimationError, check_bandwidth, level_fits, nw_predict, raise_failure
 from .model import (
     Dataset,
     IndexModelSpec,
@@ -177,14 +177,8 @@ def kfold_score(data: Dataset, init, h: float, folds: int = 10, seed=0,
     """
     split = _fold_split(data.n, folds, seed)
     # the fold results stay out of this frame, as the failure may be one of them
-    outcome = _held_out_score(data, split, minimize_each(
-        data, init, [h] * folds, budget, None, ["custom"] * folds, split[0]), h)
-    if isinstance(outcome, EstimationError):
-        try:
-            raise outcome
-        finally:
-            del outcome  # the traceback holds this frame: error, frame and local would cycle
-    return outcome
+    return raise_failure(_held_out_score(data, split, minimize_each(
+        data, init, [h] * folds, budget, None, ["custom"] * folds, split[0]), h))
 
 
 def _held_out_score(data: Dataset, split, results, h: float):
@@ -468,11 +462,5 @@ def fit_pipeline(data: Dataset, strategy: InitStrategy, grid_size: int, method: 
     or of :func:`select_bandwidth` is raised too.  This is the one-strategy
     call of :func:`fit_pipelines`.
     """
-    (outcome,) = fit_pipelines(data, [strategy], grid_size, method, folds, [seed], budget,
-                               sign_reference)
-    if isinstance(outcome, EstimationError):
-        try:
-            raise outcome
-        finally:
-            del outcome  # the traceback holds this frame: error, frame and local would cycle
-    return outcome
+    return raise_failure(fit_pipelines(data, [strategy], grid_size, method, folds, [seed],
+                                       budget, sign_reference)[0])

@@ -7,8 +7,8 @@ caller writes the arguments out; :func:`smooth_kernel` passes its arguments
 as samples against one zero point.  :func:`window_sums` forms every other
 kernel sum: for sorted points and samples it sums each point over its own
 window in ascending sample order, in one call, giving the leave-one-out sums
-(sum w, sum w y) of a sorted index, the same sums of held-out points, or
-the local quadratic moments.  On writeable, aligned, C-contiguous float64
+(sum w, sum w y) of a sorted index or the local polynomial moments of points
+against samples.  On writeable, aligned, C-contiguous float64
 arrays both run C loops, which the system C compiler (``cc``) builds once
 into a per-user cache and ``ctypes`` loads when this module is imported;
 ``COMPILED_LIBRARY`` is the path of the library loaded, or ``None``.  Other
@@ -91,10 +91,12 @@ CLONES void fsim_kernel_weights(double *u, const double *points, const double *s
 # its window, and such a response reaches only the sums of the windows that
 # hold it; finite responses skip the mask, which changes no bit of theirs,
 # since +0 and -0 add alike to a sum that starts at +0.  The select of the
-# weight is the scalar one's: NaN is not below 0.  The moments weigh by the
-# kernel with its constant, smooth_kernel's bits.  One body serves every
-# kind of sums: MASK, MOMENTS, SCALE and NONFINITE are replaced by constants
-# and the compiler drops the branches a kind does not take.
+# weight is the scalar one's: NaN is not below 0.  The moments take the
+# argument (s - p) / h and weigh by the kernel with its constant,
+# smooth_kernel's bits; the leave-one-out sums take s - p, as a division by
+# the constant 1.0 folds away.  One body serves both kinds of sums: MOMENTS
+# and NONFINITE are replaced by constants and the compiler drops the
+# branches a kind does not take.
 _WINDOW_SUMS = r"""
 typedef double doubles_LANES __attribute__((vector_size(LANES * sizeof(double))));
 typedef long long bits_LANES __attribute__((vector_size(LANES * sizeof(double))));
@@ -105,27 +107,27 @@ WIDTH_LANES static void NAME_LANES(double *sums, const double *p, size_t m, cons
     bits_LANES lane;
     for (size_t l = 0; l < LANES; l++)
         lane[l] = (long long)l;
+    const double scale = MOMENTS ? h : 1.0;
     for (size_t i = 0, lo = 0, hi = 0; i < m; i += LANES) {
         size_t rows = m - i < LANES ? m - i : LANES, last = i + rows - 1;
         doubles_LANES at, sum[9] = {{0.0}};
         for (size_t l = 0; l < LANES; l++)
             at[l] = p[l < rows ? i + l : last];
-        while (lo < n && (s[lo] - p[i])SCALE <= -1.0)
+        while (lo < n && (s[lo] - p[i]) / scale <= -1.0)
             lo++;
         if (hi < lo)
             hi = lo;
-        while (hi < n && (s[hi] - p[last])SCALE < 1.0)
+        while (hi < n && (s[hi] - p[last]) / scale < 1.0)
             hi++;
         for (size_t j = lo; j < hi; j++) {
-            doubles_LANES x = (s[j] - at)SCALE, w = 1.0 - x * x;
+            doubles_LANES x = (s[j] - at) / scale, w = 1.0 - x * x;
             w = (doubles_LANES)((bits_LANES)w & ~(w < 0.0));
             w = w * w;
             w = w * w;
-            if (MASK && j - i < rows)
+            if (!MOMENTS && j - i < rows)
                 w = (doubles_LANES)((bits_LANES)w & (lane != (long long)(j - i)));
-            bits_LANES inside = {0};
+            bits_LANES inside = (bits_LANES)(w != 0.0);
             if (MOMENTS) {
-                inside = (bits_LANES)(w != 0.0);
                 w *= NORMALIZER;
                 x = (doubles_LANES)((bits_LANES)x & inside);
                 sum[8] -= __builtin_convertvector(inside, doubles_LANES);
@@ -135,8 +137,7 @@ WIDTH_LANES static void NAME_LANES(double *sums, const double *p, size_t m, cons
                 if (q < 3) {
                     doubles_LANES term = w * y[j];
                     if (NONFINITE)
-                        term = (doubles_LANES)((bits_LANES)term
-                                               & (MOMENTS ? inside : (bits_LANES)(w != 0.0)));
+                        term = (doubles_LANES)((bits_LANES)term & inside);
                     sum[MOMENTS ? 5 + q : 1] += term;
                 }
             }
@@ -151,14 +152,13 @@ WIDTH_LANES static void NAME_LANES(double *sums, const double *p, size_t m, cons
 }
 """
 _WIDTHS = (8, 4, 2)
-# (MASK, MOMENTS, SCALE) of each kind of window sums, numbered in this order
-_KINDS = {"loo": ("1", "0", ""), "sums": ("0", "0", ""), "moments": ("0", "1", " / h")}
+# the kinds of window sums, numbered in this order: a kind's number is its MOMENTS flag
+_KINDS = ("loo", "moments")
 _SOURCE = _HEAD + f"#define NORMALIZER {NORMALIZER!r}\n" + "".join(
-    _WINDOW_SUMS.replace("NAME", kind + "_nonfinite" * nonfinite).replace("MASK", mask)
-    .replace("MOMENTS", moments).replace("SCALE", scale).replace("NONFINITE", str(nonfinite))
+    _WINDOW_SUMS.replace("NAME", kind + "_nonfinite" * nonfinite)
+    .replace("MOMENTS", str(moments)).replace("NONFINITE", str(nonfinite))
     .replace("LANES", str(lanes))
-    for lanes in _WIDTHS for kind, (mask, moments, scale) in _KINDS.items()
-    for nonfinite in (0, 1)) + r"""
+    for lanes in _WIDTHS for moments, kind in enumerate(_KINDS) for nonfinite in (0, 1)) + r"""
 typedef void window_sums(double *, const double *, size_t, const double *, const double *,
                          size_t, double);
 static window_sums *const LOOPS[][2][3] = {%s};
@@ -172,7 +172,7 @@ void fsim_window_sums(int kind, double *sums, const double *p, size_t m, const d
     for (size_t j = 0; j < batch * n; j++)
         finite &= y[j] - y[j] == 0.0;
     window_sums *loop = LOOPS[kind][!finite][widest == 8 ? 0 : widest == 4 ? 1 : 2];
-    size_t terms = kind == 2 ? 9 : 2;
+    size_t terms = kind ? 9 : 2;
     for (size_t b = 0; b < batch; b++)
         loop(sums + b * terms * m, p + b * m, m, s + b * n, y + b * n, n, h);
 }
@@ -236,15 +236,15 @@ def _numpy_weights(u: np.ndarray, points: np.ndarray, samples: np.ndarray) -> np
 
 
 def _numpy_window_sums(points: np.ndarray, samples: np.ndarray, responses: np.ndarray,
-                       h: float | None = None, leave_one_out: bool = False) -> np.ndarray:
+                       h: float | None = None) -> np.ndarray:
     """The sums of :func:`window_sums` in numpy, bit for bit.
 
     A stack of problems is summed one problem after the other.  Tiles of
     ``_TILE_ROWS`` sorted points each take the run of samples their first and
     last points reach, found by the loop's own comparisons; a sample outside
     a point's window weighs +0 and adds an exact +-0, as does the point's own
-    sample in the leave-one-out sums, and their w y terms are +0 whatever the
-    response.  A tile holds its terms
+    sample in the leave-one-out sums (no ``h``: the points are the samples),
+    and their w y terms are +0 whatever the response.  A tile holds its terms
     sample-major, so ``np.add.reduce`` over samples, which numpy sums one
     sample after the other from ``initial`` off the fast axis (pairwise only
     along it), sums each point in the loop's order; ``np.add.accumulate``
@@ -260,7 +260,7 @@ def _numpy_window_sums(points: np.ndarray, samples: np.ndarray, responses: np.nd
     if points.ndim > 1:
         sums = np.empty(points.shape[:-1] + (2 if h is None else 9, points.shape[-1]))
         for b in np.ndindex(points.shape[:-1]):
-            sums[b] = _numpy_window_sums(points[b], samples[b], responses[b], h, leave_one_out)
+            sums[b] = _numpy_window_sums(points[b], samples[b], responses[b], h)
         return sums
     sums = np.empty((2 if h is None else 9, points.size))
     # finite responses need no mask: their w y terms at weight +0 are +-0
@@ -275,7 +275,7 @@ def _numpy_window_sums(points: np.ndarray, samples: np.ndarray, responses: np.nd
             hi = np.count_nonzero(arguments(samples, points[tile[-1]]) < 1.0)
             x = arguments(samples[lo:hi, None], points[tile])
             w = _numpy_passes(x if h is None else x.copy())
-            if leave_one_out:
+            if h is None:
                 w[tile - lo, np.arange(tile.size)] = 0.0
             inside = w != 0.0
             powers = [w]
@@ -388,21 +388,21 @@ def _open(path: str):
     if tiles.tobytes() != _numpy_weights(np.empty_like(tiles), points, samples).tobytes():
         raise OSError(f"{path} does not reproduce the numpy kernel transform")
     # the leave-one-out sums of a stack of the sorted probe and its half, and
-    # the probe's sums and moments (h = 0.75) at every third of its values,
-    # with finite responses and with non-finite ones
+    # the probe's moments (h = 0.75) at every third of its values, with finite
+    # responses and with non-finite ones
     s = _SORTED_PROBE.copy()
     third, stack = s[::3].copy(), np.stack([s, s / 2.0])
     for y in (_SORTED_PROBE_Y.copy(), _POISONED_PROBE_Y.copy()):
-        cases = [(stack, stack, np.stack([y, -y]), None), (third, s, y, None), (third, s, y, 0.75)]
+        cases = [(stack, stack, np.stack([y, -y]), None), (third, s, y, 0.75)]
         for kind, (p, samples, responses, h) in enumerate(cases):
-            expected = _numpy_window_sums(p, samples, responses, h, kind == 0)
+            expected = _numpy_window_sums(p, samples, responses, h)
             sums = np.empty_like(expected)
             window(kind, _pointer(sums), _pointer(p), p.shape[-1], _pointer(samples),
                    _pointer(responses), samples.shape[-1], 1.0 if h is None else h,
                    p.size // p.shape[-1])
             if sums.tobytes() != expected.tobytes():
                 raise OSError(
-                    f"{path} does not reproduce the numpy {list(_KINDS)[kind]} window sums")
+                    f"{path} does not reproduce the numpy {_KINDS[kind]} window sums")
     return weights, window
 
 
@@ -462,19 +462,19 @@ def transform_inplace(u: np.ndarray, points: np.ndarray, samples: np.ndarray) ->
 
 
 def window_sums(points: np.ndarray, samples: np.ndarray, responses: np.ndarray,
-                h: float | None = None, leave_one_out: bool = False) -> np.ndarray:
+                h: float | None = None) -> np.ndarray:
     """Kernel sums of every sorted point over its own window of sorted samples.
 
     ``points`` (m,) and ``samples`` (n,) are finite and ascending, and
     ``responses`` holds the n samples' responses.  Leading axes stack
     independent problems: ``points`` (..., m), ``samples`` and ``responses``
     (..., n) with the same leading axes give (..., K, m) sums, each problem's
-    the sums it has alone, in one call.  Without ``h`` the
-    argument of point i and sample j is samples[j] - points[i], and the
-    (2, m) result holds, for every point, sum w and sum w y over the samples
-    of its window, those with an argument in (-1, 1); w is the kernel weight
-    without ``NORMALIZER``.  ``leave_one_out`` takes ``samples is points``
-    and leaves each point's own sample out.  With a bandwidth ``h`` the
+    the sums it has alone, in one call.  Without ``h`` these are the
+    leave-one-out sums, which take ``samples is points``: the argument of
+    point i and sample j is samples[j] - points[i], and the (2, m) result
+    holds, for every point, sum w and sum w y over the other samples of its
+    window, those with an argument in (-1, 1); w is the kernel weight
+    without ``NORMALIZER``.  With a bandwidth ``h`` the
     argument is s = (samples[j] - points[i]) / h and its weight w = K(s),
     formed as the pointwise local fit forms them, and the (9, m) result
     holds S_0 to S_4, T_0 to T_2 and the count of nonzero weights, with
@@ -486,8 +486,8 @@ def window_sums(points: np.ndarray, samples: np.ndarray, responses: np.ndarray,
     vector register of points at a time; anything else takes the numpy form,
     which gives the same bits.
     """
-    if leave_one_out and (h is not None or samples is not points):
-        raise ValueError("the leave-one-out sums take the points as samples and no h")
+    if h is None and samples is not points:
+        raise ValueError("the leave-one-out sums (no h) take the points as samples")
     if (_window_sums is not None and points.size and samples.size
             and points.ndim == samples.ndim and points.shape[:-1] == samples.shape[:-1]
             and samples.shape == responses.shape
@@ -495,12 +495,11 @@ def window_sums(points: np.ndarray, samples: np.ndarray, responses: np.ndarray,
             and points.flags.carray and samples.flags.carray and responses.flags.carray):
         m = points.shape[-1]
         sums = np.empty(points.shape[:-1] + (2 if h is None else 9, m))
-        kind = 2 if h is not None else 0 if leave_one_out else 1
-        _window_sums(kind, _pointer(sums), _pointer(points), m, _pointer(samples),
+        _window_sums(h is not None, _pointer(sums), _pointer(points), m, _pointer(samples),
                      _pointer(responses), samples.shape[-1], 1.0 if h is None else h,
                      points.size // m)
         return sums
-    return _numpy_window_sums(points, samples, responses, h, leave_one_out)
+    return _numpy_window_sums(points, samples, responses, h)
 
 
 def smooth_kernel(s):

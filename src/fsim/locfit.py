@@ -12,17 +12,16 @@ smoother rows.
 All kernel sums above the smallest problems run on sorted windows.  The
 kernel vanishes beyond one bandwidth, so a sum sorts its points and samples
 once and the compiled loop of :func:`fsim.kernel.window_sums` sums every
-point over its own run of samples, in ascending sample order: the held-out
-Nadaraya-Watson prediction of k-fold validation, the moments of the batched
-local quadratic fits behind GCV, curve grids and RASE, and the
-leave-one-out estimator inside the coefficient-search objective above
-``ONE_TILE_MAX`` samples.  :func:`nw_loo_all` takes one leave-one-out
-problem or a stack of them, the points of a lockstep step: above the cap
-one batched sort and one window-sums call cover the stack, and up to it
-(or for a problem with a non-finite index value) one
-:func:`transform_inplace` call forms the weights of a dense stack of
-tiles.  The call never splits a stack; its callers bound them by
-:func:`stack_size`.  The pointwise fits (:func:`local_quad_fit`,
+point over its own run of samples, in ascending sample order: the moments
+of the local fits (quadratic behind GCV, curve grids and RASE; constant
+for k-fold's held-out Nadaraya-Watson prediction), and the leave-one-out
+estimator inside the coefficient-search objective above ``ONE_TILE_MAX``
+samples.  :func:`nw_loo_all` takes one leave-one-out problem or a stack of
+them, the points of a lockstep step: above the cap one batched sort and one
+window-sums call cover the stack, and up to it (or for a problem with a
+non-finite index value) one :func:`transform_inplace` call forms the
+weights of a dense stack of tiles.  The call never splits a stack; its
+callers bound them by :func:`stack_size`.  The pointwise fits (:func:`local_quad_fit`,
 :func:`smoother_matrix`, :func:`relocated_fit`) stay as the reference for
 the batched ones.
 """
@@ -60,6 +59,19 @@ class SingularFitError(EstimationError):
     def __init__(self, message: str, row: int | None = None):
         super().__init__(message)
         self.row = row
+
+
+def raise_failure(outcome, failure: type[BaseException] = EstimationError):
+    """``outcome``, or raise it when it is a ``failure``, as the one-item calls
+    of the batched pipelines do.  A raised error's traceback holds each frame
+    it leaves, so callers pass the outcome straight in and this frame drops
+    its own reference: no local closes a cycle only the collector frees."""
+    if isinstance(outcome, failure):
+        try:
+            raise outcome
+        finally:
+            del outcome
+    return outcome
 
 
 @dataclass(frozen=True)
@@ -176,18 +188,13 @@ def local_quad_fit(index_values, responses, u: float, h: float) -> LocalQuadFit:
     )
 
 
-def _sorted_sums(points, samples, responses, h=None, leave_one_out=False):
-    """:func:`fsim.kernel.window_sums` of finite points and samples in any
-    order: both are sorted once, and the sums come back in the input order
-    of the points."""
+def _sorted_moments(points, samples, responses, h):
+    """The moments of :func:`fsim.kernel.window_sums` at finite points from
+    finite samples in any order: both are sorted once, and the moments come
+    back in the input order of the points."""
     order = np.argsort(points)
-    p = points[order]
-    if leave_one_out:
-        s, y = p, responses[order]
-    else:
-        by_index = np.argsort(samples)
-        s, y = samples[by_index], responses[by_index]
-    sorted_sums = window_sums(p, s, y, h, leave_one_out)
+    by_index = np.argsort(samples)
+    sorted_sums = window_sums(points[order], samples[by_index], responses[by_index], h)
     sums = np.empty_like(sorted_sums)
     # row by row: numpy scatters a 2-d array along its last axis 4x slower
     for row, sorted_row in zip(sums, sorted_sums):
@@ -260,7 +267,7 @@ def _nw_loo_sums(points, responses):
     p = points.reshape(-1)[at].reshape(points.shape)
     y = (responses.reshape(-1)[at] if responses.ndim > 1 else responses[order.reshape(-1)]
          ).reshape(points.shape)
-    sums = window_sums(p, p, y, None, True)
+    sums = window_sums(p, p, y)
     den.reshape(-1)[at] = sums[:, 0].reshape(-1)
     num.reshape(-1)[at] = sums[:, 1].reshape(-1)
     return den, num
@@ -322,18 +329,20 @@ def nw_predict(index_values, responses, points, h: float):
     """Nadaraya-Watson prediction at held-out ``points`` from the samples.
 
     Returns ``(predictions, excluded)``; excluded marks points with no
-    sample inside their window, and their prediction is NaN.  The sums run
-    over the h-scaled index in one :func:`fsim.kernel.window_sums` call.  An
+    sample inside their window, and their prediction is NaN.  The prediction
+    is the local constant fit, T_0 / S_0 of the moments that one
+    :func:`fsim.kernel.window_sums` call forms for the local quadratic fits:
+    the weights are K((z_j - u) / h) and the kernel constant cancels.  An
     infinite sample weighs 0 against every finite point and is left out; a
     non-finite point, or every point when a sample is NaN, predicts NaN and
     is not excluded.
     """
     z, y = _fit_inputs(index_values, responses, h)
-    p, s = _as_vector(points, "points") / h, z / h
-    sums = np.full((2, p.size), np.nan)
-    if not np.isnan(s).any():
-        at, kept = np.isfinite(p), np.isfinite(s)
-        sums[:, at] = _sorted_sums(p[at], s[kept], y[kept])
+    u = _as_vector(points, "points")
+    sums = np.full((2, u.size), np.nan)
+    if not np.isnan(z).any():
+        at, kept = np.isfinite(u), np.isfinite(z)
+        sums[:, at] = _sorted_moments(u[at], z[kept], y[kept], float(h))[[0, 5]]
     return _nw_ratio(*sums)
 
 
@@ -364,7 +373,7 @@ def _quad_fits(z: np.ndarray, y: np.ndarray, points: np.ndarray, h: float):
     at = np.flatnonzero(usable)
     if at.size == 0:
         return coefficients, usable, leverage
-    sums = _sorted_sums(points[at], z, y, h)
+    sums = _sorted_moments(points[at], z, y, h)
     scaled = sums[:5].T[:, _HANKEL] * _HALVES
     h_powers = np.array([1.0, h, h * h])
     cond = np.linalg.cond(scaled * np.outer(h_powers, h_powers))

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import is_integer, readonly_array
-from .locfit import SingularFitError
+from .locfit import SingularFitError, raise_failure
 from .model import (
     Dataset,
     DegenerateObjectiveError,
@@ -164,13 +164,8 @@ def minimize(data: Dataset, init, h: float, budget: int | None = None,
     the initialization; a start whose value is not finite raises
     :class:`DegenerateObjectiveError`.
     """
-    (result,) = minimize_each(data, init, [h], budget, sign_reference, [label])
-    if isinstance(result, DegenerateObjectiveError):
-        try:
-            raise result
-        finally:
-            del result  # the traceback holds this frame: error, frame and local would cycle
-    return result
+    return raise_failure(minimize_each(data, init, [h], budget, sign_reference, [label])[0],
+                         DegenerateObjectiveError)
 
 
 def minimize_each(data: Dataset, init, h, budget: int | None, sign_reference, labels,

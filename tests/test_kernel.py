@@ -301,39 +301,38 @@ RESPONSES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -2.5]), st.floats(-10.0, 
                       st.floats(allow_nan=False, allow_infinity=False))
 
 
-def run_window(window, points, samples, y, h=None, leave_one_out=False):
-    """The loop's window sums, called as :func:`kernel.window_sums` calls it;
-    leading axes stack problems."""
+def run_window(window, points, samples, y, h=None):
+    """The loop's window sums, called as :func:`kernel.window_sums` calls it:
+    leave-one-out without ``h``, moments with it; leading axes stack problems."""
     m = points.shape[-1]
     sums = np.empty(points.shape[:-1] + (2 if h is None else 9, m))
-    kind = 2 if h is not None else 0 if leave_one_out else 1
     pointer = kernel.ctypes.c_double.from_buffer
-    window(kind, pointer(sums), pointer(points), m, pointer(samples), pointer(y),
+    window(h is not None, pointer(sums), pointer(points), m, pointer(samples), pointer(y),
            samples.shape[-1], 1.0 if h is None else h, points.size // m)
     return sums
 
 
-def window_of(points, samples, h=None, leave_one_out=False):
+def window_of(points, samples, h=None):
     """Whether sample j lies in the window of point i, as an (m, n) mask:
-    |argument| < 1, the point's own sample left out."""
+    |argument| < 1, the point's own sample left out without ``h``."""
     with np.errstate(over="ignore"):
         x = samples[None, :] - points[:, None]
         inside = np.abs(x if h is None else x / h) < 1.0
-    if leave_one_out:
+    if h is None:
         np.fill_diagonal(inside, False)
     return inside
 
 
-def sequential_sums(points, samples, y, h=None, leave_one_out=False):
+def sequential_sums(points, samples, y, h=None):
     """Window sums written out one pair at a time: from +0, in ascending
-    sample order, over |argument| < 1, the own sample left out; the moments
-    weigh by the kernel with its constant."""
+    sample order, over |argument| < 1, the own sample left out without
+    ``h``; the moments weigh by the kernel with its constant."""
     sums = np.zeros((2 if h is None else 9, points.size))
     for i in range(points.size):
         for j in range(samples.size):
             x = samples[j] - points[i] if h is None else (samples[j] - points[i]) / h
             w = kernel._numpy_passes(np.array([x]))[0] * (1.0 if h is None else NORMALIZER)
-            if abs(x) >= 1.0 or (leave_one_out and j == i):
+            if abs(x) >= 1.0 or (h is None and j == i):
                 continue
             powers = [w]
             if h is not None:
@@ -354,8 +353,8 @@ class TestCompiledLooSums:
         p = np.sort(values)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            expected = kernel._numpy_window_sums(p, p, y, leave_one_out=True)
-        assert run_window(loops[1], p, p, y, leave_one_out=True).tobytes() == expected.tobytes()
+            expected = kernel._numpy_window_sums(p, p, y)
+        assert run_window(loops[1], p, p, y).tobytes() == expected.tobytes()
 
     def test_rows_sum_their_window_in_ascending_order(self, loops):
         # every block width and ragged tail: sequential sums from +0 over
@@ -365,13 +364,13 @@ class TestCompiledLooSums:
             p = np.sort(np.round(rng.normal(scale=1.5, size=n), 1))
             y = rng.normal(size=n)
             y[::3] = -0.0
-            expected = sequential_sums(p, p, y, leave_one_out=True).tobytes()
-            assert run_window(loops[1], p, p, y, leave_one_out=True).tobytes() == expected
-            assert kernel._numpy_window_sums(p, p, y, leave_one_out=True).tobytes() == expected
+            expected = sequential_sums(p, p, y).tobytes()
+            assert run_window(loops[1], p, p, y).tobytes() == expected
+            assert kernel._numpy_window_sums(p, p, y).tobytes() == expected
 
     def test_a_library_with_other_sums_is_refused(self, tmp_path, monkeypatch):
         # a loop that keeps each row's own weight fails the load-time probe
-        refuse_library(tmp_path, monkeypatch, ["if (1 && j - i < rows)"], "if (0)", "loo")
+        refuse_library(tmp_path, monkeypatch, ["if (!0 && j - i < rows)"], "if (0)", "loo")
 
     def test_other_arrays_take_the_numpy_form(self, monkeypatch):
         # strided, read-only and float32 arrays, and empty ones, never reach the loop
@@ -383,19 +382,16 @@ class TestCompiledLooSums:
         frozen = p.copy()
         frozen.flags.writeable = False
         for args in [(p[::2], y[::2]), (frozen, y), (p, y.astype(np.float32)), (p[:0], y[:0])]:
-            assert (kernel.window_sums(args[0], args[0], args[1], leave_one_out=True).tobytes()
-                    == kernel._numpy_window_sums(args[0], args[0], args[1],
-                                                 leave_one_out=True).tobytes())
+            assert (kernel.window_sums(args[0], args[0], args[1]).tobytes()
+                    == kernel._numpy_window_sums(args[0], args[0], args[1]).tobytes())
         for args in [(p[::2], p, y), (p, p[::2], y[::2]), (frozen, p, y), (p, frozen, y),
                      (p, p, y.astype(np.float32)), (p[:0], p, y), (p, p[:0], y[:0])]:
-            for h in (None, 0.5):
-                assert (kernel.window_sums(*args, h).tobytes()
-                        == kernel._numpy_window_sums(*args, h).tobytes())
+            assert (kernel.window_sums(*args, 0.5).tobytes()
+                    == kernel._numpy_window_sums(*args, 0.5).tobytes())
         assert seen == []
-        kernel.window_sums(p, p, y, leave_one_out=True)
-        kernel.window_sums(p[:5].copy(), p, y)
+        kernel.window_sums(p, p, y)
         kernel.window_sums(p[:5].copy(), p, y, 0.5)
-        assert seen == [0, 1, 2]
+        assert seen == [False, True]
 
 
 def refuse_library(tmp_path, monkeypatch, lines, replacement, kind):
@@ -436,13 +432,12 @@ def windows(draw):
 
 class TestCompiledWindowSums:
     @settings(max_examples=300, deadline=None)
-    @given(windows(), st.booleans())
-    def test_loop_matches_the_numpy_form_bit_for_bit(self, loops, window, moments):
-        # sums and moments of points against other samples: ties, points at
-        # samples, arguments of exactly +-1 and within one rounding of it,
-        # subnormal arguments, and arguments and squares that overflow
+    @given(windows())
+    def test_loop_matches_the_numpy_form_bit_for_bit(self, loops, window):
+        # moments of points against other samples: ties, points at samples,
+        # arguments of exactly +-1 and within one rounding of it, subnormal
+        # arguments, and arguments and squares that overflow
         points, samples, y, h = window
-        h = h if moments else None
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             expected = kernel._numpy_window_sums(points, samples, y, h)
@@ -458,7 +453,7 @@ class TestCompiledWindowSums:
                                              rng.normal(scale=2.0, size=m // 2)]))
             y = rng.normal(size=n)
             y[::3] = -0.0
-            for h in (None, 0.3, 1.0, 2.5):
+            for h in (0.3, 1.0, 2.5):
                 expected = sequential_sums(points, samples, y, h).tobytes()
                 assert run_window(loops[1], points, samples, y, h).tobytes() == expected
                 assert kernel._numpy_window_sums(points, samples, y, h).tobytes() == expected
@@ -480,7 +475,7 @@ class TestCompiledWindowSums:
         refuse_library(tmp_path, monkeypatch, lines, "", "moments")
 
     @settings(max_examples=150, deadline=None)
-    @given(windows(), st.sampled_from(["loo", "sums", "moments"]), st.data())
+    @given(windows(), st.sampled_from(["loo", "moments"]), st.data())
     def test_a_non_finite_response_reaches_only_the_windows_that_hold_it(self, loops, window,
                                                                       kind, data):
         # at the sums a clean response gives, NaN or infinite responses leave
@@ -489,22 +484,20 @@ class TestCompiledWindowSums:
         # with one
         points, samples, y, h = window
         if kind == "loo":
-            points = samples
-        h = h if kind == "moments" else None
-        loo = kind == "loo"
+            points, h = samples, None
         bad = data.draw(arrays(np.bool_, samples.size))
         poison = data.draw(arrays(np.float64, samples.size,
                                   elements=st.sampled_from([np.nan, np.inf, -np.inf])))
         dirty = np.where(bad, poison, y)
         clean = np.where(bad, 0.0, y)
-        holds = (window_of(points, samples, h, loo) & bad).any(axis=1)
+        holds = (window_of(points, samples, h) & bad).any(axis=1)
         response_rows = [1] if h is None else [5, 6, 7]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            expected = kernel._numpy_window_sums(points, samples, clean, h, loo)
-            forms = [kernel._numpy_window_sums(points, samples, dirty, h, loo)]
+            expected = kernel._numpy_window_sums(points, samples, clean, h)
+            forms = [kernel._numpy_window_sums(points, samples, dirty, h)]
         if points.size and samples.size:
-            forms.append(run_window(loops[1], points, samples, dirty, h, loo))
+            forms.append(run_window(loops[1], points, samples, dirty, h))
         for got in forms:
             assert got[:, ~holds].tobytes() == expected[:, ~holds].tobytes()
             assert not np.isfinite(got[response_rows][:, holds]).any()
@@ -519,19 +512,17 @@ class TestCompiledWindowSums:
         points = np.linspace(-3.0, 3.0, 41)
         y = rng.normal(size=300)
         y[137] = np.nan
-        for h, loo in [(None, False), (None, True), (0.3, False)]:
-            p = samples if loo else (points / 0.3 if h is None else points)
-            s = samples if loo else (samples / 0.3 if h is None else samples)
-            holds = window_of(p, s, h, loo)[:, 137]
+        for p, h in [(samples, None), (points, 0.3)]:
+            holds = window_of(p, samples, h)[:, 137]
             assert 0 < holds.sum() < p.size
-            for sums in (run_window(loops[1], p, s, y, h, loo),
-                         kernel._numpy_window_sums(p, s, y, h, loo)):
+            for sums in (run_window(loops[1], p, samples, y, h),
+                         kernel._numpy_window_sums(p, samples, y, h)):
                 rows = [1] if h is None else [5, 6, 7]
                 assert (np.isnan(sums[rows]) == holds).all()
                 assert not np.isnan(np.delete(sums, rows, axis=0)).any()
 
     @settings(max_examples=100, deadline=None)
-    @given(st.integers(1, 4), windows(), st.sampled_from(["loo", "sums", "moments"]), st.data())
+    @given(st.integers(1, 4), windows(), st.sampled_from(["loo", "moments"]), st.data())
     def test_a_batch_is_each_problem_alone(self, loops, batch, window, kind, data):
         # each problem's sums are those it has alone, byte for byte, on the
         # loop and the numpy form, whatever shares its batch: ragged last
@@ -540,33 +531,33 @@ class TestCompiledWindowSums:
         n, m = samples.size, (samples.size if kind == "loo" else points.size)
         if not (n and m):
             return
-        h = h if kind == "moments" else None
+        h = None if kind == "loo" else h
         stack_s = np.sort(np.stack([samples] + [
             data.draw(arrays(np.float64, n, elements=SORTED_VALUES)) for _ in range(batch - 1)]))
         stack_y = np.stack([y] + [data.draw(arrays(np.float64, n, elements=RESPONSES))
                                   for _ in range(batch - 1)])
         stack_p = stack_s if kind == "loo" else np.sort(np.stack([points] + [
             data.draw(arrays(np.float64, m, elements=SORTED_VALUES)) for _ in range(batch - 1)]))
-        loo = kind == "loo"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            alone = np.stack([kernel._numpy_window_sums(p, s, r, h, loo)
+            alone = np.stack([kernel._numpy_window_sums(p, s, r, h)
                               for p, s, r in zip(stack_p, stack_s, stack_y)])
-            assert kernel._numpy_window_sums(stack_p, stack_s, stack_y, h, loo).tobytes() == \
+            assert kernel._numpy_window_sums(stack_p, stack_s, stack_y, h).tobytes() == \
                 alone.tobytes()
-        assert kernel.window_sums(stack_p, stack_s, stack_y, h, loo).tobytes() == alone.tobytes()
-        assert run_window(loops[1], stack_p, stack_s, stack_y, h, loo).tobytes() == \
-            alone.tobytes()
+        assert kernel.window_sums(stack_p, stack_s, stack_y, h).tobytes() == alone.tobytes()
+        assert run_window(loops[1], stack_p, stack_s, stack_y, h).tobytes() == alone.tobytes()
         for b in range(batch):
-            one = run_window(loops[1], stack_p[b].copy(), stack_s[b].copy(), stack_y[b].copy(),
-                             h, loo)
+            one = run_window(loops[1], stack_p[b].copy(), stack_s[b].copy(), stack_y[b].copy(), h)
             assert one.tobytes() == alone[b].tobytes()
 
-    def test_leave_one_out_takes_the_points_as_samples_and_no_h(self):
+    def test_sums_without_h_take_the_points_as_samples(self):
+        # without h the sums leave each point's own sample out, which only
+        # the points themselves have; other samples take a bandwidth
         p = np.linspace(0.0, 1.0, 5)
-        for args in [(p, p.copy(), p), (p, p, p, 0.5)]:
-            with pytest.raises(ValueError, match="leave-one-out sums take the points"):
-                kernel.window_sums(*args, leave_one_out=True)
+        for samples in (p.copy(), p[::-1].copy(), np.linspace(0.0, 1.0, 7)):
+            with pytest.raises(ValueError, match=r"leave-one-out sums \(no h\) take the points"):
+                kernel.window_sums(p, samples, np.ones(samples.size))
+        assert kernel.window_sums(p, p, p).shape == (2, 5)
 
 
 @pytest.mark.parametrize("compiled", [True, False])

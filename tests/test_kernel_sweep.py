@@ -33,14 +33,12 @@ def test_table_formats_durations():
 def test_stacked_step_table():
     seconds = kernel_sweep.stacked_step(rounds=1, seed=3)
     assert seconds > 0.0
-    lines = kernel_sweep.step_table([(90, (4.2e-5, 1.5e-5, 6e-5, 2e-4)),
-                                     (1000, (4.5e-4, 1e-4, 2e-3, 1.6e-3))],
+    lines = kernel_sweep.step_table([(90, (1.5e-5, 2e-4)), (1000, (1e-4, 1.6e-3))],
                                     [("step", 2.5e-3, 4e-3), ("held-out", 1.5e-3, 2e-3)])
-    assert lines == ["| full-data step, per evaluation | one-point calls | one stacked call "
-                     "| one-point, no compiler | stacked, no compiler |",
-                     "| --- | --- | --- | --- | --- |",
-                     "| n = 90 | 42 µs | 15 µs | 60 µs | 200 µs |",
-                     "| n = 1000 | 450 µs | 100 µs | 2 ms | 1.6 ms |",
+    assert lines == ["| full-data step, per evaluation | compiled | no compiler |",
+                     "| --- | --- | --- |",
+                     "| n = 90 | 15 µs | 200 µs |",
+                     "| n = 1000 | 100 µs | 1.6 ms |",
                      "", "| k-fold layer, per call | compiled | no compiler |",
                      "| --- | --- | --- |", "| step | 2.5 ms | 4 ms |",
                      "| held-out | 1.5 ms | 2 ms |"]
@@ -81,7 +79,7 @@ def test_kfold_times_run_with_and_without_the_compiled_loops(monkeypatch):
 
 def test_objective_time_at_a_tiny_n():
     times = kernel_sweep.objective_time(30, rounds=1, seed=3)
-    assert len(times) == 4 and all(t > 0.0 for t in times)
+    assert len(times) == 2 and all(t > 0.0 for t in times)
 
 
 def test_main_prints_facts_and_table(capsys):
@@ -92,7 +90,7 @@ def test_main_prints_facts_and_table(capsys):
     assert out[1].startswith("nw_loo_all per evaluation of a 30-problem step")
     assert out[4].startswith("| 20 |")
     assert out[5].startswith("crossover: ") and "n = 20" in out[5]
-    assert out[6].startswith("| full-data step, per evaluation | one-point calls |")
+    assert out[6] == "| full-data step, per evaluation | compiled | no compiler |"
     assert [line.split(" | ")[0] for line in out[8:12]] == [
         f"| n = {n}" for n in kernel_sweep.OBJECTIVE_SIZES]
     assert out[12:15] == ["", "| k-fold layer, per call | compiled | no compiler |",
@@ -149,10 +147,6 @@ def test_fallback_table_runs_without_a_compiled_loop(monkeypatch):
 
 def test_transform_path_names_the_loaded_library(monkeypatch):
     monkeypatch.setattr(kernel_sweep.kernel, "COMPILED_LIBRARY", "/cache/transform-0.so")
-    monkeypatch.setattr(kernel_sweep.kernel, "_weights", print)
     assert kernel_sweep.transform_path() == "compiled weights (/cache/transform-0.so)"
-    # a source tree older than the compiled weights has the in-place loop alone
-    monkeypatch.delattr(kernel_sweep.kernel, "_weights")
-    assert kernel_sweep.transform_path() == "compiled loop (/cache/transform-0.so)"
     monkeypatch.setattr(kernel_sweep.kernel, "COMPILED_LIBRARY", None)
     assert kernel_sweep.transform_path() == "numpy passes"

@@ -367,18 +367,18 @@ class TestKernelSumEngine:
         for h in WALK_BANDWIDTHS:
             calls.clear()
             locfit._nw_loo_sums((z / h)[None], y)
-            [(p, s, sorted_y, no_h, leave_one_out)] = calls
+            [(p, s, sorted_y)] = calls
             order = np.argsort(z / h)
             np.testing.assert_array_equal(p, (z / h)[order][None])
             np.testing.assert_array_equal(sorted_y, y[order][None])
-            assert s is p and no_h is None and leave_one_out
+            assert s is p
         assert transforms == []
 
     @pytest.mark.parametrize("n", sorted({10, CUTOFF + 1, 200, 257}))
     def test_one_loop_call_per_prediction_or_fit_pass(self, n, monkeypatch):
         # at every size held-out prediction and the local quadratic fits sort
-        # their points and samples once and sum them in one window_sums call:
-        # the sums of the h-scaled index, or the moments of the raw one
+        # their points and samples once and take the moments of the raw index
+        # in one window_sums call each
         calls, transforms = [], []
         monkeypatch.setattr(locfit, "window_sums", spy_window_sums(calls))
         monkeypatch.setattr(locfit, "transform_inplace", lambda *args: transforms.append(args))
@@ -389,14 +389,13 @@ class TestKernelSumEngine:
         points = rng.normal(size=25)
         nw_predict(z, y, points, 0.5)
         locfit._quad_fits(z, y, points, 0.5)
-        [(p, s, sorted_y, no_h, _), (u, samples, moment_y, h, _)] = calls
         order = np.argsort(z)
-        np.testing.assert_array_equal(p, np.sort(points / 0.5))
-        np.testing.assert_array_equal(s, (z / 0.5)[order])
-        np.testing.assert_array_equal(u, np.sort(points))
-        np.testing.assert_array_equal(samples, z[order])
-        assert sorted_y.tolist() == moment_y.tolist() == y[order].tolist()
-        assert no_h is None and h == 0.5 and transforms == []
+        assert len(calls) == 2
+        for u, samples, moment_y, h in calls:
+            np.testing.assert_array_equal(u, np.sort(points))
+            np.testing.assert_array_equal(samples, z[order])
+            assert moment_y.tolist() == y[order].tolist() and h == 0.5
+        assert transforms == []
 
     @pytest.mark.parametrize("m, n", [(10, 90), (65, 197), (5, 1000), (1000, 20),
                                       (CUTOFF + 1, CUTOFF + 1), (257, 257)])
@@ -411,6 +410,29 @@ class TestKernelSumEngine:
             oracle = direct_nw(points, z, y, h, leave_one_out=False)
             assert oracle[1][-1]
             assert_matches_oracle(nw_predict(z, y, points, h), oracle)
+
+    @pytest.mark.parametrize("m, n", [(10, 90), (65, 197), (1000, 20)])
+    def test_predict_is_the_local_constant_fit_bit_for_bit(self, m, n):
+        # the prediction is sum K((z_j - u)/h) y_j / sum K((z_j - u)/h), T_0 / S_0
+        # of the local fits' moments: smooth_kernel values of the raw index,
+        # each sum added in ascending sample order from +0
+        rng = np.random.default_rng(m + n)
+        z = rng.normal(size=n)
+        y = rng.normal(size=n)
+        points = np.concatenate([rng.choice(z, m // 2), rng.normal(scale=2.0, size=m - m // 2)])
+        order = np.argsort(z)
+        for h in (0.01, 0.3, 2.0):
+            expected = []
+            for u in points:
+                num = den = 0.0
+                for w, response in zip(smooth_kernel((z[order] - u) / h).tolist(),
+                                       y[order].tolist()):
+                    den += w
+                    num += w * response
+                expected.append(num / den if den else np.nan)
+            predictions, excluded = nw_predict(z, y, points, h)
+            assert predictions.tobytes() == np.array(expected).tobytes()
+            np.testing.assert_array_equal(excluded, np.isnan(expected))
 
     def test_one_tile_is_the_dense_matrix_bit_for_bit(self):
         rng = np.random.default_rng(11)
@@ -570,7 +592,7 @@ class TestKernelSumEngine:
             z = rng.normal(size=(20, n))
             nw_loo_all(z, rng.normal(size=z.shape), np.full(20, 0.5))
         assert shapes == [(20, CUTOFF, CUTOFF)]
-        [(p, s, _, _, _)] = calls
+        [(p, s, _)] = calls
         assert p.shape == (20, CUTOFF + 1) and s is p
         # problems of 90 x 90 pairs: 8 fit in STACK_PAIRS = 65536 pairs, 9 do not
         monkeypatch.setattr(locfit, "ONE_TILE_MAX", 90)

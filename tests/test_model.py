@@ -4,7 +4,7 @@ import functools
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fsim import locfit, model
@@ -458,11 +458,15 @@ class TestStackedObjective:
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), folds=st.integers(2, 10),
            h=st.sampled_from([0.05, 0.2, 0.5, 3.0]))
+    # 1.50e-14 relative at n = 60, above the fixed 1e-14 bound this test once had
+    @example(seed=3628799, folds=2, h=0.05)
+    # one rounding apart at n = 60 where the first-order move alone is 7e-31
+    @example(seed=19184, folds=2, h=0.05)
     def test_a_subset_value_is_the_subset_objective_within_rounding(self, n, seed, folds, h):
         # a subset's index values are gathered from the full-data map, which
         # may round them differently from the subset's own map; a design of
-        # 12 columns does so (4 columns do not), and moved random points by
-        # up to 2.9e-15 relative in 18,182 scratch evaluations
+        # 12 columns does so (4 columns do not), and the objective moves
+        # within the bound those roundings give it
         data = wide_data(n)
         rng = np.random.default_rng(seed)
         subsets = [np.setdiff1d(np.arange(n), fold)
@@ -476,7 +480,7 @@ class TestStackedObjective:
             gaps = np.abs(np.abs(z[:, None] - z[None, :]) / (h * norm) - 1.0)
             assume(not np.any(gaps < 1e-9))
             expected = objective_loo_mse(subset, raw, h).mse
-            assert abs(value - expected) <= 1e-14 * expected
+            assert abs(value - expected) <= gather_bound(subset, raw, h)
 
     def test_rejects_bad_bandwidth(self):
         with pytest.raises(ValueError, match="bandwidth must be positive"):
@@ -677,6 +681,53 @@ def wide_data(n):
     product needs to round a row by its position."""
     rng = np.random.default_rng(n)
     return single_block_data(rng.normal(size=(n, 13)), rng.normal(size=n), w=rng.normal(size=n))
+
+
+def gather_bound(subset, raw, h):
+    """How far the leave-one-out objective of ``subset`` at ``raw`` may move
+    when its index values are gathered from the full-data map instead of
+    mapped on the subset: to first order in the index, plus the rounding of
+    the objective's own sums, which any changed bit may round the other way.
+
+    Each map puts index value i within eps times the sum of its terms'
+    magnitudes of the exact one (:func:`fsim.model.search_index`), so the
+    two maps differ by twice that, over the bandwidth h * norm on the
+    scaled index.  A pair's weight (1 - s^2)^4 moves by at most its slope
+    8 |s| (1 - s^2)^3 times the moves of its two values, and an estimate by
+    its weights' moves times |y_j - estimate| over its weight sum.  A sum
+    of at most m terms rounds within m eps / 2 of the sum of their
+    magnitudes, on each side: that moves an estimate by up to m eps times
+    (sum w |y| / sum w + |estimate|), and the mean of squares by up to
+    m eps times itself.  The mean of squares moves by twice each residual
+    times its estimate's move, plus that rounding.
+    """
+    z, norm = search_index(subset, raw)
+    terms = np.zeros(subset.n)
+    start = 0
+    for columns in subset.search_columns:
+        stop = start + columns.shape[-1]
+        terms += np.abs(columns) @ np.abs(raw[start:stop])
+        start = stop
+    if subset.w is not None:
+        terms += np.abs(raw[start] * subset.w)
+    eps = np.finfo(float).eps
+    moves = 2.0 * eps * terms / (h * norm)
+    s = z / (h * norm)
+    x = s[None, :] - s[:, None]
+    base = np.where(np.abs(x) < 1.0, 1.0 - x * x, 0.0)
+    np.fill_diagonal(base, 0.0)
+    weights = base**4
+    weight_moves = 8.0 * np.abs(x) * base**3 * (moves[:, None] + moves[None, :])
+    den = weights.sum(axis=1)
+    kept = den > 0.0
+    y = subset.y
+    estimates = weights[kept] @ y / den[kept]
+    rounding = subset.n * eps
+    estimate_moves = ((weight_moves[kept] * np.abs(y - estimates[:, None])).sum(axis=1)
+                      + rounding * (weights[kept] @ np.abs(y) + np.abs(estimates) * den[kept])
+                      ) / den[kept]
+    residuals = np.abs(y[kept] - estimates)
+    return (2.0 * residuals @ estimate_moves + rounding * residuals @ residuals) / kept.sum()
 
 
 PROPERTY_SIZES = pytest.mark.parametrize("n", [60, 300])

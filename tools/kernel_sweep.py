@@ -18,8 +18,7 @@ path and the speed-up of the window sums, and the crossover: the sizes
 between which the window sums start to win and keep winning, where
 ``ONE_TILE_MAX`` belongs.  A second table times a full-data lockstep step of
 30 points (a g3 draw near its true coefficients, at the bandwidths of its
-grid in turn) at n = 40, 90, 200 and 1000 both ways: one
-``objective_loo_mse`` call per point, and one full-data
+grid in turn) at n = 40, 90, 200 and 1000: one full-data
 ``StackedObjective`` call (one search per point), per evaluation, with
 the compiled loops and with every compiled loop of ``fsim.kernel`` set to
 ``None``; best of ``--rounds`` rounds.  Under it comes a table of the
@@ -39,8 +38,7 @@ unlike ``level_fits`` does not raise on an unusable row) at n = 250, 1000 and 40
 without a compiler: the step of the first table on the window sums and the
 ``level_fits`` pass at n = 90, 200 and 1000, best of ``--rounds`` rounds (a
 round of the pass is five calls).  fsim is imported from ``PYTHONPATH`` when
-that provides it, else from the ``src`` directory of this checkout; the
-stacked calls need a source tree that has them.
+that provides it, else from the ``src`` directory of this checkout.
 """
 
 from __future__ import annotations
@@ -60,8 +58,7 @@ if importlib.util.find_spec("fsim") is None:
 
 from fsim import kernel, locfit
 from fsim.bandwidth import BandwidthGrid, _fold_split, _held_out_score
-from fsim.model import DegenerateObjectiveError, NormalizationError, StackedObjective, \
-    objective_loo_mse
+from fsim.model import StackedObjective
 from fsim.optimize import minimize_each
 from fsim.simulate import SimScenario, generate
 
@@ -81,14 +78,9 @@ LOOPS = ("_weights", "_window_sums")
 
 def transform_path() -> str:
     """Which kernel transform runs: the compiled weights and their library,
-    or the numpy passes.  A source tree older than the compiled weights runs
-    the in-place compiled loop, or the numpy passes when it is older still."""
-    library = getattr(kernel, "COMPILED_LIBRARY", None)
-    if not library:
-        return "numpy passes"
-    if getattr(kernel, "_weights", None) is None:
-        return f"compiled loop ({library})"
-    return f"compiled weights ({library})"
+    or the numpy passes."""
+    library = kernel.COMPILED_LIBRARY
+    return f"compiled weights ({library})" if library else "numpy passes"
 
 
 def machine_facts() -> str:
@@ -176,7 +168,7 @@ def _g3_draw(n: int, seed: int):
 
 def _without_compiler(call):
     """``call()`` with every compiled loop of ``fsim.kernel`` set to ``None``."""
-    saved = {name: getattr(kernel, name) for name in LOOPS if hasattr(kernel, name)}
+    saved = {name: getattr(kernel, name) for name in LOOPS}
     try:
         for name in saved:
             setattr(kernel, name, None)
@@ -186,19 +178,11 @@ def _without_compiler(call):
             setattr(kernel, name, value)
 
 
-def _one_point(data, x, h) -> float:
-    try:
-        return objective_loo_mse(data, x, h).mse
-    except (DegenerateObjectiveError, NormalizationError):
-        return np.inf
-
-
-def objective_time(n: int, rounds: int, seed: int = 0) -> tuple[float, ...]:
+def objective_time(n: int, rounds: int, seed: int = 0) -> tuple[float, float]:
     """Best seconds per evaluation of a full-data lockstep step of
     ``STEP_POINTS`` points on a g3 draw of ``n`` samples, near its true
-    coefficients at the bandwidths of its grid in turn: ``(one-point calls,
-    one full-data StackedObjective call)`` with the compiled loops, then the
-    same without them."""
+    coefficients at the bandwidths of its grid in turn, as one full-data
+    ``StackedObjective`` call: ``(compiled, no compiler)``."""
     data, truth, grid = _g3_draw(n, seed)
     rng = np.random.default_rng(seed)
     points = truth.beta.coeffs + 0.05 * rng.standard_normal((STEP_POINTS, truth.beta.coeffs.size))
@@ -206,14 +190,10 @@ def objective_time(n: int, rounds: int, seed: int = 0) -> tuple[float, ...]:
     calls = 1 if n >= 1000 else 5
     stacked, which = StackedObjective(data, None, hs), np.arange(STEP_POINTS)
 
-    def one_point():
-        return [_one_point(data, x, h) for x, h in zip(points, hs.tolist())]
+    def per_evaluation():
+        return _best(lambda: stacked(which, points), rounds, calls) / STEP_POINTS
 
-    def times():
-        return tuple(_best(step, rounds, calls) / STEP_POINTS
-                     for step in (one_point, lambda: stacked(which, points)))
-
-    return times() + _without_compiler(times)
+    return per_evaluation(), _without_compiler(per_evaluation)
 
 
 def local_quadratic_times(rounds: int, seed: int = 0, sizes=LEVEL_SIZES,
@@ -320,9 +300,8 @@ def table(rows) -> list[str]:
 def step_table(objective, kfold) -> list[str]:
     """The markdown tables of the steps: ``(n, times)`` pairs of
     :func:`objective_time`, then the :func:`kfold_times` rows."""
-    return (["| full-data step, per evaluation | one-point calls | one stacked call "
-             "| one-point, no compiler | stacked, no compiler |",
-             "| --- | --- | --- | --- | --- |"]
+    return (["| full-data step, per evaluation | compiled | no compiler |",
+             "| --- | --- | --- |"]
             + [f"| n = {n} | " + " | ".join(_duration(t) for t in times) + " |"
                for n, times in objective]
             + ["", "| k-fold layer, per call | compiled | no compiler |", "| --- | --- | --- |"]
