@@ -61,12 +61,13 @@ class SingularFitError(EstimationError):
         self.row = row
 
 
-def raise_failure(outcome, failure: type[BaseException] = EstimationError):
-    """``outcome``, or raise it when it is a ``failure``, as the one-item calls
-    of the batched pipelines do.  A raised error's traceback holds each frame
-    it leaves, so callers pass the outcome straight in and this frame drops
-    its own reference: no local closes a cycle only the collector frees."""
-    if isinstance(outcome, failure):
+def raise_failure(outcome):
+    """``outcome``, or raise it when it is an :class:`EstimationError`, as
+    the one-item calls of the batched pipelines do.  A raised error's
+    traceback holds each frame it leaves, so callers pass the outcome
+    straight in and this frame drops its own reference: no local closes a
+    cycle only the collector frees."""
+    if isinstance(outcome, EstimationError):
         try:
             raise outcome
         finally:
@@ -196,9 +197,7 @@ def _sorted_moments(points, samples, responses, h):
     by_index = np.argsort(samples)
     sorted_sums = window_sums(points[order], samples[by_index], responses[by_index], h)
     sums = np.empty_like(sorted_sums)
-    # row by row: numpy scatters a 2-d array along its last axis 4x slower
-    for row, sorted_row in zip(sums, sorted_sums):
-        row[order] = sorted_row
+    sums[:, order] = sorted_sums
     return sums
 
 

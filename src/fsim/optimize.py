@@ -164,8 +164,7 @@ def minimize(data: Dataset, init, h: float, budget: int | None = None,
     the initialization; a start whose value is not finite raises
     :class:`DegenerateObjectiveError`.
     """
-    return raise_failure(minimize_each(data, init, [h], budget, sign_reference, [label])[0],
-                         DegenerateObjectiveError)
+    return raise_failure(minimize_each(data, init, [h], budget, sign_reference, [label])[0])
 
 
 def minimize_each(data: Dataset, init, h, budget: int | None, sign_reference, labels,

@@ -160,19 +160,24 @@ class TestLocalQuadFit:
 
 
 def direct_nw(points, samples, y, h, leave_one_out):
-    """Oracle: every pair's weight on the h-scaled index, exactly rounded sums.
+    """Oracle: every pair's weight from the argument the code forms, exactly
+    rounded sums.  The leave-one-out weights take the difference of the
+    h-scaled index, the held-out ones the h-scaled difference (z_j - u) / h,
+    so both put each sample on the code's side of the window edge.
 
     Returns ``(estimates, excluded, scale)``; scale is the weighted mean of
     |y|, the size a reordered sum of the same weights can be off by.
     """
-    p = np.asarray(points, float) / h
-    s = np.asarray(samples, float) / h
+    p = np.asarray(points, float)
+    s = np.asarray(samples, float)
     estimates = np.full(p.size, np.nan)
     scale = np.full(p.size, np.nan)
     for i in range(p.size):
-        w = smooth_kernel(p[i] - s)
         if leave_one_out:
+            w = smooth_kernel(p[i] / h - s / h)
             w[i] = 0.0
+        else:
+            w = smooth_kernel((s - p[i]) / h)
         # zero weights add nothing to an exactly rounded sum
         inside = np.flatnonzero(w)
         w, near = w[inside], y[inside]
@@ -410,6 +415,18 @@ class TestKernelSumEngine:
             oracle = direct_nw(points, z, y, h, leave_one_out=False)
             assert oracle[1][-1]
             assert_matches_oracle(nw_predict(z, y, points, h), oracle)
+
+    def test_predict_and_oracle_share_the_window_edge(self):
+        # z / h - u / h rounds these samples across the window edge that
+        # (z - u) / h leaves them on: one inside, one outside
+        excluded = []
+        for z, u, h in [(0.4702734042712358, -0.4638766728140493, 0.9341500770852852),
+                        (-1.0502013799081846, -0.08498784700926532, 0.9652135328989193)]:
+            samples, y = np.array([z, 5.0]), np.array([2.0, 3.0])
+            oracle = direct_nw([u], samples, y, h, leave_one_out=False)
+            assert_matches_oracle(nw_predict(samples, y, [u], h), oracle)
+            excluded.append(bool(oracle[1][0]))
+        assert excluded == [False, True]
 
     @pytest.mark.parametrize("m, n", [(10, 90), (65, 197), (1000, 20)])
     def test_predict_is_the_local_constant_fit_bit_for_bit(self, m, n):
