@@ -17,7 +17,7 @@ import numpy as np
 
 from . import bandwidth as bw
 from . import ingest, simulate, svg
-from .basis import BasisExpansion, FourierBasis
+from .basis import BasisExpansion, FourierBasis, is_integer
 from .locfit import EstimationError, curve_estimates
 from .model import IndexModelSpec, compute_index
 from .optimize import INIT_KINDS, InitStrategy
@@ -284,7 +284,7 @@ def cmd_plot(args) -> int:
             payload = json.load(handle)
         records = ingest.load_csv(args.data)
         dim = payload["metadata"]["basis_dim"]
-        if not isinstance(dim, int) or isinstance(dim, bool) or not 2 <= dim <= ingest.N_BINS:
+        if not is_integer(dim) or not 2 <= dim <= ingest.N_BINS:
             raise ingest.SchemaError(f"metadata.basis_dim must be an integer in "
                                      f"[2, {ingest.N_BINS}], got {dim!r}")
         basis = FourierBasis(dim, include_constant=True)
@@ -326,14 +326,14 @@ def cmd_plot(args) -> int:
     g_series = {"g_hat": curve_estimates(z_hat, data.y, grid, chosen_h, derivative=0)}
     g2_series = {"g2_hat": curve_estimates(z_hat, data.y, grid, chosen_h2, derivative=2)}
     t_grid = np.linspace(0.0, 1.0, 201)
-    coef_series = {f"beta_{label}": beta.basis.design_matrix(t_grid) @ beta.coeffs
+    coef_series = {f"beta_{label}": beta.evaluate(t_grid)
                    for label, beta in zip(labels, spec.beta_blocks)}
     if truth is not None:
         link = simulate.LINKS[truth.link]
         g_series["g_true"] = link.g(grid)
         g2_series["g2_true"] = link.curvature(grid)
         for label, beta in zip(labels, true_betas):
-            coef_series[f"beta_{label}_true"] = beta.basis.design_matrix(t_grid) @ beta.coeffs
+            coef_series[f"beta_{label}_true"] = beta.evaluate(t_grid)
     _write_csv(out / "g_curve.csv", {"index": grid, **g_series})
     _write_csv(out / "g2_curve.csv", {"index": grid, **g2_series})
     _write_csv(out / "coefficients.csv", {"t": t_grid, **coef_series})

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisExpansion, FourierBasis, project_sample_rows, readonly_array
+from .basis import BasisExpansion, FourierBasis, is_integer, project_sample_rows, readonly_array
 from .model import Dataset, FunctionalBlock, IndexModelSpec, compute_index
-from .simulate import LINKS, write_json
+from .simulate import LINKS, finite_number, write_json
 
 N_BINS = 37
 PRECIP_COLUMNS = tuple(f"p.{i:02d}" for i in range(N_BINS))
@@ -114,7 +114,10 @@ def to_dataset(records, basis: FourierBasis) -> Dataset:
     """Project the 37-bin histories onto ``basis`` and assemble the model data.
 
     The bins are mapped onto 37 equally spaced points of [0, 1]; the response
-    is the log area change; the competition scalar is carried through.
+    is the log area change; the competition scalar is carried through.  A
+    record whose response or basis coefficients are not finite, as when
+    huge finite cells overflow, raises :class:`SchemaError` naming the
+    record (counted from 1) and the covariate.
     """
     records = list(records)
     if not records:
@@ -123,13 +126,18 @@ def to_dataset(records, basis: FourierBasis) -> Dataset:
         raise ValueError(
             f"projection underdetermined: basis dimension {basis.dimension} > {N_BINS} bins"
         )
-    precip = project_sample_rows(np.stack([r.precip for r in records]), basis)
-    temp = project_sample_rows(np.stack([r.temp for r in records]), basis)
-    return Dataset(
-        blocks=(FunctionalBlock(basis, precip), FunctionalBlock(basis, temp)),
-        y=np.array([r.response for r in records]),
-        w=np.array([r.w for r in records]),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        precip = project_sample_rows(np.stack([r.precip for r in records]), basis)
+        temp = project_sample_rows(np.stack([r.temp for r in records]), basis)
+    y = np.array([r.response for r in records])
+    for name, values in [("a basis coefficient of the precipitation history p.*", precip),
+                         ("a basis coefficient of the temperature history t.*", temp),
+                         ("logarea.t1 - logarea.t0", y)]:
+        finite = np.isfinite(values.reshape(len(records), -1)).all(axis=1)
+        if not finite.all():
+            raise SchemaError(f"record {int(np.argmin(finite)) + 1}: {name} is not finite")
+    return Dataset(blocks=(FunctionalBlock(basis, precip), FunctionalBlock(basis, temp)),
+                   y=y, w=np.array([r.w for r in records]))
 
 
 @dataclass(frozen=True)
@@ -178,9 +186,21 @@ class EcologyTruth:
 
     @classmethod
     def from_json(cls, path) -> "EcologyTruth":
-        """Read a truth file; values that make no truth raise :class:`SchemaError`."""
+        """Read a truth file; values that make no truth raise :class:`SchemaError`.
+
+        ``alpha``, ``noise_sd`` and the coefficients must be finite numbers
+        and ``basis_dim``, ``seed`` and ``n`` integers; a bool is neither,
+        and no value is rounded or parsed from text.
+        """
         with open(path, encoding="utf-8") as handle:
             payload = json.load(handle)
+        for key in ("alpha", "noise_sd", "beta1", "beta2"):
+            values = payload[key] if key.startswith("beta") else [payload[key]]
+            if not (isinstance(values, list) and all(map(finite_number, values))):
+                raise SchemaError(f"{path}: {key} must hold finite numbers, got {payload[key]!r}")
+        for key in ("basis_dim", "seed", "n"):
+            if not is_integer(payload[key]):
+                raise SchemaError(f"{path}: {key} must be an integer, got {payload[key]!r}")
         try:
             return cls(
                 alpha=float(payload["alpha"]),
@@ -188,9 +208,9 @@ class EcologyTruth:
                 beta2=np.asarray(payload["beta2"], dtype=float),
                 link=str(payload["link"]),
                 noise_sd=float(payload["noise_sd"]),
-                basis_dim=int(payload["basis_dim"]),
-                seed=int(payload["seed"]),
-                n=int(payload["n"]),
+                basis_dim=payload["basis_dim"],
+                seed=payload["seed"],
+                n=payload["n"],
             )
         except ValueError as exc:  # raised only by the conversions and checks of the values
             raise SchemaError(f"{path}: {exc}") from None

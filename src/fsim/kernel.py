@@ -8,14 +8,16 @@ as samples against one zero point.  :func:`window_sums` forms every other
 kernel sum: for sorted points and samples it sums each point over its own
 window in ascending sample order, in one call, giving the leave-one-out sums
 (sum w, sum w y) of a sorted index or the local polynomial moments of points
-against samples.  On writeable, aligned, C-contiguous float64
-arrays both run C loops, which the system C compiler (``cc``) builds once
-into a per-user cache and ``ctypes`` loads when this module is imported;
-``COMPILED_LIBRARY`` is the path of the library loaded, or ``None``.  Other
-arrays, and all arrays when no library could be built, loaded or trusted,
-take their numpy forms, which the loops reproduce bit for bit.  The choice
-depends only on what the loader finds and on the arrays; no option selects
-it.
+against samples.  Its points, samples and responses are finite, as the entry
+points of :mod:`fsim.locfit` check; the transform keeps its IEEE results
+for any argument, NaN and the infinities included.  On writeable, aligned,
+C-contiguous float64 arrays both run C loops, which the system C compiler
+(``cc``) builds once into a per-user cache and ``ctypes`` loads when this
+module is imported; ``COMPILED_LIBRARY`` is the path of the library loaded,
+or ``None``.  Other arrays, and all arrays when no library could be built,
+loaded or trusted, take their numpy forms, which the loops reproduce bit for
+bit.  The choice depends only on what the loader finds and on the arrays; no
+option selects it.
 """
 
 import contextlib
@@ -84,19 +86,14 @@ CLONES void fsim_kernel_weights(double *u, const double *points, const double *s
 # with -1 and 1.  Each lane adds its point's terms sample by sample, so a
 # point's sums run in ascending sample order from +0; a sample outside the
 # point's window weighs +0, its argument is zeroed before the powers, and the
-# point's own sample in the leave-one-out sums is masked to +0, so they add
-# an exact +-0 and leave the sums as the point's own window gives them.  A
-# NaN or infinite response would make its w y terms NaN even at weight +0,
-# so when a call has one (NONFINITE) every w y term is masked to +0 outside
-# its window, and such a response reaches only the sums of the windows that
-# hold it; finite responses skip the mask, which changes no bit of theirs,
-# since +0 and -0 add alike to a sum that starts at +0.  The select of the
-# weight is the scalar one's: NaN is not below 0.  The moments take the
-# argument (s - p) / h and weigh by the kernel with its constant,
-# smooth_kernel's bits; the leave-one-out sums take s - p, as a division by
-# the constant 1.0 folds away.  One body serves both kinds of sums: MOMENTS
-# and NONFINITE are replaced by constants and the compiler drops the
-# branches a kind does not take.
+# point's own sample in the leave-one-out sums is masked to +0, so with
+# finite responses they add an exact +-0 and leave the sums as the point's
+# own window gives them.  The select of the weight is the scalar one's: NaN
+# is not below 0.  The moments take the argument (s - p) / h and weigh by
+# the kernel with its constant, smooth_kernel's bits; the leave-one-out sums
+# take s - p, as a division by the constant 1.0 folds away.  One body serves
+# both kinds of sums: MOMENTS is replaced by a constant and the compiler
+# drops the branches a kind does not take.
 _WINDOW_SUMS = r"""
 typedef double doubles_LANES __attribute__((vector_size(LANES * sizeof(double))));
 typedef long long bits_LANES __attribute__((vector_size(LANES * sizeof(double))));
@@ -126,20 +123,16 @@ WIDTH_LANES static void NAME_LANES(double *sums, const double *p, size_t m, cons
             w = w * w;
             if (!MOMENTS && j - i < rows)
                 w = (doubles_LANES)((bits_LANES)w & (lane != (long long)(j - i)));
-            bits_LANES inside = (bits_LANES)(w != 0.0);
             if (MOMENTS) {
+                bits_LANES inside = (bits_LANES)(w != 0.0);
                 w *= NORMALIZER;
                 x = (doubles_LANES)((bits_LANES)x & inside);
                 sum[8] -= __builtin_convertvector(inside, doubles_LANES);
             }
             for (int q = 0; q < (MOMENTS ? 5 : 1); q++, w *= x) {
                 sum[q] += w;
-                if (q < 3) {
-                    doubles_LANES term = w * y[j];
-                    if (NONFINITE)
-                        term = (doubles_LANES)((bits_LANES)term & inside);
-                    sum[MOMENTS ? 5 + q : 1] += term;
-                }
+                if (q < 3)
+                    sum[MOMENTS ? 5 + q : 1] += w * y[j];
             }
         }
         for (size_t t = 0; t < (MOMENTS ? 9 : 2); t++)
@@ -155,30 +148,24 @@ _WIDTHS = (8, 4, 2)
 # the kinds of window sums, numbered in this order: a kind's number is its MOMENTS flag
 _KINDS = ("loo", "moments")
 _SOURCE = _HEAD + f"#define NORMALIZER {NORMALIZER!r}\n" + "".join(
-    _WINDOW_SUMS.replace("NAME", kind + "_nonfinite" * nonfinite)
-    .replace("MOMENTS", str(moments)).replace("NONFINITE", str(nonfinite))
+    _WINDOW_SUMS.replace("NAME", kind).replace("MOMENTS", str(moments))
     .replace("LANES", str(lanes))
-    for lanes in _WIDTHS for moments, kind in enumerate(_KINDS) for nonfinite in (0, 1)) + r"""
+    for lanes in _WIDTHS for moments, kind in enumerate(_KINDS)) + r"""
 typedef void window_sums(double *, const double *, size_t, const double *, const double *,
                          size_t, double);
-static window_sums *const LOOPS[][2][3] = {%s};
+static window_sums *const LOOPS[][3] = {%s};
 
-/* the sums of batch problems, each of m points and n samples, one after the
-   other; the mask of non-finite responses runs when the batch has one */
+/* the sums of batch problems, each of m points and n samples, one after the other */
 void fsim_window_sums(int kind, double *sums, const double *p, size_t m, const double *s,
                       const double *y, size_t n, double h, size_t batch)
 {
-    int widest = WIDEST, finite = 1;
-    for (size_t j = 0; j < batch * n; j++)
-        finite &= y[j] - y[j] == 0.0;
-    window_sums *loop = LOOPS[kind][!finite][widest == 8 ? 0 : widest == 4 ? 1 : 2];
+    int widest = WIDEST;
+    window_sums *loop = LOOPS[kind][widest == 8 ? 0 : widest == 4 ? 1 : 2];
     size_t terms = kind ? 9 : 2;
     for (size_t b = 0; b < batch; b++)
         loop(sums + b * terms * m, p + b * m, m, s + b * n, y + b * n, n, h);
 }
-""" % ", ".join("{" + ", ".join("{" + ", ".join(f"{kind}{'_nonfinite' * nonfinite}_{lanes}"
-                                                 for lanes in _WIDTHS) + "}"
-                                for nonfinite in (0, 1)) + "}" for kind in _KINDS)
+""" % ", ".join("{" + ", ".join(f"{kind}_{lanes}" for lanes in _WIDTHS) + "}" for kind in _KINDS)
 # -ffp-contract=off: a fused multiply-add would round 1 - x*x once, not twice,
 # and change the bits (GCC fuses by default in GNU C mode).  -O3 with
 # -fno-trapping-math lets GCC vectorize the select; without them the loop is
@@ -201,10 +188,6 @@ _SORTED_PROBE = np.array(sorted([
     2e154, 2e154 + 1e138, 3e154, 1e200, -1e200, 1.7e308, -1.7e308, 1.6e308]))
 _SORTED_PROBE_Y = np.array([-0.0 if k % 7 == 0 else (k * 5 % 11 - 5.0) / 3.0
                             for k in range(_SORTED_PROBE.size)])
-# the same with a NaN response in the central cluster and an infinite one at
-# an isolated sample, so the sums show which windows each reaches
-_POISONED_PROBE_Y = _SORTED_PROBE_Y.copy()
-_POISONED_PROBE_Y[np.searchsorted(_SORTED_PROBE, [0.5, 1e200])] = [np.nan, np.inf]
 # points per tile of the numpy window sums
 _TILE_ROWS = 64
 
@@ -244,12 +227,13 @@ def _numpy_window_sums(points: np.ndarray, samples: np.ndarray, responses: np.nd
     last points reach, found by the loop's own comparisons; a sample outside
     a point's window weighs +0 and adds an exact +-0, as does the point's own
     sample in the leave-one-out sums (no ``h``: the points are the samples),
-    and their w y terms are +0 whatever the response.  A tile holds its terms
-    sample-major, so ``np.add.reduce`` over samples, which numpy sums one
-    sample after the other from ``initial`` off the fast axis (pairwise only
-    along it), sums each point in the loop's order; ``np.add.accumulate``
-    gives the same bits about nine times slower.  A tile of one point takes
-    it twice, as one column would make the samples the fast axis.
+    and so do their w y terms, since the responses are finite.  A tile holds
+    its terms sample-major, so ``np.add.reduce`` over samples, which numpy
+    sums one sample after the other from ``initial`` off the fast axis
+    (pairwise only along it), sums each point in the loop's order;
+    ``np.add.accumulate`` gives the same bits about nine times slower.  A
+    tile of one point takes it twice, as one column would make the samples
+    the fast axis.
     """
     def arguments(samples, points):
         x = np.subtract(samples, points)
@@ -263,8 +247,6 @@ def _numpy_window_sums(points: np.ndarray, samples: np.ndarray, responses: np.nd
             sums[b] = _numpy_window_sums(points[b], samples[b], responses[b], h)
         return sums
     sums = np.empty((2 if h is None else 9, points.size))
-    # finite responses need no mask: their w y terms at weight +0 are +-0
-    finite = np.isfinite(responses).all()
     # an argument, a square or a sum that overflows is an infinity, and a sum
     # of opposite infinities NaN, as in the loop, without a warning
     with np.errstate(over="ignore", invalid="ignore"):
@@ -275,18 +257,16 @@ def _numpy_window_sums(points: np.ndarray, samples: np.ndarray, responses: np.nd
             hi = np.count_nonzero(arguments(samples, points[tile[-1]]) < 1.0)
             x = arguments(samples[lo:hi, None], points[tile])
             w = _numpy_passes(x if h is None else x.copy())
+            powers = [w]
             if h is None:
                 w[tile - lo, np.arange(tile.size)] = 0.0
-            inside = w != 0.0
-            powers = [w]
-            if h is not None:
+            else:
+                inside = w != 0.0
                 w *= NORMALIZER
                 x[~inside] = 0.0
                 for _ in range(4):
                     powers.append(powers[-1] * x)
-            y = responses[lo:hi, None]
-            terms = powers + [power * y if finite else np.where(inside, power * y, 0.0)
-                              for power in powers[:3]]
+            terms = powers + [power * responses[lo:hi, None] for power in powers[:3]]
             if h is not None:
                 terms.append(inside * 1.0)
             for row, term in zip(sums, terms):
@@ -388,21 +368,18 @@ def _open(path: str):
     if tiles.tobytes() != _numpy_weights(np.empty_like(tiles), points, samples).tobytes():
         raise OSError(f"{path} does not reproduce the numpy kernel transform")
     # the leave-one-out sums of a stack of the sorted probe and its half, and
-    # the probe's moments (h = 0.75) at every third of its values, with finite
-    # responses and with non-finite ones
-    s = _SORTED_PROBE.copy()
+    # the probe's moments (h = 0.75) at every third of its values
+    s, y = _SORTED_PROBE.copy(), _SORTED_PROBE_Y.copy()
     third, stack = s[::3].copy(), np.stack([s, s / 2.0])
-    for y in (_SORTED_PROBE_Y.copy(), _POISONED_PROBE_Y.copy()):
-        cases = [(stack, stack, np.stack([y, -y]), None), (third, s, y, 0.75)]
-        for kind, (p, samples, responses, h) in enumerate(cases):
-            expected = _numpy_window_sums(p, samples, responses, h)
-            sums = np.empty_like(expected)
-            window(kind, _pointer(sums), _pointer(p), p.shape[-1], _pointer(samples),
-                   _pointer(responses), samples.shape[-1], 1.0 if h is None else h,
-                   p.size // p.shape[-1])
-            if sums.tobytes() != expected.tobytes():
-                raise OSError(
-                    f"{path} does not reproduce the numpy {_KINDS[kind]} window sums")
+    cases = [(stack, stack, np.stack([y, -y]), None), (third, s, y, 0.75)]
+    for kind, (p, samples, responses, h) in enumerate(cases):
+        expected = _numpy_window_sums(p, samples, responses, h)
+        sums = np.empty_like(expected)
+        window(kind, _pointer(sums), _pointer(p), p.shape[-1], _pointer(samples),
+               _pointer(responses), samples.shape[-1], 1.0 if h is None else h,
+               p.size // p.shape[-1])
+        if sums.tobytes() != expected.tobytes():
+            raise OSError(f"{path} does not reproduce the numpy {_KINDS[kind]} window sums")
     return weights, window
 
 
@@ -466,7 +443,8 @@ def window_sums(points: np.ndarray, samples: np.ndarray, responses: np.ndarray,
     """Kernel sums of every sorted point over its own window of sorted samples.
 
     ``points`` (m,) and ``samples`` (n,) are finite and ascending, and
-    ``responses`` holds the n samples' responses.  Leading axes stack
+    ``responses`` holds the n samples' responses, also finite: the callers
+    check both, and nothing here does.  Leading axes stack
     independent problems: ``points`` (..., m), ``samples`` and ``responses``
     (..., n) with the same leading axes give (..., K, m) sums, each problem's
     the sums it has alone, in one call.  Without ``h`` these are the
@@ -480,8 +458,8 @@ def window_sums(points: np.ndarray, samples: np.ndarray, responses: np.ndarray,
     holds S_0 to S_4, T_0 to T_2 and the count of nonzero weights, with
     S_k = sum w s^k and T_k = sum w s^k y; each power of s multiplies the
     previous term.  Every sum runs in ascending sample order
-    from +0, and a response outside a point's window, NaN and infinity
-    included, adds +0 to it.  When a library is loaded, nonempty, writeable,
+    from +0, and a sample outside a point's window adds +0 to it.  When a
+    library is loaded, nonempty, writeable,
     aligned, C-contiguous float64 arrays go through its loop, which runs a
     vector register of points at a time; anything else takes the numpy form,
     which gives the same bits.

@@ -18,12 +18,16 @@ for k-fold's held-out Nadaraya-Watson prediction), and the leave-one-out
 estimator inside the coefficient-search objective above ``ONE_TILE_MAX``
 samples.  :func:`nw_loo_all` takes one leave-one-out problem or a stack of
 them, the points of a lockstep step: above the cap one batched sort and one
-window-sums call cover the stack, and up to it (or for a problem with a
-non-finite index value) one :func:`transform_inplace` call forms the
-weights of a dense stack of tiles.  The call never splits a stack; its
-callers bound them by :func:`stack_size`.  The pointwise fits (:func:`local_quad_fit`,
-:func:`smoother_matrix`, :func:`relocated_fit`) stay as the reference for
-the batched ones.
+window-sums call cover the stack, and up to it one :func:`transform_inplace`
+call forms the weights of a dense stack of tiles.  The call never splits a
+stack; its callers bound them by :func:`stack_size`.  The pointwise fits
+(:func:`local_quad_fit`, :func:`smoother_matrix`, :func:`relocated_fit`)
+stay as the reference for the batched ones.
+
+Every public entry point refuses a NaN or infinite index value, response or
+evaluation point with :class:`ValueError` (:func:`check_finite`), so the
+sums below run on finite values only.  NaN in a result marks an empty
+window or an unusable local fit.
 """
 
 from __future__ import annotations
@@ -93,10 +97,23 @@ class LocalQuadFit:
     smoother_row_2: np.ndarray
 
 
+def check_finite(values: np.ndarray, name: str) -> None:
+    """Raise :class:`ValueError` unless every value of the float array
+    ``values`` is finite; the message names ``name``, the first NaN or
+    infinity and its row (and column, in a 2-d array)."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        at = np.unravel_index(int(np.argmin(finite)), finite.shape)
+        place = f" at row {', column '.join(map(str, at))}" if at else ""
+        raise ValueError(f"{name} must be finite, got {values[at]}{place}")
+
+
 def _as_vector(values, name: str) -> np.ndarray:
+    """``values`` as a checked one-dimensional float array (:func:`check_finite`)."""
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
+    check_finite(arr, name)
     return arr
 
 
@@ -127,11 +144,8 @@ def _smoother_rows(z: np.ndarray, u: float, h: float):
 
     The system is solved on the h-scaled design for conditioning; the
     condition guard applies to the raw normal matrix X'WX that defines the
-    estimator.  A non-finite point or sample leaves the fit unusable, as in
-    :func:`_quad_fits`.
+    estimator.
     """
-    if not (np.isfinite(u) and np.isfinite(z).all()):
-        raise SingularFitError(f"non-finite index value or evaluation point at u={u:.6g}")
     d = z - u
     s = d / h
     w = smooth_kernel(s)
@@ -175,6 +189,7 @@ def local_quad_fit(index_values, responses, u: float, h: float) -> LocalQuadFit:
     is too ill-conditioned to trust.
     """
     z, y = _fit_inputs(index_values, responses, h)
+    check_finite(np.float64(u), "u")
     rows, inside = _smoother_rows(z, float(u), float(h))
     a, b, c = rows @ y
     return LocalQuadFit(
@@ -212,28 +227,16 @@ def _nw_tile(points, responses):
     :func:`_nw_ratio` takes.  A leading batch axis on ``points`` stacks
     tiles of one shape, with ``responses`` of the same shape or one vector
     for all; the stacked product sums each slice exactly as it would be
-    summed alone.  Only a tile of non-finite input holds a non-finite value:
-    an infinity weighs 0 against every finite value, and an infinite sample
-    against itself is inf - inf, NaN without a warning, as NaN input is.
-    As 0 * NaN is NaN, the product takes a NaN or infinite response as 0
-    and its terms of nonzero weight are added after it: as in
-    :func:`fsim.kernel.window_sums`, it reaches only the windows that hold it.
+    summed alone.
     """
     n = points.shape[-1]
     w = transform_inplace(np.empty(points.shape + (n,)), points, points)
     w.reshape(w.shape[:-2] + (n * n,))[..., ::n + 1] = 0.0
     ones_y = np.empty(responses.shape + (2,))
     ones_y[..., 0] = 1.0
-    bad = ~np.isfinite(responses)
-    ones_y[..., 1] = np.where(bad, 0.0, responses)
+    ones_y[..., 1] = responses
     sums = w @ ones_y
-    den, num = sums[..., 0], sums[..., 1]
-    if bad.any():
-        reach = (w != 0.0) & bad[..., None, :]
-        with np.errstate(invalid="ignore"):
-            terms = np.where(reach, w * responses[..., None, :], 0.0)
-        np.add(num, terms.sum(axis=-1), out=num, where=reach.any(axis=-1))
-    return den, num
+    return sums[..., 0], sums[..., 1]
 
 
 def _nw_loo_sums(points, responses):
@@ -243,21 +246,12 @@ def _nw_loo_sums(points, responses):
     Up to ``ONE_TILE_MAX`` samples the stack is one dense stack of tiles
     (:func:`_nw_tile`).  Beyond that one batched sort orders every problem,
     one call to :func:`fsim.kernel.window_sums` sums every sample over its
-    own window, and the sums are put back in sample order; a problem with a
-    non-finite index value runs as a dense tile of its own.
+    own window, and the sums are put back in sample order.
     """
     n = points.shape[-1]
     if n <= ONE_TILE_MAX:
         return _nw_tile(points, responses)
     den, num = np.empty(points.shape), np.empty(points.shape)
-    if not np.isfinite(points).all():
-        finite = np.isfinite(points).all(axis=-1)
-        for b in np.flatnonzero(~finite).tolist():
-            den[b], num[b] = _nw_tile(points[b], responses[b] if responses.ndim > 1 else responses)
-        rows = np.flatnonzero(finite)
-        den[rows], num[rows] = _nw_loo_sums(points[rows],
-                                            responses[rows] if responses.ndim > 1 else responses)
-        return den, num
     # each problem sorted, and its sums put back in sample order, through
     # flat indices: take_along_axis, or a scatter along the last axis of a
     # 2-d array, is several times slower
@@ -304,8 +298,9 @@ def nw_loo_all(index_values, responses, h):
     ``index_values``; ``h`` is one bandwidth, or one per problem.  Returns
     ``(estimates, excluded)`` of the shape of ``index_values``, where
     excluded marks samples with no other sample inside their window; their
-    estimate entry is NaN.  Each problem's results are those it has alone,
-    bit for bit, whatever shares its stack.  The call makes one dense stack
+    estimate entry is NaN.  A NaN or infinite index value or response
+    raises :class:`ValueError`.  Each problem's results are those it has
+    alone, bit for bit, whatever shares its stack.  The call makes one dense stack
     or one window-sums call (:func:`_nw_loo_sums`) however large the stack:
     callers split large ones by :func:`stack_size`.
     """
@@ -317,6 +312,8 @@ def nw_loo_all(index_values, responses, h):
             f"expected (n,) or (B, n) index values, responses of that shape or (n,), and one "
             f"bandwidth per problem, got {z.shape}, {y.shape} and {h.shape}")
     check_bandwidth(h)
+    check_finite(z, "index_values")
+    check_finite(y, "responses")
     scaled = z / h[..., None]
     if z.ndim == 1:
         den, num = _nw_loo_sums(scaled[None], y)
@@ -331,18 +328,11 @@ def nw_predict(index_values, responses, points, h: float):
     sample inside their window, and their prediction is NaN.  The prediction
     is the local constant fit, T_0 / S_0 of the moments that one
     :func:`fsim.kernel.window_sums` call forms for the local quadratic fits:
-    the weights are K((z_j - u) / h) and the kernel constant cancels.  An
-    infinite sample weighs 0 against every finite point and is left out; a
-    non-finite point, or every point when a sample is NaN, predicts NaN and
-    is not excluded.
+    the weights are K((z_j - u) / h) and the kernel constant cancels.
     """
     z, y = _fit_inputs(index_values, responses, h)
     u = _as_vector(points, "points")
-    sums = np.full((2, u.size), np.nan)
-    if not np.isnan(z).any():
-        at, kept = np.isfinite(u), np.isfinite(z)
-        sums[:, at] = _sorted_moments(u[at], z[kept], y[kept], float(h))[[0, 5]]
-    return _nw_ratio(*sums)
+    return _nw_ratio(*_sorted_moments(u, z, y, float(h))[[0, 5]])
 
 
 # Entry (p, q) of the normal matrix X'WX of the h-scaled design (1, s, s^2/2)
@@ -362,31 +352,23 @@ def _quad_fits(z: np.ndarray, y: np.ndarray, points: np.ndarray, h: float):
     h-scaled moments rescaled by h^(p+q)), and a nonzero LU pivot.
     ``leverage`` is K(0) (A^{-1})_00, the weight of the level row on a
     sample at the evaluation point itself.  The weights are the pointwise
-    ones bit for bit; only the order of the sums differs.  Non-finite
-    points, or any non-finite sample, leave a point unusable.
+    ones bit for bit; only the order of the sums differs.
     """
-    m = points.size
-    coefficients = np.full((3, m), np.nan)
-    leverage = np.full(m, np.nan)
-    usable = np.isfinite(points) & np.isfinite(z).all()
-    at = np.flatnonzero(usable)
-    if at.size == 0:
-        return coefficients, usable, leverage
-    sums = _sorted_moments(points[at], z, y, h)
+    sums = _sorted_moments(points, z, y, h)
     scaled = sums[:5].T[:, _HANKEL] * _HALVES
     h_powers = np.array([1.0, h, h * h])
     cond = np.linalg.cond(scaled * np.outer(h_powers, h_powers))
-    ok = (sums[8] >= MIN_WINDOW_POINTS) & np.isfinite(cond) & (cond <= CONDITION_LIMIT)
+    usable = (sums[8] >= MIN_WINDOW_POINTS) & np.isfinite(cond) & (cond <= CONDITION_LIMIT)
     # np.linalg.solve raises on a zero LU pivot; det runs the same factorization
-    ok[ok] = np.linalg.det(scaled[ok]) != 0.0
-    usable[at] = ok
-    rhs = np.zeros((int(ok.sum()), 3, 2))
-    rhs[:, :, 0] = sums[5:8, ok].T * _HALVES[0]
+    usable[usable] = np.linalg.det(scaled[usable]) != 0.0
+    rhs = np.zeros((int(usable.sum()), 3, 2))
+    rhs[:, :, 0] = sums[5:8, usable].T * _HALVES[0]
     rhs[:, 0, 1] = 1.0
-    solution = np.linalg.solve(scaled[ok], rhs)
-    fitted = at[ok]
-    coefficients[:, fitted] = (solution[:, :, 0] / h_powers).T
-    leverage[fitted] = NORMALIZER * solution[:, 0, 1]
+    solution = np.linalg.solve(scaled[usable], rhs)
+    coefficients = np.full((3, points.size), np.nan)
+    leverage = np.full(points.size, np.nan)
+    coefficients[:, usable] = (solution[:, :, 0] / h_powers).T
+    leverage[usable] = NORMALIZER * solution[:, 0, 1]
     return coefficients, usable, leverage
 
 
@@ -434,6 +416,7 @@ def curve_estimates(index_values, responses, grid, h: float, derivative: int = 0
         raise ValueError(f"derivative order must be 0, 1 or 2, got {derivative}")
     z, y = _fit_inputs(index_values, responses, h)
     points = np.asarray(grid, dtype=float).ravel()
+    check_finite(points, "grid")
     return _quad_fits(z, y, points, float(h))[0][derivative]
 
 
@@ -444,12 +427,9 @@ def relocated_fit(index_values, responses, u: float, h: float,
     Sparse windows near the index extremes can make the fit singular; the
     evaluation point is then moved toward ``center`` (default: median index)
     in steps of h/4 until a fit succeeds, at most ``RELOCATION_STEPS`` of
-    them.  Returns ``(fit, moved)``.  A non-finite index value or ``u``
-    leaves every point unusable, so it raises at once.
+    them.  Returns ``(fit, moved)``.
     """
     z = _as_vector(index_values, "index_values")
-    if not (np.isfinite(u) and np.isfinite(z).all()):
-        raise SingularFitError(f"no admissible evaluation point near u={u:.6g}")
     if center is None:
         center = float(np.median(z))
     point = float(u)

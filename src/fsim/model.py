@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .basis import BasisExpansion, FourierBasis, readonly_array
-from .locfit import EstimationError, check_bandwidth, nw_loo_all, stack_size
+from .locfit import EstimationError, check_bandwidth, check_finite, nw_loo_all, stack_size
 
 # fewest samples the leave-one-out objective accepts
 MIN_SAMPLES = 4
@@ -50,8 +50,9 @@ def _check_norm(norm: float) -> None:
 
 
 class DegenerateObjectiveError(EstimationError):
-    """The leave-one-out objective is undefined: too few samples, or every
-    sample lost its window (bandwidth far too small)."""
+    """The leave-one-out objective is undefined: too few samples, an index
+    value that is not finite, or every sample lost its window (bandwidth far
+    too small)."""
 
 
 @dataclass(frozen=True)
@@ -83,7 +84,12 @@ class FunctionalBlock:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Samples of the index model: functional blocks, responses, optional scalar."""
+    """Samples of the index model: functional blocks, responses, optional scalar.
+
+    Every value is finite: a NaN or infinite response, basis coefficient or
+    scalar covariate raises :class:`ValueError` naming the field and the
+    first row that holds one.
+    """
 
     blocks: tuple[FunctionalBlock, ...]
     y: np.ndarray
@@ -96,15 +102,18 @@ class Dataset:
         y = readonly_array(self.y)
         if y.ndim != 1:
             raise ValueError(f"responses must be one-dimensional, got {y.shape}")
+        check_finite(y, "responses")
         object.__setattr__(self, "y", y)
         n = y.size
         for k, block in enumerate(self.blocks):
             if block.n != n:
                 raise ValueError(f"block {k} has {block.n} samples, responses have {n}")
+            check_finite(block.coeffs, f"block {k} coefficients")
         if self.w is not None:
             w = readonly_array(self.w)
             if w.shape != (n,):
                 raise ValueError(f"scalar covariate must have shape ({n},), got {w.shape}")
+            check_finite(w, "scalar covariate")
             object.__setattr__(self, "w", w)
 
     @property
@@ -297,7 +306,8 @@ def objective_loo_mse(data: Dataset, raw_coeffs, h, samples=None) -> ObjectiveRe
 
     One search vector (dim,) at one ``h`` gives a float ``mse`` and raises
     :class:`DegenerateObjectiveError` (fewer than ``MIN_SAMPLES`` samples,
-    every sample excluded) or :class:`NormalizationError`.  A stack (S, dim)
+    an index value that overflows to infinity, every sample excluded) or
+    :class:`NormalizationError`.  A stack (S, dim)
     with one ``h`` per row, or one for all, is scored in one call: one
     batched index map (:func:`search_index`) and one :func:`nw_loo_all`
     call, so the caller bounds S by :func:`fsim.locfit.stack_size`.  Its
@@ -325,15 +335,17 @@ def objective_loo_mse(data: Dataset, raw_coeffs, h, samples=None) -> ObjectiveRe
     h = np.asarray(h, dtype=float)
     check_bandwidth(h)
     z, norms = search_index(data, raw[None] if one else raw)
-    if one:
-        _check_norm(float(norms[0]))
-    elif n < MIN_SAMPLES:
+    if not one and n < MIN_SAMPLES:
         return ObjectiveReport(mse=np.full(len(z), np.inf), excluded_count=0)
     y = data.y
     if samples is not None:
         z = z.reshape(-1)[samples + data.n * np.arange(len(samples))[:, None]]
         y = y[samples]
-    ok = _normalizable(norms)
+    ok = _normalizable(norms) & np.isfinite(z).all(axis=-1)
+    if one and not ok[0]:
+        _check_norm(float(norms[0]))
+        raise DegenerateObjectiveError("an index value is not finite: the search vector is "
+                                       "too large for the data")
     rows = slice(None) if ok.all() else np.flatnonzero(ok)
     if y.ndim > 1:
         y = y[rows]

@@ -138,7 +138,7 @@ def test_gain_rule(change, ratio, met):
                              f"gain rule {'met' if met else 'not met'}")
 
 
-def test_each_side_runs_on_its_own_fresh_bytecode_cache(tmp_path, monkeypatch, capsys):
+def test_each_side_runs_on_its_own_fresh_caches(tmp_path, monkeypatch, capsys):
     # one untimed set-up import per side writes its cache, the change's side
     # first, then every run of a side reads that side's cache
     calls = []
@@ -162,12 +162,16 @@ def test_each_side_runs_on_its_own_fresh_bytecode_cache(tmp_path, monkeypatch, c
     assert "2 complete pairs" in capsys.readouterr().out
     root = ab_pairs.ROOT
     assert [tree for tree, _, _ in calls] == [root, parent, parent, root, root, parent]
-    caches = {tree: {env["PYTHONPYCACHEPREFIX"] for _, _, env in group}
-              for tree, group in [(t, [c for c in calls if c[0] == t])
-                                  for t in (parent, root)]}
-    [[parent_cache], [change_cache]] = caches.values()
-    assert parent_cache != change_cache
-    assert {pathlib.Path(parent_cache).parent, pathlib.Path(change_cache).parent} == {scratch}
+    # each side also keeps its own kernel library cache, as a build removes
+    # every other library of its cache directory
+    for variable in ("PYTHONPYCACHEPREFIX", "XDG_CACHE_HOME"):
+        caches = {tree: {env[variable] for _, _, env in group}
+                  for tree, group in [(t, [c for c in calls if c[0] == t])
+                                      for t in (parent, root)]}
+        [[parent_cache], [change_cache]] = caches.values()
+        assert parent_cache != change_cache
+        assert {pathlib.Path(parent_cache).parent,
+                pathlib.Path(change_cache).parent} == {scratch}
     for _, command, env in calls[:2]:
         assert command[1:2] == ["perfbench/workloads.py"] and command[-2:] == ["--mode", "setup"]
         assert "PYTHONDONTWRITEBYTECODE" not in env

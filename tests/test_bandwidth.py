@@ -728,6 +728,16 @@ class TestFitPipelines:
         assert isinstance(merged[0], SingularFitError)
         assert isinstance(merged[1], bw.CVReport)
 
+    def test_a_nan_covariate_is_refused_where_the_data_enter(self):
+        # the linear start once met it first and raised numpy's LinAlgError,
+        # an untyped crash of the whole fit
+        data = scalar_dataset(40, seed=3)
+        w = data.w.copy()
+        w[7] = np.nan
+        with pytest.raises(ValueError, match="^scalar covariate must be finite, got nan at row 7$"):
+            bw.fit_pipelines(Dataset(data.blocks, data.y, w), self.strategies()[:2], 3, "gcv",
+                             5, [np.random.SeedSequence(1)] * 2, 30)
+
     def test_gcv_strategy_failing_at_every_bandwidth(self):
         # on six samples no linear-start fit leaves a usable smoother
         data, _ = linear_dataset(6, 0.2, seed=2)

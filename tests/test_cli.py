@@ -107,6 +107,28 @@ class TestFit:
         assert run("fit", "--data", path, "--out", tmp_path / "o") == 2
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("strategy", ["linear", "equal"])
+    def test_overflowing_projection_is_data_error(self, synth_inputs, tmp_path, capsys,
+                                                  strategy):
+        # finite cells whose basis projection overflows: the linear start once
+        # crashed with numpy's LinAlgError, and the equal start failed as an
+        # estimation error ("reference index is constant or not finite")
+        lines = synth_inputs["data"].read_text().splitlines()
+        column = lines[0].split(",").index("p.05")
+        for k in (3, 10):
+            cells = lines[k].split(",")
+            cells[column] = "1.7e308"
+            lines[k] = ",".join(cells)
+        path = tmp_path / "eco.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("fit", "--data", path, "--out", tmp_path / "o", "--strategy", strategy,
+                       "--basis-dim", 7) == 2
+        assert ("record 3: a basis coefficient of the precipitation history p.* is not finite"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_strategy_is_usage_error(self, synth_inputs, tmp_path):
         assert run("fit", "--data", synth_inputs["data"], "--out", tmp_path / "o",
                    "--strategy", "best") == 1
@@ -271,9 +293,13 @@ class TestPlot:
                    "--truth", synth_inputs["truth"]) == 2
         assert not out.exists()
 
-    # (key, value): a truth file with an unknown link or a short coefficient vector
-    @pytest.mark.parametrize("key, value", [("link", "g9"), ("beta1", None)],
-                             ids=["unknown-link", "short-beta"])
+    # (key, value): a truth file with an unknown link or a short coefficient
+    # vector, or with a value once rounded or coerced in silence
+    @pytest.mark.parametrize("key, value", [
+        ("link", "g9"), ("beta1", None), ("basis_dim", 7.9), ("seed", True), ("n", 90.5),
+        ("alpha", float("nan")), ("noise_sd", "0.05"),
+    ], ids=["unknown-link", "short-beta", "fractional-basis-dim", "bool-seed", "fractional-n",
+            "nan-alpha", "text-noise-sd"])
     def test_bad_truth_is_data_error(self, synth_inputs, tmp_path, key, value):
         payload = json.loads(synth_inputs["truth"].read_text())
         payload[key] = payload[key][:-1] if value is None else value

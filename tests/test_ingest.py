@@ -1,5 +1,11 @@
 """Tests for the ecology CSV schema, projection, and synthetic generation."""
 
+import dataclasses
+import json
+import pathlib
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -183,6 +189,27 @@ class TestToDataset:
         with pytest.raises(ValueError):
             to_dataset([], FourierBasis(5))
 
+    @pytest.mark.parametrize("field, message", [
+        ("precip", "a basis coefficient of the precipitation history p.*"),
+        ("temp", "a basis coefficient of the temperature history t.*"),
+        ("logarea_t1", "logarea.t1 - logarea.t0"),
+    ])
+    def test_overflow_names_the_record_and_the_covariate(self, field, message):
+        # finite cells whose projection or difference overflows, silently
+        rng = np.random.default_rng(9)
+        records = [make_record(rng) for _ in range(4)]
+        if field == "logarea_t1":
+            changes = {"logarea_t1": 1.7e308, "logarea_t0": -1.7e308}
+        else:
+            history = getattr(records[2], field).copy()
+            history[[5, 6]] = 1.7e308
+            changes = {field: history}
+        records[2] = dataclasses.replace(records[2], **changes)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SchemaError, match=re.escape(f"record 3: {message} is not finite")):
+                to_dataset(records, FourierBasis(13))
+
 
 class TestSynthEcology:
     def test_linear_link_reconstruction(self, tmp_path):
@@ -211,6 +238,25 @@ class TestSynthEcology:
         assert loaded.link == "g2"
         np.testing.assert_array_equal(loaded.beta1, truth.beta1)
         np.testing.assert_array_equal(loaded.beta2, truth.beta2)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("basis_dim", 13.9, "basis_dim must be an integer, got 13.9"),
+        ("seed", True, "seed must be an integer, got True"),
+        ("n", 60.5, "n must be an integer, got 60.5"),
+        ("alpha", float("nan"), "alpha must hold finite numbers, got nan"),
+        ("beta2", [0.1] * 11 + [float("inf")], "beta2 must hold finite numbers"),
+    ])
+    def test_truth_values_are_not_coerced(self, tmp_path, key, value, message):
+        # int() once rounded 13.9 to 13 and read true as 1, and a NaN alpha,
+        # which json parses, was taken as it was
+        path = tmp_path / "synth.csv"
+        synth_ecology(path, n=10, seed=1, link="g2")
+        truth = pathlib.Path(str(path) + ".truth.json")
+        payload = json.loads(truth.read_text())
+        payload[key] = value
+        truth.write_text(json.dumps(payload))
+        with pytest.raises(SchemaError, match=re.escape(message)):
+            EcologyTruth.from_json(truth)
 
     def test_concave_truth_available(self, tmp_path):
         path = tmp_path / "synth.csv"

@@ -312,17 +312,6 @@ def run_window(window, points, samples, y, h=None):
     return sums
 
 
-def window_of(points, samples, h=None):
-    """Whether sample j lies in the window of point i, as an (m, n) mask:
-    |argument| < 1, the point's own sample left out without ``h``."""
-    with np.errstate(over="ignore"):
-        x = samples[None, :] - points[:, None]
-        inside = np.abs(x if h is None else x / h) < 1.0
-    if h is None:
-        np.fill_diagonal(inside, False)
-    return inside
-
-
 def sequential_sums(points, samples, y, h=None):
     """Window sums written out one pair at a time: from +0, in ascending
     sample order, over |argument| < 1, the own sample left out without
@@ -473,53 +462,6 @@ class TestCompiledWindowSums:
         # overflowing argument into NaN and fail the load-time probe
         lines = [f"x = (doubles_{lanes})((bits_{lanes})x & inside);" for lanes in kernel._WIDTHS]
         refuse_library(tmp_path, monkeypatch, lines, "", "moments")
-
-    @settings(max_examples=150, deadline=None)
-    @given(windows(), st.sampled_from(["loo", "moments"]), st.data())
-    def test_a_non_finite_response_reaches_only_the_windows_that_hold_it(self, loops, window,
-                                                                      kind, data):
-        # at the sums a clean response gives, NaN or infinite responses leave
-        # every window without them as it was, bit for bit, on the loop and on
-        # the numpy form, and make non-finite the response sums of every window
-        # with one
-        points, samples, y, h = window
-        if kind == "loo":
-            points, h = samples, None
-        bad = data.draw(arrays(np.bool_, samples.size))
-        poison = data.draw(arrays(np.float64, samples.size,
-                                  elements=st.sampled_from([np.nan, np.inf, -np.inf])))
-        dirty = np.where(bad, poison, y)
-        clean = np.where(bad, 0.0, y)
-        holds = (window_of(points, samples, h) & bad).any(axis=1)
-        response_rows = [1] if h is None else [5, 6, 7]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            expected = kernel._numpy_window_sums(points, samples, clean, h)
-            forms = [kernel._numpy_window_sums(points, samples, dirty, h)]
-        if points.size and samples.size:
-            forms.append(run_window(loops[1], points, samples, dirty, h))
-        for got in forms:
-            assert got[:, ~holds].tobytes() == expected[:, ~holds].tobytes()
-            assert not np.isfinite(got[response_rows][:, holds]).any()
-            other = [row for row in range(len(got)) if row not in response_rows]
-            assert got[other].tobytes() == expected[other].tobytes()
-
-    def test_a_nan_response_poisons_the_windows_that_hold_it(self, loops):
-        # one NaN among 300 responses: NaN exactly at the points whose window
-        # holds that sample, at the shipped width and on the numpy form
-        rng = np.random.default_rng(8)
-        samples = np.sort(rng.normal(size=300))
-        points = np.linspace(-3.0, 3.0, 41)
-        y = rng.normal(size=300)
-        y[137] = np.nan
-        for p, h in [(samples, None), (points, 0.3)]:
-            holds = window_of(p, samples, h)[:, 137]
-            assert 0 < holds.sum() < p.size
-            for sums in (run_window(loops[1], p, samples, y, h),
-                         kernel._numpy_window_sums(p, samples, y, h)):
-                rows = [1] if h is None else [5, 6, 7]
-                assert (np.isnan(sums[rows]) == holds).all()
-                assert not np.isnan(np.delete(sums, rows, axis=0)).any()
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 4), windows(), st.sampled_from(["loo", "moments"]), st.data())

@@ -2,7 +2,6 @@
 
 import functools
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -464,71 +463,6 @@ class TestKernelSumEngine:
         assert not excluded.any()
         np.testing.assert_array_equal(estimates, sums[:, 1] / sums[:, 0])
 
-    def test_non_finite_index_propagates_as_nan(self, engine_path):
-        z = np.linspace(0.0, 1.0, 300)
-        z[7] = np.nan
-        estimates, excluded = nw_loo_all(z, np.ones(300), 0.1)
-        assert np.isnan(estimates).all()
-        assert not excluded.any()
-
-    @pytest.mark.parametrize("n", sorted({40, CUTOFF + 1, 257}))
-    @pytest.mark.parametrize("inf", [np.inf, -np.inf])
-    def test_infinite_index_is_left_out_without_warning(self, n, inf):
-        # an infinite sample weighs zero against every finite one and has an
-        # empty window itself; its own difference, inf - inf, is NaN silently
-        rng = np.random.default_rng(n)
-        z = rng.normal(size=n)
-        y = rng.normal(size=n)
-        z[5] = inf
-        keep = np.arange(n) != 5
-        h = 0.3
-        points = np.concatenate([rng.choice(z[keep], 10), rng.normal(size=10), [inf, -inf]])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            alone = nw_loo_all(z, y, h)
-            batch = nw_loo_all(np.stack([z, z]), np.stack([y, y]), [h, h])
-            predictions, predicted_excluded = nw_predict(z, y, points, h)
-        loo_oracle = direct_nw(z[keep], z[keep], y[keep], h, leave_one_out=True)
-        for estimates, excluded in [alone, *zip(*batch)]:
-            assert np.isnan(estimates[5]) and excluded[5]
-            assert_matches_oracle((estimates[keep], excluded[keep]), loo_oracle)
-        predict_oracle = direct_nw(points[:-2], z[keep], y[keep], h, leave_one_out=False)
-        assert_matches_oracle((predictions[:-2], predicted_excluded[:-2]), predict_oracle)
-        # the point at the sample's own infinity meets inf - inf as well
-        assert np.isnan(predictions[-2:]).all()
-
-    @pytest.mark.parametrize("n", [60, CUTOFF + 1])
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_a_non_finite_response_reaches_only_the_windows_that_hold_it(self, n, bad,
-                                                                      engine_path):
-        # 0 * NaN is NaN, so the dense stack once lost every estimate of a
-        # problem to one NaN response; now the estimates that are not finite
-        # are the excluded ones and those of the windows that hold it, the
-        # rest have the bits a 0 response gives them, and a clean problem
-        # that shares the stack keeps its bits
-        rng = np.random.default_rng(n)
-        z = np.sort(rng.normal(size=n))
-        y = rng.normal(size=n)
-        h = 0.3
-        clean = y.copy()
-        clean[n // 3] = 0.0
-        dirty = clean.copy()
-        dirty[n // 3] = bad
-        holds = np.abs(z - z[n // 3]) < h
-        holds[n // 3] = False
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            estimates, excluded = nw_loo_all(z, dirty, h)
-            stacked = nw_loo_all(np.stack([z, z]), np.stack([dirty, y]), [h, h])
-        expected, expected_excluded = nw_loo_all(z, clean, h)
-        assert 0 < holds.sum() < n - excluded.sum()
-        np.testing.assert_array_equal(excluded, expected_excluded)
-        np.testing.assert_array_equal(~np.isfinite(estimates), excluded | holds)
-        kept = ~(excluded | holds)
-        assert estimates[kept].tobytes() == expected[kept].tobytes()
-        assert stacked[0][0].tobytes() == estimates.tobytes()
-        assert stacked[0][1].tobytes() == nw_loo_all(z, y, h)[0].tobytes()
-
     def test_no_points_or_no_samples(self):
         z = np.linspace(0.0, 1.0, CUTOFF + 1)
         predictions, excluded = nw_predict(z, np.ones(z.size), [], 0.1)
@@ -547,7 +481,6 @@ class TestKernelSumEngine:
         rng = np.random.default_rng(n + 1)
         z = np.stack([awkward_index(n, rng) for _ in range(5)])
         y = rng.normal(size=z.shape)
-        z[3, 7] = np.nan
         h = np.array([0.004, 0.08, 0.5, 0.5, 3.0])
         estimates, excluded = nw_loo_all(z, y, h)
         for b in range(5):
@@ -560,35 +493,27 @@ class TestKernelSumEngine:
         # every tile takes its weights from the compiled loop, which forms
         # samples - points as the broadcast subtraction does; so every result
         # keeps the bits of the broadcast subtraction and the numpy passes,
-        # signed zeros included, and non-finite tiles warn no more than they do
+        # signed zeros included
         rng = np.random.default_rng(n + 7)
         z = np.stack([awkward_index(n, rng) for _ in range(3)])
         z[1, :6] = [0.0, -0.0, 0.0, -0.0, 0.0, -0.0]
         y = rng.normal(size=z.shape)
-        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
         points = np.concatenate([rng.choice(z[0], 40), rng.normal(scale=2.0, size=40), z[1, :6]])
         h = np.array([0.004, 0.3, 3.0])
-        # one non-finite sample, or a non-finite point, sends a problem to the
-        # dense tile; infinite samples in leave-one-out sums have a test of their own
-        poisoned = np.stack([z[0]] * 3)
-        poisoned[:, 5] = special[2:]
-        odd_points = np.concatenate([points, special])
 
         def outputs():
             results = [nw_loo_all(z[b], y[b], h[b]) for b in range(3)]
-            results += [nw_loo_all(poisoned[2], y[0], 0.3)]
-            results += [nw_loo_all(z, y, h), nw_loo_all(poisoned[[2, 2]], y[:2], h[:2])]
-            results += [nw_predict(z[0], y[0], at, hb) for at in (points, odd_points) for hb in h]
-            results += [nw_predict(bad, y[0], points, 0.3) for bad in poisoned]
+            results += [nw_loo_all(z, y, h)]
+            results += [nw_predict(z[0], y[0], points, hb) for hb in h]
             results += [locfit._quad_fits(z[b], y[b], at, hb)
-                        for b in (0, 1) for at in (z[b], odd_points) for hb in h[1:]]
+                        for b in (0, 1) for at in (z[b], points) for hb in h[1:]]
             return [array for result in results for array in result]
 
         compiled = outputs()
         assert any(np.isnan(array).any() for array in compiled)
         monkeypatch.setattr(kernel, "_weights", None)
         broadcast = outputs()
-        assert len(compiled) == len(broadcast) == 54
+        assert len(compiled) == len(broadcast) == 38
         for got, expected in zip(compiled, broadcast):
             assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
 
@@ -642,6 +567,49 @@ class TestKernelSumEngine:
             nw_loo_all(np.zeros((2, 2, 5)), np.zeros(5), np.full((2, 2), 0.5))
         with pytest.raises(ValueError):
             nw_loo_all(z, z, [0.5, 0.0])
+
+
+# the inputs each public entry point takes, called at h = 0.3: index values,
+# responses and an evaluation point (a held-out point, a grid point or u)
+ENTRY_POINTS = {
+    "nw_loo_all": (("index_values", "responses"), lambda z, y, u: nw_loo_all(z, y, 0.3)),
+    "nw_loo_all stack": (("index_values", "responses"),
+                         lambda z, y, u: nw_loo_all(np.stack([z, z]), np.stack([y, y]),
+                                                    [0.3, 0.3])),
+    "nw_predict": (("index_values", "responses", "points"),
+                   lambda z, y, u: nw_predict(z, y, [0.2, u], 0.3)),
+    "curve_estimates": (("index_values", "responses", "grid"),
+                        lambda z, y, u: curve_estimates(z, y, [0.2, u], 0.3)),
+    "level_fits": (("index_values", "responses"), lambda z, y, u: level_fits(z, y, 0.3)),
+    "local_quad_fit": (("index_values", "responses", "u"),
+                       lambda z, y, u: local_quad_fit(z, y, u, 0.3)),
+    "smoother_matrix": (("index_values",), lambda z, y, u: smoother_matrix(z, 0.3)),
+    "relocated_fit": (("index_values", "responses", "u"),
+                      lambda z, y, u: relocated_fit(z, y, u, 0.3)),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entry, field", [(entry, field) for entry, (fields, _) in
+                                          ENTRY_POINTS.items() for field in fields])
+def test_non_finite_input_is_refused_where_it_enters(entry, field, bad):
+    # one check at the entry names the input and its first bad row; nothing
+    # inside the engine carries a NaN or an infinity any more
+    z = np.linspace(0.0, 1.0, 100)
+    y = np.sin(z)
+    u = 0.5
+    if field == "index_values":
+        z[70] = bad
+    elif field == "responses":
+        y[70] = bad
+    else:
+        u = bad
+    row = {"index_values": " at row 70", "responses": " at row 70", "points": " at row 1",
+           "grid": " at row 1", "u": ""}[field]
+    if entry == "nw_loo_all stack":
+        row = " at row 0, column 70"
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got {bad}{row}$"):
+        ENTRY_POINTS[entry][1](z, y, u)
 
 
 def sized_index_arrays(low, high):
@@ -803,35 +771,6 @@ class TestBatchedFits:
         assert batch.value.row == pointwise.value.row == 7
         assert str(batch.value) == str(pointwise.value)
 
-    def test_non_finite_points_are_unusable(self):
-        z = np.linspace(0.0, 1.0, 300)
-        values = curve_estimates(z, z, [0.5, np.nan, np.inf], 0.1)
-        assert np.isfinite(values[0])
-        assert np.isnan(values[1:]).all()
-
-    def test_non_finite_sample_leaves_every_point_unusable(self):
-        z = np.linspace(0.0, 1.0, 300)
-        z[150] = np.inf
-        assert np.isnan(curve_estimates(z, z, [0.2, 0.5], 0.1)).all()
-
-    @pytest.mark.parametrize("bad", ["nan_sample", "inf_sample", "nan_point"])
-    def test_pointwise_fits_reject_non_finite_input_like_the_batch(self, bad):
-        z = np.linspace(0.0, 1.0, 300)
-        u = 0.5
-        if bad == "nan_point":
-            u = np.nan
-        else:
-            z[150] = np.nan if bad == "nan_sample" else np.inf
-        assert np.isnan(curve_estimates(z, z, [u], 0.1)).all()
-        with pytest.raises(SingularFitError):
-            local_quad_fit(z, z, u, 0.1)
-        with pytest.raises(SingularFitError):
-            relocated_fit(z, z, u, 0.1)
-        if bad != "nan_point":
-            with pytest.raises(SingularFitError) as raised:
-                smoother_matrix(z, 0.1)
-            assert raised.value.row == 0
-
     def test_no_points_or_no_samples(self):
         assert curve_estimates(np.linspace(0.0, 1.0, 300), np.zeros(300), [], 0.1).size == 0
         assert np.isnan(curve_estimates([], [], np.linspace(0.0, 1.0, 300), 0.1)).all()
@@ -859,6 +798,26 @@ class TestBatchedInvariances:
         fits = locfit._quad_fits(z, y, z, h)[0]
         shifted = locfit._quad_fits(z + c, y, z + c, h)[0]
         assert_fits_match(shifted, (fits, *pointwise_fits(z, y, z, h)[1:]), h)
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(z=index_arrays, seed=st.integers(0, 2**32 - 1), h=st.floats(0.05, 3.0),
+           power=st.integers(-20, 20))
+    def test_power_of_two_rescale_scales_the_fits_exactly(self, z, seed, h, power):
+        # (z, h) -> (lam z, lam h) at lam = 2^k leaves every argument (z - u) / h
+        # and so every moment as it was: where both sides are usable, the level
+        # and the leverage keep their bits and b and c scale by 1/lam and
+        # 1/lam^2 exactly.  The usable masks may differ, since the condition
+        # guard reads the moments in raw units.
+        y = np.random.default_rng(seed).normal(size=z.size)
+        lam = 2.0**power
+        fits, usable, leverage = locfit._quad_fits(z, y, z, h)
+        scaled, scaled_usable, scaled_leverage = locfit._quad_fits(lam * z, y, lam * z, lam * h)
+        both = usable & scaled_usable
+        assert scaled[0][both].tobytes() == fits[0][both].tobytes()
+        assert scaled_leverage[both].tobytes() == leverage[both].tobytes()
+        assert scaled[1][both].tobytes() == (fits[1][both] / lam).tobytes()
+        assert scaled[2][both].tobytes() == (fits[2][both] / lam**2).tobytes()
 
 
 class TestSmootherMatrix:
@@ -934,23 +893,3 @@ class TestCurveHelpers:
         with pytest.raises(SingularFitError):
             relocated_fit(np.array([0.0, 10.0, 20.0]), np.zeros(3), 0.0, 0.01)
         assert len(calls) == locfit.RELOCATION_STEPS + 1 == 65
-
-    @pytest.mark.parametrize("bad", ["nan_sample", "inf_sample", "nan_point", "inf_point"])
-    def test_relocated_fit_gives_up_at_once_on_non_finite_input(self, bad, monkeypatch):
-        z = np.linspace(0.0, 1.0, 300)
-        u = 0.5
-        if bad.endswith("point"):
-            u = np.nan if bad == "nan_point" else np.inf
-        else:
-            z[150] = np.nan if bad == "nan_sample" else np.inf
-        calls = []
-        fit = locfit.local_quad_fit
-
-        def spy(*args):
-            calls.append(args)
-            return fit(*args)
-
-        monkeypatch.setattr(locfit, "local_quad_fit", spy)
-        with pytest.raises(SingularFitError, match="no admissible evaluation point"):
-            relocated_fit(z, z, u, 0.1)
-        assert len(calls) <= 1

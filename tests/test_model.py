@@ -60,6 +60,23 @@ class TestDataset:
         np.testing.assert_array_equal(sub.blocks[0].coeffs, data.blocks[0].coeffs[[4, 1]])
 
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["responses", "block 0 coefficients", "scalar covariate"])
+    def test_non_finite_values_are_refused(self, field, bad):
+        # the data enter finite or not at all: the message names the field
+        # and the first row that holds a NaN or an infinity
+        coeffs, y, w = np.zeros((6, 4)), np.zeros(6), np.zeros(6)
+        if field == "responses":
+            y[4] = bad
+        elif field == "scalar covariate":
+            w[4] = bad
+        else:
+            coeffs[4, 2] = bad
+        row = " at row 4, column 2" if field.startswith("block") else " at row 4"
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got {bad}{row}$"):
+            single_block_data(coeffs, y, w)
+
+
 class TestComputeIndex:
     def test_aligned_unit_coefficients(self):
         beta_coeffs = np.array([0.6, 0.8, 0.0])

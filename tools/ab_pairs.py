@@ -24,13 +24,16 @@ threads from the machine facts of its runs.
 The coefficient searches run on every usable CPU, so wall time depends on
 these facts: a pair whose sides report different ones is refused, and
 counts as incomplete.  Each side runs with its own fresh bytecode cache
-(``PYTHONPYCACHEPREFIX``) under the script's temporary directory, which
-one untimed import of the benchmark's set-up writes before the first pair
+(``PYTHONPYCACHEPREFIX``) and its own kernel library cache
+(``XDG_CACHE_HOME``) under the script's temporary directory, which one
+untimed import of the benchmark's set-up writes before the first pair
 (with ``PYTHONDONTWRITEBYTECODE`` dropped for it); so with that variable
 set, neither side runs on whatever ``__pycache__`` its tree happens to
-hold.  The import also builds a side's kernel library if it is missing;
-the change's side goes first.  Running it with ``--parent-dir`` set to a copy of this
-checkout (an A/A run) shows how far identical code drifts on the host.
+hold, and as a build removes the other libraries of its cache, a side
+whose kernel source differs never makes the other rebuild its library
+in a timed run.  The change's side goes first.  Running it with
+``--parent-dir`` set to a copy of this checkout (an A/A run) shows how far
+identical code drifts on the host.
 """
 
 from __future__ import annotations
@@ -136,10 +139,11 @@ def pair_problem(parent: dict, change: dict) -> str | None:
     return None
 
 
-def side_env(cache: pathlib.Path) -> dict:
+def side_env(scratch: pathlib.Path, side: str) -> dict:
     """The environment of one side's runs: this one, with the side's own
-    bytecode cache directory ``cache``."""
-    return dict(os.environ, PYTHONPYCACHEPREFIX=str(cache))
+    bytecode cache and kernel library cache under ``scratch``."""
+    return dict(os.environ, PYTHONPYCACHEPREFIX=str(scratch / f"pycache-{side}"),
+                XDG_CACHE_HOME=str(scratch / f"cache-{side}"))
 
 
 def warm_up(tree: pathlib.Path, env: dict, workload: str, seed: int) -> None:
@@ -212,7 +216,7 @@ def main(argv=None) -> int:
 
     scratch = pathlib.Path(tempfile.mkdtemp(prefix="ab_pairs-"))
     parent = args.parent_dir.resolve() if args.parent_dir else scratch / "parent"
-    envs = [side_env(scratch / "pycache-parent"), side_env(scratch / "pycache-change")]
+    envs = [side_env(scratch, "parent"), side_env(scratch, "change")]
     pairs = []
     try:
         if not args.parent_dir:
