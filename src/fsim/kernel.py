@@ -1,4 +1,5 @@
-"""Compactly supported smoothing kernel with three continuous derivatives.
+"""Compactly supported smoothing kernel with three continuous derivatives,
+and the compiled library behind the estimator's inner loops.
 
 :func:`transform_inplace`, the kernel without its constant, forms the
 weights of a dense tile: given a tile's points and samples it forms each
@@ -8,16 +9,22 @@ as samples against one zero point.  :func:`window_sums` forms every other
 kernel sum: for sorted points and samples it sums each point over its own
 window in ascending sample order, in one call, giving the leave-one-out sums
 (sum w, sum w y) of a sorted index or the local polynomial moments of points
-against samples.  Its points, samples and responses are finite, as the entry
-points of :mod:`fsim.locfit` check; the transform keeps its IEEE results
-for any argument, NaN and the infinities included.  On writeable, aligned,
-C-contiguous float64 arrays both run C loops, which the system C compiler
-(``cc``) builds once into a per-user cache and ``ctypes`` loads when this
-module is imported; ``COMPILED_LIBRARY`` is the path of the library loaded,
-or ``None``.  Other arrays, and all arrays when no library could be built,
-loaded or trusted, take their numpy forms, which the loops reproduce bit for
-bit.  The choice depends only on what the loader finds and on the arrays; no
-option selects it.
+against samples.  :func:`loo_estimates` takes a whole stack of leave-one-out
+problems in one call: it sorts each, sums it in the leave-one-out loop and
+writes the estimates back in sample order.  :class:`SimplexLockstep` holds
+a lockstep of Nelder-Mead searches as arrays, and each of its steps packs
+the pending points and advances every search in one call each.  Points,
+samples and responses are finite, as the entry points of :mod:`fsim.locfit`
+check; the transform keeps its IEEE results for any argument, NaN and the
+infinities included.  On writeable, aligned, C-contiguous float64 arrays
+these run C loops, which the system C compiler (``cc``) builds once into a
+per-user cache and ``ctypes`` loads when this module is imported;
+``COMPILED_LIBRARY`` is the path of the library loaded, or ``None``.  Other
+arrays, and all arrays when no library could be built, loaded or trusted,
+take their numpy forms, which the loops reproduce bit for bit, and a library
+is trusted only once every loop has matched its numpy form on a probe.  The
+choice depends only on what the loader finds and on the arrays; no option
+selects it.
 """
 
 import contextlib
@@ -155,17 +162,181 @@ typedef void window_sums(double *, const double *, size_t, const double *, const
                          size_t, double);
 static window_sums *const LOOPS[][3] = {%s};
 
+static window_sums *widest_loop(int kind)
+{
+    int widest = WIDEST;
+    return LOOPS[kind][widest == 8 ? 0 : widest == 4 ? 1 : 2];
+}
+
 /* the sums of batch problems, each of m points and n samples, one after the other */
 void fsim_window_sums(int kind, double *sums, const double *p, size_t m, const double *s,
                       const double *y, size_t n, double h, size_t batch)
 {
-    int widest = WIDEST;
-    window_sums *loop = LOOPS[kind][widest == 8 ? 0 : widest == 4 ? 1 : 2];
+    window_sums *loop = widest_loop(kind);
     size_t terms = kind ? 9 : 2;
     for (size_t b = 0; b < batch; b++)
         loop(sums + b * terms * m, p + b * m, m, s + b * n, y + b * n, n, h);
 }
+
+/* the leave-one-out estimates of batch problems of n samples, one after the
+   other: each gathered by its order (its argsort) into work, summed by the
+   leave-one-out loop, and written back in sample order, NaN and excluded
+   where the window holds no other sample; y advances y_stride per problem */
+void fsim_loo_estimates(double *estimates, _Bool *excluded, const double *points,
+                        const ptrdiff_t *order, const double *y, size_t y_stride, size_t n,
+                        size_t batch, double *work)
+{
+    window_sums *loop = widest_loop(0);
+    double *p = work, *sorted_y = work + n, *sums = work + 2 * n;
+    for (size_t b = 0; b < batch; b++, points += n, order += n, y += y_stride,
+         estimates += n, excluded += n) {
+        for (size_t j = 0; j < n; j++) {
+            p[j] = points[order[j]];
+            sorted_y[j] = y[order[j]];
+        }
+        loop(sums, p, n, p, sorted_y, n, 1.0);
+        for (size_t j = 0; j < n; j++) {
+            double den = sums[j];
+            excluded[order[j]] = den == 0.0;
+            estimates[order[j]] = den == 0.0 ? __builtin_nan("") : sums[n + j] / den;
+        }
+    }
+}
 """ % ", ".join("{" + ", ".join(f"{kind}_{lanes}" for lanes in _WIDTHS) + "}" for kind in _KINDS)
+# The Nelder-Mead step of SimplexLockstep, the numpy forms' operations search
+# by search in the same order: every branch's update, the stable sort of a
+# simplex with NaN last (an insertion sort), and numpy's sum over the vertex
+# axis for the centroid, which starts from +0 and adds one vertex after the
+# other.  The centroid uses vertices 0 to dim - 1 and dim >= 1.
+_SIMPLEX_STEP = r"""
+
+/* the count of pending points, and unless which is NULL the points and their
+   searches, in the order of _numpy_pack */
+size_t fsim_simplex_pack(ptrdiff_t *which, double *points, const double *simplex,
+                         const double *trial, const long long *phase, size_t count, size_t dim)
+{
+    size_t k = 0, bytes = dim * sizeof(double);
+    for (size_t s = 0; s < count; s++)
+        if (phase[s] == INIT || phase[s] == SHRINK)
+            for (size_t v = 1; v <= dim; v++, k++)
+                if (which) {
+                    which[k] = (ptrdiff_t)s;
+                    __builtin_memcpy(points + k * dim, simplex + (s * (dim + 1) + v) * dim,
+                                     bytes);
+                }
+    for (size_t s = 0; s < count; s++)
+        if (phase[s] == REFLECT || phase[s] == EXPAND || phase[s] == CONTRACT) {
+            if (which) {
+                which[k] = (ptrdiff_t)s;
+                __builtin_memcpy(points + k * dim, trial + s * dim, bytes);
+            }
+            k++;
+        }
+    return k;
+}
+
+/* a sorts before b in numpy's stable sort, which puts NaN last */
+static int before(double a, double b)
+{
+    return a < b || (b != b && a == a);
+}
+
+/* _numpy_advance: the searches sorted go to ready, and their count is returned */
+size_t fsim_simplex_advance(ptrdiff_t *ready, double *simplex, double *values,
+                            double *vectors, double *f_reflected, long long *counters,
+                            const double *got, size_t count, size_t dim, long long max_evals,
+                            double tol)
+{
+    double *centroid = vectors, *trial = vectors + count * dim, *reflected = trial + count * dim;
+    long long *phase = counters, *evals = phase + count, *iterations = evals + count,
+              *converged = iterations + count;
+    size_t bytes = dim * sizeof(double), many = 0, sorted = 0;
+    double row[dim];
+    for (size_t s = 0; s < count; s++)
+        many += phase[s] == INIT || phase[s] == SHRINK;
+    const double *f_many = got, *f_one = got + many * dim;
+    for (size_t s = 0; s < count; s++) {
+        double *x = simplex + s * (dim + 1) * dim, *v = values + s * (dim + 1);
+        double *worst = x + dim * dim, *c = centroid + s * dim, *t = trial + s * dim;
+        long long was = phase[s];
+        if (was == DONE)
+            continue;
+        if (was == INIT || was == SHRINK) {
+            for (size_t j = 1; j <= dim; j++)
+                v[j] = *f_many++;
+            evals[s] += dim;
+        } else {
+            double f = *f_one++;
+            evals[s]++;
+            if (was == REFLECT && f < v[0]) {
+                __builtin_memcpy(reflected + s * dim, t, bytes);
+                f_reflected[s] = f;
+                for (size_t i = 0; i < dim; i++)
+                    t[i] = c[i] + EXPAND_BY * (c[i] - worst[i]);
+                phase[s] = EXPAND;
+            } else if (was == REFLECT && !(f < v[dim - 1])) {
+                for (size_t i = 0; i < dim; i++)
+                    t[i] = c[i] + CONTRACT_BY * (worst[i] - c[i]);
+                phase[s] = CONTRACT;
+            } else if (was == CONTRACT && !(f < v[dim])) {
+                for (size_t j = 1; j <= dim; j++)
+                    for (size_t i = 0; i < dim; i++)
+                        x[j * dim + i] = x[i] + SHRINK_BY * (x[j * dim + i] - x[i]);
+                phase[s] = SHRINK;
+            } else if (was == EXPAND && !(f < f_reflected[s])) {
+                __builtin_memcpy(worst, reflected + s * dim, bytes);
+                v[dim] = f_reflected[s];
+            } else {
+                /* a reflected point kept, an expanded point better than its
+                   reflection, or a contracted point accepted */
+                __builtin_memcpy(worst, t, bytes);
+                v[dim] = f;
+            }
+            if (phase[s] != was)
+                continue;
+        }
+        for (size_t j = 1; j <= dim; j++) {
+            double key = v[j];
+            size_t at = j;
+            while (at > 0 && before(key, v[at - 1]))
+                at--;
+            if (at == j)
+                continue;
+            __builtin_memcpy(row, x + j * dim, bytes);
+            __builtin_memmove(x + (at + 1) * dim, x + at * dim, (j - at) * bytes);
+            __builtin_memmove(v + at + 1, v + at, (j - at) * sizeof(double));
+            __builtin_memcpy(x + at * dim, row, bytes);
+            v[at] = key;
+        }
+        ready[sorted++] = (ptrdiff_t)s;
+        double spread = v[dim] - v[0];
+        int settled = __builtin_isfinite(spread) && spread < tol;
+        converged[s] = settled;
+        if (settled || evals[s] >= max_evals) {
+            phase[s] = DONE;
+            continue;
+        }
+        iterations[s]++;
+        for (size_t i = 0; i < dim; i++) {
+            double sum = 0.0;
+            for (size_t j = 0; j < dim; j++)
+                sum += x[j * dim + i];
+            c[i] = sum / (double)dim;
+            t[i] = c[i] + REFLECT_BY * (c[i] - worst[i]);
+        }
+        phase[s] = REFLECT;
+    }
+    return sorted;
+}
+"""
+# what the pending points of a search are, numbered in this order; DONE has none
+_PHASES = ("INIT", "REFLECT", "EXPAND", "CONTRACT", "SHRINK", "DONE")
+INIT, REFLECT, EXPAND, CONTRACT, SHRINK, DONE = range(len(_PHASES))
+# the step's coefficients of reflection, expansion, contraction and shrink
+_COEFFICIENTS = {"REFLECT_BY": 1.0, "EXPAND_BY": 2.0, "CONTRACT_BY": 0.5, "SHRINK_BY": 0.5}
+_SOURCE += "".join([f"enum {{ {', '.join(_PHASES)} }};\n",
+                    *(f"#define {name} {value!r}\n" for name, value in _COEFFICIENTS.items()),
+                    _SIMPLEX_STEP])
 # -ffp-contract=off: a fused multiply-add would round 1 - x*x once, not twice,
 # and change the bits (GCC fuses by default in GNU C mode).  -O3 with
 # -fno-trapping-math lets GCC vectorize the select; without them the loop is
@@ -188,6 +359,17 @@ _SORTED_PROBE = np.array(sorted([
     2e154, 2e154 + 1e138, 3e154, 1e200, -1e200, 1.7e308, -1.7e308, 1.6e308]))
 _SORTED_PROBE_Y = np.array([-0.0 if k % 7 == 0 else (k * 5 % 11 - 5.0) / 3.0
                             for k in range(_SORTED_PROBE.size)])
+# a lockstep of ten searches of dimension 3 in every phase, on vertices whose
+# sums round differently in another order, and values of their pending
+# points that send them down every branch of the step: NaN, inf, ties and
+# -0, a search that converges and one that spends its budget
+_STEP_PROBE_PHASES = [INIT, SHRINK, REFLECT, REFLECT, REFLECT, EXPAND, EXPAND, CONTRACT,
+                      CONTRACT, DONE]
+_STEP_PROBE_SIMPLEX = np.sin(np.arange(120.0)).reshape(10, 4, 3)
+_STEP_PROBE_VALUES = np.array([[1.0, np.inf, np.inf, np.inf], [0.0, 7.0, 7.0, 7.0]]
+                              + [[1.0, 2.0, 3.0, 4.0]] * 8)
+_STEP_PROBE_GOT = np.array([np.nan, 0.5, 0.5, 0.0, -0.0, 0.0, 0.5, 1.5, 3.0, 0.25, 0.5, 2.5,
+                            np.inf])
 # points per tile of the numpy window sums
 _TILE_ROWS = 64
 
@@ -274,6 +456,163 @@ def _numpy_window_sums(points: np.ndarray, samples: np.ndarray, responses: np.nd
     return sums
 
 
+class SimplexLockstep:
+    """The array state of S Nelder-Mead searches of dimension dim, one row per
+    search, and its step.
+
+    ``simplex`` (S, dim + 1, dim) holds each search's vertices and
+    ``values`` (S, dim + 1) their objective values; ``phase`` says what a
+    search's pending points are (``INIT`` and ``SHRINK``: vertices 1 to
+    dim; ``REFLECT``, ``EXPAND`` and ``CONTRACT``: its ``trial`` point;
+    ``DONE``: none).  ``centroid``, ``trial`` and ``reflected`` share one
+    (3, S, dim) block; ``reflected`` and ``f_reflected`` hold the reflected
+    point and its value while a search expands.  The counters ``phase``,
+    ``evals`` (from 1, the start's evaluation), ``iterations`` and
+    ``converged`` share one (4, S) int64 block.  The lockstep updates
+    ``simplex`` and ``values`` in place when they are C-ordered float64
+    arrays, and copies of them otherwise.  A step is :meth:`pack`, one objective call on
+    its points, and :meth:`advance` with their values; a search stops when
+    its simplex's value spread is below ``tol`` or it has spent
+    ``max_evals``.  With the library loaded each of the two is one C call,
+    the operations of its numpy form (:func:`_numpy_pack`,
+    :func:`_numpy_advance`) search by search in the same order, so either
+    gives the same bits.
+    """
+
+    def __init__(self, simplex, values, phase, max_evals: int, tol: float):
+        count, _, dim = simplex.shape
+        self.simplex = np.ascontiguousarray(simplex, dtype=np.float64)
+        self.values = np.ascontiguousarray(values, dtype=np.float64)
+        self.vectors = np.empty((3, count, dim))
+        self.centroid, self.trial, self.reflected = self.vectors
+        self.f_reflected = np.empty(count)
+        self.counters = np.zeros((4, count), dtype=np.int64)
+        self.phase, self.evals, self.iterations, self.converged = self.counters
+        self.phase[:] = phase
+        self.evals[:] = 1
+        self.max_evals, self.tol = max_evals, tol
+        # the library's pointers to the state, made once: simplex, values,
+        # vectors, f_reflected, trial, counters and phase
+        self._pointers = (*map(_pointer, (self.simplex, self.values, self.vectors,
+                                          self.f_reflected, self.trial)),
+                          _integers(self.counters), _integers(self.phase))
+
+    def pack(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(which, points)``: the pending points of every live search and the
+        search of each, first the vertices 1 to dim of each search in INIT or
+        SHRINK, in search order, then the trial point of each other live
+        search; both empty once every search is done."""
+        if _simplex_step is None:
+            return _numpy_pack(self)
+        return _compiled_pack(self, _simplex_step[0])
+
+    def advance(self, got) -> np.ndarray:
+        """Apply each search's branch to the values ``got`` of the points of
+        the last :meth:`pack`; return the searches whose simplex was complete
+        again and is now sorted."""
+        if _simplex_step is None:
+            return _numpy_advance(self, got)
+        return _compiled_advance(self, got, _simplex_step[1])
+
+
+def _numpy_pack(lockstep: SimplexLockstep):
+    """:meth:`SimplexLockstep.pack` in numpy."""
+    phase, dim = lockstep.phase, lockstep.simplex.shape[-1]
+    live = np.flatnonzero(phase != DONE)
+    live_phase = phase[live]
+    many = live[(live_phase == INIT) | (live_phase == SHRINK)]
+    one = live[(live_phase != INIT) & (live_phase != SHRINK)]
+    lockstep._pending_rows = many, one
+    which, points = np.repeat(many, dim), lockstep.simplex[many, 1:].reshape(-1, dim)
+    if one.size:
+        which, points = np.concatenate([which, one]), np.concatenate([points, lockstep.trial[one]])
+    return which, points
+
+
+def _numpy_advance(lockstep: SimplexLockstep, got) -> np.ndarray:
+    """:meth:`SimplexLockstep.advance` in numpy, after :func:`_numpy_pack`.
+
+    Each branch is a masked update, and a branch no search takes is skipped,
+    which changes no decision.  The searches to sort are ordered by a stable
+    argsort, which puts NaN last, and a search that goes on takes its
+    centroid from np.sum over its vertices 0 to dim - 1 divided by dim,
+    np.mean's own sum and division without its dispatch cost.
+    """
+    reflect, expand, contract, shrink = _COEFFICIENTS.values()
+    simplex, values, phase, evals = (lockstep.simplex, lockstep.values, lockstep.phase,
+                                      lockstep.evals)
+    centroid, trial, reflected = lockstep.centroid, lockstep.trial, lockstep.reflected
+    f_reflected = lockstep.f_reflected
+    many, one = lockstep._pending_rows
+    dim = simplex.shape[-1]
+    ready = []
+    if many.size:
+        values[many, 1:] = got[:many.size * dim].reshape(many.size, dim)
+        evals[many] += dim
+        ready.append(many)
+    if one.size:
+        evals[one] += 1
+        got, one_phase = got[many.size * dim:], phase[one]
+        at = one_phase == REFLECT
+        s = one[at]
+        if s.size:
+            f = got[at]
+            grow = f < values[s, 0]
+            keep = ~grow & (f < values[s, -2])
+            g = s[grow]
+            if g.size:
+                reflected[g], f_reflected[g] = trial[g], f[grow]
+                trial[g] = centroid[g] + expand * (centroid[g] - simplex[g, -1])
+                phase[g] = EXPAND
+            k = s[keep]
+            if k.size:
+                simplex[k, -1], values[k, -1] = trial[k], f[keep]
+                ready.append(k)
+            c = s[~grow & ~keep]
+            if c.size:
+                trial[c] = centroid[c] + contract * (simplex[c, -1] - centroid[c])
+                phase[c] = CONTRACT
+        at = one_phase == EXPAND
+        s = one[at]
+        if s.size:
+            f = got[at]
+            better = f < f_reflected[s]
+            simplex[s, -1] = np.where(better[:, None], trial[s], reflected[s])
+            values[s, -1] = np.where(better, f, f_reflected[s])
+            ready.append(s)
+        at = one_phase == CONTRACT
+        s = one[at]
+        if s.size:
+            f = got[at]
+            better = f < values[s, -1]
+            k = s[better]
+            if k.size:
+                simplex[k, -1], values[k, -1] = trial[k], f[better]
+                ready.append(k)
+            k = s[~better]
+            if k.size:
+                simplex[k, 1:] = simplex[k, :1] + shrink * (simplex[k, 1:] - simplex[k, :1])
+                phase[k] = SHRINK
+    if not ready:
+        return np.empty(0, dtype=np.intp)
+    ready = np.concatenate(ready)
+    order = values[ready].argsort(axis=1, kind="stable")
+    simplex[ready] = simplex[ready[:, None], order]
+    values[ready] = values[ready[:, None], order]
+    spread = values[ready, -1] - values[ready, 0]
+    settled = np.isfinite(spread) & (spread < lockstep.tol)
+    lockstep.converged[ready[settled]] = True
+    stop = settled | (evals[ready] >= lockstep.max_evals)
+    phase[ready[stop]] = DONE
+    s = ready[~stop]
+    if s.size:
+        lockstep.iterations[s] += 1
+        centroid[s] = simplex[s, :-1].sum(axis=1) / dim
+        trial[s] = centroid[s] + reflect * (centroid[s] - simplex[s, -1])
+        phase[s] = REFLECT
+    return ready
+
+
 def _cache_dir() -> str | None:
     """The first usable cache directory, made if missing, or ``None``.
 
@@ -346,20 +685,95 @@ def _build(path: str) -> None:
 # A loop's pointer argument: from_buffer refuses a read-only or non-contiguous
 # array, and on numpy 2.4 costs a third of what arr.ctypes.data does per call.
 _pointer = ctypes.c_double.from_buffer
+_indices = ctypes.c_ssize_t.from_buffer  # intp
+_integers = ctypes.c_longlong.from_buffer  # int64
+_flags = ctypes.c_bool.from_buffer
+
+
+def _compiled_pack(lockstep: SimplexLockstep, pack):
+    """:meth:`SimplexLockstep.pack` through the library's ``pack``: one call
+    counts the points, a second writes them."""
+    count, _, dim = lockstep.simplex.shape
+    simplex, _, _, _, trial, _, phase = lockstep._pointers
+    state = (simplex, trial, phase, count, dim)
+    size = pack(None, None, *state)
+    which, points = np.empty(size, dtype=np.intp), np.empty((size, dim))
+    if size:
+        pack(_indices(which), _pointer(points), *state)
+    lockstep._pending_count = size
+    return which, points
+
+
+def _compiled_advance(lockstep: SimplexLockstep, got, advance) -> np.ndarray:
+    """:meth:`SimplexLockstep.advance` through the library's ``advance``,
+    after :func:`_compiled_pack`; it reads exactly the packed count of values."""
+    count, _, dim = lockstep.simplex.shape
+    got = np.asarray(got, dtype=np.float64)
+    if not got.flags.carray:
+        got = got.copy()
+    if got.shape != (lockstep._pending_count,):
+        raise ValueError(f"expected {lockstep._pending_count} objective values, got shape "
+                         f"{got.shape}")
+    simplex, values, vectors, f_reflected, _, counters, _ = lockstep._pointers
+    ready = np.empty(count, dtype=np.intp)
+    # a budget beyond a C long long would wrap; no count of evaluations reaches 2**62
+    size = advance(_indices(ready), simplex, values, vectors, f_reflected, counters,
+                   _pointer(got), count, dim, min(lockstep.max_evals, 2**62), lockstep.tol)
+    return ready[:size]
+
+
+def _compiled_loo(points, order, responses, loop):
+    """``(estimates, excluded)`` of :func:`loo_estimates` through the
+    library's ``loop``, with ``order`` the (B, n) intp argsort of ``points``."""
+    batch, n = points.shape
+    estimates, excluded = np.empty(points.shape), np.empty(points.shape, dtype=bool)
+    loop(_pointer(estimates), _flags(excluded), _pointer(points), _indices(order),
+         responses.ctypes.data, n if responses.ndim > 1 else 0, n, batch,
+         _pointer(np.empty(4 * n)))
+    return estimates, excluded
+
+
+def _stepped(pack, advance) -> bytes:
+    """The bytes of two steps of the probe lockstep, through ``pack`` and
+    ``advance``: the packed points, the sorted searches in search order and
+    the whole state."""
+    lockstep = SimplexLockstep(_STEP_PROBE_SIMPLEX.copy(), _STEP_PROBE_VALUES.copy(),
+                               _STEP_PROBE_PHASES, 20, 1e-8)
+    lockstep.vectors[:] = np.linspace(-2.0, 2.0, lockstep.vectors.size).reshape(3, 10, 3)
+    lockstep.f_reflected[:] = 0.5
+    lockstep.evals[7] = 19
+    parts = []
+    for got in (_STEP_PROBE_GOT, None):
+        which, points = pack(lockstep)
+        if got is None:
+            # quantized values of the second step's points: ties and +-0
+            got = np.floor(points @ np.array([4.0, -8.0, 2.0])) / 4.0
+        parts += [which, points, np.sort(advance(lockstep, got))]
+    parts += [lockstep.simplex, lockstep.values, lockstep.vectors, lockstep.f_reflected,
+              lockstep.counters]
+    return b"".join(part.tobytes() for part in parts)
 
 
 def _open(path: str):
-    """``(weights, window)``, the two loops of the library at ``path``, once
-    each has matched its numpy form on a probe, every kind of window sums
-    included."""
+    """``(weights, window, (pack, advance), loo)``, the loops of the library
+    at ``path``, once each has matched its numpy form on a probe: every kind
+    of window sums, the leave-one-out estimates and two Nelder-Mead steps."""
     library = ctypes.CDLL(path)
     weights, window = library.fsim_kernel_weights, library.fsim_window_sums
-    double_p = ctypes.POINTER(ctypes.c_double)
-    weights.argtypes = (double_p, double_p, double_p, ctypes.c_size_t, ctypes.c_size_t,
-                        ctypes.c_size_t)
-    window.argtypes = (ctypes.c_int, double_p, double_p, ctypes.c_size_t, double_p, double_p,
-                       ctypes.c_size_t, ctypes.c_double, ctypes.c_size_t)
-    weights.restype = window.restype = None
+    pack, advance = library.fsim_simplex_pack, library.fsim_simplex_advance
+    loo = library.fsim_loo_estimates
+    double_p, index_p = ctypes.POINTER(ctypes.c_double), ctypes.POINTER(ctypes.c_ssize_t)
+    integer_p, size = ctypes.POINTER(ctypes.c_longlong), ctypes.c_size_t
+    weights.argtypes = (double_p, double_p, double_p, size, size, size)
+    window.argtypes = (ctypes.c_int, double_p, double_p, size, double_p, double_p, size,
+                       ctypes.c_double, size)
+    loo.argtypes = (double_p, ctypes.POINTER(ctypes.c_bool), double_p, index_p, ctypes.c_void_p,
+                    size, size, size, double_p)
+    pack.argtypes = (index_p, double_p, double_p, double_p, integer_p, size, size)
+    advance.argtypes = (index_p, double_p, double_p, double_p, double_p, integer_p, double_p,
+                        size, size, ctypes.c_longlong, ctypes.c_double)
+    weights.restype = window.restype = loo.restype = None
+    pack.restype = advance.restype = size
     # three stacked tiles: every probe value against every one in its stack,
     # inf - inf, overflowing differences and exact cancellations included
     points, samples = _PROBE.reshape(3, -1).copy(), _PROBE[::-1].reshape(3, -1).copy()
@@ -380,26 +794,43 @@ def _open(path: str):
                p.size // p.shape[-1])
         if sums.tobytes() != expected.tobytes():
             raise OSError(f"{path} does not reproduce the numpy {_KINDS[kind]} window sums")
-    return weights, window
+        if kind == 0:
+            loo_sums = expected
+    # the leave-one-out estimates of the same stack given in descending order
+    # with its descending argsort: its sums' ratio, NaN where the window is
+    # empty, put back
+    den, num = loo_sums[:, 0], loo_sums[:, 1]
+    expected = np.divide(num, den, out=np.full(den.shape, np.nan), where=den != 0.0)
+    estimates, excluded = _compiled_loo(stack[:, ::-1].copy(),
+                                        np.tile(np.arange(s.size)[::-1], (2, 1)),
+                                        np.stack([y, -y])[:, ::-1].copy(), loo)
+    if (estimates.tobytes() != expected[:, ::-1].tobytes()
+            or not np.array_equal(excluded, den[:, ::-1] == 0.0)):
+        raise OSError(f"{path} does not reproduce the numpy leave-one-out estimates")
+    if (_stepped(lambda lockstep: _compiled_pack(lockstep, pack),
+                 lambda lockstep, got: _compiled_advance(lockstep, got, advance))
+            != _stepped(_numpy_pack, _numpy_advance)):
+        raise OSError(f"{path} does not reproduce the numpy Nelder-Mead step")
+    return weights, window, (pack, advance), loo
 
 
 def _load():
-    """``(weights, window, path)`` of the cached library, built first when
-    missing, or ``(None, None, None)`` when there is no usable cache
+    """``(weights, window, step, loo, path)`` of the cached library, built
+    first when missing, or five ``None`` when there is no usable cache
     directory or the build, the load or a probe fails."""
     directory = _cache_dir()
     if directory is None:
-        return None, None, None
+        return (None,) * 5
     path = _library_path(directory)
     try:
         if not os.path.exists(path):
             _build(path)
         return *_open(path), path
     except (OSError, AttributeError):
-        return None, None, None
+        return (None,) * 5
 
 
-_weights, _window_sums, COMPILED_LIBRARY = _load()
+_weights, _window_sums, _simplex_step, _loo_estimates, COMPILED_LIBRARY = _load()
 # the one point smooth_kernel measures its arguments from: s - (+0) is s for
 # every double, -0, the infinities and NaN included
 _ORIGIN = np.zeros(1)
@@ -478,6 +909,30 @@ def window_sums(points: np.ndarray, samples: np.ndarray, responses: np.ndarray,
                      points.size // m)
         return sums
     return _numpy_window_sums(points, samples, responses, h)
+
+
+def loo_estimates(points: np.ndarray, responses: np.ndarray):
+    """Leave-one-out Nadaraya-Watson estimates of a stack of problems, or
+    ``None`` when the compiled library cannot take them.
+
+    ``points`` (B, n) holds each problem's finite h-scaled index and
+    ``responses`` (B, n), or (n,) shared by every problem, their finite
+    responses.  Numpy's argsort orders each row; then one library call
+    gathers each row by its order, takes its leave-one-out window sums in
+    the loop of :func:`window_sums` and writes ``(estimates, excluded)``
+    back in sample order: sum w y / sum w, and NaN and excluded where the
+    sample's window holds no other sample.  It needs a loaded library and
+    nonempty C-ordered float64 arrays (the responses may be read-only);
+    else it returns ``None``, and the caller takes the numpy walk, whose
+    bits these are.
+    """
+    if (_loo_estimates is None or points.ndim != 2 or not points.size
+            or responses.shape not in (points.shape, points.shape[-1:])
+            or points.dtype != np.float64 or responses.dtype != np.float64
+            or not (points.flags.carray and responses.flags.c_contiguous
+                    and responses.flags.aligned)):
+        return None
+    return _compiled_loo(points, np.argsort(points, axis=-1), responses, _loo_estimates)
 
 
 def smooth_kernel(s):

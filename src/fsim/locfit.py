@@ -17,10 +17,12 @@ of the local fits (quadratic behind GCV, curve grids and RASE; constant
 for k-fold's held-out Nadaraya-Watson prediction), and the leave-one-out
 estimator inside the coefficient-search objective above ``ONE_TILE_MAX``
 samples.  :func:`nw_loo_all` takes one leave-one-out problem or a stack of
-them, the points of a lockstep step: above the cap one batched sort and one
-window-sums call cover the stack, and up to it one :func:`transform_inplace`
-call forms the weights of a dense stack of tiles.  The call never splits a
-stack; its callers bound them by :func:`stack_size`.  The pointwise fits
+them, the points of a lockstep step: above the cap one batched argsort and
+one :func:`fsim.kernel.loo_estimates` call cover the stack (one batched
+sort and one window-sums call without the compiled library), and up to it
+one :func:`transform_inplace` call forms the weights of a dense stack of
+tiles.  The call never splits a stack; its callers bound them by
+:func:`stack_size`.  The pointwise fits
 (:func:`local_quad_fit`, :func:`smoother_matrix`, :func:`relocated_fit`)
 stay as the reference for the batched ones.
 
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import is_integer, readonly_array
-from .kernel import NORMALIZER, smooth_kernel, transform_inplace, window_sums
+from .kernel import NORMALIZER, loo_estimates, smooth_kernel, transform_inplace, window_sums
 
 MIN_WINDOW_POINTS = 3
 CONDITION_LIMIT = 1e12
@@ -241,16 +243,16 @@ def _nw_tile(points, responses):
 
 def _nw_loo_sums(points, responses):
     """Leave-one-out kernel sums ``(den, num)`` at every h-scaled sample of a
-    stack of (B, n) problems, with (B, n) responses or one (n,) vector for all.
+    stack of (B, n) problems, with (B, n) responses or one (n,) vector for
+    all, above ``ONE_TILE_MAX`` samples: the numpy walk.
 
-    Up to ``ONE_TILE_MAX`` samples the stack is one dense stack of tiles
-    (:func:`_nw_tile`).  Beyond that one batched sort orders every problem,
-    one call to :func:`fsim.kernel.window_sums` sums every sample over its
-    own window, and the sums are put back in sample order.
+    One batched sort orders every problem, one call to
+    :func:`fsim.kernel.window_sums` sums every sample over its own window,
+    and the sums are put back in sample order.  It runs where the compiled
+    library does not (:func:`_nw_loo`), and its ratio is the reference of
+    :func:`fsim.kernel.loo_estimates`.
     """
     n = points.shape[-1]
-    if n <= ONE_TILE_MAX:
-        return _nw_tile(points, responses)
     den, num = np.empty(points.shape), np.empty(points.shape)
     # each problem sorted, and its sums put back in sample order, through
     # flat indices: take_along_axis, or a scatter along the last axis of a
@@ -264,6 +266,23 @@ def _nw_loo_sums(points, responses):
     den.reshape(-1)[at] = sums[:, 0].reshape(-1)
     num.reshape(-1)[at] = sums[:, 1].reshape(-1)
     return den, num
+
+
+def _nw_loo(points, responses):
+    """Leave-one-out estimates ``(estimates, excluded)`` at every h-scaled
+    sample of a stack of (B, n) problems, with (B, n) responses or one (n,)
+    vector for all.
+
+    Up to ``ONE_TILE_MAX`` samples the stack is one dense stack of tiles
+    (:func:`_nw_tile`).  Beyond that one :func:`fsim.kernel.loo_estimates`
+    call sorts, sums and divides every problem; where the compiled library
+    cannot take the stack, the numpy walk (:func:`_nw_loo_sums`) and
+    :func:`_nw_ratio` give the same bits.
+    """
+    if points.shape[-1] <= ONE_TILE_MAX:
+        return _nw_ratio(*_nw_tile(points, responses))
+    estimates = loo_estimates(points, responses)
+    return _nw_ratio(*_nw_loo_sums(points, responses)) if estimates is None else estimates
 
 
 # the largest dense stack of one nw_loo_all call (S n^2 weights), and the
@@ -300,9 +319,9 @@ def nw_loo_all(index_values, responses, h):
     excluded marks samples with no other sample inside their window; their
     estimate entry is NaN.  A NaN or infinite index value or response
     raises :class:`ValueError`.  Each problem's results are those it has
-    alone, bit for bit, whatever shares its stack.  The call makes one dense stack
-    or one window-sums call (:func:`_nw_loo_sums`) however large the stack:
-    callers split large ones by :func:`stack_size`.
+    alone, bit for bit, whatever shares its stack.  The call makes one dense
+    stack, or one :func:`fsim.kernel.loo_estimates` call (:func:`_nw_loo`),
+    however large the stack: callers split large ones by :func:`stack_size`.
     """
     z = np.asarray(index_values, dtype=float)
     y = np.asarray(responses, dtype=float)
@@ -316,9 +335,9 @@ def nw_loo_all(index_values, responses, h):
     check_finite(y, "responses")
     scaled = z / h[..., None]
     if z.ndim == 1:
-        den, num = _nw_loo_sums(scaled[None], y)
-        return _nw_ratio(den[0], num[0])
-    return _nw_ratio(*_nw_loo_sums(scaled, y))
+        estimates, excluded = _nw_loo(scaled[None], y)
+        return estimates[0], excluded[0]
+    return _nw_loo(scaled, y)
 
 
 def nw_predict(index_values, responses, points, h: float):

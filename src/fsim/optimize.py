@@ -5,8 +5,9 @@ leave kernel windows), so the outer search is derivative-free.  Every
 search runs through :func:`minimize_each`, many at once on the full data
 or on subsets of it (:func:`minimize` is its one-search call), on one
 array-state Nelder-Mead (:func:`_nelder_mead`) whose every step is one
-:class:`fsim.model.StackedObjective` call; the searches of a lockstep
-are split across the CPUs this process may use (:func:`_in_parts`).
+:class:`fsim.model.StackedObjective` call between two calls of the
+compiled step (:class:`fsim.kernel.SimplexLockstep`); the searches of a
+lockstep are split across the CPUs this process may use (:func:`_in_parts`).
 Four ways of choosing the start point are supported: the known truth
 (simulations), an ordinary least squares fit assuming a linear link, an
 all-equal vector, and a pool of standard normal draws prefiltered by
@@ -25,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import is_integer, readonly_array
+from .kernel import DONE, INIT, SimplexLockstep
 from .locfit import SingularFitError, raise_failure
 from .model import (
     Dataset,
@@ -281,28 +283,26 @@ def _fork(run, rows) -> tuple:
         os._exit(status)
 
 
-# what the pending points of a search are; DONE has none
-INIT, REFLECT, EXPAND, CONTRACT, SHRINK, DONE = range(6)
-
-
 def _nelder_mead(objective, starts: np.ndarray, max_evals: int) -> list:
     """Reflection / expansion / contraction / shrink searches, one from each row of ``starts``.
 
     ``objective(which, points)`` returns the value of each row of
     ``points`` for search ``which[i]``.  The searches run in lockstep on one
-    array-state simplex: each step evaluates every running search's pending
-    points with one objective call, then applies each search's branch as a
-    masked update.  Every reduction and comparison stays per search, so a
-    search's points and result do not depend on which searches share the
-    lockstep.  A search stops when its simplex objective spread drops below
-    ``SPREAD_TOL`` or its evaluation budget runs out; a shrink step may
-    overshoot the budget by up to dim evaluations.  Its entry is then
-    ``(best vertex, its value, iterations, converged, per-iteration
-    best-value trace, evaluations)``.  A search whose start value is not
-    finite stops after it, and its entry is a
-    :class:`DegenerateObjectiveError`; the others run on.
+    array state, :class:`fsim.kernel.SimplexLockstep`: each step packs every
+    running search's pending points, evaluates them with one objective
+    call and advances every search by its branch, one library call each for
+    the pack and the advance when the compiled library is loaded, their
+    numpy forms otherwise, with the same bits.  Every reduction and
+    comparison stays per search, so a search's points and result do not
+    depend on which searches share the lockstep.  A search stops when its
+    simplex objective spread drops below ``SPREAD_TOL`` or its evaluation
+    budget runs out; a shrink step may overshoot the budget by up to dim
+    evaluations.  Its entry is then ``(best vertex, its value, iterations,
+    converged, per-iteration best-value trace, evaluations)``.  A search
+    whose start value is not finite stops after it, and its entry is a
+    :class:`DegenerateObjectiveError`; the others run on.  The start
+    simplex, the trace and the entries are formed here.
     """
-    reflect, expand, contract, shrink = 1.0, 2.0, 0.5, 0.5
     count, dim = starts.shape
     everyone = np.arange(count)
 
@@ -316,106 +316,23 @@ def _nelder_mead(objective, starts: np.ndarray, max_evals: int) -> list:
     values[:, 0] = f0
     phase = np.full(count, DONE if max_evals < dim + 2 else INIT)
     phase[failed] = DONE
-    evals = np.ones(count, dtype=int)
-    iterations = np.zeros(count, dtype=int)
-    converged = np.zeros(count, dtype=bool)
-    centroid = np.empty((count, dim))
-    # the pending point of a search in REFLECT, EXPAND or CONTRACT, and the
-    # reflected point and its value while it expands
-    trial = np.empty((count, dim))
-    reflected = np.empty((count, dim))
-    f_reflected = np.empty(count)
+    lockstep = SimplexLockstep(simplex, values, phase, max_evals, SPREAD_TOL)
     early = everyone[(phase == DONE) & ~failed]
     trace_rows, trace_values = [early], [f0[early]]
-
     while True:
-        live = np.flatnonzero(phase != DONE)
-        if not live.size:
+        which, points = lockstep.pack()
+        if not which.size:
             break
-        live_phase = phase[live]
-        many = live[(live_phase == INIT) | (live_phase == SHRINK)]
-        one = live[(live_phase != INIT) & (live_phase != SHRINK)]
-        which, points = np.repeat(many, dim), simplex[many, 1:].reshape(-1, dim)
-        if one.size:
-            which, points = np.concatenate([which, one]), np.concatenate([points, trial[one]])
-        got = objective(which, points)
-        # the searches whose simplex is complete again, to be sorted; a
-        # branch no search takes is skipped, which changes no decision
-        ready = []
-        if many.size:
-            values[many, 1:] = got[:many.size * dim].reshape(many.size, dim)
-            evals[many] += dim
-            ready.append(many)
-        if one.size:
-            evals[one] += 1
-            got, one_phase = got[many.size * dim:], phase[one]
-            at = one_phase == REFLECT
-            s = one[at]
-            if s.size:
-                f = got[at]
-                grow = f < values[s, 0]
-                keep = ~grow & (f < values[s, -2])
-                g = s[grow]
-                if g.size:
-                    reflected[g], f_reflected[g] = trial[g], f[grow]
-                    trial[g] = centroid[g] + expand * (centroid[g] - simplex[g, -1])
-                    phase[g] = EXPAND
-                k = s[keep]
-                if k.size:
-                    simplex[k, -1], values[k, -1] = trial[k], f[keep]
-                    ready.append(k)
-                c = s[~grow & ~keep]
-                if c.size:
-                    trial[c] = centroid[c] + contract * (simplex[c, -1] - centroid[c])
-                    phase[c] = CONTRACT
-            at = one_phase == EXPAND
-            s = one[at]
-            if s.size:
-                f = got[at]
-                better = f < f_reflected[s]
-                simplex[s, -1] = np.where(better[:, None], trial[s], reflected[s])
-                values[s, -1] = np.where(better, f, f_reflected[s])
-                ready.append(s)
-            at = one_phase == CONTRACT
-            s = one[at]
-            if s.size:
-                f = got[at]
-                better = f < values[s, -1]
-                k = s[better]
-                if k.size:
-                    simplex[k, -1], values[k, -1] = trial[k], f[better]
-                    ready.append(k)
-                k = s[~better]
-                if k.size:
-                    simplex[k, 1:] = simplex[k, :1] + shrink * (simplex[k, 1:] - simplex[k, :1])
-                    phase[k] = SHRINK
-        if not ready:
-            continue
-
-        s = np.concatenate(ready)
-        order = values[s].argsort(axis=1, kind="stable")
-        simplex[s] = simplex[s[:, None], order]
-        values[s] = values[s[:, None], order]
-        trace_rows.append(s)
-        trace_values.append(values[s, 0])
-        spread = values[s, -1] - values[s, 0]
-        settled = np.isfinite(spread) & (spread < SPREAD_TOL)
-        converged[s[settled]] = True
-        stop = settled | (evals[s] >= max_evals)
-        phase[s[stop]] = DONE
-        s = s[~stop]
-        if not s.size:
-            continue
-        iterations[s] += 1
-        # per search np.mean's own sum and division, bit for bit, without its dispatch cost
-        centroid[s] = simplex[s, :-1].sum(axis=1) / dim
-        trial[s] = centroid[s] + reflect * (centroid[s] - simplex[s, -1])
-        phase[s] = REFLECT
+        ready = lockstep.advance(objective(which, points))
+        if ready.size:
+            trace_rows.append(ready)
+            trace_values.append(lockstep.values[ready, 0])
 
     rows = np.concatenate(trace_rows)
     by_search = rows.argsort(kind="stable")
     traced = np.concatenate(trace_values)[by_search]
     bounds = np.searchsorted(rows[by_search], np.arange(count + 1)).tolist()
+    simplex, values = lockstep.simplex, lockstep.values
     best = values.argmin(axis=1)
     outcomes = []
     for k in range(count):
@@ -424,8 +341,9 @@ def _nelder_mead(objective, starts: np.ndarray, max_evals: int) -> list:
                 "objective is not finite at the initialization"))
             continue
         b = int(best[k])
-        outcomes.append((simplex[k, b], float(values[k, b]), int(iterations[k]),
-                         bool(converged[k]), traced[bounds[k]:bounds[k + 1]], int(evals[k])))
+        outcomes.append((simplex[k, b], float(values[k, b]), int(lockstep.iterations[k]),
+                         bool(lockstep.converged[k]), traced[bounds[k]:bounds[k + 1]],
+                         int(lockstep.evals[k])))
     return outcomes
 
 

@@ -98,8 +98,8 @@ def test_third_derivative_continuous_at_boundary():
 
 @pytest.fixture(scope="module")
 def loops(tmp_path_factory):
-    """The compiled loops ``(weights, window)``, built afresh from the
-    shipped source and flags."""
+    """The compiled loops ``(weights, window, (pack, advance), loo)``, built
+    afresh from the shipped source and flags."""
     if shutil.which("cc") is None:
         pytest.skip("no C compiler cc on PATH")
     path = kernel._library_path(str(tmp_path_factory.mktemp("kernel")))
@@ -526,20 +526,26 @@ def test_neither_path_warns(monkeypatch, compiled):
 
 
 # prints which transform ran and a hash of the leave-one-out sums (dense,
-# walked and stacked), of held-out predictions (dense and walked) and of a
-# curve grid; a fresh process runs the loader as shipped
+# walked and stacked), of held-out predictions (dense and walked), of a
+# curve grid and of a lockstep of Nelder-Mead searches on a quantized
+# stand-in objective; a fresh process runs the loader as shipped
 PROBE_SCRIPT = """
 import hashlib, json
 import numpy as np
-from fsim import kernel, locfit
+from fsim import kernel, locfit, optimize
 rng = np.random.default_rng(7)
 z = rng.standard_normal(400)
 y = np.sin(z) + 0.1 * rng.standard_normal(400)
 at = np.linspace(-3.0, 3.0, 300)
 parts = [*locfit.nw_loo_all(z[:100], y[:100], 0.4), *locfit.nw_loo_all(z, y, 0.3),
          *locfit.nw_loo_all(z.reshape(20, 20), y.reshape(20, 20), np.linspace(0.2, 1.0, 20)),
+         *locfit.nw_loo_all(z.reshape(4, 100), y[:100], np.linspace(0.2, 1.0, 4)),
          *locfit.nw_predict(z[:100], y[:100], at[:50], 0.4), *locfit.nw_predict(z, y, at, 0.2),
          locfit.curve_estimates(z, y, np.linspace(-2.0, 2.0, 41), 0.5, derivative=2)]
+searches = optimize._nelder_mead(
+    lambda which, points: np.floor(((points - 0.1 * which[:, None]) ** 2).sum(axis=1) * 64.0),
+    z[:40].reshape(8, 5), 300)
+parts += [np.array(part) for search in searches for part in search]
 digest = hashlib.sha256(b"".join(part.tobytes() for part in parts)).hexdigest()
 print(json.dumps({"library": kernel.COMPILED_LIBRARY, "digest": digest}))
 """
@@ -600,6 +606,30 @@ class TestLoader:
         (cache / "fsim").chmod(0o500)
         (tmp_path / "tmp").mkdir()
         (tmp_path / "tmp" / f"fsim-{os.getuid()}").write_text("")
+        result = fresh_import(tmp_path, os.environ["PATH"].split(os.pathsep))
+        assert result == {"library": None, "digest": numpy_digest}
+
+    @pytest.mark.parametrize("line, replacement, half", [
+        # NaN no longer sorts last in a simplex
+        ("return a < b || (b != b && a == a);", "return a < b;", "Nelder-Mead step"),
+        # the responses stay in sample order while their samples are sorted
+        ("sorted_y[j] = y[order[j]];", "sorted_y[j] = y[j];", "leave-one-out estimates"),
+    ])
+    def test_a_library_failing_a_new_probe_half_is_used_for_nothing(
+            self, tmp_path, monkeypatch, numpy_digest, line, replacement, half):
+        # the faulty library sits under the shipped source's name, so the
+        # fresh import loads it without a build and refuses every loop of it
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler cc on PATH")
+        cache = tmp_path / "cache" / "fsim"
+        cache.mkdir(parents=True)
+        cache.chmod(0o700)
+        path = kernel._library_path(str(cache))
+        assert line in kernel._SOURCE
+        monkeypatch.setattr(kernel, "_SOURCE", kernel._SOURCE.replace(line, replacement))
+        kernel._build(path)
+        with pytest.raises(OSError, match=f"numpy {half}"):
+            kernel._open(path)
         result = fresh_import(tmp_path, os.environ["PATH"].split(os.pathsep))
         assert result == {"library": None, "digest": numpy_digest}
 

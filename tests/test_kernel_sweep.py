@@ -103,8 +103,15 @@ def test_main_prints_facts_and_table(capsys):
         f"| curve_estimates, {kernel_sweep.CURVE_POINTS} points at n = {kernel_sweep.CURVE_N}"]
     assert out[23] == ("| n | window sums per evaluation, no compiler "
                        "| level_fits pass, no compiler |")
-    assert [line.split(" | ")[0] for line in out[25:]] == [
+    end = 25 + len(kernel_sweep.FALLBACK_SIZES)
+    assert [line.split(" | ")[0] for line in out[25:end]] == [
         f"| {n}" for n in kernel_sweep.FALLBACK_SIZES]
+    assert out[end] == "| Nelder–Mead bookkeeping per step, dim 24 | compiled | no compiler |"
+    assert [line.split(" | ")[0] for line in out[end + 2:end + 5]] == [
+        "| 1 search", "| 30 searches", "| 100 searches"]
+    assert out[end + 5].startswith("| leave-one-out stack, per call | one library call | ")
+    assert [line.split(" | ")[0] for line in out[end + 7:]] == [
+        f"| {locfit.stack_size(n)} × {n}" for n in kernel_sweep.STACK_SIZES]
 
 
 def test_crossover_names_where_the_walk_keeps_winning():
@@ -150,3 +157,48 @@ def test_transform_path_names_the_loaded_library(monkeypatch):
     assert kernel_sweep.transform_path() == "compiled weights (/cache/transform-0.so)"
     monkeypatch.setattr(kernel_sweep.kernel, "COMPILED_LIBRARY", None)
     assert kernel_sweep.transform_path() == "numpy passes"
+
+
+def test_loops_name_every_compiled_entry_of_the_kernel():
+    # the no-compiler tables switch off every loop the library gives
+    assert kernel_sweep.LOOPS == ("_weights", "_window_sums", "_simplex_step",
+                                  "_loo_estimates")
+    assert all(hasattr(kernel_sweep.kernel, name) for name in kernel_sweep.LOOPS)
+
+
+def test_bookkeeping_rows_run_with_and_without_the_compiled_step(monkeypatch):
+    seen = []
+    nelder_mead = kernel_sweep._nelder_mead
+
+    def spy(objective, starts, budget):
+        seen.append((kernel_sweep.kernel._simplex_step, starts.shape, budget))
+        return nelder_mead(objective, starts, budget)
+
+    monkeypatch.setattr(kernel_sweep, "_nelder_mead", spy)
+    rows = kernel_sweep.bookkeeping_times(1, seed=3, searches=(2,))
+    assert [count for count, *_ in rows] == [2] and all(t > 0.0 for t in rows[0][1:])
+    assert [shape for _, shape, _ in seen] == [(2, 24)] * 2
+    assert seen[0][0] is kernel_sweep.kernel._simplex_step and seen[1][0] is None
+    assert kernel_sweep.bookkeeping_table([(1, 1.5e-5, 6e-5), (30, 3e-5, 2e-4)]) == [
+        "| Nelder–Mead bookkeeping per step, dim 24 | compiled | no compiler |",
+        "| --- | --- | --- |", "| 1 search | 15 µs | 60 µs |", "| 30 searches | 30 µs | 200 µs |"]
+
+
+def test_stack_rows_switch_the_stack_call_then_every_loop_off(monkeypatch):
+    seen = []
+    nw_loo_all = kernel_sweep.locfit.nw_loo_all
+
+    def spy(z, y, h):
+        seen.append((kernel_sweep.kernel._loo_estimates, kernel_sweep.kernel._window_sums,
+                     z.shape))
+        return nw_loo_all(z, y, h)
+
+    monkeypatch.setattr(kernel_sweep.locfit, "nw_loo_all", spy)
+    loops = (kernel_sweep.kernel._loo_estimates, kernel_sweep.kernel._window_sums)
+    rows = kernel_sweep.stack_times(1, seed=3, sizes=(70,))
+    assert [n for n, *_ in rows] == [70] and all(t > 0.0 for t in rows[0][1:])
+    assert {entry[2] for entry in seen} == {(locfit.stack_size(70), 70)}
+    assert [entry[:2] for entry in seen[::10]] == [(None, loops[1]), loops, (None, None)]
+    assert (kernel_sweep.kernel._loo_estimates, kernel_sweep.kernel._window_sums) == loops
+    assert kernel_sweep.stack_table([(90, 2e-4, 2.5e-4, 8e-3)])[2] == (
+        "| 91 × 90 | 200 µs | 250 µs | 8 ms |")

@@ -187,9 +187,10 @@ def direct_nw(points, samples, y, h, leave_one_out):
     return estimates, np.isnan(estimates), scale
 
 
-def spy_window_sums(calls):
-    """``locfit.window_sums`` that records its arguments in ``calls``."""
-    sums = locfit.window_sums
+def spy_window_sums(calls, sums=None):
+    """``locfit.window_sums``, or the function ``sums``, recording its
+    arguments in ``calls``."""
+    sums = sums or locfit.window_sums
 
     def spy(*args):
         calls.append(args)
@@ -360,23 +361,68 @@ class TestKernelSumEngine:
 
     @pytest.mark.parametrize("n", [n for n in ENGINE_SIZES if n > CUTOFF])
     def test_one_loop_call_per_walk(self, n, monkeypatch):
-        # the walk sorts the index once and sums it in one window_sums call,
-        # with no kernel transform of its own
-        calls, transforms = [], []
+        # above the cap a leave-one-out call makes one loo_estimates call with
+        # the h-scaled index, and no kernel transform of its own; with the
+        # library that call is the whole walk, and without it the numpy walk
+        # sorts the index once and sums it in one window_sums call
+        calls, stacks, transforms = [], [], []
         monkeypatch.setattr(locfit, "window_sums", spy_window_sums(calls))
+        monkeypatch.setattr(locfit, "loo_estimates", spy_window_sums(stacks, locfit.loo_estimates))
         monkeypatch.setattr(locfit, "transform_inplace", lambda *args: transforms.append(args))
         rng = np.random.default_rng(n + 3)
         z = awkward_index(n, rng)
         y = rng.normal(size=n)
-        for h in WALK_BANDWIDTHS:
-            calls.clear()
-            locfit._nw_loo_sums((z / h)[None], y)
-            [(p, s, sorted_y)] = calls
-            order = np.argsort(z / h)
-            np.testing.assert_array_equal(p, (z / h)[order][None])
-            np.testing.assert_array_equal(sorted_y, y[order][None])
-            assert s is p
+        for compiled in (True, False):
+            if not compiled:
+                monkeypatch.setattr(kernel, "_loo_estimates", None)
+            elif kernel._loo_estimates is None:
+                continue
+            for h in WALK_BANDWIDTHS:
+                calls.clear()
+                stacks.clear()
+                nw_loo_all(z, y, h)
+                [(scaled, responses)] = stacks
+                np.testing.assert_array_equal(scaled, (z / h)[None])
+                assert responses is y
+                if compiled:
+                    assert calls == []
+                    continue
+                [(p, s, sorted_y)] = calls
+                order = np.argsort(z / h)
+                np.testing.assert_array_equal(p, (z / h)[order][None])
+                np.testing.assert_array_equal(sorted_y, y[order][None])
+                assert s is p
         assert transforms == []
+
+    @pytest.mark.parametrize("shared", [True, False])
+    @pytest.mark.parametrize("n", [65, 90, 257, 1000])
+    def test_stack_call_is_the_numpy_walk_byte_for_byte(self, n, shared, monkeypatch):
+        # one library call per stack gives the estimates and excluded flags
+        # of the numpy walk and its ratio, empty windows and -0 included
+        if kernel._loo_estimates is None:
+            pytest.skip("no compiled library loaded")
+        rng = np.random.default_rng(n + 5)
+        z = np.stack([awkward_index(n, rng) for _ in range(6)])
+        scaled = z / np.array([1e-9, 0.004, 0.08, 0.5, 3.0, 200.0])[:, None]
+        y = rng.normal(size=n if shared else z.shape)
+        y[..., ::5] = -0.0
+        got = kernel.loo_estimates(scaled, y)
+        monkeypatch.setattr(kernel, "_window_sums", None)
+        expected = locfit._nw_ratio(*locfit._nw_loo_sums(scaled, y))
+        assert got[0].tobytes() == expected[0].tobytes()
+        assert got[1].dtype == bool and got[1].tobytes() == expected[1].tobytes()
+        assert got[1][0].any() and not got[1][-1].any()
+
+    def test_arrays_the_library_cannot_take_go_to_the_numpy_walk(self):
+        # strided, float32 or one-dimensional arrays, and an empty stack
+        p = np.linspace(-3.0, 3.0, 80)
+        y = np.cos(p)
+        stack = np.stack([p, p / 2.0])
+        for points, responses in [(stack[:, ::2], y[::2]), (stack, y[::-1]),
+                                  (stack.astype(np.float32), y), (stack, y.astype(np.float32)),
+                                  (p, y), (stack[:0], y)]:
+            assert kernel.loo_estimates(points, responses) is None
+        assert (kernel._loo_estimates is None) == (kernel.loo_estimates(stack, y) is None)
 
     @pytest.mark.parametrize("n", sorted({10, CUTOFF + 1, 200, 257}))
     def test_one_loop_call_per_prediction_or_fit_pass(self, n, monkeypatch):
@@ -518,7 +564,8 @@ class TestKernelSumEngine:
             assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
 
     def test_batch_stacks_at_most_one_dense_tile_of_pairs(self, monkeypatch):
-        # a batch makes one dense stack or one window-sums call, however
+        # a batch makes one dense stack or one loo_estimates call (the one
+        # library call, or the numpy walk's one window-sums call), however
         # large; stack_size tells callers how many problems to pass
         shapes, calls = [], []
         tile = locfit._nw_tile
@@ -528,14 +575,14 @@ class TestKernelSumEngine:
             return tile(points, responses)
 
         monkeypatch.setattr(locfit, "_nw_tile", spy)
-        monkeypatch.setattr(locfit, "window_sums", spy_window_sums(calls))
+        monkeypatch.setattr(locfit, "loo_estimates", spy_window_sums(calls, locfit.loo_estimates))
         rng = np.random.default_rng(12)
         for n in (CUTOFF, CUTOFF + 1):
             z = rng.normal(size=(20, n))
             nw_loo_all(z, rng.normal(size=z.shape), np.full(20, 0.5))
         assert shapes == [(20, CUTOFF, CUTOFF)]
-        [(p, s, _)] = calls
-        assert p.shape == (20, CUTOFF + 1) and s is p
+        [(p, _)] = calls
+        assert p.shape == (20, CUTOFF + 1)
         # problems of 90 x 90 pairs: 8 fit in STACK_PAIRS = 65536 pairs, 9 do not
         monkeypatch.setattr(locfit, "ONE_TILE_MAX", 90)
         assert locfit.stack_size(90) == 8 and locfit.stack_size(91) == locfit.STACK_VALUES // 91

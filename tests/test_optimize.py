@@ -5,11 +5,14 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fsim.bandwidth import choose_random_start
 from fsim.basis import FourierBasis
 from fsim.locfit import SingularFitError
-from fsim import model, optimize
+from fsim import kernel, model, optimize
 from fsim.model import (
     Dataset,
     DegenerateObjectiveError,
@@ -332,16 +335,32 @@ def serial_nelder_mead(fn, x0, max_evals, spread_tol):
     return simplex[best], float(values[best]), iterations, converged, trace, evals
 
 
+def numpy_step(monkeypatch):
+    """Run the Nelder-Mead step on its numpy forms, as without a compiler."""
+    monkeypatch.setattr(kernel, "_simplex_step", None)
+
+
+# a zero start entry takes the 2.5e-4 vertex; budgets 0 and 4 stop before
+# the simplex; the n=8 searches shrink, one until it converges and one
+# until the budget runs out
+STEPPER_CASES = [(13, 40, 0.5, 0, False), (13, 40, 0.5, 4, False), (13, 40, 0.5, 60, False),
+                 (13, 40, 0.5, 400, False), (24, 10, 0.15, 400, True), (26, 8, 0.6, 400, True)]
+
+
 class TestStepper:
-    # a zero start entry takes the 2.5e-4 vertex; budgets 0 and 4 stop before
-    # the simplex; the n=8 searches shrink, one until it converges and one
-    # until the budget runs out
-    @pytest.mark.parametrize("seed, n, h, budget, shrinks", [
-        (13, 40, 0.5, 0, False), (13, 40, 0.5, 4, False), (13, 40, 0.5, 60, False),
-        (13, 40, 0.5, 400, False), (24, 10, 0.15, 400, True), (26, 8, 0.6, 400, True),
-    ])
+    @pytest.mark.parametrize("seed, n, h, budget, shrinks", STEPPER_CASES)
     def test_minimize_makes_the_calls_of_the_serial_loop(self, monkeypatch, seed, n, h,
                                                            budget, shrinks):
+        self.check(monkeypatch, seed, n, h, budget, shrinks)
+
+    @pytest.mark.parametrize("seed, n, h, budget, shrinks", STEPPER_CASES)
+    def test_the_numpy_step_makes_the_calls_of_the_serial_loop(self, monkeypatch, seed, n, h,
+                                                                 budget, shrinks):
+        numpy_step(monkeypatch)
+        self.check(monkeypatch, seed, n, h, budget, shrinks)
+
+    @staticmethod
+    def check(monkeypatch, seed, n, h, budget, shrinks):
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(n, 5))
         data = single_block_data(x, np.exp(-x[:, 1]) + 0.1 * rng.normal(size=n))
@@ -396,6 +415,15 @@ class TestLockstep:
     # zero entries, a start whose value is not finite, budgets below dim + 2
     @pytest.mark.parametrize("budget", [0, 4, 30, 200])
     def test_each_search_is_the_serial_loop(self, monkeypatch, budget):
+        self.check_serial(monkeypatch, budget)
+
+    @pytest.mark.parametrize("budget", [0, 4, 30, 200])
+    def test_each_search_of_the_numpy_step_is_the_serial_loop(self, monkeypatch, budget):
+        numpy_step(monkeypatch)
+        self.check_serial(monkeypatch, budget)
+
+    @staticmethod
+    def check_serial(monkeypatch, budget):
         rng = np.random.default_rng(40)
         data = single_block_data(rng.normal(size=(12, 4)), rng.normal(size=12))
         starts = np.array([[0.0, 1.0, 0.0], [2.0, -1.0, 0.5], [30.0, 30.0, 30.0],
@@ -426,6 +454,15 @@ class TestLockstep:
     # all-zero start fails at its initialization
     @pytest.mark.parametrize("n", [60, 300])
     def test_full_data_and_subset_objectives_agree(self, n):
+        self.check_subsets(n)
+
+    @pytest.mark.parametrize("n", [60, 300])
+    def test_full_data_and_subset_objectives_agree_on_the_numpy_step(self, monkeypatch, n):
+        numpy_step(monkeypatch)
+        self.check_subsets(n)
+
+    @staticmethod
+    def check_subsets(n):
         rng = np.random.default_rng(41)
         x = rng.uniform(-0.6, 0.6, size=(n, 4))
         data = single_block_data(x, np.sin(2.0 * x[:, 1]) + 0.1 * rng.normal(size=n))
@@ -440,6 +477,67 @@ class TestLockstep:
         assert [result_fields(r) for r in subsets] == [result_fields(r) for r in full]
         assert isinstance(full[2], DegenerateObjectiveError)
         assert all(r.iterations > 0 for k, r in enumerate(full) if k != 2)
+
+
+STARTS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -2.5, 30.0]), st.floats(-3.0, 3.0))
+
+
+@st.composite
+def lockstep_cases(draw):
+    """Starts of 1-12 searches of dimension 1-8, a budget (often below
+    dim + 2), and a stand-in objective: quantized squares (ties, +-0), +inf
+    far out and NaN beyond an edge, so that some starts fail."""
+    count, dim = draw(st.integers(1, 12)), draw(st.integers(1, 8))
+    starts = draw(arrays(np.float64, (count, dim), elements=STARTS))
+    budget = draw(st.one_of(st.integers(0, 12), st.integers(0, 300)))
+    quantum = draw(st.sampled_from([0.25, 1.0, 2.0**-30]))
+    edge = draw(st.floats(0.5, 5.0))
+
+    def objective(which, points):
+        centre = 0.3 * (which % 3)[:, None]
+        value = np.floor(((points - centre) ** 2).sum(axis=1) / quantum) * quantum
+        value = np.where(np.abs(points).sum(axis=1) > 50.0, np.inf, value)
+        return np.where(points[:, 0] > edge, np.nan, value)
+
+    return starts, budget, objective
+
+
+class TestCompiledStep:
+    @settings(max_examples=150, deadline=None)
+    @given(lockstep_cases())
+    def test_compiled_step_is_the_numpy_step_bit_for_bit(self, case):
+        # every point scored and every outcome field, the failed starts'
+        # errors included, on the library's step and on its numpy forms
+        if kernel._simplex_step is None:
+            pytest.skip("no compiled library loaded")
+        starts, budget, objective = case
+        runs = []
+        for step in (kernel._simplex_step, None):
+            calls = []
+
+            def spy(which, points):
+                calls.append(which.tobytes() + points.tobytes())
+                return objective(which, points)
+
+            saved, kernel._simplex_step = kernel._simplex_step, step
+            try:
+                outcomes = optimize._nelder_mead(spy, starts.copy(), budget)
+            finally:
+                kernel._simplex_step = saved
+            runs.append((calls, [(type(o), str(o)) if isinstance(o, Exception) else
+                                 (o[0].tobytes(), np.float64(o[1]).tobytes(), *o[2:4],
+                                  o[4].tobytes(), o[5]) for o in outcomes]))
+        assert runs[0] == runs[1]
+
+    def test_a_short_value_array_is_refused(self):
+        if kernel._simplex_step is None:
+            pytest.skip("no compiled library loaded")
+        lockstep = kernel.SimplexLockstep(np.zeros((2, 3, 2)), np.zeros((2, 3)),
+                                          [kernel.INIT, kernel.DONE], 10, 1e-8)
+        which, points = lockstep.pack()
+        assert which.tolist() == [0, 0] and points.shape == (2, 2)
+        with pytest.raises(ValueError, match="expected 2 objective values"):
+            lockstep.advance(np.zeros(1))
 
 
 class TestStartStrategies:

@@ -37,8 +37,18 @@ unlike ``level_fits`` does not raise on an unusable row) at n = 250, 1000 and 40
 ``--rounds`` rounds of 20 calls.  A last table times the numpy forms that run
 without a compiler: the step of the first table on the window sums and the
 ``level_fits`` pass at n = 90, 200 and 1000, best of ``--rounds`` rounds (a
-round of the pass is five calls).  fsim is imported from ``PYTHONPATH`` when
-that provides it, else from the ``src`` directory of this checkout.
+round of the pass is five calls).  Then come the Nelder-Mead bookkeeping per
+step, the objective excluded: one ``optimize._nelder_mead`` lockstep of 1,
+30 and 100 searches of dimension 24 from standard normal starts, 300
+evaluations each, on a cheap stand-in objective whose time is taken out,
+with the compiled step and without any compiled loop, best of ``--rounds``;
+and one leave-one-out stack (``nw_loo_all`` of ``locfit.stack_size(m)``
+problems, a g3 draw's true index at the bandwidths of its grid) at m = 90,
+200 and 1000: as one ``kernel.loo_estimates`` library call, on the compiled
+window sums with numpy's gathers and scatters, and without any compiled
+loop, best of ``--rounds`` rounds of ten calls.  fsim is imported from
+``PYTHONPATH`` when that provides it, else from the ``src`` directory of
+this checkout.
 """
 
 from __future__ import annotations
@@ -59,7 +69,7 @@ if importlib.util.find_spec("fsim") is None:
 from fsim import kernel, locfit
 from fsim.bandwidth import BandwidthGrid, _fold_split, _held_out_score
 from fsim.model import StackedObjective
-from fsim.optimize import minimize_each
+from fsim.optimize import _nelder_mead, minimize_each
 from fsim.simulate import SimScenario, generate
 
 
@@ -73,7 +83,11 @@ LEVEL_SIZES = (250, 1000, 4000)
 CURVE_POINTS, CURVE_N = 1000, 200
 # sizes of the table without a compiler, and the compiled loops it switches off
 FALLBACK_SIZES = (90, 200, 1000)
-LOOPS = ("_weights", "_window_sums")
+LOOPS = ("_weights", "_window_sums", "_simplex_step", "_loo_estimates")
+# lockstep sizes, dimension and budget of the Nelder-Mead bookkeeping table
+STEP_SEARCHES, STEP_DIM, STEP_BUDGET = (1, 30, 100), 24, 300
+# sample counts of the leave-one-out stack table
+STACK_SIZES = (90, 200, 1000)
 
 
 def transform_path() -> str:
@@ -282,6 +296,70 @@ def kfold_times(rounds: int, seed: int = 0) -> list[tuple[str, float, float]]:
                                  held_out_grid))]
 
 
+def bookkeeping_time(searches: int, rounds: int, seed: int = 0, dim: int = STEP_DIM,
+                     budget: int = STEP_BUDGET) -> float:
+    """Best seconds of Nelder-Mead bookkeeping per step: one
+    ``optimize._nelder_mead`` lockstep of ``searches`` searches of dimension
+    ``dim`` from standard normal starts, ``budget`` evaluations each, on a
+    cheap stand-in objective whose own time is taken out; the time is split
+    over every objective call but the start's."""
+    rng = np.random.default_rng(seed)
+    starts, centre = rng.standard_normal((searches, dim)), rng.standard_normal(dim)
+    best = np.inf
+    for _ in range(rounds):
+        objective_s, calls = 0.0, 0
+
+        def objective(which, points):
+            nonlocal objective_s, calls
+            started = time.perf_counter()
+            values = ((points - centre) ** 2).sum(axis=1)
+            objective_s += time.perf_counter() - started
+            calls += 1
+            return values
+
+        started = time.perf_counter()
+        _nelder_mead(objective, starts, budget)
+        best = min(best, (time.perf_counter() - started - objective_s) / (calls - 1))
+    return best
+
+
+def bookkeeping_times(rounds: int, seed: int = 0, searches=STEP_SEARCHES):
+    """``(searches, compiled_s, numpy_s)`` rows of the bookkeeping table:
+    :func:`bookkeeping_time` with the compiled step and with every compiled
+    loop of ``fsim.kernel`` set to ``None``."""
+    return [(count, bookkeeping_time(count, rounds, seed),
+             _without_compiler(lambda: bookkeeping_time(count, rounds, seed)))
+            for count in searches]
+
+
+def stack_time(n: int, rounds: int, seed: int = 0) -> float:
+    """Best mean seconds per ``nw_loo_all`` call of one stack of
+    ``stack_size(n)`` leave-one-out problems: the true index of a g3 draw
+    of ``n`` samples at the bandwidths of its grid in turn."""
+    data, truth, grid = _g3_draw(n, seed)
+    count = locfit.stack_size(n)
+    stack, hs = np.broadcast_to(truth.index, (count, n)), np.resize(grid, count)
+    return _best(lambda: locfit.nw_loo_all(stack, data.y, hs), rounds, 10)
+
+
+def stack_times(rounds: int, seed: int = 0, sizes=STACK_SIZES):
+    """``(n, library_s, window_s, numpy_s)`` rows of the stack table:
+    :func:`stack_time` as shipped (one ``kernel.loo_estimates`` call), on
+    the compiled window sums with numpy's gathers and scatters (the stack
+    call switched off), and with every compiled loop switched off."""
+    rows = []
+    for n in sizes:
+        saved = kernel._loo_estimates
+        kernel._loo_estimates = None
+        try:
+            window = stack_time(n, rounds, seed)
+        finally:
+            kernel._loo_estimates = saved
+        rows.append((n, stack_time(n, rounds, seed), window,
+                     _without_compiler(lambda: stack_time(n, rounds, seed))))
+    return rows
+
+
 def _duration(seconds: float) -> str:
     if seconds >= 1e-3:
         return f"{seconds * 1e3:.3g} ms"
@@ -323,6 +401,22 @@ def fallback_table(rows) -> list[str]:
                for n, window, level in rows])
 
 
+def bookkeeping_table(rows) -> list[str]:
+    """The markdown table of :func:`bookkeeping_times` rows."""
+    return ([f"| Nelder–Mead bookkeeping per step, dim {STEP_DIM} | compiled | no compiler |",
+             "| --- | --- | --- |"]
+            + [f"| {count} search{'es' if count > 1 else ''} | {_duration(compiled)} | "
+               f"{_duration(numpy)} |" for count, compiled, numpy in rows])
+
+
+def stack_table(rows) -> list[str]:
+    """The markdown table of :func:`stack_times` rows."""
+    return (["| leave-one-out stack, per call | one library call | window sums and numpy "
+             "| no compiler |", "| --- | --- | --- | --- |"]
+            + [f"| {locfit.stack_size(n)} × {n} | " + " | ".join(map(_duration, times)) + " |"
+               for n, *times in rows])
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sizes", default="40,64,90,128,200,256,1000",
@@ -343,6 +437,8 @@ def main(argv=None) -> int:
     print("\n".join(step_table(objective, kfold_times(args.rounds, args.seed))))
     print("\n".join(quad_table(local_quadratic_times(args.rounds, args.seed))))
     print("\n".join(fallback_table(fallback_times(args.rounds, args.seed))))
+    print("\n".join(bookkeeping_table(bookkeeping_times(args.rounds, args.seed))))
+    print("\n".join(stack_table(stack_times(args.rounds, args.seed))))
     return 0
 
 
