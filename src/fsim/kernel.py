@@ -1,30 +1,30 @@
 """Compactly supported smoothing kernel with three continuous derivatives,
 and the compiled library behind the estimator's inner loops.
 
+Each job of the library is one door that makes one library call, with its
+numpy form beside it as the reference and the path without a compiler.
 :func:`transform_inplace`, the kernel without its constant, forms the
 weights of a dense tile: given a tile's points and samples it forms each
 kernel argument samples[j] - points[i] and its weight in one pass, so no
 caller writes the arguments out; :func:`smooth_kernel` passes its arguments
-as samples against one zero point.  :func:`window_sums` forms every other
-kernel sum: for sorted points and samples it sums each point over its own
-window in ascending sample order, in one call, giving the leave-one-out sums
-(sum w, sum w y) of a sorted index or the local polynomial moments of points
-against samples.  :func:`loo_estimates` takes a whole stack of leave-one-out
-problems in one call: it sorts each, sums it in the leave-one-out loop and
-writes the estimates back in sample order.  :class:`SimplexLockstep` holds
-a lockstep of Nelder-Mead searches as arrays, and each of its steps packs
-the pending points and advances every search in one call each.  Points,
-samples and responses are finite, as the entry points of :mod:`fsim.locfit`
-check; the transform keeps its IEEE results for any argument, NaN and the
-infinities included.  On writeable, aligned, C-contiguous float64 arrays
-these run C loops, which the system C compiler (``cc``) builds once into a
-per-user cache and ``ctypes`` loads when this module is imported;
-``COMPILED_LIBRARY`` is the path of the library loaded, or ``None``.  Other
-arrays, and all arrays when no library could be built, loaded or trusted,
-take their numpy forms, which the loops reproduce bit for bit, and a library
-is trusted only once every loop has matched its numpy form on a probe.  The
-choice depends only on what the loader finds and on the arrays; no option
-selects it.
+as samples against one zero point.  :func:`window_sums` forms the local
+polynomial moments of sorted points against sorted samples, each point over
+its own window in ascending sample order.  :func:`loo_estimates` takes a
+whole stack of leave-one-out problems: it sorts each, sums it in the
+leave-one-out loop of the same window-sums template and writes the
+estimates back in sample order.  :class:`SimplexLockstep` holds a lockstep
+of Nelder-Mead searches as arrays, and each of its steps applies the values
+of the last points and gives out the next.  Points, samples and responses
+are finite, as the entry points of :mod:`fsim.locfit` check; the transform
+keeps its IEEE results for any argument, NaN and the infinities included.
+On writeable, aligned, C-contiguous float64 arrays these run C loops, which
+the system C compiler (``cc``) builds once into a per-user cache and
+``ctypes`` loads when this module is imported; ``COMPILED_LIBRARY`` is the
+path of the library loaded, or ``None``.  Other arrays, and all arrays when
+no library could be built, loaded or trusted, take their numpy forms, which
+the loops reproduce bit for bit, and a library is trusted only once every
+loop has matched its numpy form on a probe.  The choice depends only on
+what the loader finds and on the arrays; no option selects it.
 """
 
 import contextlib
@@ -168,14 +168,11 @@ static window_sums *widest_loop(int kind)
     return LOOPS[kind][widest == 8 ? 0 : widest == 4 ? 1 : 2];
 }
 
-/* the sums of batch problems, each of m points and n samples, one after the other */
-void fsim_window_sums(int kind, double *sums, const double *p, size_t m, const double *s,
-                      const double *y, size_t n, double h, size_t batch)
+/* the moments of m sorted points against n sorted samples */
+void fsim_window_sums(double *sums, const double *p, size_t m, const double *s, const double *y,
+                      size_t n, double h)
 {
-    window_sums *loop = widest_loop(kind);
-    size_t terms = kind ? 9 : 2;
-    for (size_t b = 0; b < batch; b++)
-        loop(sums + b * terms * m, p + b * m, m, s + b * n, y + b * n, n, h);
+    widest_loop(1)(sums, p, m, s, y, n, h);
 }
 
 /* the leave-one-out estimates of batch problems of n samples, one after the
@@ -210,27 +207,21 @@ void fsim_loo_estimates(double *estimates, _Bool *excluded, const double *points
 # other.  The centroid uses vertices 0 to dim - 1 and dim >= 1.
 _SIMPLEX_STEP = r"""
 
-/* the count of pending points, and unless which is NULL the points and their
-   searches, in the order of _numpy_pack */
-size_t fsim_simplex_pack(ptrdiff_t *which, double *points, const double *simplex,
-                         const double *trial, const long long *phase, size_t count, size_t dim)
+/* the pending points and their searches, in the order of _numpy_pack, and their count */
+static size_t pack(ptrdiff_t *which, double *points, const double *simplex, const double *trial,
+                   const long long *phase, size_t count, size_t dim)
 {
     size_t k = 0, bytes = dim * sizeof(double);
     for (size_t s = 0; s < count; s++)
         if (phase[s] == INIT || phase[s] == SHRINK)
-            for (size_t v = 1; v <= dim; v++, k++)
-                if (which) {
-                    which[k] = (ptrdiff_t)s;
-                    __builtin_memcpy(points + k * dim, simplex + (s * (dim + 1) + v) * dim,
-                                     bytes);
-                }
+            for (size_t v = 1; v <= dim; v++, k++) {
+                which[k] = (ptrdiff_t)s;
+                __builtin_memcpy(points + k * dim, simplex + (s * (dim + 1) + v) * dim, bytes);
+            }
     for (size_t s = 0; s < count; s++)
         if (phase[s] == REFLECT || phase[s] == EXPAND || phase[s] == CONTRACT) {
-            if (which) {
-                which[k] = (ptrdiff_t)s;
-                __builtin_memcpy(points + k * dim, trial + s * dim, bytes);
-            }
-            k++;
+            which[k] = (ptrdiff_t)s;
+            __builtin_memcpy(points + k++ * dim, trial + s * dim, bytes);
         }
     return k;
 }
@@ -241,11 +232,12 @@ static int before(double a, double b)
     return a < b || (b != b && a == a);
 }
 
-/* _numpy_advance: the searches sorted go to ready, and their count is returned */
-size_t fsim_simplex_advance(ptrdiff_t *ready, double *simplex, double *values,
-                            double *vectors, double *f_reflected, long long *counters,
-                            const double *got, size_t count, size_t dim, long long max_evals,
-                            double tol)
+/* _numpy_advance: the searches sorted go to ready, and their count is returned;
+   inlined into the step, it ran a fifth slower on 100 searches of dimension 24 */
+__attribute__((noinline))
+static size_t advance(const double *got, ptrdiff_t *ready, double *simplex, double *values,
+                      double *vectors, double *f_reflected, long long *counters, size_t count,
+                      size_t dim, long long max_evals, double tol)
 {
     double *centroid = vectors, *trial = vectors + count * dim, *reflected = trial + count * dim;
     long long *phase = counters, *evals = phase + count, *iterations = evals + count,
@@ -328,6 +320,21 @@ size_t fsim_simplex_advance(ptrdiff_t *ready, double *simplex, double *values,
     }
     return sorted;
 }
+
+/* one step: the values got of the *pending points the last step wrote go to
+   their searches (on the first step *pending is 0 and there are none), then
+   the next pending points and their searches go to points and which, and
+   their count to *pending; returns the count of searches sorted into ready */
+size_t fsim_simplex_step(const double *got, ptrdiff_t *ready, ptrdiff_t *which, double *points,
+                         size_t *pending, double *simplex, double *values, double *vectors,
+                         double *f_reflected, long long *counters, size_t count, size_t dim,
+                         long long max_evals, double tol)
+{
+    size_t sorted = *pending ? advance(got, ready, simplex, values, vectors, f_reflected,
+                                       counters, count, dim, max_evals, tol) : 0;
+    *pending = pack(which, points, simplex, vectors + count * dim, counters, count, dim);
+    return sorted;
+}
 """
 # what the pending points of a search are, numbered in this order; DONE has none
 _PHASES = ("INIT", "REFLECT", "EXPAND", "CONTRACT", "SHRINK", "DONE")
@@ -349,10 +356,10 @@ _FLAGS = ("-O3", "-fno-trapping-math", "-ffp-contract=off", "-fPIC", "-shared")
 _PROBE = np.concatenate([np.linspace(-1.1, 1.1, 45),
                          [0.0, -0.0, 1.0, -1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0),
                           5e-324, 1e-300, 1e200, np.inf, -np.inf, np.nan]])
-# a sorted index whose window sums of every kind a library must give the numpy
-# form's bits: ties, differences of exactly 1, within one rounding of 1 and
-# subnormal, squares that overflow, differences that overflow, and 53 points,
-# a ragged last block at every width
+# a sorted index whose moments and leave-one-out estimates a library must give
+# the numpy forms' bits: ties, differences of exactly 1, within one rounding of
+# 1 and subnormal, squares that overflow, differences that overflow, and 53
+# points, a ragged last block at every width
 _SORTED_PROBE = np.array(sorted([
     *np.linspace(-1.5, 1.5, 31).tolist(), 0.0, 0.0, -0.0, 0.5, 0.5, 1.5, -1.0, 1.0, 2.0,
     np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0), np.nextafter(-1.0, 0.0), 5e-324, 1e-310,
@@ -402,20 +409,21 @@ def _numpy_weights(u: np.ndarray, points: np.ndarray, samples: np.ndarray) -> np
 
 def _numpy_window_sums(points: np.ndarray, samples: np.ndarray, responses: np.ndarray,
                        h: float | None = None) -> np.ndarray:
-    """The sums of :func:`window_sums` in numpy, bit for bit.
+    """The window sums of one problem in numpy, bit for bit: with ``h`` the
+    moments of :func:`window_sums`, without it the leave-one-out sums (sum w,
+    sum w y) of a sorted index, ``samples is points``, that the library's
+    :func:`loo_estimates` loop takes.
 
-    A stack of problems is summed one problem after the other.  Tiles of
-    ``_TILE_ROWS`` sorted points each take the run of samples their first and
-    last points reach, found by the loop's own comparisons; a sample outside
-    a point's window weighs +0 and adds an exact +-0, as does the point's own
-    sample in the leave-one-out sums (no ``h``: the points are the samples),
-    and so do their w y terms, since the responses are finite.  A tile holds
-    its terms sample-major, so ``np.add.reduce`` over samples, which numpy
-    sums one sample after the other from ``initial`` off the fast axis
-    (pairwise only along it), sums each point in the loop's order;
-    ``np.add.accumulate`` gives the same bits about nine times slower.  A
-    tile of one point takes it twice, as one column would make the samples
-    the fast axis.
+    Tiles of ``_TILE_ROWS`` sorted points each take the run of samples their
+    first and last points reach, found by the loop's own comparisons; a
+    sample outside a point's window weighs +0 and adds an exact +-0, as does
+    the point's own sample in the leave-one-out sums, and so do their w y
+    terms, since the responses are finite.  A tile holds its terms
+    sample-major, so ``np.add.reduce`` over samples, which numpy sums one
+    sample after the other from ``initial`` off the fast axis (pairwise only
+    along it), sums each point in the loop's order; ``np.add.accumulate``
+    gives the same bits about nine times slower.  A tile of one point takes
+    it twice, as one column would make the samples the fast axis.
     """
     def arguments(samples, points):
         x = np.subtract(samples, points)
@@ -423,11 +431,6 @@ def _numpy_window_sums(points: np.ndarray, samples: np.ndarray, responses: np.nd
             x /= h
         return x
 
-    if points.ndim > 1:
-        sums = np.empty(points.shape[:-1] + (2 if h is None else 9, points.shape[-1]))
-        for b in np.ndindex(points.shape[:-1]):
-            sums[b] = _numpy_window_sums(points[b], samples[b], responses[b], h)
-        return sums
     sums = np.empty((2 if h is None else 9, points.size))
     # an argument, a square or a sum that overflows is an infinity, and a sum
     # of opposite infinities NaN, as in the loop, without a warning
@@ -456,6 +459,37 @@ def _numpy_window_sums(points: np.ndarray, samples: np.ndarray, responses: np.nd
     return sums
 
 
+def nw_ratio(den, num):
+    """``(estimates, excluded)`` from Nadaraya-Watson sums: num / den, and
+    excluded where the window is empty (den 0), whose estimate is NaN."""
+    excluded = den == 0.0
+    if not excluded.any():
+        return num / den, excluded
+    return np.divide(num, den, out=np.full(den.shape, np.nan), where=~excluded), excluded
+
+
+def _numpy_loo(points: np.ndarray, responses: np.ndarray):
+    """:func:`loo_estimates` in numpy, the walk: one batched argsort orders
+    every problem, :func:`_numpy_window_sums` takes the leave-one-out sums of
+    each, they go back to sample order and :func:`nw_ratio` divides."""
+    n = points.shape[-1]
+    # each problem sorted, and its sums put back in sample order, through
+    # flat indices: take_along_axis, or a scatter along the last axis of a
+    # 2-d array, is several times slower
+    order = np.argsort(points, axis=-1)
+    at = (order + n * np.arange(len(order))[:, None]).reshape(-1)
+    p = points.reshape(-1)[at].reshape(points.shape)
+    y = (responses.reshape(-1)[at] if responses.ndim > 1 else responses[order.reshape(-1)]
+         ).reshape(points.shape)
+    sorted_sums = np.empty((2,) + points.shape)
+    for b, row in enumerate(p):
+        sorted_sums[:, b] = _numpy_window_sums(row, row, y[b])
+    den, num = np.empty(points.shape), np.empty(points.shape)
+    den.reshape(-1)[at] = sorted_sums[0].reshape(-1)
+    num.reshape(-1)[at] = sorted_sums[1].reshape(-1)
+    return nw_ratio(den, num)
+
+
 class SimplexLockstep:
     """The array state of S Nelder-Mead searches of dimension dim, one row per
     search, and its step.
@@ -470,13 +504,13 @@ class SimplexLockstep:
     ``evals`` (from 1, the start's evaluation), ``iterations`` and
     ``converged`` share one (4, S) int64 block.  The lockstep updates
     ``simplex`` and ``values`` in place when they are C-ordered float64
-    arrays, and copies of them otherwise.  A step is :meth:`pack`, one objective call on
-    its points, and :meth:`advance` with their values; a search stops when
-    its simplex's value spread is below ``tol`` or it has spent
-    ``max_evals``.  With the library loaded each of the two is one C call,
-    the operations of its numpy form (:func:`_numpy_pack`,
-    :func:`_numpy_advance`) search by search in the same order, so either
-    gives the same bits.
+    arrays, and copies of them otherwise.  Each :meth:`step` applies the
+    values of the points the last one gave out and gives out the next; a
+    search stops when its simplex's value spread is below ``tol`` or it has
+    spent ``max_evals``.  With the library loaded a step is one C call, the
+    operations of its numpy form (:func:`_numpy_advance`, then
+    :func:`_numpy_pack`) search by search in the same order, so either gives
+    the same bits.
     """
 
     def __init__(self, simplex, values, phase, max_evals: int, tol: float):
@@ -491,32 +525,52 @@ class SimplexLockstep:
         self.phase[:] = phase
         self.evals[:] = 1
         self.max_evals, self.tol = max_evals, tol
-        # the library's pointers to the state, made once: simplex, values,
-        # vectors, f_reflected, trial, counters and phase
-        self._pointers = (*map(_pointer, (self.simplex, self.values, self.vectors,
-                                          self.f_reflected, self.trial)),
-                          _integers(self.counters), _integers(self.phase))
+        # the library step's buffers, at most S dim pending points, and the
+        # count of the points the last step gave out
+        self._ready = np.empty(count, dtype=np.intp)
+        self._which = np.empty(count * dim, dtype=np.intp)
+        self._points = np.empty((count * dim, dim))
+        self._pending = ctypes.c_size_t(0)
+        # the library step's arguments after the values, made once; a budget
+        # beyond a C long long would wrap, and no count of evaluations reaches 2**62
+        self._arguments = (_indices(self._ready), _indices(self._which), _pointer(self._points),
+                           self._pending,
+                           *map(_pointer, (self.simplex, self.values, self.vectors,
+                                           self.f_reflected)),
+                           _integers(self.counters), count, dim, min(max_evals, 2**62), tol)
 
-    def pack(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(which, points)``: the pending points of every live search and the
-        search of each, first the vertices 1 to dim of each search in INIT or
-        SHRINK, in search order, then the trial point of each other live
-        search; both empty once every search is done."""
+    def step(self, got=None):
+        """Apply each search's branch to the values ``got`` of the points the
+        last step gave out (none on the first step), then give out the next:
+        return ``(ready, which, points)``, the searches whose simplex was
+        complete again and is now sorted, and the pending points of every
+        live search with the search of each, first the vertices 1 to dim of
+        each search in INIT or SHRINK, in search order, then the trial point
+        of each other live search; ``which`` is empty once every search is
+        done.  The arrays may be views of buffers the next step overwrites.
+        """
+        got = np.empty(0) if got is None else np.asarray(got, dtype=np.float64)
+        if got.shape != (self._pending.value,):
+            raise ValueError(f"expected {self._pending.value} objective values, got shape "
+                             f"{got.shape}")
         if _simplex_step is None:
-            return _numpy_pack(self)
-        return _compiled_pack(self, _simplex_step[0])
+            return _numpy_step(self, got)
+        return _compiled_step(self, got, _simplex_step)
 
-    def advance(self, got) -> np.ndarray:
-        """Apply each search's branch to the values ``got`` of the points of
-        the last :meth:`pack`; return the searches whose simplex was complete
-        again and is now sorted."""
-        if _simplex_step is None:
-            return _numpy_advance(self, got)
-        return _compiled_advance(self, got, _simplex_step[1])
+
+def _numpy_step(lockstep: SimplexLockstep, got):
+    """:meth:`SimplexLockstep.step` in numpy."""
+    if lockstep._pending.value:
+        ready = _numpy_advance(lockstep, got)
+    else:
+        ready = np.empty(0, dtype=np.intp)
+    which, points = _numpy_pack(lockstep)
+    lockstep._pending.value = which.size
+    return ready, which, points
 
 
 def _numpy_pack(lockstep: SimplexLockstep):
-    """:meth:`SimplexLockstep.pack` in numpy."""
+    """``(which, points)`` of :meth:`SimplexLockstep.step` in numpy."""
     phase, dim = lockstep.phase, lockstep.simplex.shape[-1]
     live = np.flatnonzero(phase != DONE)
     live_phase = phase[live]
@@ -530,7 +584,8 @@ def _numpy_pack(lockstep: SimplexLockstep):
 
 
 def _numpy_advance(lockstep: SimplexLockstep, got) -> np.ndarray:
-    """:meth:`SimplexLockstep.advance` in numpy, after :func:`_numpy_pack`.
+    """The branches of :meth:`SimplexLockstep.step` on the values ``got`` of
+    the points of the last :func:`_numpy_pack`, in numpy; returns ``ready``.
 
     Each branch is a masked update, and a branch no search takes is skipped,
     which changes no decision.  The searches to sort are ordered by a stable
@@ -690,36 +745,14 @@ _integers = ctypes.c_longlong.from_buffer  # int64
 _flags = ctypes.c_bool.from_buffer
 
 
-def _compiled_pack(lockstep: SimplexLockstep, pack):
-    """:meth:`SimplexLockstep.pack` through the library's ``pack``: one call
-    counts the points, a second writes them."""
-    count, _, dim = lockstep.simplex.shape
-    simplex, _, _, _, trial, _, phase = lockstep._pointers
-    state = (simplex, trial, phase, count, dim)
-    size = pack(None, None, *state)
-    which, points = np.empty(size, dtype=np.intp), np.empty((size, dim))
-    if size:
-        pack(_indices(which), _pointer(points), *state)
-    lockstep._pending_count = size
-    return which, points
-
-
-def _compiled_advance(lockstep: SimplexLockstep, got, advance) -> np.ndarray:
-    """:meth:`SimplexLockstep.advance` through the library's ``advance``,
-    after :func:`_compiled_pack`; it reads exactly the packed count of values."""
-    count, _, dim = lockstep.simplex.shape
-    got = np.asarray(got, dtype=np.float64)
+def _compiled_step(lockstep: SimplexLockstep, got, step):
+    """:meth:`SimplexLockstep.step` through the library's ``step``: one call,
+    which writes the next points to the lockstep's buffers."""
     if not got.flags.carray:
         got = got.copy()
-    if got.shape != (lockstep._pending_count,):
-        raise ValueError(f"expected {lockstep._pending_count} objective values, got shape "
-                         f"{got.shape}")
-    simplex, values, vectors, f_reflected, _, counters, _ = lockstep._pointers
-    ready = np.empty(count, dtype=np.intp)
-    # a budget beyond a C long long would wrap; no count of evaluations reaches 2**62
-    size = advance(_indices(ready), simplex, values, vectors, f_reflected, counters,
-                   _pointer(got), count, dim, min(lockstep.max_evals, 2**62), lockstep.tol)
-    return ready[:size]
+    sorted_count = step(_pointer(got) if got.size else None, *lockstep._arguments)
+    pending = lockstep._pending.value
+    return lockstep._ready[:sorted_count], lockstep._which[:pending], lockstep._points[:pending]
 
 
 def _compiled_loo(points, order, responses, loop):
@@ -733,47 +766,44 @@ def _compiled_loo(points, order, responses, loop):
     return estimates, excluded
 
 
-def _stepped(pack, advance) -> bytes:
-    """The bytes of two steps of the probe lockstep, through ``pack`` and
-    ``advance``: the packed points, the sorted searches in search order and
-    the whole state."""
+def _stepped(step) -> bytes:
+    """The bytes of three steps of the probe lockstep through ``step``: the
+    sorted searches in search order and the points given out, taken before
+    the next step overwrites them, then the whole state."""
     lockstep = SimplexLockstep(_STEP_PROBE_SIMPLEX.copy(), _STEP_PROBE_VALUES.copy(),
                                _STEP_PROBE_PHASES, 20, 1e-8)
     lockstep.vectors[:] = np.linspace(-2.0, 2.0, lockstep.vectors.size).reshape(3, 10, 3)
     lockstep.f_reflected[:] = 0.5
     lockstep.evals[7] = 19
-    parts = []
-    for got in (_STEP_PROBE_GOT, None):
-        which, points = pack(lockstep)
-        if got is None:
-            # quantized values of the second step's points: ties and +-0
-            got = np.floor(points @ np.array([4.0, -8.0, 2.0])) / 4.0
-        parts += [which, points, np.sort(advance(lockstep, got))]
-    parts += [lockstep.simplex, lockstep.values, lockstep.vectors, lockstep.f_reflected,
-              lockstep.counters]
-    return b"".join(part.tobytes() for part in parts)
+    parts, got = [], np.empty(0)
+    for k in range(3):
+        ready, which, points = step(lockstep, got)
+        parts += [np.sort(ready).tobytes(), which.tobytes(), points.tobytes()]
+        # quantized values of the later steps' points: ties and +-0
+        got = _STEP_PROBE_GOT if k == 0 else np.floor(points @ np.array([4.0, -8.0, 2.0])) / 4.0
+    parts += [state.tobytes() for state in (lockstep.simplex, lockstep.values, lockstep.vectors,
+                                            lockstep.f_reflected, lockstep.counters)]
+    return b"".join(parts)
 
 
 def _open(path: str):
-    """``(weights, window, (pack, advance), loo)``, the loops of the library
-    at ``path``, once each has matched its numpy form on a probe: every kind
-    of window sums, the leave-one-out estimates and two Nelder-Mead steps."""
+    """``(weights, window, step, loo)``, the loops of the library at ``path``,
+    once each has matched its numpy form on a probe: the weights, the
+    moments, the leave-one-out estimates and three Nelder-Mead steps."""
     library = ctypes.CDLL(path)
     weights, window = library.fsim_kernel_weights, library.fsim_window_sums
-    pack, advance = library.fsim_simplex_pack, library.fsim_simplex_advance
-    loo = library.fsim_loo_estimates
+    step, loo = library.fsim_simplex_step, library.fsim_loo_estimates
     double_p, index_p = ctypes.POINTER(ctypes.c_double), ctypes.POINTER(ctypes.c_ssize_t)
     integer_p, size = ctypes.POINTER(ctypes.c_longlong), ctypes.c_size_t
     weights.argtypes = (double_p, double_p, double_p, size, size, size)
-    window.argtypes = (ctypes.c_int, double_p, double_p, size, double_p, double_p, size,
-                       ctypes.c_double, size)
+    window.argtypes = (double_p, double_p, size, double_p, double_p, size, ctypes.c_double)
     loo.argtypes = (double_p, ctypes.POINTER(ctypes.c_bool), double_p, index_p, ctypes.c_void_p,
                     size, size, size, double_p)
-    pack.argtypes = (index_p, double_p, double_p, double_p, integer_p, size, size)
-    advance.argtypes = (index_p, double_p, double_p, double_p, double_p, integer_p, double_p,
-                        size, size, ctypes.c_longlong, ctypes.c_double)
+    step.argtypes = (double_p, index_p, index_p, double_p, ctypes.POINTER(size), double_p,
+                     double_p, double_p, double_p, integer_p, size, size, ctypes.c_longlong,
+                     ctypes.c_double)
     weights.restype = window.restype = loo.restype = None
-    pack.restype = advance.restype = size
+    step.restype = size
     # three stacked tiles: every probe value against every one in its stack,
     # inf - inf, overflowing differences and exact cancellations included
     points, samples = _PROBE.reshape(3, -1).copy(), _PROBE[::-1].reshape(3, -1).copy()
@@ -781,37 +811,26 @@ def _open(path: str):
     weights(_pointer(tiles), _pointer(points), _pointer(samples), *tiles.shape)
     if tiles.tobytes() != _numpy_weights(np.empty_like(tiles), points, samples).tobytes():
         raise OSError(f"{path} does not reproduce the numpy kernel transform")
-    # the leave-one-out sums of a stack of the sorted probe and its half, and
-    # the probe's moments (h = 0.75) at every third of its values
+    # the moments (h = 0.75) of every third value of the sorted probe
     s, y = _SORTED_PROBE.copy(), _SORTED_PROBE_Y.copy()
-    third, stack = s[::3].copy(), np.stack([s, s / 2.0])
-    cases = [(stack, stack, np.stack([y, -y]), None), (third, s, y, 0.75)]
-    for kind, (p, samples, responses, h) in enumerate(cases):
-        expected = _numpy_window_sums(p, samples, responses, h)
-        sums = np.empty_like(expected)
-        window(kind, _pointer(sums), _pointer(p), p.shape[-1], _pointer(samples),
-               _pointer(responses), samples.shape[-1], 1.0 if h is None else h,
-               p.size // p.shape[-1])
-        if sums.tobytes() != expected.tobytes():
-            raise OSError(f"{path} does not reproduce the numpy {_KINDS[kind]} window sums")
-        if kind == 0:
-            loo_sums = expected
-    # the leave-one-out estimates of the same stack given in descending order
-    # with its descending argsort: its sums' ratio, NaN where the window is
-    # empty, put back
-    den, num = loo_sums[:, 0], loo_sums[:, 1]
-    expected = np.divide(num, den, out=np.full(den.shape, np.nan), where=den != 0.0)
-    estimates, excluded = _compiled_loo(stack[:, ::-1].copy(),
-                                        np.tile(np.arange(s.size)[::-1], (2, 1)),
-                                        np.stack([y, -y])[:, ::-1].copy(), loo)
-    if (estimates.tobytes() != expected[:, ::-1].tobytes()
-            or not np.array_equal(excluded, den[:, ::-1] == 0.0)):
+    third = s[::3].copy()
+    expected = _numpy_window_sums(third, s, y, 0.75)
+    sums = np.empty_like(expected)
+    window(_pointer(sums), _pointer(third), third.size, _pointer(s), _pointer(y), s.size, 0.75)
+    if sums.tobytes() != expected.tobytes():
+        raise OSError(f"{path} does not reproduce the numpy moments window sums")
+    # the leave-one-out estimates of a stack of the sorted probe and its
+    # half, given in descending order, against the numpy walk
+    points, responses = np.stack([s, s / 2.0])[:, ::-1].copy(), np.stack([y, -y])[:, ::-1].copy()
+    estimates, excluded = _compiled_loo(points, np.argsort(points, axis=-1), responses, loo)
+    expected, expected_excluded = _numpy_loo(points, responses)
+    if (estimates.tobytes() != expected.tobytes()
+            or not np.array_equal(excluded, expected_excluded)):
         raise OSError(f"{path} does not reproduce the numpy leave-one-out estimates")
-    if (_stepped(lambda lockstep: _compiled_pack(lockstep, pack),
-                 lambda lockstep, got: _compiled_advance(lockstep, got, advance))
-            != _stepped(_numpy_pack, _numpy_advance)):
+    if (_stepped(lambda lockstep, got: _compiled_step(lockstep, got, step))
+            != _stepped(_numpy_step)):
         raise OSError(f"{path} does not reproduce the numpy Nelder-Mead step")
-    return weights, window, (pack, advance), loo
+    return weights, window, step, loo
 
 
 def _load():
@@ -870,69 +889,58 @@ def transform_inplace(u: np.ndarray, points: np.ndarray, samples: np.ndarray) ->
 
 
 def window_sums(points: np.ndarray, samples: np.ndarray, responses: np.ndarray,
-                h: float | None = None) -> np.ndarray:
-    """Kernel sums of every sorted point over its own window of sorted samples.
+                h: float) -> np.ndarray:
+    """The local polynomial moments of every sorted point over its own window
+    of sorted samples.
 
     ``points`` (m,) and ``samples`` (n,) are finite and ascending, and
     ``responses`` holds the n samples' responses, also finite: the callers
-    check both, and nothing here does.  Leading axes stack
-    independent problems: ``points`` (..., m), ``samples`` and ``responses``
-    (..., n) with the same leading axes give (..., K, m) sums, each problem's
-    the sums it has alone, in one call.  Without ``h`` these are the
-    leave-one-out sums, which take ``samples is points``: the argument of
-    point i and sample j is samples[j] - points[i], and the (2, m) result
-    holds, for every point, sum w and sum w y over the other samples of its
-    window, those with an argument in (-1, 1); w is the kernel weight
-    without ``NORMALIZER``.  With a bandwidth ``h`` the
-    argument is s = (samples[j] - points[i]) / h and its weight w = K(s),
-    formed as the pointwise local fit forms them, and the (9, m) result
-    holds S_0 to S_4, T_0 to T_2 and the count of nonzero weights, with
-    S_k = sum w s^k and T_k = sum w s^k y; each power of s multiplies the
-    previous term.  Every sum runs in ascending sample order
-    from +0, and a sample outside a point's window adds +0 to it.  When a
-    library is loaded, nonempty, writeable,
-    aligned, C-contiguous float64 arrays go through its loop, which runs a
-    vector register of points at a time; anything else takes the numpy form,
-    which gives the same bits.
+    check both, and nothing here does.  The argument of point i and sample
+    j is s = (samples[j] - points[i]) / h and its weight w = K(s), formed as
+    the pointwise local fit forms them, and the (9, m) result holds S_0 to
+    S_4, T_0 to T_2 and the count of nonzero weights, with S_k = sum w s^k
+    and T_k = sum w s^k y; each power of s multiplies the previous term.
+    Every sum runs in ascending sample order from +0, and a sample outside a
+    point's window adds +0 to it.  When a library is loaded, nonempty,
+    writeable, aligned, C-contiguous float64 vectors go through its loop in
+    one call, which runs a vector register of points at a time; anything
+    else takes the numpy form, which gives the same bits.
     """
-    if h is None and samples is not points:
-        raise ValueError("the leave-one-out sums (no h) take the points as samples")
-    if (_window_sums is not None and points.size and samples.size
-            and points.ndim == samples.ndim and points.shape[:-1] == samples.shape[:-1]
-            and samples.shape == responses.shape
+    if (_window_sums is not None and points.size and samples.size and points.ndim == 1
+            and samples.ndim == 1 and samples.shape == responses.shape
             and points.dtype == samples.dtype == responses.dtype == np.float64
             and points.flags.carray and samples.flags.carray and responses.flags.carray):
-        m = points.shape[-1]
-        sums = np.empty(points.shape[:-1] + (2 if h is None else 9, m))
-        _window_sums(h is not None, _pointer(sums), _pointer(points), m, _pointer(samples),
-                     _pointer(responses), samples.shape[-1], 1.0 if h is None else h,
-                     points.size // m)
+        sums = np.empty((9, points.size))
+        _window_sums(_pointer(sums), _pointer(points), points.size, _pointer(samples),
+                     _pointer(responses), samples.size, h)
         return sums
     return _numpy_window_sums(points, samples, responses, h)
 
 
 def loo_estimates(points: np.ndarray, responses: np.ndarray):
-    """Leave-one-out Nadaraya-Watson estimates of a stack of problems, or
-    ``None`` when the compiled library cannot take them.
+    """Leave-one-out Nadaraya-Watson estimates ``(estimates, excluded)`` of a
+    stack of problems.
 
     ``points`` (B, n) holds each problem's finite h-scaled index and
     ``responses`` (B, n), or (n,) shared by every problem, their finite
-    responses.  Numpy's argsort orders each row; then one library call
-    gathers each row by its order, takes its leave-one-out window sums in
-    the loop of :func:`window_sums` and writes ``(estimates, excluded)``
-    back in sample order: sum w y / sum w, and NaN and excluded where the
-    sample's window holds no other sample.  It needs a loaded library and
-    nonempty C-ordered float64 arrays (the responses may be read-only);
-    else it returns ``None``, and the caller takes the numpy walk, whose
-    bits these are.
+    responses.  Numpy's argsort orders each row, each sample's window sums
+    run over the other samples of its window in ascending order, and the
+    estimates come back in sample order: sum w y / sum w, and NaN and
+    excluded where the sample's window holds no other sample.  With a
+    library loaded, nonempty C-ordered float64 arrays (the responses may be
+    read-only) take one library call that gathers each row by its order,
+    sums it in the leave-one-out loop of the window-sums template and
+    writes the estimates back; anything else takes the numpy walk
+    (:func:`_numpy_loo`), whose bits these are.
     """
-    if (_loo_estimates is None or points.ndim != 2 or not points.size
-            or responses.shape not in (points.shape, points.shape[-1:])
-            or points.dtype != np.float64 or responses.dtype != np.float64
-            or not (points.flags.carray and responses.flags.c_contiguous
-                    and responses.flags.aligned)):
-        return None
-    return _compiled_loo(points, np.argsort(points, axis=-1), responses, _loo_estimates)
+    if points.ndim != 2 or responses.shape not in (points.shape, points.shape[-1:]):
+        raise ValueError(f"expected (B, n) points and (B, n) or (n,) responses, got "
+                         f"{points.shape} and {responses.shape}")
+    if (_loo_estimates is not None and points.size
+            and points.dtype == responses.dtype == np.float64 and points.flags.carray
+            and responses.flags.c_contiguous and responses.flags.aligned):
+        return _compiled_loo(points, np.argsort(points, axis=-1), responses, _loo_estimates)
+    return _numpy_loo(points, responses)
 
 
 def smooth_kernel(s):

@@ -11,17 +11,16 @@ smoother rows.
 
 All kernel sums above the smallest problems run on sorted windows.  The
 kernel vanishes beyond one bandwidth, so a sum sorts its points and samples
-once and the compiled loop of :func:`fsim.kernel.window_sums` sums every
-point over its own run of samples, in ascending sample order: the moments
-of the local fits (quadratic behind GCV, curve grids and RASE; constant
-for k-fold's held-out Nadaraya-Watson prediction), and the leave-one-out
-estimator inside the coefficient-search objective above ``ONE_TILE_MAX``
-samples.  :func:`nw_loo_all` takes one leave-one-out problem or a stack of
-them, the points of a lockstep step: above the cap one batched argsort and
-one :func:`fsim.kernel.loo_estimates` call cover the stack (one batched
-sort and one window-sums call without the compiled library), and up to it
-one :func:`transform_inplace` call forms the weights of a dense stack of
-tiles.  The call never splits a stack; its callers bound them by
+once and sums every point over its own run of samples, in ascending sample
+order: one :func:`fsim.kernel.window_sums` call forms the moments of the
+local fits (quadratic behind GCV, curve grids and RASE; constant for
+k-fold's held-out Nadaraya-Watson prediction), and above ``ONE_TILE_MAX``
+samples one :func:`fsim.kernel.loo_estimates` call gives the leave-one-out
+estimator inside the coefficient-search objective.  :func:`nw_loo_all`
+takes one leave-one-out problem or a stack of them, the points of a
+lockstep step: up to the cap one :func:`transform_inplace` call forms the
+weights of a dense stack of tiles, and above it one ``loo_estimates`` call
+covers the stack.  The call never splits a stack; its callers bound them by
 :func:`stack_size`.  The pointwise fits
 (:func:`local_quad_fit`, :func:`smoother_matrix`, :func:`relocated_fit`)
 stay as the reference for the batched ones.
@@ -39,7 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import is_integer, readonly_array
-from .kernel import NORMALIZER, loo_estimates, smooth_kernel, transform_inplace, window_sums
+from .kernel import (NORMALIZER, loo_estimates, nw_ratio, smooth_kernel, transform_inplace,
+                     window_sums)
 
 MIN_WINDOW_POINTS = 3
 CONDITION_LIMIT = 1e12
@@ -226,7 +226,7 @@ def _nw_tile(points, responses):
     differences ``points[..., j] - points[..., i]``, the diagonal of each
     row's own sample is zeroed, and one product of the weights with the
     (1, y) columns gives both sums; the kernel constant cancels in the ratio
-    :func:`_nw_ratio` takes.  A leading batch axis on ``points`` stacks
+    :func:`fsim.kernel.nw_ratio` takes.  A leading batch axis on ``points`` stacks
     tiles of one shape, with ``responses`` of the same shape or one vector
     for all; the stacked product sums each slice exactly as it would be
     summed alone.
@@ -241,48 +241,15 @@ def _nw_tile(points, responses):
     return sums[..., 0], sums[..., 1]
 
 
-def _nw_loo_sums(points, responses):
-    """Leave-one-out kernel sums ``(den, num)`` at every h-scaled sample of a
-    stack of (B, n) problems, with (B, n) responses or one (n,) vector for
-    all, above ``ONE_TILE_MAX`` samples: the numpy walk.
-
-    One batched sort orders every problem, one call to
-    :func:`fsim.kernel.window_sums` sums every sample over its own window,
-    and the sums are put back in sample order.  It runs where the compiled
-    library does not (:func:`_nw_loo`), and its ratio is the reference of
-    :func:`fsim.kernel.loo_estimates`.
-    """
-    n = points.shape[-1]
-    den, num = np.empty(points.shape), np.empty(points.shape)
-    # each problem sorted, and its sums put back in sample order, through
-    # flat indices: take_along_axis, or a scatter along the last axis of a
-    # 2-d array, is several times slower
-    order = np.argsort(points, axis=-1)
-    at = (order + n * np.arange(len(order))[:, None]).reshape(-1)
-    p = points.reshape(-1)[at].reshape(points.shape)
-    y = (responses.reshape(-1)[at] if responses.ndim > 1 else responses[order.reshape(-1)]
-         ).reshape(points.shape)
-    sums = window_sums(p, p, y)
-    den.reshape(-1)[at] = sums[:, 0].reshape(-1)
-    num.reshape(-1)[at] = sums[:, 1].reshape(-1)
-    return den, num
-
-
 def _nw_loo(points, responses):
     """Leave-one-out estimates ``(estimates, excluded)`` at every h-scaled
     sample of a stack of (B, n) problems, with (B, n) responses or one (n,)
-    vector for all.
-
-    Up to ``ONE_TILE_MAX`` samples the stack is one dense stack of tiles
-    (:func:`_nw_tile`).  Beyond that one :func:`fsim.kernel.loo_estimates`
-    call sorts, sums and divides every problem; where the compiled library
-    cannot take the stack, the numpy walk (:func:`_nw_loo_sums`) and
-    :func:`_nw_ratio` give the same bits.
-    """
+    vector for all: one dense stack of tiles (:func:`_nw_tile`) up to
+    ``ONE_TILE_MAX`` samples, else one :func:`fsim.kernel.loo_estimates`
+    call."""
     if points.shape[-1] <= ONE_TILE_MAX:
-        return _nw_ratio(*_nw_tile(points, responses))
-    estimates = loo_estimates(points, responses)
-    return _nw_ratio(*_nw_loo_sums(points, responses)) if estimates is None else estimates
+        return nw_ratio(*_nw_tile(points, responses))
+    return loo_estimates(points, responses)
 
 
 # the largest dense stack of one nw_loo_all call (S n^2 weights), and the
@@ -297,16 +264,6 @@ def stack_size(n: int) -> int:
     ``ONE_TILE_MAX`` samples, at most ``STACK_VALUES`` values per (S, n)
     array above it, and at least one problem."""
     return max(1, STACK_PAIRS // (n * n) if n <= ONE_TILE_MAX else STACK_VALUES // max(1, n))
-
-
-def _nw_ratio(den, num):
-    """``(estimates, excluded)`` from the kernel sums: excluded marks an
-    empty window, whose estimate is NaN."""
-    excluded = den == 0.0
-    if not excluded.any():
-        return num / den, excluded
-    estimates = np.divide(num, den, out=np.full(den.shape, np.nan), where=~excluded)
-    return estimates, excluded
 
 
 def nw_loo_all(index_values, responses, h):
@@ -351,7 +308,7 @@ def nw_predict(index_values, responses, points, h: float):
     """
     z, y = _fit_inputs(index_values, responses, h)
     u = _as_vector(points, "points")
-    return _nw_ratio(*_sorted_moments(u, z, y, float(h))[[0, 5]])
+    return nw_ratio(*_sorted_moments(u, z, y, float(h))[[0, 5]])
 
 
 # Entry (p, q) of the normal matrix X'WX of the h-scaled design (1, s, s^2/2)

@@ -5,9 +5,9 @@ leave kernel windows), so the outer search is derivative-free.  Every
 search runs through :func:`minimize_each`, many at once on the full data
 or on subsets of it (:func:`minimize` is its one-search call), on one
 array-state Nelder-Mead (:func:`_nelder_mead`) whose every step is one
-:class:`fsim.model.StackedObjective` call between two calls of the
-compiled step (:class:`fsim.kernel.SimplexLockstep`); the searches of a
-lockstep are split across the CPUs this process may use (:func:`_in_parts`).
+:class:`fsim.model.StackedObjective` call and one call of the compiled step
+(:class:`fsim.kernel.SimplexLockstep`); the searches of a lockstep are
+split across the CPUs this process may use (:func:`_in_parts`).
 Four ways of choosing the start point are supported: the known truth
 (simulations), an ordinary least squares fit assuming a linear link, an
 all-equal vector, and a pool of standard normal draws prefiltered by
@@ -288,11 +288,11 @@ def _nelder_mead(objective, starts: np.ndarray, max_evals: int) -> list:
 
     ``objective(which, points)`` returns the value of each row of
     ``points`` for search ``which[i]``.  The searches run in lockstep on one
-    array state, :class:`fsim.kernel.SimplexLockstep`: each step packs every
-    running search's pending points, evaluates them with one objective
-    call and advances every search by its branch, one library call each for
-    the pack and the advance when the compiled library is loaded, their
-    numpy forms otherwise, with the same bits.  Every reduction and
+    array state, :class:`fsim.kernel.SimplexLockstep`: one objective call
+    evaluates every running search's pending points, and one step advances
+    every search by its branch and gives out the next points, one library
+    call when the compiled library is loaded, its numpy form otherwise, with
+    the same bits.  Every reduction and
     comparison stays per search, so a search's points and result do not
     depend on which searches share the lockstep.  A search stops when its
     simplex objective spread drops below ``SPREAD_TOL`` or its evaluation
@@ -319,13 +319,12 @@ def _nelder_mead(objective, starts: np.ndarray, max_evals: int) -> list:
     lockstep = SimplexLockstep(simplex, values, phase, max_evals, SPREAD_TOL)
     early = everyone[(phase == DONE) & ~failed]
     trace_rows, trace_values = [early], [f0[early]]
-    while True:
-        which, points = lockstep.pack()
-        if not which.size:
-            break
-        ready = lockstep.advance(objective(which, points))
+    _, which, points = lockstep.step()
+    while which.size:
+        ready, which, points = lockstep.step(objective(which, points))
         if ready.size:
-            trace_rows.append(ready)
+            # the next step overwrites the step's buffers
+            trace_rows.append(ready.copy())
             trace_values.append(lockstep.values[ready, 0])
 
     rows = np.concatenate(trace_rows)

@@ -98,7 +98,7 @@ def test_third_derivative_continuous_at_boundary():
 
 @pytest.fixture(scope="module")
 def loops(tmp_path_factory):
-    """The compiled loops ``(weights, window, (pack, advance), loo)``, built
+    """The compiled loops ``(weights, window, step, loo)``, built
     afresh from the shipped source and flags."""
     if shutil.which("cc") is None:
         pytest.skip("no C compiler cc on PATH")
@@ -301,15 +301,20 @@ RESPONSES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -2.5]), st.floats(-10.0, 
                       st.floats(allow_nan=False, allow_infinity=False))
 
 
-def run_window(window, points, samples, y, h=None):
-    """The loop's window sums, called as :func:`kernel.window_sums` calls it:
-    leave-one-out without ``h``, moments with it; leading axes stack problems."""
-    m = points.shape[-1]
-    sums = np.empty(points.shape[:-1] + (2 if h is None else 9, m))
+def run_window(window, points, samples, y, h):
+    """The loop's moments of one problem, called as :func:`kernel.window_sums` calls it."""
+    sums = np.empty((9, points.size))
     pointer = kernel.ctypes.c_double.from_buffer
-    window(h is not None, pointer(sums), pointer(points), m, pointer(samples), pointer(y),
-           samples.shape[-1], 1.0 if h is None else h, points.size // m)
+    window(pointer(sums), pointer(points), points.size, pointer(samples), pointer(y),
+           samples.size, h)
     return sums
+
+
+def run_loo(loo, points, y):
+    """The library's leave-one-out estimates of a (B, n) stack and their
+    excluded flags, each row taken in the order of its argsort, as
+    :func:`kernel.loo_estimates` takes it."""
+    return kernel._compiled_loo(points, np.argsort(points, axis=-1), y, loo)
 
 
 def sequential_sums(points, samples, y, h=None):
@@ -331,6 +336,24 @@ def sequential_sums(points, samples, y, h=None):
     return sums
 
 
+def sequential_loo(points, y):
+    """The leave-one-out estimates and excluded flags of one index in any
+    order: its :func:`sequential_sums` in the order of its argsort, divided
+    and put back in sample order."""
+    order = np.argsort(points)
+    sums = sequential_sums(points[order], points[order], y[order])
+    den, num = np.empty(points.size), np.empty(points.size)
+    den[order], num[order] = sums
+    return kernel.nw_ratio(den, num)
+
+
+def assert_same_estimates(got, expected):
+    """Estimates and excluded flags of the same bytes."""
+    assert got[0].tobytes() == expected[0].tobytes()
+    assert got[1].dtype == expected[1].dtype == bool
+    assert got[1].tobytes() == expected[1].tobytes()
+
+
 class TestCompiledLooSums:
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 90).flatmap(lambda n: st.tuples(
@@ -339,53 +362,82 @@ class TestCompiledLooSums:
         # ties, differences of exactly +-1 and within one rounding of it,
         # subnormal and overflowing differences and squares, signed zeros
         values, y = index
-        p = np.sort(values)
+        p = np.sort(values)[None]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            expected = kernel._numpy_window_sums(p, p, y)
-        assert run_window(loops[1], p, p, y).tobytes() == expected.tobytes()
+            expected = kernel._numpy_loo(p, y)
+        assert_same_estimates(run_loo(loops[3], p, y), expected)
 
     def test_rows_sum_their_window_in_ascending_order(self, loops):
         # every block width and ragged tail: sequential sums from +0 over
-        # |p[j] - p[i]| < 1, j != i, written out one pair at a time
+        # |p[j] - p[i]| < 1, j != i, written out one pair at a time, and
+        # their ratio, NaN and excluded where the window is empty
         rng = np.random.default_rng(5)
         for n in [*range(1, 20), 64, 65, 66, 129, 200]:
             p = np.sort(np.round(rng.normal(scale=1.5, size=n), 1))
             y = rng.normal(size=n)
             y[::3] = -0.0
-            expected = sequential_sums(p, p, y).tobytes()
-            assert run_window(loops[1], p, p, y).tobytes() == expected
-            assert kernel._numpy_window_sums(p, p, y).tobytes() == expected
+            expected = [part[None] for part in sequential_loo(p, y)]
+            assert_same_estimates(run_loo(loops[3], p[None], y), expected)
+            assert_same_estimates(kernel._numpy_loo(p[None], y), expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 90), st.booleans(), st.data())
+    def test_a_stack_is_each_problem_alone(self, loops, batch, n, shared, data):
+        # each problem's estimates are those it has alone, byte for byte, in
+        # the library's one call and in the numpy walk, whatever shares its
+        # stack: unsorted rows, ragged last blocks and empty windows, with
+        # shared or per-row responses
+        stack = data.draw(arrays(np.float64, (batch, n), elements=SORTED_VALUES))
+        y = data.draw(arrays(np.float64, n if shared else (batch, n), elements=RESPONSES))
+        rows = [y] * batch if shared else list(y)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            walk = kernel._numpy_loo(stack, y)
+            alone = [kernel._numpy_loo(p[None].copy(), r) for p, r in zip(stack, rows)]
+        assert_same_estimates(walk, [np.concatenate(part) for part in zip(*alone)])
+        assert_same_estimates(run_loo(loops[3], stack, y), walk)
+        for b in range(batch):
+            one = run_loo(loops[3], stack[b:b + 1].copy(), rows[b].copy())
+            assert_same_estimates(one, alone[b])
 
     def test_a_library_with_other_sums_is_refused(self, tmp_path, monkeypatch):
         # a loop that keeps each row's own weight fails the load-time probe
-        refuse_library(tmp_path, monkeypatch, ["if (!0 && j - i < rows)"], "if (0)", "loo")
+        refuse_library(tmp_path, monkeypatch, ["if (!0 && j - i < rows)"], "if (0)",
+                       "leave-one-out estimates")
 
     def test_other_arrays_take_the_numpy_form(self, monkeypatch):
-        # strided, read-only and float32 arrays, and empty ones, never reach the loop
+        # strided, read-only and float32 arrays, and empty ones, never reach
+        # a loop: the leave-one-out estimates and the moments
         seen = []
         monkeypatch.setattr(kernel, "_pointer", lambda array: array)
-        monkeypatch.setattr(kernel, "_window_sums", lambda *args: seen.append(args[0]))
+        monkeypatch.setattr(kernel, "_loo_estimates", lambda *args: seen.append("loo"))
+        monkeypatch.setattr(kernel, "_window_sums", lambda *args: seen.append("moments"))
         p = np.linspace(-2.0, 2.0, 12)
         y = np.cos(p)
         frozen = p.copy()
         frozen.flags.writeable = False
-        for args in [(p[::2], y[::2]), (frozen, y), (p, y.astype(np.float32)), (p[:0], y[:0])]:
-            assert (kernel.window_sums(args[0], args[0], args[1]).tobytes()
-                    == kernel._numpy_window_sums(args[0], args[0], args[1]).tobytes())
+        stack = np.stack([p, -p])
+        frozen_stack = stack.copy()
+        frozen_stack.flags.writeable = False
+        for points, responses in [(stack[:, ::2], y[::2]), (stack, y[::-1]), (frozen_stack, y),
+                                  (stack.astype(np.float32), y), (stack, y.astype(np.float32)),
+                                  (stack[:0], y)]:
+            assert_same_estimates(kernel.loo_estimates(points, responses),
+                                  kernel._numpy_loo(points, responses))
         for args in [(p[::2], p, y), (p, p[::2], y[::2]), (frozen, p, y), (p, frozen, y),
                      (p, p, y.astype(np.float32)), (p[:0], p, y), (p, p[:0], y[:0])]:
             assert (kernel.window_sums(*args, 0.5).tobytes()
                     == kernel._numpy_window_sums(*args, 0.5).tobytes())
         assert seen == []
-        kernel.window_sums(p, p, y)
+        kernel.loo_estimates(stack, y)
         kernel.window_sums(p[:5].copy(), p, y, 0.5)
-        assert seen == [False, True]
+        assert seen == ["loo", "moments"]
 
 
-def refuse_library(tmp_path, monkeypatch, lines, replacement, kind):
+def refuse_library(tmp_path, monkeypatch, lines, replacement, job):
     """Build the shipped source with each of ``lines`` replaced and check that
-    the load-time probe refuses the library for its ``kind`` of window sums."""
+    the load-time probe refuses the library for its numpy ``job``."""
     if shutil.which("cc") is None:
         pytest.skip("no C compiler cc on PATH")
     source = kernel._SOURCE
@@ -395,7 +447,7 @@ def refuse_library(tmp_path, monkeypatch, lines, replacement, kind):
     monkeypatch.setattr(kernel, "_SOURCE", source)
     path = kernel._library_path(str(tmp_path))
     kernel._build(path)
-    with pytest.raises(OSError, match=f"numpy {kind} window sums"):
+    with pytest.raises(OSError, match=f"numpy {job}"):
         kernel._open(path)
 
 
@@ -461,45 +513,7 @@ class TestCompiledWindowSums:
         # powers that take the argument of a sample outside the window turn an
         # overflowing argument into NaN and fail the load-time probe
         lines = [f"x = (doubles_{lanes})((bits_{lanes})x & inside);" for lanes in kernel._WIDTHS]
-        refuse_library(tmp_path, monkeypatch, lines, "", "moments")
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.integers(1, 4), windows(), st.sampled_from(["loo", "moments"]), st.data())
-    def test_a_batch_is_each_problem_alone(self, loops, batch, window, kind, data):
-        # each problem's sums are those it has alone, byte for byte, on the
-        # loop and the numpy form, whatever shares its batch: ragged last
-        # blocks, empty windows and every kind
-        points, samples, y, h = window
-        n, m = samples.size, (samples.size if kind == "loo" else points.size)
-        if not (n and m):
-            return
-        h = None if kind == "loo" else h
-        stack_s = np.sort(np.stack([samples] + [
-            data.draw(arrays(np.float64, n, elements=SORTED_VALUES)) for _ in range(batch - 1)]))
-        stack_y = np.stack([y] + [data.draw(arrays(np.float64, n, elements=RESPONSES))
-                                  for _ in range(batch - 1)])
-        stack_p = stack_s if kind == "loo" else np.sort(np.stack([points] + [
-            data.draw(arrays(np.float64, m, elements=SORTED_VALUES)) for _ in range(batch - 1)]))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            alone = np.stack([kernel._numpy_window_sums(p, s, r, h)
-                              for p, s, r in zip(stack_p, stack_s, stack_y)])
-            assert kernel._numpy_window_sums(stack_p, stack_s, stack_y, h).tobytes() == \
-                alone.tobytes()
-        assert kernel.window_sums(stack_p, stack_s, stack_y, h).tobytes() == alone.tobytes()
-        assert run_window(loops[1], stack_p, stack_s, stack_y, h).tobytes() == alone.tobytes()
-        for b in range(batch):
-            one = run_window(loops[1], stack_p[b].copy(), stack_s[b].copy(), stack_y[b].copy(), h)
-            assert one.tobytes() == alone[b].tobytes()
-
-    def test_sums_without_h_take_the_points_as_samples(self):
-        # without h the sums leave each point's own sample out, which only
-        # the points themselves have; other samples take a bandwidth
-        p = np.linspace(0.0, 1.0, 5)
-        for samples in (p.copy(), p[::-1].copy(), np.linspace(0.0, 1.0, 7)):
-            with pytest.raises(ValueError, match=r"leave-one-out sums \(no h\) take the points"):
-                kernel.window_sums(p, samples, np.ones(samples.size))
-        assert kernel.window_sums(p, p, p).shape == (2, 5)
+        refuse_library(tmp_path, monkeypatch, lines, "", "moments window sums")
 
 
 @pytest.mark.parametrize("compiled", [True, False])
@@ -612,6 +626,9 @@ class TestLoader:
     @pytest.mark.parametrize("line, replacement, half", [
         # NaN no longer sorts last in a simplex
         ("return a < b || (b != b && a == a);", "return a < b;", "Nelder-Mead step"),
+        # the step gives out each vertex's predecessor in its place
+        ("simplex + (s * (dim + 1) + v) * dim", "simplex + (s * (dim + 1) + v - 1) * dim",
+         "Nelder-Mead step"),
         # the responses stay in sample order while their samples are sorted
         ("sorted_y[j] = y[order[j]];", "sorted_y[j] = y[j];", "leave-one-out estimates"),
     ])

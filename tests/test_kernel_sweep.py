@@ -109,7 +109,7 @@ def test_main_prints_facts_and_table(capsys):
     assert out[end] == "| Nelder–Mead bookkeeping per step, dim 24 | compiled | no compiler |"
     assert [line.split(" | ")[0] for line in out[end + 2:end + 5]] == [
         "| 1 search", "| 30 searches", "| 100 searches"]
-    assert out[end + 5].startswith("| leave-one-out stack, per call | one library call | ")
+    assert out[end + 5] == "| leave-one-out stack, per call | one library call | no compiler |"
     assert [line.split(" | ")[0] for line in out[end + 7:]] == [
         f"| {locfit.stack_size(n)} × {n}" for n in kernel_sweep.STACK_SIZES]
 
@@ -184,21 +184,21 @@ def test_bookkeeping_rows_run_with_and_without_the_compiled_step(monkeypatch):
         "| --- | --- | --- |", "| 1 search | 15 µs | 60 µs |", "| 30 searches | 30 µs | 200 µs |"]
 
 
-def test_stack_rows_switch_the_stack_call_then_every_loop_off(monkeypatch):
+def test_stack_rows_run_with_and_without_the_compiled_loops(monkeypatch):
     seen = []
     nw_loo_all = kernel_sweep.locfit.nw_loo_all
 
     def spy(z, y, h):
-        seen.append((kernel_sweep.kernel._loo_estimates, kernel_sweep.kernel._window_sums,
-                     z.shape))
+        seen.append((kernel_sweep.kernel._loo_estimates, z.shape))
         return nw_loo_all(z, y, h)
 
     monkeypatch.setattr(kernel_sweep.locfit, "nw_loo_all", spy)
-    loops = (kernel_sweep.kernel._loo_estimates, kernel_sweep.kernel._window_sums)
+    loop = kernel_sweep.kernel._loo_estimates
     rows = kernel_sweep.stack_times(1, seed=3, sizes=(70,))
     assert [n for n, *_ in rows] == [70] and all(t > 0.0 for t in rows[0][1:])
-    assert {entry[2] for entry in seen} == {(locfit.stack_size(70), 70)}
-    assert [entry[:2] for entry in seen[::10]] == [(None, loops[1]), loops, (None, None)]
-    assert (kernel_sweep.kernel._loo_estimates, kernel_sweep.kernel._window_sums) == loops
-    assert kernel_sweep.stack_table([(90, 2e-4, 2.5e-4, 8e-3)])[2] == (
-        "| 91 × 90 | 200 µs | 250 µs | 8 ms |")
+    assert {shape for _, shape in seen} == {(locfit.stack_size(70), 70)}
+    assert [entry[0] for entry in seen[::10]] == [loop, None]
+    assert kernel_sweep.kernel._loo_estimates is loop
+    assert kernel_sweep.stack_table([(90, 2e-4, 8e-3)]) == [
+        "| leave-one-out stack, per call | one library call | no compiler |",
+        "| --- | --- | --- |", "| 91 × 90 | 200 µs | 8 ms |"]

@@ -187,14 +187,11 @@ def direct_nw(points, samples, y, h, leave_one_out):
     return estimates, np.isnan(estimates), scale
 
 
-def spy_window_sums(calls, sums=None):
-    """``locfit.window_sums``, or the function ``sums``, recording its
-    arguments in ``calls``."""
-    sums = sums or locfit.window_sums
-
+def spying(calls, function):
+    """``function``, recording the arguments of each call in ``calls``."""
     def spy(*args):
         calls.append(args)
-        return sums(*args)
+        return function(*args)
     return spy
 
 
@@ -323,8 +320,9 @@ class TestKernelSumEngine:
 
     @pytest.mark.parametrize("n", [n for n in ENGINE_SIZES if n > CUTOFF])
     def test_compiled_walk_is_the_numpy_walk_byte_for_byte(self, n, monkeypatch):
-        # the compiled loop and its numpy form sum each row over its window in
-        # the same order, signed zeros included, and so does the walk of either
+        # the library's leave-one-out loop and its numpy form sum each row
+        # over its window in the same order, signed zeros included, and so
+        # does the walk of either
         rng = np.random.default_rng(n + 3)
         z = awkward_index(n, rng)
         y = rng.normal(size=n)
@@ -332,9 +330,9 @@ class TestKernelSumEngine:
         walks = {}
         for path in ("compiled", "numpy"):
             if path == "numpy":
-                monkeypatch.setattr(kernel, "_window_sums", None)
+                monkeypatch.setattr(kernel, "_loo_estimates", None)
             walks[path] = [array for h in WALK_BANDWIDTHS
-                           for array in locfit._nw_loo_sums((z / h)[None], y)]
+                           for array in kernel.loo_estimates((z / h)[None], y)]
         for got, expected in zip(walks["compiled"], walks["numpy"]):
             assert got.tobytes() == expected.tobytes()
 
@@ -362,13 +360,16 @@ class TestKernelSumEngine:
     @pytest.mark.parametrize("n", [n for n in ENGINE_SIZES if n > CUTOFF])
     def test_one_loop_call_per_walk(self, n, monkeypatch):
         # above the cap a leave-one-out call makes one loo_estimates call with
-        # the h-scaled index, and no kernel transform of its own; with the
-        # library that call is the whole walk, and without it the numpy walk
-        # sorts the index once and sums it in one window_sums call
-        calls, stacks, transforms = [], [], []
-        monkeypatch.setattr(locfit, "window_sums", spy_window_sums(calls))
-        monkeypatch.setattr(locfit, "loo_estimates", spy_window_sums(stacks, locfit.loo_estimates))
+        # the h-scaled index, and no kernel transform or window_sums call of
+        # its own; with the library that call is one library call, and
+        # without it the numpy walk sorts the index once and sums it in one
+        # pass of the numpy window sums
+        calls, stacks, library, walks, transforms = [], [], [], [], []
+        monkeypatch.setattr(locfit, "window_sums", spying(calls, locfit.window_sums))
+        monkeypatch.setattr(locfit, "loo_estimates", spying(stacks, locfit.loo_estimates))
         monkeypatch.setattr(locfit, "transform_inplace", lambda *args: transforms.append(args))
+        monkeypatch.setattr(kernel, "_numpy_window_sums",
+                            spying(walks, kernel._numpy_window_sums))
         rng = np.random.default_rng(n + 3)
         z = awkward_index(n, rng)
         y = rng.normal(size=n)
@@ -377,28 +378,33 @@ class TestKernelSumEngine:
                 monkeypatch.setattr(kernel, "_loo_estimates", None)
             elif kernel._loo_estimates is None:
                 continue
+            else:
+                monkeypatch.setattr(kernel, "_loo_estimates",
+                                    spying(library, kernel._loo_estimates))
             for h in WALK_BANDWIDTHS:
-                calls.clear()
                 stacks.clear()
+                library.clear()
+                walks.clear()
                 nw_loo_all(z, y, h)
                 [(scaled, responses)] = stacks
                 np.testing.assert_array_equal(scaled, (z / h)[None])
                 assert responses is y
+                assert len(library) == compiled
                 if compiled:
-                    assert calls == []
+                    assert walks == []
                     continue
-                [(p, s, sorted_y)] = calls
+                [(p, s, sorted_y)] = walks
                 order = np.argsort(z / h)
-                np.testing.assert_array_equal(p, (z / h)[order][None])
-                np.testing.assert_array_equal(sorted_y, y[order][None])
+                np.testing.assert_array_equal(p, (z / h)[order])
+                np.testing.assert_array_equal(sorted_y, y[order])
                 assert s is p
-        assert transforms == []
+        assert calls == [] and transforms == []
 
     @pytest.mark.parametrize("shared", [True, False])
     @pytest.mark.parametrize("n", [65, 90, 257, 1000])
     def test_stack_call_is_the_numpy_walk_byte_for_byte(self, n, shared, monkeypatch):
         # one library call per stack gives the estimates and excluded flags
-        # of the numpy walk and its ratio, empty windows and -0 included
+        # of the numpy walk, empty windows and -0 included
         if kernel._loo_estimates is None:
             pytest.skip("no compiled library loaded")
         rng = np.random.default_rng(n + 5)
@@ -407,32 +413,53 @@ class TestKernelSumEngine:
         y = rng.normal(size=n if shared else z.shape)
         y[..., ::5] = -0.0
         got = kernel.loo_estimates(scaled, y)
-        monkeypatch.setattr(kernel, "_window_sums", None)
-        expected = locfit._nw_ratio(*locfit._nw_loo_sums(scaled, y))
+        monkeypatch.setattr(kernel, "_loo_estimates", None)
+        expected = kernel.loo_estimates(scaled, y)
         assert got[0].tobytes() == expected[0].tobytes()
         assert got[1].dtype == bool and got[1].tobytes() == expected[1].tobytes()
         assert got[1][0].any() and not got[1][-1].any()
 
-    def test_arrays_the_library_cannot_take_go_to_the_numpy_walk(self):
-        # strided, float32 or one-dimensional arrays, and an empty stack
+    def test_arrays_the_library_cannot_take_go_to_the_numpy_walk(self, monkeypatch):
+        # strided, read-only and float32 stacks, and empty ones, take the
+        # numpy walk without a library call and answer with its bytes, which
+        # for the float64 ones are the library's bytes of a contiguous copy
         p = np.linspace(-3.0, 3.0, 80)
         y = np.cos(p)
         stack = np.stack([p, p / 2.0])
-        for points, responses in [(stack[:, ::2], y[::2]), (stack, y[::-1]),
-                                  (stack.astype(np.float32), y), (stack, y.astype(np.float32)),
-                                  (p, y), (stack[:0], y)]:
-            assert kernel.loo_estimates(points, responses) is None
-        assert (kernel._loo_estimates is None) == (kernel.loo_estimates(stack, y) is None)
+        frozen = stack.copy()
+        frozen.flags.writeable = False
+        cases = [(stack[:, ::2], y[::2]), (stack, y[::-1]), (frozen, y),
+                 (stack.astype(np.float32), y), (stack, y.astype(np.float32)), (stack[:0], y),
+                 (np.empty((2, 0)), np.empty(0))]
+        library = [kernel.loo_estimates(np.ascontiguousarray(points, dtype=np.float64),
+                                        np.ascontiguousarray(responses, dtype=np.float64))
+                   for points, responses in cases[:3]]
+        calls = []
+        if kernel._loo_estimates is not None:
+            monkeypatch.setattr(kernel, "_loo_estimates", spying(calls, kernel._loo_estimates))
+        for k, (points, responses) in enumerate(cases):
+            estimates, excluded = kernel.loo_estimates(points, responses)
+            expected = kernel._numpy_loo(points, responses)
+            assert estimates.shape == excluded.shape == points.shape
+            assert estimates.tobytes() == expected[0].tobytes()
+            assert excluded.tobytes() == expected[1].tobytes()
+            if k < len(library):
+                assert estimates.tobytes() == library[k][0].tobytes()
+        assert calls == []
+        with pytest.raises(ValueError, match=r"expected \(B, n\) points"):
+            kernel.loo_estimates(p, y)
 
     @pytest.mark.parametrize("n", sorted({10, CUTOFF + 1, 200, 257}))
     def test_one_loop_call_per_prediction_or_fit_pass(self, n, monkeypatch):
         # at every size held-out prediction and the local quadratic fits sort
         # their points and samples once and take the moments of the raw index
-        # in one window_sums call each
-        calls, transforms = [], []
-        monkeypatch.setattr(locfit, "window_sums", spy_window_sums(calls))
+        # in one window_sums call each, one library call with the library
+        calls, library, transforms = [], [], []
+        monkeypatch.setattr(locfit, "window_sums", spying(calls, locfit.window_sums))
         monkeypatch.setattr(locfit, "transform_inplace", lambda *args: transforms.append(args))
         monkeypatch.setattr(locfit, "smooth_kernel", lambda *args: transforms.append(args))
+        if kernel._window_sums is not None:
+            monkeypatch.setattr(kernel, "_window_sums", spying(library, kernel._window_sums))
         rng = np.random.default_rng(n)
         z = rng.normal(size=n)
         y = rng.normal(size=n)
@@ -445,6 +472,7 @@ class TestKernelSumEngine:
             np.testing.assert_array_equal(u, np.sort(points))
             np.testing.assert_array_equal(samples, z[order])
             assert moment_y.tolist() == y[order].tolist() and h == 0.5
+        assert len(library) == (0 if kernel._window_sums is None else 2)
         assert transforms == []
 
     @pytest.mark.parametrize("m, n", [(10, 90), (65, 197), (5, 1000), (1000, 20),
@@ -564,9 +592,9 @@ class TestKernelSumEngine:
             assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
 
     def test_batch_stacks_at_most_one_dense_tile_of_pairs(self, monkeypatch):
-        # a batch makes one dense stack or one loo_estimates call (the one
-        # library call, or the numpy walk's one window-sums call), however
-        # large; stack_size tells callers how many problems to pass
+        # a batch makes one dense stack or one loo_estimates call (one
+        # library call, or the numpy walk), however large; stack_size tells
+        # callers how many problems to pass
         shapes, calls = [], []
         tile = locfit._nw_tile
 
@@ -575,7 +603,7 @@ class TestKernelSumEngine:
             return tile(points, responses)
 
         monkeypatch.setattr(locfit, "_nw_tile", spy)
-        monkeypatch.setattr(locfit, "loo_estimates", spy_window_sums(calls, locfit.loo_estimates))
+        monkeypatch.setattr(locfit, "loo_estimates", spying(calls, locfit.loo_estimates))
         rng = np.random.default_rng(12)
         for n in (CUTOFF, CUTOFF + 1):
             z = rng.normal(size=(20, n))

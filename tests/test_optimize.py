@@ -529,15 +529,55 @@ class TestCompiledStep:
                                   o[4].tobytes(), o[5]) for o in outcomes]))
         assert runs[0] == runs[1]
 
-    def test_a_short_value_array_is_refused(self):
+    def test_a_short_value_array_is_refused(self, monkeypatch):
+        # on either path a step takes exactly the values of the points the
+        # last step gave out, and the first step takes none
+        for compiled in (True, False):
+            if not compiled:
+                numpy_step(monkeypatch)
+            elif kernel._simplex_step is None:
+                continue
+            lockstep = kernel.SimplexLockstep(np.zeros((2, 3, 2)), np.zeros((2, 3)),
+                                              [kernel.INIT, kernel.DONE], 10, 1e-8)
+            with pytest.raises(ValueError, match="expected 0 objective values"):
+                lockstep.step(np.zeros(1))
+            ready, which, points = lockstep.step()
+            assert ready.size == 0 and which.tolist() == [0, 0] and points.shape == (2, 2)
+            for got in (np.zeros(1), None):
+                with pytest.raises(ValueError, match="expected 2 objective values"):
+                    lockstep.step(got)
+
+    def test_one_library_call_per_step(self, monkeypatch):
+        # the first step gives out the start simplexes' points and each later
+        # one applies the values of one objective call and gives out the
+        # next, one library call each: as many as the objective calls, the
+        # starts' included, also when the budget ends every search before its
+        # simplex; the numpy step makes none
         if kernel._simplex_step is None:
             pytest.skip("no compiled library loaded")
-        lockstep = kernel.SimplexLockstep(np.zeros((2, 3, 2)), np.zeros((2, 3)),
-                                          [kernel.INIT, kernel.DONE], 10, 1e-8)
-        which, points = lockstep.pack()
-        assert which.tolist() == [0, 0] and points.shape == (2, 2)
-        with pytest.raises(ValueError, match="expected 2 objective values"):
-            lockstep.advance(np.zeros(1))
+        calls, scored = [], []
+        step = kernel._simplex_step
+
+        def spy(*args):
+            calls.append(args)
+            return step(*args)
+
+        def objective(which, points):
+            scored.append(which.size)
+            return np.floor(((points - 0.3) ** 2).sum(axis=1) * 16.0)
+
+        monkeypatch.setattr(kernel, "_simplex_step", spy)
+        for count, dim, budget in [(1, 3, 200), (5, 2, 60), (4, 6, 5)]:
+            calls.clear()
+            scored.clear()
+            optimize._nelder_mead(objective, np.linspace(-1.0, 1.0, count * dim).reshape(
+                count, dim), budget)
+            assert len(calls) == len(scored)
+            assert (len(calls) == 1) == (budget < dim + 2)
+        numpy_step(monkeypatch)
+        calls.clear()
+        optimize._nelder_mead(objective, np.ones((2, 3)), 50)
+        assert calls == []
 
 
 class TestStartStrategies:

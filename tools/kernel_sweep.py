@@ -7,7 +7,7 @@ For each n the script draws a link-g3 sample (``simulate.generate``, seed
 problems, its true index at the bandwidths of the default 10-bandwidth grid
 in turn, through ``nw_loo_all`` in calls of ``locfit.stack_size`` problems,
 as a coefficient search's step makes them: once on dense stacks and once on
-the batched window sums (one ``kernel.window_sums`` call per call), by
+the sorted window sums (one ``kernel.loo_estimates`` call per call), by
 setting ``locfit.ONE_TILE_MAX`` for the duration of each round: to n for the
 dense stacks and to n - 1 for the window sums.  A round times one step on
 each path; the path that runs first alternates from round to round, and
@@ -41,12 +41,12 @@ round of the pass is five calls).  Then come the Nelder-Mead bookkeeping per
 step, the objective excluded: one ``optimize._nelder_mead`` lockstep of 1,
 30 and 100 searches of dimension 24 from standard normal starts, 300
 evaluations each, on a cheap stand-in objective whose time is taken out,
-with the compiled step and without any compiled loop, best of ``--rounds``;
-and one leave-one-out stack (``nw_loo_all`` of ``locfit.stack_size(m)``
-problems, a g3 draw's true index at the bandwidths of its grid) at m = 90,
-200 and 1000: as one ``kernel.loo_estimates`` library call, on the compiled
-window sums with numpy's gathers and scatters, and without any compiled
-loop, best of ``--rounds`` rounds of ten calls.  fsim is imported from
+with the compiled step (one library call per step) and without any
+compiled loop, best of ``--rounds``; and one leave-one-out stack
+(``nw_loo_all`` of ``locfit.stack_size(m)`` problems, a g3 draw's true
+index at the bandwidths of its grid) at m = 90, 200 and 1000: as one
+``kernel.loo_estimates`` library call and on the numpy walk without any
+compiled loop, best of ``--rounds`` rounds of ten calls.  fsim is imported from
 ``PYTHONPATH`` when that provides it, else from the ``src`` directory of
 this checkout.
 """
@@ -343,21 +343,11 @@ def stack_time(n: int, rounds: int, seed: int = 0) -> float:
 
 
 def stack_times(rounds: int, seed: int = 0, sizes=STACK_SIZES):
-    """``(n, library_s, window_s, numpy_s)`` rows of the stack table:
-    :func:`stack_time` as shipped (one ``kernel.loo_estimates`` call), on
-    the compiled window sums with numpy's gathers and scatters (the stack
-    call switched off), and with every compiled loop switched off."""
-    rows = []
-    for n in sizes:
-        saved = kernel._loo_estimates
-        kernel._loo_estimates = None
-        try:
-            window = stack_time(n, rounds, seed)
-        finally:
-            kernel._loo_estimates = saved
-        rows.append((n, stack_time(n, rounds, seed), window,
-                     _without_compiler(lambda: stack_time(n, rounds, seed))))
-    return rows
+    """``(n, library_s, numpy_s)`` rows of the stack table: :func:`stack_time`
+    as shipped (one ``kernel.loo_estimates`` library call) and with every
+    compiled loop switched off (the numpy walk)."""
+    return [(n, stack_time(n, rounds, seed),
+             _without_compiler(lambda: stack_time(n, rounds, seed))) for n in sizes]
 
 
 def _duration(seconds: float) -> str:
@@ -411,8 +401,8 @@ def bookkeeping_table(rows) -> list[str]:
 
 def stack_table(rows) -> list[str]:
     """The markdown table of :func:`stack_times` rows."""
-    return (["| leave-one-out stack, per call | one library call | window sums and numpy "
-             "| no compiler |", "| --- | --- | --- | --- |"]
+    return (["| leave-one-out stack, per call | one library call | no compiler |",
+             "| --- | --- | --- |"]
             + [f"| {locfit.stack_size(n)} × {n} | " + " | ".join(map(_duration, times)) + " |"
                for n, *times in rows])
 
