@@ -7,7 +7,9 @@ polynomial with kernel weights K((z_i - u)/h).  The minimizer of
 
 estimates (g(u), g'(u), g''(u)) = (a, b, c), and each estimate is a linear
 functional of the responses: the rows of (X'WX)^{-1} X'W, exposed here as
-smoother rows.
+smoother rows.  One unit-free rule, :func:`_ldl`, judges every fit from
+the closed-form LDL^T factors of its h-scaled normal matrix, and the
+batched fits solve with the same factors.
 
 All kernel sums above the smallest problems run on sorted windows.  The
 kernel vanishes beyond one bandwidth, so a sum sorts its points and samples
@@ -21,9 +23,9 @@ takes one leave-one-out problem or a stack of them, the points of a
 lockstep step: up to the cap one :func:`transform_inplace` call forms the
 weights of a dense stack of tiles, and above it one ``loo_estimates`` call
 covers the stack.  The call never splits a stack; its callers bound them by
-:func:`stack_size`.  The pointwise fits
-(:func:`local_quad_fit`, :func:`smoother_matrix`, :func:`relocated_fit`)
-stay as the reference for the batched ones.
+:func:`stack_size`.  The pointwise fits (:func:`local_quad_fit`,
+:func:`smoother_matrix`, :func:`relocated_fit`) take the same verdict but
+solve on their own, as the reference for the batched ones.
 
 Every public entry point refuses a NaN or infinite index value, response or
 evaluation point with :class:`ValueError` (:func:`check_finite`), so the
@@ -42,14 +44,15 @@ from .kernel import (NORMALIZER, loo_estimates, nw_ratio, smooth_kernel, transfo
                      window_sums)
 
 MIN_WINDOW_POINTS = 3
+# a usable fit's least relative pivot (one minus the weighted R^2 of a design
+# column on those before it; see _ldl) exceeds 1/CONDITION_LIMIT
 CONDITION_LIMIT = 1e12
 # steps of h/4 that relocated_fit takes toward the data centre before it gives up
 RELOCATION_STEPS = 64
 # The largest leave-one-out problem that runs as a dense tile without
-# sorting.  tools/kernel_sweep.py puts the crossover of a 30-point lockstep
-# step between 40 and 48 samples with the compiled loops, and between 64
-# and 90 for 10-point steps; without a compiler the dense numpy stack wins
-# well beyond both (see README, "Performance").
+# sorting.  In tools/kernel_sweep.py's 30-point steps the compiled window
+# sums win at every n from 16 to 64, and without a compiler the dense numpy
+# stack wins up to at least 200 (see ROADMAP item 8).
 ONE_TILE_MAX = 64
 
 
@@ -141,69 +144,49 @@ def _fit_inputs(index_values, responses, h: float):
     return z, y
 
 
-def _smoother_rows(z: np.ndarray, u: float, h: float):
-    """Rows M with (a, b, c) = M @ y, plus the in-window point count.
+def _moments_at(z: np.ndarray, u: float, h: float) -> np.ndarray:
+    """The window sums of the one point ``u`` (zero responses): the same bits
+    as in any batch, so :func:`_ldl` gives the point the batch's verdict."""
+    samples = np.sort(z)
+    return window_sums(np.array([u]), samples, np.zeros_like(samples), h)[:, 0]
 
-    The system is solved on the h-scaled design for conditioning; the
-    condition guard applies to the raw normal matrix X'WX that defines the
-    estimator.
-    """
-    d = z - u
-    s = d / h
-    w = smooth_kernel(s)
-    inside = int(np.count_nonzero(w))
+
+def _refusal(sums: np.ndarray, u: float, h: float) -> SingularFitError:
+    """Why :func:`_ldl` refuses the fit at ``u`` with window sums ``sums``."""
+    inside = int(sums[8])
     if inside < MIN_WINDOW_POINTS:
-        raise SingularFitError(
-            f"only {inside} points inside the window at u={u:.6g} (h={h:.6g})"
-        )
-    ones = np.ones_like(d)
-    raw_design = np.stack([ones, d, 0.5 * d * d])
-    a_raw = (raw_design * w) @ raw_design.T
-    cond = np.linalg.cond(a_raw)
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-        raise SingularFitError(
-            f"normal matrix condition {cond:.3g} exceeds {CONDITION_LIMIT:.0e} at u={u:.6g}"
-        )
-    scaled_design = np.stack([ones, s, 0.5 * s * s])
-    weighted = scaled_design * w
-    try:
-        rows = np.linalg.solve(weighted @ scaled_design.T, weighted)
-    except np.linalg.LinAlgError as exc:
-        raise SingularFitError(f"singular normal matrix at u={u:.6g}") from exc
-    rows[1] /= h
-    rows[2] /= h * h
-    return rows, inside
+        return SingularFitError(f"only {inside} points inside the window at u={u:.6g} (h={h:.6g})")
+    return SingularFitError(f"normal matrix relative pivot {_ldl(sums)[1]:.3g} is not above "
+                            f"{1.0 / CONDITION_LIMIT:.0e} at u={u:.6g} (h={h:.6g})")
 
 
-def _tagged_rows(z: np.ndarray, j: int, h: float) -> np.ndarray:
-    """Smoother rows of the fit at sample ``j``; a singular fit names the row."""
-    try:
-        return _smoother_rows(z, float(z[j]), float(h))[0]
-    except SingularFitError as exc:
-        raise SingularFitError(f"row {j}: {exc}", row=j) from exc
+def _smoother_rows(z: np.ndarray, u: float, h: float):
+    """Rows M with (a, b, c) = M @ y, plus the in-window point count: the
+    verdict of the batched fits, and this fit's own solve of the h-scaled
+    design."""
+    sums = _moments_at(z, u, h)
+    if not _ldl(sums)[2]:
+        raise _refusal(sums, u, h)
+    s = (z - u) / h
+    design = np.stack([np.ones_like(s), s, 0.5 * s * s])
+    weighted = design * smooth_kernel(s)
+    rows = np.linalg.solve(weighted @ design.T, weighted) / np.array([[1.0], [h], [h * h]])
+    return rows, int(sums[8])
 
 
 def local_quad_fit(index_values, responses, u: float, h: float) -> LocalQuadFit:
     """Fit the local quadratic at ``u`` with bandwidth ``h``.
 
-    Requires at least three samples strictly inside the kernel window; raises
-    :class:`SingularFitError` otherwise, or when the weighted normal matrix
-    is too ill-conditioned to trust.
+    Raises :class:`SingularFitError` where :func:`_ldl` refuses the fit: fewer
+    than ``MIN_WINDOW_POINTS`` samples strictly inside the kernel window, or
+    a relative pivot of the h-scaled normal matrix at most 1/``CONDITION_LIMIT``.
     """
     z, y = _fit_inputs(index_values, responses, h)
     check_finite(np.float64(u), "u")
     rows, inside = _smoother_rows(z, float(u), float(h))
     a, b, c = rows @ y
-    return LocalQuadFit(
-        u=float(u),
-        a_hat=float(a),
-        b_hat=float(b),
-        c_hat=float(c),
-        effective_points=inside,
-        smoother_row_0=readonly_array(rows[0]),
-        smoother_row_1=readonly_array(rows[1]),
-        smoother_row_2=readonly_array(rows[2]),
-    )
+    return LocalQuadFit(float(u), float(a), float(b), float(c), inside,
+                        *(readonly_array(row) for row in rows))
 
 
 def _sorted_moments(points, samples, responses, h):
@@ -311,10 +294,27 @@ def nw_predict(index_values, responses, points, h: float):
     return nw_ratio(*_sorted_moments(u, z, y, float(h))[[0, 5]])
 
 
-# Entry (p, q) of the normal matrix X'WX of the h-scaled design (1, s, s^2/2)
-# is S_{p+q} times _HALVES[p, q], with S_k the sum of w s^k over the window.
-_HANKEL = np.add.outer(np.arange(3), np.arange(3))
-_HALVES = np.outer([1.0, 1.0, 0.5], [1.0, 1.0, 0.5])
+def _ldl(sums: np.ndarray):
+    """``((l10, l20, l21, d1, d2), pivot, usable)``: the closed-form LDL^T
+    factors (d_0 = S_0) of the normal matrix A of the h-scaled design (1, s,
+    s^2/2), entries S_{p+q} c_p c_q with c = (1, 1, 1/2), from the columns of
+    window sums ``sums``, and the verdict on each fit.  ``pivot`` is
+    min(d_1/a_11, d_2/a_22), one minus the weighted R^2 of a design column on
+    those before it: rescaling a column, so the unit of the index or of h,
+    leaves it alone.  A fit is usable with ``MIN_WINDOW_POINTS`` nonzero
+    weights and a pivot above 1/``CONDITION_LIMIT``; elsewhere the factors
+    may be NaN or infinite.
+    """
+    s0, s1, s2, s3, s4 = sums[:5]
+    with np.errstate(all="ignore"):
+        l10 = s1 / s0
+        l20 = 0.5 * s2 / s0
+        d1 = s2 - l10 * s1
+        l21 = (0.5 * s3 - l20 * s1) / d1
+        d2 = 0.25 * s4 - 0.5 * l20 * s2 - l21 * l21 * d1
+        pivot = np.minimum(d1 / s2, d2 / (0.25 * s4))
+    usable = (sums[8] >= MIN_WINDOW_POINTS) & (pivot > 1.0 / CONDITION_LIMIT)
+    return (l10, l20, l21, d1, d2), pivot, usable
 
 
 def _quad_fits(z: np.ndarray, y: np.ndarray, points: np.ndarray, h: float):
@@ -322,29 +322,24 @@ def _quad_fits(z: np.ndarray, y: np.ndarray, points: np.ndarray, h: float):
 
     Returns ``(coefficients, usable, leverage)``.  ``coefficients[k]`` holds
     the k-th estimate of (a, b, c) at every point, NaN where the point is
-    unusable.  ``usable`` applies the guards of :func:`_smoother_rows` to
-    every point at once: at least ``MIN_WINDOW_POINTS`` nonzero weights, a
-    finite raw condition number up to ``CONDITION_LIMIT`` (from the
-    h-scaled moments rescaled by h^(p+q)), and a nonzero LU pivot.
-    ``leverage`` is K(0) (A^{-1})_00, the weight of the level row on a
-    sample at the evaluation point itself.  The weights are the pointwise
-    ones bit for bit; only the order of the sums differs.
+    unusable.  ``usable`` is the verdict of :func:`_ldl`, which the pointwise
+    fit takes too, and forward and back substitution of (T_0, T_1, T_2/2)
+    with its factors give (a, b h, c h^2).  ``leverage`` is K(0) (A^{-1})_00,
+    the weight of the level row on a sample at the evaluation point itself,
+    from the forward substitution of e_0.  The weights are the pointwise ones
+    bit for bit; only the order of the sums and the solve differ.
     """
     sums = _sorted_moments(points, z, y, h)
-    scaled = sums[:5].T[:, _HANKEL] * _HALVES
-    h_powers = np.array([1.0, h, h * h])
-    cond = np.linalg.cond(scaled * np.outer(h_powers, h_powers))
-    usable = (sums[8] >= MIN_WINDOW_POINTS) & np.isfinite(cond) & (cond <= CONDITION_LIMIT)
-    # np.linalg.solve raises on a zero LU pivot; det runs the same factorization
-    usable[usable] = np.linalg.det(scaled[usable]) != 0.0
-    rhs = np.zeros((int(usable.sum()), 3, 2))
-    rhs[:, :, 0] = sums[5:8, usable].T * _HALVES[0]
-    rhs[:, 0, 1] = 1.0
-    solution = np.linalg.solve(scaled[usable], rhs)
-    coefficients = np.full((3, points.size), np.nan)
-    leverage = np.full(points.size, np.nan)
-    coefficients[:, usable] = (solution[:, :, 0] / h_powers).T
-    leverage[usable] = NORMALIZER * solution[:, 0, 1]
+    (l10, l20, l21, d1, d2), _, usable = _ldl(sums)
+    with np.errstate(all="ignore"):
+        r1 = sums[6] - l10 * sums[5]
+        r2 = 0.5 * sums[7] - l20 * sums[5] - l21 * r1
+        c = r2 / d2
+        b = r1 / d1 - l21 * c
+        a = sums[5] / sums[0] - l10 * b - l20 * c
+        inverse_00 = 1.0 / sums[0] + l10 * l10 / d1 + (l21 * l10 - l20) ** 2 / d2
+    coefficients = np.where(usable, np.stack([a, b / h, c / (h * h)]), np.nan)
+    leverage = np.where(usable, NORMALIZER * inverse_00, np.nan)
     return coefficients, usable, leverage
 
 
@@ -359,7 +354,10 @@ def smoother_matrix(index_values, h: float) -> np.ndarray:
     check_bandwidth(h)
     out = np.empty((z.size, z.size))
     for j in range(z.size):
-        out[j] = _tagged_rows(z, j, h)[0]
+        try:
+            out[j] = _smoother_rows(z, float(z[j]), float(h))[0][0]
+        except SingularFitError as exc:
+            raise SingularFitError(f"row {j}: {exc}", row=j) from exc
     return out
 
 
@@ -369,16 +367,15 @@ def level_fits(index_values, responses, h: float):
     The batched counterpart of ``smoother_matrix(z, h) @ y`` and its
     diagonal, without the n-by-n matrix: the sample at the evaluation point
     has s = 0, so its weight is K(0) (A^{-1})_00.  The first unusable row
-    raises the error :func:`smoother_matrix` raises there.
+    raises the error :func:`smoother_matrix` raises there, the reason of
+    :func:`_ldl` on that point's own window sums.
     """
     z, y = _fit_inputs(index_values, responses, h)
     coefficients, usable, leverage = _quad_fits(z, y, z, float(h))
     if not usable.all():
         j = int(np.argmin(usable))
-        _tagged_rows(z, j, h)
-        # the pointwise guards passed: the row sits within rounding of their edge
-        raise SingularFitError(
-            f"row {j}: local fit at u={z[j]:.6g} is at the edge of the guards", row=j)
+        u, h = float(z[j]), float(h)
+        raise SingularFitError(f"row {j}: {_refusal(_moments_at(z, u, h), u, h)}", row=j)
     return coefficients[0], leverage
 
 

@@ -32,6 +32,7 @@ from fsim.optimize import (
 from fsim.simulate import ExperimentConfig, SimScenario, generate, run_experiment
 from test_optimize import (  # noqa: F401
     no_child_left, one_point_value, result_fields, serial_nelder_mead, use_cpus)
+from test_locfit import assert_fits_match, pointwise_fits
 
 
 def single_block_data(coeffs, y):
@@ -167,8 +168,19 @@ class TestGcvScore:
             smoother_matrix(compute_index(data, spec), 0.015)
         with pytest.raises(SingularFitError) as got:
             bw.gcv_score(data, spec, 0.015)
-        assert got.value.row == expected.value.row == 89
+        assert got.value.row == expected.value.row == 104
         assert str(got.value) == str(expected.value)
+        assert "only 2 points inside the window" in str(got.value)
+
+    def test_a_well_conditioned_narrow_window_is_usable(self):
+        # row 89 at h = 0.015 holds a window whose least relative pivot is
+        # about 0.5; a guard on the raw-unit normal matrix refused it
+        data, truth = linear_dataset(300, 0.1, seed=8)
+        z = compute_index(data, spec_from_raw(data, truth))
+        at = z[89:90]
+        oracle = pointwise_fits(z, data.y, at, 0.015)
+        assert np.isfinite(oracle[0]).all()
+        assert_fits_match(locfit._quad_fits(z, data.y, at, 0.015)[0], oracle, 0.015)
 
     def test_interpolating_smoother_raises(self, monkeypatch):
         rng = np.random.default_rng(2)

@@ -846,6 +846,39 @@ class TestBatchedFits:
         assert batch.value.row == pointwise.value.row == 7
         assert str(batch.value) == str(pointwise.value)
 
+    def test_collinear_window_raises_the_pivot_reason_at_the_same_row(self, engine_path):
+        # three weights on two index values: the quadratic column is a
+        # combination of the other two, so its relative pivot is 0
+        z = np.linspace(0.0, 1.0, 300)
+        z[[100, 200, 250]] = [5.0, 5.125, 5.0]
+        with pytest.raises(SingularFitError) as batch:
+            level_fits(z, np.zeros(300), 0.25)
+        with pytest.raises(SingularFitError) as pointwise:
+            smoother_matrix(z, 0.25)
+        assert batch.value.row == pointwise.value.row == 100
+        assert str(batch.value) == str(pointwise.value)
+        assert "normal matrix relative pivot 0 is not above 1e-12" in str(batch.value)
+
+    def test_factors_rebuild_the_normal_matrix_and_pivots_are_one_minus_r2(self):
+        rng = np.random.default_rng(14)
+        z = rng.normal(size=200)
+        points = np.linspace(-2.0, 2.0, 9)
+        sums = locfit._sorted_moments(points, z, np.zeros(200), 0.7)
+        (l10, l20, l21, d1, d2), pivot, usable = locfit._ldl(sums)
+        assert usable.all()
+        for k, u in enumerate(points):
+            s = (z - u) / 0.7
+            root_w = np.sqrt(smooth_kernel(s))
+            design = np.stack([np.ones_like(s), s, 0.5 * s * s]) * root_w
+            lower = np.array([[1.0, 0.0, 0.0], [l10[k], 1.0, 0.0], [l20[k], l21[k], 1.0]])
+            np.testing.assert_allclose(lower @ np.diag([sums[0, k], d1[k], d2[k]]) @ lower.T,
+                                       design @ design.T, rtol=1e-12, atol=1e-12 * sums[0, k])
+            # 1 - R^2 of each column on the columns before it, by least squares
+            r2 = [1.0 - np.sum((design[c] - np.linalg.lstsq(design[:c].T, design[c],
+                                                            rcond=None)[0] @ design[:c])**2)
+                  / np.sum(design[c]**2) for c in (1, 2)]
+            assert pivot[k] == pytest.approx(1.0 - max(r2), rel=1e-9)
+
     def test_no_points_or_no_samples(self):
         assert curve_estimates(np.linspace(0.0, 1.0, 300), np.zeros(300), [], 0.1).size == 0
         assert np.isnan(curve_estimates([], [], np.linspace(0.0, 1.0, 300), 0.1)).all()
@@ -880,19 +913,18 @@ class TestBatchedInvariances:
            power=st.integers(-20, 20))
     def test_power_of_two_rescale_scales_the_fits_exactly(self, z, seed, h, power):
         # (z, h) -> (lam z, lam h) at lam = 2^k leaves every argument (z - u) / h
-        # and so every moment as it was: where both sides are usable, the level
-        # and the leverage keep their bits and b and c scale by 1/lam and
-        # 1/lam^2 exactly.  The usable masks may differ, since the condition
-        # guard reads the moments in raw units.
+        # and so every moment as it was: the usable masks are the same, and
+        # the level and the leverage keep their bits while b and c scale by
+        # 1/lam and 1/lam^2 exactly
         y = np.random.default_rng(seed).normal(size=z.size)
         lam = 2.0**power
         fits, usable, leverage = locfit._quad_fits(z, y, z, h)
         scaled, scaled_usable, scaled_leverage = locfit._quad_fits(lam * z, y, lam * z, lam * h)
-        both = usable & scaled_usable
-        assert scaled[0][both].tobytes() == fits[0][both].tobytes()
-        assert scaled_leverage[both].tobytes() == leverage[both].tobytes()
-        assert scaled[1][both].tobytes() == (fits[1][both] / lam).tobytes()
-        assert scaled[2][both].tobytes() == (fits[2][both] / lam**2).tobytes()
+        np.testing.assert_array_equal(scaled_usable, usable)
+        assert scaled[0].tobytes() == fits[0].tobytes()
+        assert scaled_leverage.tobytes() == leverage.tobytes()
+        assert scaled[1].tobytes() == (fits[1] / lam).tobytes()
+        assert scaled[2].tobytes() == (fits[2] / lam**2).tobytes()
 
 
 class TestSmootherMatrix:
